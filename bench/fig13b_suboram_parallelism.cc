@@ -6,9 +6,9 @@
 // model columns carry the 4-core shape; measured numbers validate the single-thread
 // trend in the data-size dimension.
 //
-// A second section sweeps the epoch executor's work-stealing pool
+// A second section sweeps the epoch phase executor's worker pool
 // (SnoopyConfig::epoch_threads) over a multi-subORAM deployment and reads back the
-// always-on per-worker profile (tasks, steals, busy/idle seconds) that
+// always-on per-worker profile (tasks, busy/idle seconds) that
 // RecordWorkerPhase exports, turning it into a measured parallel-efficiency figure
 // for the suboram_execute phase.
 
@@ -62,7 +62,6 @@ struct PoolProfile {
   double busy_s = 0;
   double idle_s = 0;
   uint64_t tasks = 0;
-  uint64_t steals = 0;
   double efficiency = 0;
 };
 
@@ -91,7 +90,6 @@ PoolProfile EpochPoolProfile(MetricsRegistry& registry, int epoch_threads) {
   p.busy_s = registry.GetGauge("snoopy_pool_busy_seconds_total", labels).value();
   p.idle_s = registry.GetGauge("snoopy_pool_idle_seconds_total", labels).value();
   p.tasks = registry.GetCounter("snoopy_pool_tasks_total", labels).value();
-  p.steals = registry.GetCounter("snoopy_pool_steals_total", labels).value();
   const double denom = p.busy_s + p.idle_s;
   p.efficiency = denom > 0 ? p.busy_s / denom : 0.0;
   return p;
@@ -129,22 +127,21 @@ int main(int argc, char** argv) {
   // Epoch executor pool: the always-on per-worker profile for suboram_execute at
   // 1/2/4 epoch threads (2 LB + 4 SO, 2 epochs x 128 reqs).
   std::printf("\nepoch pool (suboram_execute, 2 LB + 4 SO):\n");
-  std::printf("%8s %10s %10s %10s %7s %7s %6s\n", "threads", "wall ms", "busy ms",
-              "idle ms", "tasks", "steals", "eff");
+  std::printf("%8s %10s %10s %10s %7s %6s\n", "threads", "wall ms", "busy ms",
+              "idle ms", "tasks", "eff");
   std::unique_ptr<MetricsRegistry> last_registry;
   for (const int threads : {1, 2, 4}) {
     auto registry = std::make_unique<MetricsRegistry>();
     const PoolProfile p = EpochPoolProfile(*registry, threads);
-    std::printf("%8d %10.1f %10.1f %10.1f %7llu %7llu %6.2f\n", threads, p.wall_s * 1e3,
+    std::printf("%8d %10.1f %10.1f %10.1f %7llu %6.2f\n", threads, p.wall_s * 1e3,
                 p.busy_s * 1e3, p.idle_s * 1e3, static_cast<unsigned long long>(p.tasks),
-                static_cast<unsigned long long>(p.steals), p.efficiency);
+                p.efficiency);
     emitter.AddPoint("epoch_pool")
         .Set("epoch_threads", static_cast<double>(threads))
         .Set("wall_s", p.wall_s)
         .Set("busy_s", p.busy_s)
         .Set("idle_s", p.idle_s)
         .Set("tasks", static_cast<double>(p.tasks))
-        .Set("steals", static_cast<double>(p.steals))
         .Set("parallel_efficiency", p.efficiency);
     if (threads == 4) {
       last_registry = std::move(registry);
@@ -162,7 +159,7 @@ int main(int argc, char** argv) {
 
   std::printf("\npaper shape check: processing time scales with data size; extra enclave\n"
               "threads cut it substantially (model columns), with diminishing returns\n"
-              "from 2 to 3 threads. The epoch-pool rows profile the work-stealing\n"
+              "from 2 to 3 threads. The epoch-pool rows profile the phase\n"
               "executor on this host (1 core: multi-thread efficiency is coordination\n"
               "overhead; multi-core hosts approach 1.0).\n");
   return 0;

@@ -89,7 +89,7 @@ OverheadArms EpochPairSeconds(MetricsRegistry* registry, Tracer* tracer, uint64_
 }
 
 // One phase of the epoch pipeline as seen by the always-on pool profile: wall time
-// from the phase histogram, worker busy/idle seconds and task/steal counts from the
+// from the phase histogram, worker busy/idle seconds and task counts from the
 // pool gauges RecordWorkerPhase maintains. Efficiency is busy / (busy + idle): the
 // fraction of worker-seconds inside the phase spent running tasks rather than parked
 // at the join barrier. cpu_busy_s is the per-thread CLOCK_THREAD_CPUTIME_ID sum for
@@ -103,7 +103,6 @@ struct PhaseProfile {
   double idle_s = 0;
   double cpu_busy_s = 0;
   uint64_t tasks = 0;
-  uint64_t steals = 0;
   double efficiency = 0;
 };
 
@@ -143,7 +142,6 @@ std::vector<PhaseProfile> PhaseBreakdown(MetricsRegistry& registry, int epoch_th
     p.idle_s = registry.GetGauge("snoopy_pool_idle_seconds_total", labels).value();
     p.cpu_busy_s = registry.GetGauge("snoopy_pool_cpu_busy_seconds_total", labels).value();
     p.tasks = registry.GetCounter("snoopy_pool_tasks_total", labels).value();
-    p.steals = registry.GetCounter("snoopy_pool_steals_total", labels).value();
     const double denom = p.busy_s + p.idle_s;
     p.efficiency = denom > 0 ? p.busy_s / denom : 0.0;
     out.push_back(p);
@@ -266,7 +264,7 @@ int main(int argc, char** argv) {
               seq_s * 1e3, par_s * 1e3, seq_s / par_s);
 
   // Phase breakdown from the always-on pool profile: per-phase wall time, worker
-  // busy/idle split, task/steal counts, and parallel efficiency at 1 and 4 epoch
+  // busy/idle split, task counts, and parallel efficiency at 1 and 4 epoch
   // threads. These are the same counters RecordWorkerPhase exports in production.
   MetricsRegistry breakdown_1t;
   MetricsRegistry breakdown_4t;
@@ -277,9 +275,9 @@ int main(int argc, char** argv) {
   // done). A healthy parallel phase keeps inflation near 1.0 at any thread count;
   // wall speedup additionally needs real cores under it.
   std::printf("\nphase breakdown (8 epochs x 256 reqs, 2 LB + 4 SO):\n");
-  std::printf("%8s %-16s %10s %10s %10s %10s %7s %7s %6s %8s %9s\n", "threads", "phase",
-              "wall ms", "busy ms", "cpu ms", "idle ms", "tasks", "steals", "eff",
-              "speedup", "inflation");
+  std::printf("%8s %-16s %10s %10s %10s %10s %7s %6s %8s %9s\n", "threads", "phase",
+              "wall ms", "busy ms", "cpu ms", "idle ms", "tasks", "eff", "speedup",
+              "inflation");
   for (const auto* phases : {&phases_1t, &phases_4t}) {
     const int threads = phases == &phases_1t ? 1 : 4;
     for (size_t i = 0; i < phases->size(); ++i) {
@@ -287,11 +285,10 @@ int main(int argc, char** argv) {
       const PhaseProfile& base = phases_1t[i];
       const double speedup = p.wall_s > 0 ? base.wall_s / p.wall_s : 0.0;
       const double inflation = base.cpu_busy_s > 0 ? p.cpu_busy_s / base.cpu_busy_s : 0.0;
-      std::printf("%8d %-16s %10.1f %10.1f %10.1f %10.1f %7llu %7llu %6.2f %7.2fx %8.2fx\n",
+      std::printf("%8d %-16s %10.1f %10.1f %10.1f %10.1f %7llu %6.2f %7.2fx %8.2fx\n",
                   threads, p.phase, p.wall_s * 1e3, p.busy_s * 1e3, p.cpu_busy_s * 1e3,
-                  p.idle_s * 1e3, static_cast<unsigned long long>(p.tasks),
-                  static_cast<unsigned long long>(p.steals), p.efficiency, speedup,
-                  inflation);
+                  p.idle_s * 1e3, static_cast<unsigned long long>(p.tasks), p.efficiency,
+                  speedup, inflation);
     }
   }
 
@@ -360,7 +357,6 @@ int main(int argc, char** argv) {
           .Set("cpu_busy_s", p.cpu_busy_s)
           .Set("idle_s", p.idle_s)
           .Set("tasks", static_cast<double>(p.tasks))
-          .Set("steals", static_cast<double>(p.steals))
           .Set("parallel_efficiency", p.efficiency)
           .Set("speedup_vs_1_thread", p.wall_s > 0 ? base.wall_s / p.wall_s : 0.0)
           .Set("work_inflation",
@@ -409,7 +405,7 @@ int main(int argc, char** argv) {
     std::printf("machine-readable output: %s\n", path.c_str());
   }
   // --metrics-out: the 4-thread breakdown registry carries the full pipeline
-  // profile (phase histograms plus the pool's busy/idle/steal series).
+  // profile (phase histograms plus the pool's busy/idle/task series).
   WriteMetricsSnapshot(breakdown_4t, metrics_out);
   return 0;
 }

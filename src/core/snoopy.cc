@@ -1,15 +1,10 @@
 #include "src/core/snoopy.h"
 
 #include <algorithm>
-#include <atomic>
-#include <condition_variable>
 #include <cstring>
-#include <exception>
-#include <functional>
 #include <mutex>
 #include <stdexcept>
 #include <string>
-#include <thread>
 
 #include "src/core/reshard.h"
 #include "src/crypto/sha256.h"
@@ -126,447 +121,6 @@ std::vector<std::pair<uint64_t, std::vector<uint8_t>>> SlabToObjects(const ByteS
                                                slab.Record(i) + 8 + value_size));
   }
   return out;
-}
-
-// Observability context for one phase-pool run: phase name for labels/spans, the
-// tracer and pre-resolved metric handles to export into (either may be null), and
-// the clock (null = steady_clock; the fault-injection deployment passes the
-// VirtualClock). Metrics arrive as resolved handles (Snoopy::PoolMetricsFor)
-// rather than a registry so the per-epoch path never repeats name-keyed lookups.
-struct PhasePoolContext {
-  const char* phase;
-  Tracer* tracer = nullptr;
-  const PoolPhaseMetrics* metrics = nullptr;
-  std::function<double()> now;
-};
-
-// Runs tasks 0..n-1 across up to `threads` workers (the calling thread included) and
-// merges every task's trace events back into the caller's sink in task-index order.
-// Each task index is a *public* id (load balancer or subORAM number), so the merge
-// order is simulatable and the merged trace is byte-identical at any thread count:
-// with threads <= 1 the tasks simply run inline in index order, which produces the
-// same event sequence the buffered merge reproduces.
-//
-// Scheduling is work-stealing over striped queues: worker w owns the contiguous
-// stripe [w*chunk, (w+1)*chunk) behind its own atomic cursor; a worker that drains
-// its stripe claims indices from its victims' cursors in cyclic order. Scheduling
-// never affects the result because each task touches only its own per-index state
-// and per-endpoint fault streams; it does feed the always-on per-worker profile
-// (tasks, steals, busy/idle nanoseconds, queue depth -> RecordWorkerPhase), which
-// records only public schedule facts. When the tracer is enabled each task also
-// gets a span, buffered in a per-task SpanRingBuffer and merged in task-id order
-// after the join, so the span sequence is deterministic at any epoch_threads.
-//
-// Workers are borrowed from the process-wide WorkPool, never spawned: spawning a
-// fresh std::thread set per phase (the old design) plus nested sort threads under
-// each task is exactly the oversubscription that inflated suboram_execute busy time
-// 3.2x at 4 threads on a saturated host. Each task runs under a thread budget of
-// max(1, threads / n) -- a public function of the configured width and the task
-// count -- so nested sort parallelism (AdaptiveSortThreads) sizes itself to the
-// workers its phase actually left spare and submits the halves to the same pool.
-//
-// Besides wall-clock busy time the executor charges each task's CPU time
-// (CLOCK_THREAD_CPUTIME_ID) to its worker. Wall busy inflates with timesharing when
-// the host is oversubscribed; CPU busy does not, and the exported ratio is the
-// work_inflation signal the scaling-regression gates check.
-//
-// A task that throws doesn't stop its siblings (mirroring independent machines in the
-// real deployment); after the join, the lowest-index exception is rethrown so the
-// surfaced error doesn't depend on scheduling.
-template <typename Task>
-void RunIndexedPhase(size_t n, int threads, const PhasePoolContext& ctx,
-                     const Task& task) {
-  if (n == 0) {
-    return;
-  }
-  const size_t max_workers = threads < 1 ? 1 : static_cast<size_t>(threads);
-  const size_t workers = n < max_workers ? n : max_workers;
-  const auto now = [&ctx]() -> double {
-    return ctx.now ? ctx.now() : SpanTimer::SteadyNowSeconds();
-  };
-  const bool tracing = ctx.tracer != nullptr && ctx.tracer->enabled();
-  const double pool_start = now();
-  std::vector<WorkerPhaseStats> stats(workers);
-
-  if (workers <= 1) {
-    WorkerPhaseStats& st = stats[0];
-    st.start_s = pool_start;
-    st.max_queue_depth = n;
-    for (size_t i = 0; i < n; ++i) {
-      const double task_start = now();
-      const double task_cpu_start = ThreadCpuNowSeconds();
-      {
-        TraceSpan span(tracing ? ctx.tracer : nullptr, "task", ctx.phase, i, 0);
-        task(i);
-      }
-      st.busy_ns += static_cast<uint64_t>((now() - task_start) * 1e9);
-      st.cpu_busy_ns +=
-          static_cast<uint64_t>((ThreadCpuNowSeconds() - task_cpu_start) * 1e9);
-      ++st.tasks;
-    }
-    st.finish_s = now();
-    RecordWorkerPhase(ctx.tracer, ctx.metrics, ctx.phase, 1, pool_start,
-                      st.finish_s, stats);
-    return;
-  }
-
-  // Public per-task thread grant: spare pool width divided evenly over the tasks.
-  const int task_budget =
-      max_workers / n > 1 ? static_cast<int>(max_workers / n) : 1;
-
-  std::vector<std::vector<TraceEvent>> buffers(n);
-  std::vector<std::exception_ptr> errors(n);
-  std::vector<std::unique_ptr<SpanRingBuffer>> rings;
-  if (tracing) {
-    // Per-task rings stay small at detail 1 (a task plus its step spans); the
-    // full default capacity is only worth its zero-fill cost when tile-level
-    // detail multiplies the span count.
-    const size_t ring_capacity =
-        ctx.tracer->detail() >= 2 ? SpanRingBuffer::kDefaultCapacity : 64;
-    rings.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      rings.push_back(std::make_unique<SpanRingBuffer>(ring_capacity));
-    }
-  }
-  // Padded so cursor fetch_adds from stealers don't false-share with neighbours.
-  struct alignas(64) StripeCursor {
-    std::atomic<size_t> next{0};
-  };
-  const size_t chunk = (n + workers - 1) / workers;
-  auto stripe_begin = [&](size_t w) { return std::min(n, w * chunk); };
-  auto stripe_end = [&](size_t w) { return std::min(n, (w + 1) * chunk); };
-  std::vector<StripeCursor> cursors(workers);
-  for (size_t w = 0; w < workers; ++w) {
-    cursors[w].next.store(stripe_begin(w), std::memory_order_relaxed);
-  }
-
-  auto work = [&](size_t w) {
-    WorkerPhaseStats& st = stats[w];
-    st.start_s = now();
-    st.max_queue_depth = stripe_end(w) - stripe_begin(w);
-    auto run_one = [&](size_t i, bool stolen, size_t victim) {
-      TraceThreadBuffer buffer{&buffers[i]};
-      const double task_start = now();
-      const double task_cpu_start = ThreadCpuNowSeconds();
-      {
-        TracerThreadBuffer spans{tracing ? rings[i].get() : nullptr};
-        TraceSpan span(tracing ? ctx.tracer : nullptr, "task", ctx.phase, i, 1 + w);
-        span.SetArg("worker", w);
-        if (stolen) {
-          span.SetArg("stolen_from", victim);
-        }
-        ScopedThreadBudget budget(task_budget);
-        try {
-          task(i);
-        } catch (...) {
-          errors[i] = std::current_exception();
-        }
-      }
-      st.busy_ns += static_cast<uint64_t>((now() - task_start) * 1e9);
-      st.cpu_busy_ns +=
-          static_cast<uint64_t>((ThreadCpuNowSeconds() - task_cpu_start) * 1e9);
-      ++st.tasks;
-      if (stolen) {
-        ++st.steals;
-      }
-    };
-    for (;;) {
-      const size_t i = cursors[w].next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= stripe_end(w)) {
-        break;
-      }
-      run_one(i, false, w);
-    }
-    for (size_t delta = 1; delta < workers; ++delta) {
-      const size_t victim = (w + delta) % workers;
-      for (;;) {
-        const size_t i = cursors[victim].next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= stripe_end(victim)) {
-          break;
-        }
-        run_one(i, true, victim);
-      }
-    }
-    st.finish_s = now();
-  };
-
-  // Borrow workers from the process-wide pool (persistent, parked between phases)
-  // instead of spawning a thread set per phase.
-  WorkPool::Instance().Run(workers, work);
-  const double pool_end = now();
-  for (size_t w = 0; w < workers; ++w) {
-    const double idle_s = pool_end - stats[w].finish_s;
-    stats[w].idle_ns = idle_s > 0 ? static_cast<uint64_t>(idle_s * 1e9) : 0;
-  }
-  for (const std::vector<TraceEvent>& buffer : buffers) {
-    TraceAppendCurrent(buffer);
-  }
-  if (tracing) {
-    for (const std::unique_ptr<SpanRingBuffer>& ring : rings) {
-      ctx.tracer->Append(*ring);
-    }
-  }
-  RecordWorkerPhase(ctx.tracer, ctx.metrics, ctx.phase, workers, pool_start,
-                    pool_end, stats);
-  for (std::exception_ptr& error : errors) {
-    if (error) {
-      std::rethrow_exception(error);
-    }
-  }
-}
-
-// Phase boundary timestamps from the fused prepare/execute run. The two phases
-// overlap in time, so they can't be measured with nested RAII timers; the caller
-// observes the phase histograms from these instead.
-struct FusedPhaseTimes {
-  double start_s = 0;
-  double prepare_end_s = 0;
-  double execute_end_s = 0;
-};
-
-// Epoch phases 1-2 fused on the public epoch schedule: load-balancer prepares and
-// subORAM executes share one pool run instead of meeting at a global barrier. A
-// subORAM task starts as soon as *its first* load balancer's batch is ready and
-// waits per load balancer from there (`ready(lb)`), so executes overlap the tail
-// of preparation -- the per-subORAM barrier the global join wasted. An execute
-// worker that would stall on an unfinished prepare *helps*: it claims an unstarted
-// prepare task and runs it (charging the time to the prepare phase), parking on the
-// condition variable only when every prepare is already claimed.
-//
-// Leakage: the schedule is a pure function of public values -- task counts, the
-// configured width, and wall-clock completion order -- and every scheduled item is
-// a public id, so the overlap leaks nothing the sequential schedule didn't.
-// Trace events are buffered per task and merged in (prepares 0..L-1, executes
-// 0..S-1) order, which is exactly the sequential two-phase order, so the merged
-// enclave trace is byte-identical at any thread count.
-//
-// `prepare(lb)` must make prepared state visible before returning; `execute(so,
-// ready)` must call ready(lb) before touching load balancer lb's state and abandon
-// the task when it returns false (a prepare failed somewhere: the sequential
-// schedule would never have started phase 2, so executes stop at the earliest
-// sound point and the error is rethrown after the join, lowest task index first).
-// The executor records the two phase spans itself (rather than the caller
-// wrapping it in TraceSpans) for two reasons: their boundaries are the measured
-// fused-run timestamps, and they must sit in the merged span stream exactly where
-// the sequential schedule puts them -- prepare tasks, prepare phase, execute
-// tasks, execute phase -- so the span skeleton stays thread-count invariant.
-template <typename PrepareTask, typename ExecuteTask>
-FusedPhaseTimes RunFusedPrepareExecute(size_t num_lbs, size_t num_sos, int threads,
-                                       uint64_t epoch_id, Tracer* tracer,
-                                       const PoolPhaseMetrics* prep_metrics,
-                                       const PoolPhaseMetrics* exec_metrics,
-                                       const std::function<double()>& now_fn,
-                                       const PrepareTask& prepare,
-                                       const ExecuteTask& execute) {
-  const auto now = [&now_fn]() -> double {
-    return now_fn ? now_fn() : SpanTimer::SteadyNowSeconds();
-  };
-  const size_t total = num_lbs + num_sos;
-  const size_t max_workers = threads < 1 ? 1 : static_cast<size_t>(threads);
-  const size_t workers = total < max_workers ? total : max_workers;
-  const bool tracing = tracer != nullptr && tracer->enabled();
-  // Public per-task thread grants, per phase (same formula as RunIndexedPhase).
-  const int prep_budget =
-      max_workers / num_lbs > 1 ? static_cast<int>(max_workers / num_lbs) : 1;
-  const int exec_budget =
-      max_workers / num_sos > 1 ? static_cast<int>(max_workers / num_sos) : 1;
-
-  FusedPhaseTimes times;
-  times.start_s = now();
-
-  std::vector<std::vector<TraceEvent>> buffers(total);
-  std::vector<std::exception_ptr> errors(total);
-  std::vector<std::unique_ptr<SpanRingBuffer>> rings;
-  if (tracing) {
-    const size_t ring_capacity =
-        tracer->detail() >= 2 ? SpanRingBuffer::kDefaultCapacity : 64;
-    rings.reserve(total);
-    for (size_t i = 0; i < total; ++i) {
-      rings.push_back(std::make_unique<SpanRingBuffer>(ring_capacity));
-    }
-  }
-
-  std::mutex mu;
-  std::condition_variable cv;
-  std::vector<char> prepare_done(num_lbs, 0);
-  double last_prepare_finish = times.start_s;
-  std::atomic<size_t> prepare_next{0};
-  std::atomic<size_t> execute_next{0};
-  std::atomic<bool> prepare_failed{false};
-
-  std::vector<WorkerPhaseStats> prep_stats(workers);
-  std::vector<WorkerPhaseStats> exec_stats(workers);
-  // One shared queue per phase (no stripes: counts are tiny and the help protocol
-  // needs a single claim point); record its depth once.
-  prep_stats[0].max_queue_depth = num_lbs;
-  exec_stats[0].max_queue_depth = num_sos;
-
-  auto run_prepare = [&](size_t i, size_t w, bool helped) {
-    WorkerPhaseStats& st = prep_stats[w];
-    TraceThreadBuffer buffer{&buffers[i]};
-    const double task_start = now();
-    const double task_cpu_start = ThreadCpuNowSeconds();
-    {
-      TracerThreadBuffer spans{tracing ? rings[i].get() : nullptr};
-      TraceSpan span(tracing ? tracer : nullptr, "task", "lb_prepare", i, 1 + w);
-      span.SetArg("worker", w);
-      if (helped) {
-        span.SetArg("helped", 1);
-      }
-      ScopedThreadBudget budget(prep_budget);
-      try {
-        prepare(i);
-      } catch (...) {
-        errors[i] = std::current_exception();
-        prepare_failed.store(true, std::memory_order_release);
-      }
-    }
-    st.busy_ns += static_cast<uint64_t>((now() - task_start) * 1e9);
-    st.cpu_busy_ns +=
-        static_cast<uint64_t>((ThreadCpuNowSeconds() - task_cpu_start) * 1e9);
-    ++st.tasks;
-    if (helped) {
-      ++st.steals;
-    }
-    const double finish = now();
-    {
-      std::lock_guard<std::mutex> g(mu);
-      prepare_done[i] = 1;
-      if (finish > last_prepare_finish) {
-        last_prepare_finish = finish;
-      }
-    }
-    cv.notify_all();
-  };
-
-  auto run_execute = [&](size_t so, size_t w) {
-    WorkerPhaseStats& st = exec_stats[w];
-    // Help time is charged to the prepare phase by run_prepare; subtract it here
-    // so the borrowed stretch isn't double-counted as execute work.
-    double borrowed_wall = 0;
-    double borrowed_cpu = 0;
-    auto ready = [&](uint32_t lb) -> bool {
-      for (;;) {
-        {
-          std::unique_lock<std::mutex> lock(mu);
-          if (prepare_done[lb] != 0) {
-            break;
-          }
-        }
-        if (prepare_next.load(std::memory_order_relaxed) < num_lbs) {
-          const size_t p = prepare_next.fetch_add(1, std::memory_order_relaxed);
-          if (p < num_lbs) {
-            const double help_start = now();
-            const double help_cpu_start = ThreadCpuNowSeconds();
-            run_prepare(p, w, true);
-            borrowed_wall += now() - help_start;
-            borrowed_cpu += ThreadCpuNowSeconds() - help_cpu_start;
-            continue;
-          }
-        }
-        std::unique_lock<std::mutex> lock(mu);
-        cv.wait(lock, [&] { return prepare_done[lb] != 0; });
-        break;
-      }
-      return !prepare_failed.load(std::memory_order_acquire);
-    };
-    const size_t task_index = num_lbs + so;
-    TraceThreadBuffer buffer{&buffers[task_index]};
-    const double task_start = now();
-    const double task_cpu_start = ThreadCpuNowSeconds();
-    {
-      TracerThreadBuffer spans{tracing ? rings[task_index].get() : nullptr};
-      TraceSpan span(tracing ? tracer : nullptr, "task", "suboram_execute", so,
-                     1 + w);
-      span.SetArg("worker", w);
-      ScopedThreadBudget budget(exec_budget);
-      try {
-        execute(so, ready);
-      } catch (...) {
-        errors[task_index] = std::current_exception();
-      }
-    }
-    const double wall_s = (now() - task_start) - borrowed_wall;
-    const double cpu_s = (ThreadCpuNowSeconds() - task_cpu_start) - borrowed_cpu;
-    st.busy_ns += wall_s > 0 ? static_cast<uint64_t>(wall_s * 1e9) : 0;
-    st.cpu_busy_ns += cpu_s > 0 ? static_cast<uint64_t>(cpu_s * 1e9) : 0;
-    ++st.tasks;
-  };
-
-  auto work = [&](size_t w) {
-    const double start = now();
-    prep_stats[w].start_s = start;
-    exec_stats[w].start_s = start;
-    for (;;) {
-      if (prepare_next.load(std::memory_order_relaxed) >= num_lbs) {
-        break;
-      }
-      const size_t i = prepare_next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= num_lbs) {
-        break;
-      }
-      run_prepare(i, w, false);
-    }
-    prep_stats[w].finish_s = now();
-    for (;;) {
-      const size_t so = execute_next.fetch_add(1, std::memory_order_relaxed);
-      if (so >= num_sos) {
-        break;
-      }
-      run_execute(so, w);
-    }
-    exec_stats[w].finish_s = now();
-  };
-
-  WorkPool::Instance().Run(workers, work);
-  const double pool_end = now();
-  times.execute_end_s = pool_end;
-  times.prepare_end_s = last_prepare_finish;
-  // All barrier idle belongs to the execute phase: prepares have no barrier of
-  // their own anymore (that is the point of the fusion).
-  for (size_t w = 0; w < workers; ++w) {
-    const double idle_s = pool_end - exec_stats[w].finish_s;
-    exec_stats[w].idle_ns = idle_s > 0 ? static_cast<uint64_t>(idle_s * 1e9) : 0;
-  }
-
-  for (const std::vector<TraceEvent>& buffer : buffers) {
-    TraceAppendCurrent(buffer);
-  }
-  if (tracing) {
-    // Sequential span order: prepare task spans, the prepare phase span, execute
-    // task spans, the execute phase span. The phase spans carry the measured
-    // overlap boundaries (prepare ends at the last prepare finish, not the join).
-    for (size_t i = 0; i < num_lbs; ++i) {
-      tracer->Append(*rings[i]);
-    }
-    SpanEvent prep_phase;
-    prep_phase.cat = "phase";
-    prep_phase.name = "lb_prepare";
-    prep_phase.task_id = epoch_id;
-    prep_phase.start_s = times.start_s;
-    prep_phase.end_s = times.prepare_end_s;
-    tracer->Record(prep_phase);
-    for (size_t i = num_lbs; i < total; ++i) {
-      tracer->Append(*rings[i]);
-    }
-    SpanEvent exec_phase;
-    exec_phase.cat = "phase";
-    exec_phase.name = "suboram_execute";
-    exec_phase.task_id = epoch_id;
-    exec_phase.start_s = times.start_s;
-    exec_phase.end_s = times.execute_end_s;
-    tracer->Record(exec_phase);
-  }
-  RecordWorkerPhase(tracer, prep_metrics, "lb_prepare", workers, times.start_s,
-                    times.prepare_end_s, prep_stats);
-  RecordWorkerPhase(tracer, exec_metrics, "suboram_execute", workers, times.start_s,
-                    times.execute_end_s, exec_stats);
-  for (std::exception_ptr& error : errors) {
-    if (error) {
-      std::rethrow_exception(error);
-    }
-  }
-  return times;
 }
 
 // Default factory: the paper's throughput-optimized subORAM.
@@ -1647,25 +1201,36 @@ std::vector<ClientResponse> Snoopy::RunEpoch() {
     }
   }
 
+  // Three phases, each a barrier: every load balancer prepares, every subORAM
+  // executes, every load balancer matches (section 4). Each phase is one RunPhase
+  // over public task ids, so thread count changes neither the enclave trace nor the
+  // responses.
+  //
   // Phase 1: every load balancer prepares its batches independently (section 4.3) --
   // one parallel task per load balancer. The per-(lb, epoch) seed fixes the epoch's
   // dummy-key randomness, so preparation is a pure function of (pending requests,
   // seed) and thread count changes nothing; a load balancer rebuilt after a crash
   // prepares byte-identical batches for the same reason.
   std::vector<LoadBalancer::PreparedEpoch> prepared(config_.num_load_balancers);
-  auto prepare_one = [&](size_t lb) {
-    RequestBatch requests = std::move(pending_[lb]);
-    pending_[lb] = RequestBatch(config_.value_size);
-    prepared[lb] = lbs_[lb]->PrepareBatches(std::move(requests),
-                                            EpochSeed(static_cast<uint32_t>(lb), epoch_));
-    if (metrics_ != nullptr) {
-      // The padded per-subORAM batch size f(R, S): public by Theorem 3. The cache
-      // was filled at the top of this epoch on the orchestrator thread; this task
-      // may run on a pool worker, so it must only read resolved handles.
-      EpochMetrics()->batch_size[lb]->Observe(
-          static_cast<double>(prepared[lb].batch_size));
-    }
-  };
+  {
+    SpanTimer prepare_span(PhaseHistogram("lb_prepare"), now_fn);
+    TraceSpan prepare_trace(tracer_, "phase", "lb_prepare", epoch_);
+    RunPhase(config_.num_load_balancers, config_.epoch_threads,
+             {"lb_prepare", tracer_, PoolMetricsFor("lb_prepare"), now_fn},
+             [&](size_t lb) {
+      RequestBatch requests = std::move(pending_[lb]);
+      pending_[lb] = RequestBatch(config_.value_size);
+      prepared[lb] = lbs_[lb]->PrepareBatches(
+          std::move(requests), EpochSeed(static_cast<uint32_t>(lb), epoch_));
+      if (metrics_ != nullptr) {
+        // The padded per-subORAM batch size f(R, S): public by Theorem 3. The cache
+        // was filled at the top of this epoch on the orchestrator thread; this task
+        // may run on a pool worker, so it must only read resolved handles.
+        EpochMetrics()->batch_size[lb]->Observe(
+            static_cast<double>(prepared[lb].batch_size));
+      }
+    });
+  }
 
   // Phase 2: subORAMs execute the batches -- one task per subORAM, each applying its
   // batches in fixed load-balancer order, which is the linearization order of
@@ -1675,64 +1240,29 @@ std::vector<ClientResponse> Snoopy::RunEpoch() {
   // endpoint. Every call runs under the retry policy and tolerates injected faults
   // and crashes; per-endpoint fault streams keep every (lb, so) exchange's fault
   // sequence independent of how the subORAM tasks interleave.
-  //
-  // `ready(lb)` gates each batch on its load balancer's preparation: a no-op on the
-  // sequential path (phase 1 already joined), the per-LB overlap latch on the fused
-  // path below.
   std::vector<std::vector<RequestBatch>> responses(config_.num_load_balancers);
   for (auto& per_lb : responses) {
     per_lb.resize(config_.num_suborams);
   }
-  auto execute_one = [&](size_t so, const std::function<bool(uint32_t)>& ready) {
-    try {
-      for (uint32_t lb = 0; lb < config_.num_load_balancers; ++lb) {
-        if (!ready(lb)) {
-          return;
-        }
-        responses[lb][so] = CallSubOram(lb, static_cast<uint32_t>(so), prepared);
-      }
-    } catch (const NodeLostError&) {
-      // The machine vanished mid-epoch. Any responses it already produced this
-      // epoch are discarded below: the state behind them died with the machine, so
-      // delivering them would acknowledge writes the repaired partition will not
-      // have. The whole partition's requests defer to the epoch queue instead.
-      OnPartitionLost(static_cast<uint32_t>(so));
-    } catch (const PartitionUnavailableError&) {
-      // Already under repair when its turn came; placeholders below.
-    }
-  };
-
-  if (config_.epoch_threads > 1) {
-    // Fused prepare/execute on the public epoch schedule: subORAM tasks start on a
-    // load balancer's batches as soon as that balancer finishes preparing, instead
-    // of meeting the old global barrier between the phases. The fused run records
-    // the two phase spans itself (overlapping in time, sequential in the merged
-    // stream); the phase histograms take the boundary timestamps it measured.
-    const FusedPhaseTimes fused = RunFusedPrepareExecute(
-        config_.num_load_balancers, config_.num_suborams, config_.epoch_threads,
-        epoch_, tracer_, PoolMetricsFor("lb_prepare"),
-        PoolMetricsFor("suboram_execute"), now_fn, prepare_one, execute_one);
-    if (Histogram* h = PhaseHistogram("lb_prepare")) {
-      h->Observe(fused.prepare_end_s - fused.start_s);
-    }
-    if (Histogram* h = PhaseHistogram("suboram_execute")) {
-      h->Observe(fused.execute_end_s - fused.start_s);
-    }
-  } else {
-    {
-      SpanTimer prepare_span(PhaseHistogram("lb_prepare"), now_fn);
-      TraceSpan prepare_trace(tracer_, "phase", "lb_prepare", epoch_);
-      RunIndexedPhase(config_.num_load_balancers, config_.epoch_threads,
-                      {"lb_prepare", tracer_, PoolMetricsFor("lb_prepare"), now_fn},
-                      prepare_one);
-    }
+  {
     SpanTimer execute_span(PhaseHistogram("suboram_execute"), now_fn);
     TraceSpan execute_trace(tracer_, "phase", "suboram_execute", epoch_);
-    RunIndexedPhase(config_.num_suborams, config_.epoch_threads,
-                    {"suboram_execute", tracer_, PoolMetricsFor("suboram_execute"),
-                     now_fn},
-                    [&](size_t so) {
-      execute_one(so, [](uint32_t) { return true; });
+    RunPhase(config_.num_suborams, config_.epoch_threads,
+             {"suboram_execute", tracer_, PoolMetricsFor("suboram_execute"), now_fn},
+             [&](size_t so) {
+      try {
+        for (uint32_t lb = 0; lb < config_.num_load_balancers; ++lb) {
+          responses[lb][so] = CallSubOram(lb, static_cast<uint32_t>(so), prepared);
+        }
+      } catch (const NodeLostError&) {
+        // The machine vanished mid-epoch. Any responses it already produced this
+        // epoch are discarded below: the state behind them died with the machine,
+        // so delivering them would acknowledge writes the repaired partition will
+        // not have. The whole partition's requests defer to the epoch queue instead.
+        OnPartitionLost(static_cast<uint32_t>(so));
+      } catch (const PartitionUnavailableError&) {
+        // Already under repair when its turn came; placeholders below.
+      }
     });
   }
   // Degraded mode: placeholder batches stand in for unavailable partitions, so
@@ -1755,10 +1285,9 @@ std::vector<ClientResponse> Snoopy::RunEpoch() {
   std::vector<RequestBatch> matched_by_lb(config_.num_load_balancers);
   {
     TraceSpan match_trace(tracer_, "phase", "response_match", epoch_);
-    RunIndexedPhase(config_.num_load_balancers, config_.epoch_threads,
-                    {"response_match", tracer_, PoolMetricsFor("response_match"),
-                     now_fn},
-                    [&](size_t lb) {
+    RunPhase(config_.num_load_balancers, config_.epoch_threads,
+             {"response_match", tracer_, PoolMetricsFor("response_match"), now_fn},
+             [&](size_t lb) {
       matched_by_lb[lb] =
           lbs_[lb]->MatchResponses(std::move(prepared[lb]), std::move(responses[lb]));
     });

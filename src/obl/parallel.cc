@@ -2,14 +2,20 @@
 
 #include <time.h>
 
+#include <atomic>
 #include <cassert>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <list>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
+
+#include "src/enclave/trace.h"
+#include "src/telemetry/tracing.h"
 
 namespace snoopy {
 
@@ -190,7 +196,7 @@ void WorkPool::Run(size_t workers, const std::function<void(size_t)>& body) {
   // Each body is granted an equal share of the requested workers as its nested
   // thread budget -- a public function of (workers, workers), i.e. 1 here, since
   // one body runs per worker. Bodies that want nested parallelism must be given
-  // headroom by their phase instead (see RunIndexedPhase's task budget).
+  // headroom by their phase instead (see RunPhase's task budget).
   {
     std::lock_guard<std::mutex> g(impl_->mu);
     impl_->run_body = &body;
@@ -267,5 +273,86 @@ void WorkPool::ForkJoin(const std::function<void()>& first,
 }
 
 void WorkPool::Reserve(size_t workers) { impl_->Reserve(workers); }
+
+void RunPhase(size_t n, int threads, const PhasePoolContext& ctx,
+              const std::function<void(size_t)>& task) {
+  if (n == 0) {
+    return;
+  }
+  const size_t max_workers = threads < 1 ? 1 : static_cast<size_t>(threads);
+  const size_t workers = n < max_workers ? n : max_workers;
+  const int task_budget = max_workers / n > 1 ? static_cast<int>(max_workers / n) : 1;
+  const auto now = [&ctx]() -> double {
+    return ctx.now ? ctx.now() : SpanTimer::SteadyNowSeconds();
+  };
+  Tracer* tracer =
+      ctx.tracer != nullptr && ctx.tracer->enabled() ? ctx.tracer : nullptr;
+
+  std::vector<std::vector<TraceEvent>> buffers(n);
+  std::vector<std::unique_ptr<SpanRingBuffer>> rings(n);
+  if (tracer != nullptr) {
+    // Per-task rings stay small at detail 1 (a task plus its step spans); the full
+    // default capacity is only worth its zero-fill cost when tile-level detail
+    // multiplies the span count.
+    const size_t capacity = tracer->detail() >= 2 ? SpanRingBuffer::kDefaultCapacity : 64;
+    for (std::unique_ptr<SpanRingBuffer>& ring : rings) {
+      ring = std::make_unique<SpanRingBuffer>(capacity);
+    }
+  }
+  std::vector<std::exception_ptr> errors(n);
+  std::vector<WorkerPhaseStats> stats(workers);
+  stats[0].max_queue_depth = n;  // one shared queue: record its depth once
+  std::atomic<size_t> next{0};
+
+  const double pool_start = now();
+  WorkPool::Instance().Run(workers, [&](size_t w) {
+    WorkerPhaseStats& st = stats[w];
+    st.start_s = now();
+    for (;;) {
+      const size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) {
+        break;
+      }
+      TraceThreadBuffer events{&buffers[i]};
+      TracerThreadBuffer spans{rings[i].get()};
+      const double task_start = now();
+      const double task_cpu_start = ThreadCpuNowSeconds();
+      {
+        TraceSpan span(tracer, "task", ctx.phase, i, 1 + w);
+        span.SetArg("worker", w);
+        ScopedThreadBudget budget(task_budget);
+        try {
+          task(i);
+        } catch (...) {
+          errors[i] = std::current_exception();
+        }
+      }
+      st.busy_ns += static_cast<uint64_t>((now() - task_start) * 1e9);
+      st.cpu_busy_ns +=
+          static_cast<uint64_t>((ThreadCpuNowSeconds() - task_cpu_start) * 1e9);
+      ++st.tasks;
+    }
+    st.finish_s = now();
+  });
+  const double pool_end = now();
+  for (WorkerPhaseStats& st : stats) {
+    const double idle_s = pool_end - st.finish_s;
+    st.idle_ns = idle_s > 0 ? static_cast<uint64_t>(idle_s * 1e9) : 0;
+  }
+
+  for (size_t i = 0; i < n; ++i) {
+    TraceAppendCurrent(buffers[i]);
+    if (tracer != nullptr) {
+      tracer->AppendCurrent(*rings[i]);
+    }
+  }
+  RecordWorkerPhase(ctx.tracer, ctx.metrics, ctx.phase, workers, pool_start, pool_end,
+                    stats);
+  for (const std::exception_ptr& error : errors) {
+    if (error) {
+      std::rethrow_exception(error);
+    }
+  }
+}
 
 }  // namespace snoopy

@@ -1,6 +1,7 @@
 // Process-wide work pool shared by every parallel surface in the tree: the epoch
-// pipeline (src/core/snoopy.cc), the fork-join bitonic sort halves
-// (src/obl/bitonic_sort.h), and any future stage that needs worker threads.
+// pipeline phases (RunPhase below, called from src/core/snoopy.cc), the fork-join
+// bitonic sort halves (src/obl/bitonic_sort.h), and any future stage that needs
+// worker threads.
 //
 // Why one pool. Before this layer each parallel phase spawned fresh std::threads and
 // the sort recursion spawned more threads *underneath* those workers, so a 4-thread
@@ -18,8 +19,8 @@
 // Leakage model: everything the pool schedules is a *public* work item (a load
 // balancer id, a subORAM id, a public sort-recursion position). Scheduling decisions
 // therefore leak nothing new, and all trace events produced inside a task are
-// buffered per task and merged in public task order by the caller, exactly as
-// before -- thread count and scheduling stay invisible in the merged trace.
+// buffered per task and merged in public task order (RunPhase, the sort's
+// fork-join) -- thread count and scheduling stay invisible in the merged trace.
 //
 // Accounting: the pool measures both wall time and per-thread CPU time
 // (CLOCK_THREAD_CPUTIME_ID). On an oversubscribed host the two diverge -- wall-busy
@@ -34,6 +35,9 @@
 #include <functional>
 
 namespace snoopy {
+
+class Tracer;
+struct PoolPhaseMetrics;
 
 // Seconds of CPU time consumed by the calling thread (CLOCK_THREAD_CPUTIME_ID).
 // Monotonic per thread; differences measure real work independent of timesharing.
@@ -123,6 +127,45 @@ class WorkPool {
   struct Impl;
   Impl* impl_;
 };
+
+// --- Phase executor ------------------------------------------------------------
+
+// Observability context for one RunPhase call: phase name for labels and spans, the
+// tracer and pre-resolved metric handles to export into (either may be null), and
+// the clock (null = steady_clock; the fault-injection deployment passes the
+// VirtualClock). Metrics arrive as resolved handles rather than a registry so the
+// per-epoch path never repeats name-keyed lookups.
+struct PhasePoolContext {
+  const char* phase;
+  Tracer* tracer = nullptr;
+  const PoolPhaseMetrics* metrics = nullptr;
+  std::function<double()> now;
+};
+
+// Runs task(0..n-1) across up to `threads` pool workers (the calling thread
+// included) and returns after all of them finished: one barrier-delimited phase of
+// the epoch pipeline. Each task index is a *public* id (a load balancer or subORAM
+// number), and everything order-dependent is keyed by it:
+//
+//   - Trace events and spans a task produces are buffered per task (TraceEvent
+//     vector, SpanRingBuffer) and merged into the caller's sinks in task-index
+//     order, so the merged enclave trace and span sequence are identical at any
+//     thread count. Each task also gets a "task" span.
+//   - Every task runs under a thread budget of max(1, threads / n), a public
+//     function of the configured width and the task count, so nested sorts size
+//     themselves to the workers the phase left spare.
+//   - A task that throws doesn't stop its siblings (independent machines in the
+//     real deployment); after the join the lowest-index exception is rethrown. This
+//     holds at every width, so the state a failed phase leaves behind does not
+//     depend on the thread count.
+//
+// Workers claim tasks from one shared atomic cursor. Each records wall and CPU
+// (CLOCK_THREAD_CPUTIME_ID) busy time and its barrier idle time in a
+// WorkerPhaseStats, exported through RecordWorkerPhase: wall busy inflates with
+// timesharing on an oversubscribed host while CPU busy does not, and their ratio
+// is the work-inflation signal. Must not be called from inside a pool worker.
+void RunPhase(size_t n, int threads, const PhasePoolContext& ctx,
+              const std::function<void(size_t)>& task);
 
 }  // namespace snoopy
 

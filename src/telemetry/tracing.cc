@@ -115,7 +115,6 @@ PoolPhaseMetrics PoolPhaseMetrics::Resolve(MetricsRegistry* metrics,
   const MetricLabels labels{{"phase", phase}};
   m.phases_total = &metrics->GetCounter("snoopy_pool_phases_total", labels);
   m.tasks_total = &metrics->GetCounter("snoopy_pool_tasks_total", labels);
-  m.steals_total = &metrics->GetCounter("snoopy_pool_steals_total", labels);
   m.busy_seconds_total = &metrics->GetGauge("snoopy_pool_busy_seconds_total", labels);
   m.cpu_busy_seconds_total =
       &metrics->GetGauge("snoopy_pool_cpu_busy_seconds_total", labels);
@@ -142,13 +141,11 @@ void RecordWorkerPhase(Tracer* tracer, const PoolPhaseMetrics* metrics,
                        double phase_end_s,
                        const std::vector<WorkerPhaseStats>& stats) {
   uint64_t tasks = 0;
-  uint64_t steals = 0;
   double busy_s = 0;
   double cpu_busy_s = 0;
   double idle_s = 0;
   for (const WorkerPhaseStats& w : stats) {
     tasks += w.tasks;
-    steals += w.steals;
     busy_s += static_cast<double>(w.busy_ns) * 1e-9;
     cpu_busy_s += static_cast<double>(w.cpu_busy_ns) * 1e-9;
     idle_s += static_cast<double>(w.idle_ns) * 1e-9;
@@ -157,7 +154,6 @@ void RecordWorkerPhase(Tracer* tracer, const PoolPhaseMetrics* metrics,
   if (metrics != nullptr && metrics->phases_total != nullptr) {
     metrics->phases_total->Increment();
     metrics->tasks_total->Increment(tasks);
-    metrics->steals_total->Increment(steals);
     metrics->busy_seconds_total->Add(busy_s);
     metrics->cpu_busy_seconds_total->Add(cpu_busy_s);
     metrics->idle_seconds_total->Add(idle_s);
@@ -182,14 +178,12 @@ void RecordWorkerPhase(Tracer* tracer, const PoolPhaseMetrics* metrics,
       e.end_s = stats[w].finish_s;
       e.arg_names[0] = "tasks";
       e.arg_values[0] = stats[w].tasks;
-      e.arg_names[1] = "steals";
-      e.arg_values[1] = stats[w].steals;
-      e.arg_names[2] = "busy_ns";
-      e.arg_values[2] = stats[w].busy_ns;
-      e.arg_names[3] = "idle_ns";
-      e.arg_values[3] = stats[w].idle_ns;
-      e.arg_names[4] = "cpu_busy_ns";
-      e.arg_values[4] = stats[w].cpu_busy_ns;
+      e.arg_names[1] = "busy_ns";
+      e.arg_values[1] = stats[w].busy_ns;
+      e.arg_names[2] = "idle_ns";
+      e.arg_values[2] = stats[w].idle_ns;
+      e.arg_names[3] = "cpu_busy_ns";
+      e.arg_values[3] = stats[w].cpu_busy_ns;
       tracer->Record(e);
     }
     // A synthetic barrier span covering the whole pool run, so the exporter shows

@@ -374,12 +374,11 @@ inline bool TraceTilesEnabled() {
   return t.enabled() && t.detail() >= 2;
 }
 
-// Per-worker counters for one run of the parallel phase executor. All fields are
-// public: scheduling facts (task counts, steal counts, queue depths) and clock
-// readings, never request contents.
+// Per-worker counters for one RunPhase call (src/obl/parallel.h). All fields are
+// public: scheduling facts (task counts, queue depths) and clock readings, never
+// request contents.
 struct WorkerPhaseStats {
   uint64_t tasks = 0;
-  uint64_t steals = 0;
   uint64_t busy_ns = 0;      // sum of task *wall* run times on this worker
   // Sum of task *CPU* times (CLOCK_THREAD_CPUTIME_ID). On an oversubscribed host
   // wall-busy inflates with the timesharing factor while CPU-busy stays equal to
@@ -401,7 +400,6 @@ struct WorkerPhaseStats {
 struct PoolPhaseMetrics {
   Counter* phases_total = nullptr;
   Counter* tasks_total = nullptr;
-  Counter* steals_total = nullptr;
   Gauge* busy_seconds_total = nullptr;
   Gauge* cpu_busy_seconds_total = nullptr;
   Gauge* idle_seconds_total = nullptr;

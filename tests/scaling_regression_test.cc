@@ -13,15 +13,21 @@
 //      from 1 thread to 4 threads. Wall-busy time is deliberately not gated here:
 //      on an oversubscribed CI host it measures the scheduler, not the work.
 //
-// Plus unit coverage for the shared WorkPool: flat runs, stealable fork-join,
+// Plus unit coverage for the shared WorkPool (flat runs, stealable fork-join,
 // thread-budget scoping, and the AdaptiveSortThreads / PoolClampedThreads clamps
-// that turned the nested-spawn path into a budget consultation.
+// that turned the nested-spawn path into a budget consultation) and for RunPhase,
+// the one executor every epoch phase goes through.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <map>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "src/core/snoopy.h"
@@ -29,6 +35,7 @@
 #include "src/obl/bitonic_sort.h"
 #include "src/obl/parallel.h"
 #include "src/telemetry/metrics.h"
+#include "src/telemetry/tracing.h"
 
 namespace snoopy {
 namespace {
@@ -132,6 +139,76 @@ TEST(AdaptiveSortThreads, ConsultsPoolBudgetInsteadOfAssumingOwnership) {
   EXPECT_EQ(with_budget.load(), 4);
   // Below the threshold the answer is 1 regardless of context.
   EXPECT_EQ(AdaptiveSortThreads(64, 8), 1);
+}
+
+// ---------------------------------------------------------------------------------
+// RunPhase unit coverage.
+// ---------------------------------------------------------------------------------
+
+TEST(RunPhase, RunsEachTaskOnceMergesInIndexOrderAndGrantsBudget) {
+  for (const int threads : {1, 2, 4, 8}) {
+    for (const size_t n : {1u, 3u, 4u, 9u}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) + " n=" + std::to_string(n));
+      MetricsRegistry registry;
+      const PoolPhaseMetrics metrics = PoolPhaseMetrics::Resolve(&registry, "unit");
+      const int want_budget = std::max(1, threads / static_cast<int>(n));
+      std::vector<std::atomic<int>> hits(n);
+      std::atomic<int> wrong_budget{0};
+      std::vector<TraceEvent> events;
+      {
+        TraceScope scope;
+        RunPhase(n, threads, {"unit", nullptr, &metrics, nullptr}, [&](size_t i) {
+          hits[i].fetch_add(1);
+          if (CurrentThreadBudget() != want_budget) {
+            wrong_budget.fetch_add(1);
+          }
+          // Two events around a sleep that shrinks with the index, so tasks finish
+          // out of index order whenever they run concurrently.
+          TraceRecord(TraceOp::kRead, i, 0);
+          std::this_thread::sleep_for(std::chrono::microseconds(100 * (n - i)));
+          TraceRecord(TraceOp::kWrite, i, 1);
+        });
+        events = scope.Events();
+      }
+      std::vector<TraceEvent> expected;
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(hits[i].load(), 1) << "task " << i;
+        expected.push_back({TraceOp::kRead, i, 0});
+        expected.push_back({TraceOp::kWrite, i, 1});
+      }
+      EXPECT_EQ(events, expected);
+      EXPECT_EQ(wrong_budget.load(), 0);
+      const MetricLabels labels = {{"phase", "unit"}};
+      EXPECT_EQ(registry.GetCounter("snoopy_pool_tasks_total", labels).value(), n);
+      EXPECT_EQ(registry.GetGauge("snoopy_pool_workers", labels).value(),
+                static_cast<double>(std::min(n, static_cast<size_t>(threads))));
+    }
+  }
+}
+
+TEST(RunPhase, EveryTaskRunsAndLowestIndexErrorSurfacesAtEveryWidth) {
+  for (const int threads : {1, 2, 4}) {
+    std::vector<std::atomic<int>> ran(4);
+    try {
+      RunPhase(4, threads, {"unit_errors", nullptr, nullptr, nullptr}, [&](size_t i) {
+        ran[i].fetch_add(1);
+        if (i == 0) {
+          // Task 0 throws last, so the surfaced error is chosen by index, not by
+          // which task failed first.
+          std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        }
+        if (i == 0 || i == 2) {
+          throw std::runtime_error("task " + std::to_string(i));
+        }
+      });
+      ADD_FAILURE() << "no exception surfaced at threads=" << threads;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "task 0") << "threads=" << threads;
+    }
+    for (size_t i = 0; i < ran.size(); ++i) {
+      EXPECT_EQ(ran[i].load(), 1) << "task " << i << " at threads=" << threads;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------------

@@ -230,14 +230,12 @@ TEST(RecordWorkerPhase, ExportsCountersGaugesAndOrderedSpans) {
   MetricsRegistry registry;
   std::vector<WorkerPhaseStats> stats(2);
   stats[0].tasks = 3;
-  stats[0].steals = 1;
   stats[0].busy_ns = 200'000'000;  // 0.2 s
   stats[0].idle_ns = 100'000'000;  // 0.1 s
   stats[0].max_queue_depth = 4;
   stats[0].start_s = 10.0;
   stats[0].finish_s = 10.4;
   stats[1].tasks = 2;
-  stats[1].steals = 0;
   stats[1].busy_ns = 300'000'000;
   stats[1].idle_ns = 0;
   stats[1].max_queue_depth = 3;
@@ -248,7 +246,6 @@ TEST(RecordWorkerPhase, ExportsCountersGaugesAndOrderedSpans) {
   const MetricLabels labels = {{"phase", "suboram_execute"}};
   EXPECT_EQ(registry.GetCounter("snoopy_pool_phases_total", labels).value(), 1u);
   EXPECT_EQ(registry.GetCounter("snoopy_pool_tasks_total", labels).value(), 5u);
-  EXPECT_EQ(registry.GetCounter("snoopy_pool_steals_total", labels).value(), 1u);
   EXPECT_NEAR(registry.GetGauge("snoopy_pool_busy_seconds_total", labels).value(), 0.5,
               1e-9);
   EXPECT_NEAR(registry.GetGauge("snoopy_pool_idle_seconds_total", labels).value(), 0.1,
@@ -388,6 +385,46 @@ TEST(TracingDeterminism, SpanSequenceIsThreadCountInvariant) {
     EXPECT_EQ(SpanSkeleton(run.spans), base_skeleton) << "epoch_threads=" << threads;
     EXPECT_EQ(run.responses, base.responses) << "epoch_threads=" << threads;
   }
+}
+
+// Every epoch's phase spans are disjoint and in pipeline order at a pooled width:
+// each phase is a barrier, so a phase starts no earlier than the previous one
+// ended. tools/trace_report.py subtracts the summed pooled-phase walls from the
+// epoch wall to get the serial remainder; overlapping phase spans would count
+// the overlap twice and understate the serial fraction.
+TEST(TracingDeterminism, PhaseSpansAreDisjointAndInPipelineOrder) {
+  const TracedRun run = RunTracedWorkload(/*epoch_threads=*/4, true, /*seed=*/77);
+  const std::vector<std::string> pipeline = {"lb_prepare", "suboram_execute",
+                                             "response_match", "deliver", "seal"};
+  std::vector<const SpanEvent*> phases;  // phase spans since the last epoch span
+  int epochs = 0;
+  for (const SpanEvent& e : run.spans) {
+    if (std::strcmp(e.cat, "phase") == 0) {
+      phases.push_back(&e);
+      continue;
+    }
+    if (std::strcmp(e.cat, "epoch") != 0) {
+      continue;
+    }
+    // Phase spans close (and are recorded) before their epoch span does.
+    std::vector<std::string> names;
+    for (const SpanEvent* p : phases) {
+      names.push_back(p->name);
+    }
+    EXPECT_EQ(names, pipeline) << "epoch " << epochs;
+    for (size_t i = 0; i < phases.size(); ++i) {
+      EXPECT_LE(e.start_s, phases[i]->start_s) << "epoch " << epochs;
+      EXPECT_LE(phases[i]->end_s, e.end_s) << "epoch " << epochs;
+      if (i > 0) {
+        EXPECT_LE(phases[i - 1]->end_s, phases[i]->start_s)
+            << "epoch " << epochs << ": " << phases[i - 1]->name << " overlaps "
+            << phases[i]->name;
+      }
+    }
+    phases.clear();
+    ++epochs;
+  }
+  EXPECT_EQ(epochs, 3);
 }
 
 TEST(TracingLeakage, ObliviousTraceIdenticalTracingOnAndOff) {

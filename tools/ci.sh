@@ -197,7 +197,7 @@ cmake --build build-tsan -j"${JOBS}" --target \
   bitonic_sort_test bucket_sort_test suboram_test epoch_parallel_test tracing_test \
   scaling_regression_test
 ctest --test-dir build-tsan --output-on-failure \
-  -R '(BitonicSort|AdaptiveSortThreads|BucketSort|SubOram|EpochParallel|Tracing|ProfilingSampler|TracerThreadBuffer|WorkPool|ScalingRegression)'
+  -R '(BitonicSort|AdaptiveSortThreads|BucketSort|SubOram|EpochParallel|Tracing|ProfilingSampler|TracerThreadBuffer|WorkPool|RunPhase|ScalingRegression)'
 
 echo "== TSan chaos stage: fault recovery, permanent loss, repair, reshard =="
 # Crash/loss recovery exercises the cross-thread paths deliberately (phase-2 workers

@@ -7,8 +7,8 @@ Tracer::WriteChromeTrace): complete events (ph == "X") with categories
   epoch  one span per Snoopy::RunEpoch
   phase  pipeline phases inside an epoch (lb_prepare, suboram_execute,
          response_match, deliver, seal, repair)
-  task   one span per RunIndexedPhase task (per-LB / per-subORAM work item)
-  pool   per-worker summaries (name == phase, args tasks/steals/busy_ns/idle_ns/
+  task   one span per RunPhase task (per-LB / per-subORAM work item)
+  pool   per-worker summaries (name == phase, args tasks/busy_ns/idle_ns/
          cpu_busy_ns) and one barrier span per pooled phase
   step   sub-phase steps inside a task (lb_assign, suboram_scan, merge tiles...).
          "sort" steps are the ObliviousSortSlab entry point: args carry the
@@ -82,7 +82,6 @@ class PhaseStats:
         self.idle_us = 0.0
         self.cpu_busy_us = 0.0
         self.tasks = 0
-        self.steals = 0
         self.workers = 0
         self.longest_task_us = 0.0
         self.task_durs_us = []
@@ -165,7 +164,6 @@ def analyze(events):
                 st.idle_us += args.get("idle_ns", 0) / 1e3
                 st.cpu_busy_us += args.get("cpu_busy_ns", 0) / 1e3
                 st.tasks += args.get("tasks", 0)
-                st.steals += args.get("steals", 0)
                 workers += 1
             tasks = [t for t in spans_within(events, "task", plo, phi)
                      if t["name"] == ph["name"]]
@@ -220,7 +218,7 @@ def render(report, worker_projections):
     lines.append("")
     lines.append(f"{'phase':<18} {'wall ms':>9} {'busy ms':>9} {'cpu ms':>9} "
                  f"{'idle ms':>9} {'eff':>5} {'infl':>5} {'skew':>5} "
-                 f"{'stall ms':>9} {'crit ms':>9} {'tasks':>6} {'steals':>6}")
+                 f"{'stall ms':>9} {'crit ms':>9} {'tasks':>6}")
     order = sorted(report["phases"].values(), key=lambda p: -p.wall_us)
     for p in order:
         lines.append(
@@ -228,7 +226,7 @@ def render(report, worker_projections):
             f"{p.cpu_busy_us / 1e3:>9.2f} {p.idle_us / 1e3:>9.2f} "
             f"{p.efficiency:>5.2f} {p.work_inflation:>5.2f} {p.skew:>5.2f} "
             f"{p.stall_us / 1e3:>9.2f} {p.critical_us / 1e3:>9.2f} "
-            f"{p.tasks:>6d} {p.steals:>6d}")
+            f"{p.tasks:>6d}")
     lines.append("")
     for p in order:
         if p.work_inflation > WORK_INFLATION_FLAG:
@@ -288,7 +286,6 @@ def to_json(report, worker_projections):
                 "barrier_stall_s": p.stall_us / 1e6,
                 "critical_path_s": p.critical_us / 1e6,
                 "tasks": p.tasks,
-                "steals": p.steals,
             }
             for p in report["phases"].values()
         },
@@ -321,7 +318,7 @@ def golden_trace():
       {"strategy": 0, "records": 4096, "block_records": 157})
     x("task", "lb_prepare", 10_000, 10_000)
     x("pool", "lb_prepare", 0, 20_000,
-      {"tasks": 2, "steals": 0, "busy_ns": 20_000_000, "idle_ns": 0,
+      {"tasks": 2, "busy_ns": 20_000_000, "idle_ns": 0,
        "cpu_busy_ns": 20_000_000})
     x("phase", "suboram_execute", 20_000, 40_000)
     x("task", "suboram_execute", 20_000, 40_000)  # worker 0: the barrier chain
@@ -329,10 +326,10 @@ def golden_trace():
       {"strategy": 1, "records": 8192, "buckets": 16, "capacity": 1024})
     x("task", "suboram_execute", 20_000, 20_000)  # worker 1: parks after 20 ms
     x("pool", "suboram_execute", 20_000, 40_000,
-      {"tasks": 1, "steals": 0, "busy_ns": 40_000_000, "idle_ns": 0,
+      {"tasks": 1, "busy_ns": 40_000_000, "idle_ns": 0,
        "cpu_busy_ns": 25_000_000})
     x("pool", "suboram_execute", 20_000, 40_000,
-      {"tasks": 1, "steals": 0, "busy_ns": 20_000_000, "idle_ns": 20_000_000,
+      {"tasks": 1, "busy_ns": 20_000_000, "idle_ns": 20_000_000,
        "cpu_busy_ns": 20_000_000})
     x("phase", "deliver", 60_000, 20_000)
     x("phase", "seal", 80_000, 20_000)
