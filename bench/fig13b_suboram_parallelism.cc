@@ -2,9 +2,9 @@
 // 4K requests, growing data sizes). One core stays reserved for the host loader thread
 // that streams encrypted objects into the enclave (paper section 7).
 //
-// Runs the real subORAM. As with fig13a, this container has one hardware core, so the
-// model columns carry the 4-core shape; measured numbers validate the single-thread
-// trend in the data-size dimension.
+// Runs the real subORAM, whose scan is single-threaded: the 2- and 3-thread columns
+// come from the cost model alone, and the measured column validates the
+// single-thread trend in the data-size dimension.
 //
 // A second section sweeps the epoch phase executor's worker pool
 // (SnoopyConfig::epoch_threads) over a multi-subORAM deployment and reads back the
@@ -29,13 +29,12 @@ namespace {
 constexpr size_t kValueSize = 160;
 constexpr uint64_t kBatch = 4096;
 
-double ProcessTime(uint64_t objects, int threads) {
+double ProcessTime(uint64_t objects) {
   SubOramConfig cfg;
   cfg.value_size = kValueSize;
   cfg.lambda = 128;
-  cfg.sort_threads = threads;
   cfg.check_distinct = false;  // isolate the Figure 7 pipeline
-  SubOram suboram(cfg, objects + threads);
+  SubOram suboram(cfg, objects + 1);
   std::vector<std::pair<uint64_t, std::vector<uint8_t>>> objs;
   objs.reserve(objects);
   for (uint64_t k = 0; k < objects; ++k) {
@@ -109,7 +108,7 @@ int main(int argc, char** argv) {
               "model 1thr ms", "model 2thr ms", "model 3thr ms");
   for (const uint64_t n : {uint64_t{1} << 12, uint64_t{1} << 14, uint64_t{1} << 16,
                            uint64_t{1} << 18}) {
-    const double measured = ProcessTime(n, 1);
+    const double measured = ProcessTime(n);
     std::printf("%10llu | %16.0f | %14.0f %14.0f %14.0f\n",
                 static_cast<unsigned long long>(n), measured * 1e3,
                 model.SubOramBatchSeconds(kBatch, n, 1) * 1e3,

@@ -9,7 +9,6 @@
 #include "src/obl/bitonic_sort.h"
 #include "src/obl/compaction.h"
 #include "src/obl/kernels.h"
-#include "src/obl/parallel.h"
 #include "src/obl/primitives.h"
 #include "src/obl/secret.h"
 #include "src/telemetry/tracing.h"
@@ -89,11 +88,6 @@ LoadBalancer::PreparedEpoch LoadBalancer::PrepareBatches(RequestBatch&& client_r
   options.num_bins = s;
   options.bin_capacity = static_cast<uint32_t>(b);
   options.dedup = true;
-  // Inside an epoch this runs as a pool task: the sort width is clamped to the
-  // task's thread budget so nested sort parallelism submits to the shared pool
-  // instead of oversubscribing (the work-inflation bug). Standalone callers pass
-  // through unclamped.
-  options.sort_threads = PoolClampedThreads(config_.sort_threads);
   options.sort_strategy = config_.sort_strategy;
   // Pre-dedup request bins are NOT simulatable: duplicate client keys share a bin,
   // so the bin multiset would leak key multiplicity. This forces the bitonic path.
@@ -160,16 +154,12 @@ RequestBatch LoadBalancer::MatchResponses(PreparedEpoch&& epoch,
   TraceSpan sort_trace(&Tracer::Global(), "step", "lb_match_sort");
   sort_trace.SetArg("records", merged.size());
 
-  // Clamped to the pool task's thread budget (public scheduling metadata) before
-  // entering the oblivious region, same as PrepareBatches above.
-  const int sort_threads = PoolClampedThreads(config_.sort_threads);
-
   // SNOOPY_OBLIVIOUS_BEGIN(lb_match)
-  // ct-public: i total value_size TraceSpan SetArg sort_threads
+  // ct-public: i total value_size TraceSpan SetArg
   // Figure 6 step 2: oblivious sort by object id, responses before requests. This
-  // goes through the plain (no-bin-spec) strategy entry point: the sort key is the
-  // secret object id, there is no public bin structure, so no bucket assignment can
-  // be safe here and the entry point always takes the bitonic path.
+  // goes through the plain (no-bin-spec) entry point: the sort key is the secret
+  // object id, there is no public bin structure, so no bucket assignment can be safe
+  // here and the entry point always takes the bitonic path.
   ObliviousSortSlab(
       merged.slab(),
       [](const uint8_t* a, const uint8_t* b) {
@@ -184,8 +174,7 @@ RequestBatch LoadBalancer::MatchResponses(PreparedEpoch&& epoch,
         const SecretU64 ka(ha->key);
         const SecretU64 kb(hb->key);
         return (ka < kb) | ((ka == kb) & (wa < wb));
-      },
-      config_.sort_strategy, sort_threads);
+      });
   sort_trace.End();
   TraceSpan propagate_trace(&Tracer::Global(), "step", "lb_match_propagate");
 

@@ -28,7 +28,6 @@ struct LoadBalancerConfig {
   uint32_t num_suborams = 1;
   size_t value_size = 160;
   uint32_t lambda = kDefaultLambda;
-  int sort_threads = 1;
   // Strategy for the load balancer's oblivious sorts. Both load-balancer sorts are
   // bucket-INELIGIBLE -- PrepareBatches sorts pre-dedup requests whose bin tags
   // repeat per duplicate key (revealing them leaks key multiplicity), MatchResponses

@@ -9,7 +9,7 @@
 namespace snoopy {
 
 ByteSlab TagAndSortByBin(const ByteSlab& records, const SipKey& partition_key,
-                         uint32_t num_bins, size_t value_size, int sort_threads,
+                         uint32_t num_bins, size_t value_size,
                          SortStrategy sort_strategy, uint32_t lambda) {
   const size_t n = records.size();
   const size_t stride = kReshardHeaderBytes + value_size;
@@ -17,7 +17,7 @@ ByteSlab TagAndSortByBin(const ByteSlab& records, const SipKey& partition_key,
 
   // SNOOPY_OBLIVIOUS_BEGIN(reshard_partition)
   // ct-public: i n stride num_bins value_size tagged records
-  // ct-public: sort_strategy sort_threads lambda
+  // ct-public: sort_strategy lambda
   // ct-calls: PartitionBinOfHash ObliviousSortSlabErased LoadSecretU64
   // Tag every record with its (secret) target partition and sort by the tag. The key
   // is secret inside the enclave; SipHash24 is the branchless keyed partition hash,
@@ -45,7 +45,7 @@ ByteSlab TagAndSortByBin(const ByteSlab& records, const SipKey& partition_key,
       [](const void*, const uint8_t* a, const uint8_t* b) {
         return LoadSecretU64(a, kReshardKeyOffset) < LoadSecretU64(b, kReshardKeyOffset);
       },
-      /*less_ctx=*/nullptr, sort_strategy, sort_threads);
+      /*less_ctx=*/nullptr, sort_strategy, /*threads=*/1);
   // SNOOPY_OBLIVIOUS_END(reshard_partition)
 
   return tagged;
@@ -53,8 +53,7 @@ ByteSlab TagAndSortByBin(const ByteSlab& records, const SipKey& partition_key,
 
 std::vector<ByteSlab> PartitionSlabByBin(const ByteSlab& records, const SipKey& partition_key,
                                          uint32_t num_bins, size_t value_size,
-                                         int sort_threads, SortStrategy sort_strategy,
-                                         uint32_t lambda) {
+                                         SortStrategy sort_strategy, uint32_t lambda) {
   if (num_bins == 0) {
     throw std::invalid_argument("PartitionSlabByBin needs at least one bin");
   }
@@ -62,8 +61,8 @@ std::vector<ByteSlab> PartitionSlabByBin(const ByteSlab& records, const SipKey& 
     throw std::invalid_argument("PartitionSlabByBin: records must be key(8) | value");
   }
 
-  const ByteSlab tagged = TagAndSortByBin(records, partition_key, num_bins, value_size,
-                                          sort_threads, sort_strategy, lambda);
+  const ByteSlab tagged =
+      TagAndSortByBin(records, partition_key, num_bins, value_size, sort_strategy, lambda);
 
   // Public boundary split: partition sizes are public (each subORAM receives its
   // partition in the clear inside its enclave), so a plain scan over the sorted tags

@@ -53,7 +53,7 @@ inline uint32_t PartitionBinOfHash(uint64_t hash, uint32_t num_bins) {
 // the bin multiset is simulatable from (n, num_bins). Ties within a bin break by the
 // (secret) record key, making the output order total and strategy-independent.
 ByteSlab TagAndSortByBin(const ByteSlab& records, const SipKey& partition_key,
-                         uint32_t num_bins, size_t value_size, int sort_threads,
+                         uint32_t num_bins, size_t value_size,
                          SortStrategy sort_strategy = SortStrategy::kBitonic,
                          uint32_t lambda = 40);
 
@@ -65,7 +65,6 @@ ByteSlab TagAndSortByBin(const ByteSlab& records, const SipKey& partition_key,
 // size argument above.
 std::vector<ByteSlab> PartitionSlabByBin(const ByteSlab& records, const SipKey& partition_key,
                                          uint32_t num_bins, size_t value_size,
-                                         int sort_threads,
                                          SortStrategy sort_strategy = SortStrategy::kBitonic,
                                          uint32_t lambda = 40);
 

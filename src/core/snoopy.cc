@@ -132,7 +132,6 @@ class DefaultSubOramFactory final : public SubOramBackendFactory {
     soc.id = id;
     soc.value_size = config_.value_size;
     soc.lambda = config_.lambda;
-    soc.sort_threads = config_.sort_threads;
     soc.sort_strategy = config_.sort_strategy;
     soc.check_distinct = config_.check_distinct;
     return std::make_unique<SubOram>(soc, seed);
@@ -183,7 +182,6 @@ void Snoopy::Construct() {
     lbc.num_suborams = config_.num_suborams;
     lbc.value_size = config_.value_size;
     lbc.lambda = config_.lambda;
-    lbc.sort_threads = config_.sort_threads;
     lbc.sort_strategy = config_.sort_strategy;
     const uint64_t lb_seed = rng_.Next64();
     lb_base_seeds_.push_back(lb_seed);
@@ -376,7 +374,7 @@ void Snoopy::InitializeOblivious(
   }
   const std::vector<ByteSlab> parts =
       PartitionSlabByBin(slab, partition_key_, config_.num_suborams, value_size,
-                         config_.sort_threads, config_.sort_strategy, config_.lambda);
+                         config_.sort_strategy, config_.lambda);
   for (uint32_t so = 0; so < config_.num_suborams; ++so) {
     suborams_[so]->Initialize(SlabToObjects(parts[so], value_size));
   }
@@ -539,18 +537,10 @@ void Snoopy::RecoverSubOram(uint32_t so,
   }
 
   // The restarted enclave has no channel state: every load balancer re-attests and
-  // both ends start fresh sessions. Bumping the generation invalidates any sealed
-  // bytes still held by in-flight callers. The rng_ lock serializes concurrent
-  // subORAM recoveries (parallel phase 2); each recovery touches only its own
-  // subORAM's links/cache, so the key draw is the lone shared mutation.
+  // both ends start fresh sessions. Each recovery touches only its own subORAM's
+  // links/cache, so the key draw inside RekeyLink is the lone shared mutation.
   for (uint32_t lb = 0; lb < config_.num_load_balancers; ++lb) {
-    std::array<uint8_t, 32> key;
-    {
-      std::lock_guard<std::mutex> g(rng_mu_);
-      key = rng_.NextKey32();
-    }
-    links_[lb][so]->Rekey(key);
-    ++link_generation_[lb][so];
+    RekeyLink(lb, so);
   }
   so_response_cache_[so].clear();
   if (fault_injector_ != nullptr) {
@@ -592,13 +582,7 @@ void Snoopy::RecoverLoadBalancer(uint32_t lb) {
   const LoadBalancerConfig lbc = lbs_[lb]->config();
   lbs_[lb] = std::make_unique<LoadBalancer>(lbc, partition_key_, lb_base_seeds_[lb]);
   for (uint32_t so = 0; so < config_.num_suborams; ++so) {
-    std::array<uint8_t, 32> key;
-    {
-      std::lock_guard<std::mutex> g(rng_mu_);
-      key = rng_.NextKey32();
-    }
-    links_[lb][so]->Rekey(key);
-    ++link_generation_[lb][so];
+    RekeyLink(lb, so);
   }
   if (fault_injector_ != nullptr) {
     fault_injector_->Restart("lb/" + std::to_string(lb));
@@ -608,6 +592,16 @@ void Snoopy::RecoverLoadBalancer(uint32_t lb) {
     metrics_->GetCounter("snoopy_recoveries_total", {{"component", "lb/" + std::to_string(lb)}})
         .Increment();
   }
+}
+
+void Snoopy::RekeyLink(uint32_t lb, uint32_t so) {
+  std::array<uint8_t, 32> key;
+  {
+    std::lock_guard<std::mutex> g(rng_mu_);
+    key = rng_.NextKey32();
+  }
+  links_[lb][so]->Rekey(key);
+  ++link_generation_[lb][so];
 }
 
 // --- Striped redundancy, permanent loss, and background repair ----------------------
@@ -721,9 +715,12 @@ std::vector<uint8_t> Snoopy::StripeEndpointHandler(uint32_t so,
     }
     case kStripeFetch: {
       const auto it = store.find(m.owner);
+      // Range check in a form that cannot wrap: offset and len are 64-bit wire
+      // fields, and `offset + len > size` passes for offset near 2^64.
       if (it == store.end() || it->second.seal_counter != m.seal_counter ||
           it->second.chunk_index != m.chunk_index ||
-          m.offset + m.len > it->second.payload.size()) {
+          m.offset > it->second.payload.size() ||
+          m.len > it->second.payload.size() - m.offset) {
         // Addressing mismatch (stale manifest or corrupted request): retried, and the
         // repair coordinator replans from fresh manifests if it keeps failing.
         throw IntegrityError(endpoint);
@@ -1044,13 +1041,7 @@ void Snoopy::CompleteRepair(uint32_t so) {
 
   // The spare enclave has no channel state: fresh sessions with every load balancer.
   for (uint32_t lb = 0; lb < config_.num_load_balancers; ++lb) {
-    std::array<uint8_t, 32> key;
-    {
-      std::lock_guard<std::mutex> g(rng_mu_);
-      key = rng_.NextKey32();
-    }
-    links_[lb][so]->Rekey(key);
-    ++link_generation_[lb][so];
+    RekeyLink(lb, so);
   }
   so_response_cache_[so].clear();
   so_executed_lbs_[so].clear();
@@ -1438,7 +1429,7 @@ void Snoopy::Reshard(uint32_t new_num_suborams) {
   }
   const std::vector<ByteSlab> parts =
       PartitionSlabByBin(all, partition_key_, new_num_suborams, config_.value_size,
-                         config_.sort_threads, config_.sort_strategy, config_.lambda);
+                         config_.sort_strategy, config_.lambda);
   check_abort();
 
   // Build the new deployment off to the side. Load balancer *enclaves* survive (their

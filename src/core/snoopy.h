@@ -69,7 +69,6 @@ struct SnoopyConfig {
   uint32_t num_suborams = 1;
   size_t value_size = 160;
   uint32_t lambda = kDefaultLambda;
-  int sort_threads = 1;
   // Oblivious sort strategy for the hot sorts (subORAM hash-table construction,
   // reshard partitioning). kAuto picks bitonic vs bucket per call site from the cost
   // model's crossover; SNOOPY_SORT_STRATEGY overrides at runtime. Sites whose bin
@@ -84,7 +83,8 @@ struct SnoopyConfig {
   // phase 3 matches responses concurrently per load balancer. 1 (default) is fully
   // sequential. Any setting produces identical client responses and, with per-thread
   // trace buffers merged in public-id order, byte-identical enclave traces; see
-  // DESIGN.md "Threading model".
+  // DESIGN.md "Threading model". This is the deployment's only parallelism setting:
+  // the sorts nested inside each component run single-threaded.
   int epoch_threads = 1;
   bool check_distinct = true;
   // Partition the initial data with an oblivious sort, as in the paper's
@@ -281,6 +281,10 @@ class Snoopy {
   void RecoverSubOram(uint32_t so, const std::vector<LoadBalancer::PreparedEpoch>* prepared,
                       uint32_t lb_limit);
   void RecoverLoadBalancer(uint32_t lb);
+  // Fresh session on link (lb, so) after an end restarted: draws the key under
+  // rng_mu_ (concurrent subORAM recoveries share rng_) and bumps the link
+  // generation so stale sealed bytes are re-sealed.
+  void RekeyLink(uint32_t lb, uint32_t so);
   void SealSubOramState(uint32_t so);
 
   // --- Striping + repair internals --------------------------------------------------

@@ -1,15 +1,12 @@
 #include "src/core/suboram.h"
 
 #include <cstring>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
 
 #include "src/enclave/trace.h"
 #include "src/obl/bitonic_sort.h"
 #include "src/obl/hash_table.h"
 #include "src/obl/kernels.h"
-#include "src/obl/parallel.h"
 #include "src/obl/primitives.h"
 #include "src/obl/secret.h"
 #include "src/telemetry/tracing.h"
@@ -45,10 +42,9 @@ RequestBatch SubOram::ProcessBatch(RequestBatch&& batch) {
   }
 
   // Step spans: every boundary below is a public point in the batch pipeline (the
-  // batch size is the padded f(R, S); the object count and thread split are public
-  // deployment facts), so the spans reveal nothing the schedule does not. Spans
-  // open/close *outside* the oblivious regions; only their RAII lifetimes bracket
-  // region code.
+  // batch size is the padded f(R, S); the object count is a public deployment fact),
+  // so the spans reveal nothing the schedule does not. Spans open/close *outside* the
+  // oblivious regions; only their RAII lifetimes bracket region code.
   TraceSpan distinct_trace(&Tracer::Global(), "step", "suboram_distinct", config_.id);
   distinct_trace.SetArg("batch", b);
 
@@ -81,9 +77,7 @@ RequestBatch SubOram::ProcessBatch(RequestBatch&& batch) {
   TraceSpan build_trace(&Tracer::Global(), "step", "suboram_oht_build", config_.id);
   build_trace.SetArg("batch", b);
   TwoTierOht table(kRequestOhtSchema, config_.lambda);
-  // Sort width clamped to the pool task's thread budget (no-op outside the pool):
-  // nested sort parallelism must borrow the shared pool, never spawn over it.
-  if (!table.Build(std::move(batch.slab()), rng_, PoolClampedThreads(config_.sort_threads),
+  if (!table.Build(std::move(batch.slab()), rng_, /*sort_threads=*/1,
                    config_.sort_strategy)) {
     throw std::runtime_error("oblivious hash table construction overflow (negligible event)");
   }
@@ -92,110 +86,48 @@ RequestBatch SubOram::ProcessBatch(RequestBatch&& batch) {
   // Step 2 (Fig. 7): one linear scan over every stored object. For each object, scan
   // its two candidate buckets in full; for every slot apply the oblivious
   // compare-and-set pair so that neither the match nor the request type is revealed.
-  //
-  // With scan_threads > 1 (Figure 13b) the object range is split across threads.
-  // Distinct objects can share a hash bucket, and the oblivious compare-and-set
-  // rewrites every scanned slot unconditionally, so bucket access is serialized with
-  // per-bucket locks. Lock *indices* derive from object keys, which are public
-  // identities, so locking adds no leakage beyond the bucket trace itself.
   const size_t stride = table.record_bytes();
   const std::vector<uint8_t> zeros(value_size, 0);
   const size_t n_objects = store_.size();
-  const int threads =
-      config_.scan_threads > 1 && n_objects >= 1024 ? config_.scan_threads : 1;
-  std::vector<std::mutex> tier1_locks(threads > 1 ? table.params().bins1 : 0);
-  std::vector<std::mutex> tier2_locks(
-      threads > 1 && table.params().bins2 > 0 ? table.params().bins2 : 0);
-
-  // SNOOPY_OBLIVIOUS_BEGIN(suboram_scan)
-  // ct-public: i off begin end stride value_size bucket threads
-  // ct-public: obj_key table tier1_locks tier2_locks
-  auto scan_range = [&](size_t begin, size_t end) {
-    std::vector<uint8_t> old_value(value_size);
-    for (size_t i = begin; i < end; ++i) {
-      TraceRecord(TraceOp::kRead, i);
-      uint8_t* obj = store_.Record(i);
-      uint64_t obj_key;
-      std::memcpy(&obj_key, obj, 8);
-      uint8_t* obj_value = obj + 8;
-
-      auto apply = [&](std::span<uint8_t> bucket) {
-        for (size_t off = 0; off + stride <= bucket.size(); off += stride) {
-          auto* req = reinterpret_cast<RequestHeader*>(bucket.data() + off);
-          uint8_t* req_value = bucket.data() + off + RequestBatch::kHeaderBytes;
-          // Request contents (key, op, dummy flag, access decision) are secret; the
-          // object key being scanned is public (the scan visits all of them).
-          const SecretBool match = (SecretU64(req->key) == obj_key) &
-                                   !SecretBool::FromWord(req->dummy);
-          const SecretBool is_write = SecretU64(req->op) == SecretU64(kOpWrite);
-          const SecretBool granted = SecretBool::FromWord(req->granted);
-          // old <- object value (staged so the write below can both update the object
-          // and leave the pre-state for the response). The three conditional moves go
-          // through the SIMD kernel layer; each derives its mask once per slot.
-          std::memcpy(old_value.data(), obj_value, value_size);
-          // Write path: object <- request payload (if a granted write matches).
-          KernelCondCopyBytes(match & is_write & granted, obj_value, req_value, value_size);
-          // Response path: request slot <- pre-state (for reads and writes alike).
-          KernelCondCopyBytes(match, req_value, old_value.data(), value_size);
-          // Access control (section D): a denied read returns null rather than data.
-          KernelCondCopyBytes(match & !granted, req_value, zeros.data(), value_size);
-        }
-      };
-      if (threads > 1) {
-        {
-          std::lock_guard<std::mutex> guard(
-              tier1_locks[table.Tier1BucketIndex(obj_key)]);
-          apply(table.Tier1Bucket(obj_key));
-        }
-        if (!tier2_locks.empty()) {
-          std::lock_guard<std::mutex> guard(
-              tier2_locks[table.Tier2BucketIndex(obj_key)]);
-          apply(table.Tier2Bucket(obj_key));
-        }
-      } else {
-        apply(table.Tier1Bucket(obj_key));
-        apply(table.Tier2Bucket(obj_key));
-      }
-    }
-  };
-  // SNOOPY_OBLIVIOUS_END(suboram_scan)
-
+  std::vector<uint8_t> old_value(value_size);
   TraceSpan scan_trace(&Tracer::Global(), "step", "suboram_scan", config_.id);
   scan_trace.SetArg("objects", n_objects);
-  scan_trace.SetArg("scan_threads", static_cast<uint64_t>(threads));
-  if (threads <= 1) {
-    scan_range(0, n_objects);
-  } else {
-    // Parallel path. The scan is split into fixed-size chunks whose boundaries depend
-    // only on (n_objects, threads) — both public — so the split itself leaks nothing.
-    // A marker event records the parallel structure, then each worker buffers its
-    // trace events thread-locally (the shared recorder is not thread-safe) and the
-    // buffers are merged in chunk-index order, reproducing the sequential kRead
-    // sequence deterministically.
-    TraceRecord(TraceOp::kParallelScan, static_cast<uint64_t>(threads), n_objects);
-    std::vector<std::thread> workers;
-    std::vector<std::vector<TraceEvent>> chunk_events(static_cast<size_t>(threads));
-    const size_t chunk = (n_objects + threads - 1) / threads;
-    for (int t = 0; t < threads; ++t) {
-      const size_t begin = t * chunk;
-      const size_t end = begin + chunk < n_objects ? begin + chunk : n_objects;
-      if (begin >= end) {
-        break;
-      }
-      std::vector<TraceEvent>* sink = &chunk_events[static_cast<size_t>(t)];
-      workers.emplace_back([&, begin, end, sink] {
-        TraceThreadBuffer buffer{sink};
-        scan_range(begin, end);
-      });
-    }
-    for (std::thread& w : workers) {
-      w.join();
-    }
-    for (const std::vector<TraceEvent>& events : chunk_events) {
-      TraceAppendCurrent(events);
-    }
-  }
 
+  // SNOOPY_OBLIVIOUS_BEGIN(suboram_scan)
+  // ct-public: i off n_objects stride value_size bucket obj_key table
+  for (size_t i = 0; i < n_objects; ++i) {
+    TraceRecord(TraceOp::kRead, i);
+    uint8_t* obj = store_.Record(i);
+    uint64_t obj_key;
+    std::memcpy(&obj_key, obj, 8);
+    uint8_t* obj_value = obj + 8;
+
+    auto apply = [&](std::span<uint8_t> bucket) {
+      for (size_t off = 0; off + stride <= bucket.size(); off += stride) {
+        auto* req = reinterpret_cast<RequestHeader*>(bucket.data() + off);
+        uint8_t* req_value = bucket.data() + off + RequestBatch::kHeaderBytes;
+        // Request contents (key, op, dummy flag, access decision) are secret; the
+        // object key being scanned is public (the scan visits all of them).
+        const SecretBool match = (SecretU64(req->key) == obj_key) &
+                                 !SecretBool::FromWord(req->dummy);
+        const SecretBool is_write = SecretU64(req->op) == SecretU64(kOpWrite);
+        const SecretBool granted = SecretBool::FromWord(req->granted);
+        // old <- object value (staged so the write below can both update the object
+        // and leave the pre-state for the response). The three conditional moves go
+        // through the SIMD kernel layer; each derives its mask once per slot.
+        std::memcpy(old_value.data(), obj_value, value_size);
+        // Write path: object <- request payload (if a granted write matches).
+        KernelCondCopyBytes(match & is_write & granted, obj_value, req_value, value_size);
+        // Response path: request slot <- pre-state (for reads and writes alike).
+        KernelCondCopyBytes(match, req_value, old_value.data(), value_size);
+        // Access control (section D): a denied read returns null rather than data.
+        KernelCondCopyBytes(match & !granted, req_value, zeros.data(), value_size);
+      }
+    };
+    apply(table.Tier1Bucket(obj_key));
+    apply(table.Tier2Bucket(obj_key));
+  }
+  // SNOOPY_OBLIVIOUS_END(suboram_scan)
   scan_trace.End();
 
   // Step 3 (Fig. 7): compact the table's padding dummies away and return the B

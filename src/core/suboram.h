@@ -36,15 +36,10 @@ struct SubOramConfig {
   uint32_t id = 0;
   size_t value_size = 160;
   uint32_t lambda = kDefaultLambda;
-  int sort_threads = 1;
   // Strategy for the hash-table construction sorts (the batch-processing critical
   // path). Both OHT sorts are bucket-eligible: the batch carries distinct keys and
   // bins are fresh keyed hashes, so the bin multiset is simulatable.
   SortStrategy sort_strategy = SortStrategy::kBitonic;
-  // Enclave threads for the linear scan (paper Figure 13b). Threads take disjoint
-  // object ranges; hash-table buckets are guarded by per-bucket locks since the
-  // oblivious compare-and-set writes every scanned slot unconditionally.
-  int scan_threads = 1;
   // Verify the batch-distinctness precondition (Definition 2) before processing. The
   // load balancer guarantees it; standalone users should leave the check on.
   bool check_distinct = true;

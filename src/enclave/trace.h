@@ -43,7 +43,6 @@ enum class TraceOp : uint8_t {
   kMsgRecv = 8,     // message of b bytes from endpoint a
   kEpoch = 9,       // epoch boundary marker
   kDeclassify = 10,  // Secret<T>::Declassify at site a (FNV-1a of the site label)
-  kParallelScan = 11,  // parallel region marker: a workers over b items (public only)
 };
 
 struct TraceEvent {

@@ -313,7 +313,7 @@ struct BucketCleanupCSwap {
 // ct-calls: ResolveSortStrategyPacked TryBucketSortSlab BitonicSortSlabBlocked
 // ct-calls: LoadSecretU32 LoadSecretU64 Widen less_within_bin less
 // ct-calls: Global size record_bytes data
-// ct-calls: SortBlockRecordsShared SortTileSharers
+// ct-calls: SortBlockRecords SortBlockRecordsShared SortTileSharers
 
 // Common entry point for every hot slab sort. Orders records by (bin at
 // spec.bin_offset, less_within_bin); the caller's within-bin comparator must make
@@ -380,20 +380,16 @@ void ObliviousSortSlab(ByteSlab& slab, const SortBinSpec& spec, const Less& less
 
 // Plain-comparator overload for sorts with no (simulatable) bin tag — e.g. the load
 // balancer's response-match sort, whose duplicate client keys make any keyed-hash
-// label leak multiplicities. Always resolves to the bitonic network (the configured
-// strategy and the environment override are deliberately ignored: there is no safe
-// bucket assignment to route by), but still emits the labeled "sort" span.
+// label leak multiplicities. Always the single-threaded blocked bitonic network
+// (there is no safe bucket assignment to route by, so no strategy applies), but
+// still emits the labeled "sort" span.
 template <typename Less>
-void ObliviousSortSlab(ByteSlab& slab, const Less& less, SortStrategy /*strategy*/,
-                       int threads, size_t block_records = 0) {
+void ObliviousSortSlab(ByteSlab& slab, const Less& less) {
   TraceSpan span(&Tracer::Global(), "step", "sort");
   span.SetArg("strategy", 0);
   span.SetArg("records", slab.size());
-  span.SetArg("block_records",
-              block_records > 0
-                  ? block_records
-                  : SortBlockRecordsShared(slab.record_bytes(), SortTileSharers(threads)));
-  BitonicSortSlabBlocked(slab, less, threads, block_records);
+  span.SetArg("block_records", SortBlockRecords(slab.record_bytes()));
+  BitonicSortSlabBlocked(slab, less);
 }
 
 // SNOOPY_OBLIVIOUS_END(oblivious_sort_entry)

@@ -76,7 +76,7 @@ class TwoTierOht {
   // must scan both spans in full. Spans are invalidated by Build/ExtractAll.
   std::span<uint8_t> Tier1Bucket(uint64_t key);
   std::span<uint8_t> Tier2Bucket(uint64_t key);  // empty span if the table has one tier
-  // Bucket indices (for callers that serialize bucket access across scan threads).
+  // Indices of the two candidate buckets of `key`.
   uint64_t Tier1BucketIndex(uint64_t key) const;
   uint64_t Tier2BucketIndex(uint64_t key) const;  // 0 if the table has one tier
 

@@ -50,15 +50,6 @@ thread_local bool tls_on_worker_thread = false;
 
 int CurrentThreadBudget() { return tls_thread_budget; }
 
-int PoolClampedThreads(int configured) {
-  const int base = configured < 1 ? 1 : configured;
-  if (!tls_on_worker_thread) {
-    return base;
-  }
-  const int budget = tls_thread_budget < 1 ? 1 : tls_thread_budget;
-  return base < budget ? base : budget;
-}
-
 ScopedThreadBudget::ScopedThreadBudget(int budget) : prev_(tls_thread_budget) {
   tls_thread_budget = budget < 0 ? 0 : budget;
 }

@@ -1,7 +1,12 @@
 // Process-wide work pool shared by every parallel surface in the tree: the epoch
 // pipeline phases (RunPhase below, called from src/core/snoopy.cc), the fork-join
 // bitonic sort halves (src/obl/bitonic_sort.h), and any future stage that needs
-// worker threads.
+// worker threads. It is the one owner of worker threads under src/ (the telemetry
+// ProfilingSampler's background thread aside; tools/ci.sh fails on any other
+// std::thread), and a deployment sizes it with one setting,
+// SnoopyConfig::epoch_threads. The kernels' own `threads` arguments (sorts, OHT
+// build) are for direct callers such as the Figure 13a bench; inside the
+// deployment every nested sort runs at width 1.
 //
 // Why one pool. Before this layer each parallel phase spawned fresh std::threads and
 // the sort recursion spawned more threads *underneath* those workers, so a 4-thread
@@ -52,14 +57,6 @@ double ThreadCpuNowSeconds();
 // consult the budget instead of assuming it owns the machine -- that assumption is
 // the nested-spawn bug AdaptiveSortThreads used to have.
 int CurrentThreadBudget();
-
-// Clamps a configured thread count to the caller's context: inside a pool task the
-// result never exceeds the task's thread budget (min 1); outside the pool the
-// configured value passes through unchanged. Clamp-only by design -- budgets never
-// *raise* a width, because widths feed public trace metadata (e.g. the parallel-scan
-// marker records its width) and raising them per-context would make traces vary with
-// the thread layout.
-int PoolClampedThreads(int configured);
 
 // RAII budget scope for the calling thread; nests (the previous budget is restored).
 class ScopedThreadBudget {

@@ -359,10 +359,10 @@ TEST(BucketSort, ReshardPartitionsAreStrategyIndependent) {
   for (size_t i = 0; i < pkey.size(); ++i) {
     pkey[i] = static_cast<uint8_t>(i * 11 + 3);
   }
-  const std::vector<ByteSlab> bitonic = PartitionSlabByBin(
-      records, pkey, 16, 16, 1, SortStrategy::kBitonic, 40);
-  const std::vector<ByteSlab> bucket = PartitionSlabByBin(
-      records, pkey, 16, 16, 1, SortStrategy::kBucket, 40);
+  const std::vector<ByteSlab> bitonic =
+      PartitionSlabByBin(records, pkey, 16, 16, SortStrategy::kBitonic, 40);
+  const std::vector<ByteSlab> bucket =
+      PartitionSlabByBin(records, pkey, 16, 16, SortStrategy::kBucket, 40);
   ASSERT_EQ(bitonic.size(), bucket.size());
   for (size_t p = 0; p < bitonic.size(); ++p) {
     ASSERT_EQ(bitonic[p].size(), bucket[p].size()) << "partition " << p;
@@ -402,7 +402,6 @@ std::vector<std::pair<uint64_t, uint64_t>> RunTwin(SortStrategy strategy,
   cfg.num_suborams = 1;
   cfg.value_size = kTwinValueSize;
   cfg.lambda = 40;
-  cfg.sort_threads = 1;
   cfg.sort_strategy = strategy;
   cfg.epoch_threads = epoch_threads;
   Snoopy store(cfg, 83);

@@ -217,8 +217,7 @@ CTDF_ROOT void ctdf_reshard_tag_sort(const uint8_t* records, uint8_t* out, size_
   std::memcpy(slab.data(), records, n * (8 + value_size));
   snoopy::SipKey key;
   std::memcpy(key.data(), key16, key.size());
-  const snoopy::ByteSlab tagged =
-      snoopy::TagAndSortByBin(slab, key, num_bins, value_size, /*sort_threads=*/1);
+  const snoopy::ByteSlab tagged = snoopy::TagAndSortByBin(slab, key, num_bins, value_size);
   std::memcpy(out, tagged.Record(0), n * (snoopy::kReshardHeaderBytes + value_size));
 }
 

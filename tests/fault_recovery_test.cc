@@ -521,7 +521,6 @@ TEST(FaultRecovery, MemoryTraceIdenticalWithAndWithoutMessageFaults) {
     cfg.num_suborams = 2;
     cfg.value_size = kValueSize;
     cfg.lambda = 40;
-    cfg.sort_threads = 1;
     auto store = std::make_unique<Snoopy>(cfg, 21);
     std::vector<std::pair<uint64_t, std::vector<uint8_t>>> objects;
     for (uint64_t k = 0; k < 16; ++k) {

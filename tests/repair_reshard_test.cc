@@ -141,6 +141,32 @@ TEST(Striping, LossWithStripingDisabledIsUnrecoverable) {
   EXPECT_THROW(store->LoseSubOram(0), std::runtime_error);
 }
 
+TEST(Striping, FetchRangeThatWrapsIsRejected) {
+  // The stripe endpoint takes 64-bit offset/len from the wire; a range whose end
+  // wraps past 2^64 must be refused, not served from before the stripe buffer.
+  auto store = std::make_unique<Snoopy>(StripedConfig(1, 3, 1, false, 2), 5);
+  store->Initialize({{1, Val(0)}, {2, Val(0)}, {3, Val(0)}});
+  const Snoopy::HostStripe* stripe = store->host_stripe(/*peer=*/1, /*owner=*/0);
+  ASSERT_NE(stripe, nullptr);
+  ASSERT_GE(stripe->payload.size(), 32u);
+  auto fetch = [&](uint64_t offset, uint64_t len) {
+    // Wire header: op(1) owner(4) seal_counter(8) chunk_index(4) chunk_count(4)
+    // blob_len(8) offset(8) len(8) digest(32); op 2 is a fetch.
+    std::vector<uint8_t> msg(77, 0);
+    const uint32_t owner = 0;
+    msg[0] = 2;
+    std::memcpy(msg.data() + 1, &owner, 4);
+    std::memcpy(msg.data() + 5, &stripe->seal_counter, 8);
+    std::memcpy(msg.data() + 13, &stripe->chunk_index, 4);
+    std::memcpy(msg.data() + 29, &offset, 8);
+    std::memcpy(msg.data() + 37, &len, 8);
+    return store->network_mutable().Call("suboram/0", "suboram/1/stripe", msg);
+  };
+  EXPECT_EQ(fetch(0, 32).size(), 32u + 32u) << "digest(32) | slice(len)";
+  EXPECT_THROW(fetch(~uint64_t{0} - 15, 32), IntegrityError);
+  EXPECT_THROW(fetch(stripe->payload.size() - 16, 32), IntegrityError);
+}
+
 // ---------------------------------------------------------------------------------
 // Permanent loss, degraded service, and repair on the public schedule.
 // ---------------------------------------------------------------------------------
@@ -475,7 +501,6 @@ TEST(Reshard, SteadyStateEpochsMatchTwinDeploymentByteForByte) {
     cfg.num_suborams = 3;
     cfg.value_size = kValueSize;
     cfg.lambda = 40;
-    cfg.sort_threads = 1;
     auto store = std::make_unique<Snoopy>(cfg, 61);
     std::vector<std::pair<uint64_t, std::vector<uint8_t>>> objects;
     for (uint64_t k = 0; k < 20; ++k) {

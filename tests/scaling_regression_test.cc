@@ -14,9 +14,10 @@
 //      on an oversubscribed CI host it measures the scheduler, not the work.
 //
 // Plus unit coverage for the shared WorkPool (flat runs, stealable fork-join,
-// thread-budget scoping, and the AdaptiveSortThreads / PoolClampedThreads clamps
-// that turned the nested-spawn path into a budget consultation) and for RunPhase,
-// the one executor every epoch phase goes through.
+// thread-budget scoping, and the AdaptiveSortThreads clamp that turned the
+// nested-spawn path into a budget consultation) and for RunPhase, the one executor
+// every epoch phase goes through. The deployment's only thread setting is
+// epoch_threads; the sorts nested in its tasks run at width 1.
 
 #include <gtest/gtest.h>
 
@@ -103,23 +104,6 @@ TEST(WorkPool, ThreadBudgetScopesNest) {
     EXPECT_EQ(CurrentThreadBudget(), 4);
   }
   EXPECT_EQ(CurrentThreadBudget(), 0);
-}
-
-TEST(WorkPool, PoolClampedThreadsIsPassThroughOutsideAndClampInside) {
-  EXPECT_EQ(PoolClampedThreads(4), 4);  // standalone callers keep their config
-  EXPECT_EQ(PoolClampedThreads(0), 1);
-  std::atomic<int> inside{-1};
-  std::atomic<int> widened{-1};
-  WorkPool::Instance().Run(2, [&](size_t w) {
-    if (w != 0) {
-      return;
-    }
-    inside.store(PoolClampedThreads(4));  // budget 1 inside a pool body
-    ScopedThreadBudget grant(3);
-    widened.store(PoolClampedThreads(4));  // phase granted headroom: min(4, 3)
-  });
-  EXPECT_EQ(inside.load(), 1);
-  EXPECT_EQ(widened.load(), 3);
 }
 
 TEST(AdaptiveSortThreads, ConsultsPoolBudgetInsteadOfAssumingOwnership) {

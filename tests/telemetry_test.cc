@@ -469,7 +469,6 @@ TEST(SnoopyTelemetry, MetricsDoNotPerturbTheEnclaveTrace) {
     cfg.num_suborams = 2;
     cfg.value_size = 16;
     cfg.lambda = 40;
-    cfg.sort_threads = 1;
     Snoopy store(cfg, 29);
     std::vector<std::pair<uint64_t, std::vector<uint8_t>>> objects;
     for (uint64_t k = 0; k < 16; ++k) {

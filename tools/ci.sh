@@ -22,6 +22,22 @@ python3 tools/ct_lint.py --repo-root . --self-test
 echo "== oblivious region structure (BEGIN/END pairing + manifest coverage) =="
 python3 tools/check_oblivious_structure.py --repo-root .
 
+echo "== one thread owner (std::thread only in the WorkPool and the ProfilingSampler) =="
+# All parallel work runs on the WorkPool (src/obl/parallel.cc); the telemetry
+# ProfilingSampler (src/telemetry/tracing.{h,cc}) keeps one background thread. A
+# std::thread / std::jthread anywhere else under src/ is a second thread owner
+# that bypasses the pool's budgets. std::thread::hardware_concurrency is fine, and
+# comment lines are skipped.
+spawns="$(grep -rnP --include='*.h' --include='*.cc' 'std::j?thread\b(?!::)' src \
+  | grep -vE '^src/(obl/parallel\.cc|telemetry/tracing\.(h|cc)):' \
+  | grep -vP '^[^:]+:[0-9]+:\s*//' || true)"
+if [[ -n "${spawns}" ]]; then
+  echo "ci.sh: std::thread outside the WorkPool:"
+  echo "${spawns}"
+  exit 1
+fi
+echo "thread owners ok: src/obl/parallel.cc, src/telemetry/tracing.{h,cc}"
+
 echo "== binary taint dataflow (planted corpus, then real kernels at -O2/-O3) =="
 # The source lint cannot see what the optimizer emits; ct_dataflow audits the
 # compiled objects. Self-test first (every planted B01-B04/M01 must fire), then
@@ -190,8 +206,7 @@ ctest --test-dir build-asan --output-on-failure
 
 echo "== TSan build + threading-sensitive tests =="
 # The race-prone surfaces: parallel bitonic sort (the fig13a trace-race fix),
-# the bucket sort's fork-joined routing/cleanup, parallel subORAM scan, and the
-# parallel epoch executor.
+# the bucket sort's fork-joined routing/cleanup, and the parallel epoch executor.
 cmake -S . -B build-tsan -DSNOOPY_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j"${JOBS}" --target \
   bitonic_sort_test bucket_sort_test suboram_test epoch_parallel_test tracing_test \
