@@ -7,9 +7,8 @@
 // the model column projects the 4-core DC4s_v2 behaviour the paper plots (crossover
 // and all). Both are printed.
 //
-// This harness also sweeps the cache-blocked variant (RunBitonicNetworkBlocked)
-// against the unblocked network across tile sizes, on both the plain and the
-// adaptive-thread configuration, and emits the whole grid as machine-readable JSON.
+// This harness also measures the bitonic-vs-bucket strategy crossover and emits the
+// whole grid as machine-readable JSON.
 
 #include <cstdio>
 #include <cstring>
@@ -19,7 +18,6 @@
 #include "src/crypto/rng.h"
 #include "src/obl/bitonic_sort.h"
 #include "src/obl/bucket_sort.h"
-#include "src/obl/kernels.h"
 #include "src/obl/slab.h"
 #include "src/sim/cost_model.h"
 #include "src/telemetry/bench_json.h"
@@ -47,20 +45,6 @@ double SortTime(size_t n, int threads, uint64_t seed) {
           return LoadSecretU64(a, 0) < LoadSecretU64(b, 0);
         },
         threads);
-  });
-}
-
-// block_records == 0 means the implementation default (SortBlockRecords).
-double SortTimeBlocked(size_t n, int threads, size_t block_records, uint64_t seed) {
-  ByteSlab slab(n, kRecordBytes);
-  FillSlab(slab, seed);
-  return TimeSeconds([&] {
-    BitonicSortSlabBlocked(
-        slab,
-        [](const uint8_t* a, const uint8_t* b) {
-          return LoadSecretU64(a, 0) < LoadSecretU64(b, 0);
-        },
-        threads, block_records);
   });
 }
 
@@ -138,39 +122,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Blocked-network sweep: unblocked vs tile sizes around the L1-derived default,
-  // on one thread and on the adaptive thread count.
-  const size_t default_block = SortBlockRecords(kRecordBytes);
-  std::printf("\nblocked sweep (record=%zuB, default tile=%zu records):\n", kRecordBytes,
-              default_block);
-  std::printf("%9s %8s | %12s %12s\n", "items", "tile", "1 thr(s)", "adaptive(s)");
-  for (const size_t n : {size_t{1} << 14, size_t{1} << 16}) {
-    const int adaptive = AdaptiveSortThreads(n, 3, kRecordBytes);
-    const double unblocked1 = SortTime(n, 1, n);
-    const double unblockeda = SortTime(n, adaptive, n);
-    std::printf("%9zu %8s | %12.3f %12.3f\n", n, "none", unblocked1, unblockeda);
-    // The unblocked row is its own baseline, so its speedup is 1.0 by definition;
-    // emitting it keeps the field present on every blocked_sort point (the schema
-    // checker requires it uniformly, so a consumer can plot the column unguarded).
-    emitter.AddPoint("blocked_sort")
-        .Set("items", static_cast<double>(n))
-        .Set("block_records", 0.0)
-        .Set("seconds_1thr", unblocked1)
-        .Set("seconds_adaptive", unblockeda)
-        .Set("speedup_vs_unblocked_1thr", 1.0);
-    for (const size_t block : {default_block / 4, default_block, default_block * 4}) {
-      const double b1 = SortTimeBlocked(n, 1, block, n);
-      const double ba = SortTimeBlocked(n, adaptive, block, n);
-      std::printf("%9zu %8zu | %12.3f %12.3f\n", n, block, b1, ba);
-      emitter.AddPoint("blocked_sort")
-          .Set("items", static_cast<double>(n))
-          .Set("block_records", static_cast<double>(block))
-          .Set("seconds_1thr", b1)
-          .Set("seconds_adaptive", ba)
-          .Set("speedup_vs_unblocked_1thr", b1 > 0.0 ? unblocked1 / b1 : 0.0);
-    }
-  }
-  // Strategy crossover: blocked bitonic (the tuned O(n log^2 n) baseline) versus
+  // Strategy crossover: bitonic (the tuned O(n log^2 n) baseline) versus
   // the O(n log n) bucket sort on the same bin-tagged slabs. Below the eligibility
   // knee (n < 4096) the bucket request resolves to bitonic, so those rows document
   // the fallback; past the knee the routing's pass advantage compounds with n. The

@@ -35,8 +35,8 @@ ByteSlab TagAndSortByBin(const ByteSlab& records, const SipKey& partition_key,
     std::memcpy(rec + kReshardKeyOffset, src, 8 + value_size);
   }
   // Out-of-line, type-erased sort entry: this function is audited end-to-end by the
-  // binary dataflow verifier (ctdf_reshard_tag_sort), and the blocked executor's
-  // inlined tile state is beyond the analyzer's tracking through a composite root —
+  // binary dataflow verifier (ctdf_reshard_tag_sort), and the bitonic executor's
+  // inlined recursion is beyond the analyzer's tracking through a composite root —
   // ObliviousSortSlabErased is the boundary symbol (tools/ct_binary_manifest.json);
   // its kernels are audited decomposed. The comparator trampoline is captureless,
   // so the context pointer is null (never a pointer into this frame).

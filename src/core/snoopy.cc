@@ -123,6 +123,19 @@ std::vector<std::pair<uint64_t, std::vector<uint8_t>>> SlabToObjects(const ByteS
   return out;
 }
 
+// Attested channel establishment between a load balancer and a subORAM enclave
+// (paper section 3.1): each end verifies the other's quote and derives the channel
+// key, and the two derivations must agree.
+std::unique_ptr<SecureLink> AttestLink(const Enclave& lb, const Enclave& so,
+                                       uint32_t link_id) {
+  const Aead::Key key = lb.EstablishChannel(so.quote());
+  const Aead::Key check = so.EstablishChannel(lb.quote());
+  if (key != check) {
+    throw std::runtime_error("channel key mismatch after attestation");
+  }
+  return std::make_unique<SecureLink>(key, link_id);
+}
+
 // Default factory: the paper's throughput-optimized subORAM.
 class DefaultSubOramFactory final : public SubOramBackendFactory {
  public:
@@ -162,9 +175,7 @@ void Snoopy::Construct() {
     throw std::invalid_argument("Snoopy needs at least one load balancer and one subORAM");
   }
   if (config_.striping.replicas > 0) {
-    const uint32_t peers =
-        config_.striping.replicas + (config_.striping.xor_parity ? 1 : 0);
-    if (config_.num_suborams <= peers) {
+    if (config_.num_suborams <= StripePeerCount()) {
       throw std::invalid_argument(
           "striping needs num_suborams > replicas (+1 in parity mode): the stripes "
           "live on peer subORAMs");
@@ -193,20 +204,15 @@ void Snoopy::Construct() {
     suborams_.push_back(factory_->Create(so, rng_.Next64()));
   }
 
-  // Attested channel establishment between every load balancer and subORAM pair
-  // (paper section 3.1), then endpoint registration on the message network.
+  // Attested links between every load balancer and subORAM pair, then endpoint
+  // registration on the message network.
   links_.resize(config_.num_load_balancers);
   link_generation_.resize(config_.num_load_balancers);
   for (uint32_t lb = 0; lb < config_.num_load_balancers; ++lb) {
     link_generation_[lb].assign(config_.num_suborams, 0);
     for (uint32_t so = 0; so < config_.num_suborams; ++so) {
-      const Aead::Key key = lb_enclaves_[lb]->EstablishChannel(so_enclaves_[so]->quote());
-      const Aead::Key check = so_enclaves_[so]->EstablishChannel(lb_enclaves_[lb]->quote());
-      if (key != check) {
-        throw std::runtime_error("channel key mismatch after attestation");
-      }
-      const uint32_t link_id = lb * config_.num_suborams + so;
-      links_[lb].push_back(std::make_unique<SecureLink>(key, link_id));
+      links_[lb].push_back(AttestLink(*lb_enclaves_[lb], *so_enclaves_[so],
+                                      lb * config_.num_suborams + so));
     }
   }
   for (uint32_t so = 0; so < config_.num_suborams; ++so) {
@@ -344,13 +350,29 @@ void Snoopy::Initialize(
     }
   }
   // First rollback-protected snapshot: a subORAM that crashes before its first epoch
-  // completes recovers to its freshly loaded partition. Stripes distribute only after
-  // *every* partition sealed (same ordering rule as the epoch boundary).
+  // completes recovers to its freshly loaded partition.
+  SealEpochBoundary();
+}
+
+// Epoch boundary: seal every healthy subORAM's state FIRST (one trusted-counter bump
+// each, paper section 9), then retire the per-epoch dedup state, then distribute
+// redundancy stripes. The ordering matters: a stripe push can trigger a peer's crash
+// recovery, which must restore the *post*-epoch snapshot with an empty executed set --
+// sealing or clearing after distribution could lose the epoch's writes at that peer.
+void Snoopy::SealEpochBoundary() {
   for (uint32_t so = 0; so < config_.num_suborams; ++so) {
-    SealSubOramState(so);
+    if (HealthOf(so) == PartitionHealth::kHealthy) {
+      SealSubOramState(so);
+    }
   }
   for (uint32_t so = 0; so < config_.num_suborams; ++so) {
-    DistributeStripes(so);
+    so_response_cache_[so].clear();
+    so_executed_lbs_[so].clear();
+  }
+  for (uint32_t so = 0; so < config_.num_suborams; ++so) {
+    if (HealthOf(so) == PartitionHealth::kHealthy) {
+      DistributeStripes(so);
+    }
   }
 }
 
@@ -627,9 +649,12 @@ void Snoopy::host_replace_stripe(uint32_t peer, uint32_t owner, HostStripe strip
   stripe_store_[peer][owner] = std::move(stripe);
 }
 
+uint32_t Snoopy::StripePeerCount() const {
+  return config_.striping.replicas + (config_.striping.xor_parity ? 1 : 0);
+}
+
 std::vector<uint32_t> Snoopy::StripePeers(uint32_t so) const {
-  const uint32_t count =
-      config_.striping.replicas + (config_.striping.xor_parity ? 1 : 0);
+  const uint32_t count = StripePeerCount();
   std::vector<uint32_t> peers;
   peers.reserve(count);
   for (uint32_t i = 1; peers.size() < count; ++i) {
@@ -1331,29 +1356,10 @@ std::vector<ClientResponse> Snoopy::RunEpoch() {
     EpochMetrics()->deferred_requests_total->Increment(deferred);
   }
 
-  // Epoch boundary: seal every healthy subORAM's post-epoch state FIRST (one
-  // trusted-counter bump each, paper section 9), then retire the per-epoch dedup
-  // state, then distribute redundancy stripes. The ordering matters: a stripe push
-  // can trigger a peer's crash recovery, which must restore the *post*-epoch snapshot
-  // with an empty executed set -- sealing or clearing after distribution could lose
-  // the epoch's writes at that peer.
   {
     TraceSpan seal_trace(tracer_, "phase", "seal", epoch_);
     SpanTimer seal_span(PhaseHistogram("seal"), now_fn);
-    for (uint32_t so = 0; so < config_.num_suborams; ++so) {
-      if (HealthOf(so) == PartitionHealth::kHealthy) {
-        SealSubOramState(so);
-      }
-    }
-    for (uint32_t so = 0; so < config_.num_suborams; ++so) {
-      so_response_cache_[so].clear();
-      so_executed_lbs_[so].clear();
-    }
-    for (uint32_t so = 0; so < config_.num_suborams; ++so) {
-      if (HealthOf(so) == PartitionHealth::kHealthy) {
-        DistributeStripes(so);
-      }
-    }
+    SealEpochBoundary();
   }
   ++epoch_;
   epoch_span.Stop();
@@ -1375,9 +1381,7 @@ void Snoopy::Reshard(uint32_t new_num_suborams) {
     throw std::invalid_argument("Reshard needs at least one subORAM");
   }
   if (config_.striping.replicas > 0) {
-    const uint32_t peers =
-        config_.striping.replicas + (config_.striping.xor_parity ? 1 : 0);
-    if (new_num_suborams <= peers) {
+    if (new_num_suborams <= StripePeerCount()) {
       throw std::invalid_argument(
           "Reshard target too small for the striping configuration");
     }
@@ -1452,13 +1456,8 @@ void Snoopy::Reshard(uint32_t new_num_suborams) {
   std::vector<std::vector<std::unique_ptr<SecureLink>>> new_links(num_lbs);
   for (uint32_t lb = 0; lb < num_lbs; ++lb) {
     for (uint32_t so = 0; so < new_num_suborams; ++so) {
-      const Aead::Key key = lb_enclaves_[lb]->EstablishChannel(new_so_enclaves[so]->quote());
-      const Aead::Key check = new_so_enclaves[so]->EstablishChannel(lb_enclaves_[lb]->quote());
-      if (key != check) {
-        throw std::runtime_error("channel key mismatch after attestation");
-      }
-      new_links[lb].push_back(
-          std::make_unique<SecureLink>(key, lb * new_num_suborams + so));
+      new_links[lb].push_back(AttestLink(*lb_enclaves_[lb], *new_so_enclaves[so],
+                                         lb * new_num_suborams + so));
     }
   }
   check_abort();
@@ -1498,12 +1497,7 @@ void Snoopy::Reshard(uint32_t new_num_suborams) {
     RegisterSubOramEndpoints(so);
   }
   // Fresh rollback-protected snapshots + redundancy for the new partitions.
-  for (uint32_t so = 0; so < new_num_suborams; ++so) {
-    SealSubOramState(so);
-  }
-  for (uint32_t so = 0; so < new_num_suborams; ++so) {
-    DistributeStripes(so);
-  }
+  SealEpochBoundary();
   if (metrics_ != nullptr) {
     metrics_->GetCounter("snoopy_reshards_total").Increment();
   }

@@ -286,11 +286,16 @@ class Snoopy {
   // generation so stale sealed bytes are re-sealed.
   void RekeyLink(uint32_t lb, uint32_t so);
   void SealSubOramState(uint32_t so);
+  // The epoch-boundary sequence, also run by Initialize and Reshard: seal every
+  // healthy partition, then clear every per-epoch dedup cache, then distribute every
+  // healthy partition's stripes (ordering rationale at the definition).
+  void SealEpochBoundary();
 
   // --- Striping + repair internals --------------------------------------------------
   // The successor peers holding partition so's stripes: replicas of them in
   // replication mode, replicas + 1 (the last holds the XOR parity chunk) in parity
   // mode.
+  uint32_t StripePeerCount() const;
   std::vector<uint32_t> StripePeers(uint32_t so) const;
   // Pushes partition so's current sealed snapshot to its stripe peers. Peers that are
   // themselves lost/repairing or unreachable are skipped (counted); redundancy

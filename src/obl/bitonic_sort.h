@@ -6,6 +6,12 @@
 // parallelizes it across enclave threads (Figure 13a), which RunBitonicNetwork supports
 // by fanning the independent recursive halves out to a bounded thread pool.
 //
+// One network, one executor: the thread width alone decides how a segment runs. The
+// recursion forks its halves while threads > 1 and hands each width-1 segment to the
+// sequential tile executor, so every single-threaded sort runs exactly the code the
+// binary dataflow audit checks. Obliviousness and cost belong to the compare-swap
+// sequence, which is the same at every width.
+//
 // Comparators operate on secret record fields and therefore must return SecretBool
 // (obl/secret.h), keeping the compare result in the taint domain until it reaches the
 // oblivious swap. Branching on it is a compile error.
@@ -23,26 +29,22 @@
 #include <utility>
 #include <vector>
 
-#include <memory>
-
 #include "src/enclave/trace.h"
 #include "src/obl/kernels.h"
 #include "src/obl/parallel.h"
 #include "src/obl/primitives.h"
 #include "src/obl/secret.h"
 #include "src/obl/slab.h"
-#include "src/telemetry/tracing.h"
 
 namespace snoopy {
 
 // SNOOPY_OBLIVIOUS_BEGIN(bitonic_sort)
-// ct-public: n lo m asc threads i j k stride max_threads hw cap block block_records
+// ct-public: n lo m asc threads i j k stride max_threads hw cap
 // ct-public: parallel_threshold kTilesPerParallelSort
-// ct-public: TraceSpan SetArg TraceTilesEnabled first_spans
 // ct-public: pool first_budget second_budget budget allowed first_fn second_fn
 // ct-public: WorkPool OnWorkerThread CurrentThreadBudget
 // ct-calls: GreatestPowerOfTwoBelow BitonicMerge BitonicSortRec AdaptiveSortThreads
-// ct-calls: first second SortBlockRecords SortBlockRecordsShared SortTileSharers make_unique
+// ct-calls: BitonicTileMerge BitonicTileSort first second SortBlockRecords
 // ct-calls: WorkPool Instance Reserve ForkJoin OnWorkerThread CurrentThreadBudget
 // ct-calls: assert
 
@@ -57,106 +59,13 @@ inline size_t GreatestPowerOfTwoBelow(size_t n) {
   return k;
 }
 
-// Runs the two independent halves of a bitonic recursion step, parallel when
-// threads > 1. Trace safety: the shared recorder is not thread-safe, so each half
-// buffers its cswap events thread-locally (TraceThreadBuffer) and the parent appends
-// them after the join in the *sequential* recursion order (first half, then second).
-// The split point is public (a function of n alone), so the merged trace is
-// byte-identical to a single-threaded run — the trace-identity tests pin this.
+// ---- Tile executor (one thread) ----
 //
-// Execution goes through the process-wide WorkPool (obl/parallel.h): the first half
-// is offered as a *stealable* task that an idle pool worker picks up (or the caller
-// reclaims after finishing the second half) — never a freshly spawned thread. Each
-// half carries its share of the caller's thread budget, so deeper recursion levels
-// stay inside the grant. Forking from inside a pool task whose budget is exhausted
-// is the nested-spawn oversubscription bug this layer replaced: hard error in debug
-// builds, sequential execution (always correct) in release builds.
-template <typename First, typename Second>
-void TraceForkJoinHalves(const First& first, const Second& second, int threads) {
-  if (threads > 1 && WorkPool::OnWorkerThread() && CurrentThreadBudget() <= 1) {
-    assert(!"parallel sort inside a pool task without thread budget; size the "
-            "request with AdaptiveSortThreads (src/obl/parallel.h)");
-    threads = 1;
-  }
-  if (threads > 1) {
-    std::vector<TraceEvent> first_events;
-    std::vector<TraceEvent> second_events;
-    // Tile *spans* (tracing.h) get the same treatment as cswap trace events: each
-    // half buffers into its own ring and the parent replays first-then-second, so
-    // the span sequence matches a single-threaded run. Rings exist only while the
-    // tile tracer is on; the normal path allocates nothing.
-    std::unique_ptr<SpanRingBuffer> first_spans;
-    std::unique_ptr<SpanRingBuffer> second_spans;
-    if (TraceTilesEnabled()) {
-      first_spans = std::make_unique<SpanRingBuffer>();
-      second_spans = std::make_unique<SpanRingBuffer>();
-    }
-    const int first_budget = threads / 2;
-    const int second_budget = threads - threads / 2;
-    WorkPool& pool = WorkPool::Instance();
-    pool.Reserve(static_cast<size_t>(threads) - 1);
-    const std::function<void()> first_fn = [&] {
-      ScopedThreadBudget budget{first_budget < 1 ? 1 : first_budget};
-      TraceThreadBuffer buffer{&first_events};
-      TracerThreadBuffer span_buffer{first_spans.get()};
-      first();
-    };
-    const std::function<void()> second_fn = [&] {
-      ScopedThreadBudget budget{second_budget};
-      TraceThreadBuffer buffer{&second_events};
-      TracerThreadBuffer span_buffer{second_spans.get()};
-      second();
-    };
-    pool.ForkJoin(first_fn, second_fn);
-    TraceAppendCurrent(first_events);
-    TraceAppendCurrent(second_events);
-    if (first_spans != nullptr) {
-      TraceSpanAppendCurrent(*first_spans);
-      TraceSpanAppendCurrent(*second_spans);
-    }
-  } else {
-    first();
-    second();
-  }
-}
-
-template <typename CSwap>
-void BitonicMerge(size_t lo, size_t n, bool asc, const CSwap& cswap, int threads) {
-  if (n <= 1) {
-    return;
-  }
-  const size_t m = GreatestPowerOfTwoBelow(n);
-  for (size_t i = lo; i < lo + n - m; ++i) {
-    cswap(i, i + m, asc);
-  }
-  TraceForkJoinHalves([&] { BitonicMerge(lo, m, asc, cswap, threads / 2); },
-                      [&] { BitonicMerge(lo + m, n - m, asc, cswap, threads - threads / 2); },
-                      threads);
-}
-
-template <typename CSwap>
-void BitonicSortRec(size_t lo, size_t n, bool asc, const CSwap& cswap, int threads) {
-  if (n <= 1) {
-    return;
-  }
-  const size_t m = n / 2;
-  TraceForkJoinHalves([&] { BitonicSortRec(lo, m, !asc, cswap, threads / 2); },
-                      [&] { BitonicSortRec(lo + m, n - m, asc, cswap, threads - threads / 2); },
-                      threads);
-  BitonicMerge(lo, n, asc, cswap, threads);
-}
-
-// ---- Cache-blocked execution (tile executor) ----
-//
-// Depth-first bitonic recursion is inherently tile-local for segments that fit in
-// cache: once a sort/merge segment is <= B records, every subsequent compare-swap it
-// spawns stays inside those B records. The blocked variant makes that boundary an
-// explicit, public parameter: segments of at most `block` records are executed by a
-// lean tile path (no fork-join dispatch, no thread bookkeeping), and the block size is
-// the same L1 geometry the sim's cost model uses (kernels.h SortBlockRecords). The
-// tile executor replays the *exact* recursion order of BitonicSortRec/BitonicMerge
-// with threads = 1, so the cswap sequence -- and therefore the adversary-visible trace
-// -- is byte-identical for every block size (tests/kernels_test.cc pins this).
+// The sequential depth-first walk of the network: no fork-join dispatch, no thread
+// bookkeeping. Once a segment is at most SortBlockRecords long (kernels.h) every
+// compare-swap it spawns stays inside those records, so depth-first order is what
+// keeps a width-1 sort L1-resident. This is the code the ctdf_bitonic_tile_sort root
+// audits at the binary level (tests/ct_dataflow_fixture.cc).
 
 template <typename CSwap>
 void BitonicTileMerge(size_t lo, size_t n, bool asc, const CSwap& cswap) {
@@ -182,16 +91,59 @@ void BitonicTileSort(size_t lo, size_t n, bool asc, const CSwap& cswap) {
   BitonicTileMerge(lo, n, asc, cswap);
 }
 
+// ---- Fork-join executor (threads > 1) ----
+
+// Runs the two independent halves of a bitonic recursion step in parallel (callers
+// pass threads > 1). Trace safety: the shared recorder is not thread-safe, so each
+// half buffers its cswap events thread-locally (TraceThreadBuffer) and the parent
+// appends them after the join in the *sequential* recursion order (first half, then
+// second). The split point is public (a function of n alone), so the merged trace is
+// byte-identical to a single-threaded run — the trace-identity tests pin this. No
+// span is opened inside a sort half, so only cswap events need the merge.
+//
+// Execution goes through the process-wide WorkPool (obl/parallel.h): the first half
+// is offered as a *stealable* task that an idle pool worker picks up (or the caller
+// reclaims after finishing the second half) — never a freshly spawned thread. Each
+// half carries its share of the caller's thread budget, so deeper recursion levels
+// stay inside the grant. Forking from inside a pool task whose budget is exhausted
+// is the nested-spawn oversubscription bug this layer replaced: hard error in debug
+// builds, sequential execution (always correct) in release builds.
+template <typename First, typename Second>
+void TraceForkJoinHalves(const First& first, const Second& second, int threads) {
+  if (WorkPool::OnWorkerThread() && CurrentThreadBudget() <= 1) {
+    assert(!"parallel sort inside a pool task without thread budget; size the "
+            "request with AdaptiveSortThreads (src/obl/parallel.h)");
+    first();
+    second();
+    return;
+  }
+  std::vector<TraceEvent> first_events;
+  std::vector<TraceEvent> second_events;
+  const int first_budget = threads / 2;
+  const int second_budget = threads - threads / 2;
+  WorkPool& pool = WorkPool::Instance();
+  pool.Reserve(static_cast<size_t>(threads) - 1);
+  const std::function<void()> first_fn = [&] {
+    ScopedThreadBudget budget{first_budget};
+    TraceThreadBuffer buffer{&first_events};
+    first();
+  };
+  const std::function<void()> second_fn = [&] {
+    ScopedThreadBudget budget{second_budget};
+    TraceThreadBuffer buffer{&second_events};
+    second();
+  };
+  pool.ForkJoin(first_fn, second_fn);
+  TraceAppendCurrent(first_events);
+  TraceAppendCurrent(second_events);
+}
+
+// The thread width alone decides how a segment runs: it forks while threads > 1 and
+// hands the segment to the tile executor once the width reaches 1. Both executors
+// emit the same compare-swap sequence, so the trace does not depend on the width.
 template <typename CSwap>
-void BitonicBlockedMerge(size_t lo, size_t n, bool asc, const CSwap& cswap, size_t block,
-                         int threads) {
-  if (n <= block) {
-    // Tile-granularity span (tracer detail >= 2 only). `lo` and `n` are public
-    // network geometry — functions of the input size alone — so the span leaks
-    // nothing; the gate itself is public global configuration (ct-public above).
-    TraceSpan tile(TraceTilesEnabled() ? &Tracer::Global() : nullptr, "tile",
-                   "merge_tile", lo);
-    tile.SetArg("records", n);
+void BitonicMerge(size_t lo, size_t n, bool asc, const CSwap& cswap, int threads) {
+  if (threads <= 1 || n <= 1) {
     BitonicTileMerge(lo, n, asc, cswap);
     return;
   }
@@ -199,32 +151,22 @@ void BitonicBlockedMerge(size_t lo, size_t n, bool asc, const CSwap& cswap, size
   for (size_t i = lo; i < lo + n - m; ++i) {
     cswap(i, i + m, asc);
   }
-  TraceForkJoinHalves([&] { BitonicBlockedMerge(lo, m, asc, cswap, block, threads / 2); },
-                      [&] {
-                        BitonicBlockedMerge(lo + m, n - m, asc, cswap, block,
-                                            threads - threads / 2);
-                      },
+  TraceForkJoinHalves([&] { BitonicMerge(lo, m, asc, cswap, threads / 2); },
+                      [&] { BitonicMerge(lo + m, n - m, asc, cswap, threads - threads / 2); },
                       threads);
 }
 
 template <typename CSwap>
-void BitonicBlockedSortRec(size_t lo, size_t n, bool asc, const CSwap& cswap, size_t block,
-                           int threads) {
-  if (n <= block) {
-    TraceSpan tile(TraceTilesEnabled() ? &Tracer::Global() : nullptr, "tile",
-                   "sort_tile", lo);
-    tile.SetArg("records", n);
+void BitonicSortRec(size_t lo, size_t n, bool asc, const CSwap& cswap, int threads) {
+  if (threads <= 1 || n <= 1) {
     BitonicTileSort(lo, n, asc, cswap);
     return;
   }
   const size_t m = n / 2;
-  TraceForkJoinHalves([&] { BitonicBlockedSortRec(lo, m, !asc, cswap, block, threads / 2); },
-                      [&] {
-                        BitonicBlockedSortRec(lo + m, n - m, asc, cswap, block,
-                                              threads - threads / 2);
-                      },
+  TraceForkJoinHalves([&] { BitonicSortRec(lo, m, !asc, cswap, threads / 2); },
+                      [&] { BitonicSortRec(lo + m, n - m, asc, cswap, threads - threads / 2); },
                       threads);
-  BitonicBlockedMerge(lo, n, asc, cswap, block, threads);
+  BitonicMerge(lo, n, asc, cswap, threads);
 }
 
 }  // namespace internal
@@ -232,22 +174,10 @@ void BitonicBlockedSortRec(size_t lo, size_t n, bool asc, const CSwap& cswap, si
 // Runs the bitonic network over n elements. `cswap(i, j, asc)` must compare the
 // elements at positions i < j and swap them (obliviously) so that they end up in
 // ascending order if asc, descending otherwise. `threads` bounds the number of
-// concurrently running workers (1 = fully sequential).
+// concurrently running workers (1 = fully sequential, on the tile executor).
 template <typename CSwap>
 void RunBitonicNetwork(size_t n, const CSwap& cswap, int threads = 1) {
-  internal::BitonicSortRec(0, n, /*asc=*/true, cswap, threads < 1 ? 1 : threads);
-}
-
-// Cache-blocked variant: identical compare-swap sequence (see the tile-executor note
-// above), with segments of at most `block_records` executed by the non-forking tile
-// path. `block_records` is public geometry; 0 means "no blocking" (tiles of 1, i.e.
-// plain recursion all the way down).
-template <typename CSwap>
-void RunBitonicNetworkBlocked(size_t n, size_t block_records, const CSwap& cswap,
-                              int threads = 1) {
-  const size_t block = block_records < 1 ? 1 : block_records;
-  internal::BitonicBlockedSortRec(0, n, /*asc=*/true, cswap, block,
-                                  threads < 1 ? 1 : threads);
+  internal::BitonicSortRec(0, n, /*asc=*/true, cswap, threads);
 }
 
 // Sorts a span of trivially-copyable records in place. `less(a, b)` must be a
@@ -283,38 +213,10 @@ void BitonicSortSlab(ByteSlab& slab, const Less& less, int threads = 1) {
       threads);
 }
 
-// Cache-blocked slab sort: same trace, same result, L1-tiled execution. The default
-// block comes from the record stride and the shared L1 tile budget (kernels.h),
-// divided among the sort threads that timeshare a core when `threads` exceeds the
-// core count (SortTileSharers) -- blind L1-sized tiles under oversubscription thrash
-// on every context switch. Block geometry is a pure function of public values
-// (stride, threads, core count), so for a fixed configuration it is identical across
-// runs and epoch thread counts. Callers may pass an explicit block_records to
-// override (benches sweep it).
-template <typename Less>
-void BitonicSortSlabBlocked(ByteSlab& slab, const Less& less, int threads = 1,
-                            size_t block_records = 0) {
-  const size_t stride = slab.record_bytes();
-  const size_t block = block_records > 0
-                           ? block_records
-                           : SortBlockRecordsShared(stride, SortTileSharers(threads));
-  uint8_t* base = slab.data();
-  RunBitonicNetworkBlocked(
-      slab.size(), block,
-      [&](size_t i, size_t j, bool asc) {
-        TraceRecord(TraceOp::kCondSwap, i, j);
-        uint8_t* a = base + i * stride;
-        uint8_t* b = base + j * stride;
-        const SecretBool out_of_order = asc ? less(b, a) : less(a, b);
-        KernelCondSwapBytes(out_of_order, a, b, stride);
-      },
-      threads);
-}
-
 // The adaptive policy from the paper (Figure 13a): below a size threshold the thread
 // coordination overhead dominates, so fall back to a single thread. The threshold is
-// derived from the blocked tile geometry -- forking pays off once the sort spans many
-// L1 tiles -- rather than a bare constant; for the paper's 208-byte records this
+// derived from the L1 tile geometry (SortBlockRecords) -- forking pays off once the
+// sort spans many L1 tiles -- rather than a bare constant; for the paper's 208-byte records this
 // yields 128 tiles * 64 records = 8192, the empirical knee in Figure 13a.
 inline int AdaptiveSortThreads(size_t n, int max_threads, size_t record_bytes = 208) {
   constexpr size_t kTilesPerParallelSort = 128;

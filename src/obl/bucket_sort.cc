@@ -150,7 +150,7 @@ double BitonicSortPassesPerElement(uint64_t n, size_t record_bytes) {
   if (n < 2) {
     return 0.0;
   }
-  // The blocked-execution algebra from CostModel::BitonicSortSeconds: of the
+  // The tile-residency algebra from CostModel::BitonicSortSeconds: of the
   // L(L+1)/2 compare-exchange passes, the tile-resident ones cost
   // kSortBlockedDiscount relative to a streaming pass.
   const double lg = std::log2(static_cast<double>(n));
@@ -411,14 +411,13 @@ __attribute__((noinline)) bool TryBucketSortSlab(uint8_t* data, uint64_t n, size
 __attribute__((noinline)) void ObliviousSortSlabErased(
     ByteSlab& slab, size_t bin_offset, uint64_t num_bins, uint32_t bins_simulatable,
     uint32_t lambda, SortLessFn less_within_bin, const void* less_ctx,
-    SortStrategy strategy, int threads, size_t block_records) {
+    SortStrategy strategy, int threads) {
   SortBinSpec spec;
   spec.bin_offset = bin_offset;
   spec.num_bins = num_bins;
   spec.bins_simulatable = bins_simulatable != 0;
   spec.lambda = lambda;
-  ObliviousSortSlab(slab, spec, WithinRef{less_within_bin, less_ctx}, strategy, threads,
-                    block_records);
+  ObliviousSortSlab(slab, spec, WithinRef{less_within_bin, less_ctx}, strategy, threads);
 }
 
 }  // namespace snoopy

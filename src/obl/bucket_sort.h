@@ -3,15 +3,15 @@
 // hot sort call sites route through.
 //
 // The O(n log^2 n) bitonic network (bitonic_sort.h) compares every pair the network
-// names regardless of the data; once the blocked executor has squeezed the constant
-// factors, the comparator count itself is the binding term. The bucket sort gets to
-// O(n log n) by exploiting that every hot Snoopy sort is a sort *by a keyed-hash bin
-// tag*: 8-byte (label, input-index) tags are routed to B fixed-capacity buckets
-// through a two-way butterfly (log2 B levels of pairwise merge-splits), full records
-// are materialized into their buckets with one public gather pass, each bucket is
-// cleaned up with a small bitonic sort, and the per-bucket real prefixes are
-// concatenated. Total work: O(n log B) tag-sized routing moves + O(n) record moves +
-// O(n log^2 (n/B)) cleanup compare-swaps, with n/B a constant-ish mean load —
+// names regardless of the data; once the depth-first executor has squeezed the
+// constant factors, the comparator count itself is the binding term. The bucket sort
+// gets to O(n log n) by exploiting that every hot Snoopy sort is a sort *by a
+// keyed-hash bin tag*: 8-byte (label, input-index) tags are routed to B fixed-capacity
+// buckets through a two-way butterfly (log2 B levels of pairwise merge-splits), full
+// records are materialized into their buckets with one public gather pass, each
+// bucket is cleaned up with a small bitonic sort, and the per-bucket real prefixes
+// are concatenated. Total work: O(n log B) tag-sized routing moves + O(n) record
+// moves + O(n log^2 (n/B)) cleanup compare-swaps, with n/B a constant-ish mean load —
 // O(n log n) overall, and the record-byte traffic (the dominant term at 200+ bytes
 // per record) is O(n) regardless of B.
 //
@@ -142,8 +142,8 @@ bool TryBucketSortSlab(uint8_t* data, uint64_t n, size_t stride, size_t bin_offs
 
 // Out-of-line, type-erased equivalent of the ObliviousSortSlab template below, for
 // call sites that are themselves audited end-to-end by the binary dataflow verifier
-// (reshard's TagAndSortByBin). The blocked bitonic executor's tile machinery is too
-// much inlined state for the analyzer to track through a composite root, so — like
+// (reshard's TagAndSortByBin). The bitonic executor's fork-join and tile recursion is
+// too much inlined state for the analyzer to track through a composite root, so — like
 // TryBucketSortSlab — this symbol is the audit boundary (noinline + allowlisted in
 // tools/ct_binary_manifest.json) and the secret-handling kernels inside it are
 // audited decomposed (ctdf_bitonic_tile_sort, ctdf_bucket_route,
@@ -154,7 +154,7 @@ bool TryBucketSortSlab(uint8_t* data, uint64_t n, size_t stride, size_t bin_offs
 void ObliviousSortSlabErased(ByteSlab& slab, size_t bin_offset, uint64_t num_bins,
                              uint32_t bins_simulatable, uint32_t lambda,
                              SortLessFn less_within_bin, const void* less_ctx,
-                             SortStrategy strategy, int threads, size_t block_records = 0);
+                             SortStrategy strategy, int threads);
 
 namespace bucket_internal {
 
@@ -307,19 +307,19 @@ struct BucketCleanupCSwap {
 // SNOOPY_OBLIVIOUS_END(bucket_cleanup)
 
 // SNOOPY_OBLIVIOUS_BEGIN(oblivious_sort_entry)
-// ct-public: slab spec strategy threads block_records stride n packed
+// ct-public: slab spec strategy threads stride n packed
 // ct-public: TraceSpan SetArg span bucket_span a b ctx buckets capacity
 // ct-public: heap_less sorted Less bins_simulatable
-// ct-calls: ResolveSortStrategyPacked TryBucketSortSlab BitonicSortSlabBlocked
+// ct-calls: ResolveSortStrategyPacked TryBucketSortSlab BitonicSortSlab
 // ct-calls: LoadSecretU32 LoadSecretU64 Widen less_within_bin less
 // ct-calls: Global size record_bytes data
-// ct-calls: SortBlockRecords SortBlockRecordsShared SortTileSharers
 
 // Common entry point for every hot slab sort. Orders records by (bin at
 // spec.bin_offset, less_within_bin); the caller's within-bin comparator must make
 // the order total (distinct tiebreak fields) so both strategies produce identical
-// bytes. The resolved strategy, record count, and geometry are emitted as a public
-// "sort" span (strategy 0 = bitonic, 1 = bucket) that tools/trace_report.py labels.
+// bytes. The resolved strategy, record count, and (bucket only) butterfly geometry
+// are emitted as a public "sort" span (strategy 0 = bitonic, 1 = bucket) that
+// tools/trace_report.py labels.
 //
 // Frame-escape discipline (load-bearing for the binary dataflow audit): every
 // out-of-line call in this template receives only by-value scalars and pointers to
@@ -335,7 +335,7 @@ struct BucketCleanupCSwap {
 // unchanged.
 template <typename Less>
 void ObliviousSortSlab(ByteSlab& slab, const SortBinSpec& spec, const Less& less_within_bin,
-                       SortStrategy strategy, int threads, size_t block_records = 0) {
+                       SortStrategy strategy, int threads) {
   const uint64_t n = slab.size();
   const size_t stride = slab.record_bytes();
   const uint64_t packed = ResolveSortStrategyPacked(
@@ -365,22 +365,19 @@ void ObliviousSortSlab(ByteSlab& slab, const SortBinSpec& spec, const Less& less
   TraceSpan span(&Tracer::Global(), "step", "sort");
   span.SetArg("strategy", 0);
   span.SetArg("records", n);
-  span.SetArg("block_records", block_records > 0 ? block_records
-                                                 : SortBlockRecordsShared(
-                                                       stride, SortTileSharers(threads)));
-  BitonicSortSlabBlocked(
+  BitonicSortSlab(
       slab,
       [&](const uint8_t* a, const uint8_t* b) {
         const SecretU64 abin = Widen(LoadSecretU32(a, spec.bin_offset));
         const SecretU64 bbin = Widen(LoadSecretU32(b, spec.bin_offset));
         return (abin < bbin) | ((abin == bbin) & less_within_bin(a, b));
       },
-      threads, block_records);
+      threads);
 }
 
 // Plain-comparator overload for sorts with no (simulatable) bin tag — e.g. the load
 // balancer's response-match sort, whose duplicate client keys make any keyed-hash
-// label leak multiplicities. Always the single-threaded blocked bitonic network
+// label leak multiplicities. Always the single-threaded bitonic network
 // (there is no safe bucket assignment to route by, so no strategy applies), but
 // still emits the labeled "sort" span.
 template <typename Less>
@@ -388,8 +385,7 @@ void ObliviousSortSlab(ByteSlab& slab, const Less& less) {
   TraceSpan span(&Tracer::Global(), "step", "sort");
   span.SetArg("strategy", 0);
   span.SetArg("records", slab.size());
-  span.SetArg("block_records", SortBlockRecords(slab.record_bytes()));
-  BitonicSortSlabBlocked(slab, less);
+  BitonicSortSlab(slab, less);
 }
 
 // SNOOPY_OBLIVIOUS_END(oblivious_sort_entry)

@@ -12,8 +12,7 @@
 namespace snoopy {
 
 // SNOOPY_OBLIVIOUS_BEGIN(compaction)
-// ct-public: n i j stride shift asc block
-// ct-calls: SortBlockRecords
+// ct-public: n i j stride shift asc
 
 size_t GoodrichCompact(ByteSlab& slab, std::span<uint8_t> flags) {
   const size_t n = slab.size();
@@ -81,8 +80,7 @@ size_t SortCompact(ByteSlab& slab, std::span<uint8_t> flags) {
     rank[i] = CtSelectU64(keep, 0, uint64_t{1} << 63) | SecretU64(i);
   }
 
-  const size_t block = SortBlockRecords(stride);
-  RunBitonicNetworkBlocked(n, block, [&](size_t i, size_t j, bool asc) {
+  RunBitonicNetwork(n, [&](size_t i, size_t j, bool asc) {
     TraceRecord(TraceOp::kCondSwap, i, j);
     const SecretBool out_of_order = asc ? rank[j] < rank[i] : rank[i] < rank[j];
     CtCondSwapBytes(out_of_order, &rank[i], &rank[j], sizeof(SecretU64));

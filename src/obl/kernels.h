@@ -35,7 +35,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
-#include <thread>
 #include <vector>
 
 #include "src/obl/primitives.h"
@@ -498,7 +497,7 @@ inline void KernelCondSwapBytes(SecretBool c, void* a, void* b, size_t n) {
   KernelCondSwapBytesMask(c.mask(), a, b, n);
 }
 
-// ---- Cache-tile geometry for the blocked bitonic sort (public) ----
+// ---- Cache-tile geometry for the depth-first bitonic sort (public) ----
 
 // L1 data-cache budget per sort tile. 32 KiB is the common x86 L1d size; the sim's
 // CostModelConfig carries the same default so the model and the real sort agree.
@@ -516,26 +515,6 @@ inline size_t SortBlockRecords(size_t record_bytes, size_t l1_tile_bytes = kL1Ti
     block *= 2;
   }
   return block;
-}
-
-// Worst-case sort threads timesharing one core when a sort runs `threads` wide:
-// with more runnable threads than cores, the threads of one sort co-occupy a
-// core's L1 through context switching, so L1-sized tiles thrash (each switch
-// refills a full 32 KiB working set). All inputs are public (a thread count and
-// the core count), so tile geometry derived from this leaks nothing.
-inline size_t SortTileSharers(int threads) {
-  const unsigned hw = std::thread::hardware_concurrency();
-  const size_t cores = hw == 0 ? 1 : static_cast<size_t>(hw);
-  const size_t t = threads < 1 ? 1 : static_cast<size_t>(threads);
-  return (t + cores - 1) / cores;
-}
-
-// Timesharing-aware tile budget: divides the L1 tile among `sharers` co-scheduled
-// sort threads (SortTileSharers). With sharers == 1 (threads <= cores, each thread
-// owning its core's L1) this is exactly SortBlockRecords(record_bytes).
-inline size_t SortBlockRecordsShared(size_t record_bytes, size_t sharers) {
-  const size_t s = sharers == 0 ? 1 : sharers;
-  return SortBlockRecords(record_bytes, kL1TileBytes / s);
 }
 
 }  // namespace snoopy

@@ -282,12 +282,10 @@ void RunPhase(size_t n, int threads, const PhasePoolContext& ctx,
   std::vector<std::vector<TraceEvent>> buffers(n);
   std::vector<std::unique_ptr<SpanRingBuffer>> rings(n);
   if (tracer != nullptr) {
-    // Per-task rings stay small at detail 1 (a task plus its step spans); the full
-    // default capacity is only worth its zero-fill cost when tile-level detail
-    // multiplies the span count.
-    const size_t capacity = tracer->detail() >= 2 ? SpanRingBuffer::kDefaultCapacity : 64;
+    // A task records itself plus its step spans, so a small ring suffices; the
+    // default capacity would only add zero-fill cost.
     for (std::unique_ptr<SpanRingBuffer>& ring : rings) {
-      ring = std::make_unique<SpanRingBuffer>(capacity);
+      ring = std::make_unique<SpanRingBuffer>(64);
     }
   }
   std::vector<std::exception_ptr> errors(n);

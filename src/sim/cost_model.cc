@@ -24,7 +24,7 @@ double CostModel::BitonicSortSeconds(uint64_t n, size_t record_bytes, int thread
   const double bytes = static_cast<double>(n) * static_cast<double>(record_bytes);
   // Of the L(L+1)/2 compare-exchange passes (L = log2 n), the lowest log2(B) merge
   // stages of every sort/merge phase touch only B-record tiles that fit in L1; the
-  // blocked executor runs those tile-resident and they cost sort_blocked_discount
+  // depth-first recursion runs those tile-resident and they cost sort_blocked_discount
   // relative to a streaming pass. Tile-local pass count: LB(LB+1)/2 for the phases
   // at or below the tile plus (L - LB) * LB for the tails of the larger phases.
   const double lb =

@@ -59,9 +59,10 @@ struct CostModelConfig {
   double cmp_ns_per_value_byte = 0.018;
   // Bitonic sort: ns per byte per log2^2(n) factor [A4].
   double sort_ns_per_byte = 0.18;
-  // Cache-blocked sort (RunBitonicNetworkBlocked): tile geometry shared with the
-  // implementation (src/obl/kernels.h), and the relative cost of a tile-local
-  // compare-exchange pass versus a streaming one (L1-resident operands).
+  // Depth-first bitonic recursion (RunBitonicNetwork): segments of at most
+  // SortBlockRecords stay L1-resident. Tile geometry shared with the implementation
+  // (src/obl/kernels.h), and the relative cost of a tile-local compare-exchange
+  // pass versus a streaming one (L1-resident operands).
   size_t l1_tile_bytes = kL1TileBytes;
   double sort_blocked_discount = 0.55;
   // Oblivious compaction: ns per byte per log2(n).
@@ -99,8 +100,8 @@ class CostModel {
 
   size_t RecordBytes() const { return 48 + config_.value_size; }
 
-  // Sort tile size (records) the blocked bitonic sort uses for this record size —
-  // the same derivation the implementation applies (public parameter).
+  // L1-resident segment size (records) of the depth-first bitonic recursion for this
+  // record size — the same derivation the implementation applies (public parameter).
   size_t SortBlockRecordsFor(size_t record_bytes) const {
     return SortBlockRecords(record_bytes, config_.l1_tile_bytes);
   }

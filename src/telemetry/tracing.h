@@ -2,7 +2,7 @@
 //
 // The tracer records *spans* — named, categorized intervals — at four levels of the
 // public epoch schedule: epoch -> phase (lb_prepare / suboram_execute /
-// response_match / seal / repair) -> per-LB / per-subORAM task -> sort tile. Every
+// response_match / seal / repair) -> per-LB / per-subORAM task -> step. Every
 // field of every span derives only from public facts (the phase structure, public
 // task ids, the padded batch size f(R, S), worker/thread counts, wall-clock time);
 // the same three mechanisms that keep the metrics layer non-leaking apply here:
@@ -142,7 +142,7 @@ class Tracer {
   Tracer& operator=(const Tracer&) = delete;
 
   // Process-global tracer. First use reads the environment:
-  //   SNOOPY_TRACE=1|2      enable at detail 1 (tasks) or 2 (adds sort tiles)
+  //   SNOOPY_TRACE=1|2      enable (detail 2 records the same spans as detail 1)
   //   SNOOPY_TRACE_OUT=path write a Chrome trace-event / Perfetto JSON file at
   //                         process exit (implies detail 1 when SNOOPY_TRACE unset)
   static Tracer& Global();
@@ -199,8 +199,7 @@ class Tracer {
 
   // Appends a quiesced ring into this thread's *current* sink — the installed TLS
   // ring if any, else the shared stream — preserving order. This is how nested
-  // fork-join code (the blocked sort) merges child rings without bypassing an
-  // enclosing per-task ring.
+  // fork-join code merges child rings without bypassing an enclosing per-task ring.
   void AppendCurrent(const SpanRingBuffer& ring) {
     if (SpanRingBuffer* sink = tracing_internal::tls_span_sink) {
       const size_t n = ring.size();
@@ -358,21 +357,6 @@ class TraceSpan {
   Tracer* tracer_;
   SpanEvent event_{};
 };
-
-// Merges a quiesced ring into the global tracer's current sink (see
-// Tracer::AppendCurrent). Named with the Trace prefix like the enclave trace
-// helpers so region allowlists treat the family uniformly.
-inline void TraceSpanAppendCurrent(const SpanRingBuffer& ring) {
-  Tracer::Global().AppendCurrent(ring);
-}
-
-// True when the global tracer wants sort-tile granularity (detail >= 2). Branching
-// on this inside an oblivious region is public control flow (global configuration,
-// independent of any secret), which the region must vouch for with `ct-public:`.
-inline bool TraceTilesEnabled() {
-  const Tracer& t = Tracer::Global();
-  return t.enabled() && t.detail() >= 2;
-}
 
 // Per-worker counters for one RunPhase call (src/obl/parallel.h). All fields are
 // public: scheduling facts (task counts, queue depths) and clock readings, never

@@ -8,6 +8,7 @@
 
 #include "src/crypto/rng.h"
 #include "src/enclave/trace.h"
+#include "src/obl/kernels.h"
 #include "src/obl/primitives.h"
 
 namespace snoopy {
@@ -163,6 +164,80 @@ TEST(BitonicSort, SlabParallelTraceIsByteIdenticalToSequential) {
     return scope.Events();
   };
   EXPECT_TRUE(NonVacuousTraceEq(trace_for(1), trace_for(3)));
+}
+
+SecretBool SlabKeyLess(const uint8_t* a, const uint8_t* b) {
+  return LoadSecretU64(a, 0) < LoadSecretU64(b, 0);
+}
+
+ByteSlab RandomKeySlab(size_t n, uint64_t seed) {
+  ByteSlab slab(n, 24);
+  Rng rng(seed);
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t key = rng.Next64();
+    std::memcpy(slab.Record(i), &key, 8);
+  }
+  return slab;
+}
+
+TEST(KernelTrace, BlockedSortTraceIdenticalAcrossBlockSizesAndBackends) {
+  // The thread width alone decides how the network runs: the recursion forks while
+  // threads > 1 and hands each width-1 block to the tile executor. Whatever the block
+  // split and kernel backend, the slab sort must emit the tile executor's compare-swap
+  // sequence and bytes. Under TSan (tools/ci.sh) the threaded widths also pin the
+  // race-free trace merge.
+  ByteSlab expected = RandomKeySlab(333, 7);  // non-power-of-two: uneven splits
+  std::vector<TraceEvent> reference;
+  {
+    TraceScope scope;
+    const size_t stride = expected.record_bytes();
+    uint8_t* base = expected.data();
+    internal::BitonicTileSort(0, expected.size(), /*asc=*/true,
+                              [&](size_t i, size_t j, bool asc) {
+                                TraceRecord(TraceOp::kCondSwap, i, j);
+                                uint8_t* a = base + i * stride;
+                                uint8_t* b = base + j * stride;
+                                const SecretBool out_of_order =
+                                    asc ? SlabKeyLess(b, a) : SlabKeyLess(a, b);
+                                CtCondSwapBytes(out_of_order, a, b, stride);
+                              });
+    reference = scope.Events();
+  }
+  const KernelBackend saved = ActiveKernelBackend();
+  for (const KernelBackend backend : SupportedKernelBackends()) {
+    SetKernelBackend(backend);
+    for (const int threads : {1, 2, 3, 4, 8}) {
+      ByteSlab slab = RandomKeySlab(333, 7);
+      TraceScope scope;
+      BitonicSortSlab(slab, SlabKeyLess, threads);
+      EXPECT_TRUE(NonVacuousTraceEq(reference, scope.Events()))
+          << KernelBackendName(backend) << " threads=" << threads;
+      EXPECT_EQ(std::memcmp(slab.data(), expected.data(), 333 * 24), 0)
+          << KernelBackendName(backend) << " threads=" << threads;
+    }
+  }
+  SetKernelBackend(saved);
+}
+
+TEST(BlockedSort, SortsCorrectlyAtAwkwardSizes) {
+  // Awkward sizes sort correctly on the tile executor and through the fork-join.
+  for (const size_t n : {size_t{1}, size_t{2}, size_t{3}, size_t{63}, size_t{200}, size_t{333},
+                         size_t{1024}}) {
+    for (const int threads : {1, 3}) {
+      ByteSlab slab = RandomKeySlab(n, n * 31 + threads);
+      std::vector<uint64_t> keys(n);
+      for (size_t i = 0; i < n; ++i) {
+        std::memcpy(&keys[i], slab.Record(i), 8);
+      }
+      BitonicSortSlab(slab, SlabKeyLess, threads);
+      std::sort(keys.begin(), keys.end());
+      for (size_t i = 0; i < n; ++i) {
+        uint64_t k;
+        std::memcpy(&k, slab.Record(i), 8);
+        ASSERT_EQ(k, keys[i]) << "n=" << n << " threads=" << threads << " i=" << i;
+      }
+    }
+  }
 }
 
 TEST(AdaptiveSortThreads, SmallInputsStaySequential) {

@@ -3,7 +3,7 @@
 //
 // check_nobranch.py audits tiny hand-unrolled wrappers; this TU is the opposite: each
 // ctdf_* symbol calls the REAL hot-path code -- the dispatching SIMD kernels, the
-// per-backend kernel internals, the blocked bitonic sort tile step, both compaction
+// per-backend kernel internals, the bitonic sort tile executor, both compaction
 // algorithms, and the reshard bin-partition kernel -- with runtime sizes, so loops,
 // spills, and the optimizer's full register allocation survive into the object the
 // analyzer disassembles. The real implementation TUs are #included so their
@@ -170,11 +170,11 @@ CTDF_ROOT uint64_t ctdf_avx512_equal(const uint8_t* a, const uint8_t* b, size_t 
 
 #endif  // SNOOPY_KERNELS_X86
 
-// ---- Blocked bitonic sort tile step ----
+// ---- Bitonic sort tile executor ----
 //
-// The L1-resident tile executor (BitonicTileSort / BitonicTileMerge) is the inner
-// loop of every blocked slab sort (PR 5); audited over the real slab compare-swap
-// with runtime n and stride, so nothing unrolls away.
+// The tile executor (BitonicTileSort / BitonicTileMerge) runs every width-1 bitonic
+// segment: all of a single-threaded sort, and the leaves of a forked one. Audited
+// over the real slab compare-swap with runtime n and stride, so nothing unrolls away.
 
 // ctdf-symbol: ctdf_bitonic_tile_sort secret=ptr:rdi
 CTDF_ROOT void ctdf_bitonic_tile_sort(uint8_t* base, size_t n, size_t stride) {

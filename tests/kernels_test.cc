@@ -1,7 +1,7 @@
 // Tests for the dispatching SIMD kernel layer (src/obl/kernels.h): differential
 // fuzzing of every supported backend against the scalar TCB primitives, dispatch
-// override plumbing, trace identity of the blocked sort across backends and tile
-// sizes, and the vectorized ChaCha20 keystream against the scalar block function.
+// override plumbing, trace identity of the slab sort across backends, and the
+// vectorized ChaCha20 keystream against the scalar block function.
 
 #include "src/obl/kernels.h"
 
@@ -224,10 +224,9 @@ TEST(Kernels, SortBlockRecordsDerivation) {
   EXPECT_GE(AdaptiveSortThreads(128 * SortBlockRecords(208), 4, 208), 1);
 }
 
-// --- Trace identity: generic vs SIMD vs blocked ----------------------------------
+// --- Trace identity: generic vs SIMD ---------------------------------------------
 
-std::vector<TraceEvent> SlabSortTrace(KernelBackend backend, int threads,
-                                      size_t block_records, bool blocked) {
+std::vector<TraceEvent> SlabSortTrace(KernelBackend backend) {
   BackendGuard guard;
   SetKernelBackend(backend);
   ByteSlab slab(333, 24);  // non-power-of-two records, 24B stride
@@ -236,67 +235,18 @@ std::vector<TraceEvent> SlabSortTrace(KernelBackend backend, int threads,
     const uint64_t key = rng.Next64();
     std::memcpy(slab.Record(i), &key, 8);
   }
-  const auto less = [](const uint8_t* a, const uint8_t* b) {
-    return LoadSecretU64(a, 0) < LoadSecretU64(b, 0);
-  };
   TraceScope scope;
-  if (blocked) {
-    BitonicSortSlabBlocked(slab, less, threads, block_records);
-  } else {
-    BitonicSortSlab(slab, less, threads);
-  }
+  BitonicSortSlab(slab, [](const uint8_t* a, const uint8_t* b) {
+    return LoadSecretU64(a, 0) < LoadSecretU64(b, 0);
+  });
   return scope.Events();
 }
 
 TEST(KernelTrace, SlabSortTraceIdenticalAcrossBackends) {
-  const std::vector<TraceEvent> reference =
-      SlabSortTrace(KernelBackend::kGeneric, 1, 0, /*blocked=*/false);
+  const std::vector<TraceEvent> reference = SlabSortTrace(KernelBackend::kGeneric);
   for (const KernelBackend backend : SupportedKernelBackends()) {
-    EXPECT_TRUE(NonVacuousTraceEq(reference, SlabSortTrace(backend, 1, 0, false)))
+    EXPECT_TRUE(NonVacuousTraceEq(reference, SlabSortTrace(backend)))
         << KernelBackendName(backend);
-  }
-}
-
-TEST(KernelTrace, BlockedSortTraceIdenticalAcrossBlockSizesAndBackends) {
-  // The blocked executor replays the depth-first recursion order exactly, so the
-  // trace must be byte-identical to the unblocked network for EVERY public tile size
-  // and backend, single- and multi-threaded.
-  const std::vector<TraceEvent> reference =
-      SlabSortTrace(KernelBackend::kGeneric, 1, 0, /*blocked=*/false);
-  for (const KernelBackend backend : SupportedKernelBackends()) {
-    for (const size_t block : {size_t{2}, size_t{4}, size_t{16}, size_t{64}, size_t{1024}}) {
-      EXPECT_TRUE(NonVacuousTraceEq(reference, SlabSortTrace(backend, 1, block, true)))
-          << KernelBackendName(backend) << " block=" << block;
-      EXPECT_TRUE(NonVacuousTraceEq(reference, SlabSortTrace(backend, 3, block, true)))
-          << KernelBackendName(backend) << " block=" << block << " threads=3";
-    }
-  }
-}
-
-TEST(BlockedSort, SortsCorrectlyAtAwkwardSizes) {
-  for (const size_t n : {size_t{1}, size_t{2}, size_t{3}, size_t{63}, size_t{200}, size_t{333},
-                         size_t{1024}}) {
-    for (const size_t block : {size_t{0}, size_t{4}, size_t{64}}) {
-      ByteSlab slab(n, 24);
-      Rng rng(n * 31 + block);
-      std::vector<uint64_t> keys(n);
-      for (size_t i = 0; i < n; ++i) {
-        keys[i] = rng.Next64();
-        std::memcpy(slab.Record(i), &keys[i], 8);
-      }
-      BitonicSortSlabBlocked(
-          slab,
-          [](const uint8_t* a, const uint8_t* b) {
-            return LoadSecretU64(a, 0) < LoadSecretU64(b, 0);
-          },
-          /*threads=*/1, block);
-      std::sort(keys.begin(), keys.end());
-      for (size_t i = 0; i < n; ++i) {
-        uint64_t k;
-        std::memcpy(&k, slab.Record(i), 8);
-        ASSERT_EQ(k, keys[i]) << "n=" << n << " block=" << block << " i=" << i;
-      }
-    }
   }
 }
 

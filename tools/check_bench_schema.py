@@ -18,10 +18,8 @@ tracing-overhead gate, the perf trajectory -- can rely on them:
                              (hardware_threads, sort_strategy), phase_breakdown
                              (parallel_efficiency, cpu_busy_s,
                              speedup_vs_1_thread, work_inflation), kernel_backend
-  fig13a_sort_parallelism    sort_threads (parallel_efficiency), blocked_sort
-                             (speedup_vs_unblocked_1thr on EVERY point -- the
-                             unblocked baseline rows carry 1.0), sort_strategy
-                             (strategy, seconds)
+  fig13a_sort_parallelism    sort_threads (parallel_efficiency), sort_strategy
+                             (strategy, seconds on EVERY point)
   fig13b_suboram_parallelism suboram_threads, epoch_pool (parallel_efficiency)
 
 Beyond shape, a few committed values are load-bearing claims and are gated here
@@ -34,7 +32,7 @@ so a regression cannot land silently by committing the regenerated numbers:
     must not grow materially with epoch_threads; the 3.2x regression this gate
     postdates showed up here first;
   * fig13a sort_strategy crossover -- at the largest measured n on one thread the
-    bucket sort must beat the blocked bitonic by >= 1.5x (the headline claim of
+    bucket sort must beat the bitonic network by >= 1.5x (the headline claim of
     the O(n log n) strategy; see DESIGN.md "Oblivious sorting"). Committing a
     regenerated JSON where the advantage evaporated fails the check.
 
@@ -68,7 +66,6 @@ REQUIRED_SERIES = {
     },
     "fig13a_sort_parallelism": {
         "sort_threads": ["parallel_efficiency", "threads", "seconds"],
-        "blocked_sort": [],
         "sort_strategy": ["items", "threads", "strategy", "seconds"],
     },
     "fig13b_suboram_parallelism": {
@@ -79,11 +76,9 @@ REQUIRED_SERIES = {
 
 # bench name -> {series: [fields required on EVERY point of the series]}. Stricter
 # than REQUIRED_SERIES (any-point): these columns must be plottable unguarded, so a
-# single row missing the field (the bug this postdates: unblocked blocked_sort rows
-# silently lacked their 1.0 baseline speedup) fails the check.
+# single row missing the field fails the check.
 REQUIRED_UNIFORM_FIELDS = {
     "fig13a_sort_parallelism": {
-        "blocked_sort": ["speedup_vs_unblocked_1thr"],
         "sort_strategy": ["items", "threads", "strategy", "seconds"],
     },
 }
@@ -101,7 +96,7 @@ MAX_FIELD_VALUES = {
 
 
 # The bucket sort's reason to exist is the committed crossover: at the largest
-# measured n on a single thread it must beat the blocked bitonic baseline by at
+# measured n on a single thread it must beat the bitonic baseline by at
 # least this factor (ISSUE: "bucket >= 1.5x faster at n = 2^20, 1 thread").
 SORT_STRATEGY_MIN_SPEEDUP = 1.5
 
@@ -132,7 +127,7 @@ def check_sort_strategy_crossover(path: pathlib.Path, points: list) -> list:
     if pair["bucket"] <= 0 or pair["bitonic"] / pair["bucket"] < SORT_STRATEGY_MIN_SPEEDUP:
         speedup = pair["bitonic"] / pair["bucket"] if pair["bucket"] > 0 else 0.0
         errors.append(
-            f"{path}: bucket sort speedup {speedup:.2f}x over blocked bitonic at "
+            f"{path}: bucket sort speedup {speedup:.2f}x over bitonic at "
             f"n={largest:.0f}, 1 thread is below the committed "
             f"{SORT_STRATEGY_MIN_SPEEDUP}x floor"
         )

@@ -10,11 +10,11 @@ Tracer::WriteChromeTrace): complete events (ph == "X") with categories
   task   one span per RunPhase task (per-LB / per-subORAM work item)
   pool   per-worker summaries (name == phase, args tasks/busy_ns/idle_ns/
          cpu_busy_ns) and one barrier span per pooled phase
-  step   sub-phase steps inside a task (lb_assign, suboram_scan, merge tiles...).
+  step   sub-phase steps inside a task (lb_assign, suboram_scan, sort...).
          "sort" steps are the ObliviousSortSlab entry point: args carry the
-         resolved strategy (0 = bitonic, 1 = bucket), the record count, and the
-         geometry (block_records tile size for bitonic; buckets x capacity for
-         the bucket butterfly) — the report labels each sort row with them
+         resolved strategy (0 = bitonic, 1 = bucket), the record count, and, for
+         the bucket butterfly, its buckets x capacity geometry — the report
+         labels each sort row with them
 
 For every epoch the report computes:
 
@@ -109,14 +109,13 @@ class PhaseStats:
 
 def sort_label(args):
     """(strategy, geometry) label for one "sort" step span: the active strategy
-    plus the public geometry it ran with — the blocked executor's tile size for
-    bitonic, the butterfly's buckets x capacity for bucket."""
+    plus the public geometry it ran with — the butterfly's buckets x capacity for
+    bucket; the bitonic network has no tunable geometry (its shape is a function
+    of the record count alone), so its rows read "network"."""
     strategy = SORT_STRATEGY_NAMES.get(args.get("strategy"), "unknown")
     if strategy == "bucket":
-        geometry = f"{args.get('buckets', '?')}x{args.get('capacity', '?')}"
-    else:
-        geometry = f"tile {args.get('block_records', '?')}"
-    return strategy, geometry
+        return strategy, f"{args.get('buckets', '?')}x{args.get('capacity', '?')}"
+    return strategy, "network"
 
 
 def sort_stats(events):
@@ -302,9 +301,8 @@ def golden_trace():
     of CPU for its 40 ms wall-busy span (descheduled mid-task), so the phase's
     work inflation is 60/45 = 1.333x and must trip the >1.15x flag; lb_prepare's
     CPU matches wall and must stay unflagged. The lb_prepare task carries one
-    bitonic "sort" step (tile 157) and the execute task one bucket sort (16x1024
-    butterfly), so the sort rows must come back labeled with strategy and
-    geometry."""
+    bitonic "sort" step and the execute task one bucket sort (16x1024 butterfly),
+    so the sort rows must come back labeled with strategy and geometry."""
     ev = []
 
     def x(cat, name, ts, dur, args=None):
@@ -315,7 +313,7 @@ def golden_trace():
     x("phase", "lb_prepare", 0, 20_000)
     x("task", "lb_prepare", 0, 10_000)
     x("step", "sort", 2_000, 6_000,
-      {"strategy": 0, "records": 4096, "block_records": 157})
+      {"strategy": 0, "records": 4096})
     x("task", "lb_prepare", 10_000, 10_000)
     x("pool", "lb_prepare", 0, 20_000,
       {"tasks": 2, "busy_ns": 20_000_000, "idle_ns": 0,
@@ -358,12 +356,12 @@ def self_check():
                      if p.work_inflation > WORK_INFLATION_FLAG)
     checks.append(("flagged_phases", flagged, ["suboram_execute"]))
     # The sort steps must come back labeled with the active strategy and its
-    # geometry: the bitonic one with its blocked-executor tile size, the bucket
-    # one with its butterfly shape.
+    # geometry: the bitonic one as the plain network, the bucket one with its
+    # butterfly shape.
     checks.append(("sort_labels", sorted(report["sorts"]),
-                   [("bitonic", "tile 157"), ("bucket", "16x1024")]))
+                   [("bitonic", "network"), ("bucket", "16x1024")]))
     checks.append(("bitonic_sort_records",
-                   report["sorts"][("bitonic", "tile 157")]["records"], 4096))
+                   report["sorts"][("bitonic", "network")]["records"], 4096))
     checks.append(("bucket_sort_wall_s",
                    round(report["sorts"][("bucket", "16x1024")]["wall_us"] / 1e6, 6),
                    0.01))
