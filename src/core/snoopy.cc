@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -47,6 +48,8 @@ constexpr uint8_t kStripeFetch = 2;
 constexpr size_t kStripeHeaderBytes = 77;
 constexpr size_t kStripeManifestRespBytes = 33;
 
+// `payload` is a view: into the sender's snapshot when encoding, into the received
+// wire bytes when decoding.
 struct StripeMsg {
   uint8_t op = 0;
   uint32_t owner = 0;
@@ -57,11 +60,15 @@ struct StripeMsg {
   uint64_t offset = 0;
   uint64_t len = 0;
   Sha256::Digest digest{};
-  std::vector<uint8_t> payload;
+  std::span<const uint8_t> payload;
 };
 
-std::vector<uint8_t> EncodeStripeMsg(const StripeMsg& m) {
-  std::vector<uint8_t> out(kStripeHeaderBytes + m.payload.size());
+// Header, then the payload, then `zero_pad` zero bytes (a parity-mode data chunk
+// padded to the common chunk length), each written once.
+std::vector<uint8_t> EncodeStripeMsg(const StripeMsg& m, size_t zero_pad = 0) {
+  std::vector<uint8_t> out;
+  out.reserve(kStripeHeaderBytes + m.payload.size() + zero_pad);
+  out.resize(kStripeHeaderBytes);
   uint8_t* p = out.data();
   *p = m.op;
   std::memcpy(p + 1, &m.owner, 4);
@@ -72,9 +79,8 @@ std::vector<uint8_t> EncodeStripeMsg(const StripeMsg& m) {
   std::memcpy(p + 29, &m.offset, 8);
   std::memcpy(p + 37, &m.len, 8);
   std::memcpy(p + 45, m.digest.data(), 32);
-  if (!m.payload.empty()) {
-    std::memcpy(p + kStripeHeaderBytes, m.payload.data(), m.payload.size());
-  }
+  out.insert(out.end(), m.payload.begin(), m.payload.end());
+  out.resize(out.size() + zero_pad);
   return out;
 }
 
@@ -93,12 +99,14 @@ StripeMsg DecodeStripeMsg(std::span<const uint8_t> bytes, const std::string& end
   std::memcpy(&m.offset, p + 29, 8);
   std::memcpy(&m.len, p + 37, 8);
   std::memcpy(m.digest.data(), p + 45, 32);
-  m.payload.assign(bytes.begin() + kStripeHeaderBytes, bytes.end());
+  m.payload = bytes.subspan(kStripeHeaderBytes);
   return m;
 }
 
+// Digest over the addressing fields and `payload` followed by `zero_pad` zero bytes.
 Sha256::Digest StripeDigest(uint32_t owner, uint64_t seal_counter, uint32_t chunk_index,
-                            uint64_t offset, std::span<const uint8_t> payload) {
+                            uint64_t offset, std::span<const uint8_t> payload,
+                            size_t zero_pad = 0) {
   Sha256 h;
   uint8_t fields[24];
   std::memcpy(fields, &owner, 4);
@@ -107,7 +115,25 @@ Sha256::Digest StripeDigest(uint32_t owner, uint64_t seal_counter, uint32_t chun
   std::memcpy(fields + 16, &offset, 8);
   h.Update(fields, sizeof(fields));
   h.Update(payload);
+  static constexpr uint8_t kZeros[Sha256::kBlockBytes] = {};
+  while (zero_pad > 0) {
+    const size_t n = std::min(zero_pad, sizeof(kZeros));
+    h.Update(kZeros, n);
+    zero_pad -= n;
+  }
   return h.Finalize();
+}
+
+// Chunk c of a snapshot split into `chunk_len`-byte chunks; the last data chunk may
+// be short (its zero padding exists only on the wire and in the digest).
+std::span<const uint8_t> StripeChunk(std::span<const uint8_t> blob, uint32_t c,
+                                     uint64_t chunk_len) {
+  const uint64_t off = uint64_t{c} * chunk_len;
+  if (off >= blob.size()) {
+    return {};
+  }
+  return blob.subspan(static_cast<size_t>(off),
+                      static_cast<size_t>(std::min<uint64_t>(chunk_len, blob.size() - off)));
 }
 
 std::vector<std::pair<uint64_t, std::vector<uint8_t>>> SlabToObjects(const ByteSlab& slab,
@@ -310,15 +336,16 @@ const PoolPhaseMetrics* Snoopy::PoolMetricsFor(const char* phase) const {
   if (metrics_ == nullptr) {
     return nullptr;
   }
-  static constexpr const char* kPhases[3] = {"lb_prepare", "suboram_execute",
-                                             "response_match"};
+  static constexpr const char* kPhases[] = {"lb_prepare", "suboram_execute",
+                                            "response_match", "seal"};
+  static_assert(std::size(kPhases) == sizeof(pool_phase_metrics_) / sizeof(PoolPhaseMetrics));
   if (pool_metrics_registry_ != metrics_) {
-    for (size_t i = 0; i < 3; ++i) {
+    for (size_t i = 0; i < std::size(kPhases); ++i) {
       pool_phase_metrics_[i] = PoolPhaseMetrics::Resolve(metrics_, kPhases[i]);
     }
     pool_metrics_registry_ = metrics_;
   }
-  for (size_t i = 0; i < 3; ++i) {
+  for (size_t i = 0; i < std::size(kPhases); ++i) {
     if (std::strcmp(phase, kPhases[i]) == 0) {
       return &pool_phase_metrics_[i];
     }
@@ -359,26 +386,32 @@ void Snoopy::Initialize(
 // redundancy stripes. The ordering matters: a stripe push can trigger a peer's crash
 // recovery, which must restore the *post*-epoch snapshot with an empty executed set --
 // sealing or clearing after distribution could lose the epoch's writes at that peer.
+//
+// The seal is one pooled phase, a task per subORAM: each task seals its partition in
+// place into the buffer of its previous snapshot and encodes its stripes (digests,
+// parity). Tasks touch only their own backend, snapshot and counter (SealedStore is
+// safe on distinct counters), so every counter still advances once per boundary. The
+// stripe pushes stay serial on the orchestrator, which is what lets the stripe store
+// go without locking.
 void Snoopy::SealEpochBoundary() {
-  for (uint32_t so = 0; so < config_.num_suborams; ++so) {
-    if (HealthOf(so) == PartitionHealth::kHealthy) {
-      SealSubOramState(so);
+  std::vector<StripeEncoding> stripes(config_.num_suborams);
+  RunPhase(config_.num_suborams, config_.epoch_threads,
+           {"seal", tracer_, PoolMetricsFor("seal"), [this] { return NowSeconds(); }},
+           [&](size_t so) {
+    if (HealthOf(static_cast<uint32_t>(so)) == PartitionHealth::kHealthy &&
+        suborams_[so]->SupportsSealing()) {
+      suborams_[so]->SealStateInto(*sealed_store_, so_counter_ids_[so], so_snapshots_[so]);
+      stripes[so] = EncodeStripes(static_cast<uint32_t>(so));
     }
-  }
+  });
   for (uint32_t so = 0; so < config_.num_suborams; ++so) {
     so_response_cache_[so].clear();
     so_executed_lbs_[so].clear();
   }
   for (uint32_t so = 0; so < config_.num_suborams; ++so) {
     if (HealthOf(so) == PartitionHealth::kHealthy) {
-      DistributeStripes(so);
+      DistributeStripes(so, stripes[so]);
     }
-  }
-}
-
-void Snoopy::SealSubOramState(uint32_t so) {
-  if (suborams_[so]->SupportsSealing()) {
-    so_snapshots_[so] = suborams_[so]->SealState(*sealed_store_, so_counter_ids_[so]);
   }
 }
 
@@ -707,7 +740,7 @@ std::vector<uint8_t> Snoopy::RetriedStripeCall(uint32_t so, uint32_t peer,
 std::vector<uint8_t> Snoopy::StripeEndpointHandler(uint32_t so,
                                                    std::span<const uint8_t> payload) {
   const std::string endpoint = StripeEndpointName(so);
-  StripeMsg m = DecodeStripeMsg(payload, endpoint);
+  const StripeMsg m = DecodeStripeMsg(payload, endpoint);
   auto& store = stripe_store_[so];
   switch (m.op) {
     case kStripeStore: {
@@ -719,7 +752,7 @@ std::vector<uint8_t> Snoopy::StripeEndpointHandler(uint32_t so,
       s.chunk_index = m.chunk_index;
       s.chunk_count = m.chunk_count;
       s.blob_len = m.blob_len;
-      s.payload = std::move(m.payload);
+      s.payload.assign(m.payload.begin(), m.payload.end());
       store[m.owner] = std::move(s);  // latest seal wins; a re-store is idempotent
       return {1};
     }
@@ -766,36 +799,42 @@ std::vector<uint8_t> Snoopy::StripeEndpointHandler(uint32_t so,
   }
 }
 
-void Snoopy::DistributeStripes(uint32_t so) {
+Snoopy::StripeEncoding Snoopy::EncodeStripes(uint32_t so) const {
   const StripingConfig& sc = config_.striping;
-  if (sc.replicas == 0 || so_snapshots_[so].empty()) {
-    return;
+  const std::span<const uint8_t> blob = so_snapshots_[so];
+  StripeEncoding enc;
+  if (sc.replicas == 0 || blob.empty()) {
+    return enc;
   }
-  const std::vector<uint8_t>& blob = so_snapshots_[so];
-  const uint64_t seal_counter = counters_.Read(so_counter_ids_[so]);
-  const std::vector<uint32_t> peers = StripePeers(so);
-  const uint32_t chunk_count = sc.xor_parity ? sc.replicas : 1;
-  const uint64_t chunk_len =
-      sc.xor_parity ? (blob.size() + chunk_count - 1) / chunk_count : blob.size();
-
-  // Parity mode: zero-padded equal-size data chunks plus their XOR on the extra peer.
-  std::vector<std::vector<uint8_t>> chunks;
-  if (sc.xor_parity) {
-    chunks.assign(peers.size(), std::vector<uint8_t>(chunk_len, 0));
-    for (uint32_t c = 0; c < chunk_count; ++c) {
-      const size_t off = static_cast<size_t>(c) * chunk_len;
-      const size_t n = blob.size() > off
-                           ? std::min<size_t>(chunk_len, blob.size() - off)
-                           : 0;
-      if (n > 0) {
-        std::memcpy(chunks[c].data(), blob.data() + off, n);
-      }
-      for (size_t j = 0; j < chunk_len; ++j) {
-        chunks[chunk_count][j] ^= chunks[c][j];
-      }
+  enc.seal_counter = counters_.Read(so_counter_ids_[so]);
+  if (!sc.xor_parity) {
+    enc.digests.push_back(StripeDigest(so, enc.seal_counter, 0, 0, blob));
+    return enc;
+  }
+  // Parity mode: `replicas` zero-padded equal-size data chunks plus their XOR, which
+  // goes to the extra peer as chunk index `replicas`.
+  const uint32_t chunk_count = sc.replicas;
+  enc.chunk_len = (blob.size() + chunk_count - 1) / chunk_count;
+  enc.parity.assign(static_cast<size_t>(enc.chunk_len), 0);
+  for (uint32_t c = 0; c < chunk_count; ++c) {
+    const std::span<const uint8_t> chunk = StripeChunk(blob, c, enc.chunk_len);
+    enc.digests.push_back(StripeDigest(so, enc.seal_counter, c, 0, chunk,
+                                       static_cast<size_t>(enc.chunk_len) - chunk.size()));
+    for (size_t j = 0; j < chunk.size(); ++j) {
+      enc.parity[j] ^= chunk[j];
     }
   }
+  enc.digests.push_back(StripeDigest(so, enc.seal_counter, chunk_count, 0, enc.parity));
+  return enc;
+}
 
+void Snoopy::DistributeStripes(uint32_t so, const StripeEncoding& enc) {
+  const StripingConfig& sc = config_.striping;
+  if (enc.digests.empty()) {
+    return;
+  }
+  const std::span<const uint8_t> blob = so_snapshots_[so];
+  const std::vector<uint32_t> peers = StripePeers(so);
   for (size_t i = 0; i < peers.size(); ++i) {
     const uint32_t peer = peers[i];
     if (HealthOf(peer) != PartitionHealth::kHealthy) {
@@ -809,14 +848,22 @@ void Snoopy::DistributeStripes(uint32_t so) {
     StripeMsg m;
     m.op = kStripeStore;
     m.owner = so;
-    m.seal_counter = seal_counter;
+    m.seal_counter = enc.seal_counter;
     m.chunk_index = sc.xor_parity ? static_cast<uint32_t>(i) : 0;
-    m.chunk_count = chunk_count;
+    m.chunk_count = sc.xor_parity ? sc.replicas : 1;
     m.blob_len = blob.size();
-    m.payload = sc.xor_parity ? chunks[i] : blob;
-    m.digest = StripeDigest(m.owner, m.seal_counter, m.chunk_index, 0, m.payload);
+    m.digest = enc.digests[m.chunk_index];
+    size_t zero_pad = 0;
+    if (!sc.xor_parity) {
+      m.payload = blob;
+    } else if (m.chunk_index == sc.replicas) {
+      m.payload = enc.parity;
+    } else {
+      m.payload = StripeChunk(blob, m.chunk_index, enc.chunk_len);
+      zero_pad = static_cast<size_t>(enc.chunk_len) - m.payload.size();
+    }
     try {
-      RetriedStripeCall(so, peer, EncodeStripeMsg(m));
+      RetriedStripeCall(so, peer, EncodeStripeMsg(m, zero_pad));
     } catch (const NetworkError&) {
       // Peer unreachable past the retry budget (or permanently lost mid-push): skip
       // its copy of this snapshot; the next boundary re-stripes.

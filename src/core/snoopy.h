@@ -30,6 +30,7 @@
 #include "src/core/suboram.h"
 #include "src/core/suboram_backend.h"
 #include "src/crypto/rng.h"
+#include "src/crypto/sha256.h"
 #include "src/enclave/enclave.h"
 #include "src/enclave/rollback.h"
 #include "src/net/channel.h"
@@ -285,10 +286,10 @@ class Snoopy {
   // rng_mu_ (concurrent subORAM recoveries share rng_) and bumps the link
   // generation so stale sealed bytes are re-sealed.
   void RekeyLink(uint32_t lb, uint32_t so);
-  void SealSubOramState(uint32_t so);
   // The epoch-boundary sequence, also run by Initialize and Reshard: seal every
-  // healthy partition, then clear every per-epoch dedup cache, then distribute every
-  // healthy partition's stripes (ordering rationale at the definition).
+  // healthy partition (one pooled "seal" phase), then clear every per-epoch dedup
+  // cache, then distribute every healthy partition's stripes (ordering rationale at
+  // the definition).
   void SealEpochBoundary();
 
   // --- Striping + repair internals --------------------------------------------------
@@ -297,12 +298,27 @@ class Snoopy {
   // mode.
   uint32_t StripePeerCount() const;
   std::vector<uint32_t> StripePeers(uint32_t so) const;
+  // What partition so pushes for its current sealed snapshot, computed once per seal
+  // inside the pooled seal task: the digest of every distinct chunk (one in
+  // replication mode, shared by every replica peer; one per data chunk plus the
+  // parity chunk in parity mode) and, in parity mode, the parity chunk itself. Data
+  // chunks are not copied: they are slices of the snapshot, zero-padded on the wire.
+  // Empty `digests` means there is nothing to push.
+  struct StripeEncoding {
+    uint64_t seal_counter = 0;
+    uint64_t chunk_len = 0;               // parity mode only
+    std::vector<Sha256::Digest> digests;  // indexed by chunk index
+    std::vector<uint8_t> parity;
+  };
+  // Reads only partition so's snapshot and counter, so distinct partitions may
+  // encode concurrently.
+  StripeEncoding EncodeStripes(uint32_t so) const;
   // Pushes partition so's current sealed snapshot to its stripe peers. Peers that are
   // themselves lost/repairing or unreachable are skipped (counted); redundancy
   // re-converges at their next healthy seal. Must run only after *every* partition
   // sealed this boundary, so a peer crash-recovery triggered by the push restores
   // post-epoch state with nothing to replay.
-  void DistributeStripes(uint32_t so);
+  void DistributeStripes(uint32_t so, const StripeEncoding& encoding);
   // One stripe exchange under the retry policy with peer crash recovery.
   std::vector<uint8_t> RetriedStripeCall(uint32_t so, uint32_t peer,
                                          const std::vector<uint8_t>& request);
@@ -327,7 +343,7 @@ class Snoopy {
   // Null when telemetry is disabled; otherwise the named phase-duration histogram.
   Histogram* PhaseHistogram(const char* phase) const;
   // Null when telemetry is disabled; otherwise the cached pool-metric handles for
-  // one of the three pipeline phases. Resolved lazily against the current registry
+  // one of the four pooled phases (the three pipeline phases and the seal). Resolved lazily against the current registry
   // (registry references are stable for its lifetime) and re-resolved whenever
   // set_metrics_registry swaps registries, so the per-epoch hot path never repeats
   // the name-keyed lookups.
@@ -379,16 +395,16 @@ class Snoopy {
   MetricsRegistry* metrics_ = &MetricsRegistry::Global();
   Tracer* tracer_ = &Tracer::Global();
   // Lazy cache behind PoolMetricsFor: slot order lb_prepare, suboram_execute,
-  // response_match; `pool_metrics_registry_` tags which registry the handles were
-  // resolved against (null = unresolved).
-  mutable PoolPhaseMetrics pool_phase_metrics_[3];
+  // response_match, seal; `pool_metrics_registry_` tags which registry the handles
+  // were resolved against (null = unresolved).
+  mutable PoolPhaseMetrics pool_phase_metrics_[4];
   mutable MetricsRegistry* pool_metrics_registry_ = nullptr;
   mutable EpochMetricsCache epoch_metrics_;
   mutable MetricsRegistry* epoch_metrics_registry_ = nullptr;
   std::vector<uint64_t> lb_base_seeds_;  // per-LB seed underlying EpochSeed
 
   // Rollback-protected persistence: one trusted counter per subORAM, snapshots kept
-  // in (untrusted) host storage, resealed at every epoch boundary.
+  // in (untrusted) host storage, resealed in place at every epoch boundary.
   MonotonicCounterService counters_;
   std::unique_ptr<SealedStore> sealed_store_;
   std::vector<uint64_t> so_counter_ids_;

@@ -141,17 +141,32 @@ RequestBatch SubOram::ProcessBatch(RequestBatch&& batch) {
   return out;
 }
 
-std::vector<uint8_t> SubOram::SealState(SealedStore& store, uint64_t counter_id) const {
-  // Payload: value_size(8) | record count(8) | raw partition bytes.
+void SubOram::SealStateInto(SealedStore& store, uint64_t counter_id,
+                            std::vector<uint8_t>& blob) const {
+  // Payload: value_size(8) | record count(8) | raw partition bytes, written straight
+  // into the blob between the version prefix and the tag, then sealed in place. A
+  // buffer too small is cleared first so growing it copies no stale bytes.
   const uint64_t vs = config_.value_size;
   const uint64_t count = store_.size();
-  std::vector<uint8_t> payload(16 + count * store_.record_bytes());
-  std::memcpy(payload.data(), &vs, 8);
-  std::memcpy(payload.data() + 8, &count, 8);
-  if (count > 0) {
-    std::memcpy(payload.data() + 16, store_.data(), count * store_.record_bytes());
+  const size_t partition_bytes = count * store_.record_bytes();
+  const size_t blob_bytes = SealedStore::kOverheadBytes + 16 + partition_bytes;
+  if (blob.capacity() < blob_bytes) {
+    blob.clear();
   }
-  return store.Seal(counter_id, payload);
+  blob.resize(blob_bytes);
+  uint8_t* payload = blob.data() + SealedStore::kVersionBytes;
+  std::memcpy(payload, &vs, 8);
+  std::memcpy(payload + 8, &count, 8);
+  if (count > 0) {
+    std::memcpy(payload + 16, store_.data(), partition_bytes);
+  }
+  store.SealInPlace(counter_id, blob);
+}
+
+std::vector<uint8_t> SubOram::SealState(SealedStore& store, uint64_t counter_id) const {
+  std::vector<uint8_t> blob;
+  SealStateInto(store, counter_id, blob);
+  return blob;
 }
 
 UnsealStatus SubOram::RestoreState(SealedStore& store, uint64_t counter_id,

@@ -73,7 +73,10 @@ class SubOram : public SubOramBackend {
   // counter-bound snapshot (one trusted-counter bump per call) and restores it only if
   // it is the freshest snapshot ever sealed.
   bool SupportsSealing() const override { return true; }
-  std::vector<uint8_t> SealState(SealedStore& store, uint64_t counter_id) const override;
+  void SealStateInto(SealedStore& store, uint64_t counter_id,
+                     std::vector<uint8_t>& blob) const override;
+  // The same snapshot in a fresh buffer.
+  std::vector<uint8_t> SealState(SealedStore& store, uint64_t counter_id) const;
   UnsealStatus RestoreState(SealedStore& store, uint64_t counter_id,
                             std::span<const uint8_t> blob) override;
 

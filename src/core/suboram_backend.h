@@ -43,11 +43,17 @@ class SubOramBackend {
   // restore it after a crash override these three. The orchestrator snapshots every
   // sealing backend at each epoch boundary and uses RestoreState to recover a crashed
   // subORAM; backends without sealing support simply cannot be crash-recovered.
+  //
+  // SealStateInto overwrites `blob` with the sealed snapshot, reusing its capacity
+  // (the orchestrator passes the partition's previous snapshot, stale once the
+  // counter is bumped). The orchestrator seals distinct partitions concurrently, one
+  // pool task each, so the hook may only read this backend's own state.
   virtual bool SupportsSealing() const { return false; }
-  virtual std::vector<uint8_t> SealState(SealedStore& store, uint64_t counter_id) const {
+  virtual void SealStateInto(SealedStore& store, uint64_t counter_id,
+                             std::vector<uint8_t>& blob) const {
     (void)store;
     (void)counter_id;
-    return {};
+    blob.clear();
   }
   virtual UnsealStatus RestoreState(SealedStore& store, uint64_t counter_id,
                                     std::span<const uint8_t> blob) {

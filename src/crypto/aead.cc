@@ -46,14 +46,20 @@ Poly1305::Tag ComputeTag(const Aead::Key& key, const Aead::Nonce& nonce,
 std::vector<uint8_t> Aead::Seal(const Nonce& nonce, std::span<const uint8_t> aad,
                                 std::span<const uint8_t> plaintext) const {
   std::vector<uint8_t> out(plaintext.size() + kTagBytes);
-  std::memcpy(out.data(), plaintext.data(), plaintext.size());
-  ChaCha20 cipher(std::span<const uint8_t>(key_.data(), key_.size()),
-                  std::span<const uint8_t>(nonce.data(), nonce.size()), 1);
-  cipher.Crypt(out.data(), plaintext.size());
-  const Poly1305::Tag tag =
-      ComputeTag(key_, nonce, aad, std::span<const uint8_t>(out.data(), plaintext.size()));
+  if (!plaintext.empty()) {
+    std::memcpy(out.data(), plaintext.data(), plaintext.size());
+  }
+  const Tag tag = SealInPlace(nonce, aad, std::span<uint8_t>(out.data(), plaintext.size()));
   std::memcpy(out.data() + plaintext.size(), tag.data(), kTagBytes);
   return out;
+}
+
+Aead::Tag Aead::SealInPlace(const Nonce& nonce, std::span<const uint8_t> aad,
+                            std::span<uint8_t> data) const {
+  ChaCha20 cipher(std::span<const uint8_t>(key_.data(), key_.size()),
+                  std::span<const uint8_t>(nonce.data(), nonce.size()), 1);
+  cipher.Crypt(data.data(), data.size());
+  return ComputeTag(key_, nonce, aad, data);
 }
 
 // SNOOPY_OBLIVIOUS_BEGIN(aead_open)

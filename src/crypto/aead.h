@@ -23,12 +23,18 @@ class Aead {
 
   using Key = std::array<uint8_t, kKeyBytes>;
   using Nonce = std::array<uint8_t, kNonceBytes>;
+  using Tag = std::array<uint8_t, kTagBytes>;
 
   explicit Aead(const Key& key) : key_(key) {}
 
   // Returns ciphertext || tag (plaintext.size() + kTagBytes bytes).
   std::vector<uint8_t> Seal(const Nonce& nonce, std::span<const uint8_t> aad,
                             std::span<const uint8_t> plaintext) const;
+
+  // Encrypts `data` in place and returns the tag over (aad, ciphertext): the same
+  // bytes Seal produces, without its copies. `data` must not overlap `aad`.
+  Tag SealInPlace(const Nonce& nonce, std::span<const uint8_t> aad,
+                  std::span<uint8_t> data) const;
 
   // Verifies and decrypts ciphertext || tag. Returns false on authentication failure
   // (in which case `plaintext_out` is left empty).

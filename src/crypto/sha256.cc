@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "src/obl/kernels.h"
+
 namespace snoopy {
 
 namespace {
@@ -22,6 +24,139 @@ constexpr uint32_t kRoundConstants[64] = {
 
 inline uint32_t Rotr(uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
 
+// The two compression functions are straight-line ARX (scalar) or SHA-extension
+// code over the secret chaining state and message: loop trip counts, indices and
+// addresses depend only on the public block count.
+
+// SNOOPY_OBLIVIOUS_BEGIN(sha256_compress)
+// ct-public: blocks i g
+// ct-calls: Rotr __attribute__ target reinterpret_cast
+
+// Scalar FIPS 180-4 compression over `blocks` consecutive 64-byte blocks.
+void Sha256BlocksGeneric(uint32_t* state, const uint8_t* data, size_t blocks) {
+  for (; blocks > 0; --blocks, data += Sha256::kBlockBytes) {
+    uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (static_cast<uint32_t>(data[4 * i]) << 24) |
+             (static_cast<uint32_t>(data[4 * i + 1]) << 16) |
+             (static_cast<uint32_t>(data[4 * i + 2]) << 8) |
+             static_cast<uint32_t>(data[4 * i + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      const uint32_t s0 = Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const uint32_t s1 = Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    uint32_t a = state[0];
+    uint32_t b = state[1];
+    uint32_t c = state[2];
+    uint32_t d = state[3];
+    uint32_t e = state[4];
+    uint32_t f = state[5];
+    uint32_t g = state[6];
+    uint32_t h = state[7];
+
+    for (int i = 0; i < 64; ++i) {
+      const uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
+      const uint32_t ch = (e & f) ^ (~e & g);
+      const uint32_t t1 = h + s1 + ch + kRoundConstants[i] + w[i];
+      const uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
+      const uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const uint32_t t2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + t1;
+      d = c;
+      c = b;
+      b = a;
+      a = t1 + t2;
+    }
+
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+#if SNOOPY_KERNELS_X86
+
+// The same compression on the SHA extensions. The hardware keeps the state as two
+// lane-packed halves, ABEF and CDGH; each sha256rnds2 runs two rounds, so one
+// 4-word message group takes two of them, and sha256msg1/msg2 extend the message
+// schedule four words at a time, three groups ahead of use. Control flow and
+// addresses depend only on the public block count.
+__attribute__((target("sha,sse4.1"))) void Sha256BlocksShaNi(uint32_t* state,
+                                                              const uint8_t* data,
+                                                              size_t blocks) {
+  const __m128i byte_swap = _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  const __m128i cdab =
+      _mm_shuffle_epi32(_mm_loadu_si128(reinterpret_cast<const __m128i*>(state)), 0xB1);
+  const __m128i efgh =
+      _mm_shuffle_epi32(_mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4)), 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+  for (; blocks > 0; --blocks, data += Sha256::kBlockBytes) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i w[4];
+#pragma GCC unroll 16
+    for (int g = 0; g < 16; ++g) {
+      if (g < 4) {
+        w[g] = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * g)), byte_swap);
+      }
+      __m128i wk = _mm_add_epi32(
+          w[g % 4], _mm_loadu_si128(reinterpret_cast<const __m128i*>(kRoundConstants + 4 * g)));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      if (g >= 3 && g < 15) {
+        // Finish W[4(g+1) .. 4(g+1)+3]: add W[t-7] and apply the sigma1 terms.
+        const __m128i w7 = _mm_alignr_epi8(w[g % 4], w[(g + 3) % 4], 4);
+        w[(g + 1) % 4] =
+            _mm_sha256msg2_epu32(_mm_add_epi32(w[(g + 1) % 4], w7), w[g % 4]);
+      }
+      wk = _mm_shuffle_epi32(wk, 0x0E);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, wk);
+      if (g >= 1 && g < 13) {
+        // Start W[4(g+3) ..]: W[t-16] + sigma0(W[t-15]).
+        w[(g + 3) % 4] = _mm_sha256msg1_epu32(w[(g + 3) % 4], w[g % 4]);
+      }
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), _mm_alignr_epi8(dchg, feba, 8));
+}
+
+#endif  // SNOOPY_KERNELS_X86
+
+// SNOOPY_OBLIVIOUS_END(sha256_compress)
+
+// The dispatch branch reads only public state: the CPUID feature bits and the
+// kernel backend (SNOOPY_FORCE_GENERIC_KERNELS=1 pins the scalar code).
+void Sha256Blocks(uint32_t* state, const uint8_t* data, size_t blocks) {
+#if SNOOPY_KERNELS_X86
+  static const bool cpu_has_sha = __builtin_cpu_supports("sha") != 0 &&
+                                  __builtin_cpu_supports("sse4.1") != 0;
+  if (cpu_has_sha && ActiveKernelBackend() != KernelBackend::kGeneric) {
+    Sha256BlocksShaNi(state, data, blocks);
+    return;
+  }
+#endif
+  Sha256BlocksGeneric(state, data, blocks);
+}
+
 }  // namespace
 
 void Sha256::Reset() {
@@ -31,63 +166,15 @@ void Sha256::Reset() {
   buffer_len_ = 0;
 }
 
-void Sha256::ProcessBlock(const uint8_t* block) {
-  uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<uint32_t>(block[4 * i]) << 24) |
-           (static_cast<uint32_t>(block[4 * i + 1]) << 16) |
-           (static_cast<uint32_t>(block[4 * i + 2]) << 8) | static_cast<uint32_t>(block[4 * i + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    const uint32_t s0 = Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const uint32_t s1 = Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  uint32_t a = state_[0];
-  uint32_t b = state_[1];
-  uint32_t c = state_[2];
-  uint32_t d = state_[3];
-  uint32_t e = state_[4];
-  uint32_t f = state_[5];
-  uint32_t g = state_[6];
-  uint32_t h = state_[7];
-
-  for (int i = 0; i < 64; ++i) {
-    const uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
-    const uint32_t ch = (e & f) ^ (~e & g);
-    const uint32_t t1 = h + s1 + ch + kRoundConstants[i] + w[i];
-    const uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
-    const uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const uint32_t t2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + t1;
-    d = c;
-    c = b;
-    b = a;
-    a = t1 + t2;
-  }
-
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
-}
-
 void Sha256::Update(const void* data, size_t len) {
   const auto* p = static_cast<const uint8_t*>(data);
   total_len_ += len;
   while (len > 0) {
     if (buffer_len_ == 0 && len >= kBlockBytes) {
-      ProcessBlock(p);
-      p += kBlockBytes;
-      len -= kBlockBytes;
+      const size_t blocks = len / kBlockBytes;
+      Sha256Blocks(state_.data(), p, blocks);
+      p += blocks * kBlockBytes;
+      len -= blocks * kBlockBytes;
       continue;
     }
     const size_t take = std::min(len, kBlockBytes - buffer_len_);
@@ -96,7 +183,7 @@ void Sha256::Update(const void* data, size_t len) {
     p += take;
     len -= take;
     if (buffer_len_ == kBlockBytes) {
-      ProcessBlock(buffer_.data());
+      Sha256Blocks(state_.data(), buffer_.data(), 1);
       buffer_len_ = 0;
     }
   }
@@ -116,7 +203,7 @@ Sha256::Digest Sha256::Finalize() {
   }
   // Bypass total_len_ accounting for the length block itself.
   std::memcpy(buffer_.data() + buffer_len_, len_bytes, 8);
-  ProcessBlock(buffer_.data());
+  Sha256Blocks(state_.data(), buffer_.data(), 1);
   buffer_len_ = 0;
 
   Digest out;

@@ -1,8 +1,12 @@
 // SHA-256 (FIPS 180-4). Incremental interface plus one-shot helper.
 //
 // Used for: integrity digests of out-of-enclave pages (paper section 7), Merkle tree
-// hashing in the key-transparency application, and as the compression function behind
-// HMAC-SHA256.
+// hashing in the key-transparency application, the stripe digests of sealed
+// snapshots, and as the compression function behind HMAC-SHA256.
+//
+// The compression function runs on the SHA extensions (SHA-NI) when the CPU has them
+// and the kernel backend (src/obl/kernels.h) is not pinned to generic; the scalar
+// code runs otherwise. Both produce identical digests.
 
 #ifndef SNOOPY_SRC_CRYPTO_SHA256_H_
 #define SNOOPY_SRC_CRYPTO_SHA256_H_
@@ -31,8 +35,6 @@ class Sha256 {
   static Digest Hash(std::span<const uint8_t> data) { return Hash(data.data(), data.size()); }
 
  private:
-  void ProcessBlock(const uint8_t* block);
-
   std::array<uint32_t, 8> state_;
   std::array<uint8_t, kBlockBytes> buffer_;
   uint64_t total_len_ = 0;

@@ -37,23 +37,30 @@ uint64_t MonotonicCounterService::Read(uint64_t id) const {
 }
 
 std::vector<uint8_t> SealedStore::Seal(uint64_t counter_id, std::span<const uint8_t> payload) {
-  const uint64_t version = counters_->Increment(counter_id);
-  // Blob layout: version(8) | AEAD(payload) with the version as AAD + nonce, so a blob
-  // cannot be re-labelled with a different version without failing authentication.
-  uint8_t version_bytes[8];
-  std::memcpy(version_bytes, &version, 8);
-  const std::vector<uint8_t> sealed =
-      aead_.Seal(Aead::CounterNonce(version, /*channel=*/0x5ea1),
-                 std::span<const uint8_t>(version_bytes, 8), payload);
-  std::vector<uint8_t> blob(8 + sealed.size());
-  std::memcpy(blob.data(), version_bytes, 8);
-  std::memcpy(blob.data() + 8, sealed.data(), sealed.size());
+  std::vector<uint8_t> blob(kOverheadBytes + payload.size());
+  if (!payload.empty()) {
+    std::memcpy(blob.data() + kVersionBytes, payload.data(), payload.size());
+  }
+  SealInPlace(counter_id, blob);
   return blob;
+}
+
+void SealedStore::SealInPlace(uint64_t counter_id, std::span<uint8_t> blob) {
+  if (blob.size() < kOverheadBytes) {
+    throw std::invalid_argument("sealed blob shorter than its version and tag");
+  }
+  const uint64_t version = counters_->Increment(counter_id);
+  std::memcpy(blob.data(), &version, kVersionBytes);
+  const size_t payload_len = blob.size() - kOverheadBytes;
+  const Aead::Tag tag =
+      aead_.SealInPlace(Aead::CounterNonce(version, /*channel=*/0x5ea1),
+                        blob.first(kVersionBytes), blob.subspan(kVersionBytes, payload_len));
+  std::memcpy(blob.data() + kVersionBytes + payload_len, tag.data(), Aead::kTagBytes);
 }
 
 UnsealStatus SealedStore::Unseal(uint64_t counter_id, std::span<const uint8_t> blob,
                                  std::vector<uint8_t>* payload_out) const {
-  if (blob.size() < 8 + Aead::kTagBytes) {
+  if (blob.size() < kOverheadBytes) {
     return UnsealStatus::kCorrupt;
   }
   uint64_t version = 0;

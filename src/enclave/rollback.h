@@ -8,7 +8,7 @@
 //
 // MonotonicCounterService simulates the trusted counter provider; SealedStore produces
 // AEAD-sealed, counter-bound snapshots and classifies restore attempts as fresh,
-// rolled-back, or corrupted. SubOram integrates via SealState/RestoreState.
+// rolled-back, or corrupted. SubOram integrates via SealStateInto/RestoreState.
 
 #ifndef SNOOPY_SRC_ENCLAVE_ROLLBACK_H_
 #define SNOOPY_SRC_ENCLAVE_ROLLBACK_H_
@@ -25,6 +25,11 @@ namespace snoopy {
 
 // Stand-in for SGX monotonic counters / a ROTE quorum: strictly increasing counters
 // that the untrusted host cannot wind back.
+//
+// Concurrency: Increment and Read touch only their own counter's slot, so calls on
+// distinct ids may run concurrently (the pooled epoch-boundary seal does exactly
+// that, one subORAM counter per task). Create reallocates and must not overlap any
+// other call.
 class MonotonicCounterService {
  public:
   // Creates a counter starting at 0 and returns its id.
@@ -61,13 +66,29 @@ class RollbackDetectedError : public std::runtime_error {
   UnsealStatus status_;
 };
 
+// Sealed blob layout: version(8) | AEAD ciphertext of the payload | tag(16). The
+// version is both the AAD and the nonce, so a blob cannot be re-labelled with a
+// different version without failing authentication.
+//
+// Concurrency: Seal/SealInPlace on *distinct* counter ids are safe to run
+// concurrently -- each bumps only its own counter (see MonotonicCounterService) and
+// the AEAD is const. Two seals on the same id must not overlap.
 class SealedStore {
  public:
+  static constexpr size_t kVersionBytes = 8;
+  // Blob bytes beyond the payload: the version prefix and the AEAD tag.
+  static constexpr size_t kOverheadBytes = kVersionBytes + Aead::kTagBytes;
+
   SealedStore(const Aead::Key& sealing_key, MonotonicCounterService* counters)
       : aead_(sealing_key), counters_(counters) {}
 
   // Seals `payload`, bumping the counter so this snapshot supersedes all others.
   std::vector<uint8_t> Seal(uint64_t counter_id, std::span<const uint8_t> payload);
+
+  // The same seal without copies: `blob` holds kOverheadBytes + payload bytes, with
+  // the payload already written at offset kVersionBytes. Bumps the counter, writes
+  // the version, encrypts the payload in place and appends the tag.
+  void SealInPlace(uint64_t counter_id, std::span<uint8_t> blob);
 
   // Verifies and decrypts a snapshot; detects replays of superseded snapshots.
   UnsealStatus Unseal(uint64_t counter_id, std::span<const uint8_t> blob,

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "src/crypto/rng.h"
 #include "src/crypto/sha256.h"
 #include "src/crypto/siphash.h"
+#include "src/obl/kernels.h"
 
 namespace snoopy {
 namespace {
@@ -70,6 +72,60 @@ TEST(Sha256, IncrementalMatchesOneShot) {
     h.Update(msg.data(), split);
     h.Update(msg.data() + split, msg.size() - split);
     EXPECT_EQ(h.Finalize(), Sha256::Hash(msg.data(), msg.size()));
+  }
+}
+
+// Pins the kernel backend for one scope, restoring the previous choice on exit.
+class BackendPin {
+ public:
+  explicit BackendPin(KernelBackend backend) : saved_(ActiveKernelBackend()) {
+    SetKernelBackend(backend);
+  }
+  ~BackendPin() { SetKernelBackend(saved_); }
+  BackendPin(const BackendPin&) = delete;
+  BackendPin& operator=(const BackendPin&) = delete;
+
+ private:
+  KernelBackend saved_;
+};
+
+Sha256::Digest ScalarHash(const uint8_t* data, size_t len) {
+  const BackendPin pin(KernelBackend::kGeneric);
+  return Sha256::Hash(data, len);
+}
+
+// The dispatched compression (SHA-NI where the CPU has it) against the scalar one,
+// at every length up to 1 KiB and at 1 MiB, from every misalignment of the input.
+TEST(Sha256, DispatchedMatchesScalarAtEveryLengthAndAlignment) {
+  std::vector<uint8_t> buf((1u << 20) + 16);
+  Rng rng(21);
+  rng.Fill(buf.data(), buf.size());
+  for (size_t misalign = 0; misalign < 16; ++misalign) {
+    for (size_t len = 0; len <= 1024; ++len) {
+      ASSERT_EQ(Sha256::Hash(buf.data() + misalign, len),
+                ScalarHash(buf.data() + misalign, len))
+          << "len " << len << " misalign " << misalign;
+    }
+    ASSERT_EQ(Sha256::Hash(buf.data() + misalign, 1u << 20),
+              ScalarHash(buf.data() + misalign, 1u << 20))
+        << "1 MiB, misalign " << misalign;
+  }
+}
+
+TEST(Sha256, DispatchedIncrementalMatchesScalarAtRandomSplits) {
+  Rng rng(22);
+  std::vector<uint8_t> msg(9000);
+  rng.Fill(msg.data(), msg.size());
+  for (int trial = 0; trial < 200; ++trial) {
+    const size_t len = rng.Uniform(msg.size() + 1);
+    Sha256 h;
+    size_t pos = 0;
+    while (pos < len) {
+      const size_t take = std::min<size_t>(len - pos, rng.Uniform(300) + 1);
+      h.Update(msg.data() + pos, take);
+      pos += take;
+    }
+    ASSERT_EQ(h.Finalize(), ScalarHash(msg.data(), len)) << "trial " << trial;
   }
 }
 
@@ -233,6 +289,29 @@ TEST(Aead, EmptyPlaintextAndAad) {
   std::vector<uint8_t> out{1, 2, 3};
   ASSERT_TRUE(aead.Open(nonce, {}, sealed, out));
   EXPECT_TRUE(out.empty());
+}
+
+TEST(Aead, SealInPlaceMatchesSealAndOpens) {
+  Rng rng(12);
+  Aead::Key key;
+  rng.Fill(key.data(), key.size());
+  const Aead aead(key);
+  for (size_t len : {size_t{0}, size_t{1}, size_t{63}, size_t{64}, size_t{65},
+                     size_t{1000}, size_t{4099}}) {
+    for (const std::vector<uint8_t>& aad :
+         {std::vector<uint8_t>{}, std::vector<uint8_t>{1, 2, 3}}) {
+      const Aead::Nonce nonce = Aead::CounterNonce(len, 9);
+      std::vector<uint8_t> msg(len);
+      rng.Fill(msg.data(), msg.size());
+      std::vector<uint8_t> in_place = msg;
+      const Aead::Tag tag = aead.SealInPlace(nonce, aad, in_place);
+      in_place.insert(in_place.end(), tag.begin(), tag.end());
+      EXPECT_EQ(in_place, aead.Seal(nonce, aad, msg)) << "len " << len;
+      std::vector<uint8_t> opened;
+      ASSERT_TRUE(aead.Open(nonce, aad, in_place, opened)) << "len " << len;
+      EXPECT_EQ(opened, msg);
+    }
+  }
 }
 
 // ---------------------------------------------------------------- SipHash-2-4 vectors

@@ -4,9 +4,9 @@
 // check_nobranch.py audits tiny hand-unrolled wrappers; this TU is the opposite: each
 // ctdf_* symbol calls the REAL hot-path code -- the dispatching SIMD kernels, the
 // per-backend kernel internals, the bitonic sort tile executor, both compaction
-// algorithms, and the reshard bin-partition kernel -- with runtime sizes, so loops,
-// spills, and the optimizer's full register allocation survive into the object the
-// analyzer disassembles. The real implementation TUs are #included so their
+// algorithms, the reshard bin-partition kernel, and both SHA-256 compression paths --
+// with runtime sizes, so loops, spills, and the optimizer's full register allocation
+// survive into the object the analyzer disassembles. The real implementation TUs are #included so their
 // post-optimizer code is what gets audited (and so same-object calls resolve without
 // linking); `flatten` asks GCC to inline the real bodies into the audit roots, and
 // what cannot inline (recursion, libc/libstdc++) is followed or allowlisted by the
@@ -37,6 +37,7 @@
 // Real implementation TUs: compiled into this object so the audited symbols are the
 // optimizer's output for the actual tree, not a re-implementation.
 #include "src/core/reshard.cc"     // NOLINT(bugprone-suspicious-include)
+#include "src/crypto/sha256.cc"    // NOLINT(bugprone-suspicious-include)
 #include "src/crypto/siphash.cc"   // NOLINT(bugprone-suspicious-include)
 #include "src/obl/compaction.cc"   // NOLINT(bugprone-suspicious-include)
 
@@ -166,6 +167,30 @@ CTDF_ROOT void ctdf_avx512_cond_swap(uint64_t mask, uint8_t* a, uint8_t* b, size
 // ctdf-symbol: ctdf_avx512_equal secret=ptr:rdi,ptr:rsi backend=avx512
 CTDF_ROOT uint64_t ctdf_avx512_equal(const uint8_t* a, const uint8_t* b, size_t n) {
   return snoopy::kernel_internal::KernelAvx512DiffWord(a, b, n);
+}
+
+#endif  // SNOOPY_KERNELS_X86
+
+// ---- SHA-256 compression (src/crypto/sha256.cc) ----
+//
+// Sha256 is the hash under HMAC (channel keys, attestation) and the Merkle tree, so
+// the chaining state and the message blocks are the secrets; the block count is
+// public. The scalar path is what SNOOPY_FORCE_GENERIC_KERNELS=1 runs; the SHA-NI
+// path is tagged with its own backend so the forced-generic audit skips it, exactly
+// as the runtime dispatch would.
+
+// ctdf-symbol: ctdf_sha256_generic_blocks secret=ptr:rdi,ptr:rsi backend=generic
+CTDF_ROOT void ctdf_sha256_generic_blocks(uint32_t* state, const uint8_t* data,
+                                          size_t blocks) {
+  snoopy::Sha256BlocksGeneric(state, data, blocks);
+}
+
+#if SNOOPY_KERNELS_X86
+
+// ctdf-symbol: ctdf_sha256_shani_blocks secret=ptr:rdi,ptr:rsi backend=shani
+CTDF_ROOT void ctdf_sha256_shani_blocks(uint32_t* state, const uint8_t* data,
+                                        size_t blocks) {
+  snoopy::Sha256BlocksShaNi(state, data, blocks);
 }
 
 #endif  // SNOOPY_KERNELS_X86

@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <string>
+#include <thread>
 
+#include "src/core/snoopy.h"
 #include "src/core/suboram.h"
 #include "src/crypto/rng.h"
+#include "src/crypto/sha256.h"
+#include "src/obl/kernels.h"
 
 namespace snoopy {
 namespace {
@@ -68,6 +74,80 @@ TEST(SealedStore, DetectsTampering) {
   EXPECT_EQ(store.Unseal(ctr, std::vector<uint8_t>{1, 2}, nullptr), UnsealStatus::kCorrupt);
 }
 
+TEST(SealedStore, SealInPlaceMatchesSeal) {
+  MonotonicCounterService svc_a;
+  MonotonicCounterService svc_b;
+  SealedStore a(TestKey(), &svc_a);
+  SealedStore b(TestKey(), &svc_b);
+  const uint64_t ctr_a = svc_a.Create();
+  const uint64_t ctr_b = svc_b.Create();
+  for (size_t len : {size_t{0}, size_t{1}, size_t{63}, size_t{64}, size_t{1000}}) {
+    std::vector<uint8_t> payload(len);
+    Rng rng(len + 1);
+    rng.Fill(payload.data(), payload.size());
+    const std::vector<uint8_t> sealed = a.Seal(ctr_a, payload);
+    std::vector<uint8_t> blob(SealedStore::kOverheadBytes + len, 0xAB);
+    std::copy(payload.begin(), payload.end(), blob.begin() + SealedStore::kVersionBytes);
+    b.SealInPlace(ctr_b, blob);
+    EXPECT_EQ(blob, sealed) << "payload length " << len;
+    std::vector<uint8_t> out;
+    ASSERT_EQ(b.Unseal(ctr_b, blob, &out), UnsealStatus::kOk);
+    EXPECT_EQ(out, payload);
+  }
+  std::vector<uint8_t> too_short(SealedStore::kOverheadBytes - 1);
+  EXPECT_THROW(b.SealInPlace(ctr_b, too_short), std::invalid_argument);
+  EXPECT_EQ(svc_b.Read(ctr_b), 5u) << "a rejected blob must not bump the counter";
+}
+
+// The pooled epoch-boundary seal runs one SealedStore::Seal per subORAM counter
+// concurrently; each must produce exactly the blob and counter value a serial run
+// does.
+TEST(SealedStore, ConcurrentSealsOnDistinctCountersMatchSerial) {
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 25;
+  auto payload_of = [](int t, int round) {
+    std::vector<uint8_t> p(4096 + 17 * static_cast<size_t>(t));
+    Rng rng(static_cast<uint64_t>(t * 1000 + round));
+    rng.Fill(p.data(), p.size());
+    return p;
+  };
+
+  MonotonicCounterService serial_svc;
+  SealedStore serial(TestKey(), &serial_svc);
+  std::vector<std::vector<std::vector<uint8_t>>> want(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    const uint64_t ctr = serial_svc.Create();
+    for (int round = 0; round < kRounds; ++round) {
+      want[t].push_back(serial.Seal(ctr, payload_of(t, round)));
+    }
+  }
+
+  MonotonicCounterService svc;
+  SealedStore store(TestKey(), &svc);
+  std::vector<uint64_t> ids;
+  for (int t = 0; t < kThreads; ++t) {
+    ids.push_back(svc.Create());
+  }
+  std::vector<std::vector<std::vector<uint8_t>>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        got[t].push_back(store.Seal(ids[t], payload_of(t, round)));
+      }
+    });
+  }
+  for (std::thread& th : threads) {
+    th.join();
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(svc.Read(ids[t]), static_cast<uint64_t>(kRounds));
+    EXPECT_EQ(got[t], want[t]) << "counter " << t;
+    std::vector<uint8_t> out;
+    EXPECT_EQ(store.Unseal(ids[t], got[t].back(), &out), UnsealStatus::kOk);
+  }
+}
+
 TEST(SubOramRollback, SealRestoreRoundTripAndReplayDetection) {
   SubOramConfig cfg;
   cfg.value_size = 16;
@@ -103,6 +183,81 @@ TEST(SubOramRollback, SealRestoreRoundTripAndReplayDetection) {
   std::vector<uint8_t> v;
   ASSERT_TRUE(recovered.DebugRead(3, &v));
   EXPECT_EQ(v, std::vector<uint8_t>(16, 0xEE));
+}
+
+// Every sealed snapshot plus every stripe the hosts hold (payload, then its seal
+// counter as 8 little-endian bytes) after three write epochs, hashed in subORAM
+// order. The digests pin the epoch-boundary seal's output byte for byte: the pooled,
+// in-place seal and the single-hash stripe encoding must reproduce exactly what the
+// serial copy-then-seal boundary produced.
+std::string SealBoundaryDigest(int epoch_threads, bool xor_parity) {
+  SnoopyConfig cfg;
+  cfg.num_load_balancers = 2;
+  cfg.num_suborams = 4;
+  cfg.value_size = 160;
+  cfg.epoch_threads = epoch_threads;
+  cfg.striping.replicas = xor_parity ? 2 : 1;
+  cfg.striping.xor_parity = xor_parity;
+  Snoopy snoopy(cfg, 7);
+  std::vector<std::pair<uint64_t, std::vector<uint8_t>>> objects;
+  for (uint64_t k = 0; k < 4096; ++k) {
+    objects.emplace_back(k, std::vector<uint8_t>(160, static_cast<uint8_t>(k)));
+  }
+  snoopy.Initialize(objects);
+  for (uint64_t e = 0; e < 3; ++e) {
+    for (uint64_t i = 0; i < 200; ++i) {
+      const std::vector<uint8_t> value(160, static_cast<uint8_t>(i + e));
+      snoopy.SubmitWrite(1, e * 1000 + i, (i * 37 + e) % 4096, value);
+    }
+    snoopy.RunEpoch();
+  }
+  Sha256 h;
+  for (uint32_t so = 0; so < 4; ++so) {
+    h.Update(snoopy.suboram_snapshot(so));
+    for (uint32_t peer = 0; peer < 4; ++peer) {
+      if (const Snoopy::HostStripe* s = snoopy.host_stripe(peer, so)) {
+        h.Update(s->payload);
+        uint8_t counter[8];
+        for (int b = 0; b < 8; ++b) {
+          counter[b] = static_cast<uint8_t>(s->seal_counter >> (8 * b));
+        }
+        h.Update(counter, sizeof(counter));
+      }
+    }
+  }
+  const Sha256::Digest d = h.Finalize();
+  static const char* kHex = "0123456789abcdef";
+  std::string out;
+  for (uint8_t b : d) {
+    out.push_back(kHex[b >> 4]);
+    out.push_back(kHex[b & 0xf]);
+  }
+  return out;
+}
+
+constexpr const char* kReplicatedSealDigest =
+    "fdf130f6a471537d5805276a19e42ea02c6f9bd3518b82e6451e75becf5927c4";
+constexpr const char* kParitySealDigest =
+    "aa76c6c5fde0685958a29e16469070e00e5ce29870cdc37e257ec0fb3dd8133e";
+
+TEST(SealBoundary, ReplicatedSnapshotsAndStripesArePinned) {
+  EXPECT_EQ(SealBoundaryDigest(4, /*xor_parity=*/false), kReplicatedSealDigest);
+  EXPECT_EQ(SealBoundaryDigest(1, /*xor_parity=*/false), kReplicatedSealDigest);
+}
+
+TEST(SealBoundary, ParitySnapshotsAndStripesArePinned) {
+  EXPECT_EQ(SealBoundaryDigest(4, /*xor_parity=*/true), kParitySealDigest);
+  EXPECT_EQ(SealBoundaryDigest(1, /*xor_parity=*/true), kParitySealDigest);
+}
+
+// The same bytes with the scalar SHA-256 and kernels pinned, as under
+// SNOOPY_FORCE_GENERIC_KERNELS=1.
+TEST(SealBoundary, GenericKernelsProduceTheSameBytes) {
+  const KernelBackend saved = ActiveKernelBackend();
+  SetKernelBackend(KernelBackend::kGeneric);
+  EXPECT_EQ(SealBoundaryDigest(4, /*xor_parity=*/false), kReplicatedSealDigest);
+  EXPECT_EQ(SealBoundaryDigest(4, /*xor_parity=*/true), kParitySealDigest);
+  SetKernelBackend(saved);
 }
 
 }  // namespace

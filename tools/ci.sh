@@ -43,25 +43,14 @@ echo "== binary taint dataflow (planted corpus, then real kernels at -O2/-O3) ==
 # compiled objects. Self-test first (every planted B01-B04/M01 must fire), then
 # the real audit unit at both opt levels, for every SIMD backend and again with
 # dispatch pinned to the generic backend -- a finding or a manifest symbol
-# missing from the object (M01) fails the stage.
+# missing from the object (M01) fails the stage, and so does a root the manifest
+# lists under required_roots (the decomposed bucket-sort kernels, the bitonic tile
+# executor, both SHA-256 compression paths) that fell out of the fixture.
 python3 tools/ct_dataflow.py --repo-root . --self-test
 python3 tools/ct_dataflow.py --repo-root . --opt=-O2
 python3 tools/ct_dataflow.py --repo-root . --opt=-O3
 SNOOPY_FORCE_GENERIC_KERNELS=1 python3 tools/ct_dataflow.py --repo-root . --opt=-O2
 SNOOPY_FORCE_GENERIC_KERNELS=1 python3 tools/ct_dataflow.py --repo-root . --opt=-O3
-
-echo "== bucket-sort audit coverage (decomposed roots present at both opt levels) =="
-# The bucket strategy's boundary symbols (TryBucketSortSlab etc.) are allowlisted,
-# so their secret-handling kernels are only audited through the decomposed
-# ctdf_bucket_* roots -- if those roots silently fell out of the fixture, the
-# -O2/-O3 stages above would still pass while auditing nothing of the bucket sort.
-for root in ctdf_bucket_route ctdf_bucket_cleanup ctdf_bitonic_tile_sort; do
-  grep -q "ctdf-symbol: ${root} " tests/ct_dataflow_fixture.cc || {
-    echo "ci.sh: bucket-sort audit root ${root} missing from tests/ct_dataflow_fixture.cc"
-    exit 1
-  }
-done
-echo "bucket-sort audit roots present: ctdf_bucket_route ctdf_bucket_cleanup ctdf_bitonic_tile_sort"
 
 echo "== default build + full test suite =="
 cmake -S . -B build >/dev/null
@@ -81,9 +70,12 @@ echo "== forced-generic kernel backend (dispatch-sensitive suites) =="
 # The SIMD kernel layer (src/obl/kernels.h) picks a backend at runtime; rerun the
 # suites whose hot paths route through it with dispatch pinned to the portable
 # scalar backend, so a kernel bug cannot hide behind whichever backend CI's CPU
-# happens to select.
+# happens to select. The crypto suites follow the same dispatch (ChaCha20's vector
+# keystream, SHA-256's SHA-NI compression), so their known-answer tests and the
+# SHA-256 consumers (HMAC, attestation, the Merkle tree, the pinned seal-boundary
+# bytes) rerun on the scalar code too.
 SNOOPY_FORCE_GENERIC_KERNELS=1 ctest --test-dir build --output-on-failure --no-tests=error \
-  -R '(Primitives|Kernel|BitonicSort|BlockedSort|Compaction|BinPlacement|HashTable|SubOram|Crypto)'
+  -R '(Primitives|Kernel|BitonicSort|BlockedSort|Compaction|BinPlacement|HashTable|SubOram|Sha256|Hmac|ChaCha20|Poly1305|Aead|Attestation|MerkleTree|SealBoundary)'
 
 echo "== lint target (clang-tidy when installed) =="
 cmake --build build --target lint
@@ -206,13 +198,14 @@ ctest --test-dir build-asan --output-on-failure
 
 echo "== TSan build + threading-sensitive tests =="
 # The race-prone surfaces: parallel bitonic sort (the fig13a trace-race fix),
-# the bucket sort's fork-joined routing/cleanup, and the parallel epoch executor.
+# the bucket sort's fork-joined routing/cleanup, the parallel epoch executor, and
+# the pooled epoch-boundary seal (concurrent seals on distinct counters).
 cmake -S . -B build-tsan -DSNOOPY_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j"${JOBS}" --target \
   bitonic_sort_test bucket_sort_test suboram_test epoch_parallel_test tracing_test \
-  scaling_regression_test
+  scaling_regression_test rollback_test
 ctest --test-dir build-tsan --output-on-failure --no-tests=error \
-  -R '(BitonicSort|BlockedSort|AdaptiveSortThreads|BucketSort|SubOram|EpochParallel|Tracing|ProfilingSampler|TracerThreadBuffer|WorkPool|RunPhase|ScalingRegression)'
+  -R '(BitonicSort|BlockedSort|AdaptiveSortThreads|BucketSort|SubOram|EpochParallel|Tracing|ProfilingSampler|TracerThreadBuffer|WorkPool|RunPhase|ScalingRegression|SealedStore|SealBoundary)'
 
 echo "== TSan chaos stage: fault recovery, permanent loss, repair, reshard =="
 # Crash/loss recovery exercises the cross-thread paths deliberately (phase-2 workers

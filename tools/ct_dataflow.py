@@ -44,6 +44,9 @@ Rules
   M01 manifest         a `ctdf-symbol:` marker names a symbol missing from the
                        object (the audit would silently cover nothing)
 
+A root listed in the manifest's `required_roots` but carrying no marker in the audit
+unit fails the run before anything is compiled.
+
 Exit status: 0 when every audited symbol is clean, 1 otherwise. `--self-test` runs
 the planted-violation corpus (tools/ct_dataflow_selftest/): every planted B01-B04
 must fire and the clean file must pass. `--format=json` emits machine-readable
@@ -1280,6 +1283,13 @@ def run_audit(args, manifest, root) -> int:
     markers = parse_markers((root / source).read_text())
     if not markers:
         print(f"ct_dataflow: no ctdf-symbol markers in {source}")
+        return 1
+    # Roots the manifest requires: a root that silently fell out of the fixture would
+    # leave every remaining audit clean while auditing nothing of its kernel.
+    marked = {m.name for m in markers}
+    missing = [r for r in manifest.get("required_roots", []) if r not in marked]
+    if missing:
+        print(f"ct_dataflow: required root(s) missing from {source}: {', '.join(missing)}")
         return 1
     opts = [args.opt] if args.opt else unit.get("opt_levels", ["-O2"])
     backends = active_backends()

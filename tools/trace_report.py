@@ -29,11 +29,14 @@ For every epoch the report computes:
     Inflated phases are flagged in the report;
   * the epoch critical path: each phase's contribution is its longest task
     (the chain the barrier actually waited on) plus the phase's serial
-    prologue/epilogue, and the epoch's serial remainder (deliver, seal,
-    orchestration gaps) is attributed separately;
-  * an Amdahl decomposition: serial seconds = epoch wall minus pooled-phase
-    wall, parallel work = summed worker busy seconds, measured serial fraction
-    f = serial / wall, and projected speedup wall / (serial + work / W).
+    prologue/epilogue, and the epoch's serial remainder (deliver, the seal's
+    serial stripe pushes, orchestration gaps) is attributed separately;
+  * an Amdahl decomposition: serial seconds = epoch wall minus pooled wall,
+    parallel work = summed worker busy seconds, measured serial fraction
+    f = serial / wall, and projected speedup wall / (serial + work / W). A
+    pooled phase's pooled wall is the extent of its worker pool spans (the
+    RunPhase itself), so serial work inside the phase span -- the seal phase's
+    stripe pushes after its pooled per-subORAM seal -- still counts as serial.
 
 All inputs are public schedule facts by construction (the tracer's leakage
 model); nothing here reads request contents.
@@ -51,7 +54,7 @@ import math
 import sys
 from collections import defaultdict
 
-POOL_PHASES = ("lb_prepare", "suboram_execute", "response_match")
+POOL_PHASES = ("lb_prepare", "suboram_execute", "response_match", "seal")
 
 # The "sort" step span's strategy arg (src/obl/bucket_sort.h ObliviousSortSlab).
 SORT_STRATEGY_NAMES = {0: "bitonic", 1: "bucket"}
@@ -155,9 +158,12 @@ def analyze(events):
             st.wall_us += ph["dur"]
             plo, phi = ph["ts"], ph["ts"] + ph["dur"]
             workers = 0
+            pool_lo, pool_hi = math.inf, -math.inf
             for pool in spans_within(events, "pool", plo, phi):
                 if pool["name"] != ph["name"]:
                     continue
+                pool_lo = min(pool_lo, pool["ts"])
+                pool_hi = max(pool_hi, pool["ts"] + pool["dur"])
                 args = pool.get("args", {})
                 st.busy_us += args.get("busy_ns", 0) / 1e3
                 st.idle_us += args.get("idle_ns", 0) / 1e3
@@ -182,7 +188,7 @@ def analyze(events):
                 st.workers = max(st.workers, workers)
                 max_workers = max(max_workers, workers)
             if ph["name"] in POOL_PHASES:
-                pooled_wall_us += ph["dur"]
+                pooled_wall_us += pool_hi - pool_lo if workers else ph["dur"]
         total_serial_us += max(0.0, epoch["dur"] - pooled_wall_us)
 
     total_work_us = sum(p.busy_us for p in phases.values()
@@ -296,8 +302,10 @@ def to_json(report, worker_projections):
 def golden_trace():
     """One 100 ms epoch: 20 ms single-worker lb_prepare, then a 40 ms two-worker
     suboram_execute whose workers run 40 ms and 20 ms of tasks (busy 60 ms, idle
-    20 ms -> efficiency 0.75, skew 4/3), then a 40 ms serial remainder (deliver +
-    seal) -> serial fraction 0.4. Worker 0 of the execute phase gets only 25 ms
+    20 ms -> efficiency 0.75, skew 4/3), then a 20 ms serial deliver, then a
+    20 ms seal phase: a 10 ms two-worker pooled seal (one 10 ms task per worker)
+    followed by 10 ms of serial stripe pushes. Serial time is deliver plus the
+    seal's push tail, 30 ms -> serial fraction 0.3. Worker 0 of the execute phase gets only 25 ms
     of CPU for its 40 ms wall-busy span (descheduled mid-task), so the phase's
     work inflation is 60/45 = 1.333x and must trip the >1.15x flag; lb_prepare's
     CPU matches wall and must stay unflagged. The lb_prepare task carries one
@@ -331,6 +339,12 @@ def golden_trace():
        "cpu_busy_ns": 20_000_000})
     x("phase", "deliver", 60_000, 20_000)
     x("phase", "seal", 80_000, 20_000)
+    x("task", "seal", 80_000, 10_000)
+    x("task", "seal", 80_000, 10_000)
+    for _ in range(2):
+        x("pool", "seal", 80_000, 10_000,
+          {"tasks": 1, "busy_ns": 10_000_000, "idle_ns": 0,
+           "cpu_busy_ns": 10_000_000})
     return ev
 
 
@@ -338,9 +352,9 @@ def self_check():
     report = analyze(golden_trace())
     checks = [
         ("epochs", report["epochs"], 1),
-        ("serial_s", round(report["serial_s"], 6), 0.04),
-        ("serial_fraction", round(report["serial_fraction"], 6), 0.4),
-        ("parallel_work_s", round(report["parallel_work_s"], 6), 0.08),
+        ("serial_s", round(report["serial_s"], 6), 0.03),
+        ("serial_fraction", round(report["serial_fraction"], 6), 0.3),
+        ("parallel_work_s", round(report["parallel_work_s"], 6), 0.1),
     ]
     exe = report["phases"]["suboram_execute"]
     checks.append(("execute_efficiency", round(exe.efficiency, 6), 0.75))
@@ -369,10 +383,15 @@ def self_check():
     # stall and the phase's critical path is that 40 ms task.
     checks.append(("execute_stall_s", round(exe.stall_us / 1e6, 6), 0.0))
     checks.append(("execute_critical_s", round(exe.critical_us / 1e6, 6), 0.04))
-    # Amdahl projection with the measured 80 ms of work at W=4:
-    # 100 / (40 + 80/4) = 1.667x.
+    # The pooled seal: both workers busy for the whole pool run, and its critical
+    # path is the 10 ms task plus the 10 ms serial push tail after the barrier.
+    seal = report["phases"]["seal"]
+    checks.append(("seal_efficiency", round(seal.efficiency, 6), 1.0))
+    checks.append(("seal_critical_s", round(seal.critical_us / 1e6, 6), 0.02))
+    # Amdahl projection with the measured 100 ms of work at W=4:
+    # 100 / (30 + 100/4) = 1.818x.
     checks.append(("speedup_at_4", round(projected_speedup(report, 4), 6),
-                   round(100.0 / 60.0, 6)))
+                   round(100.0 / 55.0, 6)))
     failures = [f"{name}: got {got!r}, want {want!r}"
                 for name, got, want in checks if got != want]
     if failures:
