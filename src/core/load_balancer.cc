@@ -182,7 +182,6 @@ RequestBatch LoadBalancer::MatchResponses(PreparedEpoch&& epoch,
   // request whose own access-control verdict was "deny" receives null even when it was
   // deduplicated with a granted request for the same object (Appendix D).
   std::vector<uint8_t> prev_value(value_size, 0);
-  const std::vector<uint8_t> zeros(value_size, 0);
   SecretU64 prev_key = ~uint64_t{0};
   const size_t total = merged.size();
   std::vector<uint8_t> keep(total, 0);
@@ -191,12 +190,14 @@ RequestBatch LoadBalancer::MatchResponses(PreparedEpoch&& epoch,
     RequestHeader& h = merged.Header(i);
     uint8_t* value = merged.Value(i);
     const SecretBool is_resp = SecretBool::FromWord(h.resp);
-    KernelCondCopyBytes(is_resp, prev_value.data(), value, value_size);
     prev_key = CtSelectU64(is_resp, h.key, prev_key);
     const SecretBool take = (!is_resp) & (SecretU64(h.key) == prev_key);
-    KernelCondCopyBytes(take, value, prev_value.data(), value_size);
-    KernelCondCopyBytes(take & !SecretBool::FromWord(h.granted), value, zeros.data(),
-                        value_size);
+    // One fused kernel pass: a response becomes the carried value; a request that
+    // takes it receives the carried value, or null if its own verdict was "deny".
+    // `take` implies !is_resp, so the carried value a request reads is never the one
+    // this record just wrote.
+    KernelAccessSlot(is_resp, take, take & SecretBool::FromWord(h.granted), prev_value.data(),
+                     value, value_size);
     keep[i] = (!is_resp).ToFlagByte();
     // Mark whether this request actually met a response. In a healthy epoch every
     // original does; when a partition is unavailable its placeholder batch carries

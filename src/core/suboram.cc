@@ -84,12 +84,10 @@ RequestBatch SubOram::ProcessBatch(RequestBatch&& batch) {
   build_trace.End();
 
   // Step 2 (Fig. 7): one linear scan over every stored object. For each object, scan
-  // its two candidate buckets in full; for every slot apply the oblivious
-  // compare-and-set pair so that neither the match nor the request type is revealed.
+  // its two candidate buckets in full; every slot gets one fused oblivious
+  // compare-and-set pass, so that neither the match nor the request type is revealed.
   const size_t stride = table.record_bytes();
-  const std::vector<uint8_t> zeros(value_size, 0);
   const size_t n_objects = store_.size();
-  std::vector<uint8_t> old_value(value_size);
   TraceSpan scan_trace(&Tracer::Global(), "step", "suboram_scan", config_.id);
   scan_trace.SetArg("objects", n_objects);
 
@@ -112,16 +110,12 @@ RequestBatch SubOram::ProcessBatch(RequestBatch&& batch) {
                                  !SecretBool::FromWord(req->dummy);
         const SecretBool is_write = SecretU64(req->op) == SecretU64(kOpWrite);
         const SecretBool granted = SecretBool::FromWord(req->granted);
-        // old <- object value (staged so the write below can both update the object
-        // and leave the pre-state for the response). The three conditional moves go
-        // through the SIMD kernel layer; each derives its mask once per slot.
-        std::memcpy(old_value.data(), obj_value, value_size);
-        // Write path: object <- request payload (if a granted write matches).
-        KernelCondCopyBytes(match & is_write & granted, obj_value, req_value, value_size);
-        // Response path: request slot <- pre-state (for reads and writes alike).
-        KernelCondCopyBytes(match, req_value, old_value.data(), value_size);
-        // Access control (section D): a denied read returns null rather than data.
-        KernelCondCopyBytes(match & !granted, req_value, zeros.data(), value_size);
+        // One fused kernel pass over the object and the slot. Write path: object <-
+        // request payload if a granted write matches. Response path: slot <- the
+        // object's pre-state for reads and writes alike, except that a denied access
+        // returns null rather than data (Appendix D).
+        KernelAccessSlot(match & is_write & granted, match, match & granted, obj_value,
+                         req_value, value_size);
       }
     };
     apply(table.Tier1Bucket(obj_key));
@@ -176,6 +170,11 @@ UnsealStatus SubOram::RestoreState(SealedStore& store, uint64_t counter_id,
   if (status != UnsealStatus::kOk) {
     return status;
   }
+  // An authentic payload is value_size(8) | count(8) | count records, nothing more; a
+  // length that disagrees with its own count is refused before any record is copied.
+  if (payload.size() < 16) {
+    return UnsealStatus::kCorrupt;
+  }
   uint64_t vs = 0;
   uint64_t count = 0;
   std::memcpy(&vs, payload.data(), 8);
@@ -183,9 +182,14 @@ UnsealStatus SubOram::RestoreState(SealedStore& store, uint64_t counter_id,
   if (vs != config_.value_size) {
     return UnsealStatus::kCorrupt;
   }
-  ByteSlab slab(static_cast<size_t>(count), 8 + config_.value_size);
+  const uint64_t record_bytes = 8 + config_.value_size;
+  const uint64_t body_bytes = payload.size() - 16;
+  if (count > body_bytes / record_bytes || count * record_bytes != body_bytes) {
+    return UnsealStatus::kCorrupt;
+  }
+  ByteSlab slab(static_cast<size_t>(count), record_bytes);
   if (count > 0) {
-    std::memcpy(slab.data(), payload.data() + 16, count * slab.record_bytes());
+    std::memcpy(slab.data(), payload.data() + 16, body_bytes);
   }
   store_ = std::move(slab);
   return UnsealStatus::kOk;

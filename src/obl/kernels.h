@@ -1,12 +1,13 @@
 // Vectorized oblivious kernels with one-time runtime dispatch.
 //
 // primitives.h defines the oblivious compare-and-set contract with scalar 8-byte mask
-// arithmetic; this header provides SSE2/AVX2/AVX-512 implementations of the three hot
-// byte-level operators (conditional copy, conditional swap, equality) behind a single
-// public dispatch decision. The Snoopy paper (section 8.1) instantiates its oblivious
-// operators with AVX-512 masked moves inside SGX; the AVX-512 backend here is that
-// construction literally (`vpblendmb` under an all-ones/all-zeros k-mask), while the
-// AVX2/SSE2 backends use the and/andnot/or select and masked xor-swap forms.
+// arithmetic; this header provides SSE2/AVX2/AVX-512 implementations of the hot
+// byte-level operators (conditional copy, conditional swap, equality, and the fused
+// compare-and-set access of the subORAM scan) behind a single public dispatch decision.
+// The Snoopy paper (section 8.1) instantiates its oblivious operators with AVX-512
+// masked moves inside SGX; the AVX-512 backend here is that construction literally
+// (`vpblendmb` under an all-ones/all-zeros k-mask), while the AVX2/SSE2 backends use
+// the and/andnot/or select and masked xor-swap forms.
 //
 // Obliviousness argument, per backend:
 //  - The secret mask enters a vector register through a broadcast and a value barrier
@@ -143,7 +144,7 @@ inline void ResetKernelBackend() {
 
 // SNOOPY_OBLIVIOUS_BEGIN(kernels)
 // ct-public: i n
-// ct-calls: ValueBarrier __attribute__ target GenericDiffWord alignas
+// ct-calls: ValueBarrier __attribute__ target GenericDiffWord GenericAccessSlot alignas
 
 namespace kernel_internal {
 
@@ -163,6 +164,39 @@ inline uint64_t GenericDiffWord(const uint8_t* a, const uint8_t* b, size_t n) {
     acc |= static_cast<uint64_t>(a[i] ^ b[i]);
   }
   return acc;
+}
+
+// Generic fused access (the contract of KernelAccessSlotMask below): per word,
+//   old = state; state = write ? slot : state; slot = match ? (reveal ? old : 0) : slot.
+// `keep` is reveal & match, so the response lane is old & keep | slot & ~match. The
+// masks are re-barriered every word, like CtCondCopyBytesMask, to keep this loop in its
+// audited scalar form rather than the autovectorizer's.
+inline void GenericAccessSlot(uint64_t write, uint64_t match, uint64_t reveal,
+                              uint8_t* state, uint8_t* slot, size_t n) {
+  const uint64_t keep = reveal & match;
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const uint64_t w = ValueBarrier(write);
+    const uint64_t m = ValueBarrier(match);
+    const uint64_t k = ValueBarrier(keep);
+    uint64_t sw;
+    uint64_t lw;
+    std::memcpy(&sw, state + i, 8);
+    std::memcpy(&lw, slot + i, 8);
+    const uint64_t new_state = (lw & w) | (sw & ~w);
+    const uint64_t new_slot = (sw & k) | (lw & ~m);
+    std::memcpy(state + i, &new_state, 8);
+    std::memcpy(slot + i, &new_slot, 8);
+  }
+  const auto w8 = static_cast<uint8_t>(write);
+  const auto m8 = static_cast<uint8_t>(match);
+  const auto k8 = static_cast<uint8_t>(keep);
+  for (; i < n; ++i) {
+    const uint8_t sb = state[i];
+    const uint8_t lb = slot[i];
+    state[i] = static_cast<uint8_t>((lb & w8) | (sb & static_cast<uint8_t>(~w8)));
+    slot[i] = static_cast<uint8_t>((sb & k8) | (lb & static_cast<uint8_t>(~m8)));
+  }
 }
 
 #if SNOOPY_KERNELS_X86
@@ -225,6 +259,33 @@ __attribute__((target("sse2"))) inline uint64_t KernelSse2DiffWord(const uint8_t
   uint64_t lanes[2];
   _mm_storeu_si128(reinterpret_cast<__m128i*>(lanes), acc);
   return lanes[0] | lanes[1] | GenericDiffWord(a + i, b + i, n - i);
+}
+
+// One 16-byte step of the fused access: vw/vm/vk are the broadcast write, match and
+// reveal&match masks. Shared by the SSE2 loop and the AVX2/AVX-512 16-byte tails.
+__attribute__((target("sse2"))) inline void KernelAccessStep16(__m128i vw, __m128i vm,
+                                                               __m128i vk, uint8_t* state,
+                                                               uint8_t* slot) {
+  const __m128i sv = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  const __m128i lv = _mm_loadu_si128(reinterpret_cast<const __m128i*>(slot));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_or_si128(_mm_and_si128(lv, vw), _mm_andnot_si128(vw, sv)));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(slot),
+                   _mm_or_si128(_mm_and_si128(sv, vk), _mm_andnot_si128(vm, lv)));
+}
+
+__attribute__((target("sse2"))) inline void KernelSse2AccessSlot(uint64_t write, uint64_t match,
+                                                                 uint64_t reveal, uint8_t* state,
+                                                                 uint8_t* slot, size_t n) {
+  const __m128i vw = KernelVecBarrier(_mm_set1_epi64x(static_cast<long long>(write)));
+  const __m128i vm = KernelVecBarrier(_mm_set1_epi64x(static_cast<long long>(match)));
+  const __m128i vk =
+      KernelVecBarrier(_mm_set1_epi64x(static_cast<long long>(reveal & match)));
+  size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    KernelAccessStep16(vw, vm, vk, state + i, slot + i);
+  }
+  GenericAccessSlot(write, match, reveal, state + i, slot + i, n - i);
 }
 
 // ---- AVX2: 32-byte lanes ----
@@ -293,6 +354,37 @@ __attribute__((target("avx2"))) inline uint64_t KernelAvx2DiffWord(const uint8_t
   uint64_t lanes[2];
   _mm_storeu_si128(reinterpret_cast<__m128i*>(lanes), acc128);
   return lanes[0] | lanes[1] | GenericDiffWord(a + i, b + i, n - i);
+}
+
+// One 32-byte step of the fused access; shared by the AVX2 loop and the AVX-512 tail.
+__attribute__((target("avx2"))) inline void KernelAccessStep32(__m256i vw, __m256i vm,
+                                                               __m256i vk, uint8_t* state,
+                                                               uint8_t* slot) {
+  const __m256i sv = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(state));
+  const __m256i lv = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(slot));
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(state),
+                      _mm256_or_si256(_mm256_and_si256(lv, vw), _mm256_andnot_si256(vw, sv)));
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(slot),
+                      _mm256_or_si256(_mm256_and_si256(sv, vk), _mm256_andnot_si256(vm, lv)));
+}
+
+__attribute__((target("avx2"))) inline void KernelAvx2AccessSlot(uint64_t write, uint64_t match,
+                                                                 uint64_t reveal, uint8_t* state,
+                                                                 uint8_t* slot, size_t n) {
+  const __m256i vw = KernelVecBarrier256(_mm256_set1_epi64x(static_cast<long long>(write)));
+  const __m256i vm = KernelVecBarrier256(_mm256_set1_epi64x(static_cast<long long>(match)));
+  const __m256i vk =
+      KernelVecBarrier256(_mm256_set1_epi64x(static_cast<long long>(reveal & match)));
+  size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    KernelAccessStep32(vw, vm, vk, state + i, slot + i);
+  }
+  if (i + 16 <= n) {
+    KernelAccessStep16(_mm256_castsi256_si128(vw), _mm256_castsi256_si128(vm),
+                       _mm256_castsi256_si128(vk), state + i, slot + i);
+    i += 16;
+  }
+  GenericAccessSlot(write, match, reveal, state + i, slot + i, n - i);
 }
 
 // ---- AVX-512: 64-byte lanes; the copy is the paper's masked-move construction ----
@@ -404,6 +496,41 @@ __attribute__((target("avx512f,avx512bw"))) inline uint64_t KernelAvx512DiffWord
   return wide_or | lanes[0] | lanes[1] | GenericDiffWord(a + i, b + i, n - i);
 }
 
+__attribute__((target("avx512f,avx512bw"))) inline void KernelAvx512AccessSlot(
+    uint64_t write, uint64_t match, uint64_t reveal, uint8_t* state, uint8_t* slot,
+    size_t n) {
+  // Masked moves as in KernelAvx512CondCopy: the k-masks pick bytes in registers and
+  // both stores are full-width, so the written byte set is mask-independent.
+  const __mmask64 kw = _cvtu64_mask64(ValueBarrier(write));
+  const __mmask64 km = _cvtu64_mask64(ValueBarrier(match));
+  const __mmask64 kk = _cvtu64_mask64(ValueBarrier(reveal & match));
+  size_t i = 0;
+  for (; i + 64 <= n; i += 64) {
+    const __m512i sv = _mm512_loadu_si512(state + i);
+    const __m512i lv = _mm512_loadu_si512(slot + i);
+    _mm512_storeu_si512(state + i, _mm512_mask_blend_epi8(kw, sv, lv));
+    _mm512_storeu_si512(slot + i, _mm512_mask_blend_epi8(km, lv, _mm512_maskz_mov_epi8(kk, sv)));
+  }
+  // Sub-64-byte tails at AVX2/SSE2 width, with the masks re-broadcast rather than
+  // narrowed (see KernelAvx512CondSwap).
+  if (i + 16 <= n) {
+    const __m256i vw = KernelVecBarrier256(_mm256_set1_epi64x(static_cast<long long>(write)));
+    const __m256i vm = KernelVecBarrier256(_mm256_set1_epi64x(static_cast<long long>(match)));
+    const __m256i vk =
+        KernelVecBarrier256(_mm256_set1_epi64x(static_cast<long long>(reveal & match)));
+    if (i + 32 <= n) {
+      KernelAccessStep32(vw, vm, vk, state + i, slot + i);
+      i += 32;
+    }
+    if (i + 16 <= n) {
+      KernelAccessStep16(_mm256_castsi256_si128(vw), _mm256_castsi256_si128(vm),
+                         _mm256_castsi256_si128(vk), state + i, slot + i);
+      i += 16;
+    }
+  }
+  GenericAccessSlot(write, match, reveal, state + i, slot + i, n - i);
+}
+
 #endif  // SNOOPY_KERNELS_X86
 
 }  // namespace kernel_internal
@@ -459,6 +586,36 @@ inline void KernelCondSwapBytesMask(uint64_t mask, void* a, void* b, size_t n) {
   CtCondSwapBytesMask(mask, a, b, n);
 }
 
+// Fused oblivious access of one (state, slot) pair, one load and one store of each per
+// word. With all-ones/all-zeros masks it computes
+//   old = state; state = write ? slot : state; slot = match ? (reveal ? old : 0) : slot,
+// which equals staging `old` with a memcpy and then three conditional copies:
+// state <- slot under write, slot <- old under match, slot <- zeros under
+// match & !reveal. Every byte of both operands is read and written whatever the masks.
+// The subORAM scan (object value = state, request slot = slot) and the load balancer's
+// response propagation (carried response = state, request = slot) both run on it.
+inline void KernelAccessSlotMask(uint64_t write, uint64_t match, uint64_t reveal, void* state,
+                                 void* slot, size_t n) {
+  auto* ps = static_cast<uint8_t*>(state);
+  auto* pl = static_cast<uint8_t*>(slot);
+#if SNOOPY_KERNELS_X86
+  const KernelBackend backend = ActiveKernelBackend();
+  if (backend == KernelBackend::kAVX512) {
+    kernel_internal::KernelAvx512AccessSlot(write, match, reveal, ps, pl, n);
+    return;
+  }
+  if (backend == KernelBackend::kAVX2) {
+    kernel_internal::KernelAvx2AccessSlot(write, match, reveal, ps, pl, n);
+    return;
+  }
+  if (backend == KernelBackend::kSSE2) {
+    kernel_internal::KernelSse2AccessSlot(write, match, reveal, ps, pl, n);
+    return;
+  }
+#endif
+  kernel_internal::GenericAccessSlot(write, match, reveal, ps, pl, n);
+}
+
 // OR of all byte differences between a and b (zero iff equal); the shared core of the
 // bool- and Secret-typed equality entry points.
 inline uint64_t KernelDiffBytesWord(const void* a, const void* b, size_t n) {
@@ -495,6 +652,11 @@ inline void KernelCondCopyBytes(SecretBool c, void* dst, const void* src, size_t
 
 inline void KernelCondSwapBytes(SecretBool c, void* a, void* b, size_t n) {
   KernelCondSwapBytesMask(c.mask(), a, b, n);
+}
+
+inline void KernelAccessSlot(SecretBool write, SecretBool match, SecretBool reveal, void* state,
+                             void* slot, size_t n) {
+  KernelAccessSlotMask(write.mask(), match.mask(), reveal.mask(), state, slot, n);
 }
 
 // ---- Cache-tile geometry for the depth-first bitonic sort (public) ----

@@ -100,6 +100,14 @@ CTDF_ROOT uint64_t ctdf_kernel_equal(const uint8_t* a, const uint8_t* b, size_t 
   return snoopy::KernelDiffBytesWord(a, b, n);
 }
 
+// The fused subORAM-scan / LB-propagate access: three secret masks, and both operands
+// hold secret bytes.
+// ctdf-symbol: ctdf_kernel_access_slot secret=val:rdi,val:rsi,val:rdx,ptr:rcx,ptr:r8
+CTDF_ROOT void ctdf_kernel_access_slot(uint64_t write, uint64_t match, uint64_t reveal,
+                                       uint8_t* state, uint8_t* slot, size_t n) {
+  snoopy::KernelAccessSlotMask(write, match, reveal, state, slot, n);
+}
+
 // ---- Per-backend kernel internals (audited even when CPUID dispatch would not
 //      select them on this machine; the analysis is static) ----
 
@@ -117,6 +125,12 @@ CTDF_ROOT void ctdf_generic_cond_swap(uint64_t mask, uint8_t* a, uint8_t* b, siz
 // ctdf-symbol: ctdf_generic_equal secret=ptr:rdi,ptr:rsi backend=generic
 CTDF_ROOT uint64_t ctdf_generic_equal(const uint8_t* a, const uint8_t* b, size_t n) {
   return snoopy::kernel_internal::GenericDiffWord(a, b, n);
+}
+
+// ctdf-symbol: ctdf_generic_access_slot secret=val:rdi,val:rsi,val:rdx,ptr:rcx,ptr:r8 backend=generic
+CTDF_ROOT void ctdf_generic_access_slot(uint64_t write, uint64_t match, uint64_t reveal,
+                                        uint8_t* state, uint8_t* slot, size_t n) {
+  snoopy::kernel_internal::GenericAccessSlot(write, match, reveal, state, slot, n);
 }
 
 #if SNOOPY_KERNELS_X86
@@ -137,6 +151,12 @@ CTDF_ROOT uint64_t ctdf_sse2_equal(const uint8_t* a, const uint8_t* b, size_t n)
   return snoopy::kernel_internal::KernelSse2DiffWord(a, b, n);
 }
 
+// ctdf-symbol: ctdf_sse2_access_slot secret=val:rdi,val:rsi,val:rdx,ptr:rcx,ptr:r8 backend=sse2
+CTDF_ROOT void ctdf_sse2_access_slot(uint64_t write, uint64_t match, uint64_t reveal,
+                                     uint8_t* state, uint8_t* slot, size_t n) {
+  snoopy::kernel_internal::KernelSse2AccessSlot(write, match, reveal, state, slot, n);
+}
+
 // ctdf-symbol: ctdf_avx2_cond_copy secret=val:rdi,ptr:rsi,ptr:rdx backend=avx2
 CTDF_ROOT void ctdf_avx2_cond_copy(uint64_t mask, uint8_t* d, const uint8_t* s,
                                    size_t n) {
@@ -153,6 +173,12 @@ CTDF_ROOT uint64_t ctdf_avx2_equal(const uint8_t* a, const uint8_t* b, size_t n)
   return snoopy::kernel_internal::KernelAvx2DiffWord(a, b, n);
 }
 
+// ctdf-symbol: ctdf_avx2_access_slot secret=val:rdi,val:rsi,val:rdx,ptr:rcx,ptr:r8 backend=avx2
+CTDF_ROOT void ctdf_avx2_access_slot(uint64_t write, uint64_t match, uint64_t reveal,
+                                     uint8_t* state, uint8_t* slot, size_t n) {
+  snoopy::kernel_internal::KernelAvx2AccessSlot(write, match, reveal, state, slot, n);
+}
+
 // ctdf-symbol: ctdf_avx512_cond_copy secret=val:rdi,ptr:rsi,ptr:rdx backend=avx512
 CTDF_ROOT void ctdf_avx512_cond_copy(uint64_t mask, uint8_t* d, const uint8_t* s,
                                      size_t n) {
@@ -167,6 +193,12 @@ CTDF_ROOT void ctdf_avx512_cond_swap(uint64_t mask, uint8_t* a, uint8_t* b, size
 // ctdf-symbol: ctdf_avx512_equal secret=ptr:rdi,ptr:rsi backend=avx512
 CTDF_ROOT uint64_t ctdf_avx512_equal(const uint8_t* a, const uint8_t* b, size_t n) {
   return snoopy::kernel_internal::KernelAvx512DiffWord(a, b, n);
+}
+
+// ctdf-symbol: ctdf_avx512_access_slot secret=val:rdi,val:rsi,val:rdx,ptr:rcx,ptr:r8 backend=avx512
+CTDF_ROOT void ctdf_avx512_access_slot(uint64_t write, uint64_t match, uint64_t reveal,
+                                       uint8_t* state, uint8_t* slot, size_t n) {
+  snoopy::kernel_internal::KernelAvx512AccessSlot(write, match, reveal, state, slot, n);
 }
 
 #endif  // SNOOPY_KERNELS_X86

@@ -44,6 +44,15 @@ __attribute__((noipa)) uint64_t nb_ct_equal32(const uint8_t* a, const uint8_t* b
   return static_cast<uint64_t>(snoopy::CtEqualBytes(a, b, 32));
 }
 
+// The fused access kernel's generic form: two 8-byte words and a 3-byte scalar tail.
+// nb-symbol: nb_kernel_generic_access_slot19
+__attribute__((noipa)) void nb_kernel_generic_access_slot19(uint64_t w, uint64_t m,
+                                                           uint64_t r,
+                                                           uint8_t* __restrict__ state,
+                                                           uint8_t* __restrict__ slot) {
+  snoopy::kernel_internal::GenericAccessSlot(w, m, r, state, slot, 19);
+}
+
 // nb-symbol: nb_secret_select
 __attribute__((noipa)) uint64_t nb_secret_select(uint64_t c, uint64_t a, uint64_t b) {
   using namespace snoopy;
@@ -87,6 +96,15 @@ __attribute__((noipa, target("sse2"))) uint64_t nb_kernel_sse2_equal48(const uin
   return snoopy::kernel_internal::KernelSse2DiffWord(a, b, 48);
 }
 
+// Access sizes add an 8-byte word and a 3-byte scalar tail to each backend's wide loop
+// and vector tail steps, so every tail of the fused kernel is reached.
+// nb-symbol[x86]: nb_kernel_sse2_access_slot43
+__attribute__((noipa, target("sse2"))) void nb_kernel_sse2_access_slot43(
+    uint64_t w, uint64_t m, uint64_t r, uint8_t* __restrict__ state,
+    uint8_t* __restrict__ slot) {
+  snoopy::kernel_internal::KernelSse2AccessSlot(w, m, r, state, slot, 43);
+}
+
 // nb-symbol[x86]: nb_kernel_avx2_cond_copy80
 __attribute__((noipa, target("avx2"))) void nb_kernel_avx2_cond_copy80(
     uint64_t m, uint8_t* __restrict__ d, const uint8_t* __restrict__ s) {
@@ -105,6 +123,13 @@ __attribute__((noipa, target("avx2"))) uint64_t nb_kernel_avx2_equal80(const uin
   return snoopy::kernel_internal::KernelAvx2DiffWord(a, b, 80);
 }
 
+// nb-symbol[x86]: nb_kernel_avx2_access_slot91
+__attribute__((noipa, target("avx2"))) void nb_kernel_avx2_access_slot91(
+    uint64_t w, uint64_t m, uint64_t r, uint8_t* __restrict__ state,
+    uint8_t* __restrict__ slot) {
+  snoopy::kernel_internal::KernelAvx2AccessSlot(w, m, r, state, slot, 91);
+}
+
 // nb-symbol[x86]: nb_kernel_avx512_cond_copy208
 __attribute__((noipa, target("avx512f,avx512bw"))) void nb_kernel_avx512_cond_copy208(
     uint64_t m, uint8_t* __restrict__ d, const uint8_t* __restrict__ s) {
@@ -121,6 +146,13 @@ __attribute__((noipa, target("avx512f,avx512bw"))) void nb_kernel_avx512_cond_sw
 __attribute__((noipa, target("avx512f,avx512bw"))) uint64_t nb_kernel_avx512_equal208(
     const uint8_t* a, const uint8_t* b) {
   return snoopy::kernel_internal::KernelAvx512DiffWord(a, b, 208);
+}
+
+// nb-symbol[x86]: nb_kernel_avx512_access_slot187
+__attribute__((noipa, target("avx512f,avx512bw"))) void nb_kernel_avx512_access_slot187(
+    uint64_t w, uint64_t m, uint64_t r, uint8_t* __restrict__ state,
+    uint8_t* __restrict__ slot) {
+  snoopy::kernel_internal::KernelAvx512AccessSlot(w, m, r, state, slot, 187);
 }
 
 #endif  // SNOOPY_KERNELS_X86

@@ -188,6 +188,45 @@ TEST(Kernels, EqualMatchesScalarIncludingTailDiffs) {
   }
 }
 
+// The fused access kernel against the sequence it replaces: stage the state with a
+// memcpy, then state <- slot under write, slot <- old under match, and slot <- zeros
+// under match & !reveal, all with the scalar primitive. Every length 0..300 (each
+// vector width's loop and every tail step), misaligned operands with guard bytes, and
+// all eight (write, match, reveal) triples.
+TEST(Kernels, AccessSlotMatchesStagedSequenceEverywhere) {
+  Rng rng(104);
+  const std::vector<uint8_t> zeros(300, 0);
+  for (const KernelBackend backend : SupportedKernelBackends()) {
+    BackendGuard guard;
+    SetKernelBackend(backend);
+    for (size_t n = 0; n <= 300; ++n) {
+      const size_t mis_s = n % 17;
+      const size_t mis_l = static_cast<size_t>(rng.Uniform(32));
+      for (int triple = 0; triple < 8; ++triple) {
+        const uint64_t write = (triple & 1) != 0 ? ~uint64_t{0} : 0;
+        const uint64_t match = (triple & 2) != 0 ? ~uint64_t{0} : 0;
+        const uint64_t reveal = (triple & 4) != 0 ? ~uint64_t{0} : 0;
+        std::vector<uint8_t> state(n + 64 + mis_s);
+        std::vector<uint8_t> slot(n + 64 + mis_l);
+        for (auto& b : state) b = static_cast<uint8_t>(rng.Next64());
+        for (auto& b : slot) b = static_cast<uint8_t>(rng.Next64());
+        std::vector<uint8_t> want_state = state;
+        std::vector<uint8_t> want_slot = slot;
+        std::vector<uint8_t> old(want_state.begin() + static_cast<std::ptrdiff_t>(mis_s),
+                                 want_state.begin() + static_cast<std::ptrdiff_t>(mis_s + n));
+        CtCondCopyBytesMask(write, want_state.data() + mis_s, want_slot.data() + mis_l, n);
+        CtCondCopyBytesMask(match, want_slot.data() + mis_l, old.data(), n);
+        CtCondCopyBytesMask(match & ~reveal, want_slot.data() + mis_l, zeros.data(), n);
+        KernelAccessSlotMask(write, match, reveal, state.data() + mis_s, slot.data() + mis_l, n);
+        ASSERT_EQ(state, want_state) << KernelBackendName(backend) << " n=" << n
+                                     << " triple=" << triple;
+        ASSERT_EQ(slot, want_slot) << KernelBackendName(backend) << " n=" << n
+                                   << " triple=" << triple;
+      }
+    }
+  }
+}
+
 TEST(Kernels, SecretBoolFormsMatchMaskForms) {
   BackendGuard guard;
   for (const KernelBackend backend : SupportedKernelBackends()) {
@@ -201,6 +240,16 @@ TEST(Kernels, SecretBoolFormsMatchMaskForms) {
     EXPECT_EQ(a[0], 2);
     KernelCondCopyBytes(SecretBool::FromBool(true), a.data(), b.data(), a.size());
     EXPECT_EQ(a[0], 1);
+    std::vector<uint8_t> state(160, 3);
+    std::vector<uint8_t> slot(160, 4);
+    const SecretBool yes = SecretBool::FromBool(true);
+    const SecretBool no = SecretBool::FromBool(false);
+    KernelAccessSlot(yes, yes, yes, state.data(), slot.data(), state.size());
+    EXPECT_EQ(state, std::vector<uint8_t>(160, 4));
+    EXPECT_EQ(slot, std::vector<uint8_t>(160, 3));
+    KernelAccessSlot(no, yes, no, state.data(), slot.data(), state.size());
+    EXPECT_EQ(state, std::vector<uint8_t>(160, 4));
+    EXPECT_EQ(slot, std::vector<uint8_t>(160, 0));
   }
 }
 

@@ -185,6 +185,53 @@ TEST(SubOramRollback, SealRestoreRoundTripAndReplayDetection) {
   EXPECT_EQ(v, std::vector<uint8_t>(16, 0xEE));
 }
 
+// An authentic snapshot (sealed under the current counter) whose payload disagrees
+// with its own header is corrupt, not a crash or an over-read: shorter than the
+// 16-byte header, or a record count that does not match the bytes that follow it --
+// including a count whose byte length would overflow.
+TEST(SubOramRollback, RestoreRefusesMalformedPayloads) {
+  SubOramConfig cfg;
+  cfg.value_size = 16;
+  cfg.lambda = 40;
+  const uint64_t vs = cfg.value_size;
+  const size_t record_bytes = 8 + cfg.value_size;
+  MonotonicCounterService svc;
+  SealedStore sealed(TestKey(), &svc);
+  const uint64_t ctr = svc.Create();
+  auto payload_with = [&](uint64_t count, size_t records_present) {
+    std::vector<uint8_t> payload(16 + records_present * record_bytes, 0x33);
+    std::memcpy(payload.data(), &vs, 8);
+    std::memcpy(payload.data() + 8, &count, 8);
+    return payload;
+  };
+  SubOram so(cfg, 7);
+
+  const std::vector<uint8_t> short_blob = sealed.Seal(ctr, std::vector<uint8_t>(9, 0));
+  EXPECT_EQ(so.RestoreState(sealed, ctr, short_blob), UnsealStatus::kCorrupt);
+  const std::vector<uint8_t> empty_blob = sealed.Seal(ctr, std::vector<uint8_t>{});
+  EXPECT_EQ(so.RestoreState(sealed, ctr, empty_blob), UnsealStatus::kCorrupt);
+
+  const std::vector<uint8_t> too_few = sealed.Seal(ctr, payload_with(5, 2));
+  EXPECT_EQ(so.RestoreState(sealed, ctr, too_few), UnsealStatus::kCorrupt);
+  const std::vector<uint8_t> too_many = sealed.Seal(ctr, payload_with(2, 5));
+  EXPECT_EQ(so.RestoreState(sealed, ctr, too_many), UnsealStatus::kCorrupt);
+  std::vector<uint8_t> ragged = payload_with(2, 2);
+  ragged.push_back(0);
+  const std::vector<uint8_t> ragged_blob = sealed.Seal(ctr, ragged);
+  EXPECT_EQ(so.RestoreState(sealed, ctr, ragged_blob), UnsealStatus::kCorrupt);
+  // 2^61 records of 24 bytes is 3 * 2^64 bytes, which wraps to 0: a wrapping multiply
+  // would match the empty body.
+  const std::vector<uint8_t> overflow_blob = sealed.Seal(ctr, payload_with(uint64_t{1} << 61, 0));
+  EXPECT_EQ(so.RestoreState(sealed, ctr, overflow_blob), UnsealStatus::kCorrupt);
+
+  // A well-formed payload under the same counter still restores.
+  const std::vector<uint8_t> good = sealed.Seal(ctr, payload_with(2, 2));
+  ASSERT_EQ(so.RestoreState(sealed, ctr, good), UnsealStatus::kOk);
+  std::vector<uint8_t> v;  // every record byte is 0x33, the key included
+  EXPECT_TRUE(so.DebugRead(0x3333333333333333ULL, &v));
+  EXPECT_EQ(v, std::vector<uint8_t>(16, 0x33));
+}
+
 // Every sealed snapshot plus every stripe the hosts hold (payload, then its seal
 // counter as 8 little-endian bytes) after three write epochs, hashed in subORAM
 // order. The digests pin the epoch-boundary seal's output byte for byte: the pooled,

@@ -9,6 +9,7 @@
 
 #include "src/crypto/rng.h"
 #include "src/enclave/trace.h"
+#include "src/obl/kernels.h"
 
 namespace snoopy {
 namespace {
@@ -197,6 +198,83 @@ TEST(SubOram, TraceIndependentOfRequestContents) {
                                  {5, kOpRead, {}},
                                  {33, kOpWrite, ValueFor(33, 2)}});
   EXPECT_EQ(d1, d2);
+}
+
+// Everything one seeded scan leaves behind under a pinned kernel backend: the response
+// records (headers and values, in output order), every stored object afterwards, and
+// the enclave trace digest.
+struct ScanOutcome {
+  std::vector<uint8_t> responses;
+  std::vector<uint8_t> store;
+  uint64_t trace_digest = 0;
+};
+
+ScanOutcome ScanUnderBackend(KernelBackend backend) {
+  // An odd value size drives every vector width's tail steps and the scalar tail.
+  constexpr size_t kOddValue = 173;
+  constexpr uint64_t kObjects = 96;
+  const KernelBackend saved = ActiveKernelBackend();
+  SetKernelBackend(backend);
+  SubOramConfig cfg;
+  cfg.value_size = kOddValue;
+  cfg.lambda = 40;
+  SubOram so(cfg, 21);
+  Rng rng(5);
+  std::vector<std::pair<uint64_t, std::vector<uint8_t>>> objects;
+  for (uint64_t k = 0; k < kObjects; ++k) {
+    std::vector<uint8_t> v(kOddValue);
+    for (auto& b : v) b = static_cast<uint8_t>(rng.Next64());
+    objects.emplace_back(k, std::move(v));
+  }
+  so.Initialize(objects);
+
+  // Keys 0..39: granted reads and writes, denied reads and writes in turn. Then LB
+  // dummies, which carry reserved keys. The table's own padding slots sit in every
+  // scanned bucket as well.
+  RequestBatch batch(kOddValue);
+  for (uint64_t k = 0; k < 40; ++k) {
+    RequestHeader h;
+    h.key = k;
+    h.op = (k % 2 == 0) ? kOpRead : kOpWrite;
+    h.granted = (k % 4 < 2) ? 1 : 0;
+    h.client_seq = k;
+    std::vector<uint8_t> payload(kOddValue);
+    for (auto& b : payload) b = static_cast<uint8_t>(rng.Next64());
+    batch.Append(h, payload);
+  }
+  for (uint64_t d = 0; d < 6; ++d) {
+    RequestHeader h;
+    h.key = kDummyKeyBase | d;
+    batch.Append(h, std::vector<uint8_t>(kOddValue, 0x5A));
+  }
+
+  ScanOutcome outcome;
+  {
+    TraceScope scope;
+    RequestBatch out = so.ProcessBatch(std::move(batch));
+    outcome.trace_digest = scope.Digest();
+    const uint8_t* bytes = out.slab().data();
+    outcome.responses.assign(bytes, bytes + out.size() * out.slab().record_bytes());
+  }
+  for (uint64_t k = 0; k < kObjects; ++k) {
+    std::vector<uint8_t> v;
+    EXPECT_TRUE(so.DebugRead(k, &v));
+    outcome.store.insert(outcome.store.end(), v.begin(), v.end());
+  }
+  SetKernelBackend(saved);
+  return outcome;
+}
+
+TEST(SubOram, ScanBytesAndTraceIdenticalAcrossBackends) {
+  const ScanOutcome reference = ScanUnderBackend(KernelBackend::kGeneric);
+  ASSERT_FALSE(reference.responses.empty());
+  ASSERT_NE(reference.trace_digest, 0u);
+  for (const KernelBackend backend : SupportedKernelBackends()) {
+    const ScanOutcome got = ScanUnderBackend(backend);
+    EXPECT_EQ(got.responses, reference.responses) << KernelBackendName(backend);
+    EXPECT_EQ(got.store, reference.store) << KernelBackendName(backend);
+    EXPECT_EQ(got.trace_digest, reference.trace_digest) << KernelBackendName(backend);
+  }
 }
 
 TEST(SubOram, EmptyBatchIsFine) {

@@ -73,9 +73,10 @@ echo "== forced-generic kernel backend (dispatch-sensitive suites) =="
 # happens to select. The crypto suites follow the same dispatch (ChaCha20's vector
 # keystream, SHA-256's SHA-NI compression), so their known-answer tests and the
 # SHA-256 consumers (HMAC, attestation, the Merkle tree, the pinned seal-boundary
-# bytes) rerun on the scalar code too.
+# bytes) rerun on the scalar code too. The load balancer's response propagation and
+# the epoch-trace suites run the fused access kernel, so they rerun here as well.
 SNOOPY_FORCE_GENERIC_KERNELS=1 ctest --test-dir build --output-on-failure --no-tests=error \
-  -R '(Primitives|Kernel|BitonicSort|BlockedSort|Compaction|BinPlacement|HashTable|SubOram|Sha256|Hmac|ChaCha20|Poly1305|Aead|Attestation|MerkleTree|SealBoundary)'
+  -R '(Primitives|Kernel|BitonicSort|BlockedSort|Compaction|BinPlacement|HashTable|SubOram|LoadBalancer|Obliviousness|Sha256|Hmac|ChaCha20|Poly1305|Aead|Attestation|MerkleTree|SealBoundary)'
 
 echo "== lint target (clang-tidy when installed) =="
 cmake --build build --target lint
