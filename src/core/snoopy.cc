@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <iterator>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -226,22 +225,7 @@ void Snoopy::Construct() {
     pending_.emplace_back(config_.value_size);
   }
   for (uint32_t so = 0; so < config_.num_suborams; ++so) {
-    so_enclaves_.push_back(std::make_unique<Enclave>("snoopy-suboram", so));
-    suborams_.push_back(factory_->Create(so, rng_.Next64()));
-  }
-
-  // Attested links between every load balancer and subORAM pair, then endpoint
-  // registration on the message network.
-  links_.resize(config_.num_load_balancers);
-  link_generation_.resize(config_.num_load_balancers);
-  for (uint32_t lb = 0; lb < config_.num_load_balancers; ++lb) {
-    link_generation_[lb].assign(config_.num_suborams, 0);
-    for (uint32_t so = 0; so < config_.num_suborams; ++so) {
-      links_[lb].push_back(AttestLink(*lb_enclaves_[lb], *so_enclaves_[so],
-                                      lb * config_.num_suborams + so));
-    }
-  }
-  for (uint32_t so = 0; so < config_.num_suborams; ++so) {
+    partitions_.push_back(MakePartition(so, config_.num_suborams));
     RegisterSubOramEndpoints(so);
   }
 
@@ -249,16 +233,21 @@ void Snoopy::Construct() {
   // snapshots plus one trusted monotonic counter per subORAM. Drawn after all other
   // construction-time randomness so existing seeded deployments are unchanged.
   sealed_store_ = std::make_unique<SealedStore>(rng_.NextKey32(), &counters_);
-  for (uint32_t so = 0; so < config_.num_suborams; ++so) {
-    so_counter_ids_.push_back(counters_.Create());
+  for (Partition& p : partitions_) {
+    p.counter_id = counters_.Create();
   }
-  so_snapshots_.resize(config_.num_suborams);
-  so_response_cache_.resize(config_.num_suborams);
-  so_executed_lbs_.resize(config_.num_suborams);
-  so_health_.assign(config_.num_suborams, PartitionHealth::kHealthy);
-  so_repair_.resize(config_.num_suborams);
-  stripe_store_.resize(config_.num_suborams);
   network_.set_clock(&clock_);
+}
+
+Snoopy::Partition Snoopy::MakePartition(uint32_t so, uint32_t num_suborams) {
+  Partition p;
+  p.enclave = std::make_unique<Enclave>("snoopy-suboram", so);
+  p.backend = factory_->Create(so, rng_.Next64());
+  for (uint32_t lb = 0; lb < config_.num_load_balancers; ++lb) {
+    p.links.push_back(AttestLink(*lb_enclaves_[lb], *p.enclave, lb * num_suborams + so));
+  }
+  p.link_generation.assign(config_.num_load_balancers, 0);
+  return p;
 }
 
 void Snoopy::RegisterSubOramEndpoints(uint32_t so) {
@@ -285,72 +274,49 @@ double Snoopy::NowSeconds() const {
   return fault_injector_ != nullptr ? clock_.now_s() : SpanTimer::SteadyNowSeconds();
 }
 
-// Phase names whose duration histograms are pre-resolved in EpochMetrics(): the
-// per-epoch pipeline phases plus the epoch-boundary seal and repair spans.
-constexpr const char* kCachedPhaseNames[] = {"lb_prepare", "suboram_execute",
-                                             "response_match", "seal", "repair"};
-constexpr size_t kNumCachedPhases =
-    sizeof(kCachedPhaseNames) / sizeof(kCachedPhaseNames[0]);
+// Label values of snoopy_epoch_phase_seconds{phase}, indexed by Phase; the pooled
+// phases' pool metrics carry the same labels.
+constexpr const char* kPhaseNames[] = {"lb_prepare", "suboram_execute", "response_match",
+                                       "seal", "repair"};
 
-Histogram* Snoopy::PhaseHistogram(const char* phase) const {
+const Snoopy::MetricsCache* Snoopy::Metrics() const {
+  static_assert(std::size(kPhaseNames) == kNumPhases);
   if (metrics_ == nullptr) {
     return nullptr;
   }
-  const EpochMetricsCache* cache = EpochMetrics();
-  for (size_t i = 0; i < kNumCachedPhases; ++i) {
-    if (std::strcmp(phase, kCachedPhaseNames[i]) == 0) {
-      return cache->phase_seconds[i];
-    }
-  }
-  return &metrics_->GetHistogram("snoopy_epoch_phase_seconds", {{"phase", phase}});
-}
-
-const Snoopy::EpochMetricsCache* Snoopy::EpochMetrics() const {
-  if (metrics_ == nullptr) {
-    return nullptr;
-  }
-  if (epoch_metrics_registry_ != metrics_) {
-    EpochMetricsCache cache;
+  if (metrics_cache_registry_ != metrics_) {
+    MetricsCache cache;
     cache.epoch_seconds = &metrics_->GetHistogram("snoopy_epoch_seconds");
     cache.epochs_total = &metrics_->GetCounter("snoopy_epochs_total");
     cache.requests_total = &metrics_->GetCounter("snoopy_requests_total");
-    cache.degraded_epochs_total =
-        &metrics_->GetCounter("snoopy_degraded_epochs_total");
-    cache.deferred_requests_total =
-        &metrics_->GetCounter("snoopy_deferred_requests_total");
-    for (size_t i = 0; i < kNumCachedPhases; ++i) {
-      cache.phase_seconds.push_back(&metrics_->GetHistogram(
-          "snoopy_epoch_phase_seconds", {{"phase", kCachedPhaseNames[i]}}));
+    cache.degraded_epochs_total = &metrics_->GetCounter("snoopy_degraded_epochs_total");
+    cache.deferred_requests_total = &metrics_->GetCounter("snoopy_deferred_requests_total");
+    for (size_t i = 0; i < kNumPhases; ++i) {
+      cache.phase_seconds[i] =
+          &metrics_->GetHistogram("snoopy_epoch_phase_seconds", {{"phase", kPhaseNames[i]}});
+    }
+    for (size_t i = 0; i < kNumPooledPhases; ++i) {
+      cache.pool[i] = PoolPhaseMetrics::Resolve(metrics_, kPhaseNames[i]);
     }
     for (uint32_t lb = 0; lb < config_.num_load_balancers; ++lb) {
-      cache.batch_size.push_back(&metrics_->GetHistogram(
-          "snoopy_batch_size", {{"lb", std::to_string(lb)}}));
+      cache.batch_size.push_back(
+          &metrics_->GetHistogram("snoopy_batch_size", {{"lb", std::to_string(lb)}}));
     }
-    epoch_metrics_ = std::move(cache);
-    epoch_metrics_registry_ = metrics_;
+    metrics_cache_ = std::move(cache);
+    metrics_cache_registry_ = metrics_;
   }
-  return &epoch_metrics_;
+  return &metrics_cache_;
 }
 
-const PoolPhaseMetrics* Snoopy::PoolMetricsFor(const char* phase) const {
-  if (metrics_ == nullptr) {
-    return nullptr;
-  }
-  static constexpr const char* kPhases[] = {"lb_prepare", "suboram_execute",
-                                            "response_match", "seal"};
-  static_assert(std::size(kPhases) == sizeof(pool_phase_metrics_) / sizeof(PoolPhaseMetrics));
-  if (pool_metrics_registry_ != metrics_) {
-    for (size_t i = 0; i < std::size(kPhases); ++i) {
-      pool_phase_metrics_[i] = PoolPhaseMetrics::Resolve(metrics_, kPhases[i]);
-    }
-    pool_metrics_registry_ = metrics_;
-  }
-  for (size_t i = 0; i < std::size(kPhases); ++i) {
-    if (std::strcmp(phase, kPhases[i]) == 0) {
-      return &pool_phase_metrics_[i];
-    }
-  }
-  return nullptr;
+Histogram* Snoopy::PhaseHistogram(Phase phase) const {
+  const MetricsCache* cache = Metrics();
+  return cache != nullptr ? cache->phase_seconds[phase] : nullptr;
+}
+
+PhasePoolContext Snoopy::PoolContext(Phase phase) const {
+  const MetricsCache* cache = Metrics();
+  return {kPhaseNames[phase], tracer_, cache != nullptr ? &cache->pool[phase] : nullptr,
+          [this] { return NowSeconds(); }};
 }
 
 uint64_t Snoopy::EpochSeed(uint32_t lb, uint64_t epoch) const {
@@ -373,7 +339,7 @@ void Snoopy::Initialize(
       parts[lbs_[0]->SubOramOf(obj.first)].push_back(obj);
     }
     for (uint32_t so = 0; so < config_.num_suborams; ++so) {
-      suborams_[so]->Initialize(parts[so]);
+      partitions_[so].backend->Initialize(parts[so]);
     }
   }
   // First rollback-protected snapshot: a subORAM that crashes before its first epoch
@@ -395,21 +361,20 @@ void Snoopy::Initialize(
 // go without locking.
 void Snoopy::SealEpochBoundary() {
   std::vector<StripeEncoding> stripes(config_.num_suborams);
-  RunPhase(config_.num_suborams, config_.epoch_threads,
-           {"seal", tracer_, PoolMetricsFor("seal"), [this] { return NowSeconds(); }},
-           [&](size_t so) {
-    if (HealthOf(static_cast<uint32_t>(so)) == PartitionHealth::kHealthy &&
-        suborams_[so]->SupportsSealing()) {
-      suborams_[so]->SealStateInto(*sealed_store_, so_counter_ids_[so], so_snapshots_[so]);
+  RunPhase(config_.num_suborams, config_.epoch_threads, PoolContext(kSeal), [&](size_t so) {
+    Partition& p = partitions_[so];
+    if (partition_health(static_cast<uint32_t>(so)) == PartitionHealth::kHealthy &&
+        p.backend->SupportsSealing()) {
+      p.backend->SealStateInto(*sealed_store_, p.counter_id, p.snapshot);
       stripes[so] = EncodeStripes(static_cast<uint32_t>(so));
     }
   });
-  for (uint32_t so = 0; so < config_.num_suborams; ++so) {
-    so_response_cache_[so].clear();
-    so_executed_lbs_[so].clear();
+  for (Partition& p : partitions_) {
+    p.response_cache.clear();
+    p.executed_lbs.clear();
   }
   for (uint32_t so = 0; so < config_.num_suborams; ++so) {
-    if (HealthOf(so) == PartitionHealth::kHealthy) {
+    if (partition_health(so) == PartitionHealth::kHealthy) {
       DistributeStripes(so, stripes[so]);
     }
   }
@@ -431,7 +396,7 @@ void Snoopy::InitializeOblivious(
       PartitionSlabByBin(slab, partition_key_, config_.num_suborams, value_size,
                          config_.sort_strategy, config_.lambda);
   for (uint32_t so = 0; so < config_.num_suborams; ++so) {
-    suborams_[so]->Initialize(SlabToObjects(parts[so], value_size));
+    partitions_[so].backend->Initialize(SlabToObjects(parts[so], value_size));
   }
 }
 
@@ -496,8 +461,8 @@ std::vector<uint8_t> Snoopy::SubOramEndpointHandler(uint32_t lb, uint32_t so,
     // A stale or bit-flipped epoch tag; either way the sender must retransmit.
     throw IntegrityError(endpoint);
   }
-  auto& cache = so_response_cache_[so];
-  if (const auto it = cache.find(lb); it != cache.end()) {
+  Partition& p = partitions_[so];
+  if (const auto it = p.response_cache.find(lb); it != p.response_cache.end()) {
     // Retransmit: serve the cached epoch response. Safe to count -- a dedup hit is
     // caused by a network event (duplicate delivery or lost reply) the adversary
     // already observes.
@@ -507,14 +472,13 @@ std::vector<uint8_t> Snoopy::SubOramEndpointHandler(uint32_t lb, uint32_t so,
     return it->second;
   }
   std::vector<uint8_t> plain;
-  if (!links_[lb][so]->a_to_b().Open(payload.subspan(8), plain)) {
+  if (!p.links[lb]->a_to_b().Open(payload.subspan(8), plain)) {
     throw IntegrityError(endpoint);
   }
-  RequestBatch batch = RequestBatch::Deserialize(plain);
-  RequestBatch response = suborams_[so]->ProcessBatch(std::move(batch));
-  so_executed_lbs_[so].insert(lb);
-  std::vector<uint8_t> sealed_resp = links_[lb][so]->b_to_a().Seal(response.Serialize());
-  cache[lb] = sealed_resp;
+  RequestBatch response = p.backend->ProcessBatch(RequestBatch::Deserialize(plain));
+  p.executed_lbs.insert(lb);
+  std::vector<uint8_t> sealed_resp = p.links[lb]->b_to_a().Seal(response.Serialize());
+  p.response_cache[lb] = sealed_resp;
   return sealed_resp;
 }
 
@@ -526,36 +490,43 @@ std::vector<uint8_t> Snoopy::SubOramEndpointHandler(uint32_t lb, uint32_t so,
 std::vector<uint8_t> Snoopy::RetriedSubOramCall(
     uint32_t lb, uint32_t so, const std::vector<uint8_t>& serialized,
     const std::vector<LoadBalancer::PreparedEpoch>* prepared) {
+  const std::string caller = "lb/" + std::to_string(lb);
   const std::string endpoint = SubOramEndpointName(so, lb);
+  const Partition& p = partitions_[so];
   std::vector<uint8_t> envelope;
   uint64_t sealed_generation = ~uint64_t{0};
   auto call = [&]() -> std::vector<uint8_t> {
-    if (sealed_generation != link_generation_[lb][so]) {
-      const std::vector<uint8_t> sealed = links_[lb][so]->a_to_b().Seal(serialized);
+    if (sealed_generation != p.link_generation[lb]) {
+      const std::vector<uint8_t> sealed = p.links[lb]->a_to_b().Seal(serialized);
       envelope.assign(8, 0);
       std::memcpy(envelope.data(), &epoch_, 8);
       envelope.insert(envelope.end(), sealed.begin(), sealed.end());
-      sealed_generation = link_generation_[lb][so];
+      sealed_generation = p.link_generation[lb];
     }
-    std::vector<uint8_t> sealed_resp =
-        network_.Call("lb/" + std::to_string(lb), endpoint, envelope);
+    std::vector<uint8_t> sealed_resp = network_.Call(caller, endpoint, envelope);
     std::vector<uint8_t> plain;
-    if (!links_[lb][so]->b_to_a().Open(sealed_resp, plain)) {
+    if (!p.links[lb]->b_to_a().Open(sealed_resp, plain)) {
       throw IntegrityError(endpoint);
     }
     return plain;
   };
+  return RetriedCall(caller, endpoint, /*jitter_seed=*/EpochSeed(lb, epoch_) ^ so, call, so,
+                     prepared, lb);
+}
 
-  RetryExecutor executor(config_.retry, /*jitter_seed=*/EpochSeed(lb, epoch_) ^ so, &clock_);
-  const std::string caller = "lb/" + std::to_string(lb);
-  executor.set_on_retry([this, &caller, &endpoint] {
+std::vector<uint8_t> Snoopy::RetriedCall(
+    const std::string& caller, const std::string& endpoint, uint64_t jitter_seed,
+    const std::function<std::vector<uint8_t>()>& call, uint32_t so,
+    const std::vector<LoadBalancer::PreparedEpoch>* prepared, uint32_t lb_limit) {
+  RetryExecutor executor(config_.retry, jitter_seed, &clock_);
+  executor.set_on_retry([&] {
     network_.RecordRetry(caller, endpoint);
     if (metrics_ != nullptr) {
       metrics_->GetCounter("snoopy_retries_total", {{"endpoint", endpoint}}).Increment();
     }
   });
   return executor.Execute(
-      call, [&](const EndpointCrashedError&) { RecoverSubOram(so, prepared, lb); });
+      call, [&](const EndpointCrashedError&) { RecoverSubOram(so, prepared, lb_limit); });
 }
 
 RequestBatch Snoopy::CallSubOram(uint32_t lb, uint32_t so,
@@ -565,9 +536,10 @@ RequestBatch Snoopy::CallSubOram(uint32_t lb, uint32_t so,
     // loop catches this, synthesizes a placeholder batch and requeues the partition's
     // requests into the next epoch.
     std::lock_guard<std::mutex> g(health_mu_);
-    if (so_health_[so] != PartitionHealth::kHealthy) {
+    const Partition& p = partitions_[so];
+    if (p.health != PartitionHealth::kHealthy) {
       throw PartitionUnavailableError(SubOramEndpointName(so, lb), so,
-                                      so_repair_[so].epochs_remaining);
+                                      p.repair.epochs_remaining);
     }
   }
   return RequestBatch::Deserialize(RetriedSubOramCall(
@@ -578,30 +550,17 @@ void Snoopy::RecoverSubOram(uint32_t so,
                             const std::vector<LoadBalancer::PreparedEpoch>* prepared,
                             uint32_t lb_limit) {
   const std::string component = "suboram/" + std::to_string(so);
-  if (!suborams_[so]->SupportsSealing()) {
+  Partition& p = partitions_[so];
+  if (!p.backend->SupportsSealing()) {
     throw std::runtime_error(component +
                              " crashed and its backend does not support sealed snapshots");
   }
-
-  // Restore the freshest sealed snapshot. A stale or tampered blob means the host is
-  // replaying superseded state; refusing to start is the only safe answer.
-  const UnsealStatus status =
-      suborams_[so]->RestoreState(*sealed_store_, so_counter_ids_[so], so_snapshots_[so]);
-  if (status != UnsealStatus::kOk) {
-    throw RollbackDetectedError(component, status);
-  }
-
-  // The restarted enclave has no channel state: every load balancer re-attests and
-  // both ends start fresh sessions. Each recovery touches only its own subORAM's
-  // links/cache, so the key draw inside RekeyLink is the lone shared mutation.
-  for (uint32_t lb = 0; lb < config_.num_load_balancers; ++lb) {
-    RekeyLink(lb, so);
-  }
-  so_response_cache_[so].clear();
+  // Restore the freshest sealed snapshot. The executed set survives: it is what the
+  // replay below re-sends.
+  RestorePartition(so, p.snapshot);
   if (fault_injector_ != nullptr) {
     fault_injector_->Restart(component);
   }
-  network_.RecordRecovery();
   if (metrics_ != nullptr) {
     metrics_->GetCounter("snoopy_recoveries_total", {{"component", component}}).Increment();
   }
@@ -619,12 +578,30 @@ void Snoopy::RecoverSubOram(uint32_t so,
   if (prepared == nullptr) {
     return;
   }
-  for (const uint32_t lb : so_executed_lbs_[so]) {
+  for (const uint32_t lb : p.executed_lbs) {
     if (lb >= lb_limit) {
       continue;
     }
     RetriedSubOramCall(lb, so, (*prepared)[lb].suboram_batches[so].Serialize(), prepared);
   }
+}
+
+void Snoopy::RestorePartition(uint32_t so, std::span<const uint8_t> blob) {
+  Partition& p = partitions_[so];
+  // A stale or tampered blob means the host is replaying superseded state (or, for
+  // repair, a superseded stripe set); refusing to start is the only safe answer.
+  const UnsealStatus status = p.backend->RestoreState(*sealed_store_, p.counter_id, blob);
+  if (status != UnsealStatus::kOk) {
+    throw RollbackDetectedError("suboram/" + std::to_string(so), status);
+  }
+  // The restarted enclave has no channel state: every load balancer re-attests and
+  // both ends start fresh sessions. Each recovery touches only its own partition's
+  // links/cache, so the key draw inside RekeyLink is the lone shared mutation.
+  for (uint32_t lb = 0; lb < config_.num_load_balancers; ++lb) {
+    RekeyLink(lb, so);
+  }
+  p.response_cache.clear();
+  network_.RecordRecovery();
 }
 
 void Snoopy::RecoverLoadBalancer(uint32_t lb) {
@@ -655,31 +632,31 @@ void Snoopy::RekeyLink(uint32_t lb, uint32_t so) {
     std::lock_guard<std::mutex> g(rng_mu_);
     key = rng_.NextKey32();
   }
-  links_[lb][so]->Rekey(key);
-  ++link_generation_[lb][so];
+  Partition& p = partitions_[so];
+  p.links[lb]->Rekey(key);
+  ++p.link_generation[lb];
 }
 
 // --- Striped redundancy, permanent loss, and background repair ----------------------
 
-Snoopy::PartitionHealth Snoopy::HealthOf(uint32_t so) const {
+Snoopy::PartitionHealth Snoopy::partition_health(uint32_t so) const {
   std::lock_guard<std::mutex> g(health_mu_);
-  return so_health_[so];
+  return partitions_[so].health;
 }
-
-Snoopy::PartitionHealth Snoopy::partition_health(uint32_t so) const { return HealthOf(so); }
 
 uint32_t Snoopy::repair_epochs_remaining(uint32_t so) const {
   std::lock_guard<std::mutex> g(health_mu_);
-  return so_repair_[so].epochs_remaining;
+  return partitions_[so].repair.epochs_remaining;
 }
 
 const Snoopy::HostStripe* Snoopy::host_stripe(uint32_t peer, uint32_t owner) const {
-  const auto it = stripe_store_[peer].find(owner);
-  return it == stripe_store_[peer].end() ? nullptr : &it->second;
+  const std::map<uint32_t, HostStripe>& held = partitions_[peer].stripes;
+  const auto it = held.find(owner);
+  return it == held.end() ? nullptr : &it->second;
 }
 
 void Snoopy::host_replace_stripe(uint32_t peer, uint32_t owner, HostStripe stripe) {
-  stripe_store_[peer][owner] = std::move(stripe);
+  partitions_[peer].stripes[owner] = std::move(stripe);
 }
 
 uint32_t Snoopy::StripePeerCount() const {
@@ -719,19 +696,12 @@ std::vector<uint8_t> Snoopy::RetriedStripeCall(uint32_t so, uint32_t peer,
     }
     return resp;
   };
-  RetryExecutor executor(config_.retry,
-                         /*jitter_seed=*/Mix64(epoch_ ^ (uint64_t{so} << 32) ^ peer), &clock_);
-  executor.set_on_retry([this, &caller, &endpoint] {
-    network_.RecordRetry(caller, endpoint);
-    if (metrics_ != nullptr) {
-      metrics_->GetCounter("snoopy_retries_total", {{"endpoint", endpoint}}).Increment();
-    }
-  });
   // Stripe traffic only flows at epoch boundaries (post-seal), so a peer crash
   // observed here recovers from its already-sealed post-epoch snapshot with nothing
   // to replay.
-  return executor.Execute(
-      call, [&](const EndpointCrashedError&) { RecoverSubOram(peer, nullptr, 0); });
+  return RetriedCall(caller, endpoint,
+                     /*jitter_seed=*/Mix64(epoch_ ^ (uint64_t{so} << 32) ^ peer), call, peer,
+                     nullptr, 0);
 }
 
 // Host-level stripe traffic at peer `so`. Runs inline on the caller's thread; all
@@ -741,7 +711,7 @@ std::vector<uint8_t> Snoopy::StripeEndpointHandler(uint32_t so,
                                                    std::span<const uint8_t> payload) {
   const std::string endpoint = StripeEndpointName(so);
   const StripeMsg m = DecodeStripeMsg(payload, endpoint);
-  auto& store = stripe_store_[so];
+  auto& store = partitions_[so].stripes;
   switch (m.op) {
     case kStripeStore: {
       if (m.digest != StripeDigest(m.owner, m.seal_counter, m.chunk_index, 0, m.payload)) {
@@ -801,12 +771,13 @@ std::vector<uint8_t> Snoopy::StripeEndpointHandler(uint32_t so,
 
 Snoopy::StripeEncoding Snoopy::EncodeStripes(uint32_t so) const {
   const StripingConfig& sc = config_.striping;
-  const std::span<const uint8_t> blob = so_snapshots_[so];
+  const Partition& p = partitions_[so];
+  const std::span<const uint8_t> blob = p.snapshot;
   StripeEncoding enc;
   if (sc.replicas == 0 || blob.empty()) {
     return enc;
   }
-  enc.seal_counter = counters_.Read(so_counter_ids_[so]);
+  enc.seal_counter = counters_.Read(p.counter_id);
   if (!sc.xor_parity) {
     enc.digests.push_back(StripeDigest(so, enc.seal_counter, 0, 0, blob));
     return enc;
@@ -833,11 +804,11 @@ void Snoopy::DistributeStripes(uint32_t so, const StripeEncoding& enc) {
   if (enc.digests.empty()) {
     return;
   }
-  const std::span<const uint8_t> blob = so_snapshots_[so];
+  const std::span<const uint8_t> blob = partitions_[so].snapshot;
   const std::vector<uint32_t> peers = StripePeers(so);
   for (size_t i = 0; i < peers.size(); ++i) {
     const uint32_t peer = peers[i];
-    if (HealthOf(peer) != PartitionHealth::kHealthy) {
+    if (partition_health(peer) != PartitionHealth::kHealthy) {
       // A repairing peer has no machine to store on; redundancy for this snapshot
       // re-converges at the next boundary after its repair.
       if (metrics_ != nullptr) {
@@ -874,16 +845,15 @@ void Snoopy::DistributeStripes(uint32_t so, const StripeEncoding& enc) {
   }
 }
 
-void Snoopy::LoseSubOram(uint32_t so) { OnPartitionLost(so); }
-
-void Snoopy::OnPartitionLost(uint32_t so) {
+void Snoopy::LoseSubOram(uint32_t so) {
   const std::string component = "suboram/" + std::to_string(so);
+  Partition& p = partitions_[so];
   {
     std::lock_guard<std::mutex> g(health_mu_);
-    if (so_health_[so] == PartitionHealth::kRepairing) {
+    if (p.health == PartitionHealth::kRepairing) {
       return;  // already detected
     }
-    so_health_[so] = PartitionHealth::kRepairing;
+    p.health = PartitionHealth::kRepairing;
   }
   if (fault_injector_ != nullptr) {
     fault_injector_->MarkLost(component);
@@ -896,15 +866,15 @@ void Snoopy::OnPartitionLost(uint32_t so) {
   // The machine took its state with it: the spare node under the dead identity starts
   // empty. The host-side per-epoch caches and the stripes this host held for *other*
   // owners died too; those owners re-converge redundancy at their next seal.
-  suborams_[so]->Initialize({});
-  so_snapshots_[so].clear();
-  so_response_cache_[so].clear();
-  so_executed_lbs_[so].clear();
-  stripe_store_[so].clear();
+  p.backend->Initialize({});
+  p.snapshot.clear();
+  p.response_cache.clear();
+  p.executed_lbs.clear();
+  p.stripes.clear();
   {
     std::lock_guard<std::mutex> g(health_mu_);
-    so_repair_[so] = RepairState{};
-    so_repair_[so].epochs_remaining = config_.striping.repair_epochs;
+    p.repair = RepairState{};
+    p.repair.epochs_remaining = config_.striping.repair_epochs;
   }
   if (metrics_ != nullptr) {
     metrics_->GetCounter("snoopy_partition_losses_total", {{"component", component}})
@@ -913,7 +883,8 @@ void Snoopy::OnPartitionLost(uint32_t so) {
 }
 
 void Snoopy::PlanRepair(uint32_t so) {
-  RepairState& rs = so_repair_[so];
+  const StripingConfig& sc = config_.striping;
+  RepairState& rs = partitions_[so].repair;
   struct Manifest {
     uint32_t peer = 0;
     uint64_t seal_counter = 0;
@@ -924,7 +895,7 @@ void Snoopy::PlanRepair(uint32_t so) {
   };
   std::vector<Manifest> manifests;
   for (const uint32_t peer : StripePeers(so)) {
-    if (HealthOf(peer) != PartitionHealth::kHealthy) {
+    if (partition_health(peer) != PartitionHealth::kHealthy) {
       continue;
     }
     StripeMsg q;
@@ -946,6 +917,15 @@ void Snoopy::PlanRepair(uint32_t so) {
     std::memcpy(&man.chunk_count, resp.data() + 13, 4);
     std::memcpy(&man.blob_len, resp.data() + 17, 8);
     std::memcpy(&man.chunk_len, resp.data() + 25, 8);
+    // The manifest is host-supplied: geometry the public striping config could not
+    // have produced is dropped before it sizes any table or buffer below.
+    const uint32_t chunk_count = sc.xor_parity ? sc.replicas : 1;
+    const uint64_t chunk_len =
+        man.blob_len / chunk_count + (man.blob_len % chunk_count != 0 ? 1 : 0);
+    if (man.chunk_count != chunk_count || man.chunk_index > chunk_count ||
+        man.chunk_len != chunk_len) {
+      continue;
+    }
     manifests.push_back(man);
   }
 
@@ -1026,7 +1006,7 @@ void Snoopy::PlanRepair(uint32_t so) {
 }
 
 void Snoopy::RepairStep(uint32_t so) {
-  RepairState& rs = so_repair_[so];
+  RepairState& rs = partitions_[so].repair;
   if (!rs.planned) {
     PlanRepair(so);
   }
@@ -1079,7 +1059,8 @@ void Snoopy::RepairStep(uint32_t so) {
 }
 
 void Snoopy::CompleteRepair(uint32_t so) {
-  RepairState& rs = so_repair_[so];
+  Partition& p = partitions_[so];
+  RepairState& rs = p.repair;
   const std::string component = "suboram/" + std::to_string(so);
   // Reassemble the sealed snapshot, XOR-reconstructing the parity-substituted data
   // chunk if one source was missing (parity ^ all other data chunks = missing chunk).
@@ -1104,31 +1085,20 @@ void Snoopy::CompleteRepair(uint32_t so) {
   // Restore on the spare node under the dead identity. The counter check extends
   // rollback refusal to repair: a stale stripe set (host replaying a superseded seal
   // generation) is never served.
-  const UnsealStatus status =
-      suborams_[so]->RestoreState(*sealed_store_, so_counter_ids_[so], blob);
-  if (status != UnsealStatus::kOk) {
-    throw RollbackDetectedError(component, status);
-  }
-  so_snapshots_[so] = std::move(blob);  // freshest host snapshot for crash recovery
-
-  // The spare enclave has no channel state: fresh sessions with every load balancer.
-  for (uint32_t lb = 0; lb < config_.num_load_balancers; ++lb) {
-    RekeyLink(lb, so);
-  }
-  so_response_cache_[so].clear();
-  so_executed_lbs_[so].clear();
+  RestorePartition(so, blob);
+  p.snapshot = std::move(blob);  // freshest host snapshot for crash recovery
+  p.executed_lbs.clear();
   if (fault_injector_ != nullptr) {
     fault_injector_->Reincarnate(component);
   }
-  network_.RecordRecovery();
   if (metrics_ != nullptr) {
     metrics_->GetCounter("snoopy_repairs_completed_total", {{"component", component}})
         .Increment();
   }
   {
     std::lock_guard<std::mutex> g(health_mu_);
-    so_health_[so] = PartitionHealth::kHealthy;
-    so_repair_[so] = RepairState{};
+    p.health = PartitionHealth::kHealthy;
+    p.repair = RepairState{};
   }
 }
 
@@ -1199,8 +1169,7 @@ std::vector<ClientResponse> Snoopy::RunEpoch() {
   // which never reaches telemetry (the batch size below is the padded f(R, S) of
   // Theorem 3, not the true demand per subORAM).
   const auto now_fn = [this] { return NowSeconds(); };
-  SpanTimer epoch_span(
-      metrics_ != nullptr ? EpochMetrics()->epoch_seconds : nullptr, now_fn);
+  SpanTimer epoch_span(metrics_ != nullptr ? Metrics()->epoch_seconds : nullptr, now_fn);
   // Root tracer span for the whole epoch; closes on scope exit, after every phase
   // span, so tools/trace_report.py can attribute the epoch's wall-clock to phases
   // and orchestrator gaps. All arguments are public facts (request counts per
@@ -1210,7 +1179,7 @@ std::vector<ClientResponse> Snoopy::RunEpoch() {
   epoch_trace.SetArg("pending", pending_requests());
   epoch_trace.SetArg("load_balancers", config_.num_load_balancers);
   epoch_trace.SetArg("suborams", config_.num_suborams);
-  if (const EpochMetricsCache* cache = EpochMetrics()) {
+  if (const MetricsCache* cache = Metrics()) {
     cache->epochs_total->Increment();
     cache->requests_total->Increment(pending_requests());
   }
@@ -1230,13 +1199,13 @@ std::vector<ClientResponse> Snoopy::RunEpoch() {
     }
     for (uint32_t so = 0; so < config_.num_suborams; ++so) {
       const std::string component = "suboram/" + std::to_string(so);
-      if (HealthOf(so) == PartitionHealth::kHealthy &&
+      if (partition_health(so) == PartitionHealth::kHealthy &&
           fault_injector_->PollEpochCrash(component)) {
         RecoverSubOram(so, nullptr, 0);
       }
-      if (HealthOf(so) == PartitionHealth::kHealthy &&
+      if (partition_health(so) == PartitionHealth::kHealthy &&
           fault_injector_->PollNodeLoss(component)) {
-        OnPartitionLost(so);
+        LoseSubOram(so);
       }
     }
   }
@@ -1245,19 +1214,19 @@ std::vector<ClientResponse> Snoopy::RunEpoch() {
   {
     bool any_repairing = false;
     for (uint32_t so = 0; so < config_.num_suborams; ++so) {
-      any_repairing = any_repairing || HealthOf(so) == PartitionHealth::kRepairing;
+      any_repairing = any_repairing || partition_health(so) == PartitionHealth::kRepairing;
     }
     TraceSpan repair_trace(any_repairing ? tracer_ : nullptr, "phase", "repair", epoch_);
-    SpanTimer repair_span(any_repairing ? PhaseHistogram("repair") : nullptr, now_fn);
+    SpanTimer repair_span(any_repairing ? PhaseHistogram(kRepair) : nullptr, now_fn);
     for (uint32_t so = 0; so < config_.num_suborams; ++so) {
-      if (HealthOf(so) == PartitionHealth::kRepairing) {
+      if (partition_health(so) == PartitionHealth::kRepairing) {
         RepairStep(so);
       }
     }
   }
-  if (const EpochMetricsCache* cache = EpochMetrics()) {
+  if (const MetricsCache* cache = Metrics()) {
     for (uint32_t so = 0; so < config_.num_suborams; ++so) {
-      if (HealthOf(so) != PartitionHealth::kHealthy) {
+      if (partition_health(so) != PartitionHealth::kHealthy) {
         cache->degraded_epochs_total->Increment();
         break;
       }
@@ -1276,10 +1245,9 @@ std::vector<ClientResponse> Snoopy::RunEpoch() {
   // prepares byte-identical batches for the same reason.
   std::vector<LoadBalancer::PreparedEpoch> prepared(config_.num_load_balancers);
   {
-    SpanTimer prepare_span(PhaseHistogram("lb_prepare"), now_fn);
+    SpanTimer prepare_span(PhaseHistogram(kLbPrepare), now_fn);
     TraceSpan prepare_trace(tracer_, "phase", "lb_prepare", epoch_);
-    RunPhase(config_.num_load_balancers, config_.epoch_threads,
-             {"lb_prepare", tracer_, PoolMetricsFor("lb_prepare"), now_fn},
+    RunPhase(config_.num_load_balancers, config_.epoch_threads, PoolContext(kLbPrepare),
              [&](size_t lb) {
       RequestBatch requests = std::move(pending_[lb]);
       pending_[lb] = RequestBatch(config_.value_size);
@@ -1289,7 +1257,7 @@ std::vector<ClientResponse> Snoopy::RunEpoch() {
         // The padded per-subORAM batch size f(R, S): public by Theorem 3. The cache
         // was filled at the top of this epoch on the orchestrator thread; this task
         // may run on a pool worker, so it must only read resolved handles.
-        EpochMetrics()->batch_size[lb]->Observe(
+        Metrics()->batch_size[lb]->Observe(
             static_cast<double>(prepared[lb].batch_size));
       }
     });
@@ -1308,10 +1276,9 @@ std::vector<ClientResponse> Snoopy::RunEpoch() {
     per_lb.resize(config_.num_suborams);
   }
   {
-    SpanTimer execute_span(PhaseHistogram("suboram_execute"), now_fn);
+    SpanTimer execute_span(PhaseHistogram(kSubOramExecute), now_fn);
     TraceSpan execute_trace(tracer_, "phase", "suboram_execute", epoch_);
-    RunPhase(config_.num_suborams, config_.epoch_threads,
-             {"suboram_execute", tracer_, PoolMetricsFor("suboram_execute"), now_fn},
+    RunPhase(config_.num_suborams, config_.epoch_threads, PoolContext(kSubOramExecute),
              [&](size_t so) {
       try {
         for (uint32_t lb = 0; lb < config_.num_load_balancers; ++lb) {
@@ -1322,7 +1289,7 @@ std::vector<ClientResponse> Snoopy::RunEpoch() {
         // epoch are discarded below: the state behind them died with the machine,
         // so delivering them would acknowledge writes the repaired partition will
         // not have. The whole partition's requests defer to the epoch queue instead.
-        OnPartitionLost(static_cast<uint32_t>(so));
+        LoseSubOram(static_cast<uint32_t>(so));
       } catch (const PartitionUnavailableError&) {
         // Already under repair when its turn came; placeholders below.
       }
@@ -1333,7 +1300,7 @@ std::vector<ClientResponse> Snoopy::RunEpoch() {
   // compact away and the partition's own requests surface unanswered (resp = 0),
   // which the delivery loop requeues into the next epoch.
   for (uint32_t so = 0; so < config_.num_suborams; ++so) {
-    if (HealthOf(so) == PartitionHealth::kHealthy) {
+    if (partition_health(so) == PartitionHealth::kHealthy) {
       continue;
     }
     for (uint32_t lb = 0; lb < config_.num_load_balancers; ++lb) {
@@ -1344,12 +1311,11 @@ std::vector<ClientResponse> Snoopy::RunEpoch() {
   // Phase 3: match responses to clients. The oblivious matching (Figure 6) is one
   // task per load balancer; delivery stays on the orchestrator thread because sealing
   // into client mailboxes advances per-client channel counters in submission order.
-  SpanTimer match_span(PhaseHistogram("response_match"), now_fn);
+  SpanTimer match_span(PhaseHistogram(kResponseMatch), now_fn);
   std::vector<RequestBatch> matched_by_lb(config_.num_load_balancers);
   {
     TraceSpan match_trace(tracer_, "phase", "response_match", epoch_);
-    RunPhase(config_.num_load_balancers, config_.epoch_threads,
-             {"response_match", tracer_, PoolMetricsFor("response_match"), now_fn},
+    RunPhase(config_.num_load_balancers, config_.epoch_threads, PoolContext(kResponseMatch),
              [&](size_t lb) {
       matched_by_lb[lb] =
           lbs_[lb]->MatchResponses(std::move(prepared[lb]), std::move(responses[lb]));
@@ -1400,12 +1366,12 @@ std::vector<ClientResponse> Snoopy::RunEpoch() {
   deliver_trace.End();
   match_span.Stop();
   if (deferred > 0 && metrics_ != nullptr) {
-    EpochMetrics()->deferred_requests_total->Increment(deferred);
+    Metrics()->deferred_requests_total->Increment(deferred);
   }
 
   {
     TraceSpan seal_trace(tracer_, "phase", "seal", epoch_);
-    SpanTimer seal_span(PhaseHistogram("seal"), now_fn);
+    SpanTimer seal_span(PhaseHistogram(kSeal), now_fn);
     SealEpochBoundary();
   }
   ++epoch_;
@@ -1420,7 +1386,8 @@ std::vector<ClientResponse> Snoopy::RunEpoch() {
 // constructed off to the side (the exports are copies), so any failure up to the
 // commit point -- including an injected participant crash, surfaced as
 // ReshardAbortedError -- leaves the running deployment untouched. The commit itself
-// only swaps vectors and re-registers endpoints.
+// only swaps in the new partitions and load balancers, creates their counters and
+// re-registers endpoints.
 void Snoopy::Reshard(uint32_t new_num_suborams) {
   const uint32_t old_s = config_.num_suborams;
   const uint32_t num_lbs = config_.num_load_balancers;
@@ -1434,12 +1401,12 @@ void Snoopy::Reshard(uint32_t new_num_suborams) {
     }
   }
   for (uint32_t so = 0; so < old_s; ++so) {
-    if (HealthOf(so) != PartitionHealth::kHealthy) {
+    if (partition_health(so) != PartitionHealth::kHealthy) {
       // A reshard moves every partition; a repairing one has nothing to export yet.
       throw PartitionUnavailableError(StripeEndpointName(so), so,
                                       repair_epochs_remaining(so));
     }
-    if (!suborams_[so]->SupportsExport()) {
+    if (!partitions_[so].backend->SupportsExport()) {
       throw std::runtime_error(
           "subORAM backend without partition export cannot reshard");
     }
@@ -1470,7 +1437,7 @@ void Snoopy::Reshard(uint32_t new_num_suborams) {
   // sizes under the secret keyed hash are public, exactly as at initialization.
   ByteSlab all(0, 8 + config_.value_size);
   for (uint32_t so = 0; so < old_s; ++so) {
-    const ByteSlab part = suborams_[so]->ExportSlab();
+    const ByteSlab part = partitions_[so].backend->ExportSlab();
     if (part.record_bytes() != 8 + config_.value_size) {
       throw std::runtime_error("exported partition has an unexpected record layout");
     }
@@ -1487,25 +1454,16 @@ void Snoopy::Reshard(uint32_t new_num_suborams) {
   // client sessions must keep working); the balancer state machines are rebuilt for
   // the new width with their original base seeds, so EpochSeed determinism carries
   // over the reshard.
-  std::vector<std::unique_ptr<Enclave>> new_so_enclaves;
-  std::vector<std::unique_ptr<SubOramBackend>> new_suborams;
+  std::vector<Partition> fresh;
   for (uint32_t so = 0; so < new_num_suborams; ++so) {
-    new_so_enclaves.push_back(std::make_unique<Enclave>("snoopy-suboram", so));
-    new_suborams.push_back(factory_->Create(so, rng_.Next64()));
-    new_suborams.back()->Initialize(SlabToObjects(parts[so], config_.value_size));
+    fresh.push_back(MakePartition(so, new_num_suborams));
+    fresh.back().backend->Initialize(SlabToObjects(parts[so], config_.value_size));
   }
   std::vector<std::unique_ptr<LoadBalancer>> new_lbs;
   for (uint32_t lb = 0; lb < num_lbs; ++lb) {
     LoadBalancerConfig lbc = lbs_[lb]->config();
     lbc.num_suborams = new_num_suborams;
     new_lbs.push_back(std::make_unique<LoadBalancer>(lbc, partition_key_, lb_base_seeds_[lb]));
-  }
-  std::vector<std::vector<std::unique_ptr<SecureLink>>> new_links(num_lbs);
-  for (uint32_t lb = 0; lb < num_lbs; ++lb) {
-    for (uint32_t so = 0; so < new_num_suborams; ++so) {
-      new_links[lb].push_back(AttestLink(*lb_enclaves_[lb], *new_so_enclaves[so],
-                                         lb * new_num_suborams + so));
-    }
   }
   check_abort();
 
@@ -1516,31 +1474,14 @@ void Snoopy::Reshard(uint32_t new_num_suborams) {
     }
     network_.Unregister(StripeEndpointName(so));
   }
-  so_enclaves_ = std::move(new_so_enclaves);
-  suborams_ = std::move(new_suborams);
-  lbs_ = std::move(new_lbs);
-  links_ = std::move(new_links);
-  config_.num_suborams = new_num_suborams;
-  link_generation_.assign(num_lbs, std::vector<uint64_t>(new_num_suborams, 0));
-  so_counter_ids_.clear();
-  for (uint32_t so = 0; so < new_num_suborams; ++so) {
-    so_counter_ids_.push_back(counters_.Create());
-  }
-  so_snapshots_.clear();
-  so_snapshots_.resize(new_num_suborams);
-  so_response_cache_.clear();
-  so_response_cache_.resize(new_num_suborams);
-  so_executed_lbs_.clear();
-  so_executed_lbs_.resize(new_num_suborams);
-  stripe_store_.clear();
-  stripe_store_.resize(new_num_suborams);
   {
     std::lock_guard<std::mutex> g(health_mu_);
-    so_health_.assign(new_num_suborams, PartitionHealth::kHealthy);
-    so_repair_.clear();
-    so_repair_.resize(new_num_suborams);
+    partitions_ = std::move(fresh);
   }
+  lbs_ = std::move(new_lbs);
+  config_.num_suborams = new_num_suborams;
   for (uint32_t so = 0; so < new_num_suborams; ++so) {
+    partitions_[so].counter_id = counters_.Create();
     RegisterSubOramEndpoints(so);
   }
   // Fresh rollback-protected snapshots + redundancy for the new partitions.

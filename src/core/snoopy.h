@@ -18,11 +18,13 @@
 #define SNOOPY_SRC_CORE_SNOOPY_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "src/core/load_balancer.h"
@@ -37,6 +39,7 @@
 #include "src/net/fault.h"
 #include "src/net/network.h"
 #include "src/net/retry.h"
+#include "src/obl/parallel.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/tracing.h"
 
@@ -189,9 +192,11 @@ class Snoopy {
   // Host-side sealed snapshot storage (untrusted in the threat model). The test
   // harness uses the replace hook to play a malicious host replaying stale state;
   // recovery must then refuse with UnsealStatus::kRollback.
-  const std::vector<uint8_t>& suboram_snapshot(uint32_t so) const { return so_snapshots_[so]; }
+  const std::vector<uint8_t>& suboram_snapshot(uint32_t so) const {
+    return partitions_[so].snapshot;
+  }
   void host_replace_snapshot(uint32_t so, std::vector<uint8_t> blob) {
-    so_snapshots_[so] = std::move(blob);
+    partitions_[so].snapshot = std::move(blob);
   }
 
   // --- Encrypted client sessions (used by SnoopyClient; paper section 3.1) --------
@@ -215,11 +220,12 @@ class Snoopy {
   PartitionHealth partition_health(uint32_t so) const;
   uint32_t repair_epochs_remaining(uint32_t so) const;
 
-  // Permanently loses subORAM `so` right now (test/bench hook; the stochastic path is
-  // FaultProfile::node_loss*): backend contents, host snapshot, per-epoch caches and
-  // the stripes it held for peers are all wiped. Throws std::runtime_error when
-  // striping is disabled -- the partition would be unrecoverable. Call only at an
-  // epoch boundary.
+  // Permanently loses subORAM `so` right now and schedules its repair (a test/bench
+  // hook; RunEpoch calls it too when a FaultProfile::node_loss* fault fires): backend
+  // contents, host snapshot, per-epoch caches and the stripes it held for peers are
+  // all wiped. A no-op while `so` already repairs. Throws std::runtime_error when
+  // striping is disabled -- the partition would be unrecoverable. Callers outside
+  // RunEpoch call it only at an epoch boundary.
   void LoseSubOram(uint32_t so);
 
   // Epoch-boundary elastic resharding: gathers every partition (ExportSlab),
@@ -246,12 +252,69 @@ class Snoopy {
   void host_replace_stripe(uint32_t peer, uint32_t owner, HostStripe stripe);
 
   // Test/inspection access.
-  SubOramBackend& suboram(size_t i) { return *suborams_[i]; }
+  SubOramBackend& suboram(size_t i) { return *partitions_[i].backend; }
   uint32_t SubOramOf(uint64_t key) const { return lbs_[0]->SubOramOf(key); }
 
  private:
+  // Repair progress of one lost partition (RepairStep).
+  struct RepairState {
+    uint32_t epochs_remaining = 0;
+    bool planned = false;
+    // Fetch plan (from peer manifests): `needed[i]` = (peer, chunk_index) sources,
+    // all chunks `chunk_len` bytes, reassembling a `blob_len`-byte snapshot sealed at
+    // counter value `seal_counter`. `parity_substituted` is the data chunk index the
+    // parity chunk stands in for (-1 if none).
+    uint64_t seal_counter = 0;
+    uint32_t chunk_count = 0;
+    uint64_t blob_len = 0;
+    uint64_t chunk_len = 0;
+    int parity_substituted = -1;
+    std::vector<std::pair<uint32_t, uint32_t>> needed;
+    std::vector<std::vector<uint8_t>> buffers;  // fetched bytes, one per needed chunk
+    uint64_t cursor = 0;                        // bytes fetched so far across chunks
+  };
+
+  // One subORAM as the paper deploys it (sections 3-4, 9): an enclave holding one
+  // partition, reached over attested links from every load balancer, resealed under
+  // its own trusted counter at every epoch boundary, plus what its (untrusted) host
+  // keeps for it and for its peers. DESIGN.md "Partition record" lists which path
+  // (crash restore, loss, repair completion, reshard) resets which field.
+  struct Partition {
+    std::unique_ptr<Enclave> enclave;
+    std::unique_ptr<SubOramBackend> backend;
+    uint64_t counter_id = 0;
+    std::vector<uint8_t> snapshot;  // freshest sealed snapshot, in host storage
+    // Per-epoch host bookkeeping. The response cache deduplicates retransmitted
+    // batches per load balancer (a retransmission re-serves the cached sealed response
+    // instead of re-executing, preserving Appendix C linearizability and leaking no
+    // new memory trace); the executed set records which load balancers' batches have
+    // been applied this epoch, which is exactly what crash recovery must replay.
+    std::map<uint32_t, std::vector<uint8_t>> response_cache;
+    std::set<uint32_t> executed_lbs;
+    // links[lb]: the encrypted link from load balancer lb. Bumping its generation
+    // invalidates sealed-but-unsent bytes after a rekey.
+    std::vector<std::unique_ptr<SecureLink>> links;
+    std::vector<uint64_t> link_generation;
+    PartitionHealth health = PartitionHealth::kHealthy;  // guarded by health_mu_
+    RepairState repair;                                  // guarded by health_mu_
+    // stripes[owner]: the stripe this host holds for peer `owner`. Only touched on
+    // the orchestrator thread (seal/distribute/repair at epoch boundaries; the stripe
+    // endpoint handler runs inline on the caller's thread).
+    std::map<uint32_t, HostStripe> stripes;
+  };
+
+  // The epoch phases with a duration histogram (snoopy_epoch_phase_seconds{phase});
+  // the first kNumPooledPhases run as one RunPhase each and carry pool metrics.
+  enum Phase : uint8_t { kLbPrepare, kSubOramExecute, kResponseMatch, kSeal, kRepair };
+  static constexpr size_t kNumPhases = 5;
+  static constexpr size_t kNumPooledPhases = 4;
+
   // Shared constructor body; factory_ must be set before calling.
   void Construct();
+  // Builds subORAM so of a deployment `num_suborams` wide: a fresh enclave, a backend
+  // seeded from rng_, and attested links to every load balancer. Its counter is
+  // created by the caller, after the deployment's sealing key is drawn.
+  Partition MakePartition(uint32_t so, uint32_t num_suborams);
   void InitializeOblivious(
       const std::vector<std::pair<uint64_t, std::vector<uint8_t>>>& objects);
   std::vector<uint8_t> SubOramEndpointHandler(uint32_t lb, uint32_t so,
@@ -275,12 +338,26 @@ class Snoopy {
   std::vector<uint8_t> RetriedSubOramCall(
       uint32_t lb, uint32_t so, const std::vector<uint8_t>& serialized,
       const std::vector<LoadBalancer::PreparedEpoch>* prepared);
+  // Runs `call` under the retry policy, counting every retry against (caller,
+  // endpoint); a crash observed mid-call recovers subORAM so (RecoverSubOram with
+  // `prepared`/`lb_limit`) before the next attempt.
+  std::vector<uint8_t> RetriedCall(const std::string& caller, const std::string& endpoint,
+                                   uint64_t jitter_seed,
+                                   const std::function<std::vector<uint8_t>()>& call,
+                                   uint32_t so,
+                                   const std::vector<LoadBalancer::PreparedEpoch>* prepared,
+                                   uint32_t lb_limit);
 
   // Crash recovery. `prepared`/`lb_limit` drive the epoch replay: batches from load
   // balancers < lb_limit that the subORAM had already executed this epoch are re-sent
   // (its restored snapshot predates them). Pass nullptr/0 at an epoch boundary.
   void RecoverSubOram(uint32_t so, const std::vector<LoadBalancer::PreparedEpoch>* prepared,
                       uint32_t lb_limit);
+  // The restore both crash recovery and repair completion run on a restarted (or
+  // spare) enclave: restores partition so from `blob`, refusing stale or tampered
+  // state with RollbackDetectedError, then starts fresh sessions with every load
+  // balancer and drops the response cache.
+  void RestorePartition(uint32_t so, std::span<const uint8_t> blob);
   void RecoverLoadBalancer(uint32_t lb);
   // Fresh session on link (lb, so) after an end restarted: draws the key under
   // rng_mu_ (concurrent subORAM recoveries share rng_) and bumps the link
@@ -322,9 +399,6 @@ class Snoopy {
   // One stripe exchange under the retry policy with peer crash recovery.
   std::vector<uint8_t> RetriedStripeCall(uint32_t so, uint32_t peer,
                                          const std::vector<uint8_t>& request);
-  PartitionHealth HealthOf(uint32_t so) const;
-  // Marks so permanently lost: wipes its machine state and schedules repair.
-  void OnPartitionLost(uint32_t so);
   // Runs at the start of RunEpoch for every repairing partition: fetches this epoch's
   // fixed-size slice (planning sources from peer manifests on the first step) and, on
   // the final step, reassembles + restores the snapshot and reincarnates the node.
@@ -340,30 +414,29 @@ class Snoopy {
   // Span time source: the deterministic VirtualClock under fault injection (chaos
   // runs stay replayable), steady_clock otherwise.
   double NowSeconds() const;
-  // Null when telemetry is disabled; otherwise the named phase-duration histogram.
-  Histogram* PhaseHistogram(const char* phase) const;
-  // Null when telemetry is disabled; otherwise the cached pool-metric handles for
-  // one of the four pooled phases (the three pipeline phases and the seal). Resolved lazily against the current registry
-  // (registry references are stable for its lifetime) and re-resolved whenever
-  // set_metrics_registry swaps registries, so the per-epoch hot path never repeats
-  // the name-keyed lookups.
-  const PoolPhaseMetrics* PoolMetricsFor(const char* phase) const;
-  // Cached handles for the epoch-level metrics RunEpoch touches every epoch (epoch
-  // timer, epoch/request counters, phase-duration histograms, per-LB batch-size
-  // histograms). Same registry-keyed lazy scheme as PoolMetricsFor; null when
-  // telemetry is disabled. Resolution happens on the orchestrator thread at the
-  // top of RunEpoch (the epoch span), so pool workers that read batch-size
-  // handles mid-phase only ever see an already-filled cache.
-  struct EpochMetricsCache {
+  // Handles for every metric RunEpoch and the seal touch each epoch: the epoch
+  // timer, epoch/request counters, one duration histogram per phase, pool metrics
+  // per pooled phase, and per-LB batch-size histograms. Resolved lazily against the
+  // current registry (registry references are stable for its lifetime) and again
+  // whenever set_metrics_registry swaps registries, so the per-epoch hot path never
+  // repeats the name-keyed lookups. Null when telemetry is disabled. Resolution runs
+  // on the orchestrator thread (Initialize's seal, or the top of RunEpoch), so pool
+  // workers that read batch-size handles mid-phase only ever see a filled cache.
+  struct MetricsCache {
     Histogram* epoch_seconds = nullptr;
     Counter* epochs_total = nullptr;
     Counter* requests_total = nullptr;
     Counter* degraded_epochs_total = nullptr;
     Counter* deferred_requests_total = nullptr;
-    std::vector<Histogram*> phase_seconds;  // parallel to kCachedPhaseNames
-    std::vector<Histogram*> batch_size;     // per load balancer at resolve time
+    Histogram* phase_seconds[kNumPhases] = {};
+    PoolPhaseMetrics pool[kNumPooledPhases];
+    std::vector<Histogram*> batch_size;  // per load balancer at resolve time
   };
-  const EpochMetricsCache* EpochMetrics() const;
+  const MetricsCache* Metrics() const;
+  // The phase's duration histogram; null when telemetry is disabled.
+  Histogram* PhaseHistogram(Phase phase) const;
+  // RunPhase's context for one of the pooled phases.
+  PhasePoolContext PoolContext(Phase phase) const;
 
   // Backend factory: owned for the default deployment, borrowed (must outlive this
   // instance -- Reshard creates backends long after construction) for custom ones.
@@ -380,11 +453,9 @@ class Snoopy {
   uint64_t epoch_ = 0;
 
   std::vector<std::unique_ptr<Enclave>> lb_enclaves_;
-  std::vector<std::unique_ptr<Enclave>> so_enclaves_;
   std::vector<std::unique_ptr<LoadBalancer>> lbs_;
-  std::vector<std::unique_ptr<SubOramBackend>> suborams_;
-  // links_[lb][so]: encrypted link between load balancer lb and subORAM so.
-  std::vector<std::vector<std::unique_ptr<SecureLink>>> links_;
+  std::vector<uint64_t> lb_base_seeds_;  // per-LB seed underlying EpochSeed
+  std::vector<Partition> partitions_;    // one per subORAM
   Network network_;
 
   std::vector<RequestBatch> pending_;  // one accumulation buffer per load balancer
@@ -394,58 +465,18 @@ class Snoopy {
   VirtualClock clock_;
   MetricsRegistry* metrics_ = &MetricsRegistry::Global();
   Tracer* tracer_ = &Tracer::Global();
-  // Lazy cache behind PoolMetricsFor: slot order lb_prepare, suboram_execute,
-  // response_match, seal; `pool_metrics_registry_` tags which registry the handles
-  // were resolved against (null = unresolved).
-  mutable PoolPhaseMetrics pool_phase_metrics_[4];
-  mutable MetricsRegistry* pool_metrics_registry_ = nullptr;
-  mutable EpochMetricsCache epoch_metrics_;
-  mutable MetricsRegistry* epoch_metrics_registry_ = nullptr;
-  std::vector<uint64_t> lb_base_seeds_;  // per-LB seed underlying EpochSeed
+  mutable MetricsCache metrics_cache_;
+  mutable MetricsRegistry* metrics_cache_registry_ = nullptr;  // null = unresolved
 
   // Rollback-protected persistence: one trusted counter per subORAM, snapshots kept
   // in (untrusted) host storage, resealed in place at every epoch boundary.
   MonotonicCounterService counters_;
   std::unique_ptr<SealedStore> sealed_store_;
-  std::vector<uint64_t> so_counter_ids_;
-  std::vector<std::vector<uint8_t>> so_snapshots_;
 
-  // Per-subORAM, per-epoch host-side bookkeeping. The response cache deduplicates
-  // retransmitted batches (a retransmission re-serves the cached sealed response
-  // instead of re-executing, preserving Appendix C linearizability and leaking no new
-  // memory trace); the executed set records which load balancers' batches have been
-  // applied this epoch, which is exactly what crash recovery must replay. Bumping a
-  // link generation invalidates sealed-but-unsent bytes after a rekey.
-  std::vector<std::map<uint32_t, std::vector<uint8_t>>> so_response_cache_;
-  std::vector<std::set<uint32_t>> so_executed_lbs_;
-  std::vector<std::vector<uint64_t>> link_generation_;  // [lb][so]
-
-  // --- Striping + repair state ------------------------------------------------------
-  // Guards health/repair state: phase-2 workers read health and may mark a loss
-  // mid-epoch; everything else runs on the orchestrator thread at epoch boundaries.
+  // Guards every partition's health and repair state: phase-2 workers read health
+  // and may mark a loss mid-epoch; everything else runs on the orchestrator thread
+  // at epoch boundaries.
   mutable std::mutex health_mu_;
-  std::vector<PartitionHealth> so_health_;
-  struct RepairState {
-    uint32_t epochs_remaining = 0;
-    bool planned = false;
-    // Fetch plan (from peer manifests): `needed[i]` = (peer, chunk_index) sources,
-    // all chunks `chunk_len` bytes, reassembling a `blob_len`-byte snapshot sealed at
-    // counter value `seal_counter`. `parity_substituted` is the data chunk index the
-    // parity chunk stands in for (-1 if none).
-    uint64_t seal_counter = 0;
-    uint32_t chunk_count = 0;
-    uint64_t blob_len = 0;
-    uint64_t chunk_len = 0;
-    int parity_substituted = -1;
-    std::vector<std::pair<uint32_t, uint32_t>> needed;
-    std::vector<std::vector<uint8_t>> buffers;  // fetched bytes, one per needed chunk
-    uint64_t cursor = 0;                        // bytes fetched so far across chunks
-  };
-  std::vector<RepairState> so_repair_;
-  // stripe_store_[peer][owner]: the host-side stripe peer `peer` holds for `owner`.
-  // Only touched from the orchestrator thread (seal/distribute/repair at epoch
-  // boundaries; the stripe endpoint handler runs inline on the caller's thread).
-  std::vector<std::map<uint32_t, HostStripe>> stripe_store_;
 
   struct ClientSession {
     std::vector<std::unique_ptr<SecureLink>> links;  // one per load balancer

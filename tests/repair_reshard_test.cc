@@ -25,6 +25,7 @@
 #include <map>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/core/planner.h"
@@ -348,6 +349,67 @@ TEST(Repair, StaleStripeReplayIsRefusedAsRollback) {
     FAIL() << "expected RollbackDetectedError from the stale-stripe restore";
   } catch (const RollbackDetectedError& e) {
     EXPECT_EQ(e.status(), UnsealStatus::kRollback);
+  }
+}
+
+// A stripe manifest is host-supplied: geometry that disagrees with the public
+// striping config (chunk count, chunk index bound, chunk length) is dropped before
+// repair groups or allocates anything. An honest peer still reconstructs the
+// partition; with no honest source left, repair fails with the typed error.
+TEST(Repair, TamperedManifestGeometryIsDropped) {
+  const auto tamper = [](Snoopy& store, uint32_t peer, uint32_t owner, int how) {
+    Snoopy::HostStripe s = *store.host_stripe(peer, owner);
+    switch (how) {
+      case 0: s.chunk_count = 0xffffffffu; break;  // a 16 GiB source table
+      case 1: s.chunk_index = s.chunk_count + 1; break;
+      default: s.blob_len = uint64_t{1} << 40; break;  // a 1 TiB reassembly buffer
+    }
+    store.host_replace_stripe(peer, owner, std::move(s));
+  };
+  // (a) Two peers hold the victim's redundancy and one manifest is tampered: the
+  // other peer's honest copy (or, in parity mode, the parity chunk) repairs it.
+  for (const bool xor_parity : {false, true}) {
+    for (int how = 0; how < 3; ++how) {
+      auto store = std::make_unique<Snoopy>(StripedConfig(1, 4, 2, xor_parity, 2), 41);
+      std::vector<std::pair<uint64_t, std::vector<uint8_t>>> objects;
+      for (uint64_t k = 0; k < 32; ++k) {
+        objects.emplace_back(k, Val(k + 900));
+      }
+      store->Initialize(objects);
+      const uint32_t victim = 1;  // stripe peers 2, 3 (and 0 for parity)
+      tamper(*store, /*peer=*/2, victim, how);
+      store->LoseSubOram(victim);
+      store->RunEpoch();
+      store->RunEpoch();
+      ASSERT_EQ(store->partition_health(victim), Snoopy::PartitionHealth::kHealthy)
+          << "xor_parity=" << xor_parity << " how=" << how;
+      for (uint64_t k = 0; k < 32; ++k) {
+        store->SubmitRead(1, k + 1, k);
+      }
+      std::map<uint64_t, uint64_t> observed;
+      for (const ClientResponse& resp : store->RunEpoch()) {
+        observed[resp.client_seq] = TagOf(resp.value);
+      }
+      ASSERT_EQ(observed.size(), 32u);
+      for (uint64_t k = 0; k < 32; ++k) {
+        EXPECT_EQ(observed[k + 1], k + 900) << "xor_parity=" << xor_parity << " how=" << how;
+      }
+    }
+  }
+  // (b) The only source is tampered: nothing reconstructs, and the refusal is the
+  // typed "unrecoverable" error rather than an allocation failure.
+  for (int how = 0; how < 3; ++how) {
+    auto store = std::make_unique<Snoopy>(StripedConfig(1, 3, 1, false, 2), 43);
+    store->Initialize({{1, Val(0)}, {2, Val(0)}, {3, Val(0)}});
+    tamper(*store, /*peer=*/1, /*owner=*/0, how);
+    store->LoseSubOram(0);
+    try {
+      store->RunEpoch();
+      FAIL() << "expected the unrecoverable-partition error, how=" << how;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("unrecoverable"), std::string::npos)
+          << e.what();
+    }
   }
 }
 

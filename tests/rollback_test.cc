@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 
@@ -232,12 +233,10 @@ TEST(SubOramRollback, RestoreRefusesMalformedPayloads) {
   EXPECT_EQ(v, std::vector<uint8_t>(16, 0x33));
 }
 
-// Every sealed snapshot plus every stripe the hosts hold (payload, then its seal
-// counter as 8 little-endian bytes) after three write epochs, hashed in subORAM
-// order. The digests pin the epoch-boundary seal's output byte for byte: the pooled,
-// in-place seal and the single-hash stripe encoding must reproduce exactly what the
-// serial copy-then-seal boundary produced.
-std::string SealBoundaryDigest(int epoch_threads, bool xor_parity) {
+// The seeded deployment the SealBoundary pins share: two load balancers, four
+// subORAMs, 4096 objects, stripes on successor peers (one replica, or two data
+// chunks plus parity).
+std::unique_ptr<Snoopy> SealBoundaryDeployment(int epoch_threads, bool xor_parity) {
   SnoopyConfig cfg;
   cfg.num_load_balancers = 2;
   cfg.num_suborams = 4;
@@ -245,23 +244,34 @@ std::string SealBoundaryDigest(int epoch_threads, bool xor_parity) {
   cfg.epoch_threads = epoch_threads;
   cfg.striping.replicas = xor_parity ? 2 : 1;
   cfg.striping.xor_parity = xor_parity;
-  Snoopy snoopy(cfg, 7);
+  auto snoopy = std::make_unique<Snoopy>(cfg, 7);
   std::vector<std::pair<uint64_t, std::vector<uint8_t>>> objects;
   for (uint64_t k = 0; k < 4096; ++k) {
     objects.emplace_back(k, std::vector<uint8_t>(160, static_cast<uint8_t>(k)));
   }
-  snoopy.Initialize(objects);
-  for (uint64_t e = 0; e < 3; ++e) {
+  snoopy->Initialize(objects);
+  return snoopy;
+}
+
+// Epochs [first, last) of the shared write workload: 200 writes per epoch.
+void RunWriteEpochs(Snoopy& snoopy, uint64_t first, uint64_t last) {
+  for (uint64_t e = first; e < last; ++e) {
     for (uint64_t i = 0; i < 200; ++i) {
       const std::vector<uint8_t> value(160, static_cast<uint8_t>(i + e));
       snoopy.SubmitWrite(1, e * 1000 + i, (i * 37 + e) % 4096, value);
     }
     snoopy.RunEpoch();
   }
+}
+
+// Every sealed snapshot plus every stripe the hosts hold (payload, then its seal
+// counter as 8 little-endian bytes), hashed in subORAM order, as lowercase hex.
+std::string HostStorageDigest(const Snoopy& snoopy) {
+  const uint32_t width = snoopy.config().num_suborams;
   Sha256 h;
-  for (uint32_t so = 0; so < 4; ++so) {
+  for (uint32_t so = 0; so < width; ++so) {
     h.Update(snoopy.suboram_snapshot(so));
-    for (uint32_t peer = 0; peer < 4; ++peer) {
+    for (uint32_t peer = 0; peer < width; ++peer) {
       if (const Snoopy::HostStripe* s = snoopy.host_stripe(peer, so)) {
         h.Update(s->payload);
         uint8_t counter[8];
@@ -280,6 +290,36 @@ std::string SealBoundaryDigest(int epoch_threads, bool xor_parity) {
     out.push_back(kHex[b & 0xf]);
   }
   return out;
+}
+
+// The host storage after three write epochs. The digests pin the epoch-boundary
+// seal's output byte for byte: the pooled, in-place seal and the single-hash stripe
+// encoding must reproduce exactly what the serial copy-then-seal boundary produced.
+std::string SealBoundaryDigest(int epoch_threads, bool xor_parity) {
+  const std::unique_ptr<Snoopy> snoopy = SealBoundaryDeployment(epoch_threads, xor_parity);
+  RunWriteEpochs(*snoopy, 0, 3);
+  return HostStorageDigest(*snoopy);
+}
+
+// The same deployment after Reshard(3) and one more write epoch: pins the rng draws,
+// counter ids and links of the partitions a reshard builds.
+std::string ReshardDigest(int epoch_threads) {
+  const std::unique_ptr<Snoopy> snoopy = SealBoundaryDeployment(epoch_threads, false);
+  RunWriteEpochs(*snoopy, 0, 3);
+  snoopy->Reshard(3);
+  RunWriteEpochs(*snoopy, 3, 4);
+  return HostStorageDigest(*snoopy);
+}
+
+// The same deployment after losing subORAM 1 and running the repair_epochs write
+// epochs that rebuild it: pins what loss wipes and what repair restores.
+std::string RepairDigest(int epoch_threads, bool xor_parity) {
+  const std::unique_ptr<Snoopy> snoopy = SealBoundaryDeployment(epoch_threads, xor_parity);
+  RunWriteEpochs(*snoopy, 0, 3);
+  snoopy->LoseSubOram(1);
+  RunWriteEpochs(*snoopy, 3, 3 + snoopy->config().striping.repair_epochs);
+  EXPECT_EQ(snoopy->partition_health(1), Snoopy::PartitionHealth::kHealthy);
+  return HostStorageDigest(*snoopy);
 }
 
 constexpr const char* kReplicatedSealDigest =
@@ -304,6 +344,29 @@ TEST(SealBoundary, GenericKernelsProduceTheSameBytes) {
   SetKernelBackend(KernelBackend::kGeneric);
   EXPECT_EQ(SealBoundaryDigest(4, /*xor_parity=*/false), kReplicatedSealDigest);
   EXPECT_EQ(SealBoundaryDigest(4, /*xor_parity=*/true), kParitySealDigest);
+  SetKernelBackend(saved);
+}
+
+constexpr const char* kReshardDigest =
+    "f5e8e9c34462f84106193928755cb28e49865900a2d7d026f59589f98b9cc09a";
+constexpr const char* kReplicatedRepairDigest =
+    "cd0435938135a6b67fc98fc811e28c661ae82b711d7a680b99e11084cc2e55ff";
+constexpr const char* kParityRepairDigest =
+    "a5358daa89c9adafc5f6b89b0bf9f9d2349027f7dd4649c81d5049e5ddb60795";
+
+TEST(SealBoundary, ReshardAndRepairBytesArePinned) {
+  for (const int threads : {1, 4}) {
+    EXPECT_EQ(ReshardDigest(threads), kReshardDigest) << "epoch_threads=" << threads;
+    EXPECT_EQ(RepairDigest(threads, /*xor_parity=*/false), kReplicatedRepairDigest)
+        << "epoch_threads=" << threads;
+    EXPECT_EQ(RepairDigest(threads, /*xor_parity=*/true), kParityRepairDigest)
+        << "epoch_threads=" << threads;
+  }
+  const KernelBackend saved = ActiveKernelBackend();
+  SetKernelBackend(KernelBackend::kGeneric);
+  EXPECT_EQ(ReshardDigest(4), kReshardDigest);
+  EXPECT_EQ(RepairDigest(4, /*xor_parity=*/false), kReplicatedRepairDigest);
+  EXPECT_EQ(RepairDigest(4, /*xor_parity=*/true), kParityRepairDigest);
   SetKernelBackend(saved);
 }
 

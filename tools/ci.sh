@@ -57,6 +57,14 @@ cmake -S . -B build >/dev/null
 cmake --build build -j"${JOBS}"
 ctest --test-dir build --output-on-failure
 
+echo "== perfbench: build against src/ and self-test =="
+# perfbench is a CMake project of its own (built into the git-ignored .bench_build/)
+# that compiles against src/ and drives the Snoopy API, snapshot and stripe
+# accessors included. --selftest runs its unit tests, then a 2 s run of every
+# workload in both modes, each checked for correct responses and the metric set
+# BENCHMARK.json declares.
+python3 perfbench/run.py --selftest
+
 echo "== forced-bucket sort strategy (full suite) =="
 # SNOOPY_SORT_STRATEGY=bucket overrides every deployment's configured strategy at
 # the ResolveSortStrategy gate, so the whole suite reruns with the bucket sort on
