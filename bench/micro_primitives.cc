@@ -233,25 +233,6 @@ void BM_KernelCondSwap(benchmark::State& state, KernelBackend backend, size_t nb
   SetKernelBackend(prev);
 }
 
-void BM_KernelCondCopy(benchmark::State& state, KernelBackend backend, size_t nbytes,
-                       size_t misalign) {
-  const KernelBackend prev = ActiveKernelBackend();
-  SetKernelBackend(backend);
-  std::vector<uint8_t> dbuf(nbytes + 64, 1);
-  std::vector<uint8_t> sbuf(nbytes + 64, 2);
-  uint8_t* d = dbuf.data() + misalign;
-  uint8_t* s = sbuf.data() + misalign;
-  uint64_t mask = ~uint64_t{0};
-  for (auto _ : state) {
-    KernelCondCopyBytesMask(mask, d, s, nbytes);
-    mask = ~mask;
-    benchmark::DoNotOptimize(d);
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(nbytes));
-  SetKernelBackend(prev);
-}
-
 void BM_KernelEqual(benchmark::State& state, KernelBackend backend, size_t nbytes,
                     size_t misalign) {
   const KernelBackend prev = ActiveKernelBackend();
@@ -279,11 +260,6 @@ void RegisterKernelBenchmarks() {
             ("BM_KernelCondSwap" + suffix).c_str(),
             [backend, nbytes, misalign](benchmark::State& st) {
               BM_KernelCondSwap(st, backend, nbytes, misalign);
-            });
-        benchmark::RegisterBenchmark(
-            ("BM_KernelCondCopy" + suffix).c_str(),
-            [backend, nbytes, misalign](benchmark::State& st) {
-              BM_KernelCondCopy(st, backend, nbytes, misalign);
             });
         benchmark::RegisterBenchmark(
             ("BM_KernelEqual" + suffix).c_str(),
@@ -329,14 +305,9 @@ void EmitKernelSeries() {
           double ns;
         };
         uint64_t mask = ~uint64_t{0};
-        const OpPoint ops[3] = {
+        const OpPoint ops[2] = {
             {"cond_swap", MeasureNsPerOp([&] {
                KernelCondSwapBytesMask(mask, a, b, nbytes);
-               mask = ~mask;
-               benchmark::DoNotOptimize(a);
-             })},
-            {"cond_copy", MeasureNsPerOp([&] {
-               KernelCondCopyBytesMask(mask, a, b, nbytes);
                mask = ~mask;
                benchmark::DoNotOptimize(a);
              })},

@@ -17,6 +17,8 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/analysis/batch_bound.h"
@@ -58,6 +60,12 @@ inline constexpr OhtSchema kRequestOhtSchema{
     offsetof(RequestHeader, key), offsetof(RequestHeader, bin),
     offsetof(RequestHeader, dummy), offsetof(RequestHeader, order),
     offsetof(RequestHeader, dedup)};
+
+// Thrown by RequestBatch::Deserialize for bytes that are not a well-formed batch.
+class MalformedBatchError : public std::runtime_error {
+ public:
+  explicit MalformedBatchError(const std::string& what) : std::runtime_error(what) {}
+};
 
 // A batch of request records with a common value size.
 class RequestBatch {
@@ -115,10 +123,24 @@ inline std::vector<uint8_t> RequestBatch::Serialize() const {
 }
 
 inline RequestBatch RequestBatch::Deserialize(std::span<const uint8_t> bytes) {
+  if (bytes.size() < 16) {
+    throw MalformedBatchError("request batch shorter than its 16-byte header");
+  }
   uint64_t vs = 0;
   uint64_t count = 0;
   std::memcpy(&vs, bytes.data(), 8);
   std::memcpy(&count, bytes.data() + 8, 8);
+  // The length must be exactly 16 + count * (48 + vs), checked without overflow: the
+  // record size must be representable, and the count must fit in the bytes that are
+  // actually there before the product is formed.
+  const uint64_t body = bytes.size() - 16;
+  const bool fits = vs <= UINT64_MAX - kHeaderBytes &&
+                    (count == 0 ? body == 0
+                                : count <= body / (kHeaderBytes + vs) &&
+                                      body == count * (kHeaderBytes + vs));
+  if (!fits) {
+    throw MalformedBatchError("request batch length disagrees with its record count");
+  }
   RequestBatch batch(static_cast<size_t>(vs));
   ByteSlab slab(static_cast<size_t>(count), kHeaderBytes + static_cast<size_t>(vs));
   if (count > 0) {

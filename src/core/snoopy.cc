@@ -5,9 +5,9 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "src/core/reshard.h"
-#include "src/crypto/sha256.h"
 #include "src/enclave/trace.h"
 #include "src/obl/bitonic_sort.h"
 #include "src/obl/parallel.h"
@@ -31,108 +31,6 @@ std::string SubOramEndpointName(uint32_t so, uint32_t lb) {
 
 std::string StripeEndpointName(uint32_t so) {
   return "suboram/" + std::to_string(so) + "/stripe";
-}
-
-// --- Stripe wire format -------------------------------------------------------------
-// Host-level plaintext messages between subORAM hosts; the payloads are already
-// AEAD-sealed counter-bound snapshots (or chunks of them), so confidentiality and
-// rollback protection come from the sealing layer. A SHA-256 digest over the
-// addressing fields and the payload catches in-flight corruption: a mismatch surfaces
-// as IntegrityError inside the retry loop, like any transient fault.
-constexpr uint8_t kStripeStore = 0;
-constexpr uint8_t kStripeManifest = 1;
-constexpr uint8_t kStripeFetch = 2;
-// op(1) owner(4) seal_counter(8) chunk_index(4) chunk_count(4) blob_len(8) offset(8)
-// len(8) digest(32).
-constexpr size_t kStripeHeaderBytes = 77;
-constexpr size_t kStripeManifestRespBytes = 33;
-
-// `payload` is a view: into the sender's snapshot when encoding, into the received
-// wire bytes when decoding.
-struct StripeMsg {
-  uint8_t op = 0;
-  uint32_t owner = 0;
-  uint64_t seal_counter = 0;
-  uint32_t chunk_index = 0;
-  uint32_t chunk_count = 0;
-  uint64_t blob_len = 0;
-  uint64_t offset = 0;
-  uint64_t len = 0;
-  Sha256::Digest digest{};
-  std::span<const uint8_t> payload;
-};
-
-// Header, then the payload, then `zero_pad` zero bytes (a parity-mode data chunk
-// padded to the common chunk length), each written once.
-std::vector<uint8_t> EncodeStripeMsg(const StripeMsg& m, size_t zero_pad = 0) {
-  std::vector<uint8_t> out;
-  out.reserve(kStripeHeaderBytes + m.payload.size() + zero_pad);
-  out.resize(kStripeHeaderBytes);
-  uint8_t* p = out.data();
-  *p = m.op;
-  std::memcpy(p + 1, &m.owner, 4);
-  std::memcpy(p + 5, &m.seal_counter, 8);
-  std::memcpy(p + 13, &m.chunk_index, 4);
-  std::memcpy(p + 17, &m.chunk_count, 4);
-  std::memcpy(p + 21, &m.blob_len, 8);
-  std::memcpy(p + 29, &m.offset, 8);
-  std::memcpy(p + 37, &m.len, 8);
-  std::memcpy(p + 45, m.digest.data(), 32);
-  out.insert(out.end(), m.payload.begin(), m.payload.end());
-  out.resize(out.size() + zero_pad);
-  return out;
-}
-
-StripeMsg DecodeStripeMsg(std::span<const uint8_t> bytes, const std::string& endpoint) {
-  if (bytes.size() < kStripeHeaderBytes) {
-    throw IntegrityError(endpoint);
-  }
-  StripeMsg m;
-  const uint8_t* p = bytes.data();
-  m.op = *p;
-  std::memcpy(&m.owner, p + 1, 4);
-  std::memcpy(&m.seal_counter, p + 5, 8);
-  std::memcpy(&m.chunk_index, p + 13, 4);
-  std::memcpy(&m.chunk_count, p + 17, 4);
-  std::memcpy(&m.blob_len, p + 21, 8);
-  std::memcpy(&m.offset, p + 29, 8);
-  std::memcpy(&m.len, p + 37, 8);
-  std::memcpy(m.digest.data(), p + 45, 32);
-  m.payload = bytes.subspan(kStripeHeaderBytes);
-  return m;
-}
-
-// Digest over the addressing fields and `payload` followed by `zero_pad` zero bytes.
-Sha256::Digest StripeDigest(uint32_t owner, uint64_t seal_counter, uint32_t chunk_index,
-                            uint64_t offset, std::span<const uint8_t> payload,
-                            size_t zero_pad = 0) {
-  Sha256 h;
-  uint8_t fields[24];
-  std::memcpy(fields, &owner, 4);
-  std::memcpy(fields + 4, &seal_counter, 8);
-  std::memcpy(fields + 12, &chunk_index, 4);
-  std::memcpy(fields + 16, &offset, 8);
-  h.Update(fields, sizeof(fields));
-  h.Update(payload);
-  static constexpr uint8_t kZeros[Sha256::kBlockBytes] = {};
-  while (zero_pad > 0) {
-    const size_t n = std::min(zero_pad, sizeof(kZeros));
-    h.Update(kZeros, n);
-    zero_pad -= n;
-  }
-  return h.Finalize();
-}
-
-// Chunk c of a snapshot split into `chunk_len`-byte chunks; the last data chunk may
-// be short (its zero padding exists only on the wire and in the digest).
-std::span<const uint8_t> StripeChunk(std::span<const uint8_t> blob, uint32_t c,
-                                     uint64_t chunk_len) {
-  const uint64_t off = uint64_t{c} * chunk_len;
-  if (off >= blob.size()) {
-    return {};
-  }
-  return blob.subspan(static_cast<size_t>(off),
-                      static_cast<size_t>(std::min<uint64_t>(chunk_len, blob.size() - off)));
 }
 
 std::vector<std::pair<uint64_t, std::vector<uint8_t>>> SlabToObjects(const ByteSlab& slab,
@@ -199,16 +97,7 @@ void Snoopy::Construct() {
   if (config_.num_load_balancers == 0 || config_.num_suborams == 0) {
     throw std::invalid_argument("Snoopy needs at least one load balancer and one subORAM");
   }
-  if (config_.striping.replicas > 0) {
-    if (config_.num_suborams <= StripePeerCount()) {
-      throw std::invalid_argument(
-          "striping needs num_suborams > replicas (+1 in parity mode): the stripes "
-          "live on peer subORAMs");
-    }
-    if (config_.striping.repair_epochs == 0) {
-      throw std::invalid_argument("striping.repair_epochs must be positive");
-    }
-  }
+  ValidateStriping(config_.striping, config_.num_suborams);
   partition_key_ = rng_.NextSipKey();
 
   for (uint32_t lb = 0; lb < config_.num_load_balancers; ++lb) {
@@ -257,8 +146,10 @@ void Snoopy::RegisterSubOramEndpoints(uint32_t so) {
                         return SubOramEndpointHandler(lb, so, payload);
                       });
   }
+  // Host-level stripe traffic runs inline on the caller's thread; all of it happens on
+  // the orchestrator thread at epoch boundaries, so the store needs no locking.
   network_.Register(StripeEndpointName(so), [this, so](std::span<const uint8_t> payload) {
-    return StripeEndpointHandler(so, payload);
+    return ServeStripeRequest(partitions_[so].stripes, payload, StripeEndpointName(so));
   });
 }
 
@@ -308,6 +199,12 @@ const Snoopy::MetricsCache* Snoopy::Metrics() const {
   return &metrics_cache_;
 }
 
+void Snoopy::CountEvent(const std::string& name, const MetricLabels& labels) const {
+  if (metrics_ != nullptr) {
+    metrics_->GetCounter(name, labels).Increment();
+  }
+}
+
 Histogram* Snoopy::PhaseHistogram(Phase phase) const {
   const MetricsCache* cache = Metrics();
   return cache != nullptr ? cache->phase_seconds[phase] : nullptr;
@@ -348,17 +245,16 @@ void Snoopy::Initialize(
 }
 
 // Epoch boundary: seal every healthy subORAM's state FIRST (one trusted-counter bump
-// each, paper section 9), then retire the per-epoch dedup state, then distribute
-// redundancy stripes. The ordering matters: a stripe push can trigger a peer's crash
-// recovery, which must restore the *post*-epoch snapshot with an empty executed set --
-// sealing or clearing after distribution could lose the epoch's writes at that peer.
+// each, paper section 9), then retire the per-epoch dedup state, then push stripes.
+// A push can trigger a peer's crash recovery, which must restore the *post*-epoch
+// snapshot with an empty executed set; sealing or clearing later could lose writes.
 //
-// The seal is one pooled phase, a task per subORAM: each task seals its partition in
-// place into the buffer of its previous snapshot and encodes its stripes (digests,
-// parity). Tasks touch only their own backend, snapshot and counter (SealedStore is
-// safe on distinct counters), so every counter still advances once per boundary. The
-// stripe pushes stay serial on the orchestrator, which is what lets the stripe store
-// go without locking.
+// The seal is one pooled phase, a task per subORAM that seals in place into its
+// previous snapshot's buffer and encodes its stripes. Tasks touch only their own
+// backend, snapshot and counter (SealedStore is safe on distinct counters). The pushes
+// stay serial on the orchestrator, so the stripe store needs no lock. A repairing peer
+// has no machine to store on, and one unreachable past the retry budget misses this
+// snapshot; both are counted, and redundancy re-converges at a later boundary.
 void Snoopy::SealEpochBoundary() {
   std::vector<StripeEncoding> stripes(config_.num_suborams);
   RunPhase(config_.num_suborams, config_.epoch_threads, PoolContext(kSeal), [&](size_t so) {
@@ -366,7 +262,8 @@ void Snoopy::SealEpochBoundary() {
     if (partition_health(static_cast<uint32_t>(so)) == PartitionHealth::kHealthy &&
         p.backend->SupportsSealing()) {
       p.backend->SealStateInto(*sealed_store_, p.counter_id, p.snapshot);
-      stripes[so] = EncodeStripes(static_cast<uint32_t>(so));
+      stripes[so] = EncodeStripes(config_.striping, static_cast<uint32_t>(so),
+                                  counters_.Read(p.counter_id), p.snapshot);
     }
   });
   for (Partition& p : partitions_) {
@@ -374,8 +271,22 @@ void Snoopy::SealEpochBoundary() {
     p.executed_lbs.clear();
   }
   for (uint32_t so = 0; so < config_.num_suborams; ++so) {
-    if (partition_health(so) == PartitionHealth::kHealthy) {
-      DistributeStripes(so, stripes[so]);
+    if (partition_health(so) != PartitionHealth::kHealthy || stripes[so].digests.empty()) {
+      continue;
+    }
+    const std::vector<uint32_t> peers = StripePeers(config_.striping, config_.num_suborams, so);
+    for (size_t rank = 0; rank < peers.size(); ++rank) {
+      if (partition_health(peers[rank]) != PartitionHealth::kHealthy) {
+        CountEvent("snoopy_stripe_skips_total");
+        continue;
+      }
+      try {
+        RetriedStripeCall(so, peers[rank],
+                          EncodeStripeStore(config_.striping, so, partitions_[so].snapshot,
+                                            stripes[so], rank));
+      } catch (const NetworkError&) {
+        CountEvent("snoopy_stripe_failures_total");
+      }
     }
   }
 }
@@ -445,10 +356,9 @@ size_t Snoopy::pending_requests() const {
 }
 
 // Batches travel as [epoch id (8 bytes, plaintext) | sealed batch]. The epoch id lets
-// the subORAM's host side recognize a retransmission and re-serve the cached sealed
-// response instead of re-executing -- retried and duplicated deliveries therefore
-// change neither the store state (Appendix C linearizability) nor the enclave's
-// memory trace (the batch is processed exactly once).
+// the host re-serve a retransmission's cached sealed response, so retried and
+// duplicated deliveries change neither the store state (Appendix C) nor the enclave's
+// memory trace: the batch is processed exactly once.
 std::vector<uint8_t> Snoopy::SubOramEndpointHandler(uint32_t lb, uint32_t so,
                                                     std::span<const uint8_t> payload) {
   const std::string endpoint = SubOramEndpointName(so, lb);
@@ -466,9 +376,7 @@ std::vector<uint8_t> Snoopy::SubOramEndpointHandler(uint32_t lb, uint32_t so,
     // Retransmit: serve the cached epoch response. Safe to count -- a dedup hit is
     // caused by a network event (duplicate delivery or lost reply) the adversary
     // already observes.
-    if (metrics_ != nullptr) {
-      metrics_->GetCounter("snoopy_dedup_hits_total").Increment();
-    }
+    CountEvent("snoopy_dedup_hits_total");
     return it->second;
   }
   std::vector<uint8_t> plain;
@@ -482,11 +390,9 @@ std::vector<uint8_t> Snoopy::SubOramEndpointHandler(uint32_t lb, uint32_t so,
   return sealed_resp;
 }
 
-// One load-balancer-to-subORAM exchange under the retry policy. Seals lazily and only
-// once per link generation: a resend must be byte-identical (the dedup cache and the
-// channel counters both depend on it), but after a crash recovery rekeys the link, the
-// old bytes are for a dead session and the batch must be resealed. A crash observed
-// mid-call triggers RecoverSubOram with this call's lb as the replay limit.
+// Seals once per link generation: a resend must be byte-identical (the dedup cache and
+// channel counters depend on it), but after a recovery rekeys the link the old bytes
+// belong to a dead session. A crash mid-call recovers with this lb as replay limit.
 std::vector<uint8_t> Snoopy::RetriedSubOramCall(
     uint32_t lb, uint32_t so, const std::vector<uint8_t>& serialized,
     const std::vector<LoadBalancer::PreparedEpoch>* prepared) {
@@ -521,9 +427,7 @@ std::vector<uint8_t> Snoopy::RetriedCall(
   RetryExecutor executor(config_.retry, jitter_seed, &clock_);
   executor.set_on_retry([&] {
     network_.RecordRetry(caller, endpoint);
-    if (metrics_ != nullptr) {
-      metrics_->GetCounter("snoopy_retries_total", {{"endpoint", endpoint}}).Increment();
-    }
+    CountEvent("snoopy_retries_total", {{"endpoint", endpoint}});
   });
   return executor.Execute(
       call, [&](const EndpointCrashedError&) { RecoverSubOram(so, prepared, lb_limit); });
@@ -539,7 +443,7 @@ RequestBatch Snoopy::CallSubOram(uint32_t lb, uint32_t so,
     const Partition& p = partitions_[so];
     if (p.health != PartitionHealth::kHealthy) {
       throw PartitionUnavailableError(SubOramEndpointName(so, lb), so,
-                                      p.repair.epochs_remaining);
+                                      p.repair_epochs_remaining);
     }
   }
   return RequestBatch::Deserialize(RetriedSubOramCall(
@@ -561,20 +465,14 @@ void Snoopy::RecoverSubOram(uint32_t so,
   if (fault_injector_ != nullptr) {
     fault_injector_->Restart(component);
   }
-  if (metrics_ != nullptr) {
-    metrics_->GetCounter("snoopy_recoveries_total", {{"component", component}}).Increment();
-  }
+  CountEvent("snoopy_recoveries_total", {{"component", component}});
 
-  // The snapshot predates this epoch's batches; replay the ones the subORAM had
-  // already executed (in load-balancer order, the Appendix C linearization) so the
-  // restored state catches up to the crash point. The caller's own batch (lb_limit)
-  // is excluded -- its pending retry delivers it. Replays run through the normal
-  // endpoint path: they repopulate the response cache, tolerate further transient
-  // faults, and -- via RetriedSubOramCall's own crash handling -- recover recursively
-  // if the component is crashed again mid-replay (safe because the executed set is
-  // durable across recoveries and restore is idempotent from the same snapshot).
-  // Responses are discarded: re-execution from the same pre-epoch state reproduces
-  // the already-delivered answers.
+  // The snapshot predates this epoch's batches: replay the ones the subORAM had
+  // already executed, in load-balancer order (Appendix C), except the caller's own
+  // (lb_limit), which its pending retry delivers. Replays take the normal endpoint
+  // path, so they repopulate the response cache, tolerate transient faults and
+  // recover recursively from a second crash (the executed set survives recoveries and
+  // restore is idempotent). Their responses equal the already-delivered answers.
   if (prepared == nullptr) {
     return;
   }
@@ -605,11 +503,10 @@ void Snoopy::RestorePartition(uint32_t so, std::span<const uint8_t> blob) {
 }
 
 void Snoopy::RecoverLoadBalancer(uint32_t lb) {
-  // Load balancers are stateless across epochs (section 4.3): rebuild is a fresh
-  // enclave with the same static partition key and config. Its epoch preparation is
-  // already deterministic via EpochSeed, so the replacement produces byte-identical
-  // batches to the ones the crashed instance would have sent. Pending requests live
-  // with the clients in this model; they resubmit into the rebuilt instance.
+  // Load balancers are stateless across epochs (section 4.3): the rebuild is a fresh
+  // enclave with the same partition key and config, and EpochSeed makes it prepare
+  // the batches the crashed instance would have sent. Pending requests live with the
+  // clients in this model; they resubmit into the rebuilt instance.
   lb_enclaves_[lb] = std::make_unique<Enclave>("snoopy-load-balancer", lb);
   const LoadBalancerConfig lbc = lbs_[lb]->config();
   lbs_[lb] = std::make_unique<LoadBalancer>(lbc, partition_key_, lb_base_seeds_[lb]);
@@ -620,10 +517,7 @@ void Snoopy::RecoverLoadBalancer(uint32_t lb) {
     fault_injector_->Restart("lb/" + std::to_string(lb));
   }
   network_.RecordRecovery();
-  if (metrics_ != nullptr) {
-    metrics_->GetCounter("snoopy_recoveries_total", {{"component", "lb/" + std::to_string(lb)}})
-        .Increment();
-  }
+  CountEvent("snoopy_recoveries_total", {{"component", "lb/" + std::to_string(lb)}});
 }
 
 void Snoopy::RekeyLink(uint32_t lb, uint32_t so) {
@@ -646,54 +540,16 @@ Snoopy::PartitionHealth Snoopy::partition_health(uint32_t so) const {
 
 uint32_t Snoopy::repair_epochs_remaining(uint32_t so) const {
   std::lock_guard<std::mutex> g(health_mu_);
-  return partitions_[so].repair.epochs_remaining;
-}
-
-const Snoopy::HostStripe* Snoopy::host_stripe(uint32_t peer, uint32_t owner) const {
-  const std::map<uint32_t, HostStripe>& held = partitions_[peer].stripes;
-  const auto it = held.find(owner);
-  return it == held.end() ? nullptr : &it->second;
-}
-
-void Snoopy::host_replace_stripe(uint32_t peer, uint32_t owner, HostStripe stripe) {
-  partitions_[peer].stripes[owner] = std::move(stripe);
-}
-
-uint32_t Snoopy::StripePeerCount() const {
-  return config_.striping.replicas + (config_.striping.xor_parity ? 1 : 0);
-}
-
-std::vector<uint32_t> Snoopy::StripePeers(uint32_t so) const {
-  const uint32_t count = StripePeerCount();
-  std::vector<uint32_t> peers;
-  peers.reserve(count);
-  for (uint32_t i = 1; peers.size() < count; ++i) {
-    peers.push_back((so + i) % config_.num_suborams);
-  }
-  return peers;
+  return partitions_[so].repair_epochs_remaining;
 }
 
 std::vector<uint8_t> Snoopy::RetriedStripeCall(uint32_t so, uint32_t peer,
                                                const std::vector<uint8_t>& request) {
   const std::string caller = "suboram/" + std::to_string(so);
   const std::string endpoint = StripeEndpointName(peer);
-  const uint8_t op = request.empty() ? 0xff : request[0];
   auto call = [&]() -> std::vector<uint8_t> {
     std::vector<uint8_t> resp = network_.Call(caller, endpoint, request);
-    if (op == kStripeFetch) {
-      // Verify the fetched slice inside the retried call so a corrupted reply is
-      // retried like any other transient fault.
-      const StripeMsg req = DecodeStripeMsg(request, endpoint);
-      if (resp.size() != 32 + req.len) {
-        throw IntegrityError(endpoint);
-      }
-      const Sha256::Digest d =
-          StripeDigest(req.owner, req.seal_counter, req.chunk_index, req.offset,
-                       std::span<const uint8_t>(resp.data() + 32, req.len));
-      if (!std::equal(d.begin(), d.end(), resp.begin())) {
-        throw IntegrityError(endpoint);
-      }
-    }
+    CheckStripeReply(request, resp, endpoint);
     return resp;
   };
   // Stripe traffic only flows at epoch boundaries (post-seal), so a peer crash
@@ -702,147 +558,6 @@ std::vector<uint8_t> Snoopy::RetriedStripeCall(uint32_t so, uint32_t peer,
   return RetriedCall(caller, endpoint,
                      /*jitter_seed=*/Mix64(epoch_ ^ (uint64_t{so} << 32) ^ peer), call, peer,
                      nullptr, 0);
-}
-
-// Host-level stripe traffic at peer `so`. Runs inline on the caller's thread; all
-// stripe traffic happens on the orchestrator thread at epoch boundaries, so the store
-// needs no locking.
-std::vector<uint8_t> Snoopy::StripeEndpointHandler(uint32_t so,
-                                                   std::span<const uint8_t> payload) {
-  const std::string endpoint = StripeEndpointName(so);
-  const StripeMsg m = DecodeStripeMsg(payload, endpoint);
-  auto& store = partitions_[so].stripes;
-  switch (m.op) {
-    case kStripeStore: {
-      if (m.digest != StripeDigest(m.owner, m.seal_counter, m.chunk_index, 0, m.payload)) {
-        throw IntegrityError(endpoint);  // corrupted in flight; the owner retries
-      }
-      HostStripe s;
-      s.seal_counter = m.seal_counter;
-      s.chunk_index = m.chunk_index;
-      s.chunk_count = m.chunk_count;
-      s.blob_len = m.blob_len;
-      s.payload.assign(m.payload.begin(), m.payload.end());
-      store[m.owner] = std::move(s);  // latest seal wins; a re-store is idempotent
-      return {1};
-    }
-    case kStripeManifest: {
-      std::vector<uint8_t> out(kStripeManifestRespBytes, 0);
-      const auto it = store.find(m.owner);
-      if (it != store.end()) {
-        const HostStripe& s = it->second;
-        const uint64_t chunk_len = s.payload.size();
-        out[0] = 1;
-        std::memcpy(out.data() + 1, &s.seal_counter, 8);
-        std::memcpy(out.data() + 9, &s.chunk_index, 4);
-        std::memcpy(out.data() + 13, &s.chunk_count, 4);
-        std::memcpy(out.data() + 17, &s.blob_len, 8);
-        std::memcpy(out.data() + 25, &chunk_len, 8);
-      }
-      return out;
-    }
-    case kStripeFetch: {
-      const auto it = store.find(m.owner);
-      // Range check in a form that cannot wrap: offset and len are 64-bit wire
-      // fields, and `offset + len > size` passes for offset near 2^64.
-      if (it == store.end() || it->second.seal_counter != m.seal_counter ||
-          it->second.chunk_index != m.chunk_index ||
-          m.offset > it->second.payload.size() ||
-          m.len > it->second.payload.size() - m.offset) {
-        // Addressing mismatch (stale manifest or corrupted request): retried, and the
-        // repair coordinator replans from fresh manifests if it keeps failing.
-        throw IntegrityError(endpoint);
-      }
-      const std::span<const uint8_t> slice(it->second.payload.data() + m.offset,
-                                           static_cast<size_t>(m.len));
-      const Sha256::Digest d =
-          StripeDigest(m.owner, m.seal_counter, m.chunk_index, m.offset, slice);
-      std::vector<uint8_t> out(32 + slice.size());
-      std::memcpy(out.data(), d.data(), 32);
-      if (!slice.empty()) {
-        std::memcpy(out.data() + 32, slice.data(), slice.size());
-      }
-      return out;
-    }
-    default:
-      throw IntegrityError(endpoint);
-  }
-}
-
-Snoopy::StripeEncoding Snoopy::EncodeStripes(uint32_t so) const {
-  const StripingConfig& sc = config_.striping;
-  const Partition& p = partitions_[so];
-  const std::span<const uint8_t> blob = p.snapshot;
-  StripeEncoding enc;
-  if (sc.replicas == 0 || blob.empty()) {
-    return enc;
-  }
-  enc.seal_counter = counters_.Read(p.counter_id);
-  if (!sc.xor_parity) {
-    enc.digests.push_back(StripeDigest(so, enc.seal_counter, 0, 0, blob));
-    return enc;
-  }
-  // Parity mode: `replicas` zero-padded equal-size data chunks plus their XOR, which
-  // goes to the extra peer as chunk index `replicas`.
-  const uint32_t chunk_count = sc.replicas;
-  enc.chunk_len = (blob.size() + chunk_count - 1) / chunk_count;
-  enc.parity.assign(static_cast<size_t>(enc.chunk_len), 0);
-  for (uint32_t c = 0; c < chunk_count; ++c) {
-    const std::span<const uint8_t> chunk = StripeChunk(blob, c, enc.chunk_len);
-    enc.digests.push_back(StripeDigest(so, enc.seal_counter, c, 0, chunk,
-                                       static_cast<size_t>(enc.chunk_len) - chunk.size()));
-    for (size_t j = 0; j < chunk.size(); ++j) {
-      enc.parity[j] ^= chunk[j];
-    }
-  }
-  enc.digests.push_back(StripeDigest(so, enc.seal_counter, chunk_count, 0, enc.parity));
-  return enc;
-}
-
-void Snoopy::DistributeStripes(uint32_t so, const StripeEncoding& enc) {
-  const StripingConfig& sc = config_.striping;
-  if (enc.digests.empty()) {
-    return;
-  }
-  const std::span<const uint8_t> blob = partitions_[so].snapshot;
-  const std::vector<uint32_t> peers = StripePeers(so);
-  for (size_t i = 0; i < peers.size(); ++i) {
-    const uint32_t peer = peers[i];
-    if (partition_health(peer) != PartitionHealth::kHealthy) {
-      // A repairing peer has no machine to store on; redundancy for this snapshot
-      // re-converges at the next boundary after its repair.
-      if (metrics_ != nullptr) {
-        metrics_->GetCounter("snoopy_stripe_skips_total").Increment();
-      }
-      continue;
-    }
-    StripeMsg m;
-    m.op = kStripeStore;
-    m.owner = so;
-    m.seal_counter = enc.seal_counter;
-    m.chunk_index = sc.xor_parity ? static_cast<uint32_t>(i) : 0;
-    m.chunk_count = sc.xor_parity ? sc.replicas : 1;
-    m.blob_len = blob.size();
-    m.digest = enc.digests[m.chunk_index];
-    size_t zero_pad = 0;
-    if (!sc.xor_parity) {
-      m.payload = blob;
-    } else if (m.chunk_index == sc.replicas) {
-      m.payload = enc.parity;
-    } else {
-      m.payload = StripeChunk(blob, m.chunk_index, enc.chunk_len);
-      zero_pad = static_cast<size_t>(enc.chunk_len) - m.payload.size();
-    }
-    try {
-      RetriedStripeCall(so, peer, EncodeStripeMsg(m, zero_pad));
-    } catch (const NetworkError&) {
-      // Peer unreachable past the retry budget (or permanently lost mid-push): skip
-      // its copy of this snapshot; the next boundary re-stripes.
-      if (metrics_ != nullptr) {
-        metrics_->GetCounter("snoopy_stripe_failures_total").Increment();
-      }
-    }
-  }
 }
 
 void Snoopy::LoseSubOram(uint32_t so) {
@@ -873,214 +588,88 @@ void Snoopy::LoseSubOram(uint32_t so) {
   p.stripes.clear();
   {
     std::lock_guard<std::mutex> g(health_mu_);
-    p.repair = RepairState{};
-    p.repair.epochs_remaining = config_.striping.repair_epochs;
+    p.repair_epochs_remaining = config_.striping.repair_epochs;
   }
-  if (metrics_ != nullptr) {
-    metrics_->GetCounter("snoopy_partition_losses_total", {{"component", component}})
-        .Increment();
-  }
+  p.repair.reset();
+  CountEvent("snoopy_partition_losses_total", {{"component", component}});
 }
 
 void Snoopy::PlanRepair(uint32_t so) {
-  const StripingConfig& sc = config_.striping;
-  RepairState& rs = partitions_[so].repair;
-  struct Manifest {
-    uint32_t peer = 0;
-    uint64_t seal_counter = 0;
-    uint32_t chunk_index = 0;
-    uint32_t chunk_count = 0;
-    uint64_t blob_len = 0;
-    uint64_t chunk_len = 0;
-  };
-  std::vector<Manifest> manifests;
-  for (const uint32_t peer : StripePeers(so)) {
+  std::vector<StripeManifest> manifests;
+  for (const uint32_t peer : StripePeers(config_.striping, config_.num_suborams, so)) {
     if (partition_health(peer) != PartitionHealth::kHealthy) {
       continue;
     }
-    StripeMsg q;
-    q.op = kStripeManifest;
-    q.owner = so;
-    std::vector<uint8_t> resp;
     try {
-      resp = RetriedStripeCall(so, peer, EncodeStripeMsg(q));
+      const std::vector<uint8_t> resp = RetriedStripeCall(so, peer, EncodeStripeManifestQuery(so));
+      if (const auto m = DecodeStripeManifest(config_.striping, peer, resp)) {
+        manifests.push_back(*m);
+      }
     } catch (const NetworkError&) {
-      continue;  // unreachable peer: plan around it
+      // Unreachable peer: plan around it.
     }
-    if (resp.size() != kStripeManifestRespBytes || resp[0] == 0) {
-      continue;
-    }
-    Manifest man;
-    man.peer = peer;
-    std::memcpy(&man.seal_counter, resp.data() + 1, 8);
-    std::memcpy(&man.chunk_index, resp.data() + 9, 4);
-    std::memcpy(&man.chunk_count, resp.data() + 13, 4);
-    std::memcpy(&man.blob_len, resp.data() + 17, 8);
-    std::memcpy(&man.chunk_len, resp.data() + 25, 8);
-    // The manifest is host-supplied: geometry the public striping config could not
-    // have produced is dropped before it sizes any table or buffer below.
-    const uint32_t chunk_count = sc.xor_parity ? sc.replicas : 1;
-    const uint64_t chunk_len =
-        man.blob_len / chunk_count + (man.blob_len % chunk_count != 0 ? 1 : 0);
-    if (man.chunk_count != chunk_count || man.chunk_index > chunk_count ||
-        man.chunk_len != chunk_len) {
-      continue;
-    }
-    manifests.push_back(man);
   }
-
-  // Choose the freshest seal for which a complete reconstruction set survives:
-  // replication needs any one full copy; parity needs chunk_count of the
-  // chunk_count + 1 chunks (the parity chunk substitutes for at most one missing data
-  // chunk). Inconsistent geometry within a seal generation means host tampering;
-  // such generations are skipped, and if nothing reconstructs the partition is gone.
-  std::vector<uint64_t> counters_seen;
-  for (const Manifest& m : manifests) {
-    counters_seen.push_back(m.seal_counter);
+  partitions_[so].repair = PlanStripeRepair(manifests);
+  if (!partitions_[so].repair) {
+    throw std::runtime_error("suboram/" + std::to_string(so) +
+                             " unrecoverable: no complete stripe set survives");
   }
-  std::sort(counters_seen.begin(), counters_seen.end(), std::greater<uint64_t>());
-  counters_seen.erase(std::unique(counters_seen.begin(), counters_seen.end()),
-                      counters_seen.end());
-  for (const uint64_t counter : counters_seen) {
-    std::vector<Manifest> gen;
-    for (const Manifest& m : manifests) {
-      if (m.seal_counter == counter) {
-        gen.push_back(m);
-      }
-    }
-    const uint32_t chunk_count = gen.front().chunk_count;
-    const uint64_t blob_len = gen.front().blob_len;
-    const uint64_t chunk_len = gen.front().chunk_len;
-    bool consistent = chunk_count > 0 && chunk_len > 0;
-    for (const Manifest& m : gen) {
-      consistent = consistent && m.chunk_count == chunk_count && m.blob_len == blob_len &&
-                   m.chunk_len == chunk_len && m.chunk_index <= chunk_count;
-    }
-    if (!consistent) {
-      continue;
-    }
-    // Map data chunk index -> source (peer, stored chunk index). -1 entries are
-    // missing; at most one may be covered by the parity chunk.
-    std::vector<int> source_of(chunk_count, -1);
-    int parity_at = -1;
-    for (size_t i = 0; i < gen.size(); ++i) {
-      if (gen[i].chunk_index == chunk_count) {
-        parity_at = static_cast<int>(i);
-      } else if (source_of[gen[i].chunk_index] < 0) {
-        source_of[gen[i].chunk_index] = static_cast<int>(i);
-      }
-    }
-    int missing = -1;
-    bool viable = true;
-    for (uint32_t c = 0; c < chunk_count; ++c) {
-      if (source_of[c] >= 0) {
-        continue;
-      }
-      if (missing >= 0 || parity_at < 0) {
-        viable = false;  // two holes, or one hole and no parity
-        break;
-      }
-      missing = static_cast<int>(c);
-    }
-    if (!viable) {
-      continue;
-    }
-    rs.seal_counter = counter;
-    rs.chunk_count = chunk_count;
-    rs.blob_len = blob_len;
-    rs.chunk_len = chunk_len;
-    rs.parity_substituted = missing;
-    rs.needed.clear();
-    for (uint32_t c = 0; c < chunk_count; ++c) {
-      const Manifest& src = gen[static_cast<size_t>(
-          static_cast<int>(c) == missing ? parity_at : source_of[c])];
-      rs.needed.emplace_back(src.peer, src.chunk_index);
-    }
-    rs.buffers.assign(rs.needed.size(), std::vector<uint8_t>(rs.chunk_len, 0));
-    rs.cursor = 0;
-    rs.planned = true;
-    return;
-  }
-  throw std::runtime_error("suboram/" + std::to_string(so) +
-                           " unrecoverable: no complete stripe set survives");
 }
 
 void Snoopy::RepairStep(uint32_t so) {
-  RepairState& rs = partitions_[so].repair;
-  if (!rs.planned) {
+  Partition& p = partitions_[so];
+  if (!p.repair) {
     PlanRepair(so);
   }
+  RepairPlan& plan = *p.repair;
   // The per-epoch slice is a fixed public fraction of the (public) stripe geometry:
   // the repair rate is load-independent by construction, so the repair schedule leaks
   // nothing about the request pattern.
-  const uint64_t total = rs.chunk_len * rs.needed.size();
+  const uint64_t chunk_len = plan.chunk_len();
+  const uint64_t total = plan.total_bytes();
   const uint64_t slice =
       (total + config_.striping.repair_epochs - 1) / config_.striping.repair_epochs;
   uint64_t fetched = 0;
-  while (fetched < slice && rs.cursor < total) {
-    const size_t idx = static_cast<size_t>(rs.cursor / rs.chunk_len);
-    const uint64_t off = rs.cursor % rs.chunk_len;
-    const uint64_t len = std::min<uint64_t>(slice - fetched, rs.chunk_len - off);
-    StripeMsg q;
-    q.op = kStripeFetch;
-    q.owner = so;
-    q.seal_counter = rs.seal_counter;
-    q.chunk_index = rs.needed[idx].second;
-    q.offset = off;
-    q.len = len;
+  while (fetched < slice && plan.cursor < total) {
+    const size_t idx = static_cast<size_t>(plan.cursor / chunk_len);
+    const uint64_t off = plan.cursor % chunk_len;
+    const uint64_t len = std::min<uint64_t>(slice - fetched, chunk_len - off);
+    const StripeManifest& src = plan.sources[idx];
     std::vector<uint8_t> resp;
     try {
-      resp = RetriedStripeCall(so, rs.needed[idx].first, EncodeStripeMsg(q));
+      resp = RetriedStripeCall(
+          so, src.peer, EncodeStripeFetch(so, src.seal_counter, src.chunk_index, off, len));
     } catch (const NetworkError&) {
       // A source vanished mid-repair. Replan from the surviving peers and restart the
       // window (a public event driven by the public failure process); PlanRepair
       // throws when nothing reconstructs any more.
       {
         std::lock_guard<std::mutex> g(health_mu_);
-        rs = RepairState{};
-        rs.epochs_remaining = config_.striping.repair_epochs;
+        p.repair_epochs_remaining = config_.striping.repair_epochs;
       }
       PlanRepair(so);
       return;
     }
-    std::memcpy(rs.buffers[idx].data() + off, resp.data() + 32, static_cast<size_t>(len));
-    rs.cursor += len;
+    std::memcpy(plan.buffers[idx].data() + off, StripeFetchPayload(resp).data(),
+                static_cast<size_t>(len));
+    plan.cursor += len;
     fetched += len;
   }
   {
     std::lock_guard<std::mutex> g(health_mu_);
-    if (rs.epochs_remaining > 0) {
-      --rs.epochs_remaining;
+    if (p.repair_epochs_remaining > 0) {
+      --p.repair_epochs_remaining;
     }
   }
-  if (rs.epochs_remaining == 0) {
+  if (p.repair_epochs_remaining == 0) {
     CompleteRepair(so);
   }
 }
 
 void Snoopy::CompleteRepair(uint32_t so) {
   Partition& p = partitions_[so];
-  RepairState& rs = p.repair;
   const std::string component = "suboram/" + std::to_string(so);
-  // Reassemble the sealed snapshot, XOR-reconstructing the parity-substituted data
-  // chunk if one source was missing (parity ^ all other data chunks = missing chunk).
-  if (rs.parity_substituted >= 0) {
-    std::vector<uint8_t>& out = rs.buffers[static_cast<size_t>(rs.parity_substituted)];
-    for (size_t i = 0; i < rs.buffers.size(); ++i) {
-      if (static_cast<int>(i) == rs.parity_substituted) {
-        continue;
-      }
-      for (size_t j = 0; j < out.size(); ++j) {
-        out[j] ^= rs.buffers[i][j];
-      }
-    }
-  }
-  std::vector<uint8_t> blob;
-  blob.reserve(static_cast<size_t>(rs.blob_len));
-  for (const std::vector<uint8_t>& chunk : rs.buffers) {
-    blob.insert(blob.end(), chunk.begin(), chunk.end());
-  }
-  blob.resize(static_cast<size_t>(rs.blob_len));  // strip chunk padding
+  std::vector<uint8_t> blob = ReassembleSnapshot(*p.repair);
 
   // Restore on the spare node under the dead identity. The counter check extends
   // rollback refusal to repair: a stale stripe set (host replaying a superseded seal
@@ -1091,15 +680,13 @@ void Snoopy::CompleteRepair(uint32_t so) {
   if (fault_injector_ != nullptr) {
     fault_injector_->Reincarnate(component);
   }
-  if (metrics_ != nullptr) {
-    metrics_->GetCounter("snoopy_repairs_completed_total", {{"component", component}})
-        .Increment();
-  }
+  CountEvent("snoopy_repairs_completed_total", {{"component", component}});
   {
     std::lock_guard<std::mutex> g(health_mu_);
     p.health = PartitionHealth::kHealthy;
-    p.repair = RepairState{};
+    p.repair_epochs_remaining = 0;
   }
+  p.repair.reset();
 }
 
 RequestBatch Snoopy::PlaceholderBatch(uint64_t batch_size) const {
@@ -1138,10 +725,16 @@ void Snoopy::RegisterClient(uint64_t client_id, const AttestationQuote& client_q
           if (!clients_.at(client_id).links[lb]->a_to_b().Open(sealed, plain)) {
             throw std::runtime_error("load balancer rejected client request");
           }
-          RequestBatch one = RequestBatch::Deserialize(plain);
-          for (size_t i = 0; i < one.size(); ++i) {
-            pending_[lb].Append(one.Header(i),
-                                std::span<const uint8_t>(one.Value(i), one.value_size()));
+          // The plaintext is client-controlled: a malformed batch or a foreign value
+          // size is refused whole, and every record is answered to this session.
+          RequestBatch batch = RequestBatch::Deserialize(plain);
+          if (batch.value_size() != config_.value_size) {
+            throw MalformedBatchError("client request has the wrong value size");
+          }
+          for (size_t i = 0; i < batch.size(); ++i) {
+            RequestHeader h = batch.Header(i);
+            h.client_id = client_id;
+            pending_[lb].Append(h, std::span<const uint8_t>(batch.Value(i), batch.value_size()));
           }
           return {1};  // ack
         });
@@ -1154,27 +747,19 @@ SecureLink& Snoopy::client_link(uint64_t client_id, uint32_t lb) {
 }
 
 std::vector<std::vector<uint8_t>> Snoopy::TakeMailbox(uint64_t client_id) {
-  std::vector<std::vector<uint8_t>> out = std::move(clients_.at(client_id).mailbox);
-  clients_.at(client_id).mailbox.clear();
-  return out;
+  return std::exchange(clients_.at(client_id).mailbox, {});
 }
 
 std::vector<ClientResponse> Snoopy::RunEpoch() {
   TraceRecord(TraceOp::kEpoch, epoch_, 0);
   std::vector<ClientResponse> all;
 
-  // Root epoch span plus public epoch facts. Request counts per load balancer are
-  // public in Snoopy's model: the network adversary observes which clients talk to
-  // which balancer; what stays hidden is the *content* and the key distribution,
-  // which never reaches telemetry (the batch size below is the padded f(R, S) of
-  // Theorem 3, not the true demand per subORAM).
+  // Root spans plus public epoch facts; the tracer span closes after every phase span,
+  // so tools/trace_report.py can split the epoch into phases and orchestrator gaps.
+  // Per-balancer request counts are public (the network adversary sees who talks to
+  // which balancer); contents and key distribution never reach telemetry.
   const auto now_fn = [this] { return NowSeconds(); };
   SpanTimer epoch_span(metrics_ != nullptr ? Metrics()->epoch_seconds : nullptr, now_fn);
-  // Root tracer span for the whole epoch; closes on scope exit, after every phase
-  // span, so tools/trace_report.py can attribute the epoch's wall-clock to phases
-  // and orchestrator gaps. All arguments are public facts (request counts per
-  // balancer are visible to the network adversary; the per-subORAM batch size is
-  // the padded f(R, S) of Theorem 3).
   TraceSpan epoch_trace(tracer_, "epoch", "epoch", epoch_);
   epoch_trace.SetArg("pending", pending_requests());
   epoch_trace.SetArg("load_balancers", config_.num_load_balancers);
@@ -1184,13 +769,11 @@ std::vector<ClientResponse> Snoopy::RunEpoch() {
     cache->requests_total->Increment(pending_requests());
   }
 
-  // Epoch-boundary failure polling: the failure process fires between epochs (crashes
-  // mid-epoch are modelled by crash_before_reply faults on individual calls, permanent
-  // mid-epoch losses by node_loss faults). A crashed load balancer is rebuilt
-  // statelessly; a crashed subORAM is restored from its sealed snapshot (no replay
-  // needed -- the snapshot is exactly the pre-epoch state); a permanently lost subORAM
-  // enters the repair protocol below. The crash poll is skipped for a lost component:
-  // there is no machine left to reboot.
+  // Epoch-boundary failure polling (mid-epoch failures are per-call crash_before_reply
+  // and node_loss faults). A crashed load balancer is rebuilt statelessly; a crashed
+  // subORAM restores its sealed snapshot, exactly the pre-epoch state, with nothing to
+  // replay; a lost one enters the repair protocol below and is not polled for crashes,
+  // having no machine left to reboot.
   if (fault_injector_ != nullptr) {
     for (uint32_t lb = 0; lb < config_.num_load_balancers; ++lb) {
       if (fault_injector_->PollEpochCrash("lb/" + std::to_string(lb))) {
@@ -1233,16 +816,13 @@ std::vector<ClientResponse> Snoopy::RunEpoch() {
     }
   }
 
-  // Three phases, each a barrier: every load balancer prepares, every subORAM
-  // executes, every load balancer matches (section 4). Each phase is one RunPhase
-  // over public task ids, so thread count changes neither the enclave trace nor the
-  // responses.
+  // Three phases, each a barrier and one RunPhase over public task ids (section 4):
+  // every load balancer prepares, every subORAM executes, every load balancer matches.
+  // Thread count changes neither the enclave trace nor the responses.
   //
-  // Phase 1: every load balancer prepares its batches independently (section 4.3) --
-  // one parallel task per load balancer. The per-(lb, epoch) seed fixes the epoch's
-  // dummy-key randomness, so preparation is a pure function of (pending requests,
-  // seed) and thread count changes nothing; a load balancer rebuilt after a crash
-  // prepares byte-identical batches for the same reason.
+  // Phase 1: one task per load balancer (section 4.3). The per-(lb, epoch) seed fixes
+  // the dummy-key randomness, so preparation is a pure function of (pending requests,
+  // seed), and a load balancer rebuilt after a crash prepares byte-identical batches.
   std::vector<LoadBalancer::PreparedEpoch> prepared(config_.num_load_balancers);
   {
     SpanTimer prepare_span(PhaseHistogram(kLbPrepare), now_fn);
@@ -1263,14 +843,11 @@ std::vector<ClientResponse> Snoopy::RunEpoch() {
     });
   }
 
-  // Phase 2: subORAMs execute the batches -- one task per subORAM, each applying its
-  // batches in fixed load-balancer order, which is the linearization order of
-  // Appendix C (the order is *per subORAM*, so distinct subORAMs may run
-  // concurrently; this is the paper's Figure 9a scaling axis). The per-hop encryption
-  // is real: each batch is sealed at the load balancer and opened inside the subORAM
-  // endpoint. Every call runs under the retry policy and tolerates injected faults
-  // and crashes; per-endpoint fault streams keep every (lb, so) exchange's fault
-  // sequence independent of how the subORAM tasks interleave.
+  // Phase 2: one task per subORAM, applying its batches in load-balancer order, the
+  // Appendix C linearization (per subORAM, so subORAMs run concurrently: Figure 9a's
+  // scaling axis). Each batch is really sealed at the load balancer and opened in the
+  // subORAM endpoint, under the retry policy; per-endpoint fault streams keep each
+  // (lb, so) exchange's faults independent of how the tasks interleave.
   std::vector<std::vector<RequestBatch>> responses(config_.num_load_balancers);
   for (auto& per_lb : responses) {
     per_lb.resize(config_.num_suborams);
@@ -1382,24 +959,17 @@ std::vector<ClientResponse> Snoopy::RunEpoch() {
   return all;
 }
 
-// Epoch-boundary elastic resharding. Build-then-swap: everything for the new width is
-// constructed off to the side (the exports are copies), so any failure up to the
-// commit point -- including an injected participant crash, surfaced as
-// ReshardAbortedError -- leaves the running deployment untouched. The commit itself
-// only swaps in the new partitions and load balancers, creates their counters and
-// re-registers endpoints.
+// Build-then-swap: the new width is built off to the side (the exports are copies),
+// so any failure before the commit, including ReshardAbortedError, leaves the running
+// deployment untouched. The commit swaps in the new partitions and load balancers,
+// creates their counters and re-registers endpoints.
 void Snoopy::Reshard(uint32_t new_num_suborams) {
   const uint32_t old_s = config_.num_suborams;
   const uint32_t num_lbs = config_.num_load_balancers;
   if (new_num_suborams == 0) {
     throw std::invalid_argument("Reshard needs at least one subORAM");
   }
-  if (config_.striping.replicas > 0) {
-    if (new_num_suborams <= StripePeerCount()) {
-      throw std::invalid_argument(
-          "Reshard target too small for the striping configuration");
-    }
-  }
+  ValidateStriping(config_.striping, new_num_suborams);
   for (uint32_t so = 0; so < old_s; ++so) {
     if (partition_health(so) != PartitionHealth::kHealthy) {
       // A reshard moves every partition; a repairing one has nothing to export yet.
@@ -1486,9 +1056,7 @@ void Snoopy::Reshard(uint32_t new_num_suborams) {
   }
   // Fresh rollback-protected snapshots + redundancy for the new partitions.
   SealEpochBoundary();
-  if (metrics_ != nullptr) {
-    metrics_->GetCounter("snoopy_reshards_total").Increment();
-  }
+  CountEvent("snoopy_reshards_total");
 }
 
 }  // namespace snoopy

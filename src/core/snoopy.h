@@ -22,6 +22,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <span>
 #include <string>
@@ -29,10 +30,10 @@
 
 #include "src/core/load_balancer.h"
 #include "src/core/request.h"
+#include "src/core/striping.h"
 #include "src/core/suboram.h"
 #include "src/core/suboram_backend.h"
 #include "src/crypto/rng.h"
-#include "src/crypto/sha256.h"
 #include "src/enclave/enclave.h"
 #include "src/enclave/rollback.h"
 #include "src/net/channel.h"
@@ -45,50 +46,21 @@
 
 namespace snoopy {
 
-// Redundant sealed-state striping (durable repair after permanent machine loss).
-// At every epoch seal each subORAM's counter-bound sealed snapshot is striped to peer
-// subORAMs over the message network; when a machine is permanently lost, the repair
-// coordinator reconstructs its partition on a spare node from the surviving stripes
-// over a fixed, public number of epochs (the repair rate is a function of snapshot
-// geometry only, never of the request pattern -- the Cloak-style fixed temporal
-// distribution argument).
-struct StripingConfig {
-  // Peer count holding redundant state per partition. 0 disables striping: a
-  // permanently lost partition is then unrecoverable and RunEpoch throws.
-  // Replication mode (xor_parity = false): each of the `replicas` successor peers
-  // holds a full copy of the sealed snapshot (storage overhead = replicas).
-  // Parity mode (xor_parity = true): the snapshot splits into `replicas` data chunks
-  // on `replicas` peers plus one XOR parity chunk on a further peer (storage
-  // overhead = 1/replicas; survives any single peer loss).
-  uint32_t replicas = 0;
-  bool xor_parity = false;
-  // Public repair schedule: a lost partition is reconstructed over exactly this many
-  // epochs, one fixed-size slice per epoch (slice size = total stripe bytes /
-  // repair_epochs, a public function of the snapshot size).
-  uint32_t repair_epochs = 4;
-};
-
 struct SnoopyConfig {
   uint32_t num_load_balancers = 1;
   uint32_t num_suborams = 1;
   size_t value_size = 160;
   uint32_t lambda = kDefaultLambda;
   // Oblivious sort strategy for the hot sorts (subORAM hash-table construction,
-  // reshard partitioning). kAuto picks bitonic vs bucket per call site from the cost
-  // model's crossover; SNOOPY_SORT_STRATEGY overrides at runtime. Sites whose bin
-  // tags are not simulatable (the load balancer's pre-dedup and match sorts) always
-  // run bitonic regardless. Both strategies yield identical responses and traces
-  // that are thread-count-invariant per strategy; see DESIGN.md "Oblivious sorting".
+  // reshard partitioning): kAuto picks bitonic or bucket per call site from the cost
+  // model's crossover; SNOOPY_SORT_STRATEGY overrides it. The load balancer's sorts
+  // (bins not simulatable) always run bitonic. See DESIGN.md "Oblivious sorting".
   SortStrategy sort_strategy = SortStrategy::kAuto;
-  // Worker threads for the epoch pipeline (Figure 9a's scaling claim needs the
-  // orchestrator off the critical path): phase 1 prepares load-balancer batches
-  // concurrently, phase 2 runs one worker per subORAM (each applying its batches in
-  // load-balancer order, preserving the Appendix C linearization per subORAM), and
-  // phase 3 matches responses concurrently per load balancer. 1 (default) is fully
-  // sequential. Any setting produces identical client responses and, with per-thread
-  // trace buffers merged in public-id order, byte-identical enclave traces; see
-  // DESIGN.md "Threading model". This is the deployment's only parallelism setting:
-  // the sorts nested inside each component run single-threaded.
+  // Worker threads for the epoch pipeline (Figure 9a): load balancers prepare and
+  // match concurrently, and one task per subORAM applies its batches in load-balancer
+  // order (Appendix C). 1 (default) is sequential; every setting gives identical
+  // responses and byte-identical enclave traces (DESIGN.md "Threading model"). The
+  // deployment's only parallelism setting: nested sorts run single-threaded.
   int epoch_threads = 1;
   bool check_distinct = true;
   // Partition the initial data with an oblivious sort, as in the paper's
@@ -99,7 +71,7 @@ struct SnoopyConfig {
   // corrupted replies) are retried with backoff until the deadline; a crashed subORAM
   // is recovered (sealed-snapshot restore + epoch replay) between attempts.
   RetryPolicy retry;
-  // Redundant sealed-state striping + background repair (see StripingConfig above).
+  // Redundant sealed-state striping + background repair (src/core/striping.h).
   // Requires num_suborams > replicas (+1 in parity mode): peers hold the stripes.
   StripingConfig striping;
 };
@@ -161,24 +133,20 @@ class Snoopy {
 
   // --- Fault injection and crash recovery (paper sections 4.3 and 9) -------------
   // Attaches a chaos source (non-owning; nullptr detaches). While attached, RunEpoch
-  // tolerates injected drops/duplicates/corruption via retransmit-with-dedup, polls
-  // for epoch-boundary component crashes, and recovers crashed components: a load
-  // balancer is rebuilt statelessly (it re-prepares its epoch deterministically from
-  // the per-(lb, epoch) seed), a subORAM is restored from its freshest sealed
-  // snapshot and replayed to its pre-crash position in the epoch. A snapshot that
-  // fails rollback protection surfaces as RollbackDetectedError: stale state is never
-  // served.
+  // tolerates injected drops/duplicates/corruption via retransmit-with-dedup and
+  // recovers crashed components: a load balancer is rebuilt statelessly (it
+  // re-prepares deterministically from the per-(lb, epoch) seed), a subORAM restores
+  // its freshest sealed snapshot and replays the epoch so far. A snapshot that fails
+  // rollback protection surfaces as RollbackDetectedError: stale state is never served.
   void set_fault_injector(FaultInjector* injector);
   VirtualClock& clock() { return clock_; }
 
   // --- Telemetry (leakage-safe; see src/telemetry/metrics.h) ----------------------
-  // Epoch phases are timed as spans (snoopy_epoch_seconds root, per-phase
-  // snoopy_epoch_phase_seconds{phase=...} children) and public facts are counted:
-  // requests, epochs, the public batch size f(R, S), retransmit-dedup hits, retries
-  // and recoveries per endpoint/component, and the network's per-pair wire traffic.
-  // Spans run off steady_clock normally and off the deterministic VirtualClock while
-  // a fault injector is attached. Defaults to the process-wide registry; pass nullptr
-  // to disable recording entirely (the disabled path is a handful of null checks).
+  // Epoch and phase durations (snoopy_epoch_seconds, snoopy_epoch_phase_seconds) and
+  // public facts: requests, epochs, the padded batch size f(R, S), dedup hits,
+  // retries, recoveries and per-pair wire traffic. Spans read the VirtualClock while
+  // a fault injector is attached, steady_clock otherwise. Defaults to the process-wide
+  // registry; nullptr disables recording.
   void set_metrics_registry(MetricsRegistry* registry) { metrics_ = registry; }
   MetricsRegistry* metrics_registry() const { return metrics_; }
 
@@ -211,69 +179,45 @@ class Snoopy {
   std::vector<std::vector<uint8_t>> TakeMailbox(uint64_t client_id);
 
   // --- Permanent loss, striped redundancy, and background repair ------------------
-  // A partition is kHealthy, or kRepairing after its machine was permanently lost
-  // (NodeLost fault or LoseSubOram below). While repairing, its requests are deferred
-  // back to the epoch queue (resp = 0 failover) and the repair coordinator fetches a
-  // fixed-size stripe slice per epoch; after striping.repair_epochs epochs the
-  // partition is reconstructed on a spare node and serves again.
+  // A partition is kRepairing after its machine was permanently lost (NodeLost fault
+  // or LoseSubOram): its requests defer to the epoch queue (resp = 0 failover) while
+  // one fixed-size stripe slice is fetched per epoch, and after
+  // striping.repair_epochs epochs it is rebuilt on a spare node and serves again.
   enum class PartitionHealth : uint8_t { kHealthy = 0, kRepairing = 1 };
   PartitionHealth partition_health(uint32_t so) const;
   uint32_t repair_epochs_remaining(uint32_t so) const;
 
-  // Permanently loses subORAM `so` right now and schedules its repair (a test/bench
-  // hook; RunEpoch calls it too when a FaultProfile::node_loss* fault fires): backend
-  // contents, host snapshot, per-epoch caches and the stripes it held for peers are
-  // all wiped. A no-op while `so` already repairs. Throws std::runtime_error when
-  // striping is disabled -- the partition would be unrecoverable. Callers outside
-  // RunEpoch call it only at an epoch boundary.
+  // Permanently loses subORAM `so` now and schedules its repair (RunEpoch calls it on
+  // a node_loss fault; others only at an epoch boundary): backend contents, host
+  // snapshot, per-epoch caches and the stripes it held for peers are wiped. A no-op
+  // while `so` repairs; throws std::runtime_error when striping is disabled.
   void LoseSubOram(uint32_t so);
 
   // Epoch-boundary elastic resharding: gathers every partition (ExportSlab),
-  // obliviously redistributes the key space over `new_num_suborams` bins through the
-  // bin-placement sort machinery (src/core/reshard.h), and rebuilds subORAMs, load
-  // balancers, links and rollback counters for the new width. Build-then-swap: any
-  // failure (including an injected participant crash, surfaced as
-  // ReshardAbortedError) leaves the old configuration fully intact. Requires every
-  // partition healthy and a backend with export support. Call only at an epoch
-  // boundary; pending requests and registered clients carry over.
+  // obliviously redistributes the key space over `new_num_suborams` bins
+  // (src/core/reshard.h), and rebuilds subORAMs, load balancers, links and counters.
+  // Any failure (an injected crash surfaces as ReshardAbortedError) leaves the old
+  // configuration intact. Needs every partition healthy and export support; pending
+  // requests and registered clients carry over.
   void Reshard(uint32_t new_num_suborams);
 
   // Host-side stripe storage (untrusted): the stripe peer `peer` holds for partition
   // `owner`. Tests use the replace hook to play a malicious host serving stale
   // stripes; repair must then refuse with RollbackDetectedError.
-  struct HostStripe {
-    uint64_t seal_counter = 0;  // counter value bound into the striped snapshot
-    uint32_t chunk_index = 0;   // parity mode: data chunk index, or chunk_count = parity
-    uint32_t chunk_count = 0;   // data chunks per snapshot (1 in replication mode)
-    uint64_t blob_len = 0;      // sealed snapshot length before chunking
-    std::vector<uint8_t> payload;
-  };
-  const HostStripe* host_stripe(uint32_t peer, uint32_t owner) const;
-  void host_replace_stripe(uint32_t peer, uint32_t owner, HostStripe stripe);
+  using HostStripe = snoopy::HostStripe;
+  const HostStripe* host_stripe(uint32_t peer, uint32_t owner) const {
+    const auto it = partitions_[peer].stripes.find(owner);
+    return it == partitions_[peer].stripes.end() ? nullptr : &it->second;
+  }
+  void host_replace_stripe(uint32_t peer, uint32_t owner, HostStripe stripe) {
+    partitions_[peer].stripes[owner] = std::move(stripe);
+  }
 
   // Test/inspection access.
   SubOramBackend& suboram(size_t i) { return *partitions_[i].backend; }
   uint32_t SubOramOf(uint64_t key) const { return lbs_[0]->SubOramOf(key); }
 
  private:
-  // Repair progress of one lost partition (RepairStep).
-  struct RepairState {
-    uint32_t epochs_remaining = 0;
-    bool planned = false;
-    // Fetch plan (from peer manifests): `needed[i]` = (peer, chunk_index) sources,
-    // all chunks `chunk_len` bytes, reassembling a `blob_len`-byte snapshot sealed at
-    // counter value `seal_counter`. `parity_substituted` is the data chunk index the
-    // parity chunk stands in for (-1 if none).
-    uint64_t seal_counter = 0;
-    uint32_t chunk_count = 0;
-    uint64_t blob_len = 0;
-    uint64_t chunk_len = 0;
-    int parity_substituted = -1;
-    std::vector<std::pair<uint32_t, uint32_t>> needed;
-    std::vector<std::vector<uint8_t>> buffers;  // fetched bytes, one per needed chunk
-    uint64_t cursor = 0;                        // bytes fetched so far across chunks
-  };
-
   // One subORAM as the paper deploys it (sections 3-4, 9): an enclave holding one
   // partition, reached over attested links from every load balancer, resealed under
   // its own trusted counter at every epoch boundary, plus what its (untrusted) host
@@ -284,11 +228,9 @@ class Snoopy {
     std::unique_ptr<SubOramBackend> backend;
     uint64_t counter_id = 0;
     std::vector<uint8_t> snapshot;  // freshest sealed snapshot, in host storage
-    // Per-epoch host bookkeeping. The response cache deduplicates retransmitted
-    // batches per load balancer (a retransmission re-serves the cached sealed response
-    // instead of re-executing, preserving Appendix C linearizability and leaking no
-    // new memory trace); the executed set records which load balancers' batches have
-    // been applied this epoch, which is exactly what crash recovery must replay.
+    // Per-epoch host bookkeeping. The response cache re-serves a retransmitted batch's
+    // sealed response instead of re-executing it (Appendix C linearizability, no new
+    // memory trace); the executed set is exactly what crash recovery must replay.
     std::map<uint32_t, std::vector<uint8_t>> response_cache;
     std::set<uint32_t> executed_lbs;
     // links[lb]: the encrypted link from load balancer lb. Bumping its generation
@@ -296,11 +238,12 @@ class Snoopy {
     std::vector<std::unique_ptr<SecureLink>> links;
     std::vector<uint64_t> link_generation;
     PartitionHealth health = PartitionHealth::kHealthy;  // guarded by health_mu_
-    RepairState repair;                                  // guarded by health_mu_
-    // stripes[owner]: the stripe this host holds for peer `owner`. Only touched on
-    // the orchestrator thread (seal/distribute/repair at epoch boundaries; the stripe
-    // endpoint handler runs inline on the caller's thread).
-    std::map<uint32_t, HostStripe> stripes;
+    uint32_t repair_epochs_remaining = 0;                // guarded by health_mu_
+    // The repair plan and its fetched bytes (set on the first repair step), and the
+    // stripes this host holds for its peers: orchestrator thread only, at epoch
+    // boundaries (the stripe endpoint handler runs inline on the caller's thread).
+    std::optional<RepairPlan> repair;
+    StripeStore stripes;
   };
 
   // The epoch phases with a duration histogram (snoopy_epoch_phase_seconds{phase});
@@ -319,8 +262,6 @@ class Snoopy {
       const std::vector<std::pair<uint64_t, std::vector<uint8_t>>>& objects);
   std::vector<uint8_t> SubOramEndpointHandler(uint32_t lb, uint32_t so,
                                               std::span<const uint8_t> payload);
-  // Host-level stripe traffic (store / manifest / fetch) at peer `so`.
-  std::vector<uint8_t> StripeEndpointHandler(uint32_t so, std::span<const uint8_t> payload);
   // Registers both network endpoints of subORAM so (batch execution + stripes).
   void RegisterSubOramEndpoints(uint32_t so);
 
@@ -364,64 +305,33 @@ class Snoopy {
   // generation so stale sealed bytes are re-sealed.
   void RekeyLink(uint32_t lb, uint32_t so);
   // The epoch-boundary sequence, also run by Initialize and Reshard: seal every
-  // healthy partition (one pooled "seal" phase), then clear every per-epoch dedup
-  // cache, then distribute every healthy partition's stripes (ordering rationale at
-  // the definition).
+  // healthy partition (one pooled "seal" phase), clear every per-epoch dedup cache,
+  // then push every healthy partition's stripes (rationale at the definition).
   void SealEpochBoundary();
 
-  // --- Striping + repair internals --------------------------------------------------
-  // The successor peers holding partition so's stripes: replicas of them in
-  // replication mode, replicas + 1 (the last holds the XOR parity chunk) in parity
-  // mode.
-  uint32_t StripePeerCount() const;
-  std::vector<uint32_t> StripePeers(uint32_t so) const;
-  // What partition so pushes for its current sealed snapshot, computed once per seal
-  // inside the pooled seal task: the digest of every distinct chunk (one in
-  // replication mode, shared by every replica peer; one per data chunk plus the
-  // parity chunk in parity mode) and, in parity mode, the parity chunk itself. Data
-  // chunks are not copied: they are slices of the snapshot, zero-padded on the wire.
-  // Empty `digests` means there is nothing to push.
-  struct StripeEncoding {
-    uint64_t seal_counter = 0;
-    uint64_t chunk_len = 0;               // parity mode only
-    std::vector<Sha256::Digest> digests;  // indexed by chunk index
-    std::vector<uint8_t> parity;
-  };
-  // Reads only partition so's snapshot and counter, so distinct partitions may
-  // encode concurrently.
-  StripeEncoding EncodeStripes(uint32_t so) const;
-  // Pushes partition so's current sealed snapshot to its stripe peers. Peers that are
-  // themselves lost/repairing or unreachable are skipped (counted); redundancy
-  // re-converges at their next healthy seal. Must run only after *every* partition
-  // sealed this boundary, so a peer crash-recovery triggered by the push restores
-  // post-epoch state with nothing to replay.
-  void DistributeStripes(uint32_t so, const StripeEncoding& encoding);
+  // --- Striping + repair orchestration (format and planning: striping.h) -----------
   // One stripe exchange under the retry policy with peer crash recovery.
   std::vector<uint8_t> RetriedStripeCall(uint32_t so, uint32_t peer,
                                          const std::vector<uint8_t>& request);
   // Runs at the start of RunEpoch for every repairing partition: fetches this epoch's
-  // fixed-size slice (planning sources from peer manifests on the first step) and, on
-  // the final step, reassembles + restores the snapshot and reincarnates the node.
+  // fixed-size slice (planning from peer manifests first) and, on the final step,
+  // reassembles and restores the snapshot and reincarnates the node.
   void RepairStep(uint32_t so);
   void PlanRepair(uint32_t so);
   void CompleteRepair(uint32_t so);
-  // A batch of `batch_size` placeholder response records (resp = 1, reserved keys
-  // matching no client request) standing in for an unavailable partition: response
-  // matching compacts them away and the partition's real requests come back with
-  // resp = 0, the requeue flag.
+  // `batch_size` placeholder responses (resp = 1, reserved keys matching no request)
+  // standing in for an unavailable partition: matching compacts them away and its
+  // real requests come back with resp = 0, the requeue flag.
   RequestBatch PlaceholderBatch(uint64_t batch_size) const;
 
   // Span time source: the deterministic VirtualClock under fault injection (chaos
   // runs stay replayable), steady_clock otherwise.
   double NowSeconds() const;
-  // Handles for every metric RunEpoch and the seal touch each epoch: the epoch
-  // timer, epoch/request counters, one duration histogram per phase, pool metrics
-  // per pooled phase, and per-LB batch-size histograms. Resolved lazily against the
-  // current registry (registry references are stable for its lifetime) and again
-  // whenever set_metrics_registry swaps registries, so the per-epoch hot path never
-  // repeats the name-keyed lookups. Null when telemetry is disabled. Resolution runs
-  // on the orchestrator thread (Initialize's seal, or the top of RunEpoch), so pool
-  // workers that read batch-size handles mid-phase only ever see a filled cache.
+  // Handles for every metric RunEpoch and the seal touch each epoch, resolved once
+  // per registry (its references are stable) so the hot path never repeats name-keyed
+  // lookups; null when telemetry is disabled. Resolution runs on the orchestrator
+  // thread (Initialize's seal, or the top of RunEpoch), so pool workers reading
+  // batch-size handles mid-phase only ever see a filled cache.
   struct MetricsCache {
     Histogram* epoch_seconds = nullptr;
     Counter* epochs_total = nullptr;
@@ -433,6 +343,8 @@ class Snoopy {
     std::vector<Histogram*> batch_size;  // per load balancer at resolve time
   };
   const MetricsCache* Metrics() const;
+  // Increments counter `name` (a public event); a no-op when telemetry is disabled.
+  void CountEvent(const std::string& name, const MetricLabels& labels = {}) const;
   // The phase's duration histogram; null when telemetry is disabled.
   Histogram* PhaseHistogram(Phase phase) const;
   // RunPhase's context for one of the pooled phases.

@@ -2,8 +2,8 @@
 //
 // primitives.h defines the oblivious compare-and-set contract with scalar 8-byte mask
 // arithmetic; this header provides SSE2/AVX2/AVX-512 implementations of the hot
-// byte-level operators (conditional copy, conditional swap, equality, and the fused
-// compare-and-set access of the subORAM scan) behind a single public dispatch decision.
+// byte-level operators (conditional swap, equality, and the fused compare-and-set
+// access of the subORAM scan) behind a single public dispatch decision.
 // The Snoopy paper (section 8.1) instantiates its oblivious operators with AVX-512
 // masked moves inside SGX; the AVX-512 backend here is that construction literally
 // (`vpblendmb` under an all-ones/all-zeros k-mask), while the AVX2/SSE2 backends use
@@ -15,8 +15,8 @@
 //    instruction's *control flow* depends on it.
 //  - Every load and store is full-width and unconditional: a kernel touches exactly the
 //    same addresses whether the mask is all-ones or all-zeros. Masked *stores* are
-//    deliberately not used for suppression -- the AVX-512 copy blends in registers and
-//    then stores the full cache line, so the written byte set is mask-independent.
+//    deliberately not used for suppression -- the AVX-512 access blends in registers
+//    and then stores the full cache line, so the written byte set is mask-independent.
 //  - Loop trip counts depend only on the public length n.
 // The kernels therefore sit *below* trace granularity: the adversary-visible trace
 // (enclave/trace.h) records logical events like kCondSwap(i, j), and every backend
@@ -220,19 +220,6 @@ __attribute__((target("avx512f"))) inline __m512i KernelVecBarrier512(__m512i v)
 
 // ---- SSE2: 16-byte lanes, and/andnot/or select, masked xor-swap ----
 
-__attribute__((target("sse2"))) inline void KernelSse2CondCopy(uint64_t mask, uint8_t* d,
-                                                               const uint8_t* s, size_t n) {
-  const __m128i vm = KernelVecBarrier(_mm_set1_epi64x(static_cast<long long>(mask)));
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m128i dv = _mm_loadu_si128(reinterpret_cast<const __m128i*>(d + i));
-    const __m128i sv = _mm_loadu_si128(reinterpret_cast<const __m128i*>(s + i));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(d + i),
-                     _mm_or_si128(_mm_and_si128(sv, vm), _mm_andnot_si128(vm, dv)));
-  }
-  CtCondCopyBytesMask(mask, d + i, s + i, n - i);
-}
-
 __attribute__((target("sse2"))) inline void KernelSse2CondSwap(uint64_t mask, uint8_t* a,
                                                                uint8_t* b, size_t n) {
   const __m128i vm = KernelVecBarrier(_mm_set1_epi64x(static_cast<long long>(mask)));
@@ -289,27 +276,6 @@ __attribute__((target("sse2"))) inline void KernelSse2AccessSlot(uint64_t write,
 }
 
 // ---- AVX2: 32-byte lanes ----
-
-__attribute__((target("avx2"))) inline void KernelAvx2CondCopy(uint64_t mask, uint8_t* d,
-                                                               const uint8_t* s, size_t n) {
-  const __m256i vm = KernelVecBarrier256(_mm256_set1_epi64x(static_cast<long long>(mask)));
-  size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i dv = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(d + i));
-    const __m256i sv = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(d + i),
-                        _mm256_or_si256(_mm256_and_si256(sv, vm), _mm256_andnot_si256(vm, dv)));
-  }
-  if (i + 16 <= n) {
-    const __m128i vm128 = _mm256_castsi256_si128(vm);
-    const __m128i dv = _mm_loadu_si128(reinterpret_cast<const __m128i*>(d + i));
-    const __m128i sv = _mm_loadu_si128(reinterpret_cast<const __m128i*>(s + i));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(d + i),
-                     _mm_or_si128(_mm_and_si128(sv, vm128), _mm_andnot_si128(vm128, dv)));
-    i += 16;
-  }
-  CtCondCopyBytesMask(mask, d + i, s + i, n - i);
-}
 
 __attribute__((target("avx2"))) inline void KernelAvx2CondSwap(uint64_t mask, uint8_t* a,
                                                                uint8_t* b, size_t n) {
@@ -387,42 +353,7 @@ __attribute__((target("avx2"))) inline void KernelAvx2AccessSlot(uint64_t write,
   GenericAccessSlot(write, match, reveal, state + i, slot + i, n - i);
 }
 
-// ---- AVX-512: 64-byte lanes; the copy is the paper's masked-move construction ----
-
-__attribute__((target("avx512f,avx512bw"))) inline void KernelAvx512CondCopy(
-    uint64_t mask, uint8_t* d, const uint8_t* s, size_t n) {
-  // An all-ones/all-zeros k-mask selects src or dst per byte *in registers*; the store
-  // is always full-width, so the written byte set stays mask-independent.
-  const __mmask64 km = _cvtu64_mask64(ValueBarrier(mask));
-  size_t i = 0;
-  for (; i + 64 <= n; i += 64) {
-    const __m512i dv = _mm512_loadu_si512(d + i);
-    const __m512i sv = _mm512_loadu_si512(s + i);
-    _mm512_storeu_si512(d + i, _mm512_mask_blend_epi8(km, dv, sv));
-  }
-  // Sub-64-byte tails use the AVX2-width select (avx512f implies avx2); the ymm
-  // k-mask blend would need avx512vl, which we do not require.
-  if (i + 16 <= n) {
-    const __m256i vm = KernelVecBarrier256(_mm256_set1_epi64x(static_cast<long long>(mask)));
-    if (i + 32 <= n) {
-      const __m256i dv = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(d + i));
-      const __m256i sv = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s + i));
-      _mm256_storeu_si256(
-          reinterpret_cast<__m256i*>(d + i),
-          _mm256_or_si256(_mm256_and_si256(sv, vm), _mm256_andnot_si256(vm, dv)));
-      i += 32;
-    }
-    if (i + 16 <= n) {
-      const __m128i vm128 = _mm256_castsi256_si128(vm);
-      const __m128i dv = _mm_loadu_si128(reinterpret_cast<const __m128i*>(d + i));
-      const __m128i sv = _mm_loadu_si128(reinterpret_cast<const __m128i*>(s + i));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(d + i),
-                       _mm_or_si128(_mm_and_si128(sv, vm128), _mm_andnot_si128(vm128, dv)));
-      i += 16;
-    }
-  }
-  CtCondCopyBytesMask(mask, d + i, s + i, n - i);
-}
+// ---- AVX-512: 64-byte lanes; the access is the paper's masked-move construction ----
 
 __attribute__((target("avx512f,avx512bw"))) inline void KernelAvx512CondSwap(
     uint64_t mask, uint8_t* a, uint8_t* b, size_t n) {
@@ -499,8 +430,8 @@ __attribute__((target("avx512f,avx512bw"))) inline uint64_t KernelAvx512DiffWord
 __attribute__((target("avx512f,avx512bw"))) inline void KernelAvx512AccessSlot(
     uint64_t write, uint64_t match, uint64_t reveal, uint8_t* state, uint8_t* slot,
     size_t n) {
-  // Masked moves as in KernelAvx512CondCopy: the k-masks pick bytes in registers and
-  // both stores are full-width, so the written byte set is mask-independent.
+  // The paper's masked moves: the k-masks pick bytes in registers and both stores
+  // are full-width, so the written byte set is mask-independent.
   const __mmask64 kw = _cvtu64_mask64(ValueBarrier(write));
   const __mmask64 km = _cvtu64_mask64(ValueBarrier(match));
   const __mmask64 kk = _cvtu64_mask64(ValueBarrier(reveal & match));
@@ -543,27 +474,6 @@ __attribute__((target("avx512f,avx512bw"))) inline void KernelAvx512AccessSlot(
 // is not a secret-dependent branch. Each backend handles any n (the vector loop may
 // run zero iterations; the scalar code finishes the tail), so small operands are
 // correct everywhere and pay only the dispatch load.
-
-inline void KernelCondCopyBytesMask(uint64_t mask, void* dst, const void* src, size_t n) {
-#if SNOOPY_KERNELS_X86
-  auto* d = static_cast<uint8_t*>(dst);
-  const auto* s = static_cast<const uint8_t*>(src);
-  const KernelBackend backend = ActiveKernelBackend();
-  if (backend == KernelBackend::kAVX512) {
-    kernel_internal::KernelAvx512CondCopy(mask, d, s, n);
-    return;
-  }
-  if (backend == KernelBackend::kAVX2) {
-    kernel_internal::KernelAvx2CondCopy(mask, d, s, n);
-    return;
-  }
-  if (backend == KernelBackend::kSSE2) {
-    kernel_internal::KernelSse2CondCopy(mask, d, s, n);
-    return;
-  }
-#endif
-  CtCondCopyBytesMask(mask, dst, src, n);
-}
 
 inline void KernelCondSwapBytesMask(uint64_t mask, void* a, void* b, size_t n) {
 #if SNOOPY_KERNELS_X86
@@ -646,10 +556,6 @@ inline SecretBool KernelSecretEqualBytes(const void* a, const void* b, size_t n)
 
 // SecretBool-conditioned forms: the mask is extracted exactly once per secret
 // condition and fed straight to the mask kernels (no bool round-trip).
-inline void KernelCondCopyBytes(SecretBool c, void* dst, const void* src, size_t n) {
-  KernelCondCopyBytesMask(c.mask(), dst, src, n);
-}
-
 inline void KernelCondSwapBytes(SecretBool c, void* a, void* b, size_t n) {
   KernelCondSwapBytesMask(c.mask(), a, b, n);
 }

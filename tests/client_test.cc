@@ -5,6 +5,8 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <string>
+#include <vector>
 
 namespace snoopy {
 namespace {
@@ -94,6 +96,46 @@ TEST(SnoopyClient, UnregisteredSubmissionsStillReturnPlainly) {
   EXPECT_EQ(plain[0].client_id, 999u);
   EXPECT_EQ(plain[0].value, ValueFor(4));
   ASSERT_EQ(alice.FetchResponses().size(), 1u);
+}
+
+// The client endpoint decodes client-controlled plaintext. A malformed batch (ragged,
+// too many records, a foreign value size) is refused whole and leaves the epoch queue
+// untouched; a forged client id is answered into the sender's own mailbox.
+TEST(SnoopyClient, MalformedOrForgedRequestIsContained) {
+  auto store = MakeDeployment(1, 2);
+  SnoopyClient alice(*store, 100, 1);
+  SnoopyClient bob(*store, 200, 2);
+  const auto send = [&](uint64_t client_id, const std::vector<uint8_t>& plain) {
+    const std::vector<uint8_t> sealed = store->client_link(client_id, 0).a_to_b().Seal(plain);
+    return store->network_mutable().Call("client/" + std::to_string(client_id),
+                                         "lb/0/client/" + std::to_string(client_id), sealed);
+  };
+  RequestHeader h;
+  h.key = 7;
+  h.client_id = 100;  // Alice's id, sent over Bob's session below
+  h.client_seq = 5;
+  RequestBatch one(kValueSize);
+  one.Append(h, {});
+  std::vector<uint8_t> ragged = one.Serialize();
+  ragged.push_back(0);
+  std::vector<uint8_t> too_many = one.Serialize();
+  too_many[8] = 3;  // count field claims three records
+  RequestBatch foreign(kValueSize * 2);
+  foreign.Append(h, {});
+  for (const std::vector<uint8_t>& plain : {ragged, too_many, foreign.Serialize()}) {
+    EXPECT_THROW(send(200, plain), MalformedBatchError);
+    EXPECT_EQ(store->pending_requests(), 0u);
+  }
+
+  const std::vector<uint8_t> ack = send(200, one.Serialize());
+  ASSERT_EQ(ack, std::vector<uint8_t>{1});
+  EXPECT_EQ(store->pending_requests(), 1u);
+  store->RunEpoch();
+  EXPECT_TRUE(alice.FetchResponses().empty()) << "a forged id reaches no other mailbox";
+  const auto b = bob.FetchResponses();
+  ASSERT_EQ(b.size(), 1u);
+  EXPECT_EQ(b[0].client_seq, 5u);
+  EXPECT_EQ(b[0].value, ValueFor(7));
 }
 
 }  // namespace

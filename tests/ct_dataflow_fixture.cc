@@ -84,12 +84,6 @@ extern "C" {
 
 // ---- Dispatching kernel entry points (runtime CPUID dispatch + every backend) ----
 
-// ctdf-symbol: ctdf_kernel_cond_copy secret=val:rdi,ptr:rsi,ptr:rdx
-CTDF_ROOT void ctdf_kernel_cond_copy(uint64_t mask, uint8_t* d, const uint8_t* s,
-                                     size_t n) {
-  snoopy::KernelCondCopyBytesMask(mask, d, s, n);
-}
-
 // ctdf-symbol: ctdf_kernel_cond_swap secret=val:rdi,ptr:rsi,ptr:rdx
 CTDF_ROOT void ctdf_kernel_cond_swap(uint64_t mask, uint8_t* a, uint8_t* b, size_t n) {
   snoopy::KernelCondSwapBytesMask(mask, a, b, n);
@@ -135,12 +129,6 @@ CTDF_ROOT void ctdf_generic_access_slot(uint64_t write, uint64_t match, uint64_t
 
 #if SNOOPY_KERNELS_X86
 
-// ctdf-symbol: ctdf_sse2_cond_copy secret=val:rdi,ptr:rsi,ptr:rdx backend=sse2
-CTDF_ROOT void ctdf_sse2_cond_copy(uint64_t mask, uint8_t* d, const uint8_t* s,
-                                   size_t n) {
-  snoopy::kernel_internal::KernelSse2CondCopy(mask, d, s, n);
-}
-
 // ctdf-symbol: ctdf_sse2_cond_swap secret=val:rdi,ptr:rsi,ptr:rdx backend=sse2
 CTDF_ROOT void ctdf_sse2_cond_swap(uint64_t mask, uint8_t* a, uint8_t* b, size_t n) {
   snoopy::kernel_internal::KernelSse2CondSwap(mask, a, b, n);
@@ -157,12 +145,6 @@ CTDF_ROOT void ctdf_sse2_access_slot(uint64_t write, uint64_t match, uint64_t re
   snoopy::kernel_internal::KernelSse2AccessSlot(write, match, reveal, state, slot, n);
 }
 
-// ctdf-symbol: ctdf_avx2_cond_copy secret=val:rdi,ptr:rsi,ptr:rdx backend=avx2
-CTDF_ROOT void ctdf_avx2_cond_copy(uint64_t mask, uint8_t* d, const uint8_t* s,
-                                   size_t n) {
-  snoopy::kernel_internal::KernelAvx2CondCopy(mask, d, s, n);
-}
-
 // ctdf-symbol: ctdf_avx2_cond_swap secret=val:rdi,ptr:rsi,ptr:rdx backend=avx2
 CTDF_ROOT void ctdf_avx2_cond_swap(uint64_t mask, uint8_t* a, uint8_t* b, size_t n) {
   snoopy::kernel_internal::KernelAvx2CondSwap(mask, a, b, n);
@@ -177,12 +159,6 @@ CTDF_ROOT uint64_t ctdf_avx2_equal(const uint8_t* a, const uint8_t* b, size_t n)
 CTDF_ROOT void ctdf_avx2_access_slot(uint64_t write, uint64_t match, uint64_t reveal,
                                      uint8_t* state, uint8_t* slot, size_t n) {
   snoopy::kernel_internal::KernelAvx2AccessSlot(write, match, reveal, state, slot, n);
-}
-
-// ctdf-symbol: ctdf_avx512_cond_copy secret=val:rdi,ptr:rsi,ptr:rdx backend=avx512
-CTDF_ROOT void ctdf_avx512_cond_copy(uint64_t mask, uint8_t* d, const uint8_t* s,
-                                     size_t n) {
-  snoopy::kernel_internal::KernelAvx512CondCopy(mask, d, s, n);
 }
 
 // ctdf-symbol: ctdf_avx512_cond_swap secret=val:rdi,ptr:rsi,ptr:rdx backend=avx512

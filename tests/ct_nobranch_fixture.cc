@@ -78,12 +78,6 @@ __attribute__((noipa)) uint64_t nb_secret_compare_chain(uint64_t x, uint64_t y) 
 // with constant trip counts, so everything fully unrolls and any surviving jump is
 // a real finding, not a loop back-edge.
 
-// nb-symbol[x86]: nb_kernel_sse2_cond_copy48
-__attribute__((noipa, target("sse2"))) void nb_kernel_sse2_cond_copy48(
-    uint64_t m, uint8_t* __restrict__ d, const uint8_t* __restrict__ s) {
-  snoopy::kernel_internal::KernelSse2CondCopy(m, d, s, 48);
-}
-
 // nb-symbol[x86]: nb_kernel_sse2_cond_swap48
 __attribute__((noipa, target("sse2"))) void nb_kernel_sse2_cond_swap48(
     uint64_t m, uint8_t* __restrict__ a, uint8_t* __restrict__ b) {
@@ -105,12 +99,6 @@ __attribute__((noipa, target("sse2"))) void nb_kernel_sse2_access_slot43(
   snoopy::kernel_internal::KernelSse2AccessSlot(w, m, r, state, slot, 43);
 }
 
-// nb-symbol[x86]: nb_kernel_avx2_cond_copy80
-__attribute__((noipa, target("avx2"))) void nb_kernel_avx2_cond_copy80(
-    uint64_t m, uint8_t* __restrict__ d, const uint8_t* __restrict__ s) {
-  snoopy::kernel_internal::KernelAvx2CondCopy(m, d, s, 80);
-}
-
 // nb-symbol[x86]: nb_kernel_avx2_cond_swap80
 __attribute__((noipa, target("avx2"))) void nb_kernel_avx2_cond_swap80(
     uint64_t m, uint8_t* __restrict__ a, uint8_t* __restrict__ b) {
@@ -128,12 +116,6 @@ __attribute__((noipa, target("avx2"))) void nb_kernel_avx2_access_slot91(
     uint64_t w, uint64_t m, uint64_t r, uint8_t* __restrict__ state,
     uint8_t* __restrict__ slot) {
   snoopy::kernel_internal::KernelAvx2AccessSlot(w, m, r, state, slot, 91);
-}
-
-// nb-symbol[x86]: nb_kernel_avx512_cond_copy208
-__attribute__((noipa, target("avx512f,avx512bw"))) void nb_kernel_avx512_cond_copy208(
-    uint64_t m, uint8_t* __restrict__ d, const uint8_t* __restrict__ s) {
-  snoopy::kernel_internal::KernelAvx512CondCopy(m, d, s, 208);
 }
 
 // nb-symbol[x86]: nb_kernel_avx512_cond_swap208

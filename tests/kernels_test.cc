@@ -81,29 +81,6 @@ TEST(KernelDispatch, BackendEnvSelection) {
 // primitives for every length 0..1024 at a spread of misalignments (both pointers,
 // independently) and for both mask values. Buffers carry guard bytes so out-of-bounds
 // writes are caught too.
-TEST(Kernels, CondCopyMatchesScalarEverywhere) {
-  Rng rng(101);
-  for (const KernelBackend backend : SupportedKernelBackends()) {
-    BackendGuard guard;
-    SetKernelBackend(backend);
-    for (int iter = 0; iter < 400; ++iter) {
-      const size_t n = static_cast<size_t>(rng.Uniform(1025));
-      const size_t mis_d = static_cast<size_t>(rng.Uniform(32));
-      const size_t mis_s = static_cast<size_t>(rng.Uniform(32));
-      const uint64_t mask = (rng.Uniform(2) != 0) ? ~uint64_t{0} : 0;
-      std::vector<uint8_t> dst(n + 64 + mis_d);
-      std::vector<uint8_t> src(n + 64 + mis_s);
-      for (auto& b : dst) b = static_cast<uint8_t>(rng.Next64());
-      for (auto& b : src) b = static_cast<uint8_t>(rng.Next64());
-      std::vector<uint8_t> want = dst;
-      CtCondCopyBytesMask(mask, want.data() + mis_d, src.data() + mis_s, n);
-      KernelCondCopyBytesMask(mask, dst.data() + mis_d, src.data() + mis_s, n);
-      ASSERT_EQ(dst, want) << KernelBackendName(backend) << " n=" << n << " mis_d=" << mis_d
-                           << " mis_s=" << mis_s << " mask=" << mask;
-    }
-  }
-}
-
 TEST(Kernels, CondSwapMatchesScalarEverywhere) {
   Rng rng(102);
   for (const KernelBackend backend : SupportedKernelBackends()) {
@@ -236,10 +213,6 @@ TEST(Kernels, SecretBoolFormsMatchMaskForms) {
     KernelCondSwapBytes(SecretBool::FromBool(true), a.data(), b.data(), a.size());
     EXPECT_EQ(a[0], 2);
     EXPECT_EQ(b[0], 1);
-    KernelCondCopyBytes(SecretBool::FromBool(false), a.data(), b.data(), a.size());
-    EXPECT_EQ(a[0], 2);
-    KernelCondCopyBytes(SecretBool::FromBool(true), a.data(), b.data(), a.size());
-    EXPECT_EQ(a[0], 1);
     std::vector<uint8_t> state(160, 3);
     std::vector<uint8_t> slot(160, 4);
     const SecretBool yes = SecretBool::FromBool(true);

@@ -42,6 +42,46 @@ TEST(RequestBatch, EmptySerializeRoundTrip) {
   EXPECT_EQ(copy.value_size(), 160u);
 }
 
+// Deserialize reads host- and client-supplied bytes: every input whose length is not
+// exactly 16 + count * (48 + value_size) is refused with the typed error, including
+// counts and value sizes whose naive product wraps to the real length.
+TEST(RequestBatch, DeserializeRejectsMalformed) {
+  RequestBatch batch(160);
+  RequestHeader h;
+  h.key = 3;
+  batch.Append(h, {});
+  const std::vector<uint8_t> good = batch.Serialize();
+  ASSERT_EQ(good.size(), 16u + 208u);
+  ASSERT_EQ(RequestBatch::Deserialize(good).size(), 1u);
+  const auto with = [&](uint64_t value_size, uint64_t count, size_t len) {
+    std::vector<uint8_t> bytes(good.begin(), good.end());
+    bytes.resize(len);
+    std::memcpy(bytes.data(), &value_size, 8);
+    std::memcpy(bytes.data() + 8, &count, 8);
+    return bytes;
+  };
+  for (size_t len = 0; len < 16; ++len) {  // short
+    EXPECT_THROW(RequestBatch::Deserialize(std::vector<uint8_t>(good.begin(), good.begin() + len)),
+                 MalformedBatchError)
+        << len;
+  }
+  for (const size_t len : {size_t{16}, good.size() - 1, good.size() + 1}) {  // ragged
+    EXPECT_THROW(RequestBatch::Deserialize(with(160, 1, len)), MalformedBatchError) << len;
+  }
+  EXPECT_THROW(RequestBatch::Deserialize(with(160, 0, good.size())), MalformedBatchError);
+  EXPECT_THROW(RequestBatch::Deserialize(with(160, 3, good.size())), MalformedBatchError);
+  // 2^61 records of 208 bytes wrap to 0 bytes, and 2^61 + 1 to one record's worth.
+  const uint64_t wrap = uint64_t{1} << 61;
+  EXPECT_THROW(RequestBatch::Deserialize(with(160, wrap, 16)), MalformedBatchError);
+  EXPECT_THROW(RequestBatch::Deserialize(with(160, wrap + 1, good.size())), MalformedBatchError);
+  // Value sizes whose record size is huge or wraps past 2^64.
+  for (const uint64_t vs : {uint64_t{1} << 62, ~uint64_t{0} - 47, ~uint64_t{0}}) {
+    EXPECT_THROW(RequestBatch::Deserialize(with(vs, 1, good.size())), MalformedBatchError) << vs;
+  }
+  EXPECT_THROW(RequestBatch::Deserialize(with(~uint64_t{0}, 0, 16)), MalformedBatchError);
+  EXPECT_EQ(RequestBatch::Deserialize(with(160, 0, 16)).size(), 0u) << "empty batch is fine";
+}
+
 TEST(RequestBatch, ValueTruncationOnAppend) {
   RequestBatch batch(8);
   RequestHeader h;

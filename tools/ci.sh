@@ -38,6 +38,21 @@ if [[ -n "${spawns}" ]]; then
 fi
 echo "thread owners ok: src/obl/parallel.cc, src/telemetry/tracing.{h,cc}"
 
+echo "== one stripe-format owner (the stripe wire format only in src/core/striping.{h,cc}) =="
+# The stripe wire format (request header, manifest reply, digests, op codes) and the
+# stripe geometry live in src/core/striping.{h,cc}; Snoopy reaches them only through
+# that module's functions. StripeMsg, StripeDigest or a kStripe* constant anywhere
+# else under src/ is a second copy of the format. Comment lines are skipped.
+stripe_format="$(grep -rnP --include='*.h' --include='*.cc' '\b(StripeMsg|StripeDigest|kStripe\w*)\b' src \
+  | grep -vE '^src/core/striping\.(h|cc):' \
+  | grep -vP '^[^:]+:[0-9]+:\s*//' || true)"
+if [[ -n "${stripe_format}" ]]; then
+  echo "ci.sh: stripe wire format outside src/core/striping.{h,cc}:"
+  echo "${stripe_format}"
+  exit 1
+fi
+echo "stripe format owner ok: src/core/striping.{h,cc}"
+
 echo "== binary taint dataflow (planted corpus, then real kernels at -O2/-O3) =="
 # The source lint cannot see what the optimizer emits; ct_dataflow audits the
 # compiled objects. Self-test first (every planted B01-B04/M01 must fire), then
