@@ -262,6 +262,7 @@ void Snoopy::SealEpochBoundary() {
     if (partition_health(static_cast<uint32_t>(so)) == PartitionHealth::kHealthy &&
         p.backend->SupportsSealing()) {
       p.backend->SealStateInto(*sealed_store_, p.counter_id, p.snapshot);
+      p.sealed_bytes = p.snapshot.size();
       stripes[so] = EncodeStripes(config_.striping, static_cast<uint32_t>(so),
                                   counters_.Read(p.counter_id), p.snapshot);
     }
@@ -602,7 +603,8 @@ void Snoopy::PlanRepair(uint32_t so) {
     }
     try {
       const std::vector<uint8_t> resp = RetriedStripeCall(so, peer, EncodeStripeManifestQuery(so));
-      if (const auto m = DecodeStripeManifest(config_.striping, peer, resp)) {
+      if (const auto m = DecodeStripeManifest(config_.striping, peer, resp,
+                                              partitions_[so].sealed_bytes)) {
         manifests.push_back(*m);
       }
     } catch (const NetworkError&) {

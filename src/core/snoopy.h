@@ -228,6 +228,9 @@ class Snoopy {
     std::unique_ptr<SubOramBackend> backend;
     uint64_t counter_id = 0;
     std::vector<uint8_t> snapshot;  // freshest sealed snapshot, in host storage
+    // Its size at the last seal: public (the host stores exactly that many bytes), and
+    // kept through a loss so repair can drop manifests promising a larger snapshot.
+    uint64_t sealed_bytes = 0;
     // Per-epoch host bookkeeping. The response cache re-serves a retransmitted batch's
     // sealed response instead of re-executing it (Appendix C linearizability, no new
     // memory trace); the executed set is exactly what crash recovery must replay.

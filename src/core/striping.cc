@@ -332,7 +332,8 @@ std::span<const uint8_t> StripeFetchPayload(std::span<const uint8_t> reply) {
 }
 
 std::optional<StripeManifest> DecodeStripeManifest(const StripingConfig& sc, uint32_t peer,
-                                                   std::span<const uint8_t> reply) {
+                                                   std::span<const uint8_t> reply,
+                                                   uint64_t max_blob_len) {
   if (reply.size() != kStripeManifestReplyBytes || reply[0] == 0) {
     return std::nullopt;
   }
@@ -341,8 +342,8 @@ std::optional<StripeManifest> DecodeStripeManifest(const StripingConfig& sc, uin
   GetStripeId(reply.data() + 1, man);
   std::memcpy(&man.chunk_len, reply.data() + 25, 8);
   const StripeGeometry g = StripeGeometryOf(sc, man.blob_len);
-  if (man.chunk_count != g.chunk_count || man.chunk_index > g.chunk_count ||
-      man.chunk_len != g.chunk_len) {
+  if (man.blob_len > max_blob_len || man.chunk_count != g.chunk_count ||
+      man.chunk_index > g.chunk_count || man.chunk_len != g.chunk_len) {
     return std::nullopt;
   }
   return man;

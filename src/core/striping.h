@@ -117,9 +117,12 @@ struct StripeManifest : StripeId {
   uint64_t chunk_len = 0;
 };
 // Decodes `peer`'s host-supplied 33-byte manifest reply: nullopt for an absent stripe,
-// a malformed reply, or geometry the config could not have produced.
+// a malformed reply, geometry the config could not have produced, or a snapshot longer
+// than `max_blob_len`, the owner's last sealed snapshot size (public: its host stored
+// exactly that many bytes). The bound keeps one lying host from sizing the repair.
 std::optional<StripeManifest> DecodeStripeManifest(const StripingConfig& sc, uint32_t peer,
-                                                   std::span<const uint8_t> reply);
+                                                   std::span<const uint8_t> reply,
+                                                   uint64_t max_blob_len);
 
 // sources[c] supplies data chunk c (the parity chunk stands in for data chunk
 // `parity_substituted`, -1 if none); the repair fills each source's zeroed chunk_len

@@ -21,9 +21,7 @@
 #ifndef SNOOPY_SRC_OBL_BITONIC_SORT_H_
 #define SNOOPY_SRC_OBL_BITONIC_SORT_H_
 
-#include <cassert>
 #include <cstddef>
-#include <functional>
 #include <span>
 #include <thread>
 #include <utility>
@@ -41,12 +39,10 @@ namespace snoopy {
 // SNOOPY_OBLIVIOUS_BEGIN(bitonic_sort)
 // ct-public: n lo m asc threads i j k stride max_threads hw cap
 // ct-public: parallel_threshold kTilesPerParallelSort
-// ct-public: pool first_budget second_budget budget allowed first_fn second_fn
-// ct-public: WorkPool OnWorkerThread CurrentThreadBudget
+// ct-public: pool half events WorkPool
 // ct-calls: GreatestPowerOfTwoBelow BitonicMerge BitonicSortRec AdaptiveSortThreads
 // ct-calls: BitonicTileMerge BitonicTileSort first second SortBlockRecords
-// ct-calls: WorkPool Instance Reserve ForkJoin OnWorkerThread CurrentThreadBudget
-// ct-calls: assert
+// ct-calls: WorkPool Instance Reserve Run
 
 namespace internal {
 
@@ -101,41 +97,27 @@ void BitonicTileSort(size_t lo, size_t n, bool asc, const CSwap& cswap) {
 // byte-identical to a single-threaded run — the trace-identity tests pin this. No
 // span is opened inside a sort half, so only cswap events need the merge.
 //
-// Execution goes through the process-wide WorkPool (obl/parallel.h): the first half
-// is offered as a *stealable* task that an idle pool worker picks up (or the caller
-// reclaims after finishing the second half) — never a freshly spawned thread. Each
-// half carries its share of the caller's thread budget, so deeper recursion levels
-// stay inside the grant. Forking from inside a pool task whose budget is exhausted
-// is the nested-spawn oversubscription bug this layer replaced: hard error in debug
-// builds, sequential execution (always correct) in release builds.
+// Execution goes through the process-wide WorkPool (obl/parallel.h) as a two-body
+// Run: the second half is offered to an idle pool worker (or reclaimed by the caller
+// after it finishes the first half) -- never a freshly spawned thread. `threads` is
+// the width of this recursion level; the halves carry threads / 2 and
+// threads - threads / 2 down, so the recursion forks at most `threads` ways and the
+// pool is grown to that width up front.
 template <typename First, typename Second>
 void TraceForkJoinHalves(const First& first, const Second& second, int threads) {
-  if (WorkPool::OnWorkerThread() && CurrentThreadBudget() <= 1) {
-    assert(!"parallel sort inside a pool task without thread budget; size the "
-            "request with AdaptiveSortThreads (src/obl/parallel.h)");
-    first();
-    second();
-    return;
-  }
-  std::vector<TraceEvent> first_events;
-  std::vector<TraceEvent> second_events;
-  const int first_budget = threads / 2;
-  const int second_budget = threads - threads / 2;
+  std::vector<TraceEvent> events[2];
   WorkPool& pool = WorkPool::Instance();
   pool.Reserve(static_cast<size_t>(threads) - 1);
-  const std::function<void()> first_fn = [&] {
-    ScopedThreadBudget budget{first_budget};
-    TraceThreadBuffer buffer{&first_events};
-    first();
-  };
-  const std::function<void()> second_fn = [&] {
-    ScopedThreadBudget budget{second_budget};
-    TraceThreadBuffer buffer{&second_events};
-    second();
-  };
-  pool.ForkJoin(first_fn, second_fn);
-  TraceAppendCurrent(first_events);
-  TraceAppendCurrent(second_events);
+  pool.Run(2, [&](size_t half) {
+    TraceThreadBuffer buffer{&events[half]};
+    if (half == 0) {
+      first();
+    } else {
+      second();
+    }
+  });
+  TraceAppendCurrent(events[0]);
+  TraceAppendCurrent(events[1]);
 }
 
 // The thread width alone decides how a segment runs: it forks while threads > 1 and
@@ -223,17 +205,6 @@ inline int AdaptiveSortThreads(size_t n, int max_threads, size_t record_bytes = 
   const size_t parallel_threshold = kTilesPerParallelSort * SortBlockRecords(record_bytes);
   if (n < parallel_threshold || max_threads < 2) {
     return 1;
-  }
-  // Inside a pool task the phase's thread grant — not the machine — is the
-  // ceiling. Unconditionally assuming ownership of max_threads here was the
-  // nested-spawn oversubscription bug (each subORAM task spawning its own sort
-  // threads on top of the epoch pool); now the pool context is consulted and a
-  // task with no spare budget sorts sequentially. Standalone callers (no pool
-  // context) keep the hardware cap.
-  if (WorkPool::OnWorkerThread()) {
-    const int budget = CurrentThreadBudget();
-    const int allowed = budget < 1 ? 1 : budget;
-    return max_threads < allowed ? max_threads : allowed;
   }
   const unsigned hw = std::thread::hardware_concurrency();
   const int cap = hw == 0 ? 1 : static_cast<int>(hw);

@@ -229,7 +229,7 @@ __attribute__((noinline)) uint64_t ResolveSortStrategyPacked(
 namespace {
 
 // Fork-join wrapper over RouteLevelRange: recursively halve the pair range while
-// there is thread budget, exactly like the bitonic recursion — the range split is
+// the width is above 1, exactly like the bitonic recursion — the range split is
 // public and the per-half trace buffers merge first-then-second, so the
 // kBucketScan stream is in ascending pair order at any thread count.
 void RouteLevelParallel(const bucket_internal::BucketArena& arena, uint32_t m,

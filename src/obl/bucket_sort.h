@@ -126,8 +126,8 @@ double BucketSortPassesPerElement(uint64_t n, size_t record_bytes,
 
 // Runs the bucket sort over the n records at `data` (stride bytes each) in place:
 // label declassification, the butterfly routing network (per-level fork-join over
-// bucket pairs on the WorkPool, budget clamped), per-bucket bitonic cleanup under
-// (bin, less_within_bin), and public emission of the real prefixes. Geometry is
+// bucket pairs on the WorkPool, at most `threads` wide), per-bucket bitonic cleanup
+// under (bin, less_within_bin), and public emission of the real prefixes. Geometry is
 // (re)derived via the memoized ChooseBucketParams(n, num_bins, lambda). Returns
 // false — with the input untouched — iff no geometry is viable or a bucket
 // overflowed during routing (probability <= 2^-lambda by construction; a public,

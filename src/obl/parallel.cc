@@ -2,11 +2,9 @@
 
 #include <time.h>
 
+#include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <condition_variable>
-#include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <list>
 #include <memory>
@@ -31,95 +29,47 @@ double ThreadCpuNowSeconds() {
 
 namespace {
 
-thread_local int tls_thread_budget = 0;       // 0 = no scope active
-thread_local bool tls_on_worker_thread = false;
+// One offered body. All fields are guarded by the pool mutex: an offer sits in the
+// pool's list exactly while `claimed` is false, so whoever flips `claimed` under the
+// lock (a worker taking it, or Run reclaiming it) runs it, and no pointer into Run's
+// stack frame outlives the call.
+struct Offer {
+  const std::function<void(size_t)>* body = nullptr;
+  size_t index = 0;
+  bool claimed = false;
+  bool done = false;
+  std::list<Offer*>::iterator where;
+};
 
-// The nested-spawn path is a bug (oversubscription: the work-inflation regression),
-// so it must be loud in debug builds and merely degraded -- sequential, correct --
-// in release builds.
-[[noreturn]] void NestedSpawnFatal(const char* what) {
-  std::fprintf(stderr,
-               "snoopy WorkPool: %s from inside a pool worker without thread "
-               "budget -- nested parallelism must consult CurrentThreadBudget() "
-               "(see src/obl/parallel.h)\n",
-               what);
-  std::abort();
-}
+// An exception escaping a body would unwind Run past offers still in the list, so
+// it terminates instead.
+void Call(const std::function<void(size_t)>& body, size_t index) noexcept { body(index); }
 
 }  // namespace
 
-int CurrentThreadBudget() { return tls_thread_budget; }
-
-ScopedThreadBudget::ScopedThreadBudget(int budget) : prev_(tls_thread_budget) {
-  tls_thread_budget = budget < 0 ? 0 : budget;
-}
-
-ScopedThreadBudget::~ScopedThreadBudget() { tls_thread_budget = prev_; }
-
-// A stealable fork-join task. All fields are guarded by the pool mutex: an entry
-// sits in the submission list exactly while `claimed` is false, so whoever flips
-// `claimed` under the lock (a worker popping it, or the submitter reclaiming it)
-// owns the closure and no dangling pointer can outlive ForkJoin's stack frame.
-struct ForkEntry {
-  const std::function<void()>* fn = nullptr;
-  bool claimed = false;
-  bool done = false;
-  std::list<ForkEntry*>::iterator where;
-};
-
 struct WorkPool::Impl {
   std::mutex mu;
-  std::condition_variable work_cv;  // workers park here between jobs
-  std::condition_variable done_cv;  // Run/ForkJoin callers wait here
-
-  // Flat run job (one at a time; Run serializes external callers on run_mu).
-  const std::function<void(size_t)>* run_body = nullptr;
-  size_t run_next = 0;   // next body index to hand out
-  size_t run_total = 0;  // body count for the active run
-  size_t run_done = 0;   // bodies completed
-  int run_child_budget = 1;
-
-  // Stealable fork-join submissions (any nesting depth).
-  std::list<ForkEntry*> forks;
-
-  std::vector<std::thread> threads;
+  std::condition_variable work_cv;  // workers park here between offers
+  std::condition_variable done_cv;  // Run waits here for claimed offers
+  std::list<Offer*> offers;         // the one queue of pending work: unclaimed offers
   bool stopping = false;
-
-  std::mutex run_mu;  // serializes concurrent Run calls from distinct threads
+  std::vector<std::thread> threads;  // last: workers use every member above
 
   void WorkerLoop() {
-    tls_on_worker_thread = true;
     std::unique_lock<std::mutex> lock(mu);
     for (;;) {
+      work_cv.wait(lock, [this] { return stopping || !offers.empty(); });
       if (stopping) {
         return;
       }
-      if (!forks.empty()) {
-        ForkEntry* fork = forks.front();
-        forks.pop_front();
-        fork->claimed = true;
-        lock.unlock();
-        (*fork->fn)();
-        lock.lock();
-        fork->done = true;
-        done_cv.notify_all();
-        continue;
-      }
-      if (run_body != nullptr && run_next < run_total) {
-        const size_t id = run_next++;
-        const std::function<void(size_t)>* body = run_body;
-        const int budget = run_child_budget;
-        lock.unlock();
-        {
-          ScopedThreadBudget scope(budget);
-          (*body)(id);
-        }
-        lock.lock();
-        ++run_done;
-        done_cv.notify_all();
-        continue;
-      }
-      work_cv.wait(lock);
+      Offer* offer = offers.front();
+      offers.pop_front();
+      offer->claimed = true;
+      lock.unlock();
+      Call(*offer->body, offer->index);
+      lock.lock();
+      offer->done = true;
+      done_cv.notify_all();
     }
   }
 
@@ -157,110 +107,50 @@ WorkPool& WorkPool::Instance() {
   return pool;
 }
 
-bool WorkPool::OnWorkerThread() { return tls_on_worker_thread; }
-
-size_t WorkPool::MaxWorkers() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<size_t>(hw);
-}
-
-void WorkPool::Run(size_t workers, const std::function<void(size_t)>& body) {
-  if (workers <= 1) {
-    ScopedThreadBudget scope(tls_thread_budget == 0 ? 0 : 1);
-    body(0);
+void WorkPool::Run(size_t n, const std::function<void(size_t)>& body) {
+  if (n == 0) {
     return;
   }
-  if (tls_on_worker_thread) {
-    // Nested flat run: the caller is itself a borrowed worker. Spawning (or even
-    // queueing a second flat run) here is the oversubscription bug.
-    assert(!"WorkPool::Run called from inside a pool worker");
-    ScopedThreadBudget scope(1);
-    for (size_t w = 0; w < workers; ++w) {
-      body(w);
-    }
+  if (n == 1) {
+    Call(body, 0);
     return;
   }
-
-  std::lock_guard<std::mutex> serial(impl_->run_mu);
-  impl_->Reserve(workers - 1);
-
-  // Each body is granted an equal share of the requested workers as its nested
-  // thread budget -- a public function of (workers, workers), i.e. 1 here, since
-  // one body runs per worker. Bodies that want nested parallelism must be given
-  // headroom by their phase instead (see RunPhase's task budget).
+  impl_->Reserve(n - 1);
+  std::vector<Offer> offers(n - 1);
   {
     std::lock_guard<std::mutex> g(impl_->mu);
-    impl_->run_body = &body;
-    impl_->run_total = workers;
-    impl_->run_next = 1;  // the calling thread takes body 0 itself
-    impl_->run_done = 0;
-    impl_->run_child_budget = 1;
-  }
-  impl_->work_cv.notify_all();
-
-  {
-    // The caller participates as worker 0 and then helps drain remaining bodies,
-    // so a pool smaller than `workers - 1` can never strand a body.
-    tls_on_worker_thread = true;
-    ScopedThreadBudget scope(1);
-    body(0);
-    for (;;) {
-      std::unique_lock<std::mutex> lock(impl_->mu);
-      if (impl_->run_next >= impl_->run_total) {
-        break;
-      }
-      const size_t id = impl_->run_next++;
-      lock.unlock();
-      body(id);
-      lock.lock();
-      ++impl_->run_done;
-      impl_->done_cv.notify_all();
+    for (size_t i = n - 1; i >= 1; --i) {  // pushed newest-first: body 1 at the front
+      Offer& offer = offers[i - 1];
+      offer.body = &body;
+      offer.index = i;
+      impl_->offers.push_front(&offer);
+      offer.where = impl_->offers.begin();
     }
-    tls_on_worker_thread = false;
   }
+  for (size_t i = 1; i < n; ++i) {
+    impl_->work_cv.notify_one();
+  }
+
+  Call(body, 0);
 
   std::unique_lock<std::mutex> lock(impl_->mu);
-  ++impl_->run_done;  // the caller's own body(0)
-  impl_->done_cv.wait(lock, [this] { return impl_->run_done >= impl_->run_total; });
-  impl_->run_body = nullptr;
-  impl_->run_total = 0;
-  impl_->run_next = 0;
-  impl_->run_done = 0;
-}
-
-void WorkPool::ForkJoin(const std::function<void()>& first,
-                        const std::function<void()>& second) {
-  if (tls_on_worker_thread && tls_thread_budget <= 1) {
-#ifndef NDEBUG
-    NestedSpawnFatal("ForkJoin");
-#endif
-    first();
-    second();
-    return;
-  }
-
-  ForkEntry entry;
-  entry.fn = &first;
-  {
-    std::lock_guard<std::mutex> g(impl_->mu);
-    impl_->forks.push_front(&entry);
-    entry.where = impl_->forks.begin();
-  }
-  impl_->work_cv.notify_one();
-
-  second();
-
-  std::unique_lock<std::mutex> lock(impl_->mu);
-  if (!entry.claimed) {
-    // Nobody stole it: reclaim under the lock (removing it from the list, so no
-    // worker can ever see a dangling entry) and run it on this thread.
-    entry.claimed = true;
-    impl_->forks.erase(entry.where);
+  for (Offer& offer : offers) {
+    if (offer.claimed) {
+      continue;
+    }
+    // Nobody took it: reclaim under the lock (removing it from the list, so no
+    // worker can ever see a dangling offer) and run it on this thread.
+    offer.claimed = true;
+    impl_->offers.erase(offer.where);
     lock.unlock();
-    first();
-    return;
+    Call(body, offer.index);
+    lock.lock();
+    offer.done = true;
   }
-  impl_->done_cv.wait(lock, [&entry] { return entry.done; });
+  impl_->done_cv.wait(lock, [&offers] {
+    return std::all_of(offers.begin(), offers.end(),
+                       [](const Offer& offer) { return offer.done; });
+  });
 }
 
 void WorkPool::Reserve(size_t workers) { impl_->Reserve(workers); }
@@ -272,7 +162,6 @@ void RunPhase(size_t n, int threads, const PhasePoolContext& ctx,
   }
   const size_t max_workers = threads < 1 ? 1 : static_cast<size_t>(threads);
   const size_t workers = n < max_workers ? n : max_workers;
-  const int task_budget = max_workers / n > 1 ? static_cast<int>(max_workers / n) : 1;
   const auto now = [&ctx]() -> double {
     return ctx.now ? ctx.now() : SpanTimer::SteadyNowSeconds();
   };
@@ -309,7 +198,6 @@ void RunPhase(size_t n, int threads, const PhasePoolContext& ctx,
       {
         TraceSpan span(tracer, "task", ctx.phase, i, 1 + w);
         span.SetArg("worker", w);
-        ScopedThreadBudget budget(task_budget);
         try {
           task(i);
         } catch (...) {

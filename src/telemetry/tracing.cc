@@ -1,7 +1,5 @@
 #include "src/telemetry/tracing.h"
 
-#include <algorithm>
-#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <string>
@@ -128,14 +126,6 @@ PoolPhaseMetrics PoolPhaseMetrics::Resolve(MetricsRegistry* metrics,
   return m;
 }
 
-void RecordWorkerPhase(Tracer* tracer, MetricsRegistry* metrics, const char* phase,
-                       size_t workers, double phase_start_s, double phase_end_s,
-                       const std::vector<WorkerPhaseStats>& stats) {
-  const PoolPhaseMetrics resolved = PoolPhaseMetrics::Resolve(metrics, phase);
-  RecordWorkerPhase(tracer, metrics != nullptr ? &resolved : nullptr, phase,
-                    workers, phase_start_s, phase_end_s, stats);
-}
-
 void RecordWorkerPhase(Tracer* tracer, const PoolPhaseMetrics* metrics,
                        const char* phase, size_t workers, double phase_start_s,
                        double phase_end_s,
@@ -200,71 +190,6 @@ void RecordWorkerPhase(Tracer* tracer, const PoolPhaseMetrics* metrics,
     barrier.arg_values[1] = tasks;
     tracer->Record(barrier);
   }
-}
-
-ProfilingSampler::ProfilingSampler(MetricsRegistry* registry, Tracer* tracer,
-                                   double interval_s)
-    : registry_(registry), tracer_(tracer),
-      interval_s_(interval_s > 0 ? interval_s : 0.01) {}
-
-ProfilingSampler::~ProfilingSampler() { Stop(); }
-
-void ProfilingSampler::Start() {
-  std::lock_guard<std::mutex> g(mu_);
-  if (running_) {
-    return;
-  }
-  stop_requested_ = false;
-  running_ = true;
-  thread_ = std::thread([this] { Loop(); });
-}
-
-void ProfilingSampler::Stop() {
-  {
-    std::lock_guard<std::mutex> g(mu_);
-    if (!running_) {
-      return;
-    }
-    stop_requested_ = true;
-  }
-  cv_.notify_all();
-  thread_.join();
-  {
-    std::lock_guard<std::mutex> g(mu_);
-    running_ = false;
-  }
-  SampleOnce();  // final sample so short runs still export a data point
-}
-
-void ProfilingSampler::Loop() {
-  const auto interval = std::chrono::duration<double>(interval_s_);
-  std::unique_lock<std::mutex> lock(mu_);
-  while (!stop_requested_) {
-    lock.unlock();
-    SampleOnce();
-    lock.lock();
-    cv_.wait_for(lock, interval, [this] { return stop_requested_; });
-  }
-}
-
-void ProfilingSampler::SampleOnce() {
-  samples_.fetch_add(1, std::memory_order_relaxed);
-  if (registry_ == nullptr) {
-    return;
-  }
-  registry_->GetCounter("snoopy_sampler_samples_total").Increment();
-  if (tracer_ != nullptr) {
-    registry_->GetGauge("snoopy_sampler_tracer_spans")
-        .SetValue(static_cast<double>(tracer_->spans_recorded()));
-    registry_->GetGauge("snoopy_sampler_tracer_dropped")
-        .SetValue(static_cast<double>(tracer_->spans_dropped()));
-    registry_->GetGauge("snoopy_sampler_tracer_buffered")
-        .SetValue(static_cast<double>(tracer_->size()));
-    registry_->GetHistogram("snoopy_sampler_tracer_buffered_series")
-        .Observe(static_cast<double>(tracer_->size()));
-  }
-  registry_->GetGauge("snoopy_sampler_registry_series")
-      .SetValue(static_cast<double>(registry_->size()));
 }
 
 }  // namespace snoopy

@@ -25,11 +25,10 @@
 // Span timestamps come from a pluggable clock (steady_clock by default, the
 // deterministic VirtualClock under fault injection).
 //
-// The ring buffers are single-writer lock-free: the owning worker pushes with plain
-// stores and publishes with one atomic release per event; the ProfilingSampler
-// reads only the published size (acquire), and the merge happens after the worker
-// quiesced. A full ring drops (and counts) rather than blocks or reallocates, so
-// tracing can never add a lock or an allocation to a worker's steady state.
+// The ring buffers are single-writer plain memory: the owning task pushes, and the
+// orchestrator reads them only after the join. A full ring drops (and counts) rather
+// than blocks or reallocates, so tracing can never add a lock or an allocation to a
+// worker's steady state.
 //
 // Everything callable from oblivious headers (Global(), Record, TraceSpan) is
 // inline so snoopy_obl users need no extra objects beyond snoopy_telemetry, which
@@ -40,13 +39,11 @@
 #define SNOOPY_SRC_TELEMETRY_TRACING_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/telemetry/metrics.h"
@@ -78,10 +75,9 @@ struct SpanEvent {
   uint64_t arg_values[kMaxArgs] = {};
 };
 
-// Fixed-capacity single-writer span buffer. The owner thread pushes; anyone may
-// read `size()` concurrently (it is published with release stores); the event
-// payloads themselves are read only after the writer has quiesced (the merge
-// point). Full means drop-and-count, never block or grow.
+// Fixed-capacity single-writer span buffer. The owner thread pushes; readers look
+// only after the writer has quiesced (the post-join merge). Full means
+// drop-and-count, never block or grow.
 class SpanRingBuffer {
  public:
   explicit SpanRingBuffer(size_t capacity = kDefaultCapacity)
@@ -91,34 +87,30 @@ class SpanRingBuffer {
   SpanRingBuffer& operator=(const SpanRingBuffer&) = delete;
 
   bool Push(const SpanEvent& e) {
-    const size_t n = published_.load(std::memory_order_relaxed);
-    if (n >= events_.size()) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
+    if (size_ >= events_.size()) {
+      ++dropped_;
       return false;
     }
-    events_[n] = e;
-    published_.store(n + 1, std::memory_order_release);
+    events_[size_++] = e;
     return true;
   }
 
-  size_t size() const { return published_.load(std::memory_order_acquire); }
+  size_t size() const { return size_; }
   size_t capacity() const { return events_.size(); }
-  uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
-
-  // Valid only after the writing thread has quiesced (post-join merge).
+  uint64_t dropped() const { return dropped_; }
   const SpanEvent& at(size_t i) const { return events_[i]; }
 
   void Clear() {
-    published_.store(0, std::memory_order_relaxed);
-    dropped_.store(0, std::memory_order_relaxed);
+    size_ = 0;
+    dropped_ = 0;
   }
 
   static constexpr size_t kDefaultCapacity = 4096;
 
  private:
   std::vector<SpanEvent> events_;
-  std::atomic<size_t> published_{0};
-  std::atomic<uint64_t> dropped_{0};
+  size_t size_ = 0;
+  uint64_t dropped_ = 0;
 };
 
 namespace tracing_internal {
@@ -132,7 +124,7 @@ inline thread_local SpanRingBuffer* tls_span_sink = nullptr;
 // SNOOPY_TRACE / SNOOPY_TRACE_OUT environment variables); tests may use private
 // instances. Thread-safe: enabled/detail are atomics read on every span open, the
 // shared stream is mutex-guarded, and worker-side recording goes through the
-// lock-free TLS rings.
+// per-task TLS rings.
 class Tracer {
  public:
   using NowFn = std::function<double()>;
@@ -174,7 +166,7 @@ class Tracer {
       return;
     }
     std::lock_guard<std::mutex> g(mu_);
-    if (events_.size() >= max_events_) {
+    if (events_.size() >= kMaxEvents) {
       dropped_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
@@ -189,7 +181,7 @@ class Tracer {
     dropped_.fetch_add(ring.dropped(), std::memory_order_relaxed);
     std::lock_guard<std::mutex> g(mu_);
     for (size_t i = 0; i < n; ++i) {
-      if (events_.size() >= max_events_) {
+      if (events_.size() >= kMaxEvents) {
         dropped_.fetch_add(n - i, std::memory_order_relaxed);
         return;
       }
@@ -232,11 +224,6 @@ class Tracer {
     dropped_.store(0, std::memory_order_relaxed);
   }
 
-  void set_max_events(size_t n) {
-    std::lock_guard<std::mutex> g(mu_);
-    max_events_ = n;
-  }
-
   // Chrome trace-event / Perfetto JSON exporter (tracing.cc). Timestamps are
   // microseconds relative to the earliest span, one complete-event ("ph":"X") per
   // span, tracks mapped to tids. Loadable by chrome://tracing and ui.perfetto.dev.
@@ -249,7 +236,7 @@ class Tracer {
   NowFn now_s_;  // null = steady clock
   mutable std::mutex mu_;
   std::vector<SpanEvent> events_;
-  size_t max_events_ = 1u << 18;
+  static constexpr size_t kMaxEvents = size_t{1} << 18;  // shared-stream bound
   std::atomic<uint64_t> recorded_{0};
   std::atomic<uint64_t> dropped_{0};
 };
@@ -397,52 +384,15 @@ struct PoolPhaseMetrics {
   static PoolPhaseMetrics Resolve(MetricsRegistry* metrics, const char* phase);
 };
 
-// Exports one phase-pool run: always-on counters/histograms into `metrics` (null
-// ok) and per-worker "pool" spans into `tracer` (null/disabled ok), emitted in
-// worker-id order so traces stay schedule-independent in *sequence* (the recorded
-// durations are wall-clock facts and naturally vary). Defined in tracing.cc.
-void RecordWorkerPhase(Tracer* tracer, MetricsRegistry* metrics, const char* phase,
-                       size_t workers, double phase_start_s, double phase_end_s,
-                       const std::vector<WorkerPhaseStats>& stats);
-
-// Hot-path variant taking pre-resolved metric handles (null `metrics` skips the
-// metrics writes entirely). The name-keyed overload above delegates here.
+// Exports one phase-pool run: always-on counters/histograms into the pre-resolved
+// `metrics` handles (null skips the metrics writes entirely) and per-worker "pool"
+// spans into `tracer` (null/disabled ok), emitted in worker-id order so traces stay
+// schedule-independent in *sequence* (the recorded durations are wall-clock facts
+// and naturally vary). Defined in tracing.cc.
 void RecordWorkerPhase(Tracer* tracer, const PoolPhaseMetrics* metrics,
                        const char* phase, size_t workers, double phase_start_s,
                        double phase_end_s,
                        const std::vector<WorkerPhaseStats>& stats);
-
-// Background sampler: a thread that periodically snapshots tracer and registry
-// health into time-series gauges (snoopy_sampler_*), the ScaleStore
-// ProfilingThread idiom. Sampling reads only atomics and registry internals —
-// never application state — so it is safe to run concurrently with epochs.
-class ProfilingSampler {
- public:
-  ProfilingSampler(MetricsRegistry* registry, Tracer* tracer,
-                   double interval_s = 0.01);
-  ~ProfilingSampler();
-
-  ProfilingSampler(const ProfilingSampler&) = delete;
-  ProfilingSampler& operator=(const ProfilingSampler&) = delete;
-
-  void Start();
-  void Stop();  // idempotent; joins the thread
-  uint64_t samples() const { return samples_.load(std::memory_order_relaxed); }
-
- private:
-  void Loop();
-  void SampleOnce();
-
-  MetricsRegistry* registry_;
-  Tracer* tracer_;
-  double interval_s_;
-  std::atomic<uint64_t> samples_{0};
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_requested_ = false;
-  bool running_ = false;
-  std::thread thread_;
-};
 
 }  // namespace snoopy
 

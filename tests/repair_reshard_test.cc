@@ -24,6 +24,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -410,6 +411,62 @@ TEST(Repair, TamperedManifestGeometryIsDropped) {
       EXPECT_NE(std::string(e.what()).find("unrecoverable"), std::string::npos)
           << e.what();
     }
+  }
+}
+
+// One lying host must not size the repair. In replication mode a single manifest is
+// a complete generation by itself, so a peer claiming a fresher seal of a 2^61-byte
+// snapshot would otherwise win the plan and its buffer would be allocated before any
+// byte is verified. The sealed snapshot size is public (the host stores exactly that
+// many bytes), so a manifest promising more is dropped and the honest peer repairs.
+TEST(Repair, OversizedManifestFromOneHostIsDropped) {
+  auto store = std::make_unique<Snoopy>(StripedConfig(1, 4, 2, false, 2), 47);
+  std::vector<std::pair<uint64_t, std::vector<uint8_t>>> objects;
+  for (uint64_t k = 0; k < 32; ++k) {
+    objects.emplace_back(k, Val(k + 700));
+  }
+  store->Initialize(objects);
+  const uint32_t victim = 1;  // stripe peers 2 and 3
+  const uint32_t liar = 2;
+  // The lying host keeps serving stores and fetches honestly from what it holds;
+  // only its manifest replies (op 1) lie: counter + 1, blob_len = chunk_len = 2^61.
+  auto held = std::make_shared<StripeStore>();
+  for (uint32_t owner = 0; owner < 4; ++owner) {
+    if (const Snoopy::HostStripe* s = store->host_stripe(liar, owner)) {
+      (*held)[owner] = *s;
+    }
+  }
+  ASSERT_EQ(held->count(victim), 1u);
+  const std::string endpoint = "suboram/" + std::to_string(liar) + "/stripe";
+  store->network_mutable().Register(endpoint, [held, endpoint](std::span<const uint8_t> req) {
+    std::vector<uint8_t> reply = ServeStripeRequest(*held, req, endpoint);
+    if (req[0] == 1 && reply[0] == 1) {
+      // Manifest reply: present(1) seal_counter(8) chunk_index(4) chunk_count(4)
+      // blob_len(8) chunk_len(8).
+      uint64_t counter = 0;
+      std::memcpy(&counter, reply.data() + 1, 8);
+      ++counter;
+      const uint64_t huge = uint64_t{1} << 61;
+      std::memcpy(reply.data() + 1, &counter, 8);
+      std::memcpy(reply.data() + 17, &huge, 8);
+      std::memcpy(reply.data() + 25, &huge, 8);
+    }
+    return reply;
+  });
+  store->LoseSubOram(victim);
+  store->RunEpoch();
+  store->RunEpoch();
+  ASSERT_EQ(store->partition_health(victim), Snoopy::PartitionHealth::kHealthy);
+  for (uint64_t k = 0; k < 32; ++k) {
+    store->SubmitRead(1, k + 1, k);
+  }
+  std::map<uint64_t, uint64_t> observed;
+  for (const ClientResponse& resp : store->RunEpoch()) {
+    observed[resp.client_seq] = TagOf(resp.value);
+  }
+  ASSERT_EQ(observed.size(), 32u);
+  for (uint64_t k = 0; k < 32; ++k) {
+    EXPECT_EQ(observed[k + 1], k + 700) << "key " << k;
   }
 }
 

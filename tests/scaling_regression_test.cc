@@ -13,11 +13,10 @@
 //      from 1 thread to 4 threads. Wall-busy time is deliberately not gated here:
 //      on an oversubscribed CI host it measures the scheduler, not the work.
 //
-// Plus unit coverage for the shared WorkPool (flat runs, stealable fork-join,
-// thread-budget scoping, and the AdaptiveSortThreads clamp that turned the
-// nested-spawn path into a budget consultation) and for RunPhase, the one executor
-// every epoch phase goes through. The deployment's only thread setting is
-// epoch_threads; the sorts nested in its tasks run at width 1.
+// Plus unit coverage for the shared WorkPool (flat and nested runs) and for
+// RunPhase, the one executor every epoch phase goes through, including tasks that
+// run parallel sorts of their own on the same pool. The deployment's only thread
+// setting is epoch_threads; the sorts nested in its tasks run at width 1.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +24,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -61,91 +61,39 @@ TEST(WorkPool, RunExecutesEveryBodyExactlyOnce) {
   }
 }
 
-TEST(WorkPool, RunBodiesSeeWorkerContextAndUnitBudget) {
-  std::atomic<int> bad{0};
-  WorkPool::Instance().Run(3, [&](size_t) {
-    if (!WorkPool::OnWorkerThread() || CurrentThreadBudget() != 1) {
-      bad.fetch_add(1);
-    }
-  });
-  EXPECT_EQ(bad.load(), 0);
-  // Outside any pool context: not a worker, no budget scope.
-  EXPECT_FALSE(WorkPool::OnWorkerThread());
-  EXPECT_EQ(CurrentThreadBudget(), 0);
-}
-
-TEST(WorkPool, ForkJoinRunsBothHalvesAtAnyDepth) {
-  // Top-level recursion: 2^3 leaves, every leaf counted exactly once. ForkJoin
-  // offers halves to the pool but reclaims them when nobody steals, so this is
-  // deterministic regardless of how many workers exist or are busy.
+TEST(WorkPool, NestedRunRunsEveryBodyAtAnyDepth) {
+  // A three-wide Run whose bodies each run three-wide Runs, three levels deep: 3^3
+  // leaves, every leaf counted exactly once. Run reclaims any offer no worker has
+  // taken and waits only on bodies already running, so nesting cannot deadlock
+  // however many workers exist or are busy.
   std::atomic<int> leaves{0};
   std::function<void(int)> recurse = [&](int depth) {
     if (depth == 0) {
       leaves.fetch_add(1);
       return;
     }
-    WorkPool::Instance().ForkJoin([&] { recurse(depth - 1); },
-                                  [&] { recurse(depth - 1); });
+    WorkPool::Instance().Run(3, [&](size_t) { recurse(depth - 1); });
   };
-  WorkPool::Instance().Reserve(2);
   recurse(3);
-  EXPECT_EQ(leaves.load(), 8);
-}
-
-TEST(WorkPool, ThreadBudgetScopesNest) {
-  EXPECT_EQ(CurrentThreadBudget(), 0);
-  {
-    ScopedThreadBudget outer(4);
-    EXPECT_EQ(CurrentThreadBudget(), 4);
-    {
-      ScopedThreadBudget inner(1);
-      EXPECT_EQ(CurrentThreadBudget(), 1);
-    }
-    EXPECT_EQ(CurrentThreadBudget(), 4);
-  }
-  EXPECT_EQ(CurrentThreadBudget(), 0);
-}
-
-TEST(AdaptiveSortThreads, ConsultsPoolBudgetInsteadOfAssumingOwnership) {
-  // Large enough to clear the parallel threshold (128 L1 tiles of 208B records).
-  const size_t n = 1 << 15;
-  std::atomic<int> no_budget{-1};
-  std::atomic<int> with_budget{-1};
-  WorkPool::Instance().Run(2, [&](size_t w) {
-    if (w != 0) {
-      return;
-    }
-    no_budget.store(AdaptiveSortThreads(n, 8));  // unit budget -> sequential sort
-    ScopedThreadBudget grant(4);
-    with_budget.store(AdaptiveSortThreads(n, 8));  // granted width is the ceiling
-  });
-  EXPECT_EQ(no_budget.load(), 1);
-  EXPECT_EQ(with_budget.load(), 4);
-  // Below the threshold the answer is 1 regardless of context.
-  EXPECT_EQ(AdaptiveSortThreads(64, 8), 1);
+  EXPECT_EQ(leaves.load(), 27);
 }
 
 // ---------------------------------------------------------------------------------
 // RunPhase unit coverage.
 // ---------------------------------------------------------------------------------
 
-TEST(RunPhase, RunsEachTaskOnceMergesInIndexOrderAndGrantsBudget) {
+TEST(RunPhase, RunsEachTaskOnceAndMergesInIndexOrder) {
   for (const int threads : {1, 2, 4, 8}) {
     for (const size_t n : {1u, 3u, 4u, 9u}) {
       SCOPED_TRACE("threads=" + std::to_string(threads) + " n=" + std::to_string(n));
       MetricsRegistry registry;
       const PoolPhaseMetrics metrics = PoolPhaseMetrics::Resolve(&registry, "unit");
-      const int want_budget = std::max(1, threads / static_cast<int>(n));
       std::vector<std::atomic<int>> hits(n);
-      std::atomic<int> wrong_budget{0};
       std::vector<TraceEvent> events;
       {
         TraceScope scope;
         RunPhase(n, threads, {"unit", nullptr, &metrics, nullptr}, [&](size_t i) {
           hits[i].fetch_add(1);
-          if (CurrentThreadBudget() != want_budget) {
-            wrong_budget.fetch_add(1);
-          }
           // Two events around a sleep that shrinks with the index, so tasks finish
           // out of index order whenever they run concurrently.
           TraceRecord(TraceOp::kRead, i, 0);
@@ -161,7 +109,6 @@ TEST(RunPhase, RunsEachTaskOnceMergesInIndexOrderAndGrantsBudget) {
         expected.push_back({TraceOp::kWrite, i, 1});
       }
       EXPECT_EQ(events, expected);
-      EXPECT_EQ(wrong_budget.load(), 0);
       const MetricLabels labels = {{"phase", "unit"}};
       EXPECT_EQ(registry.GetCounter("snoopy_pool_tasks_total", labels).value(), n);
       EXPECT_EQ(registry.GetGauge("snoopy_pool_workers", labels).value(),
@@ -193,6 +140,46 @@ TEST(RunPhase, EveryTaskRunsAndLowestIndexErrorSurfacesAtEveryWidth) {
       EXPECT_EQ(ran[i].load(), 1) << "task " << i << " at threads=" << threads;
     }
   }
+}
+
+// Parallel code inside a phase task nests on the same pool: four tasks at width 4,
+// each sorting its own slab at width 2. Every slab comes out sorted, and the merged
+// enclave trace equals the run where both levels are width 1.
+TEST(RunPhase, TasksRunParallelSortsOnTheSamePool) {
+  static constexpr size_t kTasks = 4;
+  static constexpr size_t kRecords = 300;  // not a power of two: uneven halves
+  const auto run = [](int phase_threads, int sort_threads) {
+    std::vector<ByteSlab> slabs;
+    for (size_t t = 0; t < kTasks; ++t) {
+      slabs.emplace_back(kRecords, 16);
+      for (size_t i = 0; i < kRecords; ++i) {
+        const uint64_t key = (t + 1) * 0x9e3779b97f4a7c15ull * (i + 7);
+        std::memcpy(slabs[t].Record(i), &key, 8);
+      }
+    }
+    TraceScope scope;
+    RunPhase(kTasks, phase_threads, {"nested_sort", nullptr, nullptr, nullptr},
+             [&](size_t t) {
+               BitonicSortSlab(
+                   slabs[t],
+                   [](const uint8_t* a, const uint8_t* b) {
+                     return LoadSecretU64(a, 0) < LoadSecretU64(b, 0);
+                   },
+                   sort_threads);
+             });
+    for (const ByteSlab& slab : slabs) {
+      for (size_t i = 1; i < kRecords; ++i) {
+        uint64_t prev = 0;
+        uint64_t cur = 0;
+        std::memcpy(&prev, slab.Record(i - 1), 8);
+        std::memcpy(&cur, slab.Record(i), 8);
+        EXPECT_LE(prev, cur) << "record " << i;
+      }
+    }
+    return scope.Events();
+  };
+  const std::vector<TraceEvent> sequential = run(1, 1);
+  EXPECT_TRUE(NonVacuousTraceEq(run(4, 2), sequential));
 }
 
 // ---------------------------------------------------------------------------------

@@ -140,7 +140,8 @@ TEST(StripingPlan, ReassemblesSnapshotFromSurvivingStripes) {
       std::vector<StripeManifest> manifests;
       for (uint32_t peer = 0; peer < hosts.size(); ++peer) {
         const std::optional<StripeManifest> m = DecodeStripeManifest(
-            sc, peer, ServeStripeRequest(hosts[peer], EncodeStripeManifestQuery(owner), "p"));
+            sc, peer, ServeStripeRequest(hosts[peer], EncodeStripeManifestQuery(owner), "p"),
+            blob.size());
         if (m) {
           manifests.push_back(*m);
         }
@@ -212,10 +213,11 @@ std::vector<uint8_t> Mutate(std::vector<uint8_t> frame, Rng& rng) {
   return frame;
 }
 
-// What a decoded manifest may promise: geometry the config could have produced. (A
-// host may still claim any snapshot length with a matching chunk length; bounding
-// that needs a public bound on the snapshot size.)
-void ExpectSaneManifest(const StripingConfig& sc, const StripeManifest& m) {
+// What a decoded manifest may promise: geometry the config could have produced, for
+// a snapshot no longer than the owner's sealed one.
+void ExpectSaneManifest(const StripingConfig& sc, const StripeManifest& m,
+                        uint64_t max_blob_len) {
+  EXPECT_LE(m.blob_len, max_blob_len);
   const StripeGeometry g = StripeGeometryOf(sc, m.blob_len);
   EXPECT_EQ(m.chunk_count, g.chunk_count);
   EXPECT_LE(m.chunk_index, g.chunk_count);
@@ -237,7 +239,17 @@ TEST(StripingFuzz, MutatedFramesAreRefusedOrDropped) {
     const HostStripe& held = host.at(owner);
     const std::vector<uint8_t> manifest_frame = EncodeStripeManifestQuery(owner);
     const std::vector<uint8_t> manifest_reply = ServeStripeRequest(host, manifest_frame, "peer");
-    ASSERT_TRUE(DecodeStripeManifest(sc, 0, manifest_reply).has_value());
+    ASSERT_TRUE(DecodeStripeManifest(sc, 0, manifest_reply, blob.size()).has_value());
+    // A host claiming a longer snapshot under consistent geometry (reply layout:
+    // present(1) id(24) chunk_len(8), blob_len at byte 17) is dropped by the sealed
+    // size bound alone.
+    std::vector<uint8_t> inflated = manifest_reply;
+    const uint64_t claimed = blob.size() + 1 + rng.Uniform(uint64_t{1} << 61);
+    const uint64_t claimed_chunk = StripeGeometryOf(sc, claimed).chunk_len;
+    std::memcpy(inflated.data() + 17, &claimed, 8);
+    std::memcpy(inflated.data() + 25, &claimed_chunk, 8);
+    EXPECT_TRUE(DecodeStripeManifest(sc, 0, inflated, claimed).has_value());
+    EXPECT_FALSE(DecodeStripeManifest(sc, 0, inflated, blob.size()).has_value());
     const uint64_t off = rng.Uniform(held.payload.size());
     const std::vector<uint8_t> fetch_frame = EncodeStripeFetch(
         owner, held.seal_counter, held.chunk_index, off,
@@ -260,9 +272,9 @@ TEST(StripingFuzz, MutatedFramesAreRefusedOrDropped) {
             EXPECT_EQ(s.chunk_index, held.chunk_index);
             EXPECT_EQ(s.payload, held.payload);
             const std::optional<StripeManifest> m = DecodeStripeManifest(
-                sc, 0, ServeStripeRequest(copy, manifest_frame, "peer"));
+                sc, 0, ServeStripeRequest(copy, manifest_frame, "peer"), blob.size());
             if (m) {
-              ExpectSaneManifest(sc, *m);
+              ExpectSaneManifest(sc, *m, blob.size());
               EXPECT_EQ(m->chunk_len, s.payload.size()) << "an honest host reports what it holds";
             }
           }
@@ -274,9 +286,9 @@ TEST(StripingFuzz, MutatedFramesAreRefusedOrDropped) {
       }
       // The manifest decoder: dropped, or sane.
       const std::optional<StripeManifest> m =
-          DecodeStripeManifest(sc, 0, Mutate(manifest_reply, rng));
+          DecodeStripeManifest(sc, 0, Mutate(manifest_reply, rng), blob.size());
       if (m) {
-        ExpectSaneManifest(sc, *m);
+        ExpectSaneManifest(sc, *m, blob.size());
       }
       // The fetch-reply check: any change to the reply is an IntegrityError; a changed
       // request passes only if its addressing still matches the reply.

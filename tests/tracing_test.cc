@@ -9,17 +9,14 @@
 //   3. Span sequences are deterministic: per-task ring buffers merged in public
 //      task-id order make the (cat, name, task_id) sequence invariant under
 //      epoch_threads, even though wall-clock durations vary.
-//   4. The pool profile and background sampler are safe to run concurrently with
-//      span-recording workers (exercised under TSan in CI).
+//   4. The pool profile export writes every pool metric and emits its spans in
+//      worker-id order.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <cstring>
 #include <map>
 #include <string>
-#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -241,7 +238,8 @@ TEST(RecordWorkerPhase, ExportsCountersGaugesAndOrderedSpans) {
   stats[1].max_queue_depth = 3;
   stats[1].start_s = 10.0;
   stats[1].finish_s = 10.5;
-  RecordWorkerPhase(&tracer, &registry, "suboram_execute", 2, 10.0, 10.5, stats);
+  const PoolPhaseMetrics metrics = PoolPhaseMetrics::Resolve(&registry, "suboram_execute");
+  RecordWorkerPhase(&tracer, &metrics, "suboram_execute", 2, 10.0, 10.5, stats);
 
   const MetricLabels labels = {{"phase", "suboram_execute"}};
   EXPECT_EQ(registry.GetCounter("snoopy_pool_phases_total", labels).value(), 1u);
@@ -276,12 +274,11 @@ TEST(RecordWorkerPhase, ExportsCountersGaugesAndOrderedSpans) {
   EXPECT_EQ(barrier->start_s, 10.0);
   EXPECT_EQ(barrier->end_s, 10.5);
 
-  // Null tracer / null registry must be accepted (always-on counters are optional
-  // per deployment), on both the name-keyed and the pre-resolved overload.
-  RecordWorkerPhase(nullptr, static_cast<MetricsRegistry*>(nullptr),
-                    "suboram_execute", 2, 10.0, 10.5, stats);
-  RecordWorkerPhase(nullptr, static_cast<const PoolPhaseMetrics*>(nullptr),
-                    "suboram_execute", 2, 10.0, 10.5, stats);
+  // Null tracer / null metrics must be accepted (always-on counters are optional
+  // per deployment), and so must the all-null handles a null registry resolves to.
+  RecordWorkerPhase(nullptr, nullptr, "suboram_execute", 2, 10.0, 10.5, stats);
+  const PoolPhaseMetrics unresolved = PoolPhaseMetrics::Resolve(nullptr, "suboram_execute");
+  RecordWorkerPhase(nullptr, &unresolved, "suboram_execute", 2, 10.0, 10.5, stats);
 }
 
 // ---------------------------------------------------------------------------------
@@ -438,44 +435,6 @@ TEST(TracingLeakage, ObliviousTraceIdenticalTracingOnAndOff) {
     EXPECT_FALSE(on.spans.empty());
     EXPECT_TRUE(off.spans.empty());
   }
-}
-
-// ---------------------------------------------------------------------------------
-// Background sampler: concurrent with span recording (TSan coverage in CI).
-// ---------------------------------------------------------------------------------
-
-TEST(ProfilingSampler, SamplesConcurrentlyWithSpanRecording) {
-  Tracer tracer;
-  tracer.Enable(1);
-  MetricsRegistry registry;
-  ProfilingSampler sampler(&registry, &tracer, /*interval_s=*/0.001);
-  sampler.Start();
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> writers;
-  for (int w = 0; w < 2; ++w) {
-    writers.emplace_back([&tracer, &stop, w] {
-      SpanRingBuffer ring(256);
-      TracerThreadBuffer install(&ring);
-      uint64_t i = 0;
-      while (!stop.load(std::memory_order_relaxed)) {
-        TraceSpan s(&tracer, "task", "sampled", i++, 1 + w);
-        s.SetArg("worker", static_cast<uint64_t>(w));
-        std::this_thread::yield();
-      }
-    });
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  stop.store(true, std::memory_order_relaxed);
-  for (std::thread& t : writers) {
-    t.join();
-  }
-  sampler.Stop();
-  sampler.Stop();  // idempotent
-  EXPECT_GE(sampler.samples(), 1u);
-  EXPECT_EQ(registry.GetCounter("snoopy_sampler_samples_total").value(),
-            sampler.samples());
-  EXPECT_GE(registry.GetGauge("snoopy_sampler_tracer_spans").value(), 0.0);
-  EXPECT_GT(tracer.spans_recorded(), 0u);
 }
 
 // ---------------------------------------------------------------------------------

@@ -22,21 +22,19 @@ python3 tools/ct_lint.py --repo-root . --self-test
 echo "== oblivious region structure (BEGIN/END pairing + manifest coverage) =="
 python3 tools/check_oblivious_structure.py --repo-root .
 
-echo "== one thread owner (std::thread only in the WorkPool and the ProfilingSampler) =="
-# All parallel work runs on the WorkPool (src/obl/parallel.cc); the telemetry
-# ProfilingSampler (src/telemetry/tracing.{h,cc}) keeps one background thread. A
-# std::thread / std::jthread anywhere else under src/ is a second thread owner
-# that bypasses the pool's budgets. std::thread::hardware_concurrency is fine, and
-# comment lines are skipped.
+echo "== one thread owner (std::thread only in the WorkPool) =="
+# All parallel work runs on the WorkPool (src/obl/parallel.cc). A std::thread /
+# std::jthread anywhere else under src/ is a second thread owner that bypasses the
+# pool. std::thread::hardware_concurrency is fine, and comment lines are skipped.
 spawns="$(grep -rnP --include='*.h' --include='*.cc' 'std::j?thread\b(?!::)' src \
-  | grep -vE '^src/(obl/parallel\.cc|telemetry/tracing\.(h|cc)):' \
+  | grep -vE '^src/obl/parallel\.cc:' \
   | grep -vP '^[^:]+:[0-9]+:\s*//' || true)"
 if [[ -n "${spawns}" ]]; then
   echo "ci.sh: std::thread outside the WorkPool:"
   echo "${spawns}"
   exit 1
 fi
-echo "thread owners ok: src/obl/parallel.cc, src/telemetry/tracing.{h,cc}"
+echo "thread owner ok: src/obl/parallel.cc"
 
 echo "== one stripe-format owner (the stripe wire format only in src/core/striping.{h,cc}) =="
 # The stripe wire format (request header, manifest reply, digests, op codes) and the
@@ -222,14 +220,16 @@ ctest --test-dir build-asan --output-on-failure
 
 echo "== TSan build + threading-sensitive tests =="
 # The race-prone surfaces: parallel bitonic sort (the fig13a trace-race fix),
-# the bucket sort's fork-joined routing/cleanup, the parallel epoch executor, and
+# the bucket sort's fork-joined routing/cleanup, the WorkPool's offer list under
+# nested Runs (WorkPool.NestedRunRunsEveryBodyAtAnyDepth and
+# RunPhase.TasksRunParallelSortsOnTheSamePool), the parallel epoch executor, and
 # the pooled epoch-boundary seal (concurrent seals on distinct counters).
 cmake -S . -B build-tsan -DSNOOPY_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j"${JOBS}" --target \
   bitonic_sort_test bucket_sort_test suboram_test epoch_parallel_test tracing_test \
   scaling_regression_test rollback_test
 ctest --test-dir build-tsan --output-on-failure --no-tests=error \
-  -R '(BitonicSort|BlockedSort|AdaptiveSortThreads|BucketSort|SubOram|EpochParallel|Tracing|ProfilingSampler|TracerThreadBuffer|WorkPool|RunPhase|ScalingRegression|SealedStore|SealBoundary)'
+  -R '(BitonicSort|BlockedSort|AdaptiveSortThreads|BucketSort|SubOram|EpochParallel|Tracing|TracerThreadBuffer|WorkPool|NestedRun|RunPhase|ScalingRegression|SealedStore|SealBoundary)'
 
 echo "== TSan chaos stage: fault recovery, permanent loss, repair, reshard =="
 # Crash/loss recovery exercises the cross-thread paths deliberately (phase-2 workers
