@@ -3,6 +3,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -12,6 +13,8 @@
 
 #include "src/analysis/batch_bound.h"
 #include "src/crypto/aead.h"
+#include "src/crypto/chacha20.h"
+#include "src/crypto/poly1305.h"
 #include "src/crypto/rng.h"
 #include "src/crypto/sha256.h"
 #include "src/crypto/siphash.h"
@@ -288,8 +291,7 @@ double MeasureNsPerOp(Fn&& fn) {
   return std::chrono::duration<double, std::nano>(t1 - t0).count() / kIters;
 }
 
-void EmitKernelSeries() {
-  BenchJsonEmitter emitter("micro_primitives");
+void EmitKernelSeries(BenchJsonEmitter& emitter) {
   const KernelBackend prev = ActiveKernelBackend();
   std::map<std::string, double> generic_ns;
   for (const KernelBackend backend : SupportedKernelBackends()) {
@@ -305,7 +307,7 @@ void EmitKernelSeries() {
           double ns;
         };
         uint64_t mask = ~uint64_t{0};
-        const OpPoint ops[2] = {
+        const OpPoint ops[3] = {
             {"cond_swap", MeasureNsPerOp([&] {
                KernelCondSwapBytesMask(mask, a, b, nbytes);
                mask = ~mask;
@@ -313,6 +315,13 @@ void EmitKernelSeries() {
              })},
             {"equal", MeasureNsPerOp([&] {
                benchmark::DoNotOptimize(KernelEqualBytes(a, b, nbytes));
+             })},
+            // The subORAM scan's fused compare-and-set: object <- slot under `write`,
+            // slot <- old object under `reveal`; the masks alternate every call.
+            {"access_slot", MeasureNsPerOp([&] {
+               KernelAccessSlotMask(mask, mask, ~mask, a, b, nbytes);
+               mask = ~mask;
+               benchmark::DoNotOptimize(a);
              })},
         };
         for (const OpPoint& op : ops) {
@@ -336,10 +345,81 @@ void EmitKernelSeries() {
     }
   }
   SetKernelBackend(prev);
-  const std::string path = emitter.WriteFile(".");
-  if (!path.empty()) {
-    std::printf("wrote %s\n", path.c_str());
+}
+
+// --- ChaCha20-Poly1305 (src/crypto) ------------------------------------------------
+//
+// GB/s per backend for each half of the AEAD and for the one-pass seal and open, on
+// one 16 KiB chunk (L1-resident) and on 11 MiB (one scan_heavy partition, past L2).
+// `seal` is the partition seal's path: Aead::Stream encrypting from the source into
+// a separate destination. Each point is the median of kCryptoReps timed runs after
+// one untimed run, with the fastest and slowest run beside it.
+
+constexpr int kCryptoReps = 9;
+
+template <typename Fn>
+void AddCryptoPoint(BenchJsonEmitter& emitter, KernelBackend backend, const char* op,
+                    size_t bytes, Fn&& fn) {
+  // Small messages repeat inside one timed run so every run covers at least 4 MiB.
+  const size_t iters = std::max<size_t>(1, (size_t{4} << 20) / bytes);
+  fn();
+  std::vector<double> gbps;
+  for (int rep = 0; rep < kCryptoReps; ++rep) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (size_t i = 0; i < iters; ++i) {
+      fn();
+    }
+    const auto t1 = std::chrono::steady_clock::now();
+    gbps.push_back(static_cast<double>(bytes * iters) /
+                   std::chrono::duration<double>(t1 - t0).count() / 1e9);
   }
+  std::sort(gbps.begin(), gbps.end());
+  emitter.AddPoint("crypto")
+      .Set("backend", KernelBackendName(backend))
+      .Set("op", op)
+      .Set("bytes", static_cast<double>(bytes))
+      .Set("gb_per_s", gbps[gbps.size() / 2])
+      .Set("gb_per_s_min", gbps.front())
+      .Set("gb_per_s_max", gbps.back())
+      .Set("reps", static_cast<double>(kCryptoReps));
+}
+
+void EmitCryptoSeries(BenchJsonEmitter& emitter) {
+  const KernelBackend prev = ActiveKernelBackend();
+  Rng rng(31);
+  Aead::Key key;
+  rng.Fill(key.data(), key.size());
+  const Aead aead(key);
+  const Aead::Nonce nonce = Aead::CounterNonce(1, 0x5ea1);
+  const std::span<const uint8_t> key_bytes(key.data(), key.size());
+  const std::span<const uint8_t> nonce_bytes(nonce.data(), nonce.size());
+  for (const KernelBackend backend : SupportedKernelBackends()) {
+    SetKernelBackend(backend);
+    for (const size_t bytes : {size_t{16} << 10, size_t{11} << 20}) {
+      std::vector<uint8_t> src(bytes);
+      rng.Fill(src.data(), src.size());
+      std::vector<uint8_t> dst(bytes);
+      const std::vector<uint8_t> sealed = aead.Seal(nonce, {}, src);
+      std::vector<uint8_t> opened;
+      AddCryptoPoint(emitter, backend, "chacha20", bytes, [&] {
+        ChaCha20 cipher(key_bytes, nonce_bytes, 1);
+        cipher.Crypt(src.data(), dst.data(), bytes);
+        benchmark::DoNotOptimize(dst.data());
+      });
+      AddCryptoPoint(emitter, backend, "poly1305", bytes, [&] {
+        benchmark::DoNotOptimize(Poly1305::Compute(key_bytes, src));
+      });
+      AddCryptoPoint(emitter, backend, "seal", bytes, [&] {
+        Aead::Stream stream(aead, nonce, {});
+        stream.Seal(src.data(), dst.data(), bytes);
+        benchmark::DoNotOptimize(stream.Finish());
+      });
+      AddCryptoPoint(emitter, backend, "open", bytes, [&] {
+        benchmark::DoNotOptimize(aead.Open(nonce, {}, sealed, opened));
+      });
+    }
+  }
+  SetKernelBackend(prev);
 }
 
 }  // namespace
@@ -353,6 +433,12 @@ int main(int argc, char** argv) {
   }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  snoopy::EmitKernelSeries();
+  snoopy::BenchJsonEmitter emitter("micro_primitives");
+  snoopy::EmitKernelSeries(emitter);
+  snoopy::EmitCryptoSeries(emitter);
+  const std::string path = emitter.WriteFile(".");
+  if (!path.empty()) {
+    std::printf("wrote %s\n", path.c_str());
+  }
   return 0;
 }

@@ -268,10 +268,12 @@ std::vector<uint8_t> ServeStripeRequest(StripeStore& store, std::span<const uint
       if (m.digest != StripeDigest(m.owner, m.seal_counter, m.chunk_index, 0, m.payload)) {
         throw IntegrityError(endpoint);  // corrupted in flight; the owner retries
       }
-      HostStripe s;
+      // Latest seal wins and a re-store is idempotent. The owner's entry is
+      // overwritten in place, so its payload buffer is reused across seals; a frame
+      // that failed the digest above never reaches it.
+      HostStripe& s = store[m.owner];
       static_cast<StripeId&>(s) = m;
       s.payload.assign(m.payload.begin(), m.payload.end());
-      store[m.owner] = std::move(s);  // latest seal wins; a re-store is idempotent
       return {1};
     }
     case kStripeManifest: {

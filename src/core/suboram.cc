@@ -137,9 +137,10 @@ RequestBatch SubOram::ProcessBatch(RequestBatch&& batch) {
 
 void SubOram::SealStateInto(SealedStore& store, uint64_t counter_id,
                             std::vector<uint8_t>& blob) const {
-  // Payload: value_size(8) | record count(8) | raw partition bytes, written straight
-  // into the blob between the version prefix and the tag, then sealed in place. A
-  // buffer too small is cleared first so growing it copies no stale bytes.
+  // Payload: value_size(8) | record count(8) | raw partition bytes. Only the header is
+  // written into the blob, between the version prefix and the tag; the seal then
+  // encrypts the partition straight from the store into the rest of the blob, in one
+  // pass. A buffer too small is cleared first so growing it copies no stale bytes.
   const uint64_t vs = config_.value_size;
   const uint64_t count = store_.size();
   const size_t partition_bytes = count * store_.record_bytes();
@@ -148,13 +149,10 @@ void SubOram::SealStateInto(SealedStore& store, uint64_t counter_id,
     blob.clear();
   }
   blob.resize(blob_bytes);
-  uint8_t* payload = blob.data() + SealedStore::kVersionBytes;
-  std::memcpy(payload, &vs, 8);
-  std::memcpy(payload + 8, &count, 8);
-  if (count > 0) {
-    std::memcpy(payload + 16, store_.data(), partition_bytes);
-  }
-  store.SealInPlace(counter_id, blob);
+  uint8_t* header = blob.data() + SealedStore::kVersionBytes;
+  std::memcpy(header, &vs, 8);
+  std::memcpy(header + 8, &count, 8);
+  store.SealInPlace(counter_id, blob, std::span<const uint8_t>(store_.data(), partition_bytes));
 }
 
 std::vector<uint8_t> SubOram::SealState(SealedStore& store, uint64_t counter_id) const {

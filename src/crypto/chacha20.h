@@ -22,8 +22,11 @@ class ChaCha20 {
 
   ChaCha20(std::span<const uint8_t> key, std::span<const uint8_t> nonce, uint32_t counter = 0);
 
-  // XORs the keystream into data, in place.
-  void Crypt(uint8_t* data, size_t len);
+  // Writes `in` XOR the next `len` keystream bytes to `out`. `in == out` (in place)
+  // is allowed; partial overlap is not. Successive calls continue one stream, so any
+  // split of the input gives the same bytes.
+  void Crypt(const uint8_t* in, uint8_t* out, size_t len);
+  void Crypt(uint8_t* data, size_t len) { Crypt(data, data, len); }
 
   // Produces one 64-byte keystream block for the given counter without advancing state.
   void KeystreamBlock(uint32_t counter, std::array<uint8_t, kBlockBytes>& out) const;

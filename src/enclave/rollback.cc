@@ -38,24 +38,26 @@ uint64_t MonotonicCounterService::Read(uint64_t id) const {
 
 std::vector<uint8_t> SealedStore::Seal(uint64_t counter_id, std::span<const uint8_t> payload) {
   std::vector<uint8_t> blob(kOverheadBytes + payload.size());
-  if (!payload.empty()) {
-    std::memcpy(blob.data() + kVersionBytes, payload.data(), payload.size());
-  }
-  SealInPlace(counter_id, blob);
+  SealInPlace(counter_id, blob, payload);
   return blob;
 }
 
-void SealedStore::SealInPlace(uint64_t counter_id, std::span<uint8_t> blob) {
-  if (blob.size() < kOverheadBytes) {
-    throw std::invalid_argument("sealed blob shorter than its version and tag");
+void SealedStore::SealInPlace(uint64_t counter_id, std::span<uint8_t> blob,
+                              std::span<const uint8_t> tail) {
+  if (blob.size() < kOverheadBytes + tail.size()) {
+    throw std::invalid_argument("sealed blob shorter than its version, tail and tag");
   }
   const uint64_t version = counters_->Increment(counter_id);
   std::memcpy(blob.data(), &version, kVersionBytes);
   const size_t payload_len = blob.size() - kOverheadBytes;
-  const Aead::Tag tag =
-      aead_.SealInPlace(Aead::CounterNonce(version, /*channel=*/0x5ea1),
-                        blob.first(kVersionBytes), blob.subspan(kVersionBytes, payload_len));
-  std::memcpy(blob.data() + kVersionBytes + payload_len, tag.data(), Aead::kTagBytes);
+  const size_t head_len = payload_len - tail.size();
+  uint8_t* payload = blob.data() + kVersionBytes;
+  Aead::Stream stream(aead_, Aead::CounterNonce(version, /*channel=*/0x5ea1),
+                      blob.first(kVersionBytes));
+  stream.Seal(payload, payload, head_len);
+  stream.Seal(tail.data(), payload + head_len, tail.size());
+  const Aead::Tag tag = stream.Finish();
+  std::memcpy(payload + payload_len, tag.data(), Aead::kTagBytes);
 }
 
 UnsealStatus SealedStore::Unseal(uint64_t counter_id, std::span<const uint8_t> blob,

@@ -85,10 +85,13 @@ class SealedStore {
   // Seals `payload`, bumping the counter so this snapshot supersedes all others.
   std::vector<uint8_t> Seal(uint64_t counter_id, std::span<const uint8_t> payload);
 
-  // The same seal without copies: `blob` holds kOverheadBytes + payload bytes, with
-  // the payload already written at offset kVersionBytes. Bumps the counter, writes
-  // the version, encrypts the payload in place and appends the tag.
-  void SealInPlace(uint64_t counter_id, std::span<uint8_t> blob);
+  // The same seal in one pass and without copies. `blob` holds kOverheadBytes +
+  // payload bytes; the payload is whatever is already written at offset
+  // kVersionBytes, followed by `tail`, which is encrypted straight from its own
+  // buffer into the rest of the blob. Bumps the counter, writes the version,
+  // encrypts the payload and appends the tag.
+  void SealInPlace(uint64_t counter_id, std::span<uint8_t> blob,
+                   std::span<const uint8_t> tail = {});
 
   // Verifies and decrypts a snapshot; detects replays of superseded snapshots.
   UnsealStatus Unseal(uint64_t counter_id, std::span<const uint8_t> blob,

@@ -27,6 +27,14 @@
 // SNOOPY_FORCE_GENERIC_KERNELS=1 or SNOOPY_KERNEL_BACKEND=generic|sse2|avx2|avx512,
 // or pinned programmatically via SetKernelBackend for tests), cached in an atomic, and
 // never depends on data. Branching on it leaks nothing.
+//
+// The crypto layer follows the same decision. Per backend:
+//   generic  scalar ChaCha20, scalar (radix-2^44) Poly1305, scalar SHA-256
+//   sse2     ChaCha20 4 blocks at a time
+//   avx2     ChaCha20 8 blocks at a time, Poly1305 in 4 lanes
+//   avx512   ChaCha20 16 blocks at a time, Poly1305 in 8 lanes
+// Every backend but generic compresses SHA-256 with SHA-NI when the CPU has it
+// (src/crypto/chacha20.cc, poly1305.cc, sha256.cc).
 
 #ifndef SNOOPY_SRC_OBL_KERNELS_H_
 #define SNOOPY_SRC_OBL_KERNELS_H_

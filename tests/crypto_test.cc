@@ -180,18 +180,22 @@ TEST(ChaCha20, Rfc8439Encryption) {
   const std::string plaintext =
       "Ladies and Gentlemen of the class of '99: If I could offer you "
       "only one tip for the future, sunscreen would be it.";
-  std::vector<uint8_t> buf(plaintext.begin(), plaintext.end());
-  ChaCha20 cipher(key, nonce, 1);
-  cipher.Crypt(buf.data(), buf.size());
-  EXPECT_EQ(HexOf(buf),
-            "6e2e359a2568f98041ba0728dd0d6981e97e7aec1d4360c20a27afccfd9fae0b"
-            "f91b65c5524733ab8f593dabcd62b3571639d624e65152ab8f530c359f0861d8"
-            "07ca0dbf500d6a6156a38e088a22b65e52bc514d16ccf806818ce91ab7793736"
-            "5af90bbf74a35be6b40b8eedf2785e42874d");
-  // Decryption is the same operation.
-  ChaCha20 dec(key, nonce, 1);
-  dec.Crypt(buf.data(), buf.size());
-  EXPECT_EQ(std::string(buf.begin(), buf.end()), plaintext);
+  for (const KernelBackend backend : SupportedKernelBackends()) {
+    const BackendPin pin(backend);
+    std::vector<uint8_t> buf(plaintext.begin(), plaintext.end());
+    ChaCha20 cipher(key, nonce, 1);
+    cipher.Crypt(buf.data(), buf.size());
+    EXPECT_EQ(HexOf(buf),
+              "6e2e359a2568f98041ba0728dd0d6981e97e7aec1d4360c20a27afccfd9fae0b"
+              "f91b65c5524733ab8f593dabcd62b3571639d624e65152ab8f530c359f0861d8"
+              "07ca0dbf500d6a6156a38e088a22b65e52bc514d16ccf806818ce91ab7793736"
+              "5af90bbf74a35be6b40b8eedf2785e42874d")
+        << KernelBackendName(backend);
+    // Decryption is the same operation.
+    ChaCha20 dec(key, nonce, 1);
+    dec.Crypt(buf.data(), buf.size());
+    EXPECT_EQ(std::string(buf.begin(), buf.end()), plaintext) << KernelBackendName(backend);
+  }
 }
 
 TEST(ChaCha20, Rfc8439KeystreamBlock) {
@@ -214,9 +218,12 @@ TEST(Poly1305, Rfc8439Vector) {
   const std::vector<uint8_t> key =
       FromHex("85d6be7857556d337f4452fe42d506a80103808afb0db2fd4abff6af4149f51b");
   const std::string msg = "Cryptographic Forum Research Group";
-  const Poly1305::Tag tag = Poly1305::Compute(
-      key, std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(msg.data()), msg.size()));
-  EXPECT_EQ(HexOf(tag), "a8061dc1305136c6c22b8baf0c0127a9");
+  for (const KernelBackend backend : SupportedKernelBackends()) {
+    const BackendPin pin(backend);
+    const Poly1305::Tag tag = Poly1305::Compute(
+        key, std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(msg.data()), msg.size()));
+    EXPECT_EQ(HexOf(tag), "a8061dc1305136c6c22b8baf0c0127a9") << KernelBackendName(backend);
+  }
 }
 
 // -------------------------------------------------- ChaCha20-Poly1305 (RFC 8439 2.8.2)
@@ -235,19 +242,24 @@ TEST(Aead, Rfc8439SealVector) {
       "only one tip for the future, sunscreen would be it.";
 
   const Aead aead(key);
-  const std::vector<uint8_t> sealed =
-      aead.Seal(nonce, aad,
-                std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(plaintext.data()),
-                                         plaintext.size()));
-  ASSERT_EQ(sealed.size(), plaintext.size() + Aead::kTagBytes);
-  EXPECT_EQ(HexOf(std::span<const uint8_t>(sealed.data(), 16)),
-            "d31a8d34648e60db7b86afbc53ef7ec2");
-  EXPECT_EQ(HexOf(std::span<const uint8_t>(sealed.data() + plaintext.size(), 16)),
-            "1ae10b594f09e26a7e902ecbd0600691");
+  for (const KernelBackend backend : SupportedKernelBackends()) {
+    const BackendPin pin(backend);
+    const std::vector<uint8_t> sealed =
+        aead.Seal(nonce, aad,
+                  std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(plaintext.data()),
+                                           plaintext.size()));
+    ASSERT_EQ(sealed.size(), plaintext.size() + Aead::kTagBytes);
+    EXPECT_EQ(HexOf(std::span<const uint8_t>(sealed.data(), 16)),
+              "d31a8d34648e60db7b86afbc53ef7ec2")
+        << KernelBackendName(backend);
+    EXPECT_EQ(HexOf(std::span<const uint8_t>(sealed.data() + plaintext.size(), 16)),
+              "1ae10b594f09e26a7e902ecbd0600691")
+        << KernelBackendName(backend);
 
-  std::vector<uint8_t> opened;
-  ASSERT_TRUE(aead.Open(nonce, aad, sealed, opened));
-  EXPECT_EQ(std::string(opened.begin(), opened.end()), plaintext);
+    std::vector<uint8_t> opened;
+    ASSERT_TRUE(aead.Open(nonce, aad, sealed, opened)) << KernelBackendName(backend);
+    EXPECT_EQ(std::string(opened.begin(), opened.end()), plaintext);
+  }
 }
 
 TEST(Aead, RejectsTamperingAndWrongNonce) {
@@ -310,6 +322,158 @@ TEST(Aead, SealInPlaceMatchesSealAndOpens) {
       std::vector<uint8_t> opened;
       ASSERT_TRUE(aead.Open(nonce, aad, in_place, opened)) << "len " << len;
       EXPECT_EQ(opened, msg);
+    }
+  }
+}
+
+// ------------------------------------- ChaCha20 / Poly1305 / AEAD: every backend vs scalar
+//
+// The RFC 8439 vectors above are shorter than four blocks, so they never reach the
+// 4-, 8- and 16-block ChaCha20 paths or the 4- and 8-lane Poly1305 kernels. These
+// tests run every backend against the scalar code at every length up to 1 KiB and at
+// 1 MiB, from every misalignment, and over random incremental splits.
+
+Aead::Key TestKey(uint64_t seed) {
+  Rng rng(seed);
+  Aead::Key key;
+  rng.Fill(key.data(), key.size());
+  return key;
+}
+
+// ChaCha20 from counter 1 under `backend`, from `in` into a fresh buffer.
+std::vector<uint8_t> ChaChaUnder(KernelBackend backend, const uint8_t* in, size_t len) {
+  const BackendPin pin(backend);
+  const Aead::Key key = TestKey(31);
+  const Aead::Nonce nonce = Aead::CounterNonce(5, 6);
+  ChaCha20 cipher(key, nonce, 1);
+  std::vector<uint8_t> out(len);
+  cipher.Crypt(in, out.data(), len);
+  return out;
+}
+
+Poly1305::Tag PolyUnder(KernelBackend backend, const uint8_t* msg, size_t len) {
+  const BackendPin pin(backend);
+  const Aead::Key key = TestKey(32);
+  return Poly1305::Compute(key, std::span<const uint8_t>(msg, len));
+}
+
+std::vector<uint8_t> SealUnder(KernelBackend backend, const uint8_t* msg, size_t len) {
+  const BackendPin pin(backend);
+  const Aead aead(TestKey(33));
+  const std::vector<uint8_t> aad = {9, 8, 7};
+  return aead.Seal(Aead::CounterNonce(len, 2), aad, std::span<const uint8_t>(msg, len));
+}
+
+// Runs `check(backend, data, len)` for every non-generic backend, every length
+// 0..1024 and 1 MiB, and every misalignment 0..15 of the input.
+template <typename Check>
+void ForEveryBackendLengthAndAlignment(Check&& check) {
+  std::vector<uint8_t> buf((1u << 20) + 16);
+  Rng rng(23);
+  rng.Fill(buf.data(), buf.size());
+  for (const KernelBackend backend : SupportedKernelBackends()) {
+    if (backend == KernelBackend::kGeneric) {
+      continue;
+    }
+    for (size_t misalign = 0; misalign < 16; ++misalign) {
+      for (size_t len = 0; len <= 1024; ++len) {
+        check(backend, buf.data() + misalign, len);
+      }
+      check(backend, buf.data() + misalign, size_t{1} << 20);
+    }
+  }
+}
+
+TEST(ChaCha20, EveryBackendMatchesScalarAtEveryLengthAndAlignment) {
+  ForEveryBackendLengthAndAlignment([](KernelBackend backend, const uint8_t* in, size_t len) {
+    ASSERT_EQ(ChaChaUnder(backend, in, len), ChaChaUnder(KernelBackend::kGeneric, in, len))
+        << KernelBackendName(backend) << " len " << len;
+  });
+}
+
+TEST(Poly1305, EveryBackendMatchesScalarAtEveryLengthAndAlignment) {
+  ForEveryBackendLengthAndAlignment([](KernelBackend backend, const uint8_t* msg, size_t len) {
+    ASSERT_EQ(PolyUnder(backend, msg, len), PolyUnder(KernelBackend::kGeneric, msg, len))
+        << KernelBackendName(backend) << " len " << len;
+  });
+}
+
+TEST(Aead, EveryBackendMatchesScalarAtEveryLengthAndAlignment) {
+  ForEveryBackendLengthAndAlignment([](KernelBackend backend, const uint8_t* msg, size_t len) {
+    ASSERT_EQ(SealUnder(backend, msg, len), SealUnder(KernelBackend::kGeneric, msg, len))
+        << KernelBackendName(backend) << " len " << len;
+  });
+}
+
+// Incremental use in random pieces -- ChaCha20::Crypt, Poly1305::Update, and
+// Aead::Stream Seal/Open, in place and out of place -- against the one-shot scalar
+// result, over lengths that straddle the AEAD chunk size.
+TEST(Aead, EveryBackendMatchesScalarAtRandomSplits) {
+  Rng rng(24);
+  std::vector<uint8_t> msg(3 * Aead::kChunkBytes + 100);
+  rng.Fill(msg.data(), msg.size());
+  const Aead::Key key = TestKey(35);
+  const Aead aead(key);
+  const std::vector<uint8_t> aad = {1, 2, 3, 4, 5};
+  for (int trial = 0; trial < 60; ++trial) {
+    const size_t len = rng.Uniform(msg.size() + 1);
+    const Aead::Nonce nonce = Aead::CounterNonce(static_cast<uint64_t>(trial), 7);
+    const std::vector<uint8_t> want_ct = ChaChaUnder(KernelBackend::kGeneric, msg.data(), len);
+    const Poly1305::Tag want_tag = PolyUnder(KernelBackend::kGeneric, msg.data(), len);
+    const std::vector<uint8_t> want_sealed = [&] {
+      const BackendPin pin(KernelBackend::kGeneric);
+      return aead.Seal(nonce, aad, std::span<const uint8_t>(msg.data(), len));
+    }();
+    for (const KernelBackend backend : SupportedKernelBackends()) {
+      const BackendPin pin(backend);
+      // Piece sizes: short ones (partial blocks and lanes) or long ones (chunks).
+      std::vector<size_t> cuts;
+      for (size_t pos = 0; pos < len;) {
+        const uint64_t bound = rng.Uniform(2) == 0 ? 200 : 20000;
+        const size_t take = std::min<size_t>(len - pos, 1 + rng.Uniform(bound));
+        cuts.push_back(take);
+        pos += take;
+      }
+      std::vector<uint8_t> ct(len);
+      ChaCha20 cipher(TestKey(31), Aead::CounterNonce(5, 6), 1);
+      size_t pos = 0;
+      for (const size_t take : cuts) {
+        cipher.Crypt(msg.data() + pos, ct.data() + pos, take);
+        pos += take;
+      }
+      ASSERT_EQ(ct, want_ct) << KernelBackendName(backend) << " trial " << trial;
+
+      Poly1305 mac(TestKey(32));
+      pos = 0;
+      for (const size_t take : cuts) {
+        mac.Update(msg.data() + pos, take);
+        pos += take;
+      }
+      ASSERT_EQ(mac.Finalize(), want_tag) << KernelBackendName(backend) << " trial " << trial;
+
+      // Stream Seal in the same pieces, in place.
+      std::vector<uint8_t> sealed(msg.begin(), msg.begin() + static_cast<ptrdiff_t>(len));
+      Aead::Stream seal(aead, nonce, aad);
+      pos = 0;
+      for (const size_t take : cuts) {
+        seal.Seal(sealed.data() + pos, sealed.data() + pos, take);
+        pos += take;
+      }
+      const Aead::Tag tag = seal.Finish();
+      sealed.insert(sealed.end(), tag.begin(), tag.end());
+      ASSERT_EQ(sealed, want_sealed) << KernelBackendName(backend) << " trial " << trial;
+
+      // Stream Open in the same pieces, out of place.
+      std::vector<uint8_t> opened(len);
+      Aead::Stream open(aead, nonce, aad);
+      pos = 0;
+      for (const size_t take : cuts) {
+        open.Open(sealed.data() + pos, opened.data() + pos, take);
+        pos += take;
+      }
+      EXPECT_EQ(open.Finish(), tag);
+      ASSERT_TRUE(std::equal(opened.begin(), opened.end(), msg.begin()))
+          << KernelBackendName(backend) << " trial " << trial;
     }
   }
 }

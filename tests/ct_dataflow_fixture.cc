@@ -37,6 +37,8 @@
 // Real implementation TUs: compiled into this object so the audited symbols are the
 // optimizer's output for the actual tree, not a re-implementation.
 #include "src/core/reshard.cc"     // NOLINT(bugprone-suspicious-include)
+#include "src/crypto/chacha20.cc"  // NOLINT(bugprone-suspicious-include)
+#include "src/crypto/poly1305.cc"  // NOLINT(bugprone-suspicious-include)
 #include "src/crypto/sha256.cc"    // NOLINT(bugprone-suspicious-include)
 #include "src/crypto/siphash.cc"   // NOLINT(bugprone-suspicious-include)
 #include "src/obl/compaction.cc"   // NOLINT(bugprone-suspicious-include)
@@ -199,6 +201,75 @@ CTDF_ROOT void ctdf_sha256_generic_blocks(uint32_t* state, const uint8_t* data,
 CTDF_ROOT void ctdf_sha256_shani_blocks(uint32_t* state, const uint8_t* data,
                                         size_t blocks) {
   snoopy::Sha256BlocksShaNi(state, data, blocks);
+}
+
+#endif  // SNOOPY_KERNELS_X86
+
+// ---- ChaCha20 block functions (src/crypto/chacha20.cc) ----
+//
+// The keystream under every sealed snapshot, channel message and client message. The
+// state (key and nonce words) and the data are the secrets; the counter and the block
+// count are public (functions of the byte offset). One root per backend, tagged so
+// the forced-generic audit runs only the scalar block function.
+
+// ctdf-symbol: ctdf_chacha20_generic_block secret=ptr:rdi,ptr:rdx backend=generic
+CTDF_ROOT void ctdf_chacha20_generic_block(const uint32_t* state, uint32_t counter,
+                                           uint8_t* out) {
+  snoopy::ChaChaBlockGeneric(state, counter, out);
+}
+
+#if SNOOPY_KERNELS_X86
+
+// ctdf-symbol: ctdf_chacha20_sse2_blocks secret=ptr:rdi,ptr:rsi,ptr:rdx backend=sse2
+CTDF_ROOT void ctdf_chacha20_sse2_blocks(const uint32_t* state, const uint8_t* in,
+                                         uint8_t* out) {
+  snoopy::CryptBlocks4Sse2(state, in, out);
+}
+
+// ctdf-symbol: ctdf_chacha20_avx2_blocks secret=ptr:rdi,ptr:rsi,ptr:rdx backend=avx2
+CTDF_ROOT void ctdf_chacha20_avx2_blocks(const uint32_t* state, const uint8_t* in,
+                                         uint8_t* out) {
+  snoopy::CryptBlocks8Avx2(state, in, out);
+}
+
+// ctdf-symbol: ctdf_chacha20_avx512_blocks secret=ptr:rdi,ptr:rsi,ptr:rdx backend=avx512
+CTDF_ROOT void ctdf_chacha20_avx512_blocks(const uint32_t* state, const uint8_t* in,
+                                           uint8_t* out) {
+  snoopy::CryptBlocks16Avx512(state, in, out);
+}
+
+#endif  // SNOOPY_KERNELS_X86
+
+// ---- Poly1305 (src/crypto/poly1305.cc) ----
+//
+// The accumulator, the key limbs (r and its powers) and the message are the secrets;
+// the block count and the 2^128 bit are public. The scalar path is the one
+// SNOOPY_FORCE_GENERIC_KERNELS=1 runs; the lane kernels, and the powers of r only
+// they use, are tagged with their backends.
+
+// ctdf-symbol: ctdf_poly1305_generic_blocks secret=ptr:rdi,ptr:rsi,ptr:rdx backend=generic
+CTDF_ROOT void ctdf_poly1305_generic_blocks(uint64_t* h, const uint64_t* r, const uint8_t* m,
+                                            size_t blocks, uint64_t hibit) {
+  snoopy::Poly1305BlocksGeneric(h, r, m, blocks, hibit);
+}
+
+#if SNOOPY_KERNELS_X86
+
+// ctdf-symbol: ctdf_poly1305_powers secret=ptr:rdi,ptr:rsi backend=avx2
+CTDF_ROOT void ctdf_poly1305_powers(const uint64_t* r, uint32_t powers[][5]) {
+  snoopy::Poly1305Powers(r, powers);
+}
+
+// ctdf-symbol: ctdf_poly1305_avx2_blocks secret=ptr:rdi,ptr:rsi,ptr:rdx backend=avx2
+CTDF_ROOT void ctdf_poly1305_avx2_blocks(uint64_t* h, const uint32_t powers[][5],
+                                         const uint8_t* m, size_t blocks) {
+  snoopy::Poly1305BlocksAvx2(h, powers, m, blocks);
+}
+
+// ctdf-symbol: ctdf_poly1305_avx512_blocks secret=ptr:rdi,ptr:rsi,ptr:rdx backend=avx512
+CTDF_ROOT void ctdf_poly1305_avx512_blocks(uint64_t* h, const uint32_t powers[][5],
+                                           const uint8_t* m, size_t blocks) {
+  snoopy::Poly1305BlocksAvx512(h, powers, m, blocks);
 }
 
 #endif  // SNOOPY_KERNELS_X86

@@ -331,5 +331,33 @@ TEST(StripingFuzz, FetchRangeNearTwoToTheSixtyFourIsRefused) {
   }
 }
 
+// A store whose digest fails leaves the held stripe as it was; a store that passes
+// overwrites the held stripe in place, reusing its payload buffer.
+TEST(StripingHost, FailedStoreKeepsTheHeldStripeAndAGoodStoreReusesItsBuffer) {
+  const StripingConfig sc = Config(1, false);
+  std::vector<uint8_t> blob(4096);
+  Rng rng(17);
+  rng.Fill(blob);
+  StripeStore host;
+  ServeStripeRequest(host, EncodeStripeStore(sc, 2, blob, EncodeStripes(sc, 2, 3, blob), 0),
+                     "peer");
+  const uint8_t* const buffer = host.at(2).payload.data();
+
+  std::vector<uint8_t> next = blob;
+  next[0] ^= 0xff;
+  std::vector<uint8_t> corrupt =
+      EncodeStripeStore(sc, 2, next, EncodeStripes(sc, 2, 4, next), 0);
+  corrupt.back() ^= 1;  // the last payload byte: the digest no longer matches
+  EXPECT_THROW(ServeStripeRequest(host, corrupt, "peer"), IntegrityError);
+  EXPECT_EQ(host.at(2).seal_counter, 3u);
+  EXPECT_EQ(host.at(2).payload, blob);
+
+  ServeStripeRequest(host, EncodeStripeStore(sc, 2, next, EncodeStripes(sc, 2, 4, next), 0),
+                     "peer");
+  EXPECT_EQ(host.at(2).seal_counter, 4u);
+  EXPECT_EQ(host.at(2).payload, next);
+  EXPECT_EQ(host.at(2).payload.data(), buffer);
+}
+
 }  // namespace
 }  // namespace snoopy

@@ -21,6 +21,8 @@ tracing-overhead gate, the perf trajectory -- can rely on them:
   fig13a_sort_parallelism    sort_threads (parallel_efficiency), sort_strategy
                              (strategy, seconds on EVERY point)
   fig13b_suboram_parallelism suboram_threads, epoch_pool (parallel_efficiency)
+  micro_primitives           primitive_kernels (backend, op, ns_per_op), crypto
+                             (backend, op, bytes, gb_per_s and its min/max)
 
 Beyond shape, a few committed values are load-bearing claims and are gated here
 so a regression cannot land silently by committing the regenerated numbers:
@@ -71,6 +73,10 @@ REQUIRED_SERIES = {
     "fig13b_suboram_parallelism": {
         "suboram_threads": ["objects", "seconds"],
         "epoch_pool": ["parallel_efficiency", "epoch_threads"],
+    },
+    "micro_primitives": {
+        "primitive_kernels": ["backend", "op", "record_bytes", "ns_per_op"],
+        "crypto": ["backend", "op", "bytes", "gb_per_s", "gb_per_s_min", "gb_per_s_max"],
     },
 }
 

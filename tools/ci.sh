@@ -58,7 +58,8 @@ echo "== binary taint dataflow (planted corpus, then real kernels at -O2/-O3) ==
 # dispatch pinned to the generic backend -- a finding or a manifest symbol
 # missing from the object (M01) fails the stage, and so does a root the manifest
 # lists under required_roots (the decomposed bucket-sort kernels, the bitonic tile
-# executor, both SHA-256 compression paths) that fell out of the fixture.
+# executor, both SHA-256 compression paths, every ChaCha20 and Poly1305 block
+# function) that fell out of the fixture.
 python3 tools/ct_dataflow.py --repo-root . --self-test
 python3 tools/ct_dataflow.py --repo-root . --opt=-O2
 python3 tools/ct_dataflow.py --repo-root . --opt=-O3
@@ -92,7 +93,8 @@ echo "== forced-generic kernel backend (dispatch-sensitive suites) =="
 # suites whose hot paths route through it with dispatch pinned to the portable
 # scalar backend, so a kernel bug cannot hide behind whichever backend CI's CPU
 # happens to select. The crypto suites follow the same dispatch (ChaCha20's vector
-# keystream, SHA-256's SHA-NI compression), so their known-answer tests and the
+# keystream, Poly1305's lane kernels, SHA-256's SHA-NI compression, and the AEAD
+# decoder fuzz over all three), so their known-answer tests and the
 # SHA-256 consumers (HMAC, attestation, the Merkle tree, the pinned seal-boundary
 # bytes) rerun on the scalar code too. The load balancer's response propagation and
 # the epoch-trace suites run the fused access kernel, so they rerun here as well.
@@ -214,6 +216,9 @@ if [[ "${FAST}" == "1" ]]; then
 fi
 
 echo "== ASan/UBSan build + full test suite =="
+# The full suite includes the seeded mutation tests over the decoders of untrusted
+# bytes (StripingFuzz for stripe frames, AeadFuzz for Aead::Open, SecureChannel::Open
+# and SealedStore::Unseal), so each runs here under the sanitizers.
 cmake -S . -B build-asan -DSNOOPY_SANITIZE=ON >/dev/null
 cmake --build build-asan -j"${JOBS}"
 ctest --test-dir build-asan --output-on-failure
