@@ -12,6 +12,8 @@
 #include <vector>
 
 #include "src/analysis/batch_bound.h"
+#include "src/core/request.h"
+#include "src/core/suboram.h"
 #include "src/crypto/aead.h"
 #include "src/crypto/chacha20.h"
 #include "src/crypto/poly1305.h"
@@ -291,6 +293,11 @@ double MeasureNsPerOp(Fn&& fn) {
   return std::chrono::duration<double, std::nano>(t1 - t0).count() / kIters;
 }
 
+// One access_run op: a run of this many records (about one OHT bucket) with a
+// 48-byte request header before each value.
+constexpr size_t kAccessRecords = 27;
+constexpr size_t kAccessHeader = 48;
+
 void EmitKernelSeries(BenchJsonEmitter& emitter) {
   const KernelBackend prev = ActiveKernelBackend();
   std::map<std::string, double> generic_ns;
@@ -306,6 +313,11 @@ void EmitKernelSeries(BenchJsonEmitter& emitter) {
           const char* op;
           double ns;
         };
+        const size_t run_stride = kAccessHeader + nbytes;
+        std::vector<uint8_t> run(kAccessRecords * run_stride, 3);
+        for (size_t r = 0; r < kAccessRecords; ++r) {
+          run[r * run_stride] = static_cast<uint8_t>(r % 2);
+        }
         uint64_t mask = ~uint64_t{0};
         const OpPoint ops[3] = {
             {"cond_swap", MeasureNsPerOp([&] {
@@ -316,13 +328,18 @@ void EmitKernelSeries(BenchJsonEmitter& emitter) {
             {"equal", MeasureNsPerOp([&] {
                benchmark::DoNotOptimize(KernelEqualBytes(a, b, nbytes));
              })},
-            // The subORAM scan's fused compare-and-set: object <- slot under `write`,
-            // slot <- old object under `reveal`; the masks alternate every call.
-            {"access_slot", MeasureNsPerOp([&] {
-               KernelAccessSlotMask(mask, mask, ~mask, a, b, nbytes);
-               mask = ~mask;
+            // The subORAM scan's fused compare-and-set over one run of kAccessRecords
+            // records (header + value), per record: the value <- the carried state
+            // under `match`, the state <- the value under `write`; the masks come from
+            // each record's header and alternate record to record.
+            {"access_run", MeasureNsPerOp([&] {
+               KernelAccessRun(a, run.data(), kAccessRecords, run_stride, kAccessHeader,
+                               nbytes, [](uint8_t* rec) {
+                                 const SecretBool on = SecretBool::FromWord(rec[0]);
+                                 return AccessMasks{on, on, !on};
+                               });
                benchmark::DoNotOptimize(a);
-             })},
+             }) / kAccessRecords},
         };
         for (const OpPoint& op : ops) {
           const std::string key = std::string(op.op) + "/" + std::to_string(nbytes) + "/" +
@@ -422,6 +439,84 @@ void EmitCryptoSeries(BenchJsonEmitter& emitter) {
   SetKernelBackend(prev);
 }
 
+// --- subORAM scan (src/core/suboram.cc step 2) ------------------------------------
+//
+// ns per OHT slot per backend: the scan's loop, one KernelAccessRun with the real
+// ScanSlotMasks per bucket (two per object), over a real TwoTierOht built from a
+// kScanBatch-request batch, against kScanObjects stored objects. Each point is the
+// median of kScanReps timed scans after one untimed scan, with the fastest and
+// slowest beside it.
+
+constexpr size_t kScanObjects = 65536;
+constexpr size_t kScanBatch = 500;
+constexpr int kScanReps = 9;
+
+void EmitSuboramScanSeries(BenchJsonEmitter& emitter) {
+  const KernelBackend prev = ActiveKernelBackend();
+  for (const KernelBackend backend : SupportedKernelBackends()) {
+    SetKernelBackend(backend);
+    for (const size_t value_bytes : {size_t{160}, size_t{1024}}) {
+      Rng rng(41);
+      RequestBatch batch(value_bytes);
+      std::vector<uint8_t> payload(value_bytes, 0x5a);
+      for (size_t i = 0; i < kScanBatch; ++i) {
+        RequestHeader h;
+        h.key = i % 2 == 0 ? i : kScanObjects + i;  // half the requests hit a stored key
+        h.op = i % 4 < 2 ? kOpRead : kOpWrite;
+        batch.Append(h, payload);
+      }
+      TwoTierOht table(kRequestOhtSchema, kDefaultLambda);
+      if (!table.Build(std::move(batch.slab()), rng)) {
+        std::fprintf(stderr, "suboram_scan: table build overflow\n");
+        continue;
+      }
+      ByteSlab store(kScanObjects, 8 + value_bytes);
+      for (size_t i = 0; i < kScanObjects; ++i) {
+        const uint64_t key = i;
+        std::memcpy(store.Record(i), &key, 8);
+      }
+      const size_t stride = table.record_bytes();
+      const auto scan = [&] {
+        for (size_t i = 0; i < kScanObjects; ++i) {
+          uint8_t* obj = store.Record(i);
+          uint64_t key;
+          std::memcpy(&key, obj, 8);
+          const ScanSlotMasks masks{key};
+          std::span<uint8_t> bucket = table.Tier1Bucket(key);
+          KernelAccessRun(obj + 8, bucket.data(), bucket.size() / stride, stride,
+                          RequestBatch::kHeaderBytes, value_bytes, masks);
+          bucket = table.Tier2Bucket(key);
+          KernelAccessRun(obj + 8, bucket.data(), bucket.size() / stride, stride,
+                          RequestBatch::kHeaderBytes, value_bytes, masks);
+        }
+        benchmark::DoNotOptimize(store.data());
+      };
+      const double slots =
+          static_cast<double>(kScanObjects) * static_cast<double>(table.params().LookupCost());
+      scan();
+      std::vector<double> ns;
+      for (int rep = 0; rep < kScanReps; ++rep) {
+        const auto t0 = std::chrono::steady_clock::now();
+        scan();
+        const auto t1 = std::chrono::steady_clock::now();
+        ns.push_back(std::chrono::duration<double, std::nano>(t1 - t0).count() / slots);
+      }
+      std::sort(ns.begin(), ns.end());
+      emitter.AddPoint("suboram_scan")
+          .Set("backend", KernelBackendName(backend))
+          .Set("value_bytes", static_cast<double>(value_bytes))
+          .Set("objects", static_cast<double>(kScanObjects))
+          .Set("batch", static_cast<double>(kScanBatch))
+          .Set("slots_per_object", static_cast<double>(table.params().LookupCost()))
+          .Set("ns_per_slot", ns[ns.size() / 2])
+          .Set("ns_per_slot_min", ns.front())
+          .Set("ns_per_slot_max", ns.back())
+          .Set("reps", static_cast<double>(kScanReps));
+    }
+  }
+  SetKernelBackend(prev);
+}
+
 }  // namespace
 }  // namespace snoopy
 
@@ -436,6 +531,7 @@ int main(int argc, char** argv) {
   snoopy::BenchJsonEmitter emitter("micro_primitives");
   snoopy::EmitKernelSeries(emitter);
   snoopy::EmitCryptoSeries(emitter);
+  snoopy::EmitSuboramScanSeries(emitter);
   const std::string path = emitter.WriteFile(".");
   if (!path.empty()) {
     std::printf("wrote %s\n", path.c_str());

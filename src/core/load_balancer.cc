@@ -185,27 +185,30 @@ RequestBatch LoadBalancer::MatchResponses(PreparedEpoch&& epoch,
   SecretU64 prev_key = ~uint64_t{0};
   const size_t total = merged.size();
   std::vector<uint8_t> keep(total, 0);
-  for (size_t i = 0; i < total; ++i) {
+  size_t i = 0;
+  // A response becomes the carried value; a request that takes it receives the carried
+  // value, or null if its own verdict was "deny". `take` implies !is_resp, so a record's
+  // masks never depend on its own value update, and the value a request reads is never
+  // the one this record just wrote.
+  const auto masks = [&](uint8_t* rec) {
     TraceRecord(TraceOp::kRead, i);
-    RequestHeader& h = merged.Header(i);
-    uint8_t* value = merged.Value(i);
-    const SecretBool is_resp = SecretBool::FromWord(h.resp);
-    prev_key = CtSelectU64(is_resp, h.key, prev_key);
-    const SecretBool take = (!is_resp) & (SecretU64(h.key) == prev_key);
-    // One fused kernel pass: a response becomes the carried value; a request that
-    // takes it receives the carried value, or null if its own verdict was "deny".
-    // `take` implies !is_resp, so the carried value a request reads is never the one
-    // this record just wrote.
-    KernelAccessSlot(is_resp, take, take & SecretBool::FromWord(h.granted), prev_value.data(),
-                     value, value_size);
+    auto* h = reinterpret_cast<RequestHeader*>(rec);
+    const SecretBool is_resp = SecretBool::FromWord(h->resp);
+    prev_key = CtSelectU64(is_resp, h->key, prev_key);
+    const SecretBool take = (!is_resp) & (SecretU64(h->key) == prev_key);
     keep[i] = (!is_resp).ToFlagByte();
     // Mark whether this request actually met a response. In a healthy epoch every
     // original does; when a partition is unavailable its placeholder batch carries
     // reserved keys that match nothing, so those requests keep resp = 0 -- the flag
     // the orchestrator's epoch-queue failover keys on. Unconditional branchless store
     // (keep[] above already latched the pre-store response/request distinction).
-    h.resp = static_cast<uint8_t>(h.resp | take.ToFlagByte());
-  }
+    h->resp = static_cast<uint8_t>(h->resp | take.ToFlagByte());
+    ++i;
+    return AccessMasks{is_resp, take, take & SecretBool::FromWord(h->granted)};
+  };
+  // One kernel call over the whole merged batch, the carried value held in registers.
+  KernelAccessRun(prev_value.data(), merged.slab().data(), total, merged.record_bytes(),
+                  RequestBatch::kHeaderBytes, value_size, masks);
   // SNOOPY_OBLIVIOUS_END(lb_match)
   propagate_trace.End();
 

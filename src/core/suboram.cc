@@ -85,41 +85,29 @@ RequestBatch SubOram::ProcessBatch(RequestBatch&& batch) {
 
   // Step 2 (Fig. 7): one linear scan over every stored object. For each object, scan
   // its two candidate buckets in full; every slot gets one fused oblivious
-  // compare-and-set pass, so that neither the match nor the request type is revealed.
+  // compare-and-set pass (ScanSlotMasks), so that neither the match nor the request
+  // type is revealed.
   const size_t stride = table.record_bytes();
   const size_t n_objects = store_.size();
   TraceSpan scan_trace(&Tracer::Global(), "step", "suboram_scan", config_.id);
   scan_trace.SetArg("objects", n_objects);
 
   // SNOOPY_OBLIVIOUS_BEGIN(suboram_scan)
-  // ct-public: i off n_objects stride value_size bucket obj_key table
+  // ct-public: i n_objects stride value_size obj_key obj_value table bucket masks
   for (size_t i = 0; i < n_objects; ++i) {
     TraceRecord(TraceOp::kRead, i);
     uint8_t* obj = store_.Record(i);
     uint64_t obj_key;
     std::memcpy(&obj_key, obj, 8);
     uint8_t* obj_value = obj + 8;
-
-    auto apply = [&](std::span<uint8_t> bucket) {
-      for (size_t off = 0; off + stride <= bucket.size(); off += stride) {
-        auto* req = reinterpret_cast<RequestHeader*>(bucket.data() + off);
-        uint8_t* req_value = bucket.data() + off + RequestBatch::kHeaderBytes;
-        // Request contents (key, op, dummy flag, access decision) are secret; the
-        // object key being scanned is public (the scan visits all of them).
-        const SecretBool match = (SecretU64(req->key) == obj_key) &
-                                 !SecretBool::FromWord(req->dummy);
-        const SecretBool is_write = SecretU64(req->op) == SecretU64(kOpWrite);
-        const SecretBool granted = SecretBool::FromWord(req->granted);
-        // One fused kernel pass over the object and the slot. Write path: object <-
-        // request payload if a granted write matches. Response path: slot <- the
-        // object's pre-state for reads and writes alike, except that a denied access
-        // returns null rather than data (Appendix D).
-        KernelAccessSlot(match & is_write & granted, match, match & granted, obj_value,
-                         req_value, value_size);
-      }
-    };
-    apply(table.Tier1Bucket(obj_key));
-    apply(table.Tier2Bucket(obj_key));
+    const ScanSlotMasks masks{obj_key};
+    // One kernel call per bucket, with the object value held in registers across it.
+    std::span<uint8_t> bucket = table.Tier1Bucket(obj_key);
+    KernelAccessRun(obj_value, bucket.data(), bucket.size() / stride, stride,
+                    RequestBatch::kHeaderBytes, value_size, masks);
+    bucket = table.Tier2Bucket(obj_key);
+    KernelAccessRun(obj_value, bucket.data(), bucket.size() / stride, stride,
+                    RequestBatch::kHeaderBytes, value_size, masks);
   }
   // SNOOPY_OBLIVIOUS_END(suboram_scan)
   scan_trace.End();

@@ -28,6 +28,8 @@
 #include "src/crypto/rng.h"
 #include "src/enclave/rollback.h"
 #include "src/obl/bucket_sort.h"
+#include "src/obl/kernels.h"
+#include "src/obl/secret.h"
 #include "src/obl/slab.h"
 
 namespace snoopy {
@@ -44,6 +46,28 @@ struct SubOramConfig {
   // load balancer guarantees it; standalone users should leave the check on.
   bool check_distinct = true;
 };
+
+// SNOOPY_OBLIVIOUS_BEGIN(suboram_scan_masks)
+// ct-public: obj_key rec
+// The KernelAccessRun masks an OHT request slot gets against the stored object
+// `obj_key` during the scan (Figure 7 step 2); obj_key is public, the scan visits every
+// stored key. Request contents (key, op, dummy flag, access decision) are secret.
+// Write path: object <- request payload if a granted write matches. Response path:
+// slot <- the object's pre-state for reads and writes alike, except that a denied
+// access returns null rather than data (Appendix D).
+struct ScanSlotMasks {
+  uint64_t obj_key;
+
+  AccessMasks operator()(const uint8_t* rec) const {
+    const auto* req = reinterpret_cast<const RequestHeader*>(rec);
+    const SecretBool match =
+        (SecretU64(req->key) == obj_key) & !SecretBool::FromWord(req->dummy);
+    const SecretBool is_write = SecretU64(req->op) == SecretU64(kOpWrite);
+    const SecretBool granted = SecretBool::FromWord(req->granted);
+    return AccessMasks{match & is_write & granted, match, match & granted};
+  }
+};
+// SNOOPY_OBLIVIOUS_END(suboram_scan_masks)
 
 class SubOram : public SubOramBackend {
  public:

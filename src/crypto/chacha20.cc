@@ -16,7 +16,7 @@ namespace {
 
 // SNOOPY_OBLIVIOUS_BEGIN(chacha20_blocks)
 // ct-public: counter round w g j k hb blk i
-// ct-calls: Rotl QuarterRound __attribute__ target reinterpret_cast
+// ct-calls: Rotl QuarterRound __attribute__ target reinterpret_cast ChaChaBlockWords
 // ct-calls: SNOOPY_CHACHA_QR_SSE2 SNOOPY_CHACHA_QR_AVX2 SNOOPY_CHACHA_QR_AVX512
 
 inline uint32_t Rotl(uint32_t x, int n) { return (x << n) | (x >> (32 - n)); }
@@ -44,8 +44,8 @@ inline void Store32Le(uint8_t* p, uint32_t v) {
   p[3] = static_cast<uint8_t>(v >> 24);
 }
 
-// The scalar RFC 8439 block function: the 64-byte keystream block for `counter`.
-void ChaChaBlockGeneric(const uint32_t* state, uint32_t counter, uint8_t* out) {
+// The scalar RFC 8439 block function: the 16 keystream words for `counter`.
+void ChaChaBlockWords(const uint32_t* state, uint32_t counter, uint32_t* words) {
   uint32_t init[16];
   for (int w = 0; w < 16; ++w) {
     init[w] = state[w];
@@ -66,7 +66,27 @@ void ChaChaBlockGeneric(const uint32_t* state, uint32_t counter, uint8_t* out) {
     QuarterRound(x[3], x[4], x[9], x[14]);
   }
   for (int w = 0; w < 16; ++w) {
-    Store32Le(out + 4 * w, x[w] + init[w]);
+    words[w] = x[w] + init[w];
+  }
+}
+
+// The 64-byte keystream block for `counter`.
+void ChaChaBlockGeneric(const uint32_t* state, uint32_t counter, uint8_t* out) {
+  uint32_t words[16];
+  ChaChaBlockWords(state, counter, words);
+  for (int w = 0; w < 16; ++w) {
+    Store32Le(out + 4 * w, words[w]);
+  }
+}
+
+// Writes `in` XOR the keystream block for `counter` to `out` (which may equal `in`), a
+// 32-bit word at a time straight from the block function's words.
+void CryptBlockGeneric(const uint32_t* state, uint32_t counter, const uint8_t* in,
+                       uint8_t* out) {
+  uint32_t words[16];
+  ChaChaBlockWords(state, counter, words);
+  for (int w = 0; w < 16; ++w) {
+    Store32Le(out + 4 * w, Load32Le(in + 4 * w) ^ words[w]);
   }
 }
 
@@ -375,6 +395,12 @@ void ChaCha20::Crypt(const uint8_t* in, uint8_t* out, size_t len) {
     }
   }
 #endif
+  // Remaining whole blocks go straight from the scalar block function's words into
+  // the output; only a trailing partial block is buffered in `partial_`.
+  for (; len - i >= kBlockBytes; i += kBlockBytes) {
+    CryptBlockGeneric(state_.data(), state_[12], in + i, out + i);
+    ++state_[12];
+  }
   while (i < len) {
     if (partial_used_ == kBlockBytes) {
       ChaChaBlockGeneric(state_.data(), state_[12], partial_.data());

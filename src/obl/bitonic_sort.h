@@ -105,19 +105,19 @@ void BitonicTileSort(size_t lo, size_t n, bool asc, const CSwap& cswap) {
 // pool is grown to that width up front.
 template <typename First, typename Second>
 void TraceForkJoinHalves(const First& first, const Second& second, int threads) {
-  std::vector<TraceEvent> events[2];
+  TraceSink sinks[2];
   WorkPool& pool = WorkPool::Instance();
   pool.Reserve(static_cast<size_t>(threads) - 1);
   pool.Run(2, [&](size_t half) {
-    TraceThreadBuffer buffer{&events[half]};
+    TraceThreadBuffer buffer{&sinks[half].events};
     if (half == 0) {
       first();
     } else {
       second();
     }
   });
-  TraceAppendCurrent(events[0]);
-  TraceAppendCurrent(events[1]);
+  TraceAppendCurrent(sinks[0].events);
+  TraceAppendCurrent(sinks[1].events);
 }
 
 // The thread width alone decides how a segment runs: it forks while threads > 1 and

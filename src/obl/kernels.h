@@ -3,7 +3,8 @@
 // primitives.h defines the oblivious compare-and-set contract with scalar 8-byte mask
 // arithmetic; this header provides SSE2/AVX2/AVX-512 implementations of the hot
 // byte-level operators (conditional swap, equality, and the fused compare-and-set
-// access of the subORAM scan) behind a single public dispatch decision.
+// access run of the subORAM scan and the load balancer's response propagation) behind
+// a single public dispatch decision.
 // The Snoopy paper (section 8.1) instantiates its oblivious operators with AVX-512
 // masked moves inside SGX; the AVX-512 backend here is that construction literally
 // (`vpblendmb` under an all-ones/all-zeros k-mask), while the AVX2/SSE2 backends use
@@ -17,7 +18,8 @@
 //    same addresses whether the mask is all-ones or all-zeros. Masked *stores* are
 //    deliberately not used for suppression -- the AVX-512 access blends in registers
 //    and then stores the full cache line, so the written byte set is mask-independent.
-//  - Loop trip counts depend only on the public length n.
+//  - Loop trip counts depend only on the public length n (and, for an access run, on
+//    its public record count).
 // The kernels therefore sit *below* trace granularity: the adversary-visible trace
 // (enclave/trace.h) records logical events like kCondSwap(i, j), and every backend
 // executes the identical logical sequence (tests/kernels_test.cc pins byte-identical
@@ -150,9 +152,21 @@ inline void ResetKernelBackend() {
   kernel_internal::BackendState().store(-1, std::memory_order_relaxed);
 }
 
+// One record's masks for KernelAccessRun, computed by the caller's functor from the
+// record's own (secret) fields.
+struct AccessMasks {
+  SecretBool write;   // state <- the record's value
+  SecretBool match;   // the record's value <- the old state (or zeros, see reveal)
+  SecretBool reveal;  // under match: old state if set, zeros if not
+};
+
 // SNOOPY_OBLIVIOUS_BEGIN(kernels)
-// ct-public: i n
+// ct-public: i n r j c off len base block count stride value_offset last kRegs chunking
+// ct-public: backend vector first values stash chunks extra kAccessRunBlock KernelBackend
+// ct-public: kAVX512 kAVX2 kSSE2 max_bytes
 // ct-calls: ValueBarrier __attribute__ target GenericDiffWord GenericAccessSlot alignas
+// ct-calls: masks KernelAccessReg16 KernelAccessReg32 KernelAccessReg64 SplitRun Offset
+// ct-calls: Length KernelBroadcast128 KernelBroadcast256
 
 namespace kernel_internal {
 
@@ -174,7 +188,8 @@ inline uint64_t GenericDiffWord(const uint8_t* a, const uint8_t* b, size_t n) {
   return acc;
 }
 
-// Generic fused access (the contract of KernelAccessSlotMask below): per word,
+// Generic fused access of one (state, slot) pair (the per-record contract of
+// KernelAccessRun below): per word,
 //   old = state; state = write ? slot : state; slot = match ? (reveal ? old : 0) : slot.
 // `keep` is reveal & match, so the response lane is old & keep | slot & ~match. The
 // masks are re-barriered every word, like CtCondCopyBytesMask, to keep this loop in its
@@ -207,6 +222,39 @@ inline void GenericAccessSlot(uint64_t write, uint64_t match, uint64_t reveal,
   }
 }
 
+// A record's masks as words; keep = reveal & match, the response lane's select.
+struct AccessWords {
+  uint64_t write;
+  uint64_t match;
+  uint64_t keep;
+};
+
+// Records per block of a run: a block's masks are computed first, in one scalar pass
+// (the functor once per record, in run order), into a stash of kAccessRunBlock
+// entries; then the block kernel carries the value through the block (the SIMD ones
+// once per register chunk) and reads each record's masks back from the stash.
+inline constexpr size_t kAccessRunBlock = 64;
+
+// Chunk geometry of a SIMD run: n split into the fewest chunks of at most max_bytes,
+// as evenly as possible, so every chunk is at least one vector wide whenever n is.
+// Public arithmetic on the public n.
+struct RunChunking {
+  size_t chunks;
+  size_t base;
+  size_t extra;  // the first `extra` chunks are one byte longer than `base`
+
+  size_t Offset(size_t c) const { return c * base + (c < extra ? c : extra); }
+  size_t Length(size_t c) const { return base + (c < extra ? 1 : 0); }
+};
+
+inline RunChunking SplitRun(size_t n, size_t max_bytes) {
+  if (n <= max_bytes) {
+    return RunChunking{1, n, 0};
+  }
+  const size_t chunks = (n + max_bytes - 1) / max_bytes;
+  return RunChunking{chunks, n / chunks, n % chunks};
+}
+
 #if SNOOPY_KERNELS_X86
 
 // Vector value barriers: like ValueBarrier but for xmm/ymm/zmm registers, so the
@@ -224,6 +272,15 @@ __attribute__((target("avx2"))) inline __m256i KernelVecBarrier256(__m256i v) {
 __attribute__((target("avx512f"))) inline __m512i KernelVecBarrier512(__m512i v) {
   __asm__ volatile("" : "+v"(v));
   return v;
+}
+
+// A mask word broadcast to every lane, then barriered (the access kernels' masks).
+__attribute__((target("sse2"))) inline __m128i KernelBroadcast128(uint64_t w) {
+  return KernelVecBarrier(_mm_set1_epi64x(static_cast<long long>(w)));
+}
+
+__attribute__((target("avx2"))) inline __m256i KernelBroadcast256(uint64_t w) {
+  return KernelVecBarrier256(_mm256_set1_epi64x(static_cast<long long>(w)));
 }
 
 // ---- SSE2: 16-byte lanes, and/andnot/or select, masked xor-swap ----
@@ -256,31 +313,15 @@ __attribute__((target("sse2"))) inline uint64_t KernelSse2DiffWord(const uint8_t
   return lanes[0] | lanes[1] | GenericDiffWord(a + i, b + i, n - i);
 }
 
-// One 16-byte step of the fused access: vw/vm/vk are the broadcast write, match and
-// reveal&match masks. Shared by the SSE2 loop and the AVX2/AVX-512 16-byte tails.
-__attribute__((target("sse2"))) inline void KernelAccessStep16(__m128i vw, __m128i vm,
-                                                               __m128i vk, uint8_t* state,
-                                                               uint8_t* slot) {
-  const __m128i sv = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
-  const __m128i lv = _mm_loadu_si128(reinterpret_cast<const __m128i*>(slot));
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
-                   _mm_or_si128(_mm_and_si128(lv, vw), _mm_andnot_si128(vw, sv)));
+// One 16-byte step of the fused access with the carried value `s` held in a register
+// and the slot's bytes `lv` already loaded: vw/vm/vk are the broadcast write, match
+// and keep (reveal & match) masks. The slot is stored in full whatever the masks.
+__attribute__((target("sse2"))) inline void KernelAccessReg16(__m128i vw, __m128i vm,
+                                                              __m128i vk, __m128i lv,
+                                                              __m128i& s, uint8_t* slot) {
   _mm_storeu_si128(reinterpret_cast<__m128i*>(slot),
-                   _mm_or_si128(_mm_and_si128(sv, vk), _mm_andnot_si128(vm, lv)));
-}
-
-__attribute__((target("sse2"))) inline void KernelSse2AccessSlot(uint64_t write, uint64_t match,
-                                                                 uint64_t reveal, uint8_t* state,
-                                                                 uint8_t* slot, size_t n) {
-  const __m128i vw = KernelVecBarrier(_mm_set1_epi64x(static_cast<long long>(write)));
-  const __m128i vm = KernelVecBarrier(_mm_set1_epi64x(static_cast<long long>(match)));
-  const __m128i vk =
-      KernelVecBarrier(_mm_set1_epi64x(static_cast<long long>(reveal & match)));
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    KernelAccessStep16(vw, vm, vk, state + i, slot + i);
-  }
-  GenericAccessSlot(write, match, reveal, state + i, slot + i, n - i);
+                   _mm_or_si128(_mm_and_si128(s, vk), _mm_andnot_si128(vm, lv)));
+  s = _mm_or_si128(_mm_and_si128(lv, vw), _mm_andnot_si128(vw, s));
 }
 
 // ---- AVX2: 32-byte lanes ----
@@ -330,35 +371,13 @@ __attribute__((target("avx2"))) inline uint64_t KernelAvx2DiffWord(const uint8_t
   return lanes[0] | lanes[1] | GenericDiffWord(a + i, b + i, n - i);
 }
 
-// One 32-byte step of the fused access; shared by the AVX2 loop and the AVX-512 tail.
-__attribute__((target("avx2"))) inline void KernelAccessStep32(__m256i vw, __m256i vm,
-                                                               __m256i vk, uint8_t* state,
-                                                               uint8_t* slot) {
-  const __m256i sv = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(state));
-  const __m256i lv = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(slot));
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(state),
-                      _mm256_or_si256(_mm256_and_si256(lv, vw), _mm256_andnot_si256(vw, sv)));
+// The 32-byte form of KernelAccessReg16.
+__attribute__((target("avx2"))) inline void KernelAccessReg32(__m256i vw, __m256i vm,
+                                                              __m256i vk, __m256i lv,
+                                                              __m256i& s, uint8_t* slot) {
   _mm256_storeu_si256(reinterpret_cast<__m256i*>(slot),
-                      _mm256_or_si256(_mm256_and_si256(sv, vk), _mm256_andnot_si256(vm, lv)));
-}
-
-__attribute__((target("avx2"))) inline void KernelAvx2AccessSlot(uint64_t write, uint64_t match,
-                                                                 uint64_t reveal, uint8_t* state,
-                                                                 uint8_t* slot, size_t n) {
-  const __m256i vw = KernelVecBarrier256(_mm256_set1_epi64x(static_cast<long long>(write)));
-  const __m256i vm = KernelVecBarrier256(_mm256_set1_epi64x(static_cast<long long>(match)));
-  const __m256i vk =
-      KernelVecBarrier256(_mm256_set1_epi64x(static_cast<long long>(reveal & match)));
-  size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    KernelAccessStep32(vw, vm, vk, state + i, slot + i);
-  }
-  if (i + 16 <= n) {
-    KernelAccessStep16(_mm256_castsi256_si128(vw), _mm256_castsi256_si128(vm),
-                       _mm256_castsi256_si128(vk), state + i, slot + i);
-    i += 16;
-  }
-  GenericAccessSlot(write, match, reveal, state + i, slot + i, n - i);
+                      _mm256_or_si256(_mm256_and_si256(s, vk), _mm256_andnot_si256(vm, lv)));
+  s = _mm256_or_si256(_mm256_and_si256(lv, vw), _mm256_andnot_si256(vw, s));
 }
 
 // ---- AVX-512: 64-byte lanes; the access is the paper's masked-move construction ----
@@ -435,42 +454,263 @@ __attribute__((target("avx512f,avx512bw"))) inline uint64_t KernelAvx512DiffWord
   return wide_or | lanes[0] | lanes[1] | GenericDiffWord(a + i, b + i, n - i);
 }
 
-__attribute__((target("avx512f,avx512bw"))) inline void KernelAvx512AccessSlot(
-    uint64_t write, uint64_t match, uint64_t reveal, uint8_t* state, uint8_t* slot,
-    size_t n) {
-  // The paper's masked moves: the k-masks pick bytes in registers and both stores
-  // are full-width, so the written byte set is mask-independent.
-  const __mmask64 kw = _cvtu64_mask64(ValueBarrier(write));
-  const __mmask64 km = _cvtu64_mask64(ValueBarrier(match));
-  const __mmask64 kk = _cvtu64_mask64(ValueBarrier(reveal & match));
-  size_t i = 0;
-  for (; i + 64 <= n; i += 64) {
-    const __m512i sv = _mm512_loadu_si512(state + i);
-    const __m512i lv = _mm512_loadu_si512(slot + i);
-    _mm512_storeu_si512(state + i, _mm512_mask_blend_epi8(kw, sv, lv));
-    _mm512_storeu_si512(slot + i, _mm512_mask_blend_epi8(km, lv, _mm512_maskz_mov_epi8(kk, sv)));
+// ---- Register-resident blocks: one carried value against a block of records ----
+//
+// Each backend holds the carried value (up to 128 bytes in SSE2 registers, 256 bytes
+// in AVX2 or AVX-512 registers; a wider value is split into even chunks of at most
+// that) in vector registers across a whole block of records: one load of the chunk,
+// then per record one full-width load, select and store of each slot vector and a
+// register-only select of the state, then one store of the chunk. A chunk whose
+// length is not a multiple of the vector width ends in a full-width vector that
+// overlaps the one before it; the record's bytes under it are loaded before any store,
+// so both vectors compute the same bytes and the overlap is written twice with equal
+// values. Nothing is byte-masked. The vector count is a template argument so the chunk
+// array is register-allocated; it and the chunk geometry depend only on the public n.
+// The masks come in as words, never from the functor: these functions need no stack
+// frame, which in an AVX function would be realigned and so opaque to the binary taint
+// audit.
+
+template <int kRegs>
+__attribute__((target("sse2"))) inline void KernelSse2RunChunk(
+    uint8_t* state, uint8_t* values, size_t count, size_t stride, size_t len,
+    const AccessWords* masks) {
+  const size_t last = len - 16;
+  __m128i s[kRegs];
+#pragma GCC unroll 8
+  for (int j = 0; j + 1 < kRegs; ++j) {
+    s[j] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 16 * j));
   }
-  // Sub-64-byte tails at AVX2/SSE2 width, with the masks re-broadcast rather than
-  // narrowed (see KernelAvx512CondSwap).
-  if (i + 16 <= n) {
-    const __m256i vw = KernelVecBarrier256(_mm256_set1_epi64x(static_cast<long long>(write)));
-    const __m256i vm = KernelVecBarrier256(_mm256_set1_epi64x(static_cast<long long>(match)));
-    const __m256i vk =
-        KernelVecBarrier256(_mm256_set1_epi64x(static_cast<long long>(reveal & match)));
-    if (i + 32 <= n) {
-      KernelAccessStep32(vw, vm, vk, state + i, slot + i);
-      i += 32;
+  s[kRegs - 1] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + last));
+  for (size_t r = 0; r < count; ++r) {
+    uint8_t* slot = values + r * stride;
+    // Broadcast straight from the stash: a mask word passed through a general register
+    // may be spilled and reloaded, and these functions must keep no stack frame.
+    const __m128i vw = KernelBroadcast128(masks[r].write);
+    const __m128i vm = KernelBroadcast128(masks[r].match);
+    const __m128i vk = KernelBroadcast128(masks[r].keep);
+    // Loaded before any store: the last vector may overlap the one before it.
+    const __m128i lv_last = _mm_loadu_si128(reinterpret_cast<const __m128i*>(slot + last));
+#pragma GCC unroll 8
+    for (int j = 0; j + 1 < kRegs; ++j) {
+      const __m128i lv = _mm_loadu_si128(reinterpret_cast<const __m128i*>(slot + 16 * j));
+      KernelAccessReg16(vw, vm, vk, lv, s[j], slot + 16 * j);
     }
-    if (i + 16 <= n) {
-      KernelAccessStep16(_mm256_castsi256_si128(vw), _mm256_castsi256_si128(vm),
-                         _mm256_castsi256_si128(vk), state + i, slot + i);
-      i += 16;
+    KernelAccessReg16(vw, vm, vk, lv_last, s[kRegs - 1], slot + last);
+  }
+#pragma GCC unroll 8
+  for (int j = 0; j + 1 < kRegs; ++j) {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 16 * j), s[j]);
+  }
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + last), s[kRegs - 1]);
+}
+
+// One chunk, with its vector count (ceil(len / 16)) as the template argument.
+template <int kRegs = 1>
+__attribute__((target("sse2"))) inline void KernelSse2Chunk(
+    uint8_t* state, uint8_t* values, size_t count, size_t stride, size_t len,
+    const AccessWords* masks) {
+  if constexpr (kRegs < 8) {
+    if (len > 16 * kRegs) {
+      KernelSse2Chunk<kRegs + 1>(state, values, count, stride, len, masks);
+      return;
     }
   }
-  GenericAccessSlot(write, match, reveal, state + i, slot + i, n - i);
+  KernelSse2RunChunk<kRegs>(state, values, count, stride, len, masks);
+}
+
+// A block of `count` records whose n-byte values (n >= 16) start at `values`,
+// `stride` bytes apart, with their masks in `masks`.
+__attribute__((target("sse2"))) inline void KernelSse2AccessBlock(
+    uint8_t* state, uint8_t* values, size_t count, size_t stride, size_t n,
+    const AccessWords* masks) {
+  const RunChunking chunking = SplitRun(n, 128);
+  for (size_t c = 0; c < chunking.chunks; ++c) {
+    const size_t off = chunking.Offset(c);
+    KernelSse2Chunk(state + off, values + off, count, stride, chunking.Length(c), masks);
+  }
+}
+
+template <int kRegs>
+__attribute__((target("avx2"))) inline void KernelAvx2RunChunk(
+    uint8_t* state, uint8_t* values, size_t count, size_t stride, size_t len,
+    const AccessWords* masks) {
+  const size_t last = len - 32;
+  __m256i s[kRegs];
+#pragma GCC unroll 8
+  for (int j = 0; j + 1 < kRegs; ++j) {
+    s[j] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(state + 32 * j));
+  }
+  s[kRegs - 1] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(state + last));
+  for (size_t r = 0; r < count; ++r) {
+    uint8_t* slot = values + r * stride;
+    // Broadcast straight from the stash (see KernelSse2RunChunk).
+    const __m256i vw = KernelBroadcast256(masks[r].write);
+    const __m256i vm = KernelBroadcast256(masks[r].match);
+    const __m256i vk = KernelBroadcast256(masks[r].keep);
+    // Loaded before any store: the last vector may overlap the one before it.
+    const __m256i lv_last = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(slot + last));
+#pragma GCC unroll 8
+    for (int j = 0; j + 1 < kRegs; ++j) {
+      const __m256i lv = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(slot + 32 * j));
+      KernelAccessReg32(vw, vm, vk, lv, s[j], slot + 32 * j);
+    }
+    KernelAccessReg32(vw, vm, vk, lv_last, s[kRegs - 1], slot + last);
+  }
+#pragma GCC unroll 8
+  for (int j = 0; j + 1 < kRegs; ++j) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(state + 32 * j), s[j]);
+  }
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(state + last), s[kRegs - 1]);
+}
+
+// One chunk, with its vector count (ceil(len / 32)) as the template argument.
+template <int kRegs = 1>
+__attribute__((target("avx2"))) inline void KernelAvx2Chunk(
+    uint8_t* state, uint8_t* values, size_t count, size_t stride, size_t len,
+    const AccessWords* masks) {
+  if constexpr (kRegs < 8) {
+    if (len > 32 * kRegs) {
+      KernelAvx2Chunk<kRegs + 1>(state, values, count, stride, len, masks);
+      return;
+    }
+  }
+  KernelAvx2RunChunk<kRegs>(state, values, count, stride, len, masks);
+}
+
+// A block of `count` records whose n-byte values (n >= 32) start at `values`,
+// `stride` bytes apart, with their masks in `masks`.
+__attribute__((target("avx2"))) inline void KernelAvx2AccessBlock(
+    uint8_t* state, uint8_t* values, size_t count, size_t stride, size_t n,
+    const AccessWords* masks) {
+  const RunChunking chunking = SplitRun(n, 256);
+  for (size_t c = 0; c < chunking.chunks; ++c) {
+    const size_t off = chunking.Offset(c);
+    KernelAvx2Chunk(state + off, values + off, count, stride, chunking.Length(c), masks);
+  }
+}
+
+// The 64-byte step, the paper's masked-move construction: k-masks pick bytes in
+// registers (vpblendmb, vmovdqu8 with zeroing) and the slot store is full-width, so the
+// written byte set is mask-independent.
+__attribute__((target("avx512f,avx512bw"))) inline void KernelAccessReg64(
+    __mmask64 kw, __mmask64 km, __mmask64 kk, __m512i lv, __m512i& s, uint8_t* slot) {
+  _mm512_storeu_si512(slot, _mm512_mask_blend_epi8(km, lv, _mm512_maskz_mov_epi8(kk, s)));
+  s = _mm512_mask_blend_epi8(kw, s, lv);
+}
+
+template <int kRegs>
+__attribute__((target("avx512f,avx512bw"))) inline void KernelAvx512RunChunk(
+    uint8_t* state, uint8_t* values, size_t count, size_t stride, size_t len,
+    const AccessWords* masks) {
+  const size_t last = len - 64;
+  __m512i s[kRegs];
+#pragma GCC unroll 4
+  for (int j = 0; j + 1 < kRegs; ++j) {
+    s[j] = _mm512_loadu_si512(state + 64 * j);
+  }
+  s[kRegs - 1] = _mm512_loadu_si512(state + last);
+  for (size_t r = 0; r < count; ++r) {
+    uint8_t* slot = values + r * stride;
+    const __mmask64 kw = _cvtu64_mask64(ValueBarrier(masks[r].write));
+    const __mmask64 km = _cvtu64_mask64(ValueBarrier(masks[r].match));
+    const __mmask64 kk = _cvtu64_mask64(ValueBarrier(masks[r].keep));
+    // Loaded before any store: the last vector may overlap the one before it.
+    const __m512i lv_last = _mm512_loadu_si512(slot + last);
+#pragma GCC unroll 4
+    for (int j = 0; j + 1 < kRegs; ++j) {
+      KernelAccessReg64(kw, km, kk, _mm512_loadu_si512(slot + 64 * j), s[j], slot + 64 * j);
+    }
+    KernelAccessReg64(kw, km, kk, lv_last, s[kRegs - 1], slot + last);
+  }
+#pragma GCC unroll 4
+  for (int j = 0; j + 1 < kRegs; ++j) {
+    _mm512_storeu_si512(state + 64 * j, s[j]);
+  }
+  _mm512_storeu_si512(state + last, s[kRegs - 1]);
+}
+
+// One chunk, with its vector count (ceil(len / 64)) as the template argument.
+template <int kRegs = 1>
+__attribute__((target("avx512f,avx512bw"))) inline void KernelAvx512Chunk(
+    uint8_t* state, uint8_t* values, size_t count, size_t stride, size_t len,
+    const AccessWords* masks) {
+  if constexpr (kRegs < 4) {
+    if (len > 64 * kRegs) {
+      KernelAvx512Chunk<kRegs + 1>(state, values, count, stride, len, masks);
+      return;
+    }
+  }
+  KernelAvx512RunChunk<kRegs>(state, values, count, stride, len, masks);
+}
+
+// A block of `count` records whose n-byte values (n >= 64) start at `values`,
+// `stride` bytes apart, with their masks in `masks`.
+__attribute__((target("avx512f,avx512bw"))) inline void KernelAvx512AccessBlock(
+    uint8_t* state, uint8_t* values, size_t count, size_t stride, size_t n,
+    const AccessWords* masks) {
+  const RunChunking chunking = SplitRun(n, 256);
+  for (size_t c = 0; c < chunking.chunks; ++c) {
+    const size_t off = chunking.Offset(c);
+    KernelAvx512Chunk(state + off, values + off, count, stride, chunking.Length(c), masks);
+  }
 }
 
 #endif  // SNOOPY_KERNELS_X86
+
+// The generic block: the audited scalar GenericAccessSlot once per record, with the
+// carried value in memory.
+inline void GenericAccessBlock(uint8_t* state, uint8_t* values, size_t count, size_t stride,
+                               size_t n, const AccessWords* masks) {
+  for (size_t r = 0; r < count; ++r) {
+    GenericAccessSlot(masks[r].write, masks[r].match, masks[r].keep, state,
+                      values + r * stride, n);
+  }
+}
+
+// The run, block by block: the block's masks into the stash (the functor once per
+// record, in run order), then the block kernel of the widest vector `backend` has that
+// fits in the value (under 16 bytes, the generic block).
+template <class Masks>
+inline void AccessRunOn(KernelBackend backend, uint8_t* state, uint8_t* run, size_t count,
+                        size_t stride, size_t value_offset, size_t n, const Masks& masks) {
+  KernelBackend vector = KernelBackend::kGeneric;
+#if SNOOPY_KERNELS_X86
+  if (backend >= KernelBackend::kAVX512 && n >= 64) {
+    vector = KernelBackend::kAVX512;
+  } else if (backend >= KernelBackend::kAVX2 && n >= 32) {
+    vector = KernelBackend::kAVX2;
+  } else if (backend >= KernelBackend::kSSE2 && n >= 16) {
+    vector = KernelBackend::kSSE2;
+  }
+#endif
+  AccessWords stash[kAccessRunBlock];
+  for (size_t base = 0; base < count; base += kAccessRunBlock) {
+    const size_t block = count - base < kAccessRunBlock ? count - base : kAccessRunBlock;
+    uint8_t* first = run + base * stride;
+    for (size_t r = 0; r < block; ++r) {
+      const AccessMasks m = masks(first + r * stride);
+      stash[r].write = m.write.mask();
+      stash[r].match = m.match.mask();
+      stash[r].keep = (m.reveal & m.match).mask();
+    }
+    uint8_t* values = first + value_offset;
+#if SNOOPY_KERNELS_X86
+    if (vector == KernelBackend::kAVX512) {
+      KernelAvx512AccessBlock(state, values, block, stride, n, stash);
+      continue;
+    }
+    if (vector == KernelBackend::kAVX2) {
+      KernelAvx2AccessBlock(state, values, block, stride, n, stash);
+      continue;
+    }
+    if (vector == KernelBackend::kSSE2) {
+      KernelSse2AccessBlock(state, values, block, stride, n, stash);
+      continue;
+    }
+#endif
+    GenericAccessBlock(state, values, block, stride, n, stash);
+  }
+}
 
 }  // namespace kernel_internal
 
@@ -478,10 +718,11 @@ __attribute__((target("avx512f,avx512bw"))) inline void KernelAvx512AccessSlot(
 
 // ---- Dispatching entry points ----
 //
-// The branch below is on ActiveKernelBackend() -- public, CPUID-derived state -- so it
-// is not a secret-dependent branch. Each backend handles any n (the vector loop may
-// run zero iterations; the scalar code finishes the tail), so small operands are
-// correct everywhere and pay only the dispatch load.
+// The branches below are on ActiveKernelBackend() -- public, CPUID-derived state -- so
+// they are not secret-dependent branches. Each backend handles any n (the vector loop
+// may run zero iterations; the scalar code finishes the tail), so small operands are
+// correct everywhere and pay only the dispatch load. KernelAccessRun's backend choice
+// also reads the public n (AccessRunOn).
 
 inline void KernelCondSwapBytesMask(uint64_t mask, void* a, void* b, size_t n) {
 #if SNOOPY_KERNELS_X86
@@ -504,34 +745,25 @@ inline void KernelCondSwapBytesMask(uint64_t mask, void* a, void* b, size_t n) {
   CtCondSwapBytesMask(mask, a, b, n);
 }
 
-// Fused oblivious access of one (state, slot) pair, one load and one store of each per
-// word. With all-ones/all-zeros masks it computes
-//   old = state; state = write ? slot : state; slot = match ? (reveal ? old : 0) : slot,
-// which equals staging `old` with a memcpy and then three conditional copies:
-// state <- slot under write, slot <- old under match, slot <- zeros under
-// match & !reveal. Every byte of both operands is read and written whatever the masks.
-// The subORAM scan (object value = state, request slot = slot) and the load balancer's
-// response propagation (carried response = state, request = slot) both run on it.
-inline void KernelAccessSlotMask(uint64_t write, uint64_t match, uint64_t reveal, void* state,
-                                 void* slot, size_t n) {
-  auto* ps = static_cast<uint8_t*>(state);
-  auto* pl = static_cast<uint8_t*>(slot);
-#if SNOOPY_KERNELS_X86
-  const KernelBackend backend = ActiveKernelBackend();
-  if (backend == KernelBackend::kAVX512) {
-    kernel_internal::KernelAvx512AccessSlot(write, match, reveal, ps, pl, n);
-    return;
-  }
-  if (backend == KernelBackend::kAVX2) {
-    kernel_internal::KernelAvx2AccessSlot(write, match, reveal, ps, pl, n);
-    return;
-  }
-  if (backend == KernelBackend::kSSE2) {
-    kernel_internal::KernelSse2AccessSlot(write, match, reveal, ps, pl, n);
-    return;
-  }
-#endif
-  kernel_internal::GenericAccessSlot(write, match, reveal, ps, pl, n);
+// Fused oblivious access of one carried value `state` (n bytes) against a run of
+// `count` records `stride` bytes apart, each holding an n-byte value at
+// `value_offset`. `masks(record)` returns the record's AccessMasks; it is called once
+// per record, in run order, before that record's value is touched, and may read or
+// write the record's bytes outside its value. Per record, with all-ones/all-zeros
+// masks,
+//   old = state; state = write ? value : state; value = match ? (reveal ? old : 0) : value,
+// which equals staging `old` with a memcpy and then three conditional copies. Every
+// byte of every record's value and of `state` is read and written whatever the masks;
+// the SIMD backends hold `state` in vector registers across each block of up to
+// kAccessRunBlock records. The subORAM scan (object value = state, one OHT bucket =
+// the run) and the load balancer's response propagation (carried response = state,
+// the merged batch = the run) both run on it.
+template <class Masks>
+inline void KernelAccessRun(void* state, void* run, size_t count, size_t stride,
+                            size_t value_offset, size_t n, const Masks& masks) {
+  kernel_internal::AccessRunOn(ActiveKernelBackend(), static_cast<uint8_t*>(state),
+                               static_cast<uint8_t*>(run), count, stride, value_offset, n,
+                               masks);
 }
 
 // OR of all byte differences between a and b (zero iff equal); the shared core of the
@@ -566,11 +798,6 @@ inline SecretBool KernelSecretEqualBytes(const void* a, const void* b, size_t n)
 // condition and fed straight to the mask kernels (no bool round-trip).
 inline void KernelCondSwapBytes(SecretBool c, void* a, void* b, size_t n) {
   KernelCondSwapBytesMask(c.mask(), a, b, n);
-}
-
-inline void KernelAccessSlot(SecretBool write, SecretBool match, SecretBool reveal, void* state,
-                             void* slot, size_t n) {
-  KernelAccessSlotMask(write.mask(), match.mask(), reveal.mask(), state, slot, n);
 }
 
 // ---- Cache-tile geometry for the depth-first bitonic sort (public) ----

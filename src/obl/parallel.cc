@@ -168,7 +168,7 @@ void RunPhase(size_t n, int threads, const PhasePoolContext& ctx,
   Tracer* tracer =
       ctx.tracer != nullptr && ctx.tracer->enabled() ? ctx.tracer : nullptr;
 
-  std::vector<std::vector<TraceEvent>> buffers(n);
+  std::vector<TraceSink> buffers(n);
   std::vector<std::unique_ptr<SpanRingBuffer>> rings(n);
   if (tracer != nullptr) {
     // A task records itself plus its step spans, so a small ring suffices; the
@@ -191,7 +191,7 @@ void RunPhase(size_t n, int threads, const PhasePoolContext& ctx,
       if (i >= n) {
         break;
       }
-      TraceThreadBuffer events{&buffers[i]};
+      TraceThreadBuffer events{&buffers[i].events};
       TracerThreadBuffer spans{rings[i].get()};
       const double task_start = now();
       const double task_cpu_start = ThreadCpuNowSeconds();
@@ -218,7 +218,7 @@ void RunPhase(size_t n, int threads, const PhasePoolContext& ctx,
   }
 
   for (size_t i = 0; i < n; ++i) {
-    TraceAppendCurrent(buffers[i]);
+    TraceAppendCurrent(buffers[i].events);
     if (tracer != nullptr) {
       tracer->AppendCurrent(*rings[i]);
     }

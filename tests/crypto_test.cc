@@ -391,6 +391,31 @@ TEST(ChaCha20, EveryBackendMatchesScalarAtEveryLengthAndAlignment) {
   });
 }
 
+// The generic backend in odd piece sizes -- pieces that start and end mid-block, so
+// whole blocks go through the direct word-at-a-time path between partial blocks served
+// from the buffer -- against every SIMD backend's one-shot keystream.
+TEST(ChaCha20, GenericPiecesMatchEverySimdBackend) {
+  Rng rng(25);
+  std::vector<uint8_t> msg(4099);
+  rng.Fill(msg.data(), msg.size());
+  for (const size_t piece : {size_t{1}, size_t{3}, size_t{63}, size_t{65}, size_t{127},
+                             size_t{191}, size_t{1001}}) {
+    std::vector<uint8_t> got(msg.size());
+    {
+      const BackendPin pin(KernelBackend::kGeneric);
+      ChaCha20 cipher(TestKey(31), Aead::CounterNonce(5, 6), 1);
+      for (size_t pos = 0; pos < msg.size(); pos += piece) {
+        const size_t take = std::min(piece, msg.size() - pos);
+        cipher.Crypt(msg.data() + pos, got.data() + pos, take);
+      }
+    }
+    for (const KernelBackend backend : SupportedKernelBackends()) {
+      ASSERT_EQ(got, ChaChaUnder(backend, msg.data(), msg.size()))
+          << KernelBackendName(backend) << " piece " << piece;
+    }
+  }
+}
+
 TEST(Poly1305, EveryBackendMatchesScalarAtEveryLengthAndAlignment) {
   ForEveryBackendLengthAndAlignment([](KernelBackend backend, const uint8_t* msg, size_t len) {
     ASSERT_EQ(PolyUnder(backend, msg, len), PolyUnder(KernelBackend::kGeneric, msg, len))

@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <cstring>
 
+#include "src/core/suboram.h"
 #include "src/obl/bitonic_sort.h"
 #include "src/obl/kernels.h"
 #include "src/obl/primitives.h"
@@ -96,12 +97,15 @@ CTDF_ROOT uint64_t ctdf_kernel_equal(const uint8_t* a, const uint8_t* b, size_t 
   return snoopy::KernelDiffBytesWord(a, b, n);
 }
 
-// The fused subORAM-scan / LB-propagate access: three secret masks, and both operands
-// hold secret bytes.
-// ctdf-symbol: ctdf_kernel_access_slot secret=val:rdi,val:rsi,val:rdx,ptr:rcx,ptr:r8
-CTDF_ROOT void ctdf_kernel_access_slot(uint64_t write, uint64_t match, uint64_t reveal,
-                                       uint8_t* state, uint8_t* slot, size_t n) {
-  snoopy::KernelAccessSlotMask(write, match, reveal, state, slot, n);
+// The fused subORAM-scan access run over one OHT bucket: the real scan masks
+// (ScanSlotMasks, secret request headers against the public object key) composed with
+// the kernel, and both the carried value and the bucket's records hold secret bytes.
+// The record count, stride, value size and object key are public.
+// ctdf-symbol: ctdf_kernel_access_run secret=ptr:rdi,ptr:rsi
+CTDF_ROOT void ctdf_kernel_access_run(uint8_t* state, uint8_t* run, size_t count,
+                                      size_t stride, size_t n, uint64_t obj_key) {
+  snoopy::KernelAccessRun(state, run, count, stride, snoopy::RequestBatch::kHeaderBytes, n,
+                          snoopy::ScanSlotMasks{obj_key});
 }
 
 // ---- Per-backend kernel internals (audited even when CPUID dispatch would not
@@ -123,10 +127,12 @@ CTDF_ROOT uint64_t ctdf_generic_equal(const uint8_t* a, const uint8_t* b, size_t
   return snoopy::kernel_internal::GenericDiffWord(a, b, n);
 }
 
-// ctdf-symbol: ctdf_generic_access_slot secret=val:rdi,val:rsi,val:rdx,ptr:rcx,ptr:r8 backend=generic
-CTDF_ROOT void ctdf_generic_access_slot(uint64_t write, uint64_t match, uint64_t reveal,
-                                        uint8_t* state, uint8_t* slot, size_t n) {
-  snoopy::kernel_internal::GenericAccessSlot(write, match, reveal, state, slot, n);
+// ctdf-symbol: ctdf_generic_access_run secret=ptr:rdi,ptr:rsi backend=generic
+CTDF_ROOT void ctdf_generic_access_run(uint8_t* state, uint8_t* run, size_t count,
+                                       size_t stride, size_t n, uint64_t obj_key) {
+  snoopy::kernel_internal::AccessRunOn(snoopy::KernelBackend::kGeneric, state, run, count, stride,
+                                       snoopy::RequestBatch::kHeaderBytes, n,
+                                       snoopy::ScanSlotMasks{obj_key});
 }
 
 #if SNOOPY_KERNELS_X86
@@ -141,10 +147,12 @@ CTDF_ROOT uint64_t ctdf_sse2_equal(const uint8_t* a, const uint8_t* b, size_t n)
   return snoopy::kernel_internal::KernelSse2DiffWord(a, b, n);
 }
 
-// ctdf-symbol: ctdf_sse2_access_slot secret=val:rdi,val:rsi,val:rdx,ptr:rcx,ptr:r8 backend=sse2
-CTDF_ROOT void ctdf_sse2_access_slot(uint64_t write, uint64_t match, uint64_t reveal,
-                                     uint8_t* state, uint8_t* slot, size_t n) {
-  snoopy::kernel_internal::KernelSse2AccessSlot(write, match, reveal, state, slot, n);
+// ctdf-symbol: ctdf_sse2_access_run secret=ptr:rdi,ptr:rsi backend=sse2
+CTDF_ROOT void ctdf_sse2_access_run(uint8_t* state, uint8_t* run, size_t count,
+                                    size_t stride, size_t n, uint64_t obj_key) {
+  snoopy::kernel_internal::AccessRunOn(snoopy::KernelBackend::kSSE2, state, run, count, stride,
+                                       snoopy::RequestBatch::kHeaderBytes, n,
+                                       snoopy::ScanSlotMasks{obj_key});
 }
 
 // ctdf-symbol: ctdf_avx2_cond_swap secret=val:rdi,ptr:rsi,ptr:rdx backend=avx2
@@ -157,10 +165,12 @@ CTDF_ROOT uint64_t ctdf_avx2_equal(const uint8_t* a, const uint8_t* b, size_t n)
   return snoopy::kernel_internal::KernelAvx2DiffWord(a, b, n);
 }
 
-// ctdf-symbol: ctdf_avx2_access_slot secret=val:rdi,val:rsi,val:rdx,ptr:rcx,ptr:r8 backend=avx2
-CTDF_ROOT void ctdf_avx2_access_slot(uint64_t write, uint64_t match, uint64_t reveal,
-                                     uint8_t* state, uint8_t* slot, size_t n) {
-  snoopy::kernel_internal::KernelAvx2AccessSlot(write, match, reveal, state, slot, n);
+// ctdf-symbol: ctdf_avx2_access_run secret=ptr:rdi,ptr:rsi backend=avx2
+CTDF_ROOT void ctdf_avx2_access_run(uint8_t* state, uint8_t* run, size_t count,
+                                    size_t stride, size_t n, uint64_t obj_key) {
+  snoopy::kernel_internal::AccessRunOn(snoopy::KernelBackend::kAVX2, state, run, count, stride,
+                                       snoopy::RequestBatch::kHeaderBytes, n,
+                                       snoopy::ScanSlotMasks{obj_key});
 }
 
 // ctdf-symbol: ctdf_avx512_cond_swap secret=val:rdi,ptr:rsi,ptr:rdx backend=avx512
@@ -173,10 +183,12 @@ CTDF_ROOT uint64_t ctdf_avx512_equal(const uint8_t* a, const uint8_t* b, size_t 
   return snoopy::kernel_internal::KernelAvx512DiffWord(a, b, n);
 }
 
-// ctdf-symbol: ctdf_avx512_access_slot secret=val:rdi,val:rsi,val:rdx,ptr:rcx,ptr:r8 backend=avx512
-CTDF_ROOT void ctdf_avx512_access_slot(uint64_t write, uint64_t match, uint64_t reveal,
-                                       uint8_t* state, uint8_t* slot, size_t n) {
-  snoopy::kernel_internal::KernelAvx512AccessSlot(write, match, reveal, state, slot, n);
+// ctdf-symbol: ctdf_avx512_access_run secret=ptr:rdi,ptr:rsi backend=avx512
+CTDF_ROOT void ctdf_avx512_access_run(uint8_t* state, uint8_t* run, size_t count,
+                                      size_t stride, size_t n, uint64_t obj_key) {
+  snoopy::kernel_internal::AccessRunOn(snoopy::KernelBackend::kAVX512, state, run, count, stride,
+                                       snoopy::RequestBatch::kHeaderBytes, n,
+                                       snoopy::ScanSlotMasks{obj_key});
 }
 
 #endif  // SNOOPY_KERNELS_X86

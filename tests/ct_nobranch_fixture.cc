@@ -53,6 +53,16 @@ __attribute__((noipa)) void nb_kernel_generic_access_slot19(uint64_t w, uint64_t
   snoopy::kernel_internal::GenericAccessSlot(w, m, r, state, slot, 19);
 }
 
+// The generic block kernel of the access run: one record with two 8-byte words and a
+// 3-byte scalar tail.
+// nb-symbol: nb_kernel_generic_access_run19
+__attribute__((noipa)) void nb_kernel_generic_access_run19(uint64_t w, uint64_t m, uint64_t k,
+                                                          uint8_t* __restrict__ state,
+                                                          uint8_t* __restrict__ values) {
+  const snoopy::kernel_internal::AccessWords masks[1] = {{w, m, k}};
+  snoopy::kernel_internal::GenericAccessBlock(state, values, 1, 19, 19, masks);
+}
+
 // nb-symbol: nb_secret_select
 __attribute__((noipa)) uint64_t nb_secret_select(uint64_t c, uint64_t a, uint64_t b) {
   using namespace snoopy;
@@ -90,13 +100,23 @@ __attribute__((noipa, target("sse2"))) uint64_t nb_kernel_sse2_equal48(const uin
   return snoopy::kernel_internal::KernelSse2DiffWord(a, b, 48);
 }
 
-// Access sizes add an 8-byte word and a 3-byte scalar tail to each backend's wide loop
-// and vector tail steps, so every tail of the fused kernel is reached.
-// nb-symbol[x86]: nb_kernel_sse2_access_slot43
-__attribute__((noipa, target("sse2"))) void nb_kernel_sse2_access_slot43(
-    uint64_t w, uint64_t m, uint64_t r, uint8_t* __restrict__ state,
-    uint8_t* __restrict__ slot) {
-  snoopy::kernel_internal::KernelSse2AccessSlot(w, m, r, state, slot, 43);
+// Access-run sizes are not multiples of the vector width, so each chunk ends in the
+// overlapping last vector; the wider sizes split the value into two chunks.
+// nb-symbol[x86]: nb_kernel_sse2_access_run43
+__attribute__((noipa, target("sse2"))) void nb_kernel_sse2_access_run43(
+    uint64_t w, uint64_t m, uint64_t k, uint8_t* __restrict__ state,
+    uint8_t* __restrict__ values) {
+  const snoopy::kernel_internal::AccessWords masks[1] = {{w, m, k}};
+  snoopy::kernel_internal::KernelSse2AccessBlock(state, values, 1, 43, 43, masks);
+}
+
+// Two chunks (86 + 85 bytes), each ending in an overlapping vector.
+// nb-symbol[x86]: nb_kernel_sse2_access_run171
+__attribute__((noipa, target("sse2"))) void nb_kernel_sse2_access_run171(
+    uint64_t w, uint64_t m, uint64_t k, uint8_t* __restrict__ state,
+    uint8_t* __restrict__ values) {
+  const snoopy::kernel_internal::AccessWords masks[1] = {{w, m, k}};
+  snoopy::kernel_internal::KernelSse2AccessBlock(state, values, 1, 171, 171, masks);
 }
 
 // nb-symbol[x86]: nb_kernel_avx2_cond_swap80
@@ -111,11 +131,21 @@ __attribute__((noipa, target("avx2"))) uint64_t nb_kernel_avx2_equal80(const uin
   return snoopy::kernel_internal::KernelAvx2DiffWord(a, b, 80);
 }
 
-// nb-symbol[x86]: nb_kernel_avx2_access_slot91
-__attribute__((noipa, target("avx2"))) void nb_kernel_avx2_access_slot91(
-    uint64_t w, uint64_t m, uint64_t r, uint8_t* __restrict__ state,
-    uint8_t* __restrict__ slot) {
-  snoopy::kernel_internal::KernelAvx2AccessSlot(w, m, r, state, slot, 91);
+// nb-symbol[x86]: nb_kernel_avx2_access_run91
+__attribute__((noipa, target("avx2"))) void nb_kernel_avx2_access_run91(
+    uint64_t w, uint64_t m, uint64_t k, uint8_t* __restrict__ state,
+    uint8_t* __restrict__ values) {
+  const snoopy::kernel_internal::AccessWords masks[1] = {{w, m, k}};
+  snoopy::kernel_internal::KernelAvx2AccessBlock(state, values, 1, 91, 91, masks);
+}
+
+// Two chunks of 150 bytes, each ending in an overlapping vector.
+// nb-symbol[x86]: nb_kernel_avx2_access_run300
+__attribute__((noipa, target("avx2"))) void nb_kernel_avx2_access_run300(
+    uint64_t w, uint64_t m, uint64_t k, uint8_t* __restrict__ state,
+    uint8_t* __restrict__ values) {
+  const snoopy::kernel_internal::AccessWords masks[1] = {{w, m, k}};
+  snoopy::kernel_internal::KernelAvx2AccessBlock(state, values, 1, 300, 300, masks);
 }
 
 // nb-symbol[x86]: nb_kernel_avx512_cond_swap208
@@ -130,11 +160,21 @@ __attribute__((noipa, target("avx512f,avx512bw"))) uint64_t nb_kernel_avx512_equ
   return snoopy::kernel_internal::KernelAvx512DiffWord(a, b, 208);
 }
 
-// nb-symbol[x86]: nb_kernel_avx512_access_slot187
-__attribute__((noipa, target("avx512f,avx512bw"))) void nb_kernel_avx512_access_slot187(
-    uint64_t w, uint64_t m, uint64_t r, uint8_t* __restrict__ state,
-    uint8_t* __restrict__ slot) {
-  snoopy::kernel_internal::KernelAvx512AccessSlot(w, m, r, state, slot, 187);
+// nb-symbol[x86]: nb_kernel_avx512_access_run187
+__attribute__((noipa, target("avx512f,avx512bw"))) void nb_kernel_avx512_access_run187(
+    uint64_t w, uint64_t m, uint64_t k, uint8_t* __restrict__ state,
+    uint8_t* __restrict__ values) {
+  const snoopy::kernel_internal::AccessWords masks[1] = {{w, m, k}};
+  snoopy::kernel_internal::KernelAvx512AccessBlock(state, values, 1, 187, 187, masks);
+}
+
+// Two chunks of 150 bytes, each ending in an overlapping vector.
+// nb-symbol[x86]: nb_kernel_avx512_access_run300
+__attribute__((noipa, target("avx512f,avx512bw"))) void nb_kernel_avx512_access_run300(
+    uint64_t w, uint64_t m, uint64_t k, uint8_t* __restrict__ state,
+    uint8_t* __restrict__ values) {
+  const snoopy::kernel_internal::AccessWords masks[1] = {{w, m, k}};
+  snoopy::kernel_internal::KernelAvx512AccessBlock(state, values, 1, 300, 300, masks);
 }
 
 #endif  // SNOOPY_KERNELS_X86

@@ -165,11 +165,21 @@ TEST(Kernels, EqualMatchesScalarIncludingTailDiffs) {
   }
 }
 
+// One-record run of the access kernel with fixed mask words: the single-slot access
+// every record of a run gets.
+void AccessOne(uint64_t write, uint64_t match, uint64_t reveal, uint8_t* state, uint8_t* slot,
+               size_t n) {
+  KernelAccessRun(state, slot, 1, n, 0, n, [&](uint8_t*) {
+    return AccessMasks{SecretBool::FromMask(write), SecretBool::FromMask(match),
+                       SecretBool::FromMask(reveal)};
+  });
+}
+
 // The fused access kernel against the sequence it replaces: stage the state with a
 // memcpy, then state <- slot under write, slot <- old under match, and slot <- zeros
 // under match & !reveal, all with the scalar primitive. Every length 0..300 (each
 // vector width's loop and every tail step), misaligned operands with guard bytes, and
-// all eight (write, match, reveal) triples.
+// all eight (write, match, reveal) triples, on a run of one record.
 TEST(Kernels, AccessSlotMatchesStagedSequenceEverywhere) {
   Rng rng(104);
   const std::vector<uint8_t> zeros(300, 0);
@@ -194,11 +204,76 @@ TEST(Kernels, AccessSlotMatchesStagedSequenceEverywhere) {
         CtCondCopyBytesMask(write, want_state.data() + mis_s, want_slot.data() + mis_l, n);
         CtCondCopyBytesMask(match, want_slot.data() + mis_l, old.data(), n);
         CtCondCopyBytesMask(match & ~reveal, want_slot.data() + mis_l, zeros.data(), n);
-        KernelAccessSlotMask(write, match, reveal, state.data() + mis_s, slot.data() + mis_l, n);
+        AccessOne(write, match, reveal, state.data() + mis_s, slot.data() + mis_l, n);
         ASSERT_EQ(state, want_state) << KernelBackendName(backend) << " n=" << n
                                      << " triple=" << triple;
         ASSERT_EQ(slot, want_slot) << KernelBackendName(backend) << " n=" << n
                                    << " triple=" << triple;
+      }
+    }
+  }
+}
+
+// A run against the per-slot sequence it replaces: GenericAccessSlot once per record,
+// in order, on the carried state. Records are a 3-byte mask header (write, match,
+// reveal flags) plus the value plus a little padding, so the stride is not a multiple
+// of any vector width. Masks are random with several matches and writes in one run,
+// so the carried state changes mid-run; value sizes cover every tail of every backend
+// and 1024 (four chunks), counts cross the 64-record mask block, and the functor
+// must see each record exactly once, in run order.
+TEST(Kernels, AccessRunMatchesPerSlotSequenceEverywhere) {
+  Rng rng(105);
+  std::vector<size_t> sizes;
+  for (size_t n = 0; n <= 300; ++n) sizes.push_back(n);
+  sizes.push_back(1024);
+  for (const KernelBackend backend : SupportedKernelBackends()) {
+    BackendGuard guard;
+    SetKernelBackend(backend);
+    for (const size_t n : sizes) {
+      std::vector<size_t> counts = {0, 1, 3, 55};
+      if (n % 50 == 0 || n == 1024 || n == 173) counts.push_back(130);
+      for (const size_t count : counts) {
+        constexpr size_t kHeader = 3;
+        const size_t value_offset = kHeader + n % 5;
+        const size_t stride = value_offset + n + n % 3;
+        const size_t mis_s = static_cast<size_t>(rng.Uniform(64));
+        const size_t mis_r = static_cast<size_t>(rng.Uniform(64));
+        std::vector<uint8_t> state(n + 64 + mis_s);
+        std::vector<uint8_t> run(count * stride + 64 + mis_r);
+        for (auto& b : state) b = static_cast<uint8_t>(rng.Next64());
+        for (auto& b : run) b = static_cast<uint8_t>(rng.Next64());
+        for (size_t r = 0; r < count; ++r) {
+          uint8_t* rec = run.data() + mis_r + r * stride;
+          rec[0] = static_cast<uint8_t>(rng.Uniform(3) == 0);  // write
+          rec[1] = static_cast<uint8_t>(rng.Uniform(3) == 0);  // match
+          rec[2] = static_cast<uint8_t>(rng.Uniform(2));       // reveal
+        }
+        std::vector<uint8_t> want_state = state;
+        std::vector<uint8_t> want_run = run;
+        for (size_t r = 0; r < count; ++r) {
+          uint8_t* rec = want_run.data() + mis_r + r * stride;
+          kernel_internal::GenericAccessSlot(
+              SecretBool::FromWord(rec[0]).mask(), SecretBool::FromWord(rec[1]).mask(),
+              SecretBool::FromWord(rec[2]).mask(), want_state.data() + mis_s,
+              rec + value_offset, n);
+        }
+        size_t calls = 0;
+        bool in_order = true;
+        uint8_t* const first = run.data() + mis_r;
+        KernelAccessRun(state.data() + mis_s, first, count, stride, value_offset, n,
+                        [&](uint8_t* rec) {
+                          in_order = in_order && rec == first + calls * stride;
+                          ++calls;
+                          return AccessMasks{SecretBool::FromWord(rec[0]),
+                                             SecretBool::FromWord(rec[1]),
+                                             SecretBool::FromWord(rec[2])};
+                        });
+        ASSERT_EQ(calls, count) << KernelBackendName(backend) << " n=" << n;
+        ASSERT_TRUE(in_order) << KernelBackendName(backend) << " n=" << n;
+        ASSERT_EQ(state, want_state) << KernelBackendName(backend) << " n=" << n
+                                     << " count=" << count;
+        ASSERT_EQ(run, want_run) << KernelBackendName(backend) << " n=" << n
+                                 << " count=" << count;
       }
     }
   }
@@ -217,10 +292,14 @@ TEST(Kernels, SecretBoolFormsMatchMaskForms) {
     std::vector<uint8_t> slot(160, 4);
     const SecretBool yes = SecretBool::FromBool(true);
     const SecretBool no = SecretBool::FromBool(false);
-    KernelAccessSlot(yes, yes, yes, state.data(), slot.data(), state.size());
+    const auto access = [&](SecretBool write, SecretBool match, SecretBool reveal) {
+      KernelAccessRun(state.data(), slot.data(), 1, slot.size(), 0, state.size(),
+                      [&](uint8_t*) { return AccessMasks{write, match, reveal}; });
+    };
+    access(yes, yes, yes);
     EXPECT_EQ(state, std::vector<uint8_t>(160, 4));
     EXPECT_EQ(slot, std::vector<uint8_t>(160, 3));
-    KernelAccessSlot(no, yes, no, state.data(), slot.data(), state.size());
+    access(no, yes, no);
     EXPECT_EQ(state, std::vector<uint8_t>(160, 4));
     EXPECT_EQ(slot, std::vector<uint8_t>(160, 0));
   }

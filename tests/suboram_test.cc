@@ -209,20 +209,18 @@ struct ScanOutcome {
   uint64_t trace_digest = 0;
 };
 
-ScanOutcome ScanUnderBackend(KernelBackend backend) {
-  // An odd value size drives every vector width's tail steps and the scalar tail.
-  constexpr size_t kOddValue = 173;
+ScanOutcome ScanUnderBackend(KernelBackend backend, size_t value_size) {
   constexpr uint64_t kObjects = 96;
   const KernelBackend saved = ActiveKernelBackend();
   SetKernelBackend(backend);
   SubOramConfig cfg;
-  cfg.value_size = kOddValue;
+  cfg.value_size = value_size;
   cfg.lambda = 40;
   SubOram so(cfg, 21);
   Rng rng(5);
   std::vector<std::pair<uint64_t, std::vector<uint8_t>>> objects;
   for (uint64_t k = 0; k < kObjects; ++k) {
-    std::vector<uint8_t> v(kOddValue);
+    std::vector<uint8_t> v(value_size);
     for (auto& b : v) b = static_cast<uint8_t>(rng.Next64());
     objects.emplace_back(k, std::move(v));
   }
@@ -231,21 +229,21 @@ ScanOutcome ScanUnderBackend(KernelBackend backend) {
   // Keys 0..39: granted reads and writes, denied reads and writes in turn. Then LB
   // dummies, which carry reserved keys. The table's own padding slots sit in every
   // scanned bucket as well.
-  RequestBatch batch(kOddValue);
+  RequestBatch batch(value_size);
   for (uint64_t k = 0; k < 40; ++k) {
     RequestHeader h;
     h.key = k;
     h.op = (k % 2 == 0) ? kOpRead : kOpWrite;
     h.granted = (k % 4 < 2) ? 1 : 0;
     h.client_seq = k;
-    std::vector<uint8_t> payload(kOddValue);
+    std::vector<uint8_t> payload(value_size);
     for (auto& b : payload) b = static_cast<uint8_t>(rng.Next64());
     batch.Append(h, payload);
   }
   for (uint64_t d = 0; d < 6; ++d) {
     RequestHeader h;
     h.key = kDummyKeyBase | d;
-    batch.Append(h, std::vector<uint8_t>(kOddValue, 0x5A));
+    batch.Append(h, std::vector<uint8_t>(value_size, 0x5A));
   }
 
   ScanOutcome outcome;
@@ -265,15 +263,23 @@ ScanOutcome ScanUnderBackend(KernelBackend backend) {
   return outcome;
 }
 
+// Value sizes: 8 (under one vector everywhere: the scalar run), 160 (the paper's),
+// 173 (odd: overlapping last vectors), 300 (two chunks) and 1000 (four chunks).
 TEST(SubOram, ScanBytesAndTraceIdenticalAcrossBackends) {
-  const ScanOutcome reference = ScanUnderBackend(KernelBackend::kGeneric);
-  ASSERT_FALSE(reference.responses.empty());
-  ASSERT_NE(reference.trace_digest, 0u);
-  for (const KernelBackend backend : SupportedKernelBackends()) {
-    const ScanOutcome got = ScanUnderBackend(backend);
-    EXPECT_EQ(got.responses, reference.responses) << KernelBackendName(backend);
-    EXPECT_EQ(got.store, reference.store) << KernelBackendName(backend);
-    EXPECT_EQ(got.trace_digest, reference.trace_digest) << KernelBackendName(backend);
+  for (const size_t value_size : {size_t{8}, size_t{160}, size_t{173}, size_t{300},
+                                  size_t{1000}}) {
+    const ScanOutcome reference = ScanUnderBackend(KernelBackend::kGeneric, value_size);
+    ASSERT_FALSE(reference.responses.empty());
+    ASSERT_NE(reference.trace_digest, 0u);
+    for (const KernelBackend backend : SupportedKernelBackends()) {
+      const ScanOutcome got = ScanUnderBackend(backend, value_size);
+      EXPECT_EQ(got.responses, reference.responses)
+          << KernelBackendName(backend) << " value " << value_size;
+      EXPECT_EQ(got.store, reference.store)
+          << KernelBackendName(backend) << " value " << value_size;
+      EXPECT_EQ(got.trace_digest, reference.trace_digest)
+          << KernelBackendName(backend) << " value " << value_size;
+    }
   }
 }
 

@@ -22,7 +22,9 @@ tracing-overhead gate, the perf trajectory -- can rely on them:
                              (strategy, seconds on EVERY point)
   fig13b_suboram_parallelism suboram_threads, epoch_pool (parallel_efficiency)
   micro_primitives           primitive_kernels (backend, op, ns_per_op), crypto
-                             (backend, op, bytes, gb_per_s and its min/max)
+                             (backend, op, bytes, gb_per_s and its min/max),
+                             suboram_scan (backend, value_bytes, ns_per_slot and
+                             its min/max)
 
 Beyond shape, a few committed values are load-bearing claims and are gated here
 so a regression cannot land silently by committing the regenerated numbers:
@@ -77,6 +79,8 @@ REQUIRED_SERIES = {
     "micro_primitives": {
         "primitive_kernels": ["backend", "op", "record_bytes", "ns_per_op"],
         "crypto": ["backend", "op", "bytes", "gb_per_s", "gb_per_s_min", "gb_per_s_max"],
+        "suboram_scan": ["backend", "value_bytes", "ns_per_slot", "ns_per_slot_min",
+                         "ns_per_slot_max"],
     },
 }
 
