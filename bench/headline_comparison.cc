@@ -367,7 +367,7 @@ int main(int argc, char** argv) {
   // ran under (SNOOPY_SORT_STRATEGY override applied, mirroring ResolveSortStrategy),
   // so a JSON regenerated under CI's bucket-strategy stage is distinguishable from
   // the default run when comparing committed numbers.
-  SortStrategy configured_sort = SnoopyConfig{}.sort_strategy;
+  SortStrategy configured_sort = SortStrategy::kAuto;  // as the deployment configures it
   if (const char* env = std::getenv("SNOOPY_SORT_STRATEGY")) {
     if (std::strcmp(env, "bitonic") == 0) {
       configured_sort = SortStrategy::kBitonic;

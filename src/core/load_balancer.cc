@@ -79,10 +79,7 @@ LoadBalancer::PreparedEpoch LoadBalancer::PrepareBatches(RequestBatch&& client_r
   // Dummy requests get unique keys in the reserved top half of the key space so the
   // subORAM's distinctness precondition keeps holding. The prefix is a splitmix64
   // finalizer over the epoch seed, so equal seeds give byte-identical batches.
-  uint64_t mixed = epoch_seed + 0x9e3779b97f4a7c15ULL;
-  mixed = (mixed ^ (mixed >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  mixed = (mixed ^ (mixed >> 27)) * 0x94d049bb133111ebULL;
-  const uint64_t dummy_prefix = (mixed ^ (mixed >> 31)) & 0xffffffffULL;
+  const uint64_t dummy_prefix = Mix64(epoch_seed) & 0xffffffffULL;
   uint64_t dummy_counter = 0;
   BinPlacementOptions options;
   options.num_bins = s;

@@ -8,7 +8,7 @@
 // boundaries (partition sizes are public: each subORAM receives its partition in the
 // clear inside its enclave, exactly as at initial load).
 //
-// This is the shared helper behind both Snoopy::InitializeOblivious (initial load)
+// This is the shared helper behind both Snoopy::Initialize (oblivious initial load)
 // and Snoopy::Reshard (live scale-up/scale-down); keeping the secret-handling loop in
 // one lint-enforced file keeps bin placement over secret keys inside an audited
 // oblivious region.

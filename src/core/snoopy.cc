@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <exception>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -9,21 +10,11 @@
 
 #include "src/core/reshard.h"
 #include "src/enclave/trace.h"
-#include "src/obl/bitonic_sort.h"
 #include "src/obl/parallel.h"
-#include "src/obl/primitives.h"
 
 namespace snoopy {
 
 namespace {
-
-// splitmix64 finalizer; mixes (base seed, epoch) into per-epoch preparation seeds.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 std::string SubOramEndpointName(uint32_t so, uint32_t lb) {
   return "suboram/" + std::to_string(so) + "/from/" + std::to_string(lb);
@@ -59,41 +50,23 @@ std::unique_ptr<SecureLink> AttestLink(const Enclave& lb, const Enclave& so,
   return std::make_unique<SecureLink>(key, link_id);
 }
 
-// Default factory: the paper's throughput-optimized subORAM.
-class DefaultSubOramFactory final : public SubOramBackendFactory {
- public:
-  explicit DefaultSubOramFactory(const SnoopyConfig& config) : config_(config) {}
-  std::unique_ptr<SubOramBackend> Create(uint32_t id, uint64_t seed) const override {
-    SubOramConfig soc;
-    soc.id = id;
-    soc.value_size = config_.value_size;
-    soc.lambda = config_.lambda;
-    soc.sort_strategy = config_.sort_strategy;
-    soc.check_distinct = config_.check_distinct;
-    return std::make_unique<SubOram>(soc, seed);
-  }
-
- private:
-  SnoopyConfig config_;
-};
-
 }  // namespace
 
 Snoopy::Snoopy(const SnoopyConfig& config, uint64_t seed)
-    : owned_factory_(std::make_unique<DefaultSubOramFactory>(config)),
-      factory_(owned_factory_.get()),
-      config_(config),
-      rng_(seed) {
-  Construct();
-}
+    : Snoopy(config, seed, [config](uint32_t id, uint64_t backend_seed) {
+        return std::make_unique<SubOram>(
+            SubOramConfig{.id = id, .value_size = config.value_size, .lambda = config.lambda,
+                          .sort_strategy = SortStrategy::kAuto},
+            backend_seed);
+      }) {}
 
-Snoopy::Snoopy(const SnoopyConfig& config, uint64_t seed,
-               const SubOramBackendFactory& factory)
-    : factory_(&factory), config_(config), rng_(seed) {
-  Construct();
-}
+Snoopy::Snoopy(const SnoopyConfig& config, uint64_t seed, const SubOramBackendFactory& factory)
+    : Snoopy(config, seed, [&factory](uint32_t id, uint64_t backend_seed) {
+        return factory.Create(id, backend_seed);
+      }) {}
 
-void Snoopy::Construct() {
+Snoopy::Snoopy(const SnoopyConfig& config, uint64_t seed, BackendMaker make_backend)
+    : make_backend_(std::move(make_backend)), config_(config), rng_(seed) {
   if (config_.num_load_balancers == 0 || config_.num_suborams == 0) {
     throw std::invalid_argument("Snoopy needs at least one load balancer and one subORAM");
   }
@@ -102,15 +75,8 @@ void Snoopy::Construct() {
 
   for (uint32_t lb = 0; lb < config_.num_load_balancers; ++lb) {
     lb_enclaves_.push_back(std::make_unique<Enclave>("snoopy-load-balancer", lb));
-    LoadBalancerConfig lbc;
-    lbc.id = lb;
-    lbc.num_suborams = config_.num_suborams;
-    lbc.value_size = config_.value_size;
-    lbc.lambda = config_.lambda;
-    lbc.sort_strategy = config_.sort_strategy;
-    const uint64_t lb_seed = rng_.Next64();
-    lb_base_seeds_.push_back(lb_seed);
-    lbs_.push_back(std::make_unique<LoadBalancer>(lbc, partition_key_, lb_seed));
+    lb_base_seeds_.push_back(rng_.Next64());
+    lbs_.push_back(MakeLoadBalancer(lb, config_.num_suborams));
     pending_.emplace_back(config_.value_size);
   }
   for (uint32_t so = 0; so < config_.num_suborams; ++so) {
@@ -126,17 +92,26 @@ void Snoopy::Construct() {
     p.counter_id = counters_.Create();
   }
   network_.set_clock(&clock_);
+  set_metrics_registry(metrics_);
 }
 
 Snoopy::Partition Snoopy::MakePartition(uint32_t so, uint32_t num_suborams) {
   Partition p;
   p.enclave = std::make_unique<Enclave>("snoopy-suboram", so);
-  p.backend = factory_->Create(so, rng_.Next64());
+  p.backend = make_backend_(so, rng_.Next64());
   for (uint32_t lb = 0; lb < config_.num_load_balancers; ++lb) {
     p.links.push_back(AttestLink(*lb_enclaves_[lb], *p.enclave, lb * num_suborams + so));
   }
   p.link_generation.assign(config_.num_load_balancers, 0);
   return p;
+}
+
+std::unique_ptr<LoadBalancer> Snoopy::MakeLoadBalancer(uint32_t lb, uint32_t num_suborams) const {
+  return std::make_unique<LoadBalancer>(
+      LoadBalancerConfig{.id = lb, .num_suborams = num_suborams,
+                         .value_size = config_.value_size, .lambda = config_.lambda,
+                         .sort_strategy = SortStrategy::kAuto},
+      partition_key_, lb_base_seeds_[lb]);
 }
 
 void Snoopy::RegisterSubOramEndpoints(uint32_t so) {
@@ -158,66 +133,26 @@ void Snoopy::set_fault_injector(FaultInjector* injector) {
   network_.set_fault_injector(injector);
 }
 
-double Snoopy::NowSeconds() const {
+void Snoopy::set_metrics_registry(MetricsRegistry* registry) {
+  metrics_ = registry;
+  metrics_cache_ = registry != nullptr
+                       ? EpochMetrics::Resolve(*registry, config_.num_load_balancers)
+                       : EpochMetrics{};
+}
+
+EpochTelemetry Snoopy::Telemetry() const {
   // Under fault injection the epoch pipeline advances the VirtualClock (retry
   // backoffs, injected delays); spans read the same clock so chaos runs are
   // deterministic. Outside fault injection, wall time.
-  return fault_injector_ != nullptr ? clock_.now_s() : SpanTimer::SteadyNowSeconds();
-}
-
-// Label values of snoopy_epoch_phase_seconds{phase}, indexed by Phase; the pooled
-// phases' pool metrics carry the same labels.
-constexpr const char* kPhaseNames[] = {"lb_prepare", "suboram_execute", "response_match",
-                                       "seal", "repair"};
-
-const Snoopy::MetricsCache* Snoopy::Metrics() const {
-  static_assert(std::size(kPhaseNames) == kNumPhases);
-  if (metrics_ == nullptr) {
-    return nullptr;
-  }
-  if (metrics_cache_registry_ != metrics_) {
-    MetricsCache cache;
-    cache.epoch_seconds = &metrics_->GetHistogram("snoopy_epoch_seconds");
-    cache.epochs_total = &metrics_->GetCounter("snoopy_epochs_total");
-    cache.requests_total = &metrics_->GetCounter("snoopy_requests_total");
-    cache.degraded_epochs_total = &metrics_->GetCounter("snoopy_degraded_epochs_total");
-    cache.deferred_requests_total = &metrics_->GetCounter("snoopy_deferred_requests_total");
-    for (size_t i = 0; i < kNumPhases; ++i) {
-      cache.phase_seconds[i] =
-          &metrics_->GetHistogram("snoopy_epoch_phase_seconds", {{"phase", kPhaseNames[i]}});
-    }
-    for (size_t i = 0; i < kNumPooledPhases; ++i) {
-      cache.pool[i] = PoolPhaseMetrics::Resolve(metrics_, kPhaseNames[i]);
-    }
-    for (uint32_t lb = 0; lb < config_.num_load_balancers; ++lb) {
-      cache.batch_size.push_back(
-          &metrics_->GetHistogram("snoopy_batch_size", {{"lb", std::to_string(lb)}}));
-    }
-    metrics_cache_ = std::move(cache);
-    metrics_cache_registry_ = metrics_;
-  }
-  return &metrics_cache_;
+  return {epoch_, tracer_, metrics_ != nullptr ? &metrics_cache_ : nullptr, [this] {
+            return fault_injector_ != nullptr ? clock_.now_s() : SpanTimer::SteadyNowSeconds();
+          }};
 }
 
 void Snoopy::CountEvent(const std::string& name, const MetricLabels& labels) const {
   if (metrics_ != nullptr) {
     metrics_->GetCounter(name, labels).Increment();
   }
-}
-
-Histogram* Snoopy::PhaseHistogram(Phase phase) const {
-  const MetricsCache* cache = Metrics();
-  return cache != nullptr ? cache->phase_seconds[phase] : nullptr;
-}
-
-PhasePoolContext Snoopy::PoolContext(Phase phase) const {
-  const MetricsCache* cache = Metrics();
-  return {kPhaseNames[phase], tracer_, cache != nullptr ? &cache->pool[phase] : nullptr,
-          [this] { return NowSeconds(); }};
-}
-
-uint64_t Snoopy::EpochSeed(uint32_t lb, uint64_t epoch) const {
-  return Mix64(lb_base_seeds_[lb] ^ Mix64(epoch));
 }
 
 void Snoopy::Initialize(
@@ -227,18 +162,33 @@ void Snoopy::Initialize(
       throw std::invalid_argument("object keys must be below 2^63");
     }
   }
+  std::vector<std::vector<std::pair<uint64_t, std::vector<uint8_t>>>> parts(config_.num_suborams);
   if (config_.oblivious_init) {
-    InitializeOblivious(objects);
+    // Paper Figure 23 via the shared oblivious redistribution kernel
+    // (src/core/reshard.h), the same machinery elastic resharding runs at epoch
+    // boundaries.
+    ByteSlab slab(0, 8 + config_.value_size);
+    for (const auto& [key, value] : objects) {
+      uint8_t* rec = slab.AppendZero();
+      std::memcpy(rec, &key, 8);
+      std::memcpy(rec + 8, value.data(), std::min(value.size(), config_.value_size));
+    }
+    const std::vector<ByteSlab> slabs =
+        PartitionSlabByBin(slab, partition_key_, config_.num_suborams, config_.value_size,
+                           SortStrategy::kAuto, config_.lambda);
+    for (uint32_t so = 0; so < config_.num_suborams; ++so) {
+      parts[so] = SlabToObjects(slabs[so], config_.value_size);
+    }
   } else {
-    std::vector<std::vector<std::pair<uint64_t, std::vector<uint8_t>>>> parts(
-        config_.num_suborams);
     for (const auto& obj : objects) {
       parts[lbs_[0]->SubOramOf(obj.first)].push_back(obj);
     }
-    for (uint32_t so = 0; so < config_.num_suborams; ++so) {
-      partitions_[so].backend->Initialize(parts[so]);
-    }
   }
+  // The lists are freed together after the last load (freeing each in turn slows set-up).
+  for (uint32_t so = 0; so < config_.num_suborams; ++so) {
+    partitions_[so].backend->Initialize(parts[so]);
+  }
+  parts = {};
   // First rollback-protected snapshot: a subORAM that crashes before its first epoch
   // completes recovers to its freshly loaded partition.
   SealEpochBoundary();
@@ -257,10 +207,9 @@ void Snoopy::Initialize(
 // snapshot; both are counted, and redundancy re-converges at a later boundary.
 void Snoopy::SealEpochBoundary() {
   std::vector<StripeEncoding> stripes(config_.num_suborams);
-  RunPhase(config_.num_suborams, config_.epoch_threads, PoolContext(kSeal), [&](size_t so) {
+  RunPhase(config_.num_suborams, config_.epoch_threads, Telemetry().Pool(kSeal), [&](size_t so) {
     Partition& p = partitions_[so];
-    if (partition_health(static_cast<uint32_t>(so)) == PartitionHealth::kHealthy &&
-        p.backend->SupportsSealing()) {
+    if (p.health == PartitionHealth::kHealthy && p.backend->SupportsSealing()) {
       p.backend->SealStateInto(*sealed_store_, p.counter_id, p.snapshot);
       p.sealed_bytes = p.snapshot.size();
       stripes[so] = EncodeStripes(config_.striping, static_cast<uint32_t>(so),
@@ -289,26 +238,6 @@ void Snoopy::SealEpochBoundary() {
         CountEvent("snoopy_stripe_failures_total");
       }
     }
-  }
-}
-
-void Snoopy::InitializeOblivious(
-    const std::vector<std::pair<uint64_t, std::vector<uint8_t>>>& objects) {
-  // Paper Figure 23 via the shared oblivious redistribution kernel (src/core/reshard.h),
-  // the same machinery elastic resharding runs at epoch boundaries.
-  const size_t value_size = config_.value_size;
-  ByteSlab slab(0, 8 + value_size);
-  for (const auto& [key, value] : objects) {
-    uint8_t* rec = slab.AppendZero();
-    std::memcpy(rec, &key, 8);
-    const size_t n = value.size() < value_size ? value.size() : value_size;
-    std::memcpy(rec + 8, value.data(), n);
-  }
-  const std::vector<ByteSlab> parts =
-      PartitionSlabByBin(slab, partition_key_, config_.num_suborams, value_size,
-                         config_.sort_strategy, config_.lambda);
-  for (uint32_t so = 0; so < config_.num_suborams; ++so) {
-    partitions_[so].backend->Initialize(SlabToObjects(parts[so], value_size));
   }
 }
 
@@ -394,12 +323,12 @@ std::vector<uint8_t> Snoopy::SubOramEndpointHandler(uint32_t lb, uint32_t so,
 // Seals once per link generation: a resend must be byte-identical (the dedup cache and
 // channel counters depend on it), but after a recovery rekeys the link the old bytes
 // belong to a dead session. A crash mid-call recovers with this lb as replay limit.
-std::vector<uint8_t> Snoopy::RetriedSubOramCall(
-    uint32_t lb, uint32_t so, const std::vector<uint8_t>& serialized,
-    const std::vector<LoadBalancer::PreparedEpoch>* prepared) {
+RequestBatch Snoopy::CallSubOram(uint32_t lb, uint32_t so,
+                                 const std::vector<LoadBalancer::PreparedEpoch>& prepared) {
   const std::string caller = "lb/" + std::to_string(lb);
   const std::string endpoint = SubOramEndpointName(so, lb);
   const Partition& p = partitions_[so];
+  const std::vector<uint8_t> serialized = prepared[lb].suboram_batches[so].Serialize();
   std::vector<uint8_t> envelope;
   uint64_t sealed_generation = ~uint64_t{0};
   auto call = [&]() -> std::vector<uint8_t> {
@@ -417,38 +346,21 @@ std::vector<uint8_t> Snoopy::RetriedSubOramCall(
     }
     return plain;
   };
-  return RetriedCall(caller, endpoint, /*jitter_seed=*/EpochSeed(lb, epoch_) ^ so, call, so,
-                     prepared, lb);
+  return RequestBatch::Deserialize(RetriedCall(
+      caller, endpoint, /*jitter_seed=*/EpochSeed(lb_base_seeds_[lb], epoch_) ^ so, call,
+      [&] { RecoverSubOram(so, &prepared, lb); }));
 }
 
-std::vector<uint8_t> Snoopy::RetriedCall(
-    const std::string& caller, const std::string& endpoint, uint64_t jitter_seed,
-    const std::function<std::vector<uint8_t>()>& call, uint32_t so,
-    const std::vector<LoadBalancer::PreparedEpoch>* prepared, uint32_t lb_limit) {
+std::vector<uint8_t> Snoopy::RetriedCall(const std::string& caller, const std::string& endpoint,
+                                         uint64_t jitter_seed,
+                                         const std::function<std::vector<uint8_t>()>& call,
+                                         const std::function<void()>& recover) {
   RetryExecutor executor(config_.retry, jitter_seed, &clock_);
   executor.set_on_retry([&] {
     network_.RecordRetry(caller, endpoint);
     CountEvent("snoopy_retries_total", {{"endpoint", endpoint}});
   });
-  return executor.Execute(
-      call, [&](const EndpointCrashedError&) { RecoverSubOram(so, prepared, lb_limit); });
-}
-
-RequestBatch Snoopy::CallSubOram(uint32_t lb, uint32_t so,
-                                 const std::vector<LoadBalancer::PreparedEpoch>& prepared) {
-  {
-    // Typed failover instead of spinning retries against a dead machine: the epoch
-    // loop catches this, synthesizes a placeholder batch and requeues the partition's
-    // requests into the next epoch.
-    std::lock_guard<std::mutex> g(health_mu_);
-    const Partition& p = partitions_[so];
-    if (p.health != PartitionHealth::kHealthy) {
-      throw PartitionUnavailableError(SubOramEndpointName(so, lb), so,
-                                      p.repair_epochs_remaining);
-    }
-  }
-  return RequestBatch::Deserialize(RetriedSubOramCall(
-      lb, so, prepared[lb].suboram_batches[so].Serialize(), &prepared));
+  return executor.Execute(call, [&](const EndpointCrashedError&) { recover(); });
 }
 
 void Snoopy::RecoverSubOram(uint32_t so,
@@ -474,14 +386,10 @@ void Snoopy::RecoverSubOram(uint32_t so,
   // path, so they repopulate the response cache, tolerate transient faults and
   // recover recursively from a second crash (the executed set survives recoveries and
   // restore is idempotent). Their responses equal the already-delivered answers.
-  if (prepared == nullptr) {
-    return;
-  }
   for (const uint32_t lb : p.executed_lbs) {
-    if (lb >= lb_limit) {
-      continue;
+    if (lb < lb_limit) {
+      CallSubOram(lb, so, *prepared);
     }
-    RetriedSubOramCall(lb, so, (*prepared)[lb].suboram_batches[so].Serialize(), prepared);
   }
 }
 
@@ -509,8 +417,7 @@ void Snoopy::RecoverLoadBalancer(uint32_t lb) {
   // the batches the crashed instance would have sent. Pending requests live with the
   // clients in this model; they resubmit into the rebuilt instance.
   lb_enclaves_[lb] = std::make_unique<Enclave>("snoopy-load-balancer", lb);
-  const LoadBalancerConfig lbc = lbs_[lb]->config();
-  lbs_[lb] = std::make_unique<LoadBalancer>(lbc, partition_key_, lb_base_seeds_[lb]);
+  lbs_[lb] = MakeLoadBalancer(lb, config_.num_suborams);
   for (uint32_t so = 0; so < config_.num_suborams; ++so) {
     RekeyLink(lb, so);
   }
@@ -534,16 +441,6 @@ void Snoopy::RekeyLink(uint32_t lb, uint32_t so) {
 
 // --- Striped redundancy, permanent loss, and background repair ----------------------
 
-Snoopy::PartitionHealth Snoopy::partition_health(uint32_t so) const {
-  std::lock_guard<std::mutex> g(health_mu_);
-  return partitions_[so].health;
-}
-
-uint32_t Snoopy::repair_epochs_remaining(uint32_t so) const {
-  std::lock_guard<std::mutex> g(health_mu_);
-  return partitions_[so].repair_epochs_remaining;
-}
-
 std::vector<uint8_t> Snoopy::RetriedStripeCall(uint32_t so, uint32_t peer,
                                                const std::vector<uint8_t>& request) {
   const std::string caller = "suboram/" + std::to_string(so);
@@ -557,20 +454,17 @@ std::vector<uint8_t> Snoopy::RetriedStripeCall(uint32_t so, uint32_t peer,
   // observed here recovers from its already-sealed post-epoch snapshot with nothing
   // to replay.
   return RetriedCall(caller, endpoint,
-                     /*jitter_seed=*/Mix64(epoch_ ^ (uint64_t{so} << 32) ^ peer), call, peer,
-                     nullptr, 0);
+                     /*jitter_seed=*/Mix64(epoch_ ^ (uint64_t{so} << 32) ^ peer), call,
+                     [&] { RecoverSubOram(peer, nullptr, 0); });
 }
 
 void Snoopy::LoseSubOram(uint32_t so) {
   const std::string component = "suboram/" + std::to_string(so);
   Partition& p = partitions_[so];
-  {
-    std::lock_guard<std::mutex> g(health_mu_);
-    if (p.health == PartitionHealth::kRepairing) {
-      return;  // already detected
-    }
-    p.health = PartitionHealth::kRepairing;
+  if (p.health == PartitionHealth::kRepairing) {
+    return;  // already detected
   }
+  p.health = PartitionHealth::kRepairing;
   if (fault_injector_ != nullptr) {
     fault_injector_->MarkLost(component);
   }
@@ -587,10 +481,7 @@ void Snoopy::LoseSubOram(uint32_t so) {
   p.response_cache.clear();
   p.executed_lbs.clear();
   p.stripes.clear();
-  {
-    std::lock_guard<std::mutex> g(health_mu_);
-    p.repair_epochs_remaining = config_.striping.repair_epochs;
-  }
+  p.repair_epochs_remaining = config_.striping.repair_epochs;
   p.repair.reset();
   CountEvent("snoopy_partition_losses_total", {{"component", component}});
 }
@@ -645,10 +536,7 @@ void Snoopy::RepairStep(uint32_t so) {
       // A source vanished mid-repair. Replan from the surviving peers and restart the
       // window (a public event driven by the public failure process); PlanRepair
       // throws when nothing reconstructs any more.
-      {
-        std::lock_guard<std::mutex> g(health_mu_);
-        p.repair_epochs_remaining = config_.striping.repair_epochs;
-      }
+      p.repair_epochs_remaining = config_.striping.repair_epochs;
       PlanRepair(so);
       return;
     }
@@ -657,11 +545,8 @@ void Snoopy::RepairStep(uint32_t so) {
     plan.cursor += len;
     fetched += len;
   }
-  {
-    std::lock_guard<std::mutex> g(health_mu_);
-    if (p.repair_epochs_remaining > 0) {
-      --p.repair_epochs_remaining;
-    }
+  if (p.repair_epochs_remaining > 0) {
+    --p.repair_epochs_remaining;
   }
   if (p.repair_epochs_remaining == 0) {
     CompleteRepair(so);
@@ -683,29 +568,9 @@ void Snoopy::CompleteRepair(uint32_t so) {
     fault_injector_->Reincarnate(component);
   }
   CountEvent("snoopy_repairs_completed_total", {{"component", component}});
-  {
-    std::lock_guard<std::mutex> g(health_mu_);
-    p.health = PartitionHealth::kHealthy;
-    p.repair_epochs_remaining = 0;
-  }
+  p.health = PartitionHealth::kHealthy;
+  p.repair_epochs_remaining = 0;
   p.repair.reset();
-}
-
-RequestBatch Snoopy::PlaceholderBatch(uint64_t batch_size) const {
-  RequestBatch batch(config_.value_size);
-  for (uint64_t i = 0; i < batch_size; ++i) {
-    RequestHeader h;
-    // Reserved keys at the top of the dummy range: they match no original during
-    // response propagation, so the unavailable partition's requests keep resp = 0
-    // (the requeue flag) and these records compact away with the dummy responses.
-    h.key = kDummyKeyBase | (uint64_t{0x7fffffff} << 31) | i;
-    h.op = kOpRead;
-    h.dummy = 1;
-    h.resp = 1;
-    h.granted = 1;
-    batch.Append(h, {});
-  }
-  return batch;
 }
 
 void Snoopy::RegisterClient(uint64_t client_id, const AttestationQuote& client_quote) {
@@ -755,20 +620,21 @@ std::vector<std::vector<uint8_t>> Snoopy::TakeMailbox(uint64_t client_id) {
 std::vector<ClientResponse> Snoopy::RunEpoch() {
   TraceRecord(TraceOp::kEpoch, epoch_, 0);
   std::vector<ClientResponse> all;
+  const EpochTelemetry telemetry = Telemetry();
 
   // Root spans plus public epoch facts; the tracer span closes after every phase span,
   // so tools/trace_report.py can split the epoch into phases and orchestrator gaps.
   // Per-balancer request counts are public (the network adversary sees who talks to
   // which balancer); contents and key distribution never reach telemetry.
-  const auto now_fn = [this] { return NowSeconds(); };
-  SpanTimer epoch_span(metrics_ != nullptr ? Metrics()->epoch_seconds : nullptr, now_fn);
+  SpanTimer epoch_span(telemetry.metrics != nullptr ? telemetry.metrics->epoch_seconds : nullptr,
+                       telemetry.now);
   TraceSpan epoch_trace(tracer_, "epoch", "epoch", epoch_);
   epoch_trace.SetArg("pending", pending_requests());
   epoch_trace.SetArg("load_balancers", config_.num_load_balancers);
   epoch_trace.SetArg("suborams", config_.num_suborams);
-  if (const MetricsCache* cache = Metrics()) {
-    cache->epochs_total->Increment();
-    cache->requests_total->Increment(pending_requests());
+  if (telemetry.metrics != nullptr) {
+    telemetry.metrics->epochs_total->Increment();
+    telemetry.metrics->requests_total->Increment(pending_requests());
   }
 
   // Epoch-boundary failure polling (mid-epoch failures are per-call crash_before_reply
@@ -802,110 +668,56 @@ std::vector<ClientResponse> Snoopy::RunEpoch() {
       any_repairing = any_repairing || partition_health(so) == PartitionHealth::kRepairing;
     }
     TraceSpan repair_trace(any_repairing ? tracer_ : nullptr, "phase", "repair", epoch_);
-    SpanTimer repair_span(any_repairing ? PhaseHistogram(kRepair) : nullptr, now_fn);
+    SpanTimer repair_span(any_repairing ? telemetry.PhaseHistogram(kRepair) : nullptr,
+                          telemetry.now);
     for (uint32_t so = 0; so < config_.num_suborams; ++so) {
       if (partition_health(so) == PartitionHealth::kRepairing) {
         RepairStep(so);
       }
     }
   }
-  if (const MetricsCache* cache = Metrics()) {
-    for (uint32_t so = 0; so < config_.num_suborams; ++so) {
-      if (partition_health(so) != PartitionHealth::kHealthy) {
-        cache->degraded_epochs_total->Increment();
-        break;
-      }
-    }
+  std::vector<bool> available;
+  for (const Partition& p : partitions_) {
+    available.push_back(p.health == PartitionHealth::kHealthy);
+  }
+  if (telemetry.metrics != nullptr && std::count(available.begin(), available.end(), false) > 0) {
+    telemetry.metrics->degraded_epochs_total->Increment();
   }
 
-  // Three phases, each a barrier and one RunPhase over public task ids (section 4):
-  // every load balancer prepares, every subORAM executes, every load balancer matches.
-  // Thread count changes neither the enclave trace nor the responses.
-  //
-  // Phase 1: one task per load balancer (section 4.3). The per-(lb, epoch) seed fixes
-  // the dummy-key randomness, so preparation is a pure function of (pending requests,
-  // seed), and a load balancer rebuilt after a crash prepares byte-identical batches.
-  std::vector<LoadBalancer::PreparedEpoch> prepared(config_.num_load_balancers);
-  {
-    SpanTimer prepare_span(PhaseHistogram(kLbPrepare), now_fn);
-    TraceSpan prepare_trace(tracer_, "phase", "lb_prepare", epoch_);
-    RunPhase(config_.num_load_balancers, config_.epoch_threads, PoolContext(kLbPrepare),
-             [&](size_t lb) {
-      RequestBatch requests = std::move(pending_[lb]);
-      pending_[lb] = RequestBatch(config_.value_size);
-      prepared[lb] = lbs_[lb]->PrepareBatches(
-          std::move(requests), EpochSeed(static_cast<uint32_t>(lb), epoch_));
-      if (metrics_ != nullptr) {
-        // The padded per-subORAM batch size f(R, S): public by Theorem 3. The cache
-        // was filled at the top of this epoch on the orchestrator thread; this task
-        // may run on a pool worker, so it must only read resolved handles.
-        Metrics()->batch_size[lb]->Observe(
-            static_cast<double>(prepared[lb].batch_size));
-      }
-    });
+  // The protocol (src/core/epoch.h). Each batch is really sealed at the load balancer
+  // and opened in the subORAM endpoint, under the retry policy; per-endpoint fault
+  // streams keep each (lb, so) exchange's faults independent of how tasks interleave.
+  std::vector<uint64_t> seeds(config_.num_load_balancers);
+  for (uint32_t lb = 0; lb < config_.num_load_balancers; ++lb) {
+    seeds[lb] = EpochSeed(lb_base_seeds_[lb], epoch_);
   }
-
-  // Phase 2: one task per subORAM, applying its batches in load-balancer order, the
-  // Appendix C linearization (per subORAM, so subORAMs run concurrently: Figure 9a's
-  // scaling axis). Each batch is really sealed at the load balancer and opened in the
-  // subORAM endpoint, under the retry policy; per-endpoint fault streams keep each
-  // (lb, so) exchange's faults independent of how the tasks interleave.
-  std::vector<std::vector<RequestBatch>> responses(config_.num_load_balancers);
-  for (auto& per_lb : responses) {
-    per_lb.resize(config_.num_suborams);
-  }
-  {
-    SpanTimer execute_span(PhaseHistogram(kSubOramExecute), now_fn);
-    TraceSpan execute_trace(tracer_, "phase", "suboram_execute", epoch_);
-    RunPhase(config_.num_suborams, config_.epoch_threads, PoolContext(kSubOramExecute),
-             [&](size_t so) {
-      try {
-        for (uint32_t lb = 0; lb < config_.num_load_balancers; ++lb) {
-          responses[lb][so] = CallSubOram(lb, static_cast<uint32_t>(so), prepared);
-        }
-      } catch (const NodeLostError&) {
-        // The machine vanished mid-epoch. Any responses it already produced this
-        // epoch are discarded below: the state behind them died with the machine,
-        // so delivering them would acknowledge writes the repaired partition will
-        // not have. The whole partition's requests defer to the epoch queue instead.
-        LoseSubOram(static_cast<uint32_t>(so));
-      } catch (const PartitionUnavailableError&) {
-        // Already under repair when its turn came; placeholders below.
-      }
-    });
-  }
-  // Degraded mode: placeholder batches stand in for unavailable partitions, so
-  // response matching still sees one batch per (lb, subORAM). The placeholders
-  // compact away and the partition's own requests surface unanswered (resp = 0),
-  // which the delivery loop requeues into the next epoch.
+  EpochResult result = RunEpochProtocol(lbs_, pending_, seeds, available, config_.epoch_threads,
+                                        telemetry, std::bind_front(&Snoopy::CallSubOram, this));
+  // Mid-epoch losses apply here, on the orchestrator thread and in partition order;
+  // then the lowest-index failure (a loss with striping disabled included) surfaces.
   for (uint32_t so = 0; so < config_.num_suborams; ++so) {
-    if (partition_health(so) == PartitionHealth::kHealthy) {
-      continue;
+    try {
+      if (result.lost[so] != 0) {
+        LoseSubOram(so);
+      }
+    } catch (...) {
+      result.failures[so] = std::current_exception();
     }
-    for (uint32_t lb = 0; lb < config_.num_load_balancers; ++lb) {
-      responses[lb][so] = PlaceholderBatch(prepared[lb].batch_size);
+  }
+  for (const std::exception_ptr& failure : result.failures) {
+    if (failure != nullptr) {
+      std::rethrow_exception(failure);
     }
   }
 
-  // Phase 3: match responses to clients. The oblivious matching (Figure 6) is one
-  // task per load balancer; delivery stays on the orchestrator thread because sealing
-  // into client mailboxes advances per-client channel counters in submission order.
-  SpanTimer match_span(PhaseHistogram(kResponseMatch), now_fn);
-  std::vector<RequestBatch> matched_by_lb(config_.num_load_balancers);
-  {
-    TraceSpan match_trace(tracer_, "phase", "response_match", epoch_);
-    RunPhase(config_.num_load_balancers, config_.epoch_threads, PoolContext(kResponseMatch),
-             [&](size_t lb) {
-      matched_by_lb[lb] =
-          lbs_[lb]->MatchResponses(std::move(prepared[lb]), std::move(responses[lb]));
-    });
-  }
-  // Delivery is deliberately serial (per-client channel counters advance in
-  // submission order); its own span makes that serial fraction visible.
+  // Delivery stays on the orchestrator thread because sealing into client mailboxes
+  // advances per-client channel counters in submission order; its own span makes
+  // that serial fraction visible. The response_match timer still runs: it covers
+  // delivery too.
   TraceSpan deliver_trace(tracer_, "phase", "deliver", epoch_);
   uint64_t deferred = 0;
   for (uint32_t lb = 0; lb < config_.num_load_balancers; ++lb) {
-    RequestBatch& matched = matched_by_lb[lb];
+    RequestBatch& matched = result.matched[lb];
     for (size_t i = 0; i < matched.size(); ++i) {
       const RequestHeader& h = matched.Header(i);
       if (h.resp == 0) {
@@ -943,14 +755,14 @@ std::vector<ClientResponse> Snoopy::RunEpoch() {
   }
 
   deliver_trace.End();
-  match_span.Stop();
-  if (deferred > 0 && metrics_ != nullptr) {
-    Metrics()->deferred_requests_total->Increment(deferred);
+  result.match_timer.reset();
+  if (deferred > 0 && telemetry.metrics != nullptr) {
+    telemetry.metrics->deferred_requests_total->Increment(deferred);
   }
 
   {
     TraceSpan seal_trace(tracer_, "phase", "seal", epoch_);
-    SpanTimer seal_span(PhaseHistogram(kSeal), now_fn);
+    SpanTimer seal_span(telemetry.PhaseHistogram(kSeal), telemetry.now);
     SealEpochBoundary();
   }
   ++epoch_;
@@ -1019,23 +831,17 @@ void Snoopy::Reshard(uint32_t new_num_suborams) {
   }
   const std::vector<ByteSlab> parts =
       PartitionSlabByBin(all, partition_key_, new_num_suborams, config_.value_size,
-                         config_.sort_strategy, config_.lambda);
+                         SortStrategy::kAuto, config_.lambda);
   check_abort();
 
-  // Build the new deployment off to the side. Load balancer *enclaves* survive (their
+  // Build the new partitions off to the side. Load balancer *enclaves* survive (their
   // client sessions must keep working); the balancer state machines are rebuilt for
-  // the new width with their original base seeds, so EpochSeed determinism carries
-  // over the reshard.
+  // the new width at the commit (a rebuild cannot fail) with their original base
+  // seeds, so EpochSeed determinism carries over the reshard.
   std::vector<Partition> fresh;
   for (uint32_t so = 0; so < new_num_suborams; ++so) {
     fresh.push_back(MakePartition(so, new_num_suborams));
     fresh.back().backend->Initialize(SlabToObjects(parts[so], config_.value_size));
-  }
-  std::vector<std::unique_ptr<LoadBalancer>> new_lbs;
-  for (uint32_t lb = 0; lb < num_lbs; ++lb) {
-    LoadBalancerConfig lbc = lbs_[lb]->config();
-    lbc.num_suborams = new_num_suborams;
-    new_lbs.push_back(std::make_unique<LoadBalancer>(lbc, partition_key_, lb_base_seeds_[lb]));
   }
   check_abort();
 
@@ -1046,11 +852,10 @@ void Snoopy::Reshard(uint32_t new_num_suborams) {
     }
     network_.Unregister(StripeEndpointName(so));
   }
-  {
-    std::lock_guard<std::mutex> g(health_mu_);
-    partitions_ = std::move(fresh);
+  partitions_ = std::move(fresh);
+  for (uint32_t lb = 0; lb < num_lbs; ++lb) {
+    lbs_[lb] = MakeLoadBalancer(lb, new_num_suborams);
   }
-  lbs_ = std::move(new_lbs);
   config_.num_suborams = new_num_suborams;
   for (uint32_t so = 0; so < new_num_suborams; ++so) {
     partitions_[so].counter_id = counters_.Create();

@@ -6,13 +6,9 @@
 // simulated (see DESIGN.md). The discrete-event cluster model in src/sim reuses this
 // class's cost structure for the multi-machine throughput figures.
 //
-// Epoch flow (one call to RunEpoch):
-//   1. each load balancer independently turns its pending client requests into S
-//      equal-sized batches (Figure 5),
-//   2. every subORAM executes the load balancers' batches in a fixed order
-//      (load-balancer id), which with reads-before-writes inside a batch yields the
-//      linearization of Appendix C,
-//   3. each load balancer matches responses back to its clients (Figure 6).
+// RunEpoch runs the epoch protocol of src/core/epoch.h over the sealed, retried
+// subORAM exchange; around it this class keeps construction, client sessions,
+// recovery, loss and repair, resharding, delivery and the epoch-boundary seal.
 
 #ifndef SNOOPY_SRC_CORE_SNOOPY_H_
 #define SNOOPY_SRC_CORE_SNOOPY_H_
@@ -28,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "src/core/epoch.h"
 #include "src/core/load_balancer.h"
 #include "src/core/request.h"
 #include "src/core/striping.h"
@@ -40,7 +37,6 @@
 #include "src/net/fault.h"
 #include "src/net/network.h"
 #include "src/net/retry.h"
-#include "src/obl/parallel.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/tracing.h"
 
@@ -51,18 +47,12 @@ struct SnoopyConfig {
   uint32_t num_suborams = 1;
   size_t value_size = 160;
   uint32_t lambda = kDefaultLambda;
-  // Oblivious sort strategy for the hot sorts (subORAM hash-table construction,
-  // reshard partitioning): kAuto picks bitonic or bucket per call site from the cost
-  // model's crossover; SNOOPY_SORT_STRATEGY overrides it. The load balancer's sorts
-  // (bins not simulatable) always run bitonic. See DESIGN.md "Oblivious sorting".
-  SortStrategy sort_strategy = SortStrategy::kAuto;
   // Worker threads for the epoch pipeline (Figure 9a): load balancers prepare and
   // match concurrently, and one task per subORAM applies its batches in load-balancer
   // order (Appendix C). 1 (default) is sequential; every setting gives identical
   // responses and byte-identical enclave traces (DESIGN.md "Threading model"). The
   // deployment's only parallelism setting: nested sorts run single-threaded.
   int epoch_threads = 1;
-  bool check_distinct = true;
   // Partition the initial data with an oblivious sort, as in the paper's
   // LoadBalancer.Initialize (Appendix B, Figure 23). Costs O(n log^2 n); the default
   // plain partition is appropriate when the data owner loads their own data.
@@ -147,7 +137,7 @@ class Snoopy {
   // retries, recoveries and per-pair wire traffic. Spans read the VirtualClock while
   // a fault injector is attached, steady_clock otherwise. Defaults to the process-wide
   // registry; nullptr disables recording.
-  void set_metrics_registry(MetricsRegistry* registry) { metrics_ = registry; }
+  void set_metrics_registry(MetricsRegistry* registry);
   MetricsRegistry* metrics_registry() const { return metrics_; }
 
   // Span tracer for the epoch pipeline (src/telemetry/tracing.h): epoch -> phase ->
@@ -184,8 +174,10 @@ class Snoopy {
   // one fixed-size stripe slice is fetched per epoch, and after
   // striping.repair_epochs epochs it is rebuilt on a spare node and serves again.
   enum class PartitionHealth : uint8_t { kHealthy = 0, kRepairing = 1 };
-  PartitionHealth partition_health(uint32_t so) const;
-  uint32_t repair_epochs_remaining(uint32_t so) const;
+  PartitionHealth partition_health(uint32_t so) const { return partitions_[so].health; }
+  uint32_t repair_epochs_remaining(uint32_t so) const {
+    return partitions_[so].repair_epochs_remaining;
+  }
 
   // Permanently loses subORAM `so` now and schedules its repair (RunEpoch calls it on
   // a node_loss fault; others only at an epoch boundary): backend contents, host
@@ -240,57 +232,46 @@ class Snoopy {
     // invalidates sealed-but-unsent bytes after a rekey.
     std::vector<std::unique_ptr<SecureLink>> links;
     std::vector<uint64_t> link_generation;
-    PartitionHealth health = PartitionHealth::kHealthy;  // guarded by health_mu_
-    uint32_t repair_epochs_remaining = 0;                // guarded by health_mu_
-    // The repair plan and its fetched bytes (set on the first repair step), and the
-    // stripes this host holds for its peers: orchestrator thread only, at epoch
-    // boundaries (the stripe endpoint handler runs inline on the caller's thread).
+    // Health, the repair countdown and plan (with its fetched bytes, set on the first
+    // repair step), and the stripes this host holds for its peers: orchestrator thread
+    // only. Phase-2 tasks report losses instead of applying them, and the stripe
+    // endpoint handler runs inline on the caller's thread at epoch boundaries.
+    PartitionHealth health = PartitionHealth::kHealthy;
+    uint32_t repair_epochs_remaining = 0;
     std::optional<RepairPlan> repair;
     StripeStore stripes;
   };
 
-  // The epoch phases with a duration histogram (snoopy_epoch_phase_seconds{phase});
-  // the first kNumPooledPhases run as one RunPhase each and carry pool metrics.
-  enum Phase : uint8_t { kLbPrepare, kSubOramExecute, kResponseMatch, kSeal, kRepair };
-  static constexpr size_t kNumPhases = 5;
-  static constexpr size_t kNumPooledPhases = 4;
-
-  // Shared constructor body; factory_ must be set before calling.
-  void Construct();
+  // Creates subORAM id's backend from a seed: the paper's throughput-optimized SubOram
+  // by default, or through a borrowed custom factory (which must outlive this instance
+  // -- Reshard creates backends long after construction). Both public constructors
+  // delegate to the one taking it.
+  using BackendMaker = std::function<std::unique_ptr<SubOramBackend>(uint32_t, uint64_t)>;
+  Snoopy(const SnoopyConfig& config, uint64_t seed, BackendMaker make_backend);
   // Builds subORAM so of a deployment `num_suborams` wide: a fresh enclave, a backend
   // seeded from rng_, and attested links to every load balancer. Its counter is
   // created by the caller, after the deployment's sealing key is drawn.
   Partition MakePartition(uint32_t so, uint32_t num_suborams);
-  void InitializeOblivious(
-      const std::vector<std::pair<uint64_t, std::vector<uint8_t>>>& objects);
+  // Builds load balancer lb's state machine for a deployment `num_suborams` wide, from
+  // the partition key and its base seed (construction, crash rebuild and reshard).
+  std::unique_ptr<LoadBalancer> MakeLoadBalancer(uint32_t lb, uint32_t num_suborams) const;
   std::vector<uint8_t> SubOramEndpointHandler(uint32_t lb, uint32_t so,
                                               std::span<const uint8_t> payload);
   // Registers both network endpoints of subORAM so (batch execution + stripes).
   void RegisterSubOramEndpoints(uint32_t so);
 
-  // Seeds load balancer lb's epoch preparation; equal (lb, epoch) means equal batches,
-  // which is what lets a rebuilt load balancer re-prepare deterministically.
-  uint64_t EpochSeed(uint32_t lb, uint64_t epoch) const;
-
-  // Calls subORAM so with load balancer lb's prepared batch under the retry policy,
-  // recovering the subORAM if it crashes mid-call. Returns the opened response batch.
+  // The subORAM exchange the epoch protocol runs on: seals load balancer lb's prepared
+  // batch for subORAM so into an epoch-tagged envelope (lazily, re-sealing only when
+  // the link generation changes), runs it under the retry policy with crash recovery
+  // and returns the opened response. Shared by the epoch loop and recovery replay.
   RequestBatch CallSubOram(uint32_t lb, uint32_t so,
                            const std::vector<LoadBalancer::PreparedEpoch>& prepared);
-  // The underlying retried exchange: seals `serialized` into an epoch-tagged envelope
-  // (lazily, re-sealing only when the link generation changes) and runs it under the
-  // retry policy with crash recovery. Shared by the epoch loop and recovery replay.
-  std::vector<uint8_t> RetriedSubOramCall(
-      uint32_t lb, uint32_t so, const std::vector<uint8_t>& serialized,
-      const std::vector<LoadBalancer::PreparedEpoch>* prepared);
   // Runs `call` under the retry policy, counting every retry against (caller,
-  // endpoint); a crash observed mid-call recovers subORAM so (RecoverSubOram with
-  // `prepared`/`lb_limit`) before the next attempt.
+  // endpoint); a crash observed mid-call runs `recover` before the next attempt.
   std::vector<uint8_t> RetriedCall(const std::string& caller, const std::string& endpoint,
                                    uint64_t jitter_seed,
                                    const std::function<std::vector<uint8_t>()>& call,
-                                   uint32_t so,
-                                   const std::vector<LoadBalancer::PreparedEpoch>* prepared,
-                                   uint32_t lb_limit);
+                                   const std::function<void()>& recover);
 
   // Crash recovery. `prepared`/`lb_limit` drive the epoch replay: batches from load
   // balancers < lb_limit that the subORAM had already executed this epoch are re-sent
@@ -322,41 +303,14 @@ class Snoopy {
   void RepairStep(uint32_t so);
   void PlanRepair(uint32_t so);
   void CompleteRepair(uint32_t so);
-  // `batch_size` placeholder responses (resp = 1, reserved keys matching no request)
-  // standing in for an unavailable partition: matching compacts them away and its
-  // real requests come back with resp = 0, the requeue flag.
-  RequestBatch PlaceholderBatch(uint64_t batch_size) const;
 
-  // Span time source: the deterministic VirtualClock under fault injection (chaos
-  // runs stay replayable), steady_clock otherwise.
-  double NowSeconds() const;
-  // Handles for every metric RunEpoch and the seal touch each epoch, resolved once
-  // per registry (its references are stable) so the hot path never repeats name-keyed
-  // lookups; null when telemetry is disabled. Resolution runs on the orchestrator
-  // thread (Initialize's seal, or the top of RunEpoch), so pool workers reading
-  // batch-size handles mid-phase only ever see a filled cache.
-  struct MetricsCache {
-    Histogram* epoch_seconds = nullptr;
-    Counter* epochs_total = nullptr;
-    Counter* requests_total = nullptr;
-    Counter* degraded_epochs_total = nullptr;
-    Counter* deferred_requests_total = nullptr;
-    Histogram* phase_seconds[kNumPhases] = {};
-    PoolPhaseMetrics pool[kNumPooledPhases];
-    std::vector<Histogram*> batch_size;  // per load balancer at resolve time
-  };
-  const MetricsCache* Metrics() const;
+  // The current epoch's telemetry: its number, the tracer, the metric handles (null
+  // when telemetry is disabled) and the span clock.
+  EpochTelemetry Telemetry() const;
   // Increments counter `name` (a public event); a no-op when telemetry is disabled.
   void CountEvent(const std::string& name, const MetricLabels& labels = {}) const;
-  // The phase's duration histogram; null when telemetry is disabled.
-  Histogram* PhaseHistogram(Phase phase) const;
-  // RunPhase's context for one of the pooled phases.
-  PhasePoolContext PoolContext(Phase phase) const;
 
-  // Backend factory: owned for the default deployment, borrowed (must outlive this
-  // instance -- Reshard creates backends long after construction) for custom ones.
-  std::unique_ptr<SubOramBackendFactory> owned_factory_;
-  const SubOramBackendFactory* factory_ = nullptr;
+  BackendMaker make_backend_;
 
   SnoopyConfig config_;
   Rng rng_;
@@ -380,18 +334,13 @@ class Snoopy {
   VirtualClock clock_;
   MetricsRegistry* metrics_ = &MetricsRegistry::Global();
   Tracer* tracer_ = &Tracer::Global();
-  mutable MetricsCache metrics_cache_;
-  mutable MetricsRegistry* metrics_cache_registry_ = nullptr;  // null = unresolved
+  // Resolved against metrics_ whenever it is set, so every phase reads filled handles.
+  EpochMetrics metrics_cache_;
 
   // Rollback-protected persistence: one trusted counter per subORAM, snapshots kept
   // in (untrusted) host storage, resealed in place at every epoch boundary.
   MonotonicCounterService counters_;
   std::unique_ptr<SealedStore> sealed_store_;
-
-  // Guards every partition's health and repair state: phase-2 workers read health
-  // and may mark a loss mid-epoch; everything else runs on the orchestrator thread
-  // at epoch boundaries.
-  mutable std::mutex health_mu_;
 
   struct ClientSession {
     std::vector<std::unique_ptr<SecureLink>> links;  // one per load balancer

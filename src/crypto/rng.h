@@ -49,6 +49,16 @@ class Rng {
   size_t pool_used_ = ChaCha20::kBlockBytes;
 };
 
+// The splitmix64 finalizer: a fast bijective mix deriving decorrelated seeds from
+// structured inputs (per-epoch preparation seeds, per-target fault streams, dummy-key
+// prefixes). Not a source of secret randomness; Rng is.
+inline uint64_t Mix64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 }  // namespace snoopy
 
 #endif  // SNOOPY_SRC_CRYPTO_RNG_H_

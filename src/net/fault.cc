@@ -4,14 +4,6 @@ namespace snoopy {
 
 namespace {
 
-// splitmix64 finalizer: decorrelates the per-target seeds derived below.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 uint64_t FnvHash(const std::string& s) {
   uint64_t h = 0xcbf29ce484222325ULL;
   for (const char c : s) {

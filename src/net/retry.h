@@ -54,10 +54,9 @@ struct RetryPolicy {
   double deadline_s = 5.0;
   // Hard cap on the total number of retries (re-attempts after the first) one
   // Execute() may perform, recovery rounds included. 0 means uncapped (the
-  // max_attempts/deadline budget alone applies). This is the bound that keeps
-  // requests aimed at a dead partition from spinning: the orchestrator converts the
-  // resulting DeadlineExceededError into a PartitionUnavailable failover to the
-  // epoch queue.
+  // max_attempts/deadline budget alone applies). This is the bound that keeps a call
+  // aimed at an unreachable partition from spinning: it fails with
+  // DeadlineExceededError instead.
   int max_total_retries = 0;
 
   // Backoff before attempt `attempt` (1-based; attempt 1 has none): jittered

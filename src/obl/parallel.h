@@ -1,8 +1,9 @@
 // Process-wide work pool shared by every parallel surface in the tree: the epoch
-// pipeline phases (RunPhase below, called from src/core/snoopy.cc), the fork-join
-// bitonic and bucket sort halves (src/obl/bitonic_sort.h, src/obl/bucket_sort.cc),
-// and any future stage that needs worker threads. It is the one owner of worker
-// threads under src/ (tools/ci.sh fails on any other std::thread), and a deployment
+// pipeline phases and the seal (RunPhase below, called from src/core/epoch.cc and
+// src/core/snoopy.cc), the fork-join bitonic and bucket sort halves
+// (src/obl/bitonic_sort.h, src/obl/bucket_sort.cc), and any future stage that
+// needs worker threads. It is the one owner of worker threads under src/
+// (tools/ci.sh fails on any other std::thread), and a deployment
 // sizes it with one setting, SnoopyConfig::epoch_threads. The kernels' own `threads`
 // arguments (sorts, OHT build) are for direct callers such as the Figure 13a bench;
 // inside the deployment every nested sort runs at width 1.

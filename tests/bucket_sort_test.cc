@@ -389,6 +389,32 @@ uint64_t TagOf(const std::vector<uint8_t>& v) {
   return t;
 }
 
+// Forces `strategy` through SNOOPY_SORT_STRATEGY for the guard's lifetime (the
+// deployment configures kAuto; the override is how a caller pins a strategy), then
+// restores the caller's setting, which CI's forced-bucket stage sets.
+class ScopedSortStrategy {
+ public:
+  explicit ScopedSortStrategy(SortStrategy strategy) {
+    const char* saved = getenv("SNOOPY_SORT_STRATEGY");
+    had_saved_ = saved != nullptr;
+    saved_ = had_saved_ ? saved : "";
+    setenv("SNOOPY_SORT_STRATEGY", SortStrategyName(strategy), 1);
+  }
+  ~ScopedSortStrategy() {
+    if (had_saved_) {
+      setenv("SNOOPY_SORT_STRATEGY", saved_.c_str(), 1);
+    } else {
+      unsetenv("SNOOPY_SORT_STRATEGY");
+    }
+  }
+  ScopedSortStrategy(const ScopedSortStrategy&) = delete;
+  ScopedSortStrategy& operator=(const ScopedSortStrategy&) = delete;
+
+ private:
+  bool had_saved_ = false;
+  std::string saved_;
+};
+
 // Enough objects that the subORAM build sorts cross the kMinBucketRecords knee and
 // the bucket butterfly genuinely runs inside the deployment.
 constexpr uint64_t kTwinObjects = 6000;
@@ -402,7 +428,7 @@ std::vector<std::pair<uint64_t, uint64_t>> RunTwin(SortStrategy strategy,
   cfg.num_suborams = 1;
   cfg.value_size = kTwinValueSize;
   cfg.lambda = 40;
-  cfg.sort_strategy = strategy;
+  const ScopedSortStrategy forced(strategy);
   cfg.epoch_threads = epoch_threads;
   Snoopy store(cfg, 83);
   std::vector<std::pair<uint64_t, std::vector<uint8_t>>> objects;

@@ -27,6 +27,8 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/core/planner.h"
@@ -37,6 +39,7 @@
 #include "src/net/network.h"
 #include "src/net/retry.h"
 #include "src/sim/cluster.h"
+#include "src/telemetry/metrics.h"
 
 namespace snoopy {
 namespace {
@@ -504,6 +507,248 @@ TEST(Repair, CrashedStripePeerIsRecoveredAndRepairCompletes) {
   for (uint64_t k = 0; k < 16; ++k) {
     EXPECT_EQ(observed[k + 1], k + 50);
   }
+}
+
+// ---------------------------------------------------------------------------------
+// Permanent loss driven by the fault injector: a node_loss fault mid-call (the
+// phase-2 task sees NodeLostError) and a node_loss_at_epoch_start poll at the
+// boundary, each repaired on schedule, identically at every epoch thread count.
+// ---------------------------------------------------------------------------------
+
+constexpr uint32_t kLossSos = 4;
+constexpr uint32_t kLossRepairEpochs = 3;
+constexpr uint64_t kLossKeys = 32;
+
+// Everything a NodeLoss run exposes, compared across epoch thread counts.
+struct NodeLossRun {
+  // Every response in delivery order: (epoch, client_seq, key, op, value bytes).
+  std::vector<std::tuple<uint32_t, uint64_t, uint64_t, uint8_t, std::vector<uint8_t>>>
+      responses;
+  // After each epoch, per partition: (health, repair epochs remaining).
+  std::vector<std::pair<Snoopy::PartitionHealth, uint32_t>> health;
+  std::vector<uint64_t> losses;  // snoopy_partition_losses_total per partition
+  std::map<uint64_t, uint64_t> seq_to_key;
+  std::map<uint64_t, uint32_t> seq_to_epoch;  // submission epoch
+};
+
+// Four partitions, one replica each on the successor peer: the victims 1 and 3 keep
+// their stripes on 2 and 0, which never fail, so every loss is repairable. Key k
+// always travels through load balancer k % 2.
+class NodeLossHarness {
+ public:
+  NodeLossHarness(int epoch_threads, uint64_t seed) : injector_(seed) {
+    SnoopyConfig cfg = StripedConfig(2, kLossSos, 1, false, kLossRepairEpochs);
+    cfg.epoch_threads = epoch_threads;
+    store_ = std::make_unique<Snoopy>(cfg, seed);
+    store_->set_metrics_registry(&registry_);
+    std::vector<std::pair<uint64_t, std::vector<uint8_t>>> objects;
+    for (uint64_t k = 0; k < kLossKeys; ++k) {
+      objects.emplace_back(k, Val(k));
+    }
+    store_->Initialize(objects);
+    store_->set_fault_injector(&injector_);
+  }
+
+  Snoopy& store() { return *store_; }
+  FaultInjector& injector() { return injector_; }
+  NodeLossRun& run() { return run_; }
+
+  void Read(uint64_t key) {
+    Track(key);
+    store_->SubmitReadWithLb(static_cast<uint32_t>(key % 2), 1, seq_++, key);
+  }
+  void Write(uint64_t key, uint64_t tag) {
+    Track(key);
+    store_->SubmitWriteWithLb(static_cast<uint32_t>(key % 2), 1, seq_++, key, Val(tag));
+  }
+
+  void Epoch() {
+    for (ClientResponse& resp : store_->RunEpoch()) {
+      run_.responses.emplace_back(epoch_, resp.client_seq, resp.key, resp.op,
+                                  std::move(resp.value));
+    }
+    for (uint32_t so = 0; so < kLossSos; ++so) {
+      run_.health.emplace_back(store_->partition_health(so),
+                               store_->repair_epochs_remaining(so));
+    }
+    ++epoch_;
+  }
+
+  NodeLossRun Finish() {
+    for (uint32_t so = 0; so < kLossSos; ++so) {
+      run_.losses.push_back(registry_
+                                .GetCounter("snoopy_partition_losses_total",
+                                            {{"component", "suboram/" + std::to_string(so)}})
+                                .value());
+    }
+    return std::move(run_);
+  }
+
+ private:
+  void Track(uint64_t key) {
+    run_.seq_to_key[seq_] = key;
+    run_.seq_to_epoch[seq_] = epoch_;
+  }
+
+  MetricsRegistry registry_;
+  FaultInjector injector_;
+  std::unique_ptr<Snoopy> store_;
+  NodeLossRun run_;
+  uint64_t seq_ = 1;
+  uint32_t epoch_ = 0;
+};
+
+// Scripted: epoch 0 writes tag 100 + k everywhere; in epoch 1 subORAM 1's machine
+// dies on its first call (node_loss) while every key is rewritten to 200 + k; epoch
+// 2 finds subORAM 3 dead at its start (node_loss_at_epoch_start); epochs 2-5 read
+// every key. Both repairs complete in epoch 4, which answers everything deferred.
+NodeLossRun RunScriptedLosses(int epoch_threads) {
+  NodeLossHarness d(epoch_threads, 43);
+  for (uint64_t k = 0; k < kLossKeys; ++k) {
+    d.Write(k, 100 + k);
+  }
+  d.Epoch();
+
+  FaultProfile mid_call;
+  mid_call.node_loss = 1.0;
+  d.injector().SetProfile("suboram/1", mid_call);
+  for (uint64_t k = 0; k < kLossKeys; ++k) {
+    d.Write(k, 200 + k);
+  }
+  d.Epoch();
+  d.injector().SetProfile("suboram/1", FaultProfile{});
+
+  FaultProfile at_start;
+  at_start.node_loss_at_epoch_start = 1.0;
+  d.injector().SetProfile("suboram/3", at_start);
+  for (uint32_t e = 2; e <= 5; ++e) {
+    for (uint64_t k = 0; k < kLossKeys; ++k) {
+      d.Read(k);
+    }
+    d.Epoch();
+    d.injector().SetProfile("suboram/3", FaultProfile{});
+  }
+  return d.Finish();
+}
+
+TEST(NodeLoss, MidEpochAndEpochStartLossesRepairWithZeroLostRecords) {
+  const NodeLossRun run = RunScriptedLosses(/*epoch_threads=*/1);
+  Snoopy::PartitionHealth healthy = Snoopy::PartitionHealth::kHealthy;
+  Snoopy::PartitionHealth repairing = Snoopy::PartitionHealth::kRepairing;
+  auto health = [&](uint32_t epoch, uint32_t so) { return run.health[epoch * kLossSos + so]; };
+  // subORAM 1 lost mid-epoch 1 (its first repair slice is epoch 2's); subORAM 3 lost
+  // at the start of epoch 2, which also fetches its first slice.
+  EXPECT_EQ(health(1, 1), std::make_pair(repairing, kLossRepairEpochs));
+  EXPECT_EQ(health(2, 1), std::make_pair(repairing, kLossRepairEpochs - 1));
+  EXPECT_EQ(health(2, 3), std::make_pair(repairing, kLossRepairEpochs - 1));
+  for (uint32_t so = 0; so < kLossSos; ++so) {
+    EXPECT_EQ(health(4, so), std::make_pair(healthy, 0u)) << "partition " << so;
+  }
+  EXPECT_EQ(run.losses, (std::vector<uint64_t>{0, 1, 0, 1}));
+
+  // Exactly one response per request, none lost.
+  std::map<uint64_t, uint32_t> answered;  // seq -> epoch
+  std::map<uint64_t, uint64_t> tag;       // seq -> tag
+  for (const auto& [epoch, seq, key, op, value] : run.responses) {
+    ASSERT_EQ(answered.count(seq), 0u) << "duplicate response for seq " << seq;
+    answered[seq] = epoch;
+    tag[seq] = TagOf(value);
+    ASSERT_EQ(run.seq_to_key.at(seq), key);
+  }
+  ASSERT_EQ(answered.size(), run.seq_to_key.size());
+
+  Snoopy probe(StripedConfig(2, kLossSos, 1, false, kLossRepairEpochs), 43);
+  for (const auto& [seq, key] : run.seq_to_key) {
+    const uint32_t submitted = run.seq_to_epoch.at(seq);
+    const uint32_t so = probe.SubOramOf(key);
+    // A lost partition's requests come back in the repair-completion epoch (4); the
+    // others answer in their own epoch.
+    const bool deferred = (so == 1 && submitted >= 1 && submitted <= 4) ||
+                          (so == 3 && submitted >= 2 && submitted <= 4);
+    EXPECT_EQ(answered[seq], deferred ? 4u : submitted) << "seq " << seq << " key " << key;
+    if (submitted < 2) {
+      continue;  // write acknowledgements
+    }
+    // Reads see the rewrite of epoch 1: acknowledged in epoch 1 on the healthy
+    // partitions and subORAM 3 (which sealed it before dying), and on subORAM 1
+    // applied in epoch 4, where a deferred read in the same load balancer's batch
+    // observes the state before it.
+    const bool before_rewrite = so == 1 && answered[seq] == 4;
+    EXPECT_EQ(tag[seq], (before_rewrite ? 100 : 200) + key) << "seq " << seq << " key " << key;
+  }
+}
+
+TEST(NodeLoss, ScriptedLossesAreIdenticalAcrossEpochThreadCounts) {
+  const NodeLossRun sequential = RunScriptedLosses(1);
+  const NodeLossRun parallel = RunScriptedLosses(4);
+  EXPECT_EQ(sequential.responses, parallel.responses) << "responses differ byte-wise";
+  EXPECT_EQ(sequential.health, parallel.health);
+  EXPECT_EQ(sequential.losses, parallel.losses);
+}
+
+// Seeded chaos: both loss kinds fire at random on subORAMs 1 and 3 for a dozen
+// epochs of reads, then the faults stop and the deployment drains. Every read
+// answers exactly once with the value written before the chaos, and the run is
+// identical at 1 and 4 epoch threads.
+NodeLossRun RunSeededLosses(int epoch_threads, uint64_t* mid_call, uint64_t* at_start) {
+  NodeLossHarness d(epoch_threads, 47);
+  for (uint64_t k = 0; k < kLossKeys; ++k) {
+    d.Write(k, 300 + k);
+  }
+  d.Epoch();
+  FaultProfile chaos;
+  chaos.node_loss = 0.08;
+  chaos.node_loss_at_epoch_start = 0.15;
+  d.injector().SetProfile("suboram/1", chaos);
+  d.injector().SetProfile("suboram/3", chaos);
+  for (int e = 0; e < 12; ++e) {
+    for (uint64_t k = 0; k < kLossKeys; ++k) {
+      d.Read(k);
+    }
+    d.Epoch();
+  }
+  d.injector().SetProfile("suboram/1", FaultProfile{});
+  d.injector().SetProfile("suboram/3", FaultProfile{});
+  for (uint32_t e = 0; e <= kLossRepairEpochs; ++e) {
+    d.Epoch();
+  }
+  *mid_call = d.injector().fired_count(FaultAction::kNodeLoss);
+  *at_start = d.injector().fired_epoch_crashes();
+  return d.Finish();
+}
+
+TEST(NodeLoss, SeededChaosLosesNoRecordAtAnyThreadCount) {
+  uint64_t mid_call = 0;
+  uint64_t at_start = 0;
+  const NodeLossRun sequential = RunSeededLosses(1, &mid_call, &at_start);
+  EXPECT_GT(mid_call, 0u) << "no node_loss fault fired mid-call";
+  EXPECT_GT(at_start, 0u) << "no node_loss_at_epoch_start poll fired";
+  uint64_t total_losses = 0;
+  for (const uint64_t n : sequential.losses) {
+    total_losses += n;
+  }
+  EXPECT_GE(total_losses, 2u);
+
+  std::map<uint64_t, uint64_t> tag;
+  for (const auto& [epoch, seq, key, op, value] : sequential.responses) {
+    ASSERT_EQ(tag.count(seq), 0u) << "duplicate response for seq " << seq;
+    tag[seq] = TagOf(value);
+  }
+  ASSERT_EQ(tag.size(), sequential.seq_to_key.size()) << "a request was never answered";
+  for (const auto& [seq, key] : sequential.seq_to_key) {
+    if (sequential.seq_to_epoch.at(seq) > 0) {
+      EXPECT_EQ(tag[seq], 300 + key) << "seq " << seq << " key " << key;
+    }
+  }
+
+  uint64_t mid_call4 = 0;
+  uint64_t at_start4 = 0;
+  const NodeLossRun parallel = RunSeededLosses(4, &mid_call4, &at_start4);
+  EXPECT_EQ(sequential.responses, parallel.responses) << "responses differ byte-wise";
+  EXPECT_EQ(sequential.health, parallel.health);
+  EXPECT_EQ(sequential.losses, parallel.losses);
+  EXPECT_EQ(mid_call, mid_call4);
+  EXPECT_EQ(at_start, at_start4);
 }
 
 // ---------------------------------------------------------------------------------

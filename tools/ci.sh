@@ -227,18 +227,22 @@ echo "== TSan build + threading-sensitive tests =="
 # The race-prone surfaces: parallel bitonic sort (the fig13a trace-race fix),
 # the bucket sort's fork-joined routing/cleanup, the WorkPool's offer list under
 # nested Runs (WorkPool.NestedRunRunsEveryBodyAtAnyDepth and
-# RunPhase.TasksRunParallelSortsOnTheSamePool), the parallel epoch executor, and
-# the pooled epoch-boundary seal (concurrent seals on distinct counters).
+# RunPhase.TasksRunParallelSortsOnTheSamePool), the parallel epoch executor, the
+# epoch module driven directly over a fake exchange (Epoch.*, concurrent phase-2
+# tasks recording losses and failures per partition), and the pooled epoch-boundary
+# seal (concurrent seals on distinct counters).
 cmake -S . -B build-tsan -DSNOOPY_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j"${JOBS}" --target \
-  bitonic_sort_test bucket_sort_test suboram_test epoch_parallel_test tracing_test \
-  scaling_regression_test rollback_test
+  bitonic_sort_test bucket_sort_test suboram_test epoch_parallel_test epoch_test \
+  tracing_test scaling_regression_test rollback_test
 ctest --test-dir build-tsan --output-on-failure --no-tests=error \
-  -R '(BitonicSort|BlockedSort|AdaptiveSortThreads|BucketSort|SubOram|EpochParallel|Tracing|TracerThreadBuffer|WorkPool|NestedRun|RunPhase|ScalingRegression|SealedStore|SealBoundary)'
+  -R '(BitonicSort|BlockedSort|AdaptiveSortThreads|BucketSort|SubOram|EpochParallel|^Epoch\.|Tracing|TracerThreadBuffer|WorkPool|NestedRun|RunPhase|ScalingRegression|SealedStore|SealBoundary)'
 
 echo "== TSan chaos stage: fault recovery, permanent loss, repair, reshard =="
-# Crash/loss recovery exercises the cross-thread paths deliberately (phase-2 workers
-# marking losses, concurrent subORAM recoveries, the health mutex); run the whole
+# Crash/loss recovery exercises the cross-thread paths deliberately: concurrent
+# subORAM recoveries in phase 2 (rekeying under rng_mu_), phase-2 tasks reporting a
+# mid-epoch loss that the orchestrator applies after the join (NodeLoss.*, at 1 and 4
+# epoch threads), and the repair and reshard paths around them. Run the whole
 # fault-recovery and repair/reshard suites under TSan so a recovery-path race cannot
 # hide behind the happy path.
 cmake --build build-tsan -j"${JOBS}" --target fault_recovery_test repair_reshard_test
