@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "src/enclave/trace.h"
-#include "src/obl/bitonic_sort.h"
 #include "src/obl/compaction.h"
 #include "src/obl/primitives.h"
 #include "src/obl/secret.h"
@@ -19,49 +18,33 @@ inline void StoreU64(uint8_t* rec, size_t off, uint64_t v) { std::memcpy(rec + o
 }  // namespace
 
 // SNOOPY_OBLIVIOUS_BEGIN(bin_placement)
-// ct-public: m z b j i n_real total dummy_counter dedup_enabled kept
+// ct-public: m z i total bin counter dedup_enabled kept make_dummy
 // ct-public: schema bin_offset dummy_offset order_offset dedup_offset key_offset
+// ct-calls: make_dummy PaddedBinSort
 
 BinPlacementResult ObliviousBinPlacement(ByteSlab& slab, const BinSchema& schema,
                                          const BinPlacementOptions& options,
                                          const std::function<void(uint8_t*)>& make_dummy) {
   const uint64_t m = options.num_bins;
   const uint64_t z = options.bin_capacity;
-  const size_t n_real = slab.size();
   const bool dedup_enabled = options.dedup;
 
-  // Step 1 (Fig. 5 step 2): append z padding dummies per bin. Dummy records sort after
-  // real records within a bin (order = max) and carry unique dedup keys so they can
-  // never be mistaken for duplicates. Dummy metadata is public at append time (the
-  // records have not yet been obliviously mixed with real ones), hence the raw stores.
-  uint64_t dummy_counter = 0;
-  for (uint64_t b = 0; b < m; ++b) {
-    for (uint64_t j = 0; j < z; ++j) {
-      uint8_t* rec = slab.AppendZero();
-      make_dummy(rec);
-      StoreU32(rec, schema.bin_offset, static_cast<uint32_t>(b));
-      rec[schema.dummy_offset] = 1;
-      StoreU64(rec, schema.order_offset, ~uint64_t{0});
-      StoreU64(rec, schema.dedup_offset, ~uint64_t{0} - dummy_counter);
-      ++dummy_counter;
-    }
-  }
-  TraceRecord(TraceOp::kAppend, n_real, m * z);
-
-  // Step 2 (Fig. 5 step 3): oblivious sort by (bin, dummy, dedup, order). From here on
-  // every record field is secret: loads go through the Secret<T> ports and the
-  // comparator stays in the taint domain until the oblivious swap consumes it. The
-  // sort routes through the common strategy entry point: the composed
-  // (bin, within-bin) order is lexicographically identical to the old
-  // ((bin << 1) | dummy, dedup, order) comparator, and the bucket strategy is only
+  // Steps 1-2 (Fig. 5 steps 2-3): pad each bin with z dummies and obliviously sort by
+  // (bin, dummy, dedup, order). Dummies sort after the reals within a bin (order =
+  // max) and carry unique dedup keys, ~0 - counter, so they can never be mistaken for
+  // duplicates and a bin's later dummies sort first, as PaddedBinSort requires.
+  // Dummy fields are public when written (the padding has not yet been mixed with
+  // the reals), hence the raw stores. From the sort on every record field is secret:
+  // loads go through the Secret<T> ports and the comparator stays in the taint
+  // domain until the oblivious swap consumes it. The bucket strategy is only
   // selectable when options.bins_simulatable attests the bin tags leak nothing.
   SortBinSpec sort_spec;
   sort_spec.bin_offset = schema.bin_offset;
   sort_spec.num_bins = m;
   sort_spec.bins_simulatable = options.bins_simulatable;
   sort_spec.lambda = options.lambda;
-  ObliviousSortSlab(
-      slab, sort_spec,
+  PaddedBinSort(
+      slab, sort_spec, z,
       [&](const uint8_t* a, const uint8_t* b) {
         const SecretU64 a1 = Widen(LoadSecretU8(a, schema.dummy_offset)) & 1;
         const SecretU64 b1 = Widen(LoadSecretU8(b, schema.dummy_offset)) & 1;
@@ -72,6 +55,13 @@ BinPlacementResult ObliviousBinPlacement(ByteSlab& slab, const BinSchema& schema
         const SecretBool lt3 = a3 < b3;
         const SecretBool lt2 = (a2 < b2) | ((a2 == b2) & lt3);
         return (a1 < b1) | ((a1 == b1) & lt2);
+      },
+      [&](uint8_t* rec, uint64_t bin, uint64_t counter) {
+        make_dummy(rec);
+        StoreU32(rec, schema.bin_offset, static_cast<uint32_t>(bin));
+        rec[schema.dummy_offset] = 1;
+        StoreU64(rec, schema.order_offset, ~uint64_t{0});
+        StoreU64(rec, schema.dedup_offset, ~uint64_t{0} - counter);
       },
       options.sort_strategy, options.sort_threads);
 

@@ -41,7 +41,7 @@ namespace snoopy {
 // ct-public: parallel_threshold kTilesPerParallelSort
 // ct-public: pool half events WorkPool
 // ct-calls: GreatestPowerOfTwoBelow BitonicMerge BitonicSortRec AdaptiveSortThreads
-// ct-calls: BitonicTileMerge BitonicTileSort first second SortBlockRecords
+// ct-calls: BitonicTileMerge BitonicTileSort first second SortBlockRecords BitonicSlabCSwap
 // ct-calls: WorkPool Instance Reserve Run
 
 namespace internal {
@@ -176,23 +176,36 @@ void BitonicSort(std::span<T> data, const Less& less, int threads = 1) {
       threads);
 }
 
-// Sorts a ByteSlab of records in place; `less(a, b)` receives raw record pointers and
-// must be branchless, returning SecretBool. Record moves go through the dispatching
-// SIMD kernels (obl/kernels.h); the mask is derived once per compare.
+// The compare-swap of the slab networks: `less(a, b)` receives raw record pointers
+// and must be branchless, returning SecretBool. Record moves go through the
+// dispatching SIMD kernels (obl/kernels.h); the mask is derived once per compare.
 template <typename Less>
-void BitonicSortSlab(ByteSlab& slab, const Less& less, int threads = 1) {
+auto BitonicSlabCSwap(ByteSlab& slab, const Less& less) {
   const size_t stride = slab.record_bytes();
   uint8_t* base = slab.data();
-  RunBitonicNetwork(
-      slab.size(),
-      [&](size_t i, size_t j, bool asc) {
-        TraceRecord(TraceOp::kCondSwap, i, j);
-        uint8_t* a = base + i * stride;
-        uint8_t* b = base + j * stride;
-        const SecretBool out_of_order = asc ? less(b, a) : less(a, b);
-        KernelCondSwapBytes(out_of_order, a, b, stride);
-      },
-      threads);
+  return [stride, base, &less](size_t i, size_t j, bool asc) {
+    TraceRecord(TraceOp::kCondSwap, i, j);
+    uint8_t* a = base + i * stride;
+    uint8_t* b = base + j * stride;
+    const SecretBool out_of_order = asc ? less(b, a) : less(a, b);
+    KernelCondSwapBytes(out_of_order, a, b, stride);
+  };
+}
+
+// Sorts a ByteSlab of records in place.
+template <typename Less>
+void BitonicSortSlab(ByteSlab& slab, const Less& less, int threads = 1) {
+  RunBitonicNetwork(slab.size(), BitonicSlabCSwap(slab, less), threads);
+}
+
+// Sorts a ByteSlab that holds a descending run followed by an ascending run, of any
+// lengths, with the merge half of the network alone: O(n log n) compare-swaps. The
+// 0/1 principle covers every split, since a 0/1 descending-then-ascending sequence
+// is 1^p 0^k 1^q and the arbitrary-n merge sorts each of those (tests/
+// bin_placement_test.cc checks them exhaustively up to n = 64).
+template <typename Less>
+void BitonicMergeSlab(ByteSlab& slab, const Less& less, int threads = 1) {
+  internal::BitonicMerge(0, slab.size(), /*asc=*/true, BitonicSlabCSwap(slab, less), threads);
 }
 
 // The adaptive policy from the paper (Figure 13a): below a size threshold the thread

@@ -9,7 +9,6 @@
 #include "src/analysis/binomial.h"
 #include "src/enclave/trace.h"
 #include "src/obl/bin_placement.h"
-#include "src/obl/bitonic_sort.h"
 #include "src/obl/compaction.h"
 #include "src/obl/primitives.h"
 #include "src/obl/secret.h"
@@ -91,9 +90,10 @@ OhtParams ChooseOhtParams(uint64_t n, uint32_t lambda) {
 }
 
 // SNOOPY_OBLIVIOUS_BEGIN(oht_build)
-// ct-public: n i b j total pad1 sort_threads sort_strategy sort_spec batch overflow
+// ct-public: n i bin total pad1 sort_threads sort_strategy sort_spec batch overflow
 // ct-public: params_ bins1 z1 bins2 overflow_cap schema_ dummy_offset
 // ct-public: tier1_ok r2 ok
+// ct-calls: PaddedBinSort
 
 bool TwoTierOht::Build(ByteSlab&& batch, Rng& rng, int sort_threads,
                        SortStrategy sort_strategy) {
@@ -122,38 +122,32 @@ bool TwoTierOht::Build(ByteSlab&& batch, Rng& rng, int sort_threads,
     StoreSecretU64(rec, schema_.dedup_offset, key);
   }
 
-  // Append tier-1 padding dummies (z1 per bin), then sort by (bin, dummy, order).
+  // Pad with z1 dummies per bin and sort by (bin, dummy, order): only the n reals go
+  // through the sort, the padding is merged in (PaddedBinSort). Tier-1 bins are a
+  // fresh keyed hash of distinct keys plus exactly z1 deterministic dummies per bin,
+  // so the bin multiset is simulatable from (n, bins1, z1): the bucket strategy may
+  // reveal it. A bin's dummies are identical, so any slot order of them is sorted.
   const uint64_t pad1 = params_.bins1 * params_.z1;
-  for (uint64_t b = 0; b < params_.bins1; ++b) {
-    for (uint64_t j = 0; j < params_.z1; ++j) {
-      uint8_t* rec = slab.AppendZero();
-      StoreU64(rec, schema_.key_offset, ~uint64_t{0});
-      StoreU32(rec, schema_.bin_offset, static_cast<uint32_t>(b));
-      rec[schema_.dummy_offset] = 1;
-      StoreU64(rec, schema_.order_offset, ~uint64_t{0});
-      StoreU64(rec, schema_.dedup_offset, ~uint64_t{0});
-    }
-  }
-  TraceRecord(TraceOp::kAppend, n, pad1);
-
-  // Sort by (bin, dummy, order) via the common strategy entry point. The composed
-  // (bin, within-bin) order is lexicographically identical to the old
-  // ((bin << 1) | dummy, order) comparator. Tier-1 bins are a fresh keyed hash of
-  // distinct keys plus exactly z1 deterministic dummies per bin, so the bin multiset
-  // is simulatable from (n, bins1, z1): the bucket strategy may reveal it.
   SortBinSpec sort_spec;
   sort_spec.bin_offset = schema_.bin_offset;
   sort_spec.num_bins = params_.bins1;
   sort_spec.bins_simulatable = true;
   sort_spec.lambda = lambda_;
-  ObliviousSortSlab(
-      slab, sort_spec,
+  PaddedBinSort(
+      slab, sort_spec, params_.z1,
       [this](const uint8_t* a, const uint8_t* b) {
         const SecretU64 a1 = Widen(LoadSecretU8(a, schema_.dummy_offset)) & 1;
         const SecretU64 b1 = Widen(LoadSecretU8(b, schema_.dummy_offset)) & 1;
         const SecretU64 a2 = LoadSecretU64(a, schema_.order_offset);
         const SecretU64 b2 = LoadSecretU64(b, schema_.order_offset);
         return (a1 < b1) | ((a1 == b1) & (a2 < b2));
+      },
+      [this](uint8_t* rec, uint64_t bin, uint64_t) {
+        StoreU64(rec, schema_.key_offset, ~uint64_t{0});
+        StoreU32(rec, schema_.bin_offset, static_cast<uint32_t>(bin));
+        rec[schema_.dummy_offset] = 1;
+        StoreU64(rec, schema_.order_offset, ~uint64_t{0});
+        StoreU64(rec, schema_.dedup_offset, ~uint64_t{0});
       },
       sort_strategy, sort_threads);
 
@@ -273,15 +267,18 @@ std::span<uint8_t> TwoTierOht::Tier2Bucket(uint64_t key) {
 }
 
 // SNOOPY_OBLIVIOUS_BEGIN(oht_extract)
-// ct-public: i tier1_ tier2_ all schema_ dummy_offset
+// ct-public: i tier1_ tier2_ all schema_ dummy_offset tier1_bytes tier2_bytes
 
 ByteSlab TwoTierOht::ExtractAll() {
-  ByteSlab all(0, tier1_.record_bytes());
-  for (size_t i = 0; i < tier1_.size(); ++i) {
-    all.Append(tier1_.Record(i));
+  // Both tiers are copied whole, at public offsets, into one allocation.
+  const size_t tier1_bytes = tier1_.size() * tier1_.record_bytes();
+  const size_t tier2_bytes = tier2_.size() * tier2_.record_bytes();
+  ByteSlab all(tier1_.size() + tier2_.size(), tier1_.record_bytes());
+  if (tier1_bytes > 0) {
+    std::memcpy(all.data(), tier1_.data(), tier1_bytes);
   }
-  for (size_t i = 0; i < tier2_.size(); ++i) {
-    all.Append(tier2_.Record(i));
+  if (tier2_bytes > 0) {
+    std::memcpy(all.data() + tier1_bytes, tier2_.data(), tier2_bytes);
   }
   std::vector<uint8_t> flags(all.size());
   for (size_t i = 0; i < all.size(); ++i) {

@@ -2,11 +2,12 @@
 // subORAM (paper section 5).
 //
 // The table is built once per batch over B distinct-key records. Construction is
-// oblivious (oblivious sorts + linear scans + compaction via ObliviousBinPlacement);
-// afterwards, looking a key up touches exactly one full bucket in each tier, so as long
-// as each key is queried at most once the access pattern is a fresh PRF of the key and
-// reveals nothing (the paper's usage scans *all stored object keys*, a public
-// sequence).
+// oblivious: each tier is a padded sort (PaddedBinSort: an oblivious sort of the
+// real records, then one merge with the tier's public padding) + linear scans +
+// compaction; tier 2 runs it through ObliviousBinPlacement. Afterwards, looking a key
+// up touches exactly one full bucket in each tier, so as long as each key is queried
+// at most once the access pattern is a fresh PRF of the key and reveals nothing (the
+// paper's usage scans *all stored object keys*, a public sequence).
 //
 // Why two tiers: one-tier tables need buckets sized for a negligible overflow
 // probability, which is large; letting tier-1 buckets overflow into a second, smaller
@@ -81,6 +82,11 @@ class TwoTierOht {
   uint64_t Tier2BucketIndex(uint64_t key) const;  // 0 if the table has one tier
 
   size_t record_bytes() const { return tier1_.record_bytes(); }
+
+  // The tier layouts: bins1 * z1 (tier 1) and bins2 * z2 (tier 2) records, bucket by
+  // bucket. Tests pin their bytes.
+  const ByteSlab& tier1() const { return tier1_; }
+  const ByteSlab& tier2() const { return tier2_; }
 
   // Obliviously extracts the n real records (dropping the table's padding dummies),
   // in unspecified order. The table becomes empty.

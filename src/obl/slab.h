@@ -54,10 +54,11 @@ class ByteSlab {
     std::memcpy(data_.data() + old, rec, record_bytes_);
   }
 
-  // Appends a zero-initialized record and returns a pointer to it.
-  uint8_t* AppendZero() {
+  // Appends `count` zero-initialized records with one resize and returns a pointer to
+  // the first of them.
+  uint8_t* AppendZero(size_t count = 1) {
     const size_t old = data_.size();
-    data_.resize(old + record_bytes_);
+    data_.resize(old + count * record_bytes_);
     return data_.data() + old;
   }
 

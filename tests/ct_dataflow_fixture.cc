@@ -29,6 +29,7 @@
 #include <cstring>
 
 #include "src/core/suboram.h"
+#include "src/obl/bin_placement.h"
 #include "src/obl/bitonic_sort.h"
 #include "src/obl/kernels.h"
 #include "src/obl/primitives.h"
@@ -78,6 +79,29 @@ struct SlabCSwap {
 struct CleanupWithin {
   snoopy::SecretBool operator()(const uint8_t* a, const uint8_t* b) const {
     return snoopy::LoadSecretU64(a, 8) < snoopy::LoadSecretU64(b, 8);
+  }
+};
+
+// The padded-sort audit's record layout: bin (u32) at 0, dummy flag (u8) at 4, order
+// (u64) at 8. The within-bin order is tier 1's (dummy, order); padding dummies are
+// written with public fields only, as in production.
+struct PaddedWithin {
+  snoopy::SecretBool operator()(const uint8_t* a, const uint8_t* b) const {
+    const snoopy::SecretU64 a1 = snoopy::Widen(snoopy::LoadSecretU8(a, 4)) & 1;
+    const snoopy::SecretU64 b1 = snoopy::Widen(snoopy::LoadSecretU8(b, 4)) & 1;
+    const snoopy::SecretU64 a2 = snoopy::LoadSecretU64(a, 8);
+    const snoopy::SecretU64 b2 = snoopy::LoadSecretU64(b, 8);
+    return (a1 < b1) | ((a1 == b1) & (a2 < b2));
+  }
+};
+
+struct PaddedDummy {
+  void operator()(uint8_t* rec, uint64_t bin, uint64_t /*counter*/) const {
+    const uint32_t bin32 = static_cast<uint32_t>(bin);
+    const uint64_t order = ~uint64_t{0};
+    std::memcpy(rec, &bin32, sizeof(bin32));
+    rec[4] = 1;
+    std::memcpy(rec + 8, &order, sizeof(order));
   }
 };
 
@@ -295,6 +319,26 @@ CTDF_ROOT void ctdf_poly1305_avx512_blocks(uint64_t* h, const uint32_t powers[][
 // ctdf-symbol: ctdf_bitonic_tile_sort secret=ptr:rdi
 CTDF_ROOT void ctdf_bitonic_tile_sort(uint8_t* base, size_t n, size_t stride) {
   snoopy::internal::BitonicTileSort(0, n, /*asc=*/true, SlabCSwap{base, stride});
+}
+
+// ---- Padded bin sort (src/obl/bin_placement.h PaddedBinSort) ----
+//
+// The half of bin placement's and the OHT tier-1 build's padded sort that follows
+// the reals-only sort (MergePadding): the public-index reversal, the public padding
+// run and the merge network, over secret records with runtime (n_real, m, z) at
+// width 1. The reals-only sort is ObliviousSortSlab, whose kernels are audited
+// decomposed above and below (the tile executor, the bucket route and cleanup).
+
+// ctdf-symbol: ctdf_padded_merge secret=ptr:rdi,ptr:rsi
+CTDF_ROOT void ctdf_padded_merge(uint8_t* out, const uint8_t* records, size_t n_real,
+                                 uint64_t m, uint64_t z, size_t stride) {
+  snoopy::ByteSlab slab(n_real, stride);
+  std::memcpy(slab.data(), records, n_real * stride);
+  snoopy::SortBinSpec spec;
+  spec.bin_offset = 0;
+  spec.num_bins = m;
+  snoopy::MergePadding(slab, spec, z, PaddedWithin{}, PaddedDummy{}, /*threads=*/1);
+  std::memcpy(out, slab.data(), slab.size() * stride);
 }
 
 // ---- Compaction (both algorithms, real entry points from src/obl/compaction.cc) ----

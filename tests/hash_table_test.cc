@@ -4,9 +4,11 @@
 
 #include <cstring>
 #include <set>
+#include <string>
 #include <tuple>
 #include <vector>
 
+#include "src/analysis/batch_bound.h"
 #include "src/crypto/rng.h"
 #include "src/enclave/trace.h"
 #include "src/obl/primitives.h"
@@ -220,6 +222,56 @@ TEST(TwoTierOht, ConstructionTraceIndependentOfKeys) {
   };
   EXPECT_EQ(trace_for(1), trace_for(2));
   EXPECT_EQ(trace_for(3), trace_for(4));
+}
+
+uint64_t Fnv1a(const ByteSlab& slab) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (size_t i = 0; i < slab.size() * slab.record_bytes(); ++i) {
+    h = (h ^ slab.data()[i]) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// Tier layouts at n = 17 (one tier), 2694 (batch_heavy's batch) and 4096 (the bucket
+// route's size knee, so tier 1's reals-only sort can take the route), lambda 128. The
+// digests were recorded from the append-then-sort-everything build; every strategy and
+// thread count must reproduce them, with one construction trace per strategy.
+TEST(TwoTierOht, TierBytesArePinned) {
+  struct Pin {
+    uint64_t n;
+    uint64_t tier1;
+    uint64_t tier2;
+  };
+  const Pin pins[] = {{17, 0x7a6896b77ddc50d3ULL, 0xcbf29ce484222325ULL},
+                      {2694, 0x3e0aeb545b56f7ceULL, 0xc568a457feb90af6ULL},
+                      {4096, 0xe160d0efe56d1860ULL, 0xc7b9f012869e585dULL}};
+  for (const Pin& pin : pins) {
+    Rng data_rng(pin.n);
+    std::set<uint64_t> key_set;
+    while (key_set.size() < pin.n) {
+      key_set.insert(data_rng.Next64() >> 1);
+    }
+    const std::vector<uint64_t> keys(key_set.begin(), key_set.end());
+    for (const SortStrategy strategy : {SortStrategy::kBitonic, SortStrategy::kBucket}) {
+      uint64_t first_trace = 0;
+      for (const int threads : {1, 2, 4}) {
+        TwoTierOht oht(kSchema, kDefaultLambda);
+        Rng build_rng(7);
+        TraceScope scope;
+        ASSERT_TRUE(oht.Build(MakeBatch(keys), build_rng, threads, strategy));
+        const std::string where = "n=" + std::to_string(pin.n) + " " +
+                                  SortStrategyName(strategy) + " threads=" +
+                                  std::to_string(threads);
+        EXPECT_EQ(Fnv1a(oht.tier1()), pin.tier1) << where;
+        EXPECT_EQ(Fnv1a(oht.tier2()), pin.tier2) << where;
+        if (threads == 1) {
+          first_trace = scope.Digest();
+        } else {
+          EXPECT_EQ(scope.Digest(), first_trace) << where;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <tuple>
 #include <vector>
 
@@ -24,6 +25,15 @@ struct GridParam {
   uint32_t sos;
   bool oblivious_init;
 };
+
+// Prints a grid point as, e.g., vs16_l40_lb2_so3 (value size, lambda, LBs, subORAMs,
+// and _obl for oblivious initialization). CMake's test discovery names each ctest
+// .../MultiEpochWorkloadMatchesReference/<printed parameter>; gtest's default printer
+// dumps the struct's bytes, padding included, so those names would differ between builds.
+void PrintTo(const GridParam& p, std::ostream* os) {
+  *os << "vs" << p.value_size << "_l" << p.lambda << "_lb" << p.lbs << "_so" << p.sos
+      << (p.oblivious_init ? "_obl" : "");
+}
 
 class SnoopyGrid : public ::testing::TestWithParam<GridParam> {};
 

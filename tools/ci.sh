@@ -58,8 +58,9 @@ echo "== binary taint dataflow (planted corpus, then real kernels at -O2/-O3) ==
 # dispatch pinned to the generic backend -- a finding or a manifest symbol
 # missing from the object (M01) fails the stage, and so does a root the manifest
 # lists under required_roots (the decomposed bucket-sort kernels, the bitonic tile
-# executor, both SHA-256 compression paths, every ChaCha20 and Poly1305 block
-# function) that fell out of the fixture.
+# executor, the padded sort of bin placement and the OHT build (ctdf_padded_merge),
+# both SHA-256 compression paths, every ChaCha20 and Poly1305 block function) that
+# fell out of the fixture.
 python3 tools/ct_dataflow.py --repo-root . --self-test
 python3 tools/ct_dataflow.py --repo-root . --opt=-O2
 python3 tools/ct_dataflow.py --repo-root . --opt=-O3
@@ -99,7 +100,7 @@ echo "== forced-generic kernel backend (dispatch-sensitive suites) =="
 # bytes) rerun on the scalar code too. The load balancer's response propagation and
 # the epoch-trace suites run the fused access kernel, so they rerun here as well.
 SNOOPY_FORCE_GENERIC_KERNELS=1 ctest --test-dir build --output-on-failure --no-tests=error \
-  -R '(Primitives|Kernel|BitonicSort|BlockedSort|Compaction|BinPlacement|HashTable|SubOram|LoadBalancer|Obliviousness|Sha256|Hmac|ChaCha20|Poly1305|Aead|Attestation|MerkleTree|SealBoundary)'
+  -R '(Primitives|Kernel|BitonicSort|BlockedSort|Compaction|BinPlacement|PaddedBinSort|HashTable|TwoTierOht|SubOram|LoadBalancer|Obliviousness|Sha256|Hmac|ChaCha20|Poly1305|Aead|Attestation|MerkleTree|SealBoundary)'
 
 echo "== lint target (clang-tidy when installed) =="
 cmake --build build --target lint
@@ -229,14 +230,15 @@ echo "== TSan build + threading-sensitive tests =="
 # nested Runs (WorkPool.NestedRunRunsEveryBodyAtAnyDepth and
 # RunPhase.TasksRunParallelSortsOnTheSamePool), the parallel epoch executor, the
 # epoch module driven directly over a fake exchange (Epoch.*, concurrent phase-2
-# tasks recording losses and failures per partition), and the pooled epoch-boundary
-# seal (concurrent seals on distinct counters).
+# tasks recording losses and failures per partition), the pooled epoch-boundary
+# seal (concurrent seals on distinct counters), and the padded sort's forked merge
+# (PaddedBinSort at widths 2 and 4).
 cmake -S . -B build-tsan -DSNOOPY_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j"${JOBS}" --target \
   bitonic_sort_test bucket_sort_test suboram_test epoch_parallel_test epoch_test \
-  tracing_test scaling_regression_test rollback_test
+  tracing_test scaling_regression_test rollback_test bin_placement_test
 ctest --test-dir build-tsan --output-on-failure --no-tests=error \
-  -R '(BitonicSort|BlockedSort|AdaptiveSortThreads|BucketSort|SubOram|EpochParallel|^Epoch\.|Tracing|TracerThreadBuffer|WorkPool|NestedRun|RunPhase|ScalingRegression|SealedStore|SealBoundary)'
+  -R '(BitonicSort|BlockedSort|AdaptiveSortThreads|BucketSort|PaddedBinSort|SubOram|EpochParallel|^Epoch\.|Tracing|TracerThreadBuffer|WorkPool|NestedRun|RunPhase|ScalingRegression|SealedStore|SealBoundary)'
 
 echo "== TSan chaos stage: fault recovery, permanent loss, repair, reshard =="
 # Crash/loss recovery exercises the cross-thread paths deliberately: concurrent

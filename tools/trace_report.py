@@ -14,7 +14,10 @@ Tracer::WriteChromeTrace): complete events (ph == "X") with categories
          "sort" steps are the ObliviousSortSlab entry point: args carry the
          resolved strategy (0 = bitonic, 1 = bucket), the record count, and, for
          the bucket butterfly, its buckets x capacity geometry — the report
-         labels each sort row with them
+         labels each sort row with them. "merge" steps are the bitonic merge
+         that joins a padded sort's sorted reals with its padding
+         (PaddedBinSort); args carry the merged record count, and the report
+         lists them as a "bitonic merge" row beside the sorts
 
 For every epoch the report computes:
 
@@ -110,11 +113,14 @@ class PhaseStats:
         return max(self.task_durs_us) / mean if mean > 0 else 1.0
 
 
-def sort_label(args):
-    """(strategy, geometry) label for one "sort" step span: the active strategy
-    plus the public geometry it ran with — the butterfly's buckets x capacity for
-    bucket; the bitonic network has no tunable geometry (its shape is a function
-    of the record count alone), so its rows read "network"."""
+def sort_label(name, args):
+    """(strategy, geometry) label for one "sort" or "merge" step span: the active
+    strategy plus the public geometry it ran with — the butterfly's buckets x
+    capacity for bucket; the bitonic network has no tunable geometry (its shape is
+    a function of the record count alone), so its rows read "network", and a
+    padded sort's merge network reads "merge"."""
+    if name == "merge":
+        return "bitonic", "merge"
     strategy = SORT_STRATEGY_NAMES.get(args.get("strategy"), "unknown")
     if strategy == "bucket":
         return strategy, f"{args.get('buckets', '?')}x{args.get('capacity', '?')}"
@@ -122,13 +128,13 @@ def sort_label(args):
 
 
 def sort_stats(events):
-    """Aggregate the "sort" step spans per (strategy, geometry) label."""
+    """Aggregate the "sort" and "merge" step spans per (strategy, geometry) label."""
     rows = defaultdict(lambda: {"count": 0, "records": 0, "wall_us": 0.0})
     for e in events:
-        if e.get("cat") != "step" or e.get("name") != "sort":
+        if e.get("cat") != "step" or e.get("name") not in ("sort", "merge"):
             continue
         args = e.get("args", {})
-        row = rows[sort_label(args)]
+        row = rows[sort_label(e["name"], args)]
         row["count"] += 1
         row["records"] += args.get("records", 0)
         row["wall_us"] += e.get("dur", 0)
@@ -309,8 +315,9 @@ def golden_trace():
     of CPU for its 40 ms wall-busy span (descheduled mid-task), so the phase's
     work inflation is 60/45 = 1.333x and must trip the >1.15x flag; lb_prepare's
     CPU matches wall and must stay unflagged. The lb_prepare task carries one
-    bitonic "sort" step and the execute task one bucket sort (16x1024 butterfly),
-    so the sort rows must come back labeled with strategy and geometry."""
+    bitonic "sort" step and one padded-sort "merge" step, and the execute task one
+    bucket sort (16x1024 butterfly), so the sort rows must come back labeled with
+    strategy and geometry, the merge on a row of its own."""
     ev = []
 
     def x(cat, name, ts, dur, args=None):
@@ -322,6 +329,7 @@ def golden_trace():
     x("task", "lb_prepare", 0, 10_000)
     x("step", "sort", 2_000, 6_000,
       {"strategy": 0, "records": 4096})
+    x("step", "merge", 8_000, 1_500, {"records": 10_000})
     x("task", "lb_prepare", 10_000, 10_000)
     x("pool", "lb_prepare", 0, 20_000,
       {"tasks": 2, "busy_ns": 20_000_000, "idle_ns": 0,
@@ -373,7 +381,8 @@ def self_check():
     # geometry: the bitonic one as the plain network, the bucket one with its
     # butterfly shape.
     checks.append(("sort_labels", sorted(report["sorts"]),
-                   [("bitonic", "network"), ("bucket", "16x1024")]))
+                   [("bitonic", "merge"), ("bitonic", "network"), ("bucket", "16x1024")]))
+    checks.append(("merge_records", report["sorts"][("bitonic", "merge")]["records"], 10_000))
     checks.append(("bitonic_sort_records",
                    report["sorts"][("bitonic", "network")]["records"], 4096))
     checks.append(("bucket_sort_wall_s",
