@@ -231,9 +231,9 @@ int main(int argc, char** argv) {
               off_s * 1e3, on_s * 1e3, 100.0 * telemetry_frac);
 
   // Span-tracing overhead: same epoch-interleaved protocol, tracing fully off vs. a
-  // private enabled tracer at detail 1 (the always-on production setting).
+  // private enabled tracer (the always-on production setting).
   Tracer trace_tracer;
-  trace_tracer.Enable(/*detail=*/1);
+  trace_tracer.Enable();
   double trace_off_s = 1e9;
   double trace_on_s = 1e9;
   std::vector<double> trace_fracs;

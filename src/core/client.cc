@@ -49,11 +49,15 @@ uint64_t SnoopyClient::Write(uint64_t key, std::span<const uint8_t> value) {
 std::vector<SnoopyClient::Response> SnoopyClient::FetchResponses() {
   std::vector<Response> out;
   for (const std::vector<uint8_t>& blob : deployment_.TakeMailbox(client_id_)) {
-    if (blob.size() < 4) {
+    // The mailbox is host storage, so the balancer id is untrusted plaintext: it picks
+    // one of this client's links only once it is known to name a balancer.
+    uint32_t lb = 0;
+    if (blob.size() >= 4) {
+      std::memcpy(&lb, blob.data(), 4);
+    }
+    if (blob.size() < 4 || lb >= deployment_.config().num_load_balancers) {
       throw std::runtime_error("malformed mailbox entry");
     }
-    uint32_t lb = 0;
-    std::memcpy(&lb, blob.data(), 4);
     std::vector<uint8_t> plain;
     if (!deployment_.client_link(client_id_, lb)
              .b_to_a()

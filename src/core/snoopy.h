@@ -167,6 +167,11 @@ class Snoopy {
   SecureLink& client_link(uint64_t client_id, uint32_t lb);
   // Drains the client's mailbox: [lb id (4 bytes) | sealed response] blobs.
   std::vector<std::vector<uint8_t>> TakeMailbox(uint64_t client_id);
+  // The mailbox is host storage (untrusted); the test harness uses this hook to play a
+  // malicious host writing its own blobs there.
+  void host_append_mailbox(uint64_t client_id, std::vector<uint8_t> blob) {
+    clients_.at(client_id).mailbox.push_back(std::move(blob));
+  }
 
   // --- Permanent loss, striped redundancy, and background repair ------------------
   // A partition is kRepairing after its machine was permanently lost (NodeLost fault

@@ -17,7 +17,7 @@ namespace {
 // SNOOPY_OBLIVIOUS_BEGIN(chacha20_blocks)
 // ct-public: counter round w g j k hb blk i
 // ct-calls: Rotl QuarterRound __attribute__ target reinterpret_cast ChaChaBlockWords
-// ct-calls: SNOOPY_CHACHA_QR_SSE2 SNOOPY_CHACHA_QR_AVX2 SNOOPY_CHACHA_QR_AVX512
+// ct-calls: SNOOPY_CHACHA_QR_AVX2 SNOOPY_CHACHA_QR_AVX512
 
 inline uint32_t Rotl(uint32_t x, int n) { return (x << n) | (x >> (32 - n)); }
 
@@ -98,68 +98,10 @@ void CryptBlockGeneric(const uint32_t* state, uint32_t counter, const uint8_t* i
 // like the scalar ++counter). After the 20 rounds and the feed-forward add,
 // a 4x4 (per 128-bit lane) word transpose turns lane-major vectors back into
 // contiguous 64-byte blocks, which are XORed with the input straight into the
-// output. L is 4 (SSE2), 8 (AVX2) or 16 (AVX-512).
+// output. L is 8 (AVX2) or 16 (AVX-512).
 //
 // ChaCha is data-oblivious by construction (pure ARX on uniform-trip loops),
 // so the vector forms below change only throughput, never the access pattern.
-
-#define SNOOPY_CHACHA_QR_SSE2(a, b, c, d)                             \
-  do {                                                                \
-    a = _mm_add_epi32(a, b);                                          \
-    d = _mm_xor_si128(d, a);                                          \
-    d = _mm_or_si128(_mm_slli_epi32(d, 16), _mm_srli_epi32(d, 16));   \
-    c = _mm_add_epi32(c, d);                                          \
-    b = _mm_xor_si128(b, c);                                          \
-    b = _mm_or_si128(_mm_slli_epi32(b, 12), _mm_srli_epi32(b, 20));   \
-    a = _mm_add_epi32(a, b);                                          \
-    d = _mm_xor_si128(d, a);                                          \
-    d = _mm_or_si128(_mm_slli_epi32(d, 8), _mm_srli_epi32(d, 24));    \
-    c = _mm_add_epi32(c, d);                                          \
-    b = _mm_xor_si128(b, c);                                          \
-    b = _mm_or_si128(_mm_slli_epi32(b, 7), _mm_srli_epi32(b, 25));    \
-  } while (0)
-
-// Writes `in` XOR four consecutive keystream blocks (counter .. counter+3) to `out`,
-// which may equal `in`.
-void CryptBlocks4Sse2(const uint32_t* state, const uint8_t* in, uint8_t* out) {
-  __m128i v[16];
-  __m128i init[16];
-  for (int w = 0; w < 16; ++w) {
-    v[w] = _mm_set1_epi32(static_cast<int>(state[w]));
-  }
-  v[12] = _mm_add_epi32(v[12], _mm_setr_epi32(0, 1, 2, 3));
-  for (int w = 0; w < 16; ++w) {
-    init[w] = v[w];
-  }
-  for (int round = 0; round < 10; ++round) {
-    SNOOPY_CHACHA_QR_SSE2(v[0], v[4], v[8], v[12]);
-    SNOOPY_CHACHA_QR_SSE2(v[1], v[5], v[9], v[13]);
-    SNOOPY_CHACHA_QR_SSE2(v[2], v[6], v[10], v[14]);
-    SNOOPY_CHACHA_QR_SSE2(v[3], v[7], v[11], v[15]);
-    SNOOPY_CHACHA_QR_SSE2(v[0], v[5], v[10], v[15]);
-    SNOOPY_CHACHA_QR_SSE2(v[1], v[6], v[11], v[12]);
-    SNOOPY_CHACHA_QR_SSE2(v[2], v[7], v[8], v[13]);
-    SNOOPY_CHACHA_QR_SSE2(v[3], v[4], v[9], v[14]);
-  }
-  for (int w = 0; w < 16; ++w) {
-    v[w] = _mm_add_epi32(v[w], init[w]);
-  }
-  for (int g = 0; g < 4; ++g) {
-    const __m128i t0 = _mm_unpacklo_epi32(v[4 * g], v[4 * g + 1]);
-    const __m128i t1 = _mm_unpackhi_epi32(v[4 * g], v[4 * g + 1]);
-    const __m128i t2 = _mm_unpacklo_epi32(v[4 * g + 2], v[4 * g + 3]);
-    const __m128i t3 = _mm_unpackhi_epi32(v[4 * g + 2], v[4 * g + 3]);
-    const __m128i rows[4] = {_mm_unpacklo_epi64(t0, t2), _mm_unpackhi_epi64(t0, t2),
-                             _mm_unpacklo_epi64(t1, t3), _mm_unpackhi_epi64(t1, t3)};
-    for (int blk = 0; blk < 4; ++blk) {
-      const size_t off = blk * ChaCha20::kBlockBytes + g * 16;
-      const __m128i dv = _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + off));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + off), _mm_xor_si128(dv, rows[blk]));
-    }
-  }
-}
-
-#undef SNOOPY_CHACHA_QR_SSE2
 
 #define SNOOPY_CHACHA_QR_AVX2(a, b, c, d)                                      \
   do {                                                                         \
@@ -384,13 +326,6 @@ void ChaCha20::Crypt(const uint8_t* in, uint8_t* out, size_t len) {
         CryptBlocks8Avx2(state_.data(), in + i, out + i);
         state_[12] += 8;
         i += 8 * kBlockBytes;
-      }
-    }
-    if (backend != KernelBackend::kGeneric) {
-      while (len - i >= 4 * kBlockBytes) {
-        CryptBlocks4Sse2(state_.data(), in + i, out + i);
-        state_[12] += 4;
-        i += 4 * kBlockBytes;
       }
     }
   }

@@ -144,7 +144,7 @@ __attribute__((target("sha,sse4.1"))) void Sha256BlocksShaNi(uint32_t* state,
 // SNOOPY_OBLIVIOUS_END(sha256_compress)
 
 // The dispatch branch reads only public state: the CPUID feature bits and the
-// kernel backend (SNOOPY_FORCE_GENERIC_KERNELS=1 pins the scalar code).
+// kernel backend (SNOOPY_KERNEL_BACKEND=generic pins the scalar code).
 void Sha256Blocks(uint32_t* state, const uint8_t* data, size_t blocks) {
 #if SNOOPY_KERNELS_X86
   static const bool cpu_has_sha = __builtin_cpu_supports("sha") != 0 &&

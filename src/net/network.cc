@@ -88,9 +88,14 @@ std::vector<uint8_t> Network::Call(const std::string& from, const std::string& t
     clock_->Advance(fault_injector_->delay_s(to));
   }
 
-  std::vector<uint8_t> request(payload.begin(), payload.end());
+  // Only a corrupted request needs bytes of its own; every other delivery hands the
+  // handler the caller's.
+  std::span<const uint8_t> request = payload;
+  std::vector<uint8_t> corrupted;
   if (fault == FaultAction::kCorruptRequest) {
-    fault_injector_->CorruptBit(to, request);
+    corrupted.assign(payload.begin(), payload.end());
+    fault_injector_->CorruptBit(to, corrupted);
+    request = corrupted;
   }
 
   std::vector<uint8_t> response = it->second(request);

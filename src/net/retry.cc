@@ -36,11 +36,6 @@ std::vector<uint8_t> RetryExecutor::Execute(
   for (int attempt = 1; attempt <= policy_.max_attempts; ++attempt) {
     last_attempts_ = attempt;
     if (attempt > 1) {
-      // The total-retry cap bounds re-attempts across the whole Execute, recovery
-      // rounds included; attempt k performs k-1 retries.
-      if (policy_.max_total_retries > 0 && attempt - 1 > policy_.max_total_retries) {
-        break;
-      }
       const double backoff_s = policy_.BackoffSeconds(attempt, rng_);
       clock->Advance(backoff_s);
       waited_s += backoff_s;

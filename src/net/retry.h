@@ -43,7 +43,10 @@ class VirtualClock {
 };
 
 struct RetryPolicy {
-  int max_attempts = 6;        // total tries, including the first
+  // Total tries of one Execute(), including the first and any made after a recovery
+  // round; attempt k follows k-1 retries. This is the bound that keeps a call aimed at
+  // an unreachable partition from spinning: it fails with DeadlineExceededError.
+  int max_attempts = 6;
   double base_delay_s = 1e-3;  // backoff before the second attempt
   double multiplier = 2.0;     // exponential growth factor
   double max_delay_s = 0.25;   // backoff cap
@@ -52,12 +55,6 @@ struct RetryPolicy {
   // other workers advancing the VirtualClock concurrently must not shrink this call's
   // budget, or retry counts would depend on thread interleaving.
   double deadline_s = 5.0;
-  // Hard cap on the total number of retries (re-attempts after the first) one
-  // Execute() may perform, recovery rounds included. 0 means uncapped (the
-  // max_attempts/deadline budget alone applies). This is the bound that keeps a call
-  // aimed at an unreachable partition from spinning: it fails with
-  // DeadlineExceededError instead.
-  int max_total_retries = 0;
 
   // Backoff before attempt `attempt` (1-based; attempt 1 has none): jittered
   // min(base * multiplier^(attempt-2), max).

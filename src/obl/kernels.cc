@@ -2,24 +2,9 @@
 
 namespace snoopy {
 
-const char* KernelBackendName(KernelBackend backend) {
-  switch (backend) {
-    case KernelBackend::kGeneric:
-      return "generic";
-    case KernelBackend::kSSE2:
-      return "sse2";
-    case KernelBackend::kAVX2:
-      return "avx2";
-    case KernelBackend::kAVX512:
-      return "avx512";
-  }
-  return "unknown";
-}
-
 std::vector<KernelBackend> SupportedKernelBackends() {
   std::vector<KernelBackend> backends{KernelBackend::kGeneric};
-  for (const KernelBackend b :
-       {KernelBackend::kSSE2, KernelBackend::kAVX2, KernelBackend::kAVX512}) {
+  for (const KernelBackend b : {KernelBackend::kAVX2, KernelBackend::kAVX512}) {
     if (KernelBackendSupported(b)) {
       backends.push_back(b);
     }

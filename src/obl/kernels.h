@@ -1,14 +1,15 @@
 // Vectorized oblivious kernels with one-time runtime dispatch.
 //
 // primitives.h defines the oblivious compare-and-set contract with scalar 8-byte mask
-// arithmetic; this header provides SSE2/AVX2/AVX-512 implementations of the hot
+// arithmetic; this header provides AVX2/AVX-512 implementations of the hot
 // byte-level operators (conditional swap, equality, and the fused compare-and-set
 // access run of the subORAM scan and the load balancer's response propagation) behind
 // a single public dispatch decision.
 // The Snoopy paper (section 8.1) instantiates its oblivious operators with AVX-512
 // masked moves inside SGX; the AVX-512 backend here is that construction literally
-// (`vpblendmb` under an all-ones/all-zeros k-mask), while the AVX2/SSE2 backends use
-// the and/andnot/or select and masked xor-swap forms.
+// (`vpblendmb` under an all-ones/all-zeros k-mask), while the AVX2 backend uses the
+// and/andnot/or select and masked xor-swap forms. There is no SSE2 tier: every
+// SGX-capable Xeon has AVX2, so inputs below one AVX2 vector take the scalar code.
 //
 // Obliviousness argument, per backend:
 //  - The secret mask enters a vector register through a broadcast and a value barrier
@@ -26,13 +27,12 @@
 // traces across backends).
 //
 // Dispatch is public state: the backend is chosen once from CPUID (overridable with
-// SNOOPY_FORCE_GENERIC_KERNELS=1 or SNOOPY_KERNEL_BACKEND=generic|sse2|avx2|avx512,
-// or pinned programmatically via SetKernelBackend for tests), cached in an atomic, and
-// never depends on data. Branching on it leaks nothing.
+// SNOOPY_KERNEL_BACKEND=generic|avx2|avx512, or pinned programmatically via
+// SetKernelBackend for tests), cached in an atomic, and never depends on data.
+// Branching on it leaks nothing.
 //
 // The crypto layer follows the same decision. Per backend:
 //   generic  scalar ChaCha20, scalar (radix-2^44) Poly1305, scalar SHA-256
-//   sse2     ChaCha20 4 blocks at a time
 //   avx2     ChaCha20 8 blocks at a time, Poly1305 in 4 lanes
 //   avx512   ChaCha20 16 blocks at a time, Poly1305 in 8 lanes
 // Every backend but generic compresses SHA-256 with SHA-NI when the CPU has it
@@ -61,11 +61,23 @@
 namespace snoopy {
 
 // Widest-first preference order; numeric order is the preference order.
-enum class KernelBackend : int { kGeneric = 0, kSSE2 = 1, kAVX2 = 2, kAVX512 = 3 };
+enum class KernelBackend : int { kGeneric = 0, kAVX2 = 1, kAVX512 = 2 };
 
-// kernels.cc: human-readable name ("generic", "sse2", ...) and the list of backends
-// this CPU can run (always includes kGeneric), for benches and test parameterization.
-const char* KernelBackendName(KernelBackend backend);
+// Human-readable name, also the SNOOPY_KERNEL_BACKEND spelling.
+constexpr const char* KernelBackendName(KernelBackend backend) {
+  switch (backend) {
+    case KernelBackend::kGeneric:
+      return "generic";
+    case KernelBackend::kAVX2:
+      return "avx2";
+    case KernelBackend::kAVX512:
+      return "avx512";
+  }
+  return "unknown";
+}
+
+// kernels.cc: the backends this CPU can run (always includes kGeneric), for benches and
+// test parameterization.
 std::vector<KernelBackend> SupportedKernelBackends();
 
 inline bool KernelBackendSupported(KernelBackend backend) {
@@ -73,9 +85,6 @@ inline bool KernelBackendSupported(KernelBackend backend) {
     return true;
   }
 #if SNOOPY_KERNELS_X86
-  if (backend == KernelBackend::kSSE2) {
-    return __builtin_cpu_supports("sse2") != 0;
-  }
   if (backend == KernelBackend::kAVX2) {
     return __builtin_cpu_supports("avx2") != 0;
   }
@@ -95,29 +104,17 @@ inline std::atomic<int>& BackendState() {
   return state;
 }
 
-inline bool EnvFlagSet(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
-}
-
 inline KernelBackend ResolveKernelBackend() {
-  if (EnvFlagSet("SNOOPY_FORCE_GENERIC_KERNELS")) {
-    return KernelBackend::kGeneric;
-  }
   if (const char* named = std::getenv("SNOOPY_KERNEL_BACKEND")) {
-    const KernelBackend requested =
-        std::strcmp(named, "sse2") == 0     ? KernelBackend::kSSE2
-        : std::strcmp(named, "avx2") == 0   ? KernelBackend::kAVX2
-        : std::strcmp(named, "avx512") == 0 ? KernelBackend::kAVX512
-                                            : KernelBackend::kGeneric;
-    if (KernelBackendSupported(requested)) {
-      return requested;  // an unsupported or unknown name falls through to CPUID
+    // An unknown or unsupported name falls through to CPUID.
+    for (const KernelBackend b :
+         {KernelBackend::kGeneric, KernelBackend::kAVX2, KernelBackend::kAVX512}) {
+      if (std::strcmp(named, KernelBackendName(b)) == 0 && KernelBackendSupported(b)) {
+        return b;
+      }
     }
   }
   KernelBackend best = KernelBackend::kGeneric;
-  if (KernelBackendSupported(KernelBackend::kSSE2)) {
-    best = KernelBackend::kSSE2;
-  }
   if (KernelBackendSupported(KernelBackend::kAVX2)) {
     best = KernelBackend::kAVX2;
   }
@@ -163,10 +160,10 @@ struct AccessMasks {
 // SNOOPY_OBLIVIOUS_BEGIN(kernels)
 // ct-public: i n r j c off len base block count stride value_offset last kRegs chunking
 // ct-public: backend vector first values stash chunks extra kAccessRunBlock KernelBackend
-// ct-public: kAVX512 kAVX2 kSSE2 max_bytes
+// ct-public: kAVX512 kAVX2 max_bytes
 // ct-calls: ValueBarrier __attribute__ target GenericDiffWord GenericAccessSlot alignas
-// ct-calls: masks KernelAccessReg16 KernelAccessReg32 KernelAccessReg64 SplitRun Offset
-// ct-calls: Length KernelBroadcast128 KernelBroadcast256
+// ct-calls: masks KernelAccessReg32 KernelAccessReg64 SplitRun Offset Length
+// ct-calls: KernelBroadcast256
 
 namespace kernel_internal {
 
@@ -258,8 +255,9 @@ inline RunChunking SplitRun(size_t n, size_t max_bytes) {
 #if SNOOPY_KERNELS_X86
 
 // Vector value barriers: like ValueBarrier but for xmm/ymm/zmm registers, so the
-// compiler cannot prove the broadcast mask constant and lift it into a branch.
-__attribute__((target("sse2"))) inline __m128i KernelVecBarrier(__m128i v) {
+// compiler cannot prove the broadcast mask constant and lift it into a branch. The
+// 128-bit form serves the AVX2 and AVX-512 kernels' 16-byte tails.
+inline __m128i KernelVecBarrier(__m128i v) {
   __asm__ volatile("" : "+x"(v));
   return v;
 }
@@ -275,56 +273,11 @@ __attribute__((target("avx512f"))) inline __m512i KernelVecBarrier512(__m512i v)
 }
 
 // A mask word broadcast to every lane, then barriered (the access kernels' masks).
-__attribute__((target("sse2"))) inline __m128i KernelBroadcast128(uint64_t w) {
-  return KernelVecBarrier(_mm_set1_epi64x(static_cast<long long>(w)));
-}
-
 __attribute__((target("avx2"))) inline __m256i KernelBroadcast256(uint64_t w) {
   return KernelVecBarrier256(_mm256_set1_epi64x(static_cast<long long>(w)));
 }
 
-// ---- SSE2: 16-byte lanes, and/andnot/or select, masked xor-swap ----
-
-__attribute__((target("sse2"))) inline void KernelSse2CondSwap(uint64_t mask, uint8_t* a,
-                                                               uint8_t* b, size_t n) {
-  const __m128i vm = KernelVecBarrier(_mm_set1_epi64x(static_cast<long long>(mask)));
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m128i av = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
-    const __m128i bv = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i));
-    const __m128i diff = _mm_and_si128(_mm_xor_si128(av, bv), vm);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(a + i), _mm_xor_si128(av, diff));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(b + i), _mm_xor_si128(bv, diff));
-  }
-  CtCondSwapBytesMask(mask, a + i, b + i, n - i);
-}
-
-__attribute__((target("sse2"))) inline uint64_t KernelSse2DiffWord(const uint8_t* a,
-                                                                   const uint8_t* b, size_t n) {
-  __m128i acc = _mm_setzero_si128();
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m128i av = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
-    const __m128i bv = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i));
-    acc = _mm_or_si128(acc, _mm_xor_si128(av, bv));
-  }
-  uint64_t lanes[2];
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(lanes), acc);
-  return lanes[0] | lanes[1] | GenericDiffWord(a + i, b + i, n - i);
-}
-
-// One 16-byte step of the fused access with the carried value `s` held in a register
-// and the slot's bytes `lv` already loaded: vw/vm/vk are the broadcast write, match
-// and keep (reveal & match) masks. The slot is stored in full whatever the masks.
-__attribute__((target("sse2"))) inline void KernelAccessReg16(__m128i vw, __m128i vm,
-                                                              __m128i vk, __m128i lv,
-                                                              __m128i& s, uint8_t* slot) {
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(slot),
-                   _mm_or_si128(_mm_and_si128(s, vk), _mm_andnot_si128(vm, lv)));
-  s = _mm_or_si128(_mm_and_si128(lv, vw), _mm_andnot_si128(vw, s));
-}
-
-// ---- AVX2: 32-byte lanes ----
+// ---- AVX2: 32-byte lanes, and/andnot/or select, masked xor-swap ----
 
 __attribute__((target("avx2"))) inline void KernelAvx2CondSwap(uint64_t mask, uint8_t* a,
                                                                uint8_t* b, size_t n) {
@@ -371,7 +324,9 @@ __attribute__((target("avx2"))) inline uint64_t KernelAvx2DiffWord(const uint8_t
   return lanes[0] | lanes[1] | GenericDiffWord(a + i, b + i, n - i);
 }
 
-// The 32-byte form of KernelAccessReg16.
+// One 32-byte step of the fused access with the carried value `s` held in a register
+// and the slot's bytes `lv` already loaded: vw/vm/vk are the broadcast write, match
+// and keep (reveal & match) masks. The slot is stored in full whatever the masks.
 __attribute__((target("avx2"))) inline void KernelAccessReg32(__m256i vw, __m256i vm,
                                                               __m256i vk, __m256i lv,
                                                               __m256i& s, uint8_t* slot) {
@@ -456,79 +411,18 @@ __attribute__((target("avx512f,avx512bw"))) inline uint64_t KernelAvx512DiffWord
 
 // ---- Register-resident blocks: one carried value against a block of records ----
 //
-// Each backend holds the carried value (up to 128 bytes in SSE2 registers, 256 bytes
-// in AVX2 or AVX-512 registers; a wider value is split into even chunks of at most
-// that) in vector registers across a whole block of records: one load of the chunk,
-// then per record one full-width load, select and store of each slot vector and a
-// register-only select of the state, then one store of the chunk. A chunk whose
-// length is not a multiple of the vector width ends in a full-width vector that
-// overlaps the one before it; the record's bytes under it are loaded before any store,
-// so both vectors compute the same bytes and the overlap is written twice with equal
-// values. Nothing is byte-masked. The vector count is a template argument so the chunk
-// array is register-allocated; it and the chunk geometry depend only on the public n.
-// The masks come in as words, never from the functor: these functions need no stack
-// frame, which in an AVX function would be realigned and so opaque to the binary taint
-// audit.
-
-template <int kRegs>
-__attribute__((target("sse2"))) inline void KernelSse2RunChunk(
-    uint8_t* state, uint8_t* values, size_t count, size_t stride, size_t len,
-    const AccessWords* masks) {
-  const size_t last = len - 16;
-  __m128i s[kRegs];
-#pragma GCC unroll 8
-  for (int j = 0; j + 1 < kRegs; ++j) {
-    s[j] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 16 * j));
-  }
-  s[kRegs - 1] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + last));
-  for (size_t r = 0; r < count; ++r) {
-    uint8_t* slot = values + r * stride;
-    // Broadcast straight from the stash: a mask word passed through a general register
-    // may be spilled and reloaded, and these functions must keep no stack frame.
-    const __m128i vw = KernelBroadcast128(masks[r].write);
-    const __m128i vm = KernelBroadcast128(masks[r].match);
-    const __m128i vk = KernelBroadcast128(masks[r].keep);
-    // Loaded before any store: the last vector may overlap the one before it.
-    const __m128i lv_last = _mm_loadu_si128(reinterpret_cast<const __m128i*>(slot + last));
-#pragma GCC unroll 8
-    for (int j = 0; j + 1 < kRegs; ++j) {
-      const __m128i lv = _mm_loadu_si128(reinterpret_cast<const __m128i*>(slot + 16 * j));
-      KernelAccessReg16(vw, vm, vk, lv, s[j], slot + 16 * j);
-    }
-    KernelAccessReg16(vw, vm, vk, lv_last, s[kRegs - 1], slot + last);
-  }
-#pragma GCC unroll 8
-  for (int j = 0; j + 1 < kRegs; ++j) {
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 16 * j), s[j]);
-  }
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + last), s[kRegs - 1]);
-}
-
-// One chunk, with its vector count (ceil(len / 16)) as the template argument.
-template <int kRegs = 1>
-__attribute__((target("sse2"))) inline void KernelSse2Chunk(
-    uint8_t* state, uint8_t* values, size_t count, size_t stride, size_t len,
-    const AccessWords* masks) {
-  if constexpr (kRegs < 8) {
-    if (len > 16 * kRegs) {
-      KernelSse2Chunk<kRegs + 1>(state, values, count, stride, len, masks);
-      return;
-    }
-  }
-  KernelSse2RunChunk<kRegs>(state, values, count, stride, len, masks);
-}
-
-// A block of `count` records whose n-byte values (n >= 16) start at `values`,
-// `stride` bytes apart, with their masks in `masks`.
-__attribute__((target("sse2"))) inline void KernelSse2AccessBlock(
-    uint8_t* state, uint8_t* values, size_t count, size_t stride, size_t n,
-    const AccessWords* masks) {
-  const RunChunking chunking = SplitRun(n, 128);
-  for (size_t c = 0; c < chunking.chunks; ++c) {
-    const size_t off = chunking.Offset(c);
-    KernelSse2Chunk(state + off, values + off, count, stride, chunking.Length(c), masks);
-  }
-}
+// Each backend holds the carried value (up to 256 bytes in AVX2 or AVX-512 registers;
+// a wider value is split into even chunks of at most that) in vector registers across
+// a whole block of records: one load of the chunk, then per record one full-width
+// load, select and store of each slot vector and a register-only select of the state,
+// then one store of the chunk. A chunk whose length is not a multiple of the vector
+// width ends in a full-width vector that overlaps the one before it; the record's
+// bytes under it are loaded before any store, so both vectors compute the same bytes
+// and the overlap is written twice with equal values. Nothing is byte-masked. The
+// vector count is a template argument so the chunk array is register-allocated; it and
+// the chunk geometry depend only on the public n. The masks come in as words, never
+// from the functor: these functions need no stack frame, which in an AVX function
+// would be realigned and so opaque to the binary taint audit.
 
 template <int kRegs>
 __attribute__((target("avx2"))) inline void KernelAvx2RunChunk(
@@ -543,7 +437,8 @@ __attribute__((target("avx2"))) inline void KernelAvx2RunChunk(
   s[kRegs - 1] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(state + last));
   for (size_t r = 0; r < count; ++r) {
     uint8_t* slot = values + r * stride;
-    // Broadcast straight from the stash (see KernelSse2RunChunk).
+    // Broadcast straight from the stash: a mask word passed through a general register
+    // may be spilled and reloaded, and these functions must keep no stack frame.
     const __m256i vw = KernelBroadcast256(masks[r].write);
     const __m256i vm = KernelBroadcast256(masks[r].match);
     const __m256i vk = KernelBroadcast256(masks[r].keep);
@@ -669,7 +564,7 @@ inline void GenericAccessBlock(uint8_t* state, uint8_t* values, size_t count, si
 
 // The run, block by block: the block's masks into the stash (the functor once per
 // record, in run order), then the block kernel of the widest vector `backend` has that
-// fits in the value (under 16 bytes, the generic block).
+// fits in the value (under 32 bytes, the generic block).
 template <class Masks>
 inline void AccessRunOn(KernelBackend backend, uint8_t* state, uint8_t* run, size_t count,
                         size_t stride, size_t value_offset, size_t n, const Masks& masks) {
@@ -679,8 +574,6 @@ inline void AccessRunOn(KernelBackend backend, uint8_t* state, uint8_t* run, siz
     vector = KernelBackend::kAVX512;
   } else if (backend >= KernelBackend::kAVX2 && n >= 32) {
     vector = KernelBackend::kAVX2;
-  } else if (backend >= KernelBackend::kSSE2 && n >= 16) {
-    vector = KernelBackend::kSSE2;
   }
 #endif
   AccessWords stash[kAccessRunBlock];
@@ -701,10 +594,6 @@ inline void AccessRunOn(KernelBackend backend, uint8_t* state, uint8_t* run, siz
     }
     if (vector == KernelBackend::kAVX2) {
       KernelAvx2AccessBlock(state, values, block, stride, n, stash);
-      continue;
-    }
-    if (vector == KernelBackend::kSSE2) {
-      KernelSse2AccessBlock(state, values, block, stride, n, stash);
       continue;
     }
 #endif
@@ -735,10 +624,6 @@ inline void KernelCondSwapBytesMask(uint64_t mask, void* a, void* b, size_t n) {
   }
   if (backend == KernelBackend::kAVX2) {
     kernel_internal::KernelAvx2CondSwap(mask, pa, pb, n);
-    return;
-  }
-  if (backend == KernelBackend::kSSE2) {
-    kernel_internal::KernelSse2CondSwap(mask, pa, pb, n);
     return;
   }
 #endif
@@ -778,9 +663,6 @@ inline uint64_t KernelDiffBytesWord(const void* a, const void* b, size_t n) {
   }
   if (backend == KernelBackend::kAVX2) {
     return kernel_internal::KernelAvx2DiffWord(pa, pb, n);
-  }
-  if (backend == KernelBackend::kSSE2) {
-    return kernel_internal::KernelSse2DiffWord(pa, pb, n);
   }
 #endif
   return kernel_internal::GenericDiffWord(pa, pb, n);

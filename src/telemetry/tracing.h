@@ -122,7 +122,7 @@ inline thread_local SpanRingBuffer* tls_span_sink = nullptr;
 
 // The span collector. One process-global instance (Global(), configured by the
 // SNOOPY_TRACE / SNOOPY_TRACE_OUT environment variables); tests may use private
-// instances. Thread-safe: enabled/detail are atomics read on every span open, the
+// instances. Thread-safe: `enabled` is an atomic read on every span open, the
 // shared stream is mutex-guarded, and worker-side recording goes through the
 // per-task TLS rings.
 class Tracer {
@@ -134,18 +134,16 @@ class Tracer {
   Tracer& operator=(const Tracer&) = delete;
 
   // Process-global tracer. First use reads the environment:
-  //   SNOOPY_TRACE=1|2      enable (detail 2 records the same spans as detail 1)
-  //   SNOOPY_TRACE_OUT=path write a Chrome trace-event / Perfetto JSON file at
-  //                         process exit (implies detail 1 when SNOOPY_TRACE unset)
+  //   SNOOPY_TRACE=<non-zero>  enable
+  //   SNOOPY_TRACE_OUT=path    write a Chrome trace-event / Perfetto JSON file at
+  //                            process exit (implies SNOOPY_TRACE when it is unset)
   static Tracer& Global();
 
-  void Enable(int detail = 1) {
-    detail_.store(detail < 1 ? 1 : detail, std::memory_order_relaxed);
-    enabled_.store(true, std::memory_order_release);
-  }
+  // There is one trace level; the argument is ignored and kept only for callers that
+  // still pass one.
+  void Enable(int /*ignored*/ = 1) { enabled_.store(true, std::memory_order_release); }
   void Disable() { enabled_.store(false, std::memory_order_release); }
   bool enabled() const { return enabled_.load(std::memory_order_acquire); }
-  int detail() const { return detail_.load(std::memory_order_relaxed); }
 
   // Replace the time source (default: SpanTimer::SteadyNowSeconds; fault-injection
   // deployments pass the VirtualClock). Must be called while no spans are open —
@@ -232,7 +230,6 @@ class Tracer {
 
  private:
   std::atomic<bool> enabled_{false};
-  std::atomic<int> detail_{1};
   NowFn now_s_;  // null = steady clock
   mutable std::mutex mu_;
   std::vector<SpanEvent> events_;
@@ -249,10 +246,10 @@ inline Tracer& Tracer::Global() {
     auto* t = new Tracer();
     const char* level = std::getenv("SNOOPY_TRACE");
     const char* out = std::getenv("SNOOPY_TRACE_OUT");
-    if (level != nullptr && level[0] != '\0' && !(level[0] == '0' && level[1] == '\0')) {
-      t->Enable(level[0] == '2' ? 2 : 1);
-    } else if (out != nullptr && out[0] != '\0') {
-      t->Enable(1);
+    const bool traced =
+        level != nullptr && level[0] != '\0' && !(level[0] == '0' && level[1] == '\0');
+    if (traced || (out != nullptr && out[0] != '\0')) {
+      t->Enable();
     }
     if (out != nullptr && out[0] != '\0') {
       std::atexit(TracerAtExitExport);

@@ -138,5 +138,41 @@ TEST(SnoopyClient, MalformedOrForgedRequestIsContained) {
   EXPECT_EQ(b[0].value, ValueFor(7));
 }
 
+// The mailbox is host storage and its balancer id is plaintext. A blob that is too
+// short or names a balancer the deployment does not have is refused like a malformed
+// entry, before the id picks a link; a genuine blob relabelled with another real
+// balancer fails authentication. None of them costs the client its genuine response.
+TEST(SnoopyClient, HostForgedMailboxBlobIsRefused) {
+  auto store = MakeDeployment(2, 2);
+  SnoopyClient alice(*store, 100, 1);
+  const uint64_t seq = alice.Read(7);
+  store->RunEpoch();
+  std::vector<std::vector<uint8_t>> mail = store->TakeMailbox(100);
+  ASSERT_EQ(mail.size(), 1u);
+  const std::vector<uint8_t> genuine = mail[0];
+  uint32_t lb = 0;
+  std::memcpy(&lb, genuine.data(), 4);
+  ASSERT_LT(lb, 2u);
+
+  const auto relabelled = [&](uint32_t id) {
+    std::vector<uint8_t> blob = genuine;
+    std::memcpy(blob.data(), &id, 4);
+    return blob;
+  };
+  const std::vector<std::vector<uint8_t>> forged = {
+      {}, {0, 0, 0}, relabelled(2), relabelled(1000), relabelled(0xFFFFFFFFu),
+      relabelled(1 - lb)};
+  for (const std::vector<uint8_t>& blob : forged) {
+    store->host_append_mailbox(100, blob);
+    EXPECT_THROW(alice.FetchResponses(), std::runtime_error) << blob.size();
+  }
+
+  store->host_append_mailbox(100, genuine);
+  const auto resp = alice.FetchResponses();
+  ASSERT_EQ(resp.size(), 1u);
+  EXPECT_EQ(resp[0].client_seq, seq);
+  EXPECT_EQ(resp[0].value, ValueFor(7));
+}
+
 }  // namespace
 }  // namespace snoopy

@@ -19,7 +19,7 @@
 // `kind` is `val` (the register holds a secret value) or `ptr` (the register holds a
 // public pointer to secret bytes); `reg` is the SysV argument register. `backend`
 // tags symbols whose body is a specific kernel backend: with
-// SNOOPY_FORCE_GENERIC_KERNELS=1 the analyzer audits only backend=generic symbols,
+// SNOOPY_KERNEL_BACKEND=generic the analyzer audits only backend=generic symbols,
 // mirroring what the runtime dispatch would execute. Unlisted registers are public
 // (sizes, strides, bin counts -- exactly the ct-public identifiers of the source
 // regions).
@@ -161,24 +161,6 @@ CTDF_ROOT void ctdf_generic_access_run(uint8_t* state, uint8_t* run, size_t coun
 
 #if SNOOPY_KERNELS_X86
 
-// ctdf-symbol: ctdf_sse2_cond_swap secret=val:rdi,ptr:rsi,ptr:rdx backend=sse2
-CTDF_ROOT void ctdf_sse2_cond_swap(uint64_t mask, uint8_t* a, uint8_t* b, size_t n) {
-  snoopy::kernel_internal::KernelSse2CondSwap(mask, a, b, n);
-}
-
-// ctdf-symbol: ctdf_sse2_equal secret=ptr:rdi,ptr:rsi backend=sse2
-CTDF_ROOT uint64_t ctdf_sse2_equal(const uint8_t* a, const uint8_t* b, size_t n) {
-  return snoopy::kernel_internal::KernelSse2DiffWord(a, b, n);
-}
-
-// ctdf-symbol: ctdf_sse2_access_run secret=ptr:rdi,ptr:rsi backend=sse2
-CTDF_ROOT void ctdf_sse2_access_run(uint8_t* state, uint8_t* run, size_t count,
-                                    size_t stride, size_t n, uint64_t obj_key) {
-  snoopy::kernel_internal::AccessRunOn(snoopy::KernelBackend::kSSE2, state, run, count, stride,
-                                       snoopy::RequestBatch::kHeaderBytes, n,
-                                       snoopy::ScanSlotMasks{obj_key});
-}
-
 // ctdf-symbol: ctdf_avx2_cond_swap secret=val:rdi,ptr:rsi,ptr:rdx backend=avx2
 CTDF_ROOT void ctdf_avx2_cond_swap(uint64_t mask, uint8_t* a, uint8_t* b, size_t n) {
   snoopy::kernel_internal::KernelAvx2CondSwap(mask, a, b, n);
@@ -221,7 +203,7 @@ CTDF_ROOT void ctdf_avx512_access_run(uint8_t* state, uint8_t* run, size_t count
 //
 // Sha256 is the hash under HMAC (channel keys, attestation) and the Merkle tree, so
 // the chaining state and the message blocks are the secrets; the block count is
-// public. The scalar path is what SNOOPY_FORCE_GENERIC_KERNELS=1 runs; the SHA-NI
+// public. The scalar path is what SNOOPY_KERNEL_BACKEND=generic runs; the SHA-NI
 // path is tagged with its own backend so the forced-generic audit skips it, exactly
 // as the runtime dispatch would.
 
@@ -256,12 +238,6 @@ CTDF_ROOT void ctdf_chacha20_generic_block(const uint32_t* state, uint32_t count
 
 #if SNOOPY_KERNELS_X86
 
-// ctdf-symbol: ctdf_chacha20_sse2_blocks secret=ptr:rdi,ptr:rsi,ptr:rdx backend=sse2
-CTDF_ROOT void ctdf_chacha20_sse2_blocks(const uint32_t* state, const uint8_t* in,
-                                         uint8_t* out) {
-  snoopy::CryptBlocks4Sse2(state, in, out);
-}
-
 // ctdf-symbol: ctdf_chacha20_avx2_blocks secret=ptr:rdi,ptr:rsi,ptr:rdx backend=avx2
 CTDF_ROOT void ctdf_chacha20_avx2_blocks(const uint32_t* state, const uint8_t* in,
                                          uint8_t* out) {
@@ -280,7 +256,7 @@ CTDF_ROOT void ctdf_chacha20_avx512_blocks(const uint32_t* state, const uint8_t*
 //
 // The accumulator, the key limbs (r and its powers) and the message are the secrets;
 // the block count and the 2^128 bit are public. The scalar path is the one
-// SNOOPY_FORCE_GENERIC_KERNELS=1 runs; the lane kernels, and the powers of r only
+// SNOOPY_KERNEL_BACKEND=generic runs; the lane kernels, and the powers of r only
 // they use, are tagged with their backends.
 
 // ctdf-symbol: ctdf_poly1305_generic_blocks secret=ptr:rdi,ptr:rsi,ptr:rdx backend=generic

@@ -88,37 +88,6 @@ __attribute__((noipa)) uint64_t nb_secret_compare_chain(uint64_t x, uint64_t y) 
 // with constant trip counts, so everything fully unrolls and any surviving jump is
 // a real finding, not a loop back-edge.
 
-// nb-symbol[x86]: nb_kernel_sse2_cond_swap48
-__attribute__((noipa, target("sse2"))) void nb_kernel_sse2_cond_swap48(
-    uint64_t m, uint8_t* __restrict__ a, uint8_t* __restrict__ b) {
-  snoopy::kernel_internal::KernelSse2CondSwap(m, a, b, 48);
-}
-
-// nb-symbol[x86]: nb_kernel_sse2_equal48
-__attribute__((noipa, target("sse2"))) uint64_t nb_kernel_sse2_equal48(const uint8_t* a,
-                                                                       const uint8_t* b) {
-  return snoopy::kernel_internal::KernelSse2DiffWord(a, b, 48);
-}
-
-// Access-run sizes are not multiples of the vector width, so each chunk ends in the
-// overlapping last vector; the wider sizes split the value into two chunks.
-// nb-symbol[x86]: nb_kernel_sse2_access_run43
-__attribute__((noipa, target("sse2"))) void nb_kernel_sse2_access_run43(
-    uint64_t w, uint64_t m, uint64_t k, uint8_t* __restrict__ state,
-    uint8_t* __restrict__ values) {
-  const snoopy::kernel_internal::AccessWords masks[1] = {{w, m, k}};
-  snoopy::kernel_internal::KernelSse2AccessBlock(state, values, 1, 43, 43, masks);
-}
-
-// Two chunks (86 + 85 bytes), each ending in an overlapping vector.
-// nb-symbol[x86]: nb_kernel_sse2_access_run171
-__attribute__((noipa, target("sse2"))) void nb_kernel_sse2_access_run171(
-    uint64_t w, uint64_t m, uint64_t k, uint8_t* __restrict__ state,
-    uint8_t* __restrict__ values) {
-  const snoopy::kernel_internal::AccessWords masks[1] = {{w, m, k}};
-  snoopy::kernel_internal::KernelSse2AccessBlock(state, values, 1, 171, 171, masks);
-}
-
 // nb-symbol[x86]: nb_kernel_avx2_cond_swap80
 __attribute__((noipa, target("avx2"))) void nb_kernel_avx2_cond_swap80(
     uint64_t m, uint8_t* __restrict__ a, uint8_t* __restrict__ b) {
@@ -131,6 +100,8 @@ __attribute__((noipa, target("avx2"))) uint64_t nb_kernel_avx2_equal80(const uin
   return snoopy::kernel_internal::KernelAvx2DiffWord(a, b, 80);
 }
 
+// Access-run sizes are not multiples of the vector width, so each chunk ends in the
+// overlapping last vector; the wider sizes split the value into two chunks.
 // nb-symbol[x86]: nb_kernel_avx2_access_run91
 __attribute__((noipa, target("avx2"))) void nb_kernel_avx2_access_run91(
     uint64_t w, uint64_t m, uint64_t k, uint8_t* __restrict__ state,

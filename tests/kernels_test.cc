@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "src/crypto/chacha20.h"
@@ -51,29 +52,34 @@ TEST(KernelDispatch, SetAndResetControlActiveBackend) {
   }
 }
 
-TEST(KernelDispatch, ForceGenericEnvOverride) {
-  BackendGuard guard;
-  ASSERT_EQ(setenv("SNOOPY_FORCE_GENERIC_KERNELS", "1", 1), 0);
-  ResetKernelBackend();
-  EXPECT_EQ(ActiveKernelBackend(), KernelBackend::kGeneric);
-  ASSERT_EQ(unsetenv("SNOOPY_FORCE_GENERIC_KERNELS"), 0);
-  ResetKernelBackend();
-  // After clearing the override the resolver picks the widest supported backend.
-  EXPECT_EQ(ActiveKernelBackend(), SupportedKernelBackends().back());
-}
-
 TEST(KernelDispatch, BackendEnvSelection) {
   BackendGuard guard;
-  // The force flag wins over SNOOPY_KERNEL_BACKEND by design, and the ci.sh
-  // forced-generic stage exports it for every test; drop it so this test exercises
-  // the named-backend path it is about.
-  ASSERT_EQ(unsetenv("SNOOPY_FORCE_GENERIC_KERNELS"), 0);
   for (const KernelBackend backend : SupportedKernelBackends()) {
     ASSERT_EQ(setenv("SNOOPY_KERNEL_BACKEND", KernelBackendName(backend), 1), 0);
     ResetKernelBackend();
     EXPECT_EQ(ActiveKernelBackend(), backend) << KernelBackendName(backend);
   }
   ASSERT_EQ(unsetenv("SNOOPY_KERNEL_BACKEND"), 0);
+  ResetKernelBackend();
+}
+
+// A name the resolver does not know -- the retired "sse2" backend, or garbage -- falls
+// back to CPUID selection rather than to the scalar backend, so an environment written
+// for an older build still runs the widest kernels.
+TEST(KernelDispatch, UnknownBackendNameFallsBackToCpuid) {
+  BackendGuard guard;
+  const char* old = std::getenv("SNOOPY_KERNEL_BACKEND");
+  const std::string saved = old != nullptr ? old : "";
+  for (const char* name : {"sse2", "not-a-backend", ""}) {
+    ASSERT_EQ(setenv("SNOOPY_KERNEL_BACKEND", name, 1), 0);
+    ResetKernelBackend();
+    EXPECT_EQ(ActiveKernelBackend(), SupportedKernelBackends().back()) << '"' << name << '"';
+  }
+  if (old != nullptr) {
+    ASSERT_EQ(setenv("SNOOPY_KERNEL_BACKEND", saved.c_str(), 1), 0);
+  } else {
+    ASSERT_EQ(unsetenv("SNOOPY_KERNEL_BACKEND"), 0);
+  }
   ResetKernelBackend();
 }
 

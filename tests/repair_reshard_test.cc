@@ -72,41 +72,31 @@ SnoopyConfig StripedConfig(uint32_t lbs, uint32_t sos, uint32_t replicas,
 }
 
 // ---------------------------------------------------------------------------------
-// RetryPolicy total-retry cap (dead partitions must not spin).
+// RetryPolicy attempt cap (dead partitions must not spin).
 // ---------------------------------------------------------------------------------
 
-TEST(RetryCap, TotalRetriesBoundAttemptsAcrossTheCall) {
+// max_attempts bounds the calls of one Execute across the whole call: a recovery round
+// after a crash does not reset it.
+TEST(RetryCap, MaxAttemptsBoundsCallsAcrossRecovery) {
   RetryPolicy policy;
-  policy.max_attempts = 50;
-  policy.max_total_retries = 2;
+  policy.max_attempts = 3;
   VirtualClock clock;
   RetryExecutor executor(policy, /*jitter_seed=*/3, &clock);
   int calls = 0;
+  int recoveries = 0;
   EXPECT_THROW(executor.Execute(
                    [&]() -> std::vector<uint8_t> {
                      ++calls;
+                     if (calls == 1) {
+                       throw EndpointCrashedError("suboram/0/from/0");
+                     }
                      throw TimeoutError("suboram/0/from/0");
                    },
-                   nullptr),
+                   [&](const EndpointCrashedError&) { ++recoveries; }),
                DeadlineExceededError);
-  EXPECT_EQ(calls, 3) << "initial attempt + max_total_retries retries";
-}
-
-TEST(RetryCap, ZeroMeansUncapped) {
-  RetryPolicy policy;
-  policy.max_attempts = 7;
-  policy.max_total_retries = 0;
-  VirtualClock clock;
-  RetryExecutor executor(policy, 3, &clock);
-  int calls = 0;
-  EXPECT_THROW(executor.Execute(
-                   [&]() -> std::vector<uint8_t> {
-                     ++calls;
-                     throw TimeoutError("suboram/0/from/0");
-                   },
-                   nullptr),
-               DeadlineExceededError);
-  EXPECT_EQ(calls, 7) << "attempts governed by max_attempts alone";
+  EXPECT_EQ(calls, 3) << "the initial attempt + max_attempts - 1 retries";
+  EXPECT_EQ(recoveries, 1);
+  EXPECT_EQ(executor.last_attempts(), 3);
 }
 
 // ---------------------------------------------------------------------------------

@@ -338,7 +338,7 @@ TEST(SealBoundary, ParitySnapshotsAndStripesArePinned) {
 }
 
 // The same bytes with the scalar SHA-256 and kernels pinned, as under
-// SNOOPY_FORCE_GENERIC_KERNELS=1.
+// SNOOPY_KERNEL_BACKEND=generic.
 TEST(SealBoundary, GenericKernelsProduceTheSameBytes) {
   const KernelBackend saved = ActiveKernelBackend();
   SetKernelBackend(KernelBackend::kGeneric);

@@ -64,8 +64,8 @@ echo "== binary taint dataflow (planted corpus, then real kernels at -O2/-O3) ==
 python3 tools/ct_dataflow.py --repo-root . --self-test
 python3 tools/ct_dataflow.py --repo-root . --opt=-O2
 python3 tools/ct_dataflow.py --repo-root . --opt=-O3
-SNOOPY_FORCE_GENERIC_KERNELS=1 python3 tools/ct_dataflow.py --repo-root . --opt=-O2
-SNOOPY_FORCE_GENERIC_KERNELS=1 python3 tools/ct_dataflow.py --repo-root . --opt=-O3
+SNOOPY_KERNEL_BACKEND=generic python3 tools/ct_dataflow.py --repo-root . --opt=-O2
+SNOOPY_KERNEL_BACKEND=generic python3 tools/ct_dataflow.py --repo-root . --opt=-O3
 
 echo "== default build + full test suite =="
 cmake -S . -B build >/dev/null
@@ -99,7 +99,7 @@ echo "== forced-generic kernel backend (dispatch-sensitive suites) =="
 # SHA-256 consumers (HMAC, attestation, the Merkle tree, the pinned seal-boundary
 # bytes) rerun on the scalar code too. The load balancer's response propagation and
 # the epoch-trace suites run the fused access kernel, so they rerun here as well.
-SNOOPY_FORCE_GENERIC_KERNELS=1 ctest --test-dir build --output-on-failure --no-tests=error \
+SNOOPY_KERNEL_BACKEND=generic ctest --test-dir build --output-on-failure --no-tests=error \
   -R '(Primitives|Kernel|BitonicSort|BlockedSort|Compaction|BinPlacement|PaddedBinSort|HashTable|TwoTierOht|SubOram|LoadBalancer|Obliviousness|Sha256|Hmac|ChaCha20|Poly1305|Aead|Attestation|MerkleTree|SealBoundary)'
 
 echo "== lint target (clang-tidy when installed) =="
@@ -219,7 +219,9 @@ fi
 echo "== ASan/UBSan build + full test suite =="
 # The full suite includes the seeded mutation tests over the decoders of untrusted
 # bytes (StripingFuzz for stripe frames, AeadFuzz for Aead::Open, SecureChannel::Open
-# and SealedStore::Unseal), so each runs here under the sanitizers.
+# and SealedStore::Unseal) and the host-forged client mailbox blobs
+# (SnoopyClient.HostForgedMailboxBlobIsRefused), so each runs here under the
+# sanitizers.
 cmake -S . -B build-asan -DSNOOPY_SANITIZE=ON >/dev/null
 cmake --build build-asan -j"${JOBS}"
 ctest --test-dir build-asan --output-on-failure

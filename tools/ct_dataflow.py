@@ -1138,7 +1138,8 @@ class Analyzer:
                 region, off = (None, None) if base not in ("and",) else (region, None)
             if dst_parsed is not None and dst_parsed[0] in ("reg", "mem"):
                 wr(dst_parsed, Val(taint, region, off))
-            st.flags = taint
+            if base != "not":  # `not` writes no flags: the earlier ones stand
+                st.flags = taint
             if mn.startswith(("mul", "imul")) and len(ops) == 1:
                 t = taint or st.regs.get("rax", PUBLIC).taint
                 st.regs["rax"] = Val(taint=t)
@@ -1261,8 +1262,7 @@ def audit_object(obj_path, markers, manifest, verbose, objdump="objdump",
 
 
 def active_backends() -> set | None:
-    v = os.environ.get("SNOOPY_FORCE_GENERIC_KERNELS")
-    if v and v != "0":
+    if os.environ.get("SNOOPY_KERNEL_BACKEND") == "generic":
         # Mirror the runtime dispatch pin: only the generic backend's code would run.
         return {"generic"}
     return None
