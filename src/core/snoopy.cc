@@ -121,11 +121,15 @@ void Snoopy::RegisterSubOramEndpoints(uint32_t so) {
                         return SubOramEndpointHandler(lb, so, payload);
                       });
   }
-  // Host-level stripe traffic runs inline on the caller's thread; all of it happens on
-  // the orchestrator thread at epoch boundaries, so the store needs no locking.
-  network_.Register(StripeEndpointName(so), [this, so](std::span<const uint8_t> payload) {
-    return ServeStripeRequest(partitions_[so].stripes, payload, StripeEndpointName(so));
-  });
+  // Host-level stripe traffic runs inline on the caller's thread, at epoch boundaries
+  // only: repair's manifests and fetches on the orchestrator, the seal's pushes in
+  // rounds where each peer's store has one writer (SealEpochBoundary), so the store
+  // needs no locking. A push arrives as header + sealed snapshot, never joined.
+  network_.Register(StripeEndpointName(so),
+                    [this, so](std::span<const uint8_t> head, std::span<const uint8_t> body) {
+                      return ServeStripeRequest(partitions_[so].stripes, head, body,
+                                                StripeEndpointName(so));
+                    });
 }
 
 void Snoopy::set_fault_injector(FaultInjector* injector) {
@@ -149,9 +153,10 @@ EpochTelemetry Snoopy::Telemetry() const {
           }};
 }
 
-void Snoopy::CountEvent(const std::string& name, const MetricLabels& labels) const {
+void Snoopy::CountEvent(const std::string& name, const MetricLabels& labels,
+                        uint64_t n) const {
   if (metrics_ != nullptr) {
-    metrics_->GetCounter(name, labels).Increment();
+    metrics_->GetCounter(name, labels).Increment(n);
   }
 }
 
@@ -202,8 +207,8 @@ void Snoopy::Initialize(
 // The seal is one pooled phase, a task per subORAM that seals in place into its
 // previous snapshot's buffer and encodes its stripes. Tasks touch only their own
 // backend, snapshot and counter (SealedStore is safe on distinct counters). The pushes
-// stay serial on the orchestrator, so the stripe store needs no lock. A repairing peer
-// has no machine to store on, and one unreachable past the retry budget misses this
+// run pooled too, in rounds with one task per peer (PushStripes). A repairing peer has
+// no machine to store on, and one unreachable past the retry budget misses this
 // snapshot; both are counted, and redundancy re-converges at a later boundary.
 void Snoopy::SealEpochBoundary() {
   std::vector<StripeEncoding> stripes(config_.num_suborams);
@@ -220,24 +225,57 @@ void Snoopy::SealEpochBoundary() {
     p.response_cache.clear();
     p.executed_lbs.clear();
   }
+  PushStripes(stripes);
+}
+
+// Round r runs every owner's push to its rank-r peer as one pooled RunPhase. Peers are
+// successors at a fixed offset per rank, so within a round no two pushes share a peer:
+// each peer's stripe store and its endpoint's fault stream have one writer, and
+// neither needs a lock. A push's retry loop recovers a crashed peer inline, as a
+// phase-2 task recovers its subORAM: the recovery touches only that peer's backend,
+// links and cache, which no other task of the round writes (its key draws are
+// serialized under rng_mu_). Tasks are owners in order, so the merged enclave trace
+// has a fixed public order (with one rank, the owner-order sequence of a serial loop).
+void Snoopy::PushStripes(const std::vector<StripeEncoding>& stripes) {
+  struct Push {
+    uint32_t owner = 0;
+    uint32_t peer = 0;
+    StripeStoreFrame frame;  // header + a view of the owner's snapshot or encoding
+  };
+  std::vector<std::vector<Push>> rounds;  // by peer rank, owners in order
   for (uint32_t so = 0; so < config_.num_suborams; ++so) {
     if (partition_health(so) != PartitionHealth::kHealthy || stripes[so].digests.empty()) {
       continue;
     }
     const std::vector<uint32_t> peers = StripePeers(config_.striping, config_.num_suborams, so);
+    rounds.resize(peers.size());
     for (size_t rank = 0; rank < peers.size(); ++rank) {
       if (partition_health(peers[rank]) != PartitionHealth::kHealthy) {
         CountEvent("snoopy_stripe_skips_total");
         continue;
       }
+      rounds[rank].push_back({so, peers[rank],
+                              EncodeStripeStore(config_.striping, so, partitions_[so].snapshot,
+                                                stripes[so], rank)});
+    }
+  }
+  PhasePoolContext pool = Telemetry().Pool(kSeal);
+  pool.phase = "stripe_push";
+  pool.metrics = nullptr;
+  for (const std::vector<Push>& round : rounds) {
+    RunPhase(round.size(), config_.epoch_threads, pool, [&](size_t i) {
+      const Push& push = round[i];
+      TraceSpan span(tracer_, "step", "stripe_push", push.owner);
+      span.SetArg("owner", push.owner);
+      span.SetArg("peer", push.peer);
+      span.SetArg("bytes", push.frame.size());
       try {
-        RetriedStripeCall(so, peers[rank],
-                          EncodeStripeStore(config_.striping, so, partitions_[so].snapshot,
-                                            stripes[so], rank));
+        RetriedStripeCall(push.owner, push.peer, push.frame.header, push.frame.payload);
+        CountEvent("snoopy_stripe_push_bytes_total", {}, push.frame.size());
       } catch (const NetworkError&) {
         CountEvent("snoopy_stripe_failures_total");
       }
-    }
+    });
   }
 }
 
@@ -442,12 +480,13 @@ void Snoopy::RekeyLink(uint32_t lb, uint32_t so) {
 // --- Striped redundancy, permanent loss, and background repair ----------------------
 
 std::vector<uint8_t> Snoopy::RetriedStripeCall(uint32_t so, uint32_t peer,
-                                               const std::vector<uint8_t>& request) {
+                                               std::span<const uint8_t> head,
+                                               std::span<const uint8_t> body) {
   const std::string caller = "suboram/" + std::to_string(so);
   const std::string endpoint = StripeEndpointName(peer);
   auto call = [&]() -> std::vector<uint8_t> {
-    std::vector<uint8_t> resp = network_.Call(caller, endpoint, request);
-    CheckStripeReply(request, resp, endpoint);
+    std::vector<uint8_t> resp = network_.Call(caller, endpoint, head, body);
+    CheckStripeReply(head, resp, endpoint);
     return resp;
   };
   // Stripe traffic only flows at epoch boundaries (post-seal), so a peer crash

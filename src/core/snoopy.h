@@ -238,9 +238,10 @@ class Snoopy {
     std::vector<std::unique_ptr<SecureLink>> links;
     std::vector<uint64_t> link_generation;
     // Health, the repair countdown and plan (with its fetched bytes, set on the first
-    // repair step), and the stripes this host holds for its peers: orchestrator thread
-    // only. Phase-2 tasks report losses instead of applying them, and the stripe
-    // endpoint handler runs inline on the caller's thread at epoch boundaries.
+    // repair step): orchestrator thread only; phase-2 tasks report losses instead of
+    // applying them. The stripes this host holds for its peers: written by the stripe
+    // endpoint handler, inline on the caller's thread at epoch boundaries -- the
+    // orchestrator, or the one push task per round that targets this peer.
     PartitionHealth health = PartitionHealth::kHealthy;
     uint32_t repair_epochs_remaining = 0;
     std::optional<RepairPlan> repair;
@@ -299,9 +300,14 @@ class Snoopy {
   void SealEpochBoundary();
 
   // --- Striping + repair orchestration (format and planning: striping.h) -----------
-  // One stripe exchange under the retry policy with peer crash recovery.
+  // One stripe exchange under the retry policy with peer crash recovery. The request
+  // is head ++ body (a store's header and payload, sent as one gathered call).
   std::vector<uint8_t> RetriedStripeCall(uint32_t so, uint32_t peer,
-                                         const std::vector<uint8_t>& request);
+                                         std::span<const uint8_t> head,
+                                         std::span<const uint8_t> body = {});
+  // The stripe pushes of one boundary (SealEpochBoundary): pooled rounds, one per peer
+  // rank.
+  void PushStripes(const std::vector<StripeEncoding>& stripes);
   // Runs at the start of RunEpoch for every repairing partition: fetches this epoch's
   // fixed-size slice (planning from peer manifests first) and, on the final step,
   // reassembles and restores the snapshot and reincarnates the node.
@@ -312,8 +318,10 @@ class Snoopy {
   // The current epoch's telemetry: its number, the tracer, the metric handles (null
   // when telemetry is disabled) and the span clock.
   EpochTelemetry Telemetry() const;
-  // Increments counter `name` (a public event); a no-op when telemetry is disabled.
-  void CountEvent(const std::string& name, const MetricLabels& labels = {}) const;
+  // Adds `n` to counter `name` (public events, or bytes of a public size); a no-op
+  // when telemetry is disabled.
+  void CountEvent(const std::string& name, const MetricLabels& labels = {},
+                  uint64_t n = 1) const;
 
   BackendMaker make_backend_;
 

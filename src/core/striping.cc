@@ -17,7 +17,6 @@ namespace {
 constexpr uint8_t kStripeStore = 0;
 constexpr uint8_t kStripeManifest = 1;
 constexpr uint8_t kStripeFetch = 2;
-constexpr size_t kStripeHeaderBytes = 77;
 constexpr size_t kStripeManifestReplyBytes = 33;
 constexpr size_t kStripeDigestBytes = 32;
 
@@ -37,55 +36,68 @@ void GetStripeId(const uint8_t* p, StripeId& id) {
   std::memcpy(&id.blob_len, p + 16, 8);
 }
 
-// `payload` is a view: into the sender's snapshot when encoding, into the received
-// wire bytes when decoding.
+// Bytes in up to two parts, in order: a request's payload lies wherever the two
+// spans of a gathered call put it.
+struct SplitBytes {
+  SplitBytes(std::span<const uint8_t> a, std::span<const uint8_t> b = {}) : first(a), second(b) {}
+
+  size_t size() const { return first.size() + second.size(); }
+
+  std::span<const uint8_t> first;
+  std::span<const uint8_t> second;
+};
+
+// The header's fields and, when decoding, a view of the payload after it.
 struct StripeMsg : StripeId {
   uint8_t op = 0;
   uint32_t owner = 0;
   uint64_t offset = 0;
   uint64_t len = 0;
   Sha256::Digest digest{};
-  std::span<const uint8_t> payload;
+  SplitBytes payload{{}};
 };
 
-// Header, then the payload, then `zero_pad` zero bytes (a parity-mode data chunk
-// padded to the common chunk length), each written once.
-std::vector<uint8_t> EncodeStripeMsg(const StripeMsg& m, size_t zero_pad = 0) {
-  std::vector<uint8_t> out;
-  out.reserve(kStripeHeaderBytes + m.payload.size() + zero_pad);
-  out.resize(kStripeHeaderBytes);
-  uint8_t* p = out.data();
+void PutStripeHeader(uint8_t* p, const StripeMsg& m) {
   *p = m.op;
   std::memcpy(p + 1, &m.owner, 4);
   PutStripeId(p + 5, m);
   std::memcpy(p + 29, &m.offset, 8);
   std::memcpy(p + 37, &m.len, 8);
   std::memcpy(p + 45, m.digest.data(), kStripeDigestBytes);
-  out.insert(out.end(), m.payload.begin(), m.payload.end());
-  out.resize(out.size() + zero_pad);
+}
+
+// A request without a payload: the header alone.
+std::vector<uint8_t> EncodeStripeMsg(const StripeMsg& m) {
+  std::vector<uint8_t> out(kStripeHeaderBytes);
+  PutStripeHeader(out.data(), m);
   return out;
 }
 
-StripeMsg DecodeStripeMsg(std::span<const uint8_t> bytes, const std::string& endpoint) {
-  if (bytes.size() < kStripeHeaderBytes) {
+// Decodes the request head ++ body. The header is gathered from both parts when it
+// straddles them; the payload stays a view into them.
+StripeMsg DecodeStripeMsg(std::span<const uint8_t> head, std::span<const uint8_t> body,
+                          const std::string& endpoint) {
+  if (head.size() + body.size() < kStripeHeaderBytes) {
     throw IntegrityError(endpoint);
   }
+  uint8_t h[kStripeHeaderBytes];
+  const size_t in_head = std::min(head.size(), kStripeHeaderBytes);
+  std::copy_n(head.begin(), in_head, h);
+  std::copy_n(body.begin(), kStripeHeaderBytes - in_head, h + in_head);
   StripeMsg m;
-  const uint8_t* p = bytes.data();
-  m.op = *p;
-  std::memcpy(&m.owner, p + 1, 4);
-  GetStripeId(p + 5, m);
-  std::memcpy(&m.offset, p + 29, 8);
-  std::memcpy(&m.len, p + 37, 8);
-  std::memcpy(m.digest.data(), p + 45, kStripeDigestBytes);
-  m.payload = bytes.subspan(kStripeHeaderBytes);
+  m.op = h[0];
+  std::memcpy(&m.owner, h + 1, 4);
+  GetStripeId(h + 5, m);
+  std::memcpy(&m.offset, h + 29, 8);
+  std::memcpy(&m.len, h + 37, 8);
+  std::memcpy(m.digest.data(), h + 45, kStripeDigestBytes);
+  m.payload = {head.subspan(in_head), body.subspan(kStripeHeaderBytes - in_head)};
   return m;
 }
 
-// Digest over the addressing fields and `payload` followed by `zero_pad` zero bytes.
+// Digest over the addressing fields and `payload`.
 Sha256::Digest StripeDigest(uint32_t owner, uint64_t seal_counter, uint32_t chunk_index,
-                            uint64_t offset, std::span<const uint8_t> payload,
-                            size_t zero_pad = 0) {
+                            uint64_t offset, SplitBytes payload) {
   Sha256 h;
   uint8_t fields[24];
   std::memcpy(fields, &owner, 4);
@@ -93,13 +105,8 @@ Sha256::Digest StripeDigest(uint32_t owner, uint64_t seal_counter, uint32_t chun
   std::memcpy(fields + 12, &chunk_index, 4);
   std::memcpy(fields + 16, &offset, 8);
   h.Update(fields, sizeof(fields));
-  h.Update(payload);
-  static constexpr uint8_t kZeros[Sha256::kBlockBytes] = {};
-  while (zero_pad > 0) {
-    const size_t n = std::min(zero_pad, sizeof(kZeros));
-    h.Update(kZeros, n);
-    zero_pad -= n;
-  }
+  h.Update(payload.first);
+  h.Update(payload.second);
   return h.Finalize();
 }
 
@@ -108,7 +115,7 @@ uint32_t StripePeerCount(const StripingConfig& sc) {
 }
 
 // Chunk c of a snapshot split into `chunk_len`-byte chunks; the last data chunk may
-// be short (its zero padding exists only on the wire and in the digest).
+// be short (EncodeStripes keeps a zero-padded copy of it).
 std::span<const uint8_t> StripeChunk(std::span<const uint8_t> blob, uint32_t c,
                                      uint64_t chunk_len) {
   const uint64_t off = uint64_t{c} * chunk_len;
@@ -198,28 +205,33 @@ StripeEncoding EncodeStripes(const StripingConfig& sc, uint32_t owner, uint64_t 
   }
   enc.seal_counter = seal_counter;
   if (!sc.xor_parity) {
-    enc.digests.push_back(StripeDigest(owner, seal_counter, 0, 0, blob));
+    enc.digests.push_back(StripeDigest(owner, seal_counter, 0, 0, {blob}));
     return enc;
   }
   // Parity mode: zero-padded equal-size data chunks plus their XOR, which goes to the
   // extra peer as chunk index chunk_count.
   const StripeGeometry g = StripeGeometryOf(sc, blob.size());
   enc.parity.assign(static_cast<size_t>(g.chunk_len), 0);
+  enc.padded.resize(g.chunk_count);
   for (uint32_t c = 0; c < g.chunk_count; ++c) {
-    const std::span<const uint8_t> chunk = StripeChunk(blob, c, g.chunk_len);
-    enc.digests.push_back(StripeDigest(owner, seal_counter, c, 0, chunk,
-                                       static_cast<size_t>(g.chunk_len) - chunk.size()));
+    std::span<const uint8_t> chunk = StripeChunk(blob, c, g.chunk_len);
     for (size_t j = 0; j < chunk.size(); ++j) {
       enc.parity[j] ^= chunk[j];
     }
+    if (chunk.size() < g.chunk_len) {
+      enc.padded[c].assign(static_cast<size_t>(g.chunk_len), 0);
+      std::copy(chunk.begin(), chunk.end(), enc.padded[c].begin());
+      chunk = enc.padded[c];
+    }
+    enc.digests.push_back(StripeDigest(owner, seal_counter, c, 0, {chunk}));
   }
-  enc.digests.push_back(StripeDigest(owner, seal_counter, g.chunk_count, 0, enc.parity));
+  enc.digests.push_back(StripeDigest(owner, seal_counter, g.chunk_count, 0, {enc.parity}));
   return enc;
 }
 
-std::vector<uint8_t> EncodeStripeStore(const StripingConfig& sc, uint32_t owner,
-                                       std::span<const uint8_t> blob,
-                                       const StripeEncoding& enc, size_t rank) {
+StripeStoreFrame EncodeStripeStore(const StripingConfig& sc, uint32_t owner,
+                                   std::span<const uint8_t> blob, const StripeEncoding& enc,
+                                   size_t rank) {
   const StripeGeometry g = StripeGeometryOf(sc, blob.size());
   StripeMsg m;
   m.op = kStripeStore;
@@ -229,16 +241,18 @@ std::vector<uint8_t> EncodeStripeStore(const StripingConfig& sc, uint32_t owner,
   m.chunk_count = g.chunk_count;
   m.blob_len = blob.size();
   m.digest = enc.digests[m.chunk_index];
-  size_t zero_pad = 0;
+  StripeStoreFrame frame;
+  PutStripeHeader(frame.header.data(), m);
   if (!sc.xor_parity) {
-    m.payload = blob;
+    frame.payload = blob;
   } else if (m.chunk_index == g.chunk_count) {
-    m.payload = enc.parity;
+    frame.payload = enc.parity;
+  } else if (!enc.padded[m.chunk_index].empty()) {
+    frame.payload = enc.padded[m.chunk_index];
   } else {
-    m.payload = StripeChunk(blob, m.chunk_index, g.chunk_len);
-    zero_pad = static_cast<size_t>(g.chunk_len) - m.payload.size();
+    frame.payload = StripeChunk(blob, m.chunk_index, g.chunk_len);
   }
-  return EncodeStripeMsg(m, zero_pad);
+  return frame;
 }
 
 std::vector<uint8_t> EncodeStripeManifestQuery(uint32_t owner) {
@@ -260,9 +274,10 @@ std::vector<uint8_t> EncodeStripeFetch(uint32_t owner, uint64_t seal_counter,
   return EncodeStripeMsg(q);
 }
 
-std::vector<uint8_t> ServeStripeRequest(StripeStore& store, std::span<const uint8_t> request,
+std::vector<uint8_t> ServeStripeRequest(StripeStore& store, std::span<const uint8_t> head,
+                                        std::span<const uint8_t> body,
                                         const std::string& endpoint) {
-  const StripeMsg m = DecodeStripeMsg(request, endpoint);
+  const StripeMsg m = DecodeStripeMsg(head, body, endpoint);
   switch (m.op) {
     case kStripeStore: {
       if (m.digest != StripeDigest(m.owner, m.seal_counter, m.chunk_index, 0, m.payload)) {
@@ -270,10 +285,13 @@ std::vector<uint8_t> ServeStripeRequest(StripeStore& store, std::span<const uint
       }
       // Latest seal wins and a re-store is idempotent. The owner's entry is
       // overwritten in place, so its payload buffer is reused across seals; a frame
-      // that failed the digest above never reaches it.
+      // that failed the digest above never reaches it. This is the payload's one copy.
       HostStripe& s = store[m.owner];
       static_cast<StripeId&>(s) = m;
-      s.payload.assign(m.payload.begin(), m.payload.end());
+      s.payload.clear();
+      s.payload.reserve(m.payload.size());
+      s.payload.insert(s.payload.end(), m.payload.first.begin(), m.payload.first.end());
+      s.payload.insert(s.payload.end(), m.payload.second.begin(), m.payload.second.end());
       return {1};
     }
     case kStripeManifest: {
@@ -302,7 +320,7 @@ std::vector<uint8_t> ServeStripeRequest(StripeStore& store, std::span<const uint
       const std::span<const uint8_t> slice(it->second.payload.data() + m.offset,
                                            static_cast<size_t>(m.len));
       const Sha256::Digest d =
-          StripeDigest(m.owner, m.seal_counter, m.chunk_index, m.offset, slice);
+          StripeDigest(m.owner, m.seal_counter, m.chunk_index, m.offset, {slice});
       std::vector<uint8_t> out(d.begin(), d.end());
       out.insert(out.end(), slice.begin(), slice.end());
       return out;
@@ -317,13 +335,13 @@ void CheckStripeReply(std::span<const uint8_t> request, std::span<const uint8_t>
   if (request.empty() || request[0] != kStripeFetch) {
     return;
   }
-  const StripeMsg req = DecodeStripeMsg(request, endpoint);
+  const StripeMsg req = DecodeStripeMsg(request, {}, endpoint);
   // Compared by subtraction: `kStripeDigestBytes + req.len` wraps for len near 2^64.
   if (reply.size() < kStripeDigestBytes || reply.size() - kStripeDigestBytes != req.len) {
     throw IntegrityError(endpoint);
   }
   const Sha256::Digest d = StripeDigest(req.owner, req.seal_counter, req.chunk_index,
-                                        req.offset, StripeFetchPayload(reply));
+                                        req.offset, {StripeFetchPayload(reply)});
   if (!std::equal(d.begin(), d.end(), reply.begin())) {
     throw IntegrityError(endpoint);
   }

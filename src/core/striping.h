@@ -12,6 +12,7 @@
 #ifndef SNOOPY_SRC_CORE_STRIPING_H_
 #define SNOOPY_SRC_CORE_STRIPING_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -76,20 +77,36 @@ using StripeStore = std::map<uint32_t, HostStripe>;  // owner -> stripe held
 // --- Owner side ------------------------------------------------------------------------
 // What `owner` pushes for its sealed snapshot, computed inside the pooled seal task:
 // the digest of every distinct chunk (one copy in replication mode; each data chunk
-// and the parity chunk in parity mode) and the parity chunk. Data chunks are slices
-// of the snapshot, never copied. Empty `digests`: nothing to push.
+// and the parity chunk in parity mode), the parity chunk, and, in parity mode, a
+// zero-padded copy of each data chunk shorter than the chunk length (the snapshot's
+// tail). Every other data chunk is a slice of the snapshot, never copied. Empty
+// `digests`: nothing to push.
 struct StripeEncoding {
   uint64_t seal_counter = 0;
   std::vector<Sha256::Digest> digests;  // indexed by chunk index
   std::vector<uint8_t> parity;
+  std::vector<std::vector<uint8_t>> padded;  // by data chunk index; empty if not short
 };
 StripeEncoding EncodeStripes(const StripingConfig& sc, uint32_t owner, uint64_t seal_counter,
                              std::span<const uint8_t> blob);
-// Requests: the store for the peer at `rank` in StripePeers, the manifest query, and
-// the fetch of bytes [offset, offset + len) of a stored chunk.
-std::vector<uint8_t> EncodeStripeStore(const StripingConfig& sc, uint32_t owner,
-                                       std::span<const uint8_t> blob,
-                                       const StripeEncoding& enc, size_t rank);
+
+// Every request starts with this fixed header (layout in striping.cc).
+inline constexpr size_t kStripeHeaderBytes = 77;
+
+// The store request for the peer at `rank` in StripePeers, in the two parts of one
+// gathered Network::Call: the header, encoded on its own, and the payload, a view into
+// the snapshot or the encoding. The request is header ++ payload; no frame joins them.
+struct StripeStoreFrame {
+  std::array<uint8_t, kStripeHeaderBytes> header{};
+  std::span<const uint8_t> payload;
+
+  size_t size() const { return header.size() + payload.size(); }
+};
+StripeStoreFrame EncodeStripeStore(const StripingConfig& sc, uint32_t owner,
+                                   std::span<const uint8_t> blob, const StripeEncoding& enc,
+                                   size_t rank);
+// Requests without a payload: the manifest query, and the fetch of bytes
+// [offset, offset + len) of a stored chunk.
 std::vector<uint8_t> EncodeStripeManifestQuery(uint32_t owner);
 std::vector<uint8_t> EncodeStripeFetch(uint32_t owner, uint64_t seal_counter,
                                        uint32_t chunk_index, uint64_t offset, uint64_t len);
@@ -100,7 +117,13 @@ std::vector<uint8_t> EncodeStripeFetch(uint32_t owner, uint64_t seal_counter,
 // flight: a short, corrupted or mis-addressed request throws IntegrityError(endpoint),
 // which the retry loop treats like any transient fault. Payloads are sealed snapshots,
 // so confidentiality and rollback protection come from the sealing layer.
-std::vector<uint8_t> ServeStripeRequest(StripeStore& store, std::span<const uint8_t> request,
+//
+// The request is head ++ body, split anywhere (a gathered call splits it after the
+// header; the header itself may straddle the split). A store is checked against its
+// digest where it lies and only then copied, once, into the owner's held stripe. A
+// contiguous request is the head with an empty body.
+std::vector<uint8_t> ServeStripeRequest(StripeStore& store, std::span<const uint8_t> head,
+                                        std::span<const uint8_t> body,
                                         const std::string& endpoint);
 
 // Runs inside the retried call: a fetch reply must carry exactly the requested length

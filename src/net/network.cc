@@ -19,6 +19,18 @@ uint64_t EndpointTag(const std::string& name) {
 }  // namespace
 
 void Network::Register(const std::string& endpoint, Handler handler) {
+  endpoints_[endpoint] = [handler = std::move(handler)](std::span<const uint8_t> head,
+                                                        std::span<const uint8_t> body) {
+    if (body.empty()) {
+      return handler(head);
+    }
+    std::vector<uint8_t> joined(head.begin(), head.end());
+    joined.insert(joined.end(), body.begin(), body.end());
+    return handler(joined);
+  };
+}
+
+void Network::Register(const std::string& endpoint, GatherHandler handler) {
   endpoints_[endpoint] = std::move(handler);
 }
 
@@ -31,7 +43,8 @@ bool Network::HasEndpoint(const std::string& endpoint) const {
 }
 
 std::vector<uint8_t> Network::Call(const std::string& from, const std::string& to,
-                                   std::span<const uint8_t> payload) {
+                                   std::span<const uint8_t> head,
+                                   std::span<const uint8_t> body) {
   const auto it = endpoints_.find(to);  // read-only after wiring; no lock needed
   if (it == endpoints_.end()) {
     throw EndpointNotFoundError(to);
@@ -66,16 +79,17 @@ std::vector<uint8_t> Network::Call(const std::string& from, const std::string& t
 
   // The send happens (and is adversary-visible) for every fault except a pre-send
   // drop, which we still trace: the adversary saw the bytes leave before losing them.
-  TraceRecord(TraceOp::kMsgSend, EndpointTag(to), payload.size());
+  const size_t size = head.size() + body.size();
+  TraceRecord(TraceOp::kMsgSend, EndpointTag(to), size);
   {
     std::lock_guard<std::mutex> g(stats_mu_);
     if (fault != FaultAction::kNone) {
       ++stats_.faults_injected;
     }
     ++stats_.messages;
-    stats_.bytes_sent += payload.size();
+    stats_.bytes_sent += size;
     ++pair->messages;
-    pair->bytes_sent += payload.size();
+    pair->bytes_sent += size;
   }
 
   if (fault == FaultAction::kDrop) {
@@ -88,17 +102,20 @@ std::vector<uint8_t> Network::Call(const std::string& from, const std::string& t
     clock_->Advance(fault_injector_->delay_s(to));
   }
 
-  // Only a corrupted request needs bytes of its own; every other delivery hands the
-  // handler the caller's.
-  std::span<const uint8_t> request = payload;
+  // Only a corrupted request needs bytes of its own, joined from both parts so the
+  // flipped bit is drawn over the whole message; every other delivery hands the
+  // handler the caller's spans.
   std::vector<uint8_t> corrupted;
   if (fault == FaultAction::kCorruptRequest) {
-    corrupted.assign(payload.begin(), payload.end());
+    corrupted.reserve(size);
+    corrupted.assign(head.begin(), head.end());
+    corrupted.insert(corrupted.end(), body.begin(), body.end());
     fault_injector_->CorruptBit(to, corrupted);
-    request = corrupted;
+    head = corrupted;
+    body = {};
   }
 
-  std::vector<uint8_t> response = it->second(request);
+  std::vector<uint8_t> response = it->second(head, body);
   if (fault == FaultAction::kDuplicate) {
     // Second delivery of the identical bytes; receivers deduplicate (the subORAM
     // endpoint re-serves its cached epoch response). The duplicate's reply is the one
@@ -106,11 +123,11 @@ std::vector<uint8_t> Network::Call(const std::string& from, const std::string& t
     {
       std::lock_guard<std::mutex> g(stats_mu_);
       ++stats_.messages;
-      stats_.bytes_sent += request.size();
+      stats_.bytes_sent += size;
       ++pair->messages;
-      pair->bytes_sent += request.size();
+      pair->bytes_sent += size;
     }
-    response = it->second(request);
+    response = it->second(head, body);
   }
   if (fault == FaultAction::kCrashBeforeReply) {
     // The callee did the work, then died before replying: its component goes down and

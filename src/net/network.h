@@ -34,8 +34,15 @@ class Network {
  public:
   // A handler consumes a request payload and produces a response payload.
   using Handler = std::function<std::vector<uint8_t>(std::span<const uint8_t>)>;
+  // A handler that takes a request as sent by a gathered Call, in two parts: the
+  // request is head ++ body (a contiguous Call delivers an empty body).
+  using GatherHandler = std::function<std::vector<uint8_t>(std::span<const uint8_t> head,
+                                                           std::span<const uint8_t> body)>;
 
+  // A plain Handler registered here gets a gathered request joined into one buffer;
+  // a GatherHandler gets the caller's spans as they are.
   void Register(const std::string& endpoint, Handler handler);
+  void Register(const std::string& endpoint, GatherHandler handler);
   // Removes an endpoint (no-op if absent). Used when resharding retires subORAMs;
   // like Register, only safe at wiring/quiescent points, never during concurrent
   // Calls.
@@ -47,7 +54,15 @@ class Network {
   // EndpointCrashedError (callee down until restarted). Injected corruption is
   // delivered, not thrown: the AEAD channels at the endpoints detect it.
   std::vector<uint8_t> Call(const std::string& from, const std::string& to,
-                            std::span<const uint8_t> payload);
+                            std::span<const uint8_t> payload) {
+    return Call(from, to, payload, {});
+  }
+  // A gathered call: the request is head ++ body, sent as one message of their summed
+  // size but never joined in memory (a stripe push hands its header and the sealed
+  // snapshot this way). Stats, trace and faults are those of the contiguous call; only
+  // an injected request corruption joins the two into a copy, which it then flips.
+  std::vector<uint8_t> Call(const std::string& from, const std::string& to,
+                            std::span<const uint8_t> head, std::span<const uint8_t> body);
 
   // Both optional and non-owning. The clock absorbs injected delays so retry
   // deadlines see them.
@@ -115,7 +130,7 @@ class Network {
   // Endpoint registration happens during wiring, strictly before concurrent Calls;
   // the map is read-only afterwards, so lookups take no lock. The stats block is the
   // shared-mutation hot spot: guarded by stats_mu_, never held across a handler call.
-  std::map<std::string, Handler> endpoints_;
+  std::map<std::string, GatherHandler> endpoints_;
   mutable std::mutex stats_mu_;
   Stats stats_;
   FaultInjector* fault_injector_ = nullptr;

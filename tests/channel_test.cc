@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <vector>
+
 #include "src/crypto/rng.h"
+#include "src/enclave/trace.h"
+#include "src/net/fault.h"
 #include "src/net/network.h"
 
 namespace snoopy {
@@ -86,6 +92,92 @@ TEST(Network, RoutesAndCounts) {
     EXPECT_EQ(e.endpoint(), "nope");
     EXPECT_FALSE(e.retryable());
   }
+}
+
+// A gathered call (head + body, never joined by the caller) is the contiguous call of
+// head ++ body in every observable: the bytes the handler sees, the byte counts, the
+// kMsgSend size in the enclave trace, and, under an injected request corruption with
+// the same seed, the flipped bit. A plain handler gets the two parts joined.
+TEST(Network, GatheredCallMatchesContiguousFrame) {
+  std::vector<uint8_t> frame(300);
+  Rng(9).Fill(frame);
+  const std::span<const uint8_t> head = std::span<const uint8_t>(frame).first(77);
+  const std::span<const uint8_t> body = std::span<const uint8_t>(frame).subspan(77);
+
+  // What the endpoints received, one joined buffer per delivery.
+  using Received = std::vector<std::vector<uint8_t>>;
+  const auto wire = [](Network& net, Received& got) {
+    net.Register("gather", [&got](std::span<const uint8_t> h, std::span<const uint8_t> b) {
+      std::vector<uint8_t> joined(h.begin(), h.end());
+      joined.insert(joined.end(), b.begin(), b.end());
+      got.push_back(joined);
+      return std::vector<uint8_t>{1};
+    });
+    net.Register("plain", [&got](std::span<const uint8_t> in) {
+      got.emplace_back(in.begin(), in.end());
+      return std::vector<uint8_t>{1};
+    });
+  };
+
+  for (const char* endpoint : {"gather", "plain"}) {
+    Network contiguous_net;
+    Network gathered_net;
+    Received contiguous;
+    Received gathered;
+    wire(contiguous_net, contiguous);
+    wire(gathered_net, gathered);
+    std::vector<TraceEvent> contiguous_trace;
+    std::vector<TraceEvent> gathered_trace;
+    {
+      TraceScope scope;
+      contiguous_net.Call("owner", endpoint, frame);
+      contiguous_trace = scope.Events();
+    }
+    {
+      TraceScope scope;
+      gathered_net.Call("owner", endpoint, head, body);
+      gathered_trace = scope.Events();
+    }
+    ASSERT_EQ(gathered.size(), 1u);
+    EXPECT_EQ(gathered, contiguous) << endpoint;
+    EXPECT_EQ(gathered[0], frame) << endpoint;
+    EXPECT_EQ(gathered_net.stats().bytes_sent, frame.size());
+    EXPECT_EQ(gathered_net.stats().bytes_sent, contiguous_net.stats().bytes_sent);
+    EXPECT_EQ(gathered_net.stats().messages, contiguous_net.stats().messages);
+    EXPECT_TRUE(NonVacuousTraceEq(gathered_trace, contiguous_trace)) << endpoint;
+    ASSERT_FALSE(gathered_trace.empty());
+    EXPECT_EQ(gathered_trace[0].op, TraceOp::kMsgSend);
+    EXPECT_EQ(gathered_trace[0].b, frame.size());
+  }
+
+  // Every call corrupts (request or reply, by the stream's coin): with one seed on
+  // both sides, each delivery gets the same bit flipped, and some requests are hit.
+  FaultProfile corrupt_all;
+  corrupt_all.corrupt = 1.0;
+  FaultInjector contiguous_faults(21);
+  FaultInjector gathered_faults(21);
+  contiguous_faults.set_default_profile(corrupt_all);
+  gathered_faults.set_default_profile(corrupt_all);
+  Network contiguous_net;
+  Network gathered_net;
+  contiguous_net.set_fault_injector(&contiguous_faults);
+  gathered_net.set_fault_injector(&gathered_faults);
+  Received contiguous;
+  Received gathered;
+  wire(contiguous_net, contiguous);
+  wire(gathered_net, gathered);
+  for (int i = 0; i < 16; ++i) {
+    contiguous_net.Call("owner", "gather", frame);
+    gathered_net.Call("owner", "gather", head, body);
+  }
+  EXPECT_EQ(gathered, contiguous);
+  EXPECT_EQ(gathered_net.stats().bytes_sent, contiguous_net.stats().bytes_sent);
+  EXPECT_EQ(gathered_faults.fired_count(FaultAction::kCorruptRequest),
+            contiguous_faults.fired_count(FaultAction::kCorruptRequest));
+  const auto hit = std::count_if(gathered.begin(), gathered.end(),
+                                 [&](const std::vector<uint8_t>& r) { return r != frame; });
+  EXPECT_EQ(static_cast<uint64_t>(hit), gathered_faults.fired_count(FaultAction::kCorruptRequest));
+  EXPECT_GT(hit, 0);
 }
 
 TEST(SecureChannelTest, RekeyResetsCountersAndSessions) {

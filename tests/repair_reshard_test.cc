@@ -432,7 +432,7 @@ TEST(Repair, OversizedManifestFromOneHostIsDropped) {
   ASSERT_EQ(held->count(victim), 1u);
   const std::string endpoint = "suboram/" + std::to_string(liar) + "/stripe";
   store->network_mutable().Register(endpoint, [held, endpoint](std::span<const uint8_t> req) {
-    std::vector<uint8_t> reply = ServeStripeRequest(*held, req, endpoint);
+    std::vector<uint8_t> reply = ServeStripeRequest(*held, req, {}, endpoint);
     if (req[0] == 1 && reply[0] == 1) {
       // Manifest reply: present(1) seal_counter(8) chunk_index(4) chunk_count(4)
       // blob_len(8) chunk_len(8).

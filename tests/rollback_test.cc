@@ -4,15 +4,20 @@
 
 #include <algorithm>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "src/core/snoopy.h"
 #include "src/core/suboram.h"
 #include "src/crypto/rng.h"
 #include "src/crypto/sha256.h"
+#include "src/enclave/trace.h"
+#include "src/net/fault.h"
 #include "src/obl/kernels.h"
+#include "src/telemetry/metrics.h"
 
 namespace snoopy {
 namespace {
@@ -368,6 +373,89 @@ TEST(SealBoundary, ReshardAndRepairBytesArePinned) {
   EXPECT_EQ(RepairDigest(4, /*xor_parity=*/false), kReplicatedRepairDigest);
   EXPECT_EQ(RepairDigest(4, /*xor_parity=*/true), kParityRepairDigest);
   SetKernelBackend(saved);
+}
+
+// The SealBoundary deployment after four write epochs under a seeded chaos source on
+// every subORAM component: its stripe endpoints (and batch exchanges) see
+// crash-before-reply, corrupt, drop and delay faults. What it returns must not depend
+// on the thread count that ran the pooled push rounds.
+struct ChaosOutcome {
+  std::string storage;   // HostStorageDigest
+  std::string counters;  // the snoopy_stripe_*, retry and recovery counter samples
+  uint64_t trace = 0;    // enclave trace digest over the four epochs
+  // Per stripe endpoint, the faults that fired there, in firing order.
+  std::map<std::string, std::vector<FaultAction>> stripe_faults;
+};
+
+ChaosOutcome SealBoundaryUnderFaults(int epoch_threads, bool xor_parity) {
+  const std::unique_ptr<Snoopy> snoopy = SealBoundaryDeployment(epoch_threads, xor_parity);
+  MetricsRegistry registry;
+  snoopy->set_metrics_registry(&registry);
+  FaultInjector injector(xor_parity ? 5 : 3);
+  FaultProfile chaos;
+  chaos.drop = 0.08;
+  chaos.corrupt = 0.2;
+  chaos.crash_before_reply = 0.12;
+  chaos.delay = 0.1;
+  chaos.delay_s = 2e-3;
+  injector.set_default_profile(chaos);
+  snoopy->set_fault_injector(&injector);
+  ChaosOutcome out;
+  {
+    TraceScope scope;
+    RunWriteEpochs(*snoopy, 0, 4);
+    out.trace = scope.Digest();
+  }
+  out.storage = HostStorageDigest(*snoopy);
+  const std::string rendered = registry.RenderPrometheus();
+  size_t begin = 0;
+  while (begin < rendered.size()) {
+    const size_t end = rendered.find('\n', begin);
+    const std::string line = rendered.substr(begin, end - begin);
+    for (const char* family :
+         {"snoopy_stripe_", "snoopy_retries_total", "snoopy_recoveries_total"}) {
+      if (line.rfind(family, 0) == 0) {
+        out.counters += line + "\n";
+      }
+    }
+    begin = end == std::string::npos ? rendered.size() : end + 1;
+  }
+  for (const FaultInjector::FiredDecision& d : injector.fired_log()) {
+    if (d.target.ends_with("/stripe")) {
+      out.stripe_faults[d.target].push_back(d.action);
+    }
+  }
+  return out;
+}
+
+// Pooled push rounds, with a crashed peer recovered inside the one task that targets it,
+// make a chaos run's stored bytes, counters, fault draws and enclave trace independent
+// of the thread count, with one replica and with two data chunks plus parity.
+TEST(SealBoundary, PooledPushesMatchAcrossThreadCountsUnderFaults) {
+  for (const bool xor_parity : {false, true}) {
+    const ChaosOutcome one = SealBoundaryUnderFaults(1, xor_parity);
+    const ChaosOutcome four = SealBoundaryUnderFaults(4, xor_parity);
+    EXPECT_EQ(one.storage, four.storage) << "parity=" << xor_parity;
+    EXPECT_EQ(one.counters, four.counters) << "parity=" << xor_parity;
+    EXPECT_EQ(one.trace, four.trace) << "parity=" << xor_parity;
+    EXPECT_EQ(one.stripe_faults, four.stripe_faults) << "parity=" << xor_parity;
+    // Not vacuous: every fault kind hit a stripe endpoint, so pushes were retried,
+    // corrupted in flight and recovered a crashed peer, and they stored bytes.
+    std::map<FaultAction, int> kinds;
+    for (const auto& [target, actions] : one.stripe_faults) {
+      for (const FaultAction a : actions) {
+        ++kinds[a];
+      }
+    }
+    for (const FaultAction a : {FaultAction::kDrop, FaultAction::kCorruptRequest,
+                                FaultAction::kCrashBeforeReply, FaultAction::kDelay}) {
+      EXPECT_GT(kinds[a], 0) << "parity=" << xor_parity << " action=" << static_cast<int>(a);
+    }
+    EXPECT_NE(one.counters.find("snoopy_stripe_push_bytes_total"), std::string::npos);
+    EXPECT_NE(one.counters.find("snoopy_recoveries_total"), std::string::npos);
+    EXPECT_NE(one.counters.find("endpoint=\"suboram/1/stripe\""), std::string::npos)
+        << one.counters;
+  }
 }
 
 }  // namespace

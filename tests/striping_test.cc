@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstring>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "src/crypto/rng.h"
@@ -113,15 +114,24 @@ TEST(StripingPlan, MixedGeometryGenerationIsSkipped) {
   EXPECT_EQ(Sources(*older), (Pairs{{3, 0}, {4, 1}}));
 }
 
-// One owner's stripes on `peers` hosts, as the seal would push them.
+// A store request as one contiguous frame: the header, then the payload.
+std::vector<uint8_t> Joined(const StripeStoreFrame& frame) {
+  std::vector<uint8_t> out(frame.header.begin(), frame.header.end());
+  out.insert(out.end(), frame.payload.begin(), frame.payload.end());
+  return out;
+}
+
+// One owner's stripes on `peers` hosts, as the seal would push them: header and
+// payload as the two parts of a gathered request.
 std::vector<StripeStore> Stripe(const StripingConfig& sc, uint32_t owner, uint64_t counter,
                                 const std::vector<uint8_t>& blob) {
   const StripeEncoding enc = EncodeStripes(sc, owner, counter, blob);
   const size_t peers = sc.replicas + (sc.xor_parity ? 1 : 0);
   std::vector<StripeStore> hosts(peers);
   for (size_t rank = 0; rank < peers; ++rank) {
+    const StripeStoreFrame frame = EncodeStripeStore(sc, owner, blob, enc, rank);
     const std::vector<uint8_t> ack =
-        ServeStripeRequest(hosts[rank], EncodeStripeStore(sc, owner, blob, enc, rank), "peer");
+        ServeStripeRequest(hosts[rank], frame.header, frame.payload, "peer");
     EXPECT_EQ(ack, std::vector<uint8_t>{1});
   }
   return hosts;
@@ -140,7 +150,7 @@ TEST(StripingPlan, ReassemblesSnapshotFromSurvivingStripes) {
       std::vector<StripeManifest> manifests;
       for (uint32_t peer = 0; peer < hosts.size(); ++peer) {
         const std::optional<StripeManifest> m = DecodeStripeManifest(
-            sc, peer, ServeStripeRequest(hosts[peer], EncodeStripeManifestQuery(owner), "p"),
+            sc, peer, ServeStripeRequest(hosts[peer], EncodeStripeManifestQuery(owner), {}, "p"),
             blob.size());
         if (m) {
           manifests.push_back(*m);
@@ -158,7 +168,7 @@ TEST(StripingPlan, ReassemblesSnapshotFromSurvivingStripes) {
         const StripeManifest& src = plan->sources[idx];
         const std::vector<uint8_t> request =
             EncodeStripeFetch(owner, src.seal_counter, src.chunk_index, off, len);
-        const std::vector<uint8_t> reply = ServeStripeRequest(hosts[src.peer], request, "p");
+        const std::vector<uint8_t> reply = ServeStripeRequest(hosts[src.peer], request, {}, "p");
         CheckStripeReply(request, reply, "p");
         std::memcpy(plan->buffers[idx].data() + off, StripeFetchPayload(reply).data(), len);
         plan->cursor += len;
@@ -182,6 +192,20 @@ bool SameAddressing(const std::vector<uint8_t>& a, const std::vector<uint8_t>& b
   return a.size() >= kLenAt + 8 && b.size() >= kLenAt + 8 &&
          std::equal(a.begin() + 1, a.begin() + 17, b.begin() + 1) &&
          std::equal(a.begin() + kOffsetAt, a.begin() + kLenAt + 8, b.begin() + kOffsetAt);
+}
+
+// Two host stores hold the same stripes, field for field.
+void ExpectSameStore(const StripeStore& a, const StripeStore& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (const auto& [owner, s] : a) {
+    ASSERT_EQ(b.count(owner), 1u);
+    const HostStripe& t = b.at(owner);
+    EXPECT_EQ(s.seal_counter, t.seal_counter);
+    EXPECT_EQ(s.chunk_index, t.chunk_index);
+    EXPECT_EQ(s.chunk_count, t.chunk_count);
+    EXPECT_EQ(s.blob_len, t.blob_len);
+    EXPECT_EQ(s.payload, t.payload);
+  }
 }
 
 // Truncates, extends, flips bits, or sets the header's offset or length field near
@@ -233,12 +257,13 @@ TEST(StripingFuzz, MutatedFramesAreRefusedOrDropped) {
     const uint32_t owner = static_cast<uint32_t>(rng.Uniform(8));
     const StripeEncoding enc = EncodeStripes(sc, owner, 1 + rng.Uniform(1000), blob);
     const size_t rank = rng.Uniform(sc.replicas + (sc.xor_parity ? 1 : 0));
-    const std::vector<uint8_t> store_frame = EncodeStripeStore(sc, owner, blob, enc, rank);
+    const std::vector<uint8_t> store_frame = Joined(EncodeStripeStore(sc, owner, blob, enc, rank));
     StripeStore host;
-    ServeStripeRequest(host, store_frame, "peer");
+    ServeStripeRequest(host, store_frame, {}, "peer");
     const HostStripe& held = host.at(owner);
     const std::vector<uint8_t> manifest_frame = EncodeStripeManifestQuery(owner);
-    const std::vector<uint8_t> manifest_reply = ServeStripeRequest(host, manifest_frame, "peer");
+    const std::vector<uint8_t> manifest_reply =
+        ServeStripeRequest(host, manifest_frame, {}, "peer");
     ASSERT_TRUE(DecodeStripeManifest(sc, 0, manifest_reply, blob.size()).has_value());
     // A host claiming a longer snapshot under consistent geometry (reply layout:
     // present(1) id(24) chunk_len(8), blob_len at byte 17) is dropped by the sealed
@@ -254,25 +279,53 @@ TEST(StripingFuzz, MutatedFramesAreRefusedOrDropped) {
     const std::vector<uint8_t> fetch_frame = EncodeStripeFetch(
         owner, held.seal_counter, held.chunk_index, off,
         rng.Uniform(held.payload.size() - off + 1));
-    const std::vector<uint8_t> fetch_reply = ServeStripeRequest(host, fetch_frame, "peer");
+    const std::vector<uint8_t> fetch_reply = ServeStripeRequest(host, fetch_frame, {}, "peer");
     ASSERT_NO_THROW(CheckStripeReply(fetch_frame, fetch_reply, "peer"));
+
+    // Split points for the gathered path come from their own stream, so the mutation
+    // sequence above and below is the contiguous-only run's.
+    Rng split_rng(~seed);
+    // The genuine store as a gathered request split anywhere, the header included,
+    // stores exactly what the contiguous frame stored.
+    {
+      const size_t split = static_cast<size_t>(split_rng.Uniform(store_frame.size() + 1));
+      StripeStore split_host;
+      ServeStripeRequest(split_host, std::span(store_frame).first(split),
+                         std::span(store_frame).subspan(split), "peer");
+      ExpectSameStore(split_host, host);
+    }
 
     for (int round = 0; round < 12; ++round) {
       // The host handler: IntegrityError, or a reply that leaves a stored stripe
       // identical in every digest-covered field and still only decodable as a sane
-      // manifest.
+      // manifest. The same bytes through the gathered path, split at a random offset
+      // (inside the header, or past a truncated frame's end), get the same verdict,
+      // the same reply and the same store.
       for (const std::vector<uint8_t>* frame : {&store_frame, &manifest_frame, &fetch_frame}) {
         const std::vector<uint8_t> bad = Mutate(*frame, rng);
+        const size_t split = static_cast<size_t>(
+            split_rng.Uniform(2) == 0 ? split_rng.Uniform(kStripeHeaderBytes + 1)
+                                      : split_rng.Uniform(bad.size() + 1));
+        StripeStore split_copy = host;
+        std::optional<std::vector<uint8_t>> split_reply;
+        try {
+          const std::span<const uint8_t> whole(bad);
+          const size_t at = std::min(split, bad.size());
+          split_reply =
+              ServeStripeRequest(split_copy, whole.first(at), whole.subspan(at), "peer");
+        } catch (const IntegrityError&) {
+        }
         StripeStore copy = host;
         try {
-          const std::vector<uint8_t> reply = ServeStripeRequest(copy, bad, "peer");
+          const std::vector<uint8_t> reply = ServeStripeRequest(copy, bad, {}, "peer");
+          EXPECT_EQ(split_reply, std::optional(reply)) << "seed " << seed;
           for (const auto& [who, s] : copy) {
             ASSERT_EQ(who, owner) << "seed " << seed;
             EXPECT_EQ(s.seal_counter, held.seal_counter);
             EXPECT_EQ(s.chunk_index, held.chunk_index);
             EXPECT_EQ(s.payload, held.payload);
             const std::optional<StripeManifest> m = DecodeStripeManifest(
-                sc, 0, ServeStripeRequest(copy, manifest_frame, "peer"), blob.size());
+                sc, 0, ServeStripeRequest(copy, manifest_frame, {}, "peer"), blob.size());
             if (m) {
               ExpectSaneManifest(sc, *m, blob.size());
               EXPECT_EQ(m->chunk_len, s.payload.size()) << "an honest host reports what it holds";
@@ -282,7 +335,9 @@ TEST(StripingFuzz, MutatedFramesAreRefusedOrDropped) {
             CheckStripeReply(bad, reply, "peer");  // a served slice always verifies
           }
         } catch (const IntegrityError&) {
+          EXPECT_FALSE(split_reply.has_value()) << "seed " << seed;
         }
+        ExpectSameStore(split_copy, copy);
       }
       // The manifest decoder: dropped, or sane.
       const std::optional<StripeManifest> m =
@@ -314,12 +369,12 @@ TEST(StripingFuzz, FetchRangeNearTwoToTheSixtyFourIsRefused) {
   const StripingConfig sc = Config(1, false);
   const std::vector<uint8_t> blob(64, 7);
   StripeStore host;
-  ServeStripeRequest(host, EncodeStripeStore(sc, 0, blob, EncodeStripes(sc, 0, 3, blob), 0),
-                     "peer");
+  ServeStripeRequest(
+      host, Joined(EncodeStripeStore(sc, 0, blob, EncodeStripes(sc, 0, 3, blob), 0)), {}, "peer");
   const uint64_t top = ~uint64_t{0};
   for (const auto& [offset, len] : std::vector<std::pair<uint64_t, uint64_t>>{
            {top, 2}, {top - 31, 64}, {32, top - 31}, {0, top}, {65, 0}}) {
-    EXPECT_THROW(ServeStripeRequest(host, EncodeStripeFetch(0, 3, 0, offset, len), "peer"),
+    EXPECT_THROW(ServeStripeRequest(host, EncodeStripeFetch(0, 3, 0, offset, len), {}, "peer"),
                  IntegrityError)
         << offset << " " << len;
     // Nor does a reply whose size matches the wrapped `32 + len`.
@@ -339,21 +394,21 @@ TEST(StripingHost, FailedStoreKeepsTheHeldStripeAndAGoodStoreReusesItsBuffer) {
   Rng rng(17);
   rng.Fill(blob);
   StripeStore host;
-  ServeStripeRequest(host, EncodeStripeStore(sc, 2, blob, EncodeStripes(sc, 2, 3, blob), 0),
-                     "peer");
+  ServeStripeRequest(
+      host, Joined(EncodeStripeStore(sc, 2, blob, EncodeStripes(sc, 2, 3, blob), 0)), {}, "peer");
   const uint8_t* const buffer = host.at(2).payload.data();
 
   std::vector<uint8_t> next = blob;
   next[0] ^= 0xff;
   std::vector<uint8_t> corrupt =
-      EncodeStripeStore(sc, 2, next, EncodeStripes(sc, 2, 4, next), 0);
+      Joined(EncodeStripeStore(sc, 2, next, EncodeStripes(sc, 2, 4, next), 0));
   corrupt.back() ^= 1;  // the last payload byte: the digest no longer matches
-  EXPECT_THROW(ServeStripeRequest(host, corrupt, "peer"), IntegrityError);
+  EXPECT_THROW(ServeStripeRequest(host, corrupt, {}, "peer"), IntegrityError);
   EXPECT_EQ(host.at(2).seal_counter, 3u);
   EXPECT_EQ(host.at(2).payload, blob);
 
-  ServeStripeRequest(host, EncodeStripeStore(sc, 2, next, EncodeStripes(sc, 2, 4, next), 0),
-                     "peer");
+  ServeStripeRequest(
+      host, Joined(EncodeStripeStore(sc, 2, next, EncodeStripes(sc, 2, 4, next), 0)), {}, "peer");
   EXPECT_EQ(host.at(2).seal_counter, 4u);
   EXPECT_EQ(host.at(2).payload, next);
   EXPECT_EQ(host.at(2).payload.data(), buffer);

@@ -246,9 +246,11 @@ echo "== TSan chaos stage: fault recovery, permanent loss, repair, reshard =="
 # Crash/loss recovery exercises the cross-thread paths deliberately: concurrent
 # subORAM recoveries in phase 2 (rekeying under rng_mu_), phase-2 tasks reporting a
 # mid-epoch loss that the orchestrator applies after the join (NodeLoss.*, at 1 and 4
-# epoch threads), and the repair and reshard paths around them. Run the whole
-# fault-recovery and repair/reshard suites under TSan so a recovery-path race cannot
-# hide behind the happy path.
+# epoch threads), the seal's pooled stripe pushes (one round per peer rank, each
+# peer's store written, and a crashed peer recovered, by one task), and the repair and
+# reshard paths around them. Run the whole fault-recovery and repair/reshard suites
+# under TSan so a recovery-path race cannot hide behind the happy path; the first TSan
+# stage runs SealBoundary.PooledPushesMatchAcrossThreadCountsUnderFaults at 4 threads.
 cmake --build build-tsan -j"${JOBS}" --target fault_recovery_test repair_reshard_test
 ctest --test-dir build-tsan --output-on-failure --no-tests=error \
   -R '(FaultInjector|FaultRecovery|NetworkFaults|RetryCap|Striping|Repair|Reshard|NodeLoss)'

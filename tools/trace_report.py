@@ -11,6 +11,8 @@ Tracer::WriteChromeTrace): complete events (ph == "X") with categories
   pool   per-worker summaries (name == phase, args tasks/busy_ns/idle_ns/
          cpu_busy_ns) and one barrier span per pooled phase
   step   sub-phase steps inside a task (lb_assign, suboram_scan, sort...).
+         "stripe_push" steps are the seal phase's stripe pushes, one per
+         (owner, peer) push; args owner, peer and bytes.
          "sort" steps are the ObliviousSortSlab entry point: args carry the
          resolved strategy (0 = bitonic, 1 = bucket), the record count, and, for
          the bucket butterfly, its buckets x capacity geometry — the report
@@ -32,20 +34,28 @@ For every epoch the report computes:
     Inflated phases are flagged in the report;
   * the epoch critical path: each phase's contribution is its longest task
     (the chain the barrier actually waited on) plus the phase's serial
-    prologue/epilogue, and the epoch's serial remainder (deliver, the seal's
-    serial stripe pushes, orchestration gaps) is attributed separately;
+    prologue/epilogue, and the epoch's serial remainder (deliver, orchestration
+    gaps) is attributed separately;
   * an Amdahl decomposition: serial seconds = epoch wall minus pooled wall,
     parallel work = summed worker busy seconds, measured serial fraction
     f = serial / wall, and projected speedup wall / (serial + work / W). A
     pooled phase's pooled wall is the extent of its worker pool spans (the
-    RunPhase itself), so serial work inside the phase span -- the seal phase's
-    stripe pushes after its pooled per-subORAM seal -- still counts as serial.
+    RunPhase itself), plus that of any RunPhase nested in it under its own
+    name (the seal phase's "stripe_push" rounds), so serial work inside the
+    phase span -- building the push rounds, the gaps between them -- still
+    counts as serial.
+
+With --layers the report also splits the epoch wall time into layers: one per
+phase, except that the seal phase splits into its AEAD seal (the pooled
+per-subORAM seal, i.e. the extent of the "seal" pool spans) and its stripe push
+(the rest of the phase: the pooled push rounds and the orchestrator work
+around them), with the "stripe_push" step spans summed beside it.
 
 All inputs are public schedule facts by construction (the tracer's leakage
 model); nothing here reads request contents.
 
 Usage:
-  tools/trace_report.py TRACE.json [--json OUT.json] [--workers N ...]
+  tools/trace_report.py TRACE.json [--layers] [--json OUT.json] [--workers N ...]
   tools/trace_report.py --self-check
 """
 
@@ -58,6 +68,10 @@ import sys
 from collections import defaultdict
 
 POOL_PHASES = ("lb_prepare", "suboram_execute", "response_match", "seal")
+
+# RunPhase runs nested in a phase under their own pool name: the seal phase's
+# stripe push rounds (src/core/snoopy.cc PushStripes).
+NESTED_POOLS = {"seal": ("stripe_push",)}
 
 # The "sort" step span's strategy arg (src/obl/bucket_sort.h ObliviousSortSlab).
 SORT_STRATEGY_NAMES = {0: "bitonic", 1: "bucket"}
@@ -141,6 +155,43 @@ def sort_stats(events):
     return dict(rows)
 
 
+def layer_stats(events, epochs):
+    """Epoch wall time per layer, in us: each phase span, the seal phase split
+    into "seal_aead" (the extent of its "seal" pool spans, the pooled per-subORAM
+    seal) and "stripe_push" (the rest of the phase), and "orchestration" for the
+    epoch wall no phase span covers."""
+    layers = defaultdict(float)
+    for epoch in epochs:
+        lo, hi = epoch["ts"], epoch["ts"] + epoch["dur"]
+        covered = 0.0
+        for ph in spans_within(events, "phase", lo, hi):
+            covered += ph["dur"]
+            if ph["name"] != "seal":
+                layers[ph["name"]] += ph["dur"]
+                continue
+            plo, phi = ph["ts"], ph["ts"] + ph["dur"]
+            pools = [p for p in spans_within(events, "pool", plo, phi)
+                     if p["name"] == "seal"]
+            aead = (max(p["ts"] + p["dur"] for p in pools) - min(p["ts"] for p in pools)
+                    if pools else ph["dur"])
+            layers["seal_aead"] += aead
+            layers["stripe_push"] += max(0.0, ph["dur"] - aead)
+        layers["orchestration"] += max(0.0, epoch["dur"] - covered)
+    return dict(layers)
+
+
+def stripe_push_steps(events):
+    """The "stripe_push" step spans summed: count, bytes and summed duration (us,
+    work spread over the push rounds' workers)."""
+    out = {"count": 0, "bytes": 0, "busy_us": 0.0}
+    for e in events:
+        if e.get("cat") == "step" and e.get("name") == "stripe_push":
+            out["count"] += 1
+            out["bytes"] += e.get("args", {}).get("bytes", 0)
+            out["busy_us"] += e.get("dur", 0)
+    return out
+
+
 def analyze(events):
     epochs = sorted((e for e in events if e.get("cat") == "epoch"),
                     key=lambda e: e["ts"])
@@ -164,18 +215,21 @@ def analyze(events):
             st.wall_us += ph["dur"]
             plo, phi = ph["ts"], ph["ts"] + ph["dur"]
             workers = 0
-            pool_lo, pool_hi = math.inf, -math.inf
+            pool_names = (ph["name"],) + NESTED_POOLS.get(ph["name"], ())
+            extents = {}  # pool name -> (first start, last end)
             for pool in spans_within(events, "pool", plo, phi):
-                if pool["name"] != ph["name"]:
+                if pool["name"] not in pool_names:
                     continue
-                pool_lo = min(pool_lo, pool["ts"])
-                pool_hi = max(pool_hi, pool["ts"] + pool["dur"])
+                lo_hi = extents.get(pool["name"], (math.inf, -math.inf))
+                extents[pool["name"]] = (min(lo_hi[0], pool["ts"]),
+                                         max(lo_hi[1], pool["ts"] + pool["dur"]))
                 args = pool.get("args", {})
                 st.busy_us += args.get("busy_ns", 0) / 1e3
                 st.idle_us += args.get("idle_ns", 0) / 1e3
                 st.cpu_busy_us += args.get("cpu_busy_ns", 0) / 1e3
                 st.tasks += args.get("tasks", 0)
-                workers += 1
+                if pool["name"] == ph["name"]:
+                    workers += 1
             tasks = [t for t in spans_within(events, "task", plo, phi)
                      if t["name"] == ph["name"]]
             if tasks:
@@ -194,7 +248,8 @@ def analyze(events):
                 st.workers = max(st.workers, workers)
                 max_workers = max(max_workers, workers)
             if ph["name"] in POOL_PHASES:
-                pooled_wall_us += pool_hi - pool_lo if workers else ph["dur"]
+                pooled_wall_us += (sum(hi_ - lo_ for lo_, hi_ in extents.values())
+                                   if workers else ph["dur"])
         total_serial_us += max(0.0, epoch["dur"] - pooled_wall_us)
 
     total_work_us = sum(p.busy_us for p in phases.values()
@@ -203,6 +258,8 @@ def analyze(events):
         "epochs": len(epochs),
         "phases": phases,
         "sorts": sort_stats(events),
+        "layers": layer_stats(events, epochs),
+        "stripe_push_steps": stripe_push_steps(events),
         "epoch_wall_s": total_epoch_us / 1e6,
         "serial_s": total_serial_us / 1e6,
         "parallel_work_s": total_work_us / 1e6,
@@ -220,6 +277,20 @@ def projected_speedup(report, workers):
         return 1.0
     denom = serial + work / workers
     return wall / denom if denom > 0 else math.inf
+
+
+def render_layers(report):
+    layers = report["layers"]
+    wall = report["epoch_wall_s"] * 1e6
+    lines = [f"{'layer':<18} {'wall ms':>9} {'share':>6}"]
+    for name, us in sorted(layers.items(), key=lambda kv: -kv[1]):
+        share = us / wall if wall > 0 else 0.0
+        lines.append(f"{name:<18} {us / 1e3:>9.2f} {share:>6.1%}")
+    steps = report["stripe_push_steps"]
+    if steps["count"]:
+        lines.append(f"  stripe_push steps: x{steps['count']}, {steps['bytes']} bytes, "
+                     f"{steps['busy_us'] / 1e3:.2f} ms summed over workers")
+    return "\n".join(lines)
 
 
 def render(report, worker_projections):
@@ -275,6 +346,12 @@ def to_json(report, worker_projections):
         "serial_fraction": report["serial_fraction"],
         "projected_speedup": {str(w): projected_speedup(report, w)
                               for w in worker_projections},
+        "layers": {name: us / 1e6 for name, us in report["layers"].items()},
+        "stripe_push_steps": {
+            "count": report["stripe_push_steps"]["count"],
+            "bytes": report["stripe_push_steps"]["bytes"],
+            "busy_s": report["stripe_push_steps"]["busy_us"] / 1e6,
+        },
         "sorts": [
             {
                 "strategy": strategy,
@@ -309,9 +386,12 @@ def golden_trace():
     """One 100 ms epoch: 20 ms single-worker lb_prepare, then a 40 ms two-worker
     suboram_execute whose workers run 40 ms and 20 ms of tasks (busy 60 ms, idle
     20 ms -> efficiency 0.75, skew 4/3), then a 20 ms serial deliver, then a
-    20 ms seal phase: a 10 ms two-worker pooled seal (one 10 ms task per worker)
-    followed by 10 ms of serial stripe pushes. Serial time is deliver plus the
-    seal's push tail, 30 ms -> serial fraction 0.3. Worker 0 of the execute phase gets only 25 ms
+    20 ms seal phase: a 10 ms two-worker pooled seal (one 10 ms task per worker),
+    a 5 ms two-worker stripe push round (one 5 ms push per worker), then 5 ms
+    of serial orchestrator work inside the phase. Serial time is deliver plus
+    that tail, 25 ms -> serial fraction 0.25; parallel work is 110 ms. The layers
+    split the seal into 10 ms of AEAD seal and 10 ms of stripe push, with two
+    stripe_push steps summing 10 ms. Worker 0 of the execute phase gets only 25 ms
     of CPU for its 40 ms wall-busy span (descheduled mid-task), so the phase's
     work inflation is 60/45 = 1.333x and must trip the >1.15x flag; lb_prepare's
     CPU matches wall and must stay unflagged. The lb_prepare task carries one
@@ -353,6 +433,13 @@ def golden_trace():
         x("pool", "seal", 80_000, 10_000,
           {"tasks": 1, "busy_ns": 10_000_000, "idle_ns": 0,
            "cpu_busy_ns": 10_000_000})
+    for owner in range(2):
+        x("task", "stripe_push", 90_000, 5_000)
+        x("step", "stripe_push", 90_000, 5_000,
+          {"owner": owner, "peer": owner + 1, "bytes": 1_000})
+        x("pool", "stripe_push", 90_000, 5_000,
+          {"tasks": 1, "busy_ns": 5_000_000, "idle_ns": 0,
+           "cpu_busy_ns": 5_000_000})
     return ev
 
 
@@ -360,9 +447,9 @@ def self_check():
     report = analyze(golden_trace())
     checks = [
         ("epochs", report["epochs"], 1),
-        ("serial_s", round(report["serial_s"], 6), 0.03),
-        ("serial_fraction", round(report["serial_fraction"], 6), 0.3),
-        ("parallel_work_s", round(report["parallel_work_s"], 6), 0.1),
+        ("serial_s", round(report["serial_s"], 6), 0.025),
+        ("serial_fraction", round(report["serial_fraction"], 6), 0.25),
+        ("parallel_work_s", round(report["parallel_work_s"], 6), 0.11),
     ]
     exe = report["phases"]["suboram_execute"]
     checks.append(("execute_efficiency", round(exe.efficiency, 6), 0.75))
@@ -393,14 +480,24 @@ def self_check():
     checks.append(("execute_stall_s", round(exe.stall_us / 1e6, 6), 0.0))
     checks.append(("execute_critical_s", round(exe.critical_us / 1e6, 6), 0.04))
     # The pooled seal: both workers busy for the whole pool run, and its critical
-    # path is the 10 ms task plus the 10 ms serial push tail after the barrier.
+    # path is the 10 ms task plus the 10 ms push tail after the barrier.
     seal = report["phases"]["seal"]
     checks.append(("seal_efficiency", round(seal.efficiency, 6), 1.0))
     checks.append(("seal_critical_s", round(seal.critical_us / 1e6, 6), 0.02))
-    # Amdahl projection with the measured 100 ms of work at W=4:
-    # 100 / (30 + 100/4) = 1.818x.
+    # The layers: phases as they are, the seal split into its pooled AEAD seal
+    # and its stripe push, no orchestration gap; the push steps sum both pushes.
+    layers = {name: round(us / 1e6, 6) for name, us in report["layers"].items()}
+    checks.append(("layers", layers,
+                   {"lb_prepare": 0.02, "suboram_execute": 0.04, "deliver": 0.02,
+                    "seal_aead": 0.01, "stripe_push": 0.01, "orchestration": 0.0}))
+    steps = report["stripe_push_steps"]
+    checks.append(("stripe_push_steps", (steps["count"], steps["bytes"],
+                                         round(steps["busy_us"] / 1e6, 6)),
+                   (2, 2_000, 0.01)))
+    # Amdahl projection with the measured 110 ms of work at W=4:
+    # 100 / (25 + 110/4) = 1.905x.
     checks.append(("speedup_at_4", round(projected_speedup(report, 4), 6),
-                   round(100.0 / 55.0, 6)))
+                   round(100.0 / 52.5, 6)))
     failures = [f"{name}: got {got!r}, want {want!r}"
                 for name, got, want in checks if got != want]
     if failures:
@@ -411,6 +508,8 @@ def self_check():
     print(f"trace_report self-check: all {len(checks)} assertions passed")
     print()
     print(render(report, [2, 4]))
+    print()
+    print(render_layers(report))
     return 0
 
 
@@ -421,6 +520,9 @@ def main():
                     help="also write the report as JSON to this path")
     ap.add_argument("--workers", type=int, nargs="*", default=[2, 4, 8, 16],
                     help="worker counts for the Amdahl speedup projection")
+    ap.add_argument("--layers", action="store_true",
+                    help="also split the epoch wall time into layers, the seal "
+                         "into AEAD seal and stripe push")
     ap.add_argument("--self-check", action="store_true",
                     help="run the analysis against the built-in golden trace")
     args = ap.parse_args()
@@ -431,6 +533,9 @@ def main():
         ap.error("a trace file is required unless --self-check is given")
     report = analyze(load_events(args.trace))
     print(render(report, args.workers))
+    if args.layers:
+        print()
+        print(render_layers(report))
     if args.json_out:
         with open(args.json_out, "w") as fh:
             json.dump(to_json(report, args.workers), fh, indent=2, sort_keys=True)
