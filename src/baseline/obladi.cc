@@ -41,7 +41,6 @@ void ObladiProxy::Initialize(
 void ObladiProxy::Submit(const Request& request) { pending_.push_back(request); }
 
 std::vector<ObladiProxy::Response> ObladiProxy::ExecuteOne(std::vector<Request>&& batch) {
-  ++batches_;
   // Deduplicate: one ORAM read per distinct key; the last write per key (by arrival)
   // is applied at batch end -- Obladi's delayed visibility.
   std::map<uint64_t, std::vector<uint8_t>> reads;      // key -> value at batch start

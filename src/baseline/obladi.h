@@ -48,7 +48,6 @@ class ObladiProxy {
   // Reads observe the state at batch start; writes apply last-write-wins at batch end.
   std::vector<Response> ExecuteBatches(bool flush = true);
 
-  uint64_t batches_executed() const { return batches_; }
   uint64_t oram_accesses() const { return oram_.accesses(); }
   const RingOram& oram() const { return oram_; }
 
@@ -60,7 +59,6 @@ class ObladiProxy {
   std::map<uint64_t, uint64_t> index_;  // key -> ORAM address (proxy metadata)
   uint64_t next_addr_ = 0;
   std::vector<Request> pending_;
-  uint64_t batches_ = 0;
 };
 
 }  // namespace snoopy

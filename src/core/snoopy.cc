@@ -214,7 +214,7 @@ void Snoopy::SealEpochBoundary() {
   std::vector<StripeEncoding> stripes(config_.num_suborams);
   RunPhase(config_.num_suborams, config_.epoch_threads, Telemetry().Pool(kSeal), [&](size_t so) {
     Partition& p = partitions_[so];
-    if (p.health == PartitionHealth::kHealthy && p.backend->SupportsSealing()) {
+    if (!p.repair && p.backend->SupportsSealing()) {
       p.backend->SealStateInto(*sealed_store_, p.counter_id, p.snapshot);
       p.sealed_bytes = p.snapshot.size();
       stripes[so] = EncodeStripes(config_.striping, static_cast<uint32_t>(so),
@@ -500,10 +500,10 @@ std::vector<uint8_t> Snoopy::RetriedStripeCall(uint32_t so, uint32_t peer,
 void Snoopy::LoseSubOram(uint32_t so) {
   const std::string component = "suboram/" + std::to_string(so);
   Partition& p = partitions_[so];
-  if (p.health == PartitionHealth::kRepairing) {
+  if (p.repair) {
     return;  // already detected
   }
-  p.health = PartitionHealth::kRepairing;
+  p.repair.emplace(config_.striping, so, p.sealed_bytes);
   if (fault_injector_ != nullptr) {
     fault_injector_->MarkLost(component);
   }
@@ -520,95 +520,48 @@ void Snoopy::LoseSubOram(uint32_t so) {
   p.response_cache.clear();
   p.executed_lbs.clear();
   p.stripes.clear();
-  p.repair_epochs_remaining = config_.striping.repair_epochs;
-  p.repair.reset();
   CountEvent("snoopy_partition_losses_total", {{"component", component}});
-}
-
-void Snoopy::PlanRepair(uint32_t so) {
-  std::vector<StripeManifest> manifests;
-  for (const uint32_t peer : StripePeers(config_.striping, config_.num_suborams, so)) {
-    if (partition_health(peer) != PartitionHealth::kHealthy) {
-      continue;
-    }
-    try {
-      const std::vector<uint8_t> resp = RetriedStripeCall(so, peer, EncodeStripeManifestQuery(so));
-      if (const auto m = DecodeStripeManifest(config_.striping, peer, resp,
-                                              partitions_[so].sealed_bytes)) {
-        manifests.push_back(*m);
-      }
-    } catch (const NetworkError&) {
-      // Unreachable peer: plan around it.
-    }
-  }
-  partitions_[so].repair = PlanStripeRepair(manifests);
-  if (!partitions_[so].repair) {
-    throw std::runtime_error("suboram/" + std::to_string(so) +
-                             " unrecoverable: no complete stripe set survives");
-  }
 }
 
 void Snoopy::RepairStep(uint32_t so) {
   Partition& p = partitions_[so];
-  if (!p.repair) {
-    PlanRepair(so);
-  }
-  RepairPlan& plan = *p.repair;
-  // The per-epoch slice is a fixed public fraction of the (public) stripe geometry:
-  // the repair rate is load-independent by construction, so the repair schedule leaks
-  // nothing about the request pattern.
-  const uint64_t chunk_len = plan.chunk_len();
-  const uint64_t total = plan.total_bytes();
-  const uint64_t slice =
-      (total + config_.striping.repair_epochs - 1) / config_.striping.repair_epochs;
-  uint64_t fetched = 0;
-  while (fetched < slice && plan.cursor < total) {
-    const size_t idx = static_cast<size_t>(plan.cursor / chunk_len);
-    const uint64_t off = plan.cursor % chunk_len;
-    const uint64_t len = std::min<uint64_t>(slice - fetched, chunk_len - off);
-    const StripeManifest& src = plan.sources[idx];
-    std::vector<uint8_t> resp;
-    try {
-      resp = RetriedStripeCall(
-          so, src.peer, EncodeStripeFetch(so, src.seal_counter, src.chunk_index, off, len));
-    } catch (const NetworkError&) {
-      // A source vanished mid-repair. Replan from the surviving peers and restart the
-      // window (a public event driven by the public failure process); PlanRepair
-      // throws when nothing reconstructs any more.
-      p.repair_epochs_remaining = config_.striping.repair_epochs;
-      PlanRepair(so);
-      return;
+  StripeRepair& repair = *p.repair;
+  std::vector<uint32_t> peers;
+  for (const uint32_t peer : StripePeers(config_.striping, config_.num_suborams, so)) {
+    if (partition_health(peer) == PartitionHealth::kHealthy) {
+      peers.push_back(peer);
     }
-    std::memcpy(plan.buffers[idx].data() + off, StripeFetchPayload(resp).data(),
-                static_cast<size_t>(len));
-    plan.cursor += len;
-    fetched += len;
   }
-  if (p.repair_epochs_remaining > 0) {
-    --p.repair_epochs_remaining;
+  const StripeRepair::Call call = [&](uint32_t peer, std::span<const uint8_t> request) {
+    return RetriedStripeCall(so, peer, request);
+  };
+  if (!repair.plan()) {
+    repair.Plan(peers, call);
   }
-  if (p.repair_epochs_remaining == 0) {
-    CompleteRepair(so);
+  std::optional<std::vector<uint8_t>> blob;
+  try {
+    blob = repair.Step(call);
+  } catch (const NetworkError&) {
+    // A source vanished mid-repair. Replan from the surviving peers and restart the
+    // window (a public event driven by the public failure process); Plan throws when
+    // nothing reconstructs any more.
+    repair.Plan(peers, call);
+    return;
   }
-}
-
-void Snoopy::CompleteRepair(uint32_t so) {
-  Partition& p = partitions_[so];
-  const std::string component = "suboram/" + std::to_string(so);
-  std::vector<uint8_t> blob = ReassembleSnapshot(*p.repair);
-
+  if (!blob) {
+    return;
+  }
   // Restore on the spare node under the dead identity. The counter check extends
   // rollback refusal to repair: a stale stripe set (host replaying a superseded seal
-  // generation) is never served.
-  RestorePartition(so, blob);
-  p.snapshot = std::move(blob);  // freshest host snapshot for crash recovery
+  // generation) is never served, and the refused repair retries the same bytes.
+  const std::string component = "suboram/" + std::to_string(so);
+  RestorePartition(so, *blob);
+  p.snapshot = std::move(*blob);  // freshest host snapshot for crash recovery
   p.executed_lbs.clear();
   if (fault_injector_ != nullptr) {
     fault_injector_->Reincarnate(component);
   }
   CountEvent("snoopy_repairs_completed_total", {{"component", component}});
-  p.health = PartitionHealth::kHealthy;
-  p.repair_epochs_remaining = 0;
   p.repair.reset();
 }
 
@@ -702,10 +655,8 @@ std::vector<ClientResponse> Snoopy::RunEpoch() {
   // Repair coordinator: one fixed-size reconstruction slice per repairing partition
   // per epoch; the final slice restores the partition, which then serves this epoch.
   {
-    bool any_repairing = false;
-    for (uint32_t so = 0; so < config_.num_suborams; ++so) {
-      any_repairing = any_repairing || partition_health(so) == PartitionHealth::kRepairing;
-    }
+    const bool any_repairing = std::any_of(partitions_.begin(), partitions_.end(),
+                                           [](const Partition& p) { return p.repair.has_value(); });
     TraceSpan repair_trace(any_repairing ? tracer_ : nullptr, "phase", "repair", epoch_);
     SpanTimer repair_span(any_repairing ? telemetry.PhaseHistogram(kRepair) : nullptr,
                           telemetry.now);
@@ -717,7 +668,7 @@ std::vector<ClientResponse> Snoopy::RunEpoch() {
   }
   std::vector<bool> available;
   for (const Partition& p : partitions_) {
-    available.push_back(p.health == PartitionHealth::kHealthy);
+    available.push_back(!p.repair);
   }
   if (telemetry.metrics != nullptr && std::count(available.begin(), available.end(), false) > 0) {
     telemetry.metrics->degraded_epochs_total->Increment();

@@ -179,9 +179,11 @@ class Snoopy {
   // one fixed-size stripe slice is fetched per epoch, and after
   // striping.repair_epochs epochs it is rebuilt on a spare node and serves again.
   enum class PartitionHealth : uint8_t { kHealthy = 0, kRepairing = 1 };
-  PartitionHealth partition_health(uint32_t so) const { return partitions_[so].health; }
+  PartitionHealth partition_health(uint32_t so) const {
+    return partitions_[so].repair ? PartitionHealth::kRepairing : PartitionHealth::kHealthy;
+  }
   uint32_t repair_epochs_remaining(uint32_t so) const {
-    return partitions_[so].repair_epochs_remaining;
+    return partitions_[so].repair ? partitions_[so].repair->epochs_remaining() : 0;
   }
 
   // Permanently loses subORAM `so` now and schedules its repair (RunEpoch calls it on
@@ -237,14 +239,12 @@ class Snoopy {
     // invalidates sealed-but-unsent bytes after a rekey.
     std::vector<std::unique_ptr<SecureLink>> links;
     std::vector<uint64_t> link_generation;
-    // Health, the repair countdown and plan (with its fetched bytes, set on the first
-    // repair step): orchestrator thread only; phase-2 tasks report losses instead of
-    // applying them. The stripes this host holds for its peers: written by the stripe
-    // endpoint handler, inline on the caller's thread at epoch boundaries -- the
+    // The repair since a loss (absent while healthy, so it is the health) with its plan,
+    // countdown and fetched bytes: orchestrator thread only; phase-2 tasks report losses
+    // instead of applying them. The stripes this host holds for its peers: written by the
+    // stripe endpoint handler, inline on the caller's thread at epoch boundaries -- the
     // orchestrator, or the one push task per round that targets this peer.
-    PartitionHealth health = PartitionHealth::kHealthy;
-    uint32_t repair_epochs_remaining = 0;
-    std::optional<RepairPlan> repair;
+    std::optional<StripeRepair> repair;
     StripeStore stripes;
   };
 
@@ -299,7 +299,7 @@ class Snoopy {
   // then push every healthy partition's stripes (rationale at the definition).
   void SealEpochBoundary();
 
-  // --- Striping + repair orchestration (format and planning: striping.h) -----------
+  // --- Striping + repair transport (format and repair state machine: striping.h) ---
   // One stripe exchange under the retry policy with peer crash recovery. The request
   // is head ++ body (a store's header and payload, sent as one gathered call).
   std::vector<uint8_t> RetriedStripeCall(uint32_t so, uint32_t peer,
@@ -308,12 +308,10 @@ class Snoopy {
   // The stripe pushes of one boundary (SealEpochBoundary): pooled rounds, one per peer
   // rank.
   void PushStripes(const std::vector<StripeEncoding>& stripes);
-  // Runs at the start of RunEpoch for every repairing partition: fetches this epoch's
-  // fixed-size slice (planning from peer manifests first) and, on the final step,
-  // reassembles and restores the snapshot and reincarnates the node.
+  // Runs at the start of RunEpoch for every repairing partition: steps its StripeRepair
+  // over retried stripe calls to its healthy peers (planning first, replanning when a
+  // source vanishes) and restores the snapshot of the final step on the spare node.
   void RepairStep(uint32_t so);
-  void PlanRepair(uint32_t so);
-  void CompleteRepair(uint32_t so);
 
   // The current epoch's telemetry: its number, the tracer, the metric handles (null
   // when telemetry is disabled) and the span clock.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 #include "src/net/fault.h"
 
@@ -386,26 +387,72 @@ std::optional<RepairPlan> PlanStripeRepair(std::span<const StripeManifest> manif
   return std::nullopt;
 }
 
-std::vector<uint8_t> ReassembleSnapshot(RepairPlan& plan) {
-  std::vector<std::vector<uint8_t>>& chunks = plan.buffers;
+std::vector<uint8_t> ReassembleSnapshot(const RepairPlan& plan) {
+  std::vector<uint8_t> blob;
+  blob.reserve(static_cast<size_t>(plan.total_bytes()));
+  for (const std::vector<uint8_t>& chunk : plan.buffers) {
+    blob.insert(blob.end(), chunk.begin(), chunk.end());
+  }
   if (plan.parity_substituted >= 0) {
     // The XOR of every fetched chunk, the parity chunk included, is the missing one.
     std::vector<uint8_t> missing(static_cast<size_t>(plan.chunk_len()), 0);
-    for (const std::vector<uint8_t>& chunk : chunks) {
+    for (const std::vector<uint8_t>& chunk : plan.buffers) {
       for (size_t j = 0; j < missing.size(); ++j) {
         missing[j] ^= chunk[j];
       }
     }
-    chunks[static_cast<size_t>(plan.parity_substituted)] = std::move(missing);
+    std::copy(missing.begin(), missing.end(),
+              blob.begin() + static_cast<ptrdiff_t>(plan.parity_substituted * missing.size()));
   }
-  const uint64_t blob_len = plan.sources.front().blob_len;
-  std::vector<uint8_t> blob;
-  blob.reserve(static_cast<size_t>(blob_len));
-  for (const std::vector<uint8_t>& chunk : chunks) {
-    blob.insert(blob.end(), chunk.begin(), chunk.end());
-  }
-  blob.resize(static_cast<size_t>(blob_len));  // strip chunk padding
+  blob.resize(static_cast<size_t>(plan.sources.front().blob_len));  // strip chunk padding
   return blob;
+}
+
+StripeRepair::StripeRepair(const StripingConfig& sc, uint32_t owner, uint64_t max_blob_len)
+    : sc_(sc), owner_(owner), max_blob_len_(max_blob_len), epochs_remaining_(sc.repair_epochs) {}
+
+void StripeRepair::Plan(const std::vector<uint32_t>& reachable_peers, const Call& call) {
+  const std::vector<uint8_t> query = EncodeStripeManifestQuery(owner_);
+  std::vector<StripeManifest> manifests;
+  for (const uint32_t peer : reachable_peers) {
+    try {
+      if (const auto m = DecodeStripeManifest(sc_, peer, call(peer, query), max_blob_len_)) {
+        manifests.push_back(*m);
+      }
+    } catch (const NetworkError&) {
+      // Unreachable peer: plan around it.
+    }
+  }
+  plan_ = PlanStripeRepair(manifests);
+  cursor_ = 0;
+  epochs_remaining_ = sc_.repair_epochs;
+  if (!plan_) {
+    throw std::runtime_error("suboram/" + std::to_string(owner_) +
+                             " unrecoverable: no complete stripe set survives");
+  }
+}
+
+std::optional<std::vector<uint8_t>> StripeRepair::Step(const Call& call) {
+  RepairPlan& plan = plan_.value();  // std::bad_optional_access before a plan
+  const uint64_t chunk_len = plan.chunk_len();
+  const uint64_t total = plan.total_bytes();
+  const uint64_t slice = (total + sc_.repair_epochs - 1) / sc_.repair_epochs;
+  for (uint64_t fetched = 0; fetched < slice && cursor_ < total;) {
+    const size_t idx = static_cast<size_t>(cursor_ / chunk_len);
+    const uint64_t off = cursor_ % chunk_len;
+    const uint64_t len = std::min<uint64_t>(slice - fetched, chunk_len - off);
+    const StripeManifest& src = plan.sources[idx];
+    const std::vector<uint8_t> reply =
+        call(src.peer, EncodeStripeFetch(owner_, src.seal_counter, src.chunk_index, off, len));
+    std::memcpy(plan.buffers[idx].data() + off, StripeFetchPayload(reply).data(),
+                static_cast<size_t>(len));
+    cursor_ += len;
+    fetched += len;
+  }
+  if (epochs_remaining_ > 0 && --epochs_remaining_ > 0) {
+    return std::nullopt;
+  }
+  return ReassembleSnapshot(plan);
 }
 
 }  // namespace snoopy

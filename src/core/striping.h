@@ -4,10 +4,10 @@
 // stripes over a fixed, public number of epochs (the repair rate depends on snapshot
 // geometry only, never on the request pattern -- Cloak's fixed-schedule argument).
 //
-// This module alone knows the stripe wire format and geometry. Its functions are pure
-// (config, owner, counter value, blob; never a deployment). Snoopy keeps the
-// orchestration: peer health, retries with crash recovery, the per-epoch fetch loop
-// and the restore.
+// This module alone knows the stripe wire format and geometry, and runs the repair
+// (StripeRepair: plan, per-epoch fetch, reassembly) with no I/O and no deployment: its
+// stripe exchanges go through a call the caller binds. Snoopy keeps the transport:
+// peer health, retries with crash recovery and the restore.
 
 #ifndef SNOOPY_SRC_CORE_STRIPING_H_
 #define SNOOPY_SRC_CORE_STRIPING_H_
@@ -15,6 +15,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <span>
@@ -133,7 +134,7 @@ void CheckStripeReply(std::span<const uint8_t> request, std::span<const uint8_t>
 // The fetched bytes of a checked fetch reply.
 std::span<const uint8_t> StripeFetchPayload(std::span<const uint8_t> reply);
 
-// --- Repair planning -------------------------------------------------------------------
+// --- Repair ----------------------------------------------------------------------------
 // One peer's manifest: the identity and length of the chunk it holds.
 struct StripeManifest : StripeId {
   uint32_t peer = 0;
@@ -148,13 +149,12 @@ std::optional<StripeManifest> DecodeStripeManifest(const StripingConfig& sc, uin
                                                    uint64_t max_blob_len);
 
 // sources[c] supplies data chunk c (the parity chunk stands in for data chunk
-// `parity_substituted`, -1 if none); the repair fills each source's zeroed chunk_len
-// buffer in turn, `cursor` bytes so far.
+// `parity_substituted`, -1 if none); the repair fetches each source's chunk into its
+// zeroed chunk_len buffer.
 struct RepairPlan {
   std::vector<StripeManifest> sources;
   int parity_substituted = -1;
   std::vector<std::vector<uint8_t>> buffers;
-  uint64_t cursor = 0;
 
   uint64_t chunk_len() const { return sources.front().chunk_len; }
   uint64_t total_bytes() const { return chunk_len() * sources.size(); }
@@ -164,8 +164,43 @@ struct RepairPlan {
 // manifests disagree on geometry (host tampering). nullopt when none does.
 std::optional<RepairPlan> PlanStripeRepair(std::span<const StripeManifest> manifests);
 // The snapshot of a fully fetched plan: XORs the substituted data chunk back (parity ^
-// the other data chunks) and strips the padding. Consumes the buffers.
-std::vector<uint8_t> ReassembleSnapshot(RepairPlan& plan);
+// the other data chunks) and strips the padding. The plan is left as it was, so a
+// refused restore sees the same bytes again at its next attempt.
+std::vector<uint8_t> ReassembleSnapshot(const RepairPlan& plan);
+
+// One lost partition's rebuild on the public schedule: exactly sc.repair_epochs steps,
+// each fetching ceil(total stripe bytes / repair_epochs) bytes (the last fewer), so
+// the repair rate depends on snapshot geometry alone, never on the request pattern.
+class StripeRepair {
+ public:
+  // One stripe exchange with `peer`: a reply CheckStripeReply accepted, or NetworkError.
+  using Call =
+      std::function<std::vector<uint8_t>(uint32_t peer, std::span<const uint8_t> request)>;
+
+  // `max_blob_len`: the owner's sealed snapshot size at the loss, which bounds the
+  // manifests (DecodeStripeManifest). `sc` has passed ValidateStriping.
+  StripeRepair(const StripingConfig& sc, uint32_t owner, uint64_t max_blob_len);
+
+  uint32_t epochs_remaining() const { return epochs_remaining_; }
+  const std::optional<RepairPlan>& plan() const { return plan_; }
+
+  // Plans from the reachable peers' manifests (a peer whose call throws NetworkError
+  // is planned around) and restarts the window: full countdown, fetching from offset
+  // 0. Throws std::runtime_error, unplanned, when no complete stripe set survives.
+  void Plan(const std::vector<uint32_t>& reachable_peers, const Call& call);
+  // Fetches one epoch's slice and counts the epoch down; once the window ends, returns
+  // the reassembled snapshot, on this and every later step. Needs a plan. A throwing
+  // call propagates with the epoch not counted; the caller replans.
+  std::optional<std::vector<uint8_t>> Step(const Call& call);
+
+ private:
+  StripingConfig sc_;
+  uint32_t owner_;
+  uint64_t max_blob_len_;
+  uint32_t epochs_remaining_;
+  std::optional<RepairPlan> plan_;
+  uint64_t cursor_ = 0;  // bytes of the plan's buffers fetched, in chunk order
+};
 
 }  // namespace snoopy
 

@@ -20,17 +20,6 @@ uint64_t TraceRecorder::Digest() const {
   return h;
 }
 
-std::vector<TraceEvent> MemoryEvents(const std::vector<TraceEvent>& events) {
-  std::vector<TraceEvent> out;
-  out.reserve(events.size());
-  for (const TraceEvent& e : events) {
-    if (IsMemoryEvent(e)) {
-      out.push_back(e);
-    }
-  }
-  return out;
-}
-
 uint64_t MemoryTraceDigest(const std::vector<TraceEvent>& events) {
   uint64_t h = 0xcbf29ce484222325ULL;
   auto mix = [&h](uint64_t v) {

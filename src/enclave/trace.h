@@ -168,8 +168,6 @@ inline bool IsMemoryEvent(const TraceEvent& e) {
   return e.op != TraceOp::kMsgSend && e.op != TraceOp::kMsgRecv;
 }
 
-std::vector<TraceEvent> MemoryEvents(const std::vector<TraceEvent>& events);
-
 // FNV-1a digest over only the memory events of `events` (same encoding as
 // TraceRecorder::Digest).
 uint64_t MemoryTraceDigest(const std::vector<TraceEvent>& events);

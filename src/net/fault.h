@@ -259,10 +259,6 @@ class FaultInjector {
   // Fired per-call decisions of one kind (epoch-crash entries excluded).
   uint64_t fired_count(FaultAction action) const;
   uint64_t fired_epoch_crashes() const;
-  void ClearFiredLog() {
-    std::lock_guard<std::mutex> g(mu_);
-    fired_log_.clear();
-  }
 
  private:
   static bool Flip(Rng& rng, double probability);

@@ -67,7 +67,6 @@ class Network {
   // Both optional and non-owning. The clock absorbs injected delays so retry
   // deadlines see them.
   void set_fault_injector(FaultInjector* injector) { fault_injector_ = injector; }
-  FaultInjector* fault_injector() const { return fault_injector_; }
   void set_clock(VirtualClock* clock) { clock_ = clock; }
 
   // Per-endpoint-pair traffic breakdown (keyed "from->to"). All of these are
@@ -106,12 +105,7 @@ class Network {
   }
 
   // Bumped by the owning orchestrator's retry/recovery code, which is where those
-  // events are visible. The no-argument form keeps pre-breakdown callers
-  // source-compatible (aggregate only). Safe from concurrent epoch workers.
-  void RecordRetry() {
-    std::lock_guard<std::mutex> g(stats_mu_);
-    ++stats_.retries;
-  }
+  // events are visible. Safe from concurrent epoch workers.
   void RecordRetry(const std::string& from, const std::string& to) {
     std::lock_guard<std::mutex> g(stats_mu_);
     ++stats_.retries;

@@ -57,7 +57,6 @@ class BenchJsonEmitter {
   std::string WriteFile(const std::string& dir = ".") const;
 
   const std::string& name() const { return name_; }
-  size_t num_points() const { return points_.size(); }
 
  private:
   std::string name_;

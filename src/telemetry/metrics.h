@@ -145,10 +145,6 @@ class Histogram {
   static int BucketIndex(double v);
   static double BucketLowerEdge(int index);
   static double BucketUpperEdge(int index);
-  std::vector<double> bucket_counts() const {
-    std::lock_guard<std::mutex> g(mu_);
-    return counts_;
-  }
 
  private:
   double QuantileLocked(double q) const;  // requires mu_ held

@@ -346,6 +346,43 @@ TEST(Repair, StaleStripeReplayIsRefusedAsRollback) {
   }
 }
 
+// A refused repair retries the same reassembled bytes, so the same host replay gets
+// the same verdict at every epoch. Parity 2+1: the victim's chunk-0 peer keeps the
+// fresh generation, while its chunk-1 and parity peers are rolled back to an older
+// one. The fresh generation is incomplete, so the stale one is planned with the
+// parity chunk standing in for chunk 0: an authentic but superseded snapshot.
+TEST(Repair, RefusedRepairKeepsItsVerdictAcrossEpochs) {
+  auto store = std::make_unique<Snoopy>(StripedConfig(1, 4, 2, true, 2), 53);
+  std::vector<std::pair<uint64_t, std::vector<uint8_t>>> objects;
+  for (uint64_t k = 0; k < 32; ++k) {
+    objects.emplace_back(k, Val(k));
+  }
+  store->Initialize(objects);
+  const uint32_t victim = 0;  // chunk 0 on peer 1, chunk 1 on peer 2, parity on peer 3
+  const Snoopy::HostStripe stale_chunk1 = *store->host_stripe(2, victim);
+  const Snoopy::HostStripe stale_parity = *store->host_stripe(3, victim);
+  for (uint64_t k = 0; k < 32; ++k) {
+    store->SubmitWrite(1, k + 1, k, Val(k + 500));
+  }
+  store->RunEpoch();
+  ASSERT_GT(store->host_stripe(1, victim)->seal_counter, stale_chunk1.seal_counter);
+  store->host_replace_stripe(2, victim, stale_chunk1);
+  store->host_replace_stripe(3, victim, stale_parity);
+
+  store->LoseSubOram(victim);
+  int refusals = 0;
+  for (int e = 0; e < 6; ++e) {
+    try {
+      store->RunEpoch();
+    } catch (const RollbackDetectedError& err) {
+      ++refusals;
+      EXPECT_EQ(err.status(), UnsealStatus::kRollback) << "refusal " << refusals;
+    }
+    EXPECT_EQ(store->partition_health(victim), Snoopy::PartitionHealth::kRepairing);
+  }
+  EXPECT_EQ(refusals, 5) << "every epoch after the 2-epoch window refuses";
+}
+
 // A stripe manifest is host-supplied: geometry that disagrees with the public
 // striping config (chunk count, chunk index bound, chunk length) is dropped before
 // repair groups or allocates anything. An honest peer still reconstructs the

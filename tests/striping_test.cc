@@ -1,7 +1,7 @@
-// The striping module on its own: the repair planner over hand-built manifests, a
-// full encode -> store -> plan -> fetch -> reassemble round trip, and a seeded
-// mutation run over every decoder that reads host-supplied stripe bytes. No
-// deployment is built.
+// The striping module on its own: the repair planner over hand-built manifests, the
+// StripeRepair state machine over in-memory hosts (encode -> store -> plan -> fetch ->
+// reassemble, on its public schedule), and a seeded mutation run over every decoder
+// that reads host-supplied stripe bytes. No deployment is built.
 
 #include "src/core/striping.h"
 
@@ -11,6 +11,7 @@
 #include <cstring>
 #include <optional>
 #include <span>
+#include <tuple>
 #include <vector>
 
 #include "src/crypto/rng.h"
@@ -114,6 +115,12 @@ TEST(StripingPlan, MixedGeometryGenerationIsSkipped) {
   EXPECT_EQ(Sources(*older), (Pairs{{3, 0}, {4, 1}}));
 }
 
+// Request header layout: op(1) owner(4) seal_counter(8) chunk_index(4)
+// chunk_count(4) blob_len(8) offset(8) len(8) digest(32); op 2 is a fetch.
+constexpr uint8_t kFetchOp = 2;
+constexpr size_t kOffsetAt = 29;
+constexpr size_t kLenAt = 37;
+
 // A store request as one contiguous frame: the header, then the payload.
 std::vector<uint8_t> Joined(const StripeStoreFrame& frame) {
   std::vector<uint8_t> out(frame.header.begin(), frame.header.end());
@@ -137,54 +144,188 @@ std::vector<StripeStore> Stripe(const StripingConfig& sc, uint32_t owner, uint64
   return hosts;
 }
 
+// A header field of a request.
+uint64_t Field(std::span<const uint8_t> request, size_t at) {
+  uint64_t v = 0;
+  std::memcpy(&v, request.data() + at, 8);
+  return v;
+}
+
+using Fetch = std::tuple<uint32_t, uint64_t, uint64_t>;  // (peer, offset, len)
+
+// The repair's call over in-memory hosts: peer p is hosts[p], and each reply is
+// checked as the deployment's retried call checks it. Fetches are logged.
+StripeRepair::Call ServeFrom(std::vector<StripeStore>& hosts, std::vector<Fetch>* fetches) {
+  return [&hosts, fetches](uint32_t peer, std::span<const uint8_t> request) {
+    std::vector<uint8_t> reply = ServeStripeRequest(hosts[peer], request, {}, "p");
+    CheckStripeReply(request, reply, "p");
+    if (request[0] == kFetchOp) {
+      fetches->emplace_back(peer, Field(request, kOffsetAt), Field(request, kLenAt));
+    }
+    return reply;
+  };
+}
+
+std::vector<uint32_t> AllPeers(const std::vector<StripeStore>& hosts) {
+  std::vector<uint32_t> peers(hosts.size());
+  for (uint32_t p = 0; p < peers.size(); ++p) {
+    peers[p] = p;
+  }
+  return peers;
+}
+
+// Runs `repair` (planned) for its whole window; returns what the last step returned.
+std::optional<std::vector<uint8_t>> RunWindow(StripeRepair& repair, const StripeRepair::Call& call,
+                                              uint32_t epochs) {
+  std::optional<std::vector<uint8_t>> out;
+  for (uint32_t e = 0; e < epochs; ++e) {
+    EXPECT_FALSE(out.has_value()) << "the snapshot came back before the window ended";
+    out = repair.Step(call);
+  }
+  return out;
+}
+
 TEST(StripingPlan, ReassemblesSnapshotFromSurvivingStripes) {
   Rng rng(3);
   for (const bool xor_parity : {false, true}) {
     for (const size_t blob_len : {size_t{1}, size_t{97}, size_t{1000}}) {
-      const StripingConfig sc = Config(3, xor_parity);
+      StripingConfig sc = Config(3, xor_parity);
+      // Over 7 epochs the parity-mode slices of the longer snapshots (15 and 144
+      // bytes; chunks of 33 and 334) straddle chunk boundaries.
+      sc.repair_epochs = 7;
       std::vector<uint8_t> blob(blob_len);
       rng.Fill(blob);
       const uint32_t owner = 2;
       std::vector<StripeStore> hosts = Stripe(sc, owner, 11, blob);
       hosts[1].clear();  // one peer lost its stripes
-      std::vector<StripeManifest> manifests;
-      for (uint32_t peer = 0; peer < hosts.size(); ++peer) {
-        const std::optional<StripeManifest> m = DecodeStripeManifest(
-            sc, peer, ServeStripeRequest(hosts[peer], EncodeStripeManifestQuery(owner), {}, "p"),
-            blob.size());
-        if (m) {
-          manifests.push_back(*m);
-        }
+      std::vector<Fetch> fetches;
+      const StripeRepair::Call call = ServeFrom(hosts, &fetches);
+      StripeRepair repair(sc, owner, blob.size());
+      repair.Plan(AllPeers(hosts), call);
+      ASSERT_TRUE(repair.plan().has_value());
+      EXPECT_EQ(repair.plan()->parity_substituted, xor_parity ? 1 : -1);
+      const uint64_t total = repair.plan()->total_bytes();
+      const std::optional<std::vector<uint8_t>> out = RunWindow(repair, call, sc.repair_epochs);
+      ASSERT_TRUE(out.has_value());
+      EXPECT_EQ(*out, blob) << xor_parity << " " << blob_len;
+      if (xor_parity && blob_len > 1) {
+        const uint64_t slice = (total + 6) / 7;
+        EXPECT_GT(fetches.size(), (total + slice - 1) / slice) << "no slice was split";
       }
-      std::optional<RepairPlan> plan = PlanStripeRepair(manifests);
-      ASSERT_TRUE(plan.has_value());
-      EXPECT_EQ(plan->parity_substituted, xor_parity ? 1 : -1);
-      // Fetch in odd-sized slices, each reply checked as the retried call checks it.
-      const uint64_t total = plan->total_bytes();
-      while (plan->cursor < total) {
-        const size_t idx = static_cast<size_t>(plan->cursor / plan->chunk_len());
-        const uint64_t off = plan->cursor % plan->chunk_len();
-        const uint64_t len = std::min<uint64_t>(37, plan->chunk_len() - off);
-        const StripeManifest& src = plan->sources[idx];
-        const std::vector<uint8_t> request =
-            EncodeStripeFetch(owner, src.seal_counter, src.chunk_index, off, len);
-        const std::vector<uint8_t> reply = ServeStripeRequest(hosts[src.peer], request, {}, "p");
-        CheckStripeReply(request, reply, "p");
-        std::memcpy(plan->buffers[idx].data() + off, StripeFetchPayload(reply).data(), len);
-        plan->cursor += len;
-      }
-      EXPECT_EQ(ReassembleSnapshot(*plan), blob) << xor_parity << " " << blob_len;
     }
   }
 }
 
-// --- Seeded mutation of host-supplied stripe bytes -----------------------------------
+// Parity 3+1 with one data chunk lost, so the plan reads from three peers.
+struct ParityRepairFixture {
+  explicit ParityRepairFixture(size_t blob_len, uint32_t repair_epochs, uint64_t seed) {
+    sc = Config(3, true);
+    sc.repair_epochs = repair_epochs;
+    Rng rng(seed);
+    blob.resize(blob_len);
+    rng.Fill(blob);
+    hosts = Stripe(sc, kOwner, 11, blob);
+    hosts[0].clear();
+  }
 
-// Request header layout: op(1) owner(4) seal_counter(8) chunk_index(4)
-// chunk_count(4) blob_len(8) offset(8) len(8) digest(32); op 2 is a fetch.
-constexpr uint8_t kFetchOp = 2;
-constexpr size_t kOffsetAt = 29;
-constexpr size_t kLenAt = 37;
+  static constexpr uint32_t kOwner = 5;
+  StripingConfig sc;
+  std::vector<uint8_t> blob;
+  std::vector<StripeStore> hosts;
+};
+
+TEST(StripeRepair, StepsExactlyRepairEpochsOfCeilSizedSlices) {
+  ParityRepairFixture f(/*blob_len=*/1000, /*repair_epochs=*/4, /*seed=*/1);
+  std::vector<Fetch> fetches;
+  const StripeRepair::Call call = ServeFrom(f.hosts, &fetches);
+  StripeRepair repair(f.sc, ParityRepairFixture::kOwner, f.blob.size());
+  EXPECT_EQ(repair.epochs_remaining(), 4u);
+  EXPECT_FALSE(repair.plan().has_value());
+  EXPECT_THROW(repair.Step(call), std::bad_optional_access);
+  repair.Plan(AllPeers(f.hosts), call);
+  const uint64_t total = repair.plan()->total_bytes();  // 3 chunks of 334 bytes
+  ASSERT_EQ(total, 1002u);
+  const uint64_t slice = (total + 3) / 4;  // 251; the last slice is 249
+  uint64_t fetched = 0;
+  for (uint32_t e = 1; e <= 4; ++e) {
+    fetches.clear();
+    const std::optional<std::vector<uint8_t>> out = repair.Step(call);
+    uint64_t bytes = 0;
+    for (const Fetch& fetch : fetches) {
+      bytes += std::get<2>(fetch);
+    }
+    EXPECT_EQ(bytes, e < 4 ? slice : total - 3 * slice) << "epoch " << e;
+    fetched += bytes;
+    EXPECT_EQ(repair.epochs_remaining(), 4 - e);
+    EXPECT_EQ(out.has_value(), e == 4) << "epoch " << e;
+  }
+  EXPECT_EQ(fetched, total);
+}
+
+TEST(StripeRepair, RequestScheduleDependsOnSnapshotLengthOnly) {
+  // Two different snapshots of one length: the same (peer, offset, len) fetches, in the
+  // same epochs.
+  std::vector<std::vector<Fetch>> schedules;
+  for (const uint64_t seed : {1, 2}) {
+    ParityRepairFixture f(/*blob_len=*/500, /*repair_epochs=*/4, seed);
+    std::vector<Fetch> fetches;
+    const StripeRepair::Call call = ServeFrom(f.hosts, &fetches);
+    StripeRepair repair(f.sc, ParityRepairFixture::kOwner, f.blob.size());
+    repair.Plan(AllPeers(f.hosts), call);
+    std::optional<std::vector<uint8_t>> out;
+    for (uint32_t e = 0; e < 4; ++e) {
+      out = repair.Step(call);
+      fetches.emplace_back(~0u, e, 0);  // epoch separator
+    }
+    EXPECT_EQ(out, f.blob);
+    schedules.push_back(fetches);
+  }
+  EXPECT_EQ(schedules[0], schedules[1]);
+}
+
+TEST(StripeRepair, ReplanAfterAFailedCallRestartsTheWindowFromOffsetZero) {
+  ParityRepairFixture f(/*blob_len=*/1000, /*repair_epochs=*/4, /*seed=*/3);
+  std::vector<Fetch> fetches;
+  const StripeRepair::Call serve = ServeFrom(f.hosts, &fetches);
+  StripeRepair repair(f.sc, ParityRepairFixture::kOwner, f.blob.size());
+  repair.Plan(AllPeers(f.hosts), serve);
+  ASSERT_FALSE(repair.Step(serve).has_value());
+  ASSERT_EQ(repair.epochs_remaining(), 3u);
+  // The second slice straddles chunks 0 and 1; its second fetch fails.
+  size_t calls = 0;
+  const StripeRepair::Call flaky = [&](uint32_t peer, std::span<const uint8_t> request) {
+    if (++calls == 2) {
+      throw TimeoutError("peer");
+    }
+    return serve(peer, request);
+  };
+  EXPECT_THROW(repair.Step(flaky), TimeoutError);
+  EXPECT_EQ(repair.epochs_remaining(), 3u) << "a failed step is not an epoch of the window";
+  repair.Plan(AllPeers(f.hosts), serve);
+  EXPECT_EQ(repair.epochs_remaining(), 4u);
+  fetches.clear();
+  ASSERT_FALSE(repair.Step(serve).has_value());
+  ASSERT_FALSE(fetches.empty());
+  EXPECT_EQ(std::get<1>(fetches.front()), 0u) << "the new plan fetches from offset 0";
+  EXPECT_EQ(RunWindow(repair, serve, 3), f.blob);
+}
+
+TEST(StripeRepair, ReassemblesTheSameBytesEveryTime) {
+  // The refused-restore path steps again after the window: the parity-substituted
+  // chunk must come out the same each time.
+  ParityRepairFixture f(/*blob_len=*/300, /*repair_epochs=*/2, /*seed=*/4);
+  std::vector<Fetch> fetches;
+  const StripeRepair::Call call = ServeFrom(f.hosts, &fetches);
+  StripeRepair repair(f.sc, ParityRepairFixture::kOwner, f.blob.size());
+  repair.Plan(AllPeers(f.hosts), call);
+  ASSERT_EQ(repair.plan()->parity_substituted, 0);
+  EXPECT_EQ(RunWindow(repair, call, 2), f.blob);
+  EXPECT_EQ(repair.Step(call), f.blob);
+  EXPECT_EQ(repair.Step(call), f.blob);
+  EXPECT_EQ(ReassembleSnapshot(*repair.plan()), ReassembleSnapshot(*repair.plan()));
+}
+
+// --- Seeded mutation of host-supplied stripe bytes -----------------------------------
 
 // Whether two fetch requests name the same owner, seal, chunk and byte range (the
 // fields the reply digest covers).

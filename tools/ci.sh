@@ -51,6 +51,22 @@ if [[ -n "${stripe_format}" ]]; then
 fi
 echo "stripe format owner ok: src/core/striping.{h,cc}"
 
+echo "== one repair owner (repair planning and the fetch loop only in src/core/striping.{h,cc}) =="
+# A lost partition's rebuild is the StripeRepair state machine: manifest query and
+# decoding, the plan, the public slice schedule and the reassembly. Snoopy drives it
+# through StripeRepair alone and binds only the transport. The planner and fetch
+# codecs anywhere else under src/ are a second repair loop. Comment lines are skipped.
+repair_owner="$(grep -rnP --include='*.h' --include='*.cc' \
+  '\b(RepairPlan|PlanStripeRepair|ReassembleSnapshot|EncodeStripeFetch|EncodeStripeManifestQuery|DecodeStripeManifest|StripeFetchPayload)\b' src \
+  | grep -vE '^src/core/striping\.(h|cc):' \
+  | grep -vP '^[^:]+:[0-9]+:\s*//' || true)"
+if [[ -n "${repair_owner}" ]]; then
+  echo "ci.sh: repair planning outside src/core/striping.{h,cc}:"
+  echo "${repair_owner}"
+  exit 1
+fi
+echo "repair owner ok: src/core/striping.{h,cc}"
+
 echo "== binary taint dataflow (planted corpus, then real kernels at -O2/-O3) =="
 # The source lint cannot see what the optimizer emits; ct_dataflow audits the
 # compiled objects. Self-test first (every planted B01-B04/M01 must fire), then
@@ -101,6 +117,21 @@ echo "== forced-generic kernel backend (dispatch-sensitive suites) =="
 # the epoch-trace suites run the fused access kernel, so they rerun here as well.
 SNOOPY_KERNEL_BACKEND=generic ctest --test-dir build --output-on-failure --no-tests=error \
   -R '(Primitives|Kernel|BitonicSort|BlockedSort|Compaction|BinPlacement|PaddedBinSort|HashTable|TwoTierOht|SubOram|LoadBalancer|Obliviousness|Sha256|Hmac|ChaCha20|Poly1305|Aead|Attestation|MerkleTree|SealBoundary)'
+
+echo "== secret-poisoning build (SNOOPY_CT_CHECK=ON: poison and secret suites) =="
+# With SNOOPY_CT_CHECK the Secret<T> wrappers poison their values and count every
+# declassification (src/obl/poison.h). The default build compiles that out, so
+# CtPoison.DeclassificationBalancesUnderAccountingBackend skips there; this build is
+# the one that runs it.
+cmake -S . -B build-ct -DSNOOPY_CT_CHECK=ON >/dev/null
+cmake --build build-ct -j"${JOBS}" --target ct_poison_test secret_test
+build-ct/tests/secret_test
+poison_log="$(build-ct/tests/ct_poison_test)"
+echo "${poison_log}"
+if grep -q '\[  SKIPPED \]' <<< "${poison_log}"; then
+  echo "ci.sh: a poison test skipped in the SNOOPY_CT_CHECK build"
+  exit 1
+fi
 
 echo "== lint target (clang-tidy when installed) =="
 cmake --build build --target lint
