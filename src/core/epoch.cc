@@ -109,6 +109,11 @@ EpochResult RunEpochProtocol(const std::vector<std::unique_ptr<LoadBalancer>>& l
   });
   if (std::any_of(result.failures.begin(), result.failures.end(),
                   [](const std::exception_ptr& failure) { return failure != nullptr; })) {
+    // Nothing is answered: every request comes back as prepared, resp = 0.
+    result.matched.resize(num_lbs);
+    for (size_t lb = 0; lb < num_lbs; ++lb) {
+      result.matched[lb] = std::move(prepared[lb].originals);
+    }
     return result;
   }
 

@@ -89,7 +89,8 @@ struct EpochResult {
   std::vector<RequestBatch> matched;
   std::vector<uint8_t> lost;  // per partition: 1 if its machine died mid-epoch
   // Per partition, an exchange failure other than a loss. Any failure skips the
-  // match, leaving `matched` empty and `match_timer` null.
+  // match: `matched` then holds each load balancer's requests as prepared, all
+  // unanswered (resp = 0) and in submission order, and `match_timer` is null.
   std::vector<std::exception_ptr> failures;
   // The response_match timer, still running so that it also covers the delivery.
   std::unique_ptr<SpanTimer> match_timer;

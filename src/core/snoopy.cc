@@ -431,6 +431,27 @@ void Snoopy::RecoverSubOram(uint32_t so,
   }
 }
 
+bool Snoopy::RestoreFailedEpoch() {
+  bool all_restored = true;
+  for (uint32_t so = 0; so < config_.num_suborams; ++so) {
+    Partition& p = partitions_[so];
+    bool restored = false;
+    if (!p.repair && p.backend->SupportsSealing()) {
+      try {
+        RestorePartition(so, p.snapshot);
+        restored = true;
+      } catch (const RollbackDetectedError&) {
+        // The host's snapshot is stale or tampered: the partition keeps its state,
+        // and its next restore refuses the same bytes again.
+      }
+    }
+    all_restored = all_restored && (restored || p.executed_lbs.empty());
+    p.response_cache.clear();
+    p.executed_lbs.clear();
+  }
+  return all_restored;
+}
+
 void Snoopy::RestorePartition(uint32_t so, std::span<const uint8_t> blob) {
   Partition& p = partitions_[so];
   // A stale or tampered blob means the host is replaying superseded state (or, for
@@ -683,8 +704,14 @@ std::vector<ClientResponse> Snoopy::RunEpoch() {
   }
   EpochResult result = RunEpochProtocol(lbs_, pending_, seeds, available, config_.epoch_threads,
                                         telemetry, std::bind_front(&Snoopy::CallSubOram, this));
+  const auto failed = [&result] {
+    return std::find_if(result.failures.begin(), result.failures.end(),
+                        [](const std::exception_ptr& f) { return f != nullptr; });
+  };
+  // An exchange failure skipped the match: every request came back unanswered.
+  const bool match_skipped = failed() != result.failures.end();
   // Mid-epoch losses apply here, on the orchestrator thread and in partition order;
-  // then the lowest-index failure (a loss with striping disabled included) surfaces.
+  // a loss with striping disabled is a failure too.
   for (uint32_t so = 0; so < config_.num_suborams; ++so) {
     try {
       if (result.lost[so] != 0) {
@@ -694,9 +721,14 @@ std::vector<ClientResponse> Snoopy::RunEpoch() {
       result.failures[so] = std::current_exception();
     }
   }
-  for (const std::exception_ptr& failure : result.failures) {
-    if (failure != nullptr) {
-      std::rethrow_exception(failure);
+  // A failed epoch delivers and seals nothing. Its requests requeue through the
+  // deferral loop below when the partitions could return to the boundary; otherwise
+  // they are dropped. The lowest-index failure surfaces after that.
+  const auto failure = failed();
+  if (failure != result.failures.end()) {
+    const bool restored = RestoreFailedEpoch();
+    if (!restored || !match_skipped) {
+      result.matched.clear();
     }
   }
 
@@ -748,6 +780,9 @@ std::vector<ClientResponse> Snoopy::RunEpoch() {
   result.match_timer.reset();
   if (deferred > 0 && telemetry.metrics != nullptr) {
     telemetry.metrics->deferred_requests_total->Increment(deferred);
+  }
+  if (failure != result.failures.end()) {
+    std::rethrow_exception(*failure);
   }
 
   {

@@ -289,6 +289,13 @@ class Snoopy {
   // state with RollbackDetectedError, then starts fresh sessions with every load
   // balancer and drops the response cache.
   void RestorePartition(uint32_t so, std::span<const uint8_t> blob);
+  // After a failed epoch, which seals nothing: every healthy partition whose backend
+  // seals restores its boundary snapshot, so the failed epoch leaves no state behind,
+  // its links are rekeyed (an undelivered batch desynchronized their counters) and no
+  // cached reply of the failed epoch is re-served under the same epoch id. Clears the
+  // per-epoch caches. Returns whether every partition that executed a batch this
+  // epoch was restored, i.e. whether the epoch's requests may run again.
+  bool RestoreFailedEpoch();
   void RecoverLoadBalancer(uint32_t lb);
   // Fresh session on link (lb, so) after an end restarted: draws the key under
   // rng_mu_ (concurrent subORAM recoveries share rng_) and bumps the link

@@ -12,13 +12,14 @@
 // so production/bench paths are unaffected.
 //
 // Threading model: the recorder's main event stream is single-owner (the orchestrating
-// thread). Worker threads NEVER touch it directly; instead each worker installs a
-// TraceThreadBuffer redirecting its events into a thread-local sink, and the owner
-// merges the sinks back with TraceAppendCurrent in a *deterministic* order keyed by
-// public ids (load-balancer id, subORAM id, chunk index, recursion position). Because
-// the merge keys are public and the per-sink event order is sequential, the merged
-// trace of a parallel run is byte-identical to the sequential run's trace -- which is
-// exactly what the trace-identity tests pin. See DESIGN.md "Threading model".
+// thread). Worker threads NEVER touch it directly; every fork goes through RunPhase
+// (src/obl/parallel.h), which installs a TraceThreadBuffer redirecting each task's
+// events into that task's sink and merges the sinks back with TraceAppendCurrent in a
+// *deterministic* order keyed by public ids (load-balancer id, subORAM id, recursion
+// position). Because the merge keys are public and the per-sink event order is
+// sequential, the merged trace of a parallel run is byte-identical to the sequential
+// run's trace -- which is exactly what the trace-identity tests pin. See DESIGN.md
+// "Threading model".
 
 #ifndef SNOOPY_SRC_ENCLAVE_TRACE_H_
 #define SNOOPY_SRC_ENCLAVE_TRACE_H_
@@ -129,15 +130,6 @@ inline void TraceRecord(TraceOp op, uint64_t a, uint64_t b = 0) {
 inline void TraceAppendCurrent(const std::vector<TraceEvent>& events) {
   TraceRecorder::Global().AppendCurrent(events);
 }
-
-// One concurrent worker's event buffer, alone on its cache line. Parallel executors
-// keep their workers' buffers side by side in an array; unpadded, each push_back
-// would write a line that also holds the neighbouring buffers' vector headers, and
-// that false sharing made traced tasks of a 4-thread epoch burn 2-3x their
-// sequential CPU time.
-struct alignas(64) TraceSink {
-  std::vector<TraceEvent> events;
-};
 
 // RAII redirection of the calling thread's trace events into `sink` (a plain vector
 // owned by the caller; no locking -- each sink belongs to exactly one thread at a

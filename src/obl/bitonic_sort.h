@@ -39,10 +39,10 @@ namespace snoopy {
 // SNOOPY_OBLIVIOUS_BEGIN(bitonic_sort)
 // ct-public: n lo m asc threads i j k stride max_threads hw cap
 // ct-public: parallel_threshold kTilesPerParallelSort
-// ct-public: pool half events WorkPool
+// ct-public: half WorkPool
 // ct-calls: GreatestPowerOfTwoBelow BitonicMerge BitonicSortRec AdaptiveSortThreads
 // ct-calls: BitonicTileMerge BitonicTileSort first second SortBlockRecords BitonicSlabCSwap
-// ct-calls: WorkPool Instance Reserve Run
+// ct-calls: WorkPool Instance Reserve RunPhase PhasePoolContext
 
 namespace internal {
 
@@ -90,34 +90,26 @@ void BitonicTileSort(size_t lo, size_t n, bool asc, const CSwap& cswap) {
 // ---- Fork-join executor (threads > 1) ----
 
 // Runs the two independent halves of a bitonic recursion step in parallel (callers
-// pass threads > 1). Trace safety: the shared recorder is not thread-safe, so each
-// half buffers its cswap events thread-locally (TraceThreadBuffer) and the parent
-// appends them after the join in the *sequential* recursion order (first half, then
+// pass threads > 1), as a two-task RunPhase (obl/parallel.h): the second half is
+// offered to an idle pool worker (or reclaimed by the caller after it finishes the
+// first half), each half's cswap events are buffered in its own task sink, and the
+// sinks merge after the join in the *sequential* recursion order (first half, then
 // second). The split point is public (a function of n alone), so the merged trace is
-// byte-identical to a single-threaded run — the trace-identity tests pin this. No
-// span is opened inside a sort half, so only cswap events need the merge.
-//
-// Execution goes through the process-wide WorkPool (obl/parallel.h) as a two-body
-// Run: the second half is offered to an idle pool worker (or reclaimed by the caller
-// after it finishes the first half) -- never a freshly spawned thread. `threads` is
-// the width of this recursion level; the halves carry threads / 2 and
-// threads - threads / 2 down, so the recursion forks at most `threads` ways and the
-// pool is grown to that width up front.
+// byte-identical to a single-threaded run -- the trace-identity tests pin this. No
+// span is opened inside a sort half, so the fork carries no tracer and only cswap
+// events need the merge. `threads` is the width of this recursion level; the halves
+// carry threads / 2 and threads - threads / 2 down, so the recursion forks at most
+// `threads` ways and the pool is grown to that width up front.
 template <typename First, typename Second>
 void TraceForkJoinHalves(const First& first, const Second& second, int threads) {
-  TraceSink sinks[2];
-  WorkPool& pool = WorkPool::Instance();
-  pool.Reserve(static_cast<size_t>(threads) - 1);
-  pool.Run(2, [&](size_t half) {
-    TraceThreadBuffer buffer{&sinks[half].events};
+  WorkPool::Instance().Reserve(static_cast<size_t>(threads) - 1);
+  RunPhase(2, 2, PhasePoolContext{"fork"}, [&](size_t half) {
     if (half == 0) {
       first();
     } else {
       second();
     }
   });
-  TraceAppendCurrent(sinks[0].events);
-  TraceAppendCurrent(sinks[1].events);
 }
 
 // The thread width alone decides how a segment runs: it forks while threads > 1 and

@@ -7,7 +7,6 @@
 #include <condition_variable>
 #include <exception>
 #include <list>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -44,6 +43,14 @@ struct Offer {
 // An exception escaping a body would unwind Run past offers still in the list, so
 // it terminates instead.
 void Call(const std::function<void(size_t)>& body, size_t index) noexcept { body(index); }
+
+// One RunPhase task's buffered output: its enclave events and its spans, merged in
+// task order after the join. Padded to its own cache line because neighbouring tasks
+// push into neighbouring sinks concurrently.
+struct alignas(64) TaskSink {
+  std::vector<TraceEvent> events;
+  std::vector<SpanEvent> spans;
+};
 
 }  // namespace
 
@@ -168,21 +175,11 @@ void RunPhase(size_t n, int threads, const PhasePoolContext& ctx,
   Tracer* tracer =
       ctx.tracer != nullptr && ctx.tracer->enabled() ? ctx.tracer : nullptr;
 
-  std::vector<TraceSink> buffers(n);
-  std::vector<std::unique_ptr<SpanRingBuffer>> rings(n);
-  if (tracer != nullptr) {
-    // A task records itself plus its step spans, so a small ring suffices; the
-    // default capacity would only add zero-fill cost.
-    for (std::unique_ptr<SpanRingBuffer>& ring : rings) {
-      ring = std::make_unique<SpanRingBuffer>(64);
-    }
-  }
+  std::vector<TaskSink> sinks(n);
   std::vector<std::exception_ptr> errors(n);
   std::vector<WorkerPhaseStats> stats(workers);
-  stats[0].max_queue_depth = n;  // one shared queue: record its depth once
   std::atomic<size_t> next{0};
 
-  const double pool_start = now();
   WorkPool::Instance().Run(workers, [&](size_t w) {
     WorkerPhaseStats& st = stats[w];
     st.start_s = now();
@@ -191,8 +188,10 @@ void RunPhase(size_t n, int threads, const PhasePoolContext& ctx,
       if (i >= n) {
         break;
       }
-      TraceThreadBuffer events{&buffers[i].events};
-      TracerThreadBuffer spans{rings[i].get()};
+      TraceThreadBuffer events{&sinks[i].events};
+      // The span sink is shared by every Tracer, so it is installed only while this
+      // phase's tracer records; otherwise spans go wherever they went before.
+      TracerThreadBuffer spans{tracer != nullptr ? &sinks[i].spans : nullptr};
       const double task_start = now();
       const double task_cpu_start = ThreadCpuNowSeconds();
       {
@@ -217,14 +216,13 @@ void RunPhase(size_t n, int threads, const PhasePoolContext& ctx,
     st.idle_ns = idle_s > 0 ? static_cast<uint64_t>(idle_s * 1e9) : 0;
   }
 
-  for (size_t i = 0; i < n; ++i) {
-    TraceAppendCurrent(buffers[i].events);
+  for (const TaskSink& sink : sinks) {
+    TraceAppendCurrent(sink.events);
     if (tracer != nullptr) {
-      tracer->AppendCurrent(*rings[i]);
+      tracer->AppendCurrent(sink.spans);
     }
   }
-  RecordWorkerPhase(ctx.tracer, ctx.metrics, ctx.phase, workers, pool_start, pool_end,
-                    stats);
+  RecordWorkerPhase(ctx.tracer, ctx.metrics, ctx.phase, workers, stats);
   for (const std::exception_ptr& error : errors) {
     if (error) {
       std::rethrow_exception(error);

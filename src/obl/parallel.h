@@ -19,9 +19,11 @@
 //
 // Leakage model: everything the pool schedules is a *public* work item (a load
 // balancer id, a subORAM id, a public sort-recursion position). Scheduling decisions
-// therefore leak nothing new, and all trace events produced inside a task are
-// buffered per task and merged in public task order (RunPhase, the sort's
-// fork-join) -- thread count and scheduling stay invisible in the merged trace.
+// therefore leak nothing new, and all trace events and spans produced inside a task
+// are buffered per task and merged in public task order. RunPhase is the one place
+// that does this and the one caller of WorkPool::Run under src/ (the sorts' fork-join
+// halves are a two-task RunPhase), so thread count and scheduling stay invisible in
+// the merged trace.
 //
 // Accounting: the pool measures both wall time and per-thread CPU time
 // (CLOCK_THREAD_CPUTIME_ID). On an oversubscribed host the two diverge -- wall-busy
@@ -89,7 +91,7 @@ struct PhasePoolContext {
   const char* phase;
   Tracer* tracer = nullptr;
   const PoolPhaseMetrics* metrics = nullptr;
-  std::function<double()> now;
+  std::function<double()> now = nullptr;
 };
 
 // Runs task(0..n-1) across up to `threads` pool workers (the calling thread
@@ -97,10 +99,11 @@ struct PhasePoolContext {
 // the epoch pipeline. Each task index is a *public* id (a load balancer or subORAM
 // number), and everything order-dependent is keyed by it:
 //
-//   - Trace events and spans a task produces are buffered per task (TraceEvent
-//     vector, SpanRingBuffer) and merged into the caller's sinks in task-index
-//     order, so the merged enclave trace and span sequence are identical at any
-//     thread count. Each task also gets a "task" span.
+//   - Trace events and spans a task produces are buffered in one per-task sink (a
+//     TraceEvent vector and a SpanEvent vector, padded to a cache line) and merged
+//     into the caller's sinks in task-index order, so the merged enclave trace and
+//     span sequence are identical at any thread count. Spans are buffered only while
+//     ctx.tracer is on, and then each task also gets a "task" span.
 //   - A task that throws doesn't stop its siblings (independent machines in the
 //     real deployment); after the join the lowest-index exception is rethrown. This
 //     holds at every width, so the state a failed phase leaves behind does not

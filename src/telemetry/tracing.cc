@@ -122,13 +122,11 @@ PoolPhaseMetrics PoolPhaseMetrics::Resolve(MetricsRegistry* metrics,
       &metrics->GetHistogram("snoopy_pool_worker_busy_seconds", labels);
   m.worker_idle_seconds =
       &metrics->GetHistogram("snoopy_pool_worker_idle_seconds", labels);
-  m.queue_depth = &metrics->GetHistogram("snoopy_pool_queue_depth", labels);
   return m;
 }
 
 void RecordWorkerPhase(Tracer* tracer, const PoolPhaseMetrics* metrics,
-                       const char* phase, size_t workers, double phase_start_s,
-                       double phase_end_s,
+                       const char* phase, size_t workers,
                        const std::vector<WorkerPhaseStats>& stats) {
   uint64_t tasks = 0;
   double busy_s = 0;
@@ -151,7 +149,6 @@ void RecordWorkerPhase(Tracer* tracer, const PoolPhaseMetrics* metrics,
     for (const WorkerPhaseStats& w : stats) {
       metrics->worker_busy_seconds->Observe(static_cast<double>(w.busy_ns) * 1e-9);
       metrics->worker_idle_seconds->Observe(static_cast<double>(w.idle_ns) * 1e-9);
-      metrics->queue_depth->Observe(static_cast<double>(w.max_queue_depth));
     }
   }
 
@@ -176,19 +173,6 @@ void RecordWorkerPhase(Tracer* tracer, const PoolPhaseMetrics* metrics,
       e.arg_values[3] = stats[w].cpu_busy_ns;
       tracer->Record(e);
     }
-    // A synthetic barrier span covering the whole pool run, so the exporter shows
-    // the join point the per-worker idle_ns values are measured against.
-    SpanEvent barrier;
-    barrier.cat = "pool";
-    barrier.name = "barrier";
-    barrier.track = 0;
-    barrier.start_s = phase_start_s;
-    barrier.end_s = phase_end_s;
-    barrier.arg_names[0] = "workers";
-    barrier.arg_values[0] = workers;
-    barrier.arg_names[1] = "tasks";
-    barrier.arg_values[1] = tasks;
-    tracer->Record(barrier);
   }
 }
 

@@ -18,17 +18,17 @@
 //      vouching that the span's timing and arguments are functions of public state.
 //
 // Determinism: worker threads never write the shared span stream directly. Inside
-// the parallel epoch executor each *task* gets its own SpanRingBuffer installed as
-// the thread's TLS sink (TracerThreadBuffer, mirroring src/enclave/trace.h's
-// TraceThreadBuffer); the orchestrator merges the rings back in public task-id
-// order after the join, so the span *sequence* is identical at any epoch_threads.
-// Span timestamps come from a pluggable clock (steady_clock by default, the
-// deterministic VirtualClock under fault injection).
+// RunPhase (src/obl/parallel.h) each *task* gets one sink that buffers both its
+// enclave events and its spans; the span vector is installed as the thread's TLS
+// sink (TracerThreadBuffer, mirroring src/enclave/trace.h's TraceThreadBuffer), and
+// the orchestrator merges the sinks back in public task-id order after the join, so
+// the span *sequence* is identical at any epoch_threads. Span timestamps come from a
+// pluggable clock (steady_clock by default, the deterministic VirtualClock under
+// fault injection).
 //
-// The ring buffers are single-writer plain memory: the owning task pushes, and the
-// orchestrator reads them only after the join. A full ring drops (and counts) rather
-// than blocks or reallocates, so tracing can never add a lock or an allocation to a
-// worker's steady state.
+// A task's span vector is single-writer plain memory: the owning task pushes, and the
+// orchestrator reads it only after the join. It grows like the enclave event buffer,
+// so a task never drops a span; only the shared stream is bounded (kMaxEvents).
 //
 // Everything callable from oblivious headers (Global(), Record, TraceSpan) is
 // inline so snoopy_obl users need no extra objects beyond snoopy_telemetry, which
@@ -38,6 +38,7 @@
 #ifndef SNOOPY_SRC_TELEMETRY_TRACING_H_
 #define SNOOPY_SRC_TELEMETRY_TRACING_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -75,56 +76,18 @@ struct SpanEvent {
   uint64_t arg_values[kMaxArgs] = {};
 };
 
-// Fixed-capacity single-writer span buffer. The owner thread pushes; readers look
-// only after the writer has quiesced (the post-join merge). Full means
-// drop-and-count, never block or grow.
-class SpanRingBuffer {
- public:
-  explicit SpanRingBuffer(size_t capacity = kDefaultCapacity)
-      : events_(capacity) {}
-
-  SpanRingBuffer(const SpanRingBuffer&) = delete;
-  SpanRingBuffer& operator=(const SpanRingBuffer&) = delete;
-
-  bool Push(const SpanEvent& e) {
-    if (size_ >= events_.size()) {
-      ++dropped_;
-      return false;
-    }
-    events_[size_++] = e;
-    return true;
-  }
-
-  size_t size() const { return size_; }
-  size_t capacity() const { return events_.size(); }
-  uint64_t dropped() const { return dropped_; }
-  const SpanEvent& at(size_t i) const { return events_[i]; }
-
-  void Clear() {
-    size_ = 0;
-    dropped_ = 0;
-  }
-
-  static constexpr size_t kDefaultCapacity = 4096;
-
- private:
-  std::vector<SpanEvent> events_;
-  size_t size_ = 0;
-  uint64_t dropped_ = 0;
-};
-
 namespace tracing_internal {
-// TLS sink pointer: when set, Record() goes to this ring instead of the shared
+// TLS sink pointer: when set, Record() appends to this vector instead of the shared
 // stream (installed per *task* by TracerThreadBuffer so the merge order is the
 // public task order, not the scheduling order).
-inline thread_local SpanRingBuffer* tls_span_sink = nullptr;
+inline thread_local std::vector<SpanEvent>* tls_span_sink = nullptr;
 }  // namespace tracing_internal
 
 // The span collector. One process-global instance (Global(), configured by the
 // SNOOPY_TRACE / SNOOPY_TRACE_OUT environment variables); tests may use private
 // instances. Thread-safe: `enabled` is an atomic read on every span open, the
 // shared stream is mutex-guarded, and worker-side recording goes through the
-// per-task TLS rings.
+// per-task TLS sinks.
 class Tracer {
  public:
   using NowFn = std::function<double()>;
@@ -153,14 +116,12 @@ class Tracer {
     return now_s_ ? now_s_() : SpanTimer::SteadyNowSeconds();
   }
 
-  // Records a closed span: into the installed TLS ring if any, else the shared
+  // Records a closed span: into the installed TLS sink if any, else the shared
   // stream (bounded; overflow drops and counts).
   void Record(const SpanEvent& e) {
     recorded_.fetch_add(1, std::memory_order_relaxed);
-    if (SpanRingBuffer* sink = tracing_internal::tls_span_sink) {
-      if (!sink->Push(e)) {
-        dropped_.fetch_add(1, std::memory_order_relaxed);
-      }
+    if (std::vector<SpanEvent>* sink = tracing_internal::tls_span_sink) {
+      sink->push_back(e);
       return;
     }
     std::lock_guard<std::mutex> g(mu_);
@@ -171,37 +132,20 @@ class Tracer {
     events_.push_back(e);
   }
 
-  // Appends a quiesced ring's events to the shared stream, preserving their order.
-  // Callers append rings in public task-id order; that is what makes the merged
-  // sequence independent of the worker schedule.
-  void Append(const SpanRingBuffer& ring) {
-    const size_t n = ring.size();
-    dropped_.fetch_add(ring.dropped(), std::memory_order_relaxed);
-    std::lock_guard<std::mutex> g(mu_);
-    for (size_t i = 0; i < n; ++i) {
-      if (events_.size() >= kMaxEvents) {
-        dropped_.fetch_add(n - i, std::memory_order_relaxed);
-        return;
-      }
-      events_.push_back(ring.at(i));
-    }
-  }
-
-  // Appends a quiesced ring into this thread's *current* sink — the installed TLS
-  // ring if any, else the shared stream — preserving order. This is how nested
-  // fork-join code merges child rings without bypassing an enclosing per-task ring.
-  void AppendCurrent(const SpanRingBuffer& ring) {
-    if (SpanRingBuffer* sink = tracing_internal::tls_span_sink) {
-      const size_t n = ring.size();
-      dropped_.fetch_add(ring.dropped(), std::memory_order_relaxed);
-      for (size_t i = 0; i < n; ++i) {
-        if (!sink->Push(ring.at(i))) {
-          dropped_.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
+  // Appends quiesced per-task spans into this thread's *current* sink -- the installed
+  // TLS sink if any, else the shared stream up to its bound -- preserving their order.
+  // Callers append in public task-id order; that is what makes the merged sequence
+  // independent of the worker schedule, and what lets nested fork-join code merge
+  // into an enclosing task's sink instead of bypassing it.
+  void AppendCurrent(const std::vector<SpanEvent>& spans) {
+    if (std::vector<SpanEvent>* sink = tracing_internal::tls_span_sink) {
+      sink->insert(sink->end(), spans.begin(), spans.end());
       return;
     }
-    Append(ring);
+    std::lock_guard<std::mutex> g(mu_);
+    const size_t kept = std::min(spans.size(), kMaxEvents - events_.size());
+    events_.insert(events_.end(), spans.begin(), spans.begin() + kept);
+    dropped_.fetch_add(spans.size() - kept, std::memory_order_relaxed);
   }
 
   std::vector<SpanEvent> snapshot() const {
@@ -259,16 +203,18 @@ inline Tracer& Tracer::Global() {
   return *instance;
 }
 
-// RAII: routes this thread's span recording into `ring` (saving and restoring any
+// RAII: routes this thread's span recording into `sink` (saving and restoring any
 // enclosing sink, so nesting behaves). Install one per public task so the
-// orchestrator can merge rings in task-id order. A null ring keeps the current
-// sink — callers may pass null to make buffering conditional on tracing.
+// orchestrator can merge sinks in task-id order. A null sink keeps the current
+// one -- callers may pass null to make buffering conditional on tracing. The TLS
+// sink is shared by every Tracer, which is why RunPhase installs one only while its
+// own tracer is on.
 class TracerThreadBuffer {
  public:
-  explicit TracerThreadBuffer(SpanRingBuffer* ring)
+  explicit TracerThreadBuffer(std::vector<SpanEvent>* sink)
       : prev_(tracing_internal::tls_span_sink) {
-    if (ring != nullptr) {
-      tracing_internal::tls_span_sink = ring;
+    if (sink != nullptr) {
+      tracing_internal::tls_span_sink = sink;
     }
   }
   ~TracerThreadBuffer() { tracing_internal::tls_span_sink = prev_; }
@@ -277,7 +223,7 @@ class TracerThreadBuffer {
   TracerThreadBuffer& operator=(const TracerThreadBuffer&) = delete;
 
  private:
-  SpanRingBuffer* prev_;
+  std::vector<SpanEvent>* prev_;
 };
 
 // RAII span: opens on construction, records one closed SpanEvent on End() or
@@ -343,8 +289,7 @@ class TraceSpan {
 };
 
 // Per-worker counters for one RunPhase call (src/obl/parallel.h). All fields are
-// public: scheduling facts (task counts, queue depths) and clock readings, never
-// request contents.
+// public: scheduling facts (task counts) and clock readings, never request contents.
 struct WorkerPhaseStats {
   uint64_t tasks = 0;
   uint64_t busy_ns = 0;      // sum of task *wall* run times on this worker
@@ -354,7 +299,6 @@ struct WorkerPhaseStats {
   // platform lacks a per-thread CPU clock (consumers fall back to wall-busy).
   uint64_t cpu_busy_ns = 0;
   uint64_t idle_ns = 0;      // barrier stall: pool end minus this worker's finish
-  uint64_t max_queue_depth = 0;
   double start_s = 0;
   double finish_s = 0;
 };
@@ -374,7 +318,6 @@ struct PoolPhaseMetrics {
   Gauge* workers = nullptr;
   Histogram* worker_busy_seconds = nullptr;
   Histogram* worker_idle_seconds = nullptr;
-  Histogram* queue_depth = nullptr;
 
   // Resolves every handle against `metrics` for the given phase label. Returns an
   // all-null struct when `metrics` is null.
@@ -387,8 +330,7 @@ struct PoolPhaseMetrics {
 // schedule-independent in *sequence* (the recorded durations are wall-clock facts
 // and naturally vary). Defined in tracing.cc.
 void RecordWorkerPhase(Tracer* tracer, const PoolPhaseMetrics* metrics,
-                       const char* phase, size_t workers, double phase_start_s,
-                       double phase_end_s,
+                       const char* phase, size_t workers,
                        const std::vector<WorkerPhaseStats>& stats);
 
 }  // namespace snoopy

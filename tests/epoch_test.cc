@@ -272,7 +272,22 @@ TEST(Epoch, ExchangeFailureIsReportedPerPartitionAndSkipsTheMatch) {
     EXPECT_NE(result.failures[1], nullptr);
     EXPECT_EQ(result.failures[2], nullptr) << "a loss is not a failure";
     EXPECT_THROW(std::rethrow_exception(result.failures[1]), std::runtime_error);
-    EXPECT_TRUE(result.matched.empty());
+    // Nothing is answered: each load balancer gets back its requests as prepared, in
+    // submission order and all unanswered, for the caller to requeue.
+    ASSERT_EQ(result.matched.size(), static_cast<size_t>(kLbs));
+    for (uint32_t lb = 0; lb < kLbs; ++lb) {
+      const RequestBatch& matched = result.matched[lb];
+      std::vector<uint64_t> keys;
+      for (size_t i = 0; i < matched.size(); ++i) {
+        EXPECT_EQ(matched.Header(i).resp, 0u);
+        keys.push_back(matched.Header(i).key);
+      }
+      std::vector<uint64_t> submitted;
+      for (uint64_t k = lb; k < kObjects; k += kLbs) {
+        submitted.push_back(k);
+      }
+      EXPECT_EQ(keys, submitted) << "lb=" << lb;
+    }
     EXPECT_EQ(result.match_timer, nullptr);
     for (const RequestBatch& queue : bare.pending) {
       EXPECT_EQ(queue.size(), 0u) << "preparation drains every pending queue";

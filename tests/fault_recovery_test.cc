@@ -383,6 +383,82 @@ TEST(FaultRecovery, ChaosRunPreservesLinearizability) {
   }
 }
 
+// An epoch whose exchange fails past the retry budget answers nothing, so it must
+// lose nothing either: its requests stay queued, every partition returns to the epoch
+// boundary (so a partition that did run its batches neither applies them twice nor
+// re-serves their cached replies), and the next epoch answers them per Appendix C.
+TEST(FaultRecovery, FailedEpochRequeuesItsRequestsAndDoesNotWedge) {
+  for (const int threads : {1, 4}) {
+    SnoopyConfig cfg;
+    cfg.num_load_balancers = 2;
+    cfg.num_suborams = 2;
+    cfg.value_size = kValueSize;
+    cfg.lambda = 40;
+    cfg.epoch_threads = threads;
+    auto store = std::make_unique<Snoopy>(cfg, 21);
+    std::vector<std::pair<uint64_t, std::vector<uint8_t>>> objects;
+    for (uint64_t k = 0; k < 8; ++k) {
+      objects.emplace_back(k, Val(0));
+    }
+    store->Initialize(objects);
+    FaultInjector injector(21);
+    store->set_fault_injector(&injector);
+
+    std::vector<std::vector<Op>> history;
+    std::map<uint64_t, uint64_t> observed;
+    uint64_t seq = 1;
+    const auto submit = [&](std::vector<Op>& ops) {
+      for (uint64_t i = 0; i < 8; ++i) {
+        Op op;
+        op.lb = static_cast<uint32_t>(i % cfg.num_load_balancers);
+        op.seq = seq;
+        op.key = (seq * 3) % 8;
+        op.is_write = seq % 2 == 1;
+        op.write_tag = op.is_write ? 100 + seq : 0;
+        ++seq;
+        ops.push_back(op);
+        if (op.is_write) {
+          store->SubmitWriteWithLb(op.lb, op.lb, op.seq, op.key, Val(op.write_tag));
+        } else {
+          store->SubmitReadWithLb(op.lb, op.lb, op.seq, op.key);
+        }
+      }
+    };
+    const auto run = [&](std::vector<Op> ops) {
+      for (const ClientResponse& resp : store->RunEpoch()) {
+        observed[resp.client_seq] = TagOf(resp.value);
+      }
+      history.push_back(std::move(ops));
+    };
+
+    std::vector<Op> failed;
+    submit(failed);
+    FaultProfile dark;
+    dark.drop = 1.0;
+    injector.SetProfile("suboram/1", dark);
+    EXPECT_THROW(store->RunEpoch(), DeadlineExceededError) << "threads=" << threads;
+    EXPECT_EQ(store->pending_requests(), failed.size())
+        << "threads=" << threads << ": the failed epoch's requests must stay queued";
+    injector.SetProfile("suboram/1", FaultProfile{});
+
+    // The requeued requests run first in the next epoch, ahead of the new ones.
+    std::vector<Op> next = failed;
+    submit(next);
+    ASSERT_NO_THROW(run(next)) << "threads=" << threads;
+    for (int epoch = 0; epoch < 3; ++epoch) {
+      std::vector<Op> ops;
+      submit(ops);
+      ASSERT_NO_THROW(run(ops)) << "threads=" << threads << " epoch=" << epoch;
+    }
+
+    const std::map<uint64_t, uint64_t> predicted =
+        PredictResponses(history, cfg.num_load_balancers);
+    ASSERT_EQ(observed.size(), predicted.size()) << "threads=" << threads;
+    EXPECT_EQ(observed, predicted) << "threads=" << threads;
+    EXPECT_EQ(store->pending_requests(), 0u);
+  }
+}
+
 TEST(FaultRecovery, SubOramCrashRecoversAcrossEpochState) {
   // Deterministic crash: the subORAM component is down when the epoch's first call
   // reaches it. Recovery restores the sealed pre-epoch snapshot and the epoch retries

@@ -6,9 +6,9 @@
 //   2. Tracing changes nothing the adversary sees: a tracing-on and a tracing-off
 //      run of the same seeded workload produce byte-identical enclave traces and
 //      identical client responses.
-//   3. Span sequences are deterministic: per-task ring buffers merged in public
+//   3. Span sequences are deterministic: per-task span sinks merged in public
 //      task-id order make the (cat, name, task_id) sequence invariant under
-//      epoch_threads, even though wall-clock durations vary.
+//      epoch_threads, even though wall-clock durations vary, and a sink never drops.
 //   4. The pool profile export writes every pool metric and emits its spans in
 //      worker-id order.
 
@@ -63,7 +63,7 @@ static_assert(!CanSetArgWith<Secret<uint32_t>>::value);
 static_assert(!CanSetArgWith<SecretBool>::value);
 
 // ---------------------------------------------------------------------------------
-// Ring buffer mechanics.
+// Span helpers.
 // ---------------------------------------------------------------------------------
 
 SpanEvent MakeSpan(const char* name, uint64_t task_id, double start_s, double end_s) {
@@ -74,29 +74,6 @@ SpanEvent MakeSpan(const char* name, uint64_t task_id, double start_s, double en
   e.start_s = start_s;
   e.end_s = end_s;
   return e;
-}
-
-TEST(SpanRingBuffer, PushOverflowAndClear) {
-  SpanRingBuffer ring(4);
-  EXPECT_EQ(ring.capacity(), 4u);
-  for (uint64_t i = 0; i < 4; ++i) {
-    EXPECT_TRUE(ring.Push(MakeSpan("a", i, i, i + 0.5)));
-  }
-  EXPECT_EQ(ring.size(), 4u);
-  // Full: further pushes drop (never overwrite) and count.
-  EXPECT_FALSE(ring.Push(MakeSpan("b", 9, 9, 9.5)));
-  EXPECT_FALSE(ring.Push(MakeSpan("b", 10, 10, 10.5)));
-  EXPECT_EQ(ring.size(), 4u);
-  EXPECT_EQ(ring.dropped(), 2u);
-  for (uint64_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(ring.at(i).task_id, i);
-    EXPECT_STREQ(ring.at(i).name, "a");
-  }
-  ring.Clear();
-  EXPECT_EQ(ring.size(), 0u);
-  EXPECT_EQ(ring.dropped(), 0u);
-  EXPECT_TRUE(ring.Push(MakeSpan("c", 1, 1, 2)));
-  EXPECT_EQ(ring.size(), 1u);
 }
 
 // ---------------------------------------------------------------------------------
@@ -161,19 +138,19 @@ TEST(TraceSpan, EndIsIdempotent) {
 }
 
 // ---------------------------------------------------------------------------------
-// TLS ring routing: per-task buffering and ordered merges.
+// TLS sink routing: per-task buffering and ordered merges.
 // ---------------------------------------------------------------------------------
 
 TEST(TracerThreadBuffer, RoutesSpansToRingAndRestores) {
   Tracer tracer;
   tracer.Enable(1);
-  SpanRingBuffer ring(8);
+  std::vector<SpanEvent> ring;
   {
     TracerThreadBuffer install(&ring);
     TraceSpan s(&tracer, "task", "buffered", 1);
     s.End();
     {
-      // Null ring keeps the current sink (the conditional-buffering idiom).
+      // Null sink keeps the current one (the conditional-buffering idiom).
       TracerThreadBuffer keep(nullptr);
       TraceSpan t(&tracer, "task", "still_buffered", 2);
       t.End();
@@ -185,7 +162,7 @@ TEST(TracerThreadBuffer, RoutesSpansToRingAndRestores) {
   TraceSpan direct(&tracer, "task", "direct", 3);
   direct.End();
   EXPECT_EQ(tracer.size(), 1u);
-  tracer.Append(ring);
+  tracer.AppendCurrent(ring);
   const std::vector<SpanEvent> events = tracer.snapshot();
   ASSERT_EQ(events.size(), 3u);
   EXPECT_STREQ(events[0].name, "direct");
@@ -197,10 +174,9 @@ TEST(TracerThreadBuffer, RoutesSpansToRingAndRestores) {
 TEST(Tracer, AppendCurrentRespectsEnclosingRing) {
   Tracer tracer;
   tracer.Enable(1);
-  SpanRingBuffer child(8);
-  child.Push(MakeSpan("child_a", 0, 1, 2));
-  child.Push(MakeSpan("child_b", 1, 2, 3));
-  SpanRingBuffer parent(8);
+  const std::vector<SpanEvent> child = {MakeSpan("child_a", 0, 1, 2),
+                                        MakeSpan("child_b", 1, 2, 3)};
+  std::vector<SpanEvent> parent;
   {
     TracerThreadBuffer install(&parent);
     TraceSpan own(&tracer, "task", "parent_own", 5);
@@ -212,7 +188,7 @@ TEST(Tracer, AppendCurrentRespectsEnclosingRing) {
   EXPECT_STREQ(parent.at(0).name, "parent_own");
   EXPECT_STREQ(parent.at(1).name, "child_a");
   EXPECT_STREQ(parent.at(2).name, "child_b");
-  // Without an installed ring the same call appends to the shared stream.
+  // Without an installed sink the same call appends to the shared stream.
   tracer.AppendCurrent(parent);
   EXPECT_EQ(tracer.size(), 3u);
 }
@@ -229,17 +205,15 @@ TEST(RecordWorkerPhase, ExportsCountersGaugesAndOrderedSpans) {
   stats[0].tasks = 3;
   stats[0].busy_ns = 200'000'000;  // 0.2 s
   stats[0].idle_ns = 100'000'000;  // 0.1 s
-  stats[0].max_queue_depth = 4;
   stats[0].start_s = 10.0;
   stats[0].finish_s = 10.4;
   stats[1].tasks = 2;
   stats[1].busy_ns = 300'000'000;
   stats[1].idle_ns = 0;
-  stats[1].max_queue_depth = 3;
   stats[1].start_s = 10.0;
   stats[1].finish_s = 10.5;
   const PoolPhaseMetrics metrics = PoolPhaseMetrics::Resolve(&registry, "suboram_execute");
-  RecordWorkerPhase(&tracer, &metrics, "suboram_execute", 2, 10.0, 10.5, stats);
+  RecordWorkerPhase(&tracer, &metrics, "suboram_execute", 2, stats);
 
   const MetricLabels labels = {{"phase", "suboram_execute"}};
   EXPECT_EQ(registry.GetCounter("snoopy_pool_phases_total", labels).value(), 1u);
@@ -250,35 +224,26 @@ TEST(RecordWorkerPhase, ExportsCountersGaugesAndOrderedSpans) {
               1e-9);
   EXPECT_EQ(registry.GetGauge("snoopy_pool_workers", labels).value(), 2.0);
   EXPECT_EQ(registry.GetHistogram("snoopy_pool_worker_busy_seconds", labels).count(), 2.0);
-  EXPECT_EQ(registry.GetHistogram("snoopy_pool_queue_depth", labels).count(), 2.0);
 
-  // Spans: worker summaries in worker-id order plus one barrier span covering the
-  // whole phase. Sequence (not timing) is the deterministic part.
+  // Spans: worker summaries in worker-id order. Sequence (not timing) is the
+  // deterministic part.
   const std::vector<SpanEvent> events = tracer.snapshot();
   std::vector<const SpanEvent*> workers;
-  const SpanEvent* barrier = nullptr;
   for (const SpanEvent& e : events) {
     ASSERT_STREQ(e.cat, "pool");
-    if (std::strcmp(e.name, "barrier") == 0) {
-      barrier = &e;
-    } else {
-      workers.push_back(&e);
-    }
+    workers.push_back(&e);
   }
   ASSERT_EQ(workers.size(), 2u);
   EXPECT_EQ(workers[0]->task_id, 0u);
   EXPECT_EQ(workers[0]->track, 1u);
   EXPECT_EQ(workers[1]->task_id, 1u);
   EXPECT_EQ(workers[1]->track, 2u);
-  ASSERT_NE(barrier, nullptr);
-  EXPECT_EQ(barrier->start_s, 10.0);
-  EXPECT_EQ(barrier->end_s, 10.5);
 
   // Null tracer / null metrics must be accepted (always-on counters are optional
   // per deployment), and so must the all-null handles a null registry resolves to.
-  RecordWorkerPhase(nullptr, nullptr, "suboram_execute", 2, 10.0, 10.5, stats);
+  RecordWorkerPhase(nullptr, nullptr, "suboram_execute", 2, stats);
   const PoolPhaseMetrics unresolved = PoolPhaseMetrics::Resolve(nullptr, "suboram_execute");
-  RecordWorkerPhase(nullptr, &unresolved, "suboram_execute", 2, 10.0, 10.5, stats);
+  RecordWorkerPhase(nullptr, &unresolved, "suboram_execute", 2, stats);
 }
 
 // ---------------------------------------------------------------------------------
@@ -422,6 +387,53 @@ TEST(TracingDeterminism, PhaseSpansAreDisjointAndInPipelineOrder) {
     ++epochs;
   }
   EXPECT_EQ(epochs, 3);
+}
+
+// A subORAM task records three step spans per load balancer's batch, so at 12 load
+// balancers one task holds dozens of spans. Per-task sinks grow like the enclave
+// event buffers: every step span of the epoch reaches the stream and none is dropped.
+TEST(TracingDeterminism, NoStepSpanIsDroppedAtTwelveBalancers) {
+  SnoopyConfig cfg;
+  cfg.num_load_balancers = 12;
+  cfg.num_suborams = 2;
+  cfg.value_size = kValueSize;
+  cfg.lambda = 40;
+  cfg.epoch_threads = 2;
+  Snoopy store(cfg, /*seed=*/5);
+  std::vector<std::pair<uint64_t, std::vector<uint8_t>>> objects;
+  for (uint64_t k = 0; k < kObjects; ++k) {
+    objects.emplace_back(k, Val(k));
+  }
+  store.Initialize(objects);
+  for (uint32_t lb = 0; lb < cfg.num_load_balancers; ++lb) {
+    for (uint64_t i = 0; i < 4; ++i) {
+      store.SubmitReadWithLb(lb, lb, lb * 4 + i + 1, (lb * 4 + i) % kObjects);
+    }
+  }
+
+  Tracer& global = Tracer::Global();  // the step spans' tracer and the store's default
+  const bool was_enabled = global.enabled();
+  global.Clear();
+  global.Enable();
+  store.RunEpoch();
+  const std::vector<SpanEvent> spans = global.snapshot();
+  const uint64_t dropped = global.spans_dropped();
+  if (!was_enabled) {
+    global.Disable();
+  }
+  global.Clear();
+
+  EXPECT_EQ(dropped, 0u);
+  std::map<std::string, size_t> steps;
+  for (const SpanEvent& e : spans) {
+    if (std::strcmp(e.cat, "step") == 0) {
+      ++steps[e.name];
+    }
+  }
+  const size_t batches = cfg.num_load_balancers * cfg.num_suborams;
+  for (const char* name : {"suboram_scan", "suboram_extract", "suboram_oht_build"}) {
+    EXPECT_EQ(steps[name], batches) << name;
+  }
 }
 
 TEST(TracingLeakage, ObliviousTraceIdenticalTracingOnAndOff) {

@@ -258,8 +258,9 @@ cmake --build build-asan -j"${JOBS}"
 ctest --test-dir build-asan --output-on-failure
 
 echo "== TSan build + threading-sensitive tests =="
-# The race-prone surfaces: parallel bitonic sort (the fig13a trace-race fix),
-# the bucket sort's fork-joined routing/cleanup, the WorkPool's offer list under
+# The race-prone surfaces: parallel bitonic sort (the fig13a trace-race fix; its
+# forked halves, like the bucket sort's fork-joined routing/cleanup, run as two-task
+# RunPhase calls with per-task sinks), the WorkPool's offer list under
 # nested Runs (WorkPool.NestedRunRunsEveryBodyAtAnyDepth and
 # RunPhase.TasksRunParallelSortsOnTheSamePool), the parallel epoch executor, the
 # epoch module driven directly over a fake exchange (Epoch.*, concurrent phase-2

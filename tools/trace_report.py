@@ -9,7 +9,7 @@ Tracer::WriteChromeTrace): complete events (ph == "X") with categories
          response_match, deliver, seal, repair)
   task   one span per RunPhase task (per-LB / per-subORAM work item)
   pool   per-worker summaries (name == phase, args tasks/busy_ns/idle_ns/
-         cpu_busy_ns) and one barrier span per pooled phase
+         cpu_busy_ns); the enclosing "phase" span covers the pool run
   step   sub-phase steps inside a task (lb_assign, suboram_scan, sort...).
          "stripe_push" steps are the seal phase's stripe pushes, one per
          (owner, peer) push; args owner, peer and bytes.
