@@ -704,12 +704,9 @@ std::vector<ClientResponse> Snoopy::RunEpoch() {
   }
   EpochResult result = RunEpochProtocol(lbs_, pending_, seeds, available, config_.epoch_threads,
                                         telemetry, std::bind_front(&Snoopy::CallSubOram, this));
-  const auto failed = [&result] {
-    return std::find_if(result.failures.begin(), result.failures.end(),
-                        [](const std::exception_ptr& f) { return f != nullptr; });
-  };
   // An exchange failure skipped the match: every request came back unanswered.
-  const bool match_skipped = failed() != result.failures.end();
+  const bool match_skipped = std::any_of(result.failures.begin(), result.failures.end(),
+                                         [](const std::exception_ptr& f) { return f != nullptr; });
   // Mid-epoch losses apply here, on the orchestrator thread and in partition order;
   // a loss with striping disabled is a failure too.
   for (uint32_t so = 0; so < config_.num_suborams; ++so) {
@@ -722,14 +719,13 @@ std::vector<ClientResponse> Snoopy::RunEpoch() {
     }
   }
   // A failed epoch delivers and seals nothing. Its requests requeue through the
-  // deferral loop below when the partitions could return to the boundary; otherwise
-  // they are dropped. The lowest-index failure surfaces after that.
-  const auto failure = failed();
-  if (failure != result.failures.end()) {
-    const bool restored = RestoreFailedEpoch();
-    if (!restored || !match_skipped) {
-      result.matched.clear();
-    }
+  // deferral loop below only when the match was skipped and the partitions could
+  // return to the boundary; otherwise they are dropped and the lowest-index failure
+  // surfaces here.
+  const auto failure = std::find_if(result.failures.begin(), result.failures.end(),
+                                    [](const std::exception_ptr& f) { return f != nullptr; });
+  if (failure != result.failures.end() && (!RestoreFailedEpoch() || !match_skipped)) {
+    std::rethrow_exception(*failure);
   }
 
   // Delivery stays on the orchestrator thread because sealing into client mailboxes
@@ -782,7 +778,7 @@ std::vector<ClientResponse> Snoopy::RunEpoch() {
     telemetry.metrics->deferred_requests_total->Increment(deferred);
   }
   if (failure != result.failures.end()) {
-    std::rethrow_exception(*failure);
+    std::rethrow_exception(*failure);  // requeued above
   }
 
   {

@@ -18,6 +18,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/core/client.h"
 #include "src/core/snoopy.h"
 #include "src/crypto/rng.h"
 #include "src/enclave/trace.h"
@@ -456,6 +457,58 @@ TEST(FaultRecovery, FailedEpochRequeuesItsRequestsAndDoesNotWedge) {
     ASSERT_EQ(observed.size(), predicted.size()) << "threads=" << threads;
     EXPECT_EQ(observed, predicted) << "threads=" << threads;
     EXPECT_EQ(store->pending_requests(), 0u);
+  }
+}
+
+// A failed epoch whose partitions cannot all return to the boundary drops its
+// requests, as before requeueing existed, and delivers nothing: neither a response
+// nor a sealed mailbox blob. Two ways in: a mid-call loss with striping disabled (the
+// match already ran), and a restore refused as a rollback by a partition that
+// executed its batches.
+TEST(FaultRecovery, FailedEpochThatCannotRequeueDropsItsRequestsAndDeliversNothing) {
+  for (const bool lose : {true, false}) {
+    for (const int threads : {1, 4}) {
+      SnoopyConfig cfg;
+      cfg.num_load_balancers = 2;
+      cfg.num_suborams = 2;
+      cfg.value_size = kValueSize;
+      cfg.lambda = 40;
+      cfg.epoch_threads = threads;
+      ASSERT_EQ(cfg.striping.replicas, 0u);
+      auto store = std::make_unique<Snoopy>(cfg, 23);
+      std::vector<std::pair<uint64_t, std::vector<uint8_t>>> objects;
+      for (uint64_t k = 0; k < 8; ++k) {
+        objects.emplace_back(k, Val(k));
+      }
+      store->Initialize(objects);
+      const std::vector<uint8_t> stale = store->suboram_snapshot(0);
+      store->SubmitWriteWithLb(0, 1, 1, 0, Val(50));
+      ASSERT_EQ(store->RunEpoch().size(), 1u);
+      FaultInjector injector(23);
+      store->set_fault_injector(&injector);
+      SnoopyClient client(*store, /*client_id=*/7, /*seed=*/23);
+
+      for (uint64_t k = 0; k < 8; ++k) {
+        store->SubmitReadWithLb(static_cast<uint32_t>(k % 2), 1, 10 + k, k);
+        client.Write(k, Val(100 + k));
+      }
+      FaultProfile fault;
+      if (lose) {
+        fault.node_loss = 1.0;
+      } else {
+        fault.drop = 1.0;
+        store->host_replace_snapshot(0, stale);
+      }
+      injector.SetProfile("suboram/1", fault);
+      if (lose) {
+        EXPECT_THROW(store->RunEpoch(), std::runtime_error) << "threads=" << threads;
+      } else {
+        EXPECT_THROW(store->RunEpoch(), DeadlineExceededError) << "threads=" << threads;
+      }
+      EXPECT_EQ(store->pending_requests(), 0u) << "lose=" << lose << " threads=" << threads;
+      EXPECT_TRUE(store->TakeMailbox(client.client_id()).empty())
+          << "lose=" << lose << " threads=" << threads;
+    }
   }
 }
 
