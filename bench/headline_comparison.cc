@@ -27,8 +27,9 @@ namespace {
 
 // Telemetry overhead check on the functional deployment: the same epoch workload with
 // metrics recording disabled (registry = nullptr) and enabled (private registry), and
-// independently with span tracing disabled (tracer = nullptr) and enabled (private
-// enabled tracer). Telemetry is a handful of counter bumps and clock reads per epoch
+// independently with span tracing off and on (Tracer::Global(), the one tracer every
+// span goes to, enabled only around the traced arm's epochs). Telemetry is a handful
+// of counter bumps and clock reads per epoch
 // against oblivious sorts over thousands of records, so the delta must sit below
 // run-to-run noise; the tracing delta is gated at <1% in CI.
 //
@@ -50,7 +51,13 @@ struct OverheadArms {
   double on_s = 0;   // summed process-CPU seconds, telemetry enabled
 };
 
-OverheadArms EpochPairSeconds(MetricsRegistry* registry, Tracer* tracer, uint64_t seed) {
+OverheadArms EpochPairSeconds(MetricsRegistry* registry, bool traced, uint64_t seed) {
+  // The global tracer is off for everything but the traced arm's epochs, so neither
+  // the set-up, the off arm nor the metrics comparison records into an
+  // environment-enabled tracer; its prior state is restored on return.
+  Tracer& tracer = Tracer::Global();
+  const bool was_enabled = tracer.enabled();
+  tracer.Disable();
   SnoopyConfig cfg;
   cfg.num_load_balancers = 2;
   cfg.num_suborams = 2;
@@ -63,12 +70,9 @@ OverheadArms EpochPairSeconds(MetricsRegistry* registry, Tracer* tracer, uint64_
   }
   off.Initialize(objects);
   on.Initialize(objects);
-  // Explicit null on the baseline, not the process-global default: the comparison
-  // must not pick up an environment-enabled global tracer in its off arm.
+  // Explicit null on the baseline, not the process-global default.
   off.set_metrics_registry(nullptr);
-  off.set_tracer(nullptr);
   on.set_metrics_registry(registry);
-  on.set_tracer(tracer);
   OverheadArms arms;
   const auto one_epoch = [](Snoopy& s, uint64_t e) {
     for (uint64_t i = 0; i < 64; ++i) {
@@ -76,14 +80,24 @@ OverheadArms EpochPairSeconds(MetricsRegistry* registry, Tracer* tracer, uint64_
     }
     s.RunEpoch();
   };
+  const auto on_epoch = [&](uint64_t e) {
+    if (traced) {
+      tracer.Enable();
+    }
+    one_epoch(on, e);
+    tracer.Disable();
+  };
   for (uint64_t e = 0; e < kOverheadEpochs; ++e) {
     if (e % 2 == 0) {
       arms.off_s += CpuTimeSeconds([&] { one_epoch(off, e); });
-      arms.on_s += CpuTimeSeconds([&] { one_epoch(on, e); });
+      arms.on_s += CpuTimeSeconds([&] { on_epoch(e); });
     } else {
-      arms.on_s += CpuTimeSeconds([&] { one_epoch(on, e); });
+      arms.on_s += CpuTimeSeconds([&] { on_epoch(e); });
       arms.off_s += CpuTimeSeconds([&] { one_epoch(off, e); });
     }
+  }
+  if (was_enabled) {
+    tracer.Enable();
   }
   return arms;
 }
@@ -218,7 +232,7 @@ int main(int argc, char** argv) {
   double on_s = 1e9;
   std::vector<double> telemetry_fracs;
   for (int rep = 0; rep < kOverheadReps; ++rep) {
-    const OverheadArms arms = EpochPairSeconds(&registry, nullptr, /*seed=*/11 + rep);
+    const OverheadArms arms = EpochPairSeconds(&registry, /*traced=*/false, /*seed=*/11 + rep);
     off_s = std::min(off_s, arms.off_s);
     on_s = std::min(on_s, arms.on_s);
     telemetry_fracs.push_back(arms.on_s / arms.off_s - 1.0);
@@ -230,26 +244,26 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(kOverheadEpochs), kOverheadReps,
               off_s * 1e3, on_s * 1e3, 100.0 * telemetry_frac);
 
-  // Span-tracing overhead: same epoch-interleaved protocol, tracing fully off vs. a
-  // private enabled tracer (the always-on production setting).
-  Tracer trace_tracer;
-  trace_tracer.Enable();
+  // Span-tracing overhead: same epoch-interleaved protocol, tracing fully off vs. the
+  // global tracer on, so the on arm prices every span an epoch records.
+  const uint64_t spans_before = Tracer::Global().spans_recorded();
   double trace_off_s = 1e9;
   double trace_on_s = 1e9;
   std::vector<double> trace_fracs;
   for (int rep = 0; rep < kOverheadReps; ++rep) {
-    const OverheadArms arms = EpochPairSeconds(nullptr, &trace_tracer, /*seed=*/41 + rep);
+    const OverheadArms arms = EpochPairSeconds(nullptr, /*traced=*/true, /*seed=*/41 + rep);
     trace_off_s = std::min(trace_off_s, arms.off_s);
     trace_on_s = std::min(trace_on_s, arms.on_s);
     trace_fracs.push_back(arms.on_s / arms.off_s - 1.0);
   }
   std::sort(trace_fracs.begin(), trace_fracs.end());
   const double trace_frac = trace_fracs[trace_fracs.size() / 2];
+  const uint64_t spans_recorded = Tracer::Global().spans_recorded() - spans_before;
   std::printf("tracing overhead (%llu epochs x 64 reqs, epoch-interleaved cpu time, "
               "median of %d): off %.1f ms, on %.1f ms (%+.1f%%, %llu spans)\n",
               static_cast<unsigned long long>(kOverheadEpochs), kOverheadReps,
               trace_off_s * 1e3, trace_on_s * 1e3, 100.0 * trace_frac,
-              static_cast<unsigned long long>(trace_tracer.spans_recorded()));
+              static_cast<unsigned long long>(spans_recorded));
 
   // Epoch-parallelism scaling: suboram_execute phase time at 4 subORAMs with the
   // parallel epoch executor off (1 thread) and on (4 threads). Best of 3 per setting.
@@ -340,7 +354,7 @@ int main(int argc, char** argv) {
       .Set("tracing_off_s", trace_off_s)
       .Set("tracing_on_s", trace_on_s)
       .Set("overhead_fraction", trace_frac)
-      .Set("spans_recorded", static_cast<double>(trace_tracer.spans_recorded()));
+      .Set("spans_recorded", static_cast<double>(spans_recorded));
   const double hardware_threads =
       static_cast<double>(std::max(1u, std::thread::hardware_concurrency()));
   for (const auto* phases : {&phases_1t, &phases_4t}) {

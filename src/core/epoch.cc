@@ -16,8 +16,8 @@ namespace {
 std::unique_ptr<SpanTimer> RunTimedPhase(const EpochTelemetry& telemetry, EpochPhase phase,
                                          size_t n, int threads,
                                          const std::function<void(size_t)>& task) {
-  auto timer = std::make_unique<SpanTimer>(telemetry.PhaseHistogram(phase), telemetry.now);
-  TraceSpan trace(telemetry.tracer, "phase", kPhaseNames[phase], telemetry.epoch);
+  auto timer = std::make_unique<SpanTimer>(telemetry.PhaseHistogram(phase));
+  TraceSpan trace(&Tracer::Global(), "phase", kPhaseNames[phase], telemetry.epoch);
   RunPhase(n, threads, telemetry.Pool(phase), task);
   return timer;
 }

@@ -52,13 +52,11 @@ struct EpochMetrics {
   static EpochMetrics Resolve(MetricsRegistry& registry, uint32_t num_load_balancers);
 };
 
-// Where an epoch's phases report: the epoch number (the phase spans' task id), the
-// tracer, the resolved metric handles (null = telemetry disabled) and the span clock.
+// Where an epoch's phases report: the epoch number (the phase spans' task id) and the
+// resolved metric handles (null = telemetry disabled). Spans go to Tracer::Global().
 struct EpochTelemetry {
   uint64_t epoch = 0;
-  Tracer* tracer = nullptr;
   const EpochMetrics* metrics = nullptr;
-  std::function<double()> now;
 
   // The phase's duration histogram; null when telemetry is disabled.
   Histogram* PhaseHistogram(EpochPhase phase) const {
@@ -66,7 +64,7 @@ struct EpochTelemetry {
   }
   // RunPhase's context for one of the pooled phases.
   PhasePoolContext Pool(EpochPhase phase) const {
-    return {kPhaseNames[phase], tracer, metrics != nullptr ? &metrics->pool[phase] : nullptr, now};
+    return {kPhaseNames[phase], metrics != nullptr ? &metrics->pool[phase] : nullptr};
   }
 };
 

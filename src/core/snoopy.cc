@@ -145,12 +145,7 @@ void Snoopy::set_metrics_registry(MetricsRegistry* registry) {
 }
 
 EpochTelemetry Snoopy::Telemetry() const {
-  // Under fault injection the epoch pipeline advances the VirtualClock (retry
-  // backoffs, injected delays); spans read the same clock so chaos runs are
-  // deterministic. Outside fault injection, wall time.
-  return {epoch_, tracer_, metrics_ != nullptr ? &metrics_cache_ : nullptr, [this] {
-            return fault_injector_ != nullptr ? clock_.now_s() : SpanTimer::SteadyNowSeconds();
-          }};
+  return {epoch_, metrics_ != nullptr ? &metrics_cache_ : nullptr};
 }
 
 void Snoopy::CountEvent(const std::string& name, const MetricLabels& labels,
@@ -265,7 +260,7 @@ void Snoopy::PushStripes(const std::vector<StripeEncoding>& stripes) {
   for (const std::vector<Push>& round : rounds) {
     RunPhase(round.size(), config_.epoch_threads, pool, [&](size_t i) {
       const Push& push = round[i];
-      TraceSpan span(tracer_, "step", "stripe_push", push.owner);
+      TraceSpan span(&Tracer::Global(), "step", "stripe_push", push.owner);
       span.SetArg("owner", push.owner);
       span.SetArg("peer", push.peer);
       span.SetArg("bytes", push.frame.size());
@@ -443,6 +438,13 @@ bool Snoopy::RestoreFailedEpoch() {
       } catch (const RollbackDetectedError&) {
         // The host's snapshot is stale or tampered: the partition keeps its state,
         // and its next restore refuses the same bytes again.
+      }
+    }
+    if (!restored && !p.repair) {
+      // Not restored (a backend that does not seal, or a refused snapshot), but an
+      // undelivered batch may still have left its links out of step.
+      for (uint32_t lb = 0; lb < config_.num_load_balancers; ++lb) {
+        RekeyLink(lb, so);
       }
     }
     all_restored = all_restored && (restored || p.executed_lbs.empty());
@@ -639,9 +641,8 @@ std::vector<ClientResponse> Snoopy::RunEpoch() {
   // so tools/trace_report.py can split the epoch into phases and orchestrator gaps.
   // Per-balancer request counts are public (the network adversary sees who talks to
   // which balancer); contents and key distribution never reach telemetry.
-  SpanTimer epoch_span(telemetry.metrics != nullptr ? telemetry.metrics->epoch_seconds : nullptr,
-                       telemetry.now);
-  TraceSpan epoch_trace(tracer_, "epoch", "epoch", epoch_);
+  SpanTimer epoch_span(telemetry.metrics != nullptr ? telemetry.metrics->epoch_seconds : nullptr);
+  TraceSpan epoch_trace(&Tracer::Global(), "epoch", "epoch", epoch_);
   epoch_trace.SetArg("pending", pending_requests());
   epoch_trace.SetArg("load_balancers", config_.num_load_balancers);
   epoch_trace.SetArg("suborams", config_.num_suborams);
@@ -678,9 +679,8 @@ std::vector<ClientResponse> Snoopy::RunEpoch() {
   {
     const bool any_repairing = std::any_of(partitions_.begin(), partitions_.end(),
                                            [](const Partition& p) { return p.repair.has_value(); });
-    TraceSpan repair_trace(any_repairing ? tracer_ : nullptr, "phase", "repair", epoch_);
-    SpanTimer repair_span(any_repairing ? telemetry.PhaseHistogram(kRepair) : nullptr,
-                          telemetry.now);
+    TraceSpan repair_trace(any_repairing ? &Tracer::Global() : nullptr, "phase", "repair", epoch_);
+    SpanTimer repair_span(any_repairing ? telemetry.PhaseHistogram(kRepair) : nullptr);
     for (uint32_t so = 0; so < config_.num_suborams; ++so) {
       if (partition_health(so) == PartitionHealth::kRepairing) {
         RepairStep(so);
@@ -732,7 +732,7 @@ std::vector<ClientResponse> Snoopy::RunEpoch() {
   // advances per-client channel counters in submission order; its own span makes
   // that serial fraction visible. The response_match timer still runs: it covers
   // delivery too.
-  TraceSpan deliver_trace(tracer_, "phase", "deliver", epoch_);
+  TraceSpan deliver_trace(&Tracer::Global(), "phase", "deliver", epoch_);
   uint64_t deferred = 0;
   for (uint32_t lb = 0; lb < config_.num_load_balancers; ++lb) {
     RequestBatch& matched = result.matched[lb];
@@ -782,8 +782,8 @@ std::vector<ClientResponse> Snoopy::RunEpoch() {
   }
 
   {
-    TraceSpan seal_trace(tracer_, "phase", "seal", epoch_);
-    SpanTimer seal_span(telemetry.PhaseHistogram(kSeal), telemetry.now);
+    TraceSpan seal_trace(&Tracer::Global(), "phase", "seal", epoch_);
+    SpanTimer seal_span(telemetry.PhaseHistogram(kSeal));
     SealEpochBoundary();
   }
   ++epoch_;

@@ -134,18 +134,16 @@ class Snoopy {
   // --- Telemetry (leakage-safe; see src/telemetry/metrics.h) ----------------------
   // Epoch and phase durations (snoopy_epoch_seconds, snoopy_epoch_phase_seconds) and
   // public facts: requests, epochs, the padded batch size f(R, S), dedup hits,
-  // retries, recoveries and per-pair wire traffic. Spans read the VirtualClock while
-  // a fault injector is attached, steady_clock otherwise. Defaults to the process-wide
-  // registry; nullptr disables recording.
+  // retries, recoveries and per-pair wire traffic. Every duration, like every span, is
+  // steady_clock wall time, fault injector attached or not (the VirtualClock counts
+  // only backoff and injected delays). Defaults to the process-wide registry; nullptr
+  // disables recording.
+  //
+  // Spans (src/telemetry/tracing.h: epoch -> phase -> task -> step, plus per-worker
+  // pool summaries, all derived from the public epoch schedule) go to
+  // Tracer::Global(), a no-op unless enabled via SNOOPY_TRACE or Tracer::Enable.
   void set_metrics_registry(MetricsRegistry* registry);
   MetricsRegistry* metrics_registry() const { return metrics_; }
-
-  // Span tracer for the epoch pipeline (src/telemetry/tracing.h): epoch -> phase ->
-  // task spans plus per-worker pool summaries, all derived from the public epoch
-  // schedule. Defaults to the process-global tracer (a no-op unless enabled via
-  // SNOOPY_TRACE or Tracer::Enable); pass nullptr to opt this instance out.
-  void set_tracer(Tracer* tracer) { tracer_ = tracer; }
-  Tracer* tracer() const { return tracer_; }
 
   // Host-side sealed snapshot storage (untrusted in the threat model). The test
   // harness uses the replace hook to play a malicious host replaying stale state;
@@ -291,10 +289,11 @@ class Snoopy {
   void RestorePartition(uint32_t so, std::span<const uint8_t> blob);
   // After a failed epoch, which seals nothing: every healthy partition whose backend
   // seals restores its boundary snapshot, so the failed epoch leaves no state behind,
-  // its links are rekeyed (an undelivered batch desynchronized their counters) and no
-  // cached reply of the failed epoch is re-served under the same epoch id. Clears the
-  // per-epoch caches. Returns whether every partition that executed a batch this
-  // epoch was restored, i.e. whether the epoch's requests may run again.
+  // every healthy partition's links are rekeyed, restored or not (an undelivered batch
+  // desynchronized their counters), and no cached reply of the failed epoch is
+  // re-served under the same epoch id. Clears the per-epoch caches. Returns whether
+  // every partition that executed a batch this epoch was restored, i.e. whether the
+  // epoch's requests may run again.
   bool RestoreFailedEpoch();
   void RecoverLoadBalancer(uint32_t lb);
   // Fresh session on link (lb, so) after an end restarted: draws the key under
@@ -320,8 +319,8 @@ class Snoopy {
   // source vanishes) and restores the snapshot of the final step on the spare node.
   void RepairStep(uint32_t so);
 
-  // The current epoch's telemetry: its number, the tracer, the metric handles (null
-  // when telemetry is disabled) and the span clock.
+  // The current epoch's telemetry: its number and the metric handles (null when
+  // telemetry is disabled).
   EpochTelemetry Telemetry() const;
   // Adds `n` to counter `name` (public events, or bytes of a public size); a no-op
   // when telemetry is disabled.
@@ -351,7 +350,6 @@ class Snoopy {
   FaultInjector* fault_injector_ = nullptr;
   VirtualClock clock_;
   MetricsRegistry* metrics_ = &MetricsRegistry::Global();
-  Tracer* tracer_ = &Tracer::Global();
   // Resolved against metrics_ whenever it is set, so every phase reads filled handles.
   EpochMetrics metrics_cache_;
 

@@ -95,11 +95,12 @@ void BitonicTileSort(size_t lo, size_t n, bool asc, const CSwap& cswap) {
 // first half), each half's cswap events are buffered in its own task sink, and the
 // sinks merge after the join in the *sequential* recursion order (first half, then
 // second). The split point is public (a function of n alone), so the merged trace is
-// byte-identical to a single-threaded run -- the trace-identity tests pin this. No
-// span is opened inside a sort half, so the fork carries no tracer and only cswap
-// events need the merge. `threads` is the width of this recursion level; the halves
-// carry threads / 2 and threads - threads / 2 down, so the recursion forks at most
-// `threads` ways and the pool is grown to that width up front.
+// byte-identical to a single-threaded run -- the trace-identity tests pin this. The
+// fork is traced like any other phase: while Tracer::Global() is on, each half records
+// a "task" span and each worker a "pool" span, both named "fork" (no deployment path
+// forks: nested sorts run at width 1). `threads` is the width of this recursion
+// level; the halves carry threads / 2 and threads - threads / 2 down, so the
+// recursion forks at most `threads` ways and the pool is grown to that width up front.
 template <typename First, typename Second>
 void TraceForkJoinHalves(const First& first, const Second& second, int threads) {
   WorkPool::Instance().Reserve(static_cast<size_t>(threads) - 1);

@@ -169,11 +169,8 @@ void RunPhase(size_t n, int threads, const PhasePoolContext& ctx,
   }
   const size_t max_workers = threads < 1 ? 1 : static_cast<size_t>(threads);
   const size_t workers = n < max_workers ? n : max_workers;
-  const auto now = [&ctx]() -> double {
-    return ctx.now ? ctx.now() : SpanTimer::SteadyNowSeconds();
-  };
-  Tracer* tracer =
-      ctx.tracer != nullptr && ctx.tracer->enabled() ? ctx.tracer : nullptr;
+  const auto now = &SpanTimer::SteadyNowSeconds;
+  Tracer& tracer = Tracer::Global();
 
   std::vector<TaskSink> sinks(n);
   std::vector<std::exception_ptr> errors(n);
@@ -189,13 +186,11 @@ void RunPhase(size_t n, int threads, const PhasePoolContext& ctx,
         break;
       }
       TraceThreadBuffer events{&sinks[i].events};
-      // The span sink is shared by every Tracer, so it is installed only while this
-      // phase's tracer records; otherwise spans go wherever they went before.
-      TracerThreadBuffer spans{tracer != nullptr ? &sinks[i].spans : nullptr};
+      TracerThreadBuffer spans{&sinks[i].spans};
       const double task_start = now();
       const double task_cpu_start = ThreadCpuNowSeconds();
       {
-        TraceSpan span(tracer, "task", ctx.phase, i, 1 + w);
+        TraceSpan span(&tracer, "task", ctx.phase, i, 1 + w);
         span.SetArg("worker", w);
         try {
           task(i);
@@ -218,11 +213,11 @@ void RunPhase(size_t n, int threads, const PhasePoolContext& ctx,
 
   for (const TaskSink& sink : sinks) {
     TraceAppendCurrent(sink.events);
-    if (tracer != nullptr) {
-      tracer->AppendCurrent(sink.spans);
+    if (!sink.spans.empty()) {
+      tracer.AppendCurrent(sink.spans);
     }
   }
-  RecordWorkerPhase(ctx.tracer, ctx.metrics, ctx.phase, workers, stats);
+  RecordWorkerPhase(ctx.metrics, ctx.phase, workers, stats);
   for (const std::exception_ptr& error : errors) {
     if (error) {
       std::rethrow_exception(error);

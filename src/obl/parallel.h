@@ -39,7 +39,6 @@
 
 namespace snoopy {
 
-class Tracer;
 struct PoolPhaseMetrics;
 
 // Seconds of CPU time consumed by the calling thread (CLOCK_THREAD_CPUTIME_ID).
@@ -82,16 +81,14 @@ class WorkPool {
 
 // --- Phase executor ------------------------------------------------------------
 
-// Observability context for one RunPhase call: phase name for labels and spans, the
-// tracer and pre-resolved metric handles to export into (either may be null), and
-// the clock (null = steady_clock; the fault-injection deployment passes the
-// VirtualClock). Metrics arrive as resolved handles rather than a registry so the
-// per-epoch path never repeats name-keyed lookups.
+// Observability context for one RunPhase call: the phase name for labels and spans
+// and the pre-resolved metric handles to export into (null = none). Metrics arrive as
+// resolved handles rather than a registry so the per-epoch path never repeats
+// name-keyed lookups. Spans go to Tracer::Global(), and every reading is steady_clock
+// wall time.
 struct PhasePoolContext {
   const char* phase;
-  Tracer* tracer = nullptr;
   const PoolPhaseMetrics* metrics = nullptr;
-  std::function<double()> now = nullptr;
 };
 
 // Runs task(0..n-1) across up to `threads` pool workers (the calling thread
@@ -102,8 +99,8 @@ struct PhasePoolContext {
 //   - Trace events and spans a task produces are buffered in one per-task sink (a
 //     TraceEvent vector and a SpanEvent vector, padded to a cache line) and merged
 //     into the caller's sinks in task-index order, so the merged enclave trace and
-//     span sequence are identical at any thread count. Spans are buffered only while
-//     ctx.tracer is on, and then each task also gets a "task" span.
+//     span sequence are identical at any thread count. While Tracer::Global() is on,
+//     each task also gets a "task" span; otherwise its span vector stays empty.
 //   - A task that throws doesn't stop its siblings (independent machines in the
 //     real deployment); after the join the lowest-index exception is rethrown. This
 //     holds at every width, so the state a failed phase leaves behind does not

@@ -21,9 +21,10 @@
 // "Observability" for the full leakage model.
 //
 // The library is dependency-free (no net/, obl/, enclave/ includes); Secret types are
-// forward-declared only to delete their overloads. Span timers take the time source
-// as a callable so the functional deployment can run them off steady_clock and the
-// fault-injection deployment off the deterministic VirtualClock.
+// forward-declared only to delete their overloads. Span timers read steady_clock wall
+// time, the one time base of every telemetry reading (spans included), also under
+// fault injection; the time source is a parameter only so unit tests can drive a fake
+// clock.
 //
 // Thread safety: the parallel epoch executor records metrics from worker threads, so
 // every metric object and the registry are individually thread-safe — counters and
@@ -202,12 +203,12 @@ class MetricsRegistry {
   std::map<std::string, Entry> entries_;  // keyed by name{k="v",...}
 };
 
-// RAII phase timer: measures a span of (virtual or wall) time and records the
-// elapsed seconds into a histogram on Stop()/destruction. The time source is a
-// callable returning seconds so the same span code runs off steady_clock in the
-// functional deployment and off the deterministic VirtualClock under fault
-// injection. A null histogram makes the span a no-op (the disabled path costs two
-// null checks and no clock reads).
+// RAII phase timer: measures a span of wall time and records the elapsed seconds into
+// a histogram on Stop()/destruction. The time source defaults to SteadyNowSeconds,
+// which every deployment timer uses, fault injection or not (the VirtualClock
+// measures only backoff and injected delays); tests pass a fake clock. A null
+// histogram makes the span a no-op (the disabled path costs two null checks and no
+// clock reads).
 //
 // Nesting is by convention: open one root span per epoch (snoopy_epoch_seconds) and
 // one child span per phase (snoopy_epoch_phase_seconds{phase=...}) inside its
@@ -216,7 +217,7 @@ class SpanTimer {
  public:
   using NowFn = std::function<double()>;
 
-  SpanTimer(Histogram* histogram, NowFn now_s)
+  explicit SpanTimer(Histogram* histogram, NowFn now_s = &SteadyNowSeconds)
       : histogram_(histogram), now_s_(std::move(now_s)) {
     if (histogram_ != nullptr && now_s_) {
       start_s_ = now_s_();
@@ -231,8 +232,8 @@ class SpanTimer {
   // disabled).
   double Stop();
 
-  // Seconds since the process-wide steady_clock epoch; the default span time source
-  // outside fault injection.
+  // Seconds since the process-wide steady_clock epoch: the time base of every span,
+  // phase histogram and pool statistic.
   static double SteadyNowSeconds();
 
  private:

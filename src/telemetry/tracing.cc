@@ -125,8 +125,7 @@ PoolPhaseMetrics PoolPhaseMetrics::Resolve(MetricsRegistry* metrics,
   return m;
 }
 
-void RecordWorkerPhase(Tracer* tracer, const PoolPhaseMetrics* metrics,
-                       const char* phase, size_t workers,
+void RecordWorkerPhase(const PoolPhaseMetrics* metrics, const char* phase, size_t workers,
                        const std::vector<WorkerPhaseStats>& stats) {
   uint64_t tasks = 0;
   double busy_s = 0;
@@ -152,7 +151,8 @@ void RecordWorkerPhase(Tracer* tracer, const PoolPhaseMetrics* metrics,
     }
   }
 
-  if (tracer != nullptr && tracer->enabled()) {
+  Tracer& tracer = Tracer::Global();
+  if (tracer.enabled()) {
     // One summary span per worker, emitted by the orchestrator in worker-id order
     // (the workers themselves never touch the shared stream here).
     for (size_t w = 0; w < stats.size(); ++w) {
@@ -171,7 +171,7 @@ void RecordWorkerPhase(Tracer* tracer, const PoolPhaseMetrics* metrics,
       e.arg_values[2] = stats[w].idle_ns;
       e.arg_names[3] = "cpu_busy_ns";
       e.arg_values[3] = stats[w].cpu_busy_ns;
-      tracer->Record(e);
+      tracer.Record(e);
     }
   }
 }

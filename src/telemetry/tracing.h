@@ -22,9 +22,13 @@
 // enclave events and its spans; the span vector is installed as the thread's TLS
 // sink (TracerThreadBuffer, mirroring src/enclave/trace.h's TraceThreadBuffer), and
 // the orchestrator merges the sinks back in public task-id order after the join, so
-// the span *sequence* is identical at any epoch_threads. Span timestamps come from a
-// pluggable clock (steady_clock by default, the deterministic VirtualClock under
-// fault injection).
+// the span *sequence* is identical at any epoch_threads.
+//
+// One sink and one clock: every span the deployment records goes to Tracer::Global(),
+// and its timestamps are steady_clock wall time (SpanTimer::SteadyNowSeconds), the
+// time base of every phase histogram and pool statistic too. That holds under fault
+// injection as well, where the VirtualClock models only retry backoff and injected
+// delays, so one trace never mixes two time bases.
 //
 // A task's span vector is single-writer plain memory: the owning task pushes, and the
 // orchestrator reads it only after the join. It grows like the enclave event buffer,
@@ -45,6 +49,7 @@
 #include <functional>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/telemetry/metrics.h"
@@ -84,8 +89,9 @@ inline thread_local std::vector<SpanEvent>* tls_span_sink = nullptr;
 }  // namespace tracing_internal
 
 // The span collector. One process-global instance (Global(), configured by the
-// SNOOPY_TRACE / SNOOPY_TRACE_OUT environment variables); tests may use private
-// instances. Thread-safe: `enabled` is an atomic read on every span open, the
+// SNOOPY_TRACE / SNOOPY_TRACE_OUT environment variables) receives every span the
+// deployment records; only this layer's own unit tests construct private instances.
+// Thread-safe: `enabled` is an atomic read on every span open, the
 // shared stream is mutex-guarded, and worker-side recording goes through the
 // per-task TLS sinks.
 class Tracer {
@@ -108,9 +114,9 @@ class Tracer {
   void Disable() { enabled_.store(false, std::memory_order_release); }
   bool enabled() const { return enabled_.load(std::memory_order_acquire); }
 
-  // Replace the time source (default: SpanTimer::SteadyNowSeconds; fault-injection
-  // deployments pass the VirtualClock). Must be called while no spans are open —
-  // the clock is read unlocked on the span hot path.
+  // Replace the time source (default: SpanTimer::SteadyNowSeconds). A seam for unit
+  // tests of private tracers; no deployment code calls it. Must be called while no
+  // spans are open -- the clock is read unlocked on the span hot path.
   void set_clock(NowFn now_s) { now_s_ = std::move(now_s); }
   double NowSeconds() const {
     return now_s_ ? now_s_() : SpanTimer::SteadyNowSeconds();
@@ -204,19 +210,13 @@ inline Tracer& Tracer::Global() {
 }
 
 // RAII: routes this thread's span recording into `sink` (saving and restoring any
-// enclosing sink, so nesting behaves). Install one per public task so the
-// orchestrator can merge sinks in task-id order. A null sink keeps the current
-// one -- callers may pass null to make buffering conditional on tracing. The TLS
-// sink is shared by every Tracer, which is why RunPhase installs one only while its
-// own tracer is on.
+// enclosing sink, so nesting behaves). RunPhase installs one per public task so the
+// orchestrator can merge sinks in task-id order; an untraced task leaves its sink
+// empty.
 class TracerThreadBuffer {
  public:
   explicit TracerThreadBuffer(std::vector<SpanEvent>* sink)
-      : prev_(tracing_internal::tls_span_sink) {
-    if (sink != nullptr) {
-      tracing_internal::tls_span_sink = sink;
-    }
-  }
+      : prev_(std::exchange(tracing_internal::tls_span_sink, sink)) {}
   ~TracerThreadBuffer() { tracing_internal::tls_span_sink = prev_; }
 
   TracerThreadBuffer(const TracerThreadBuffer&) = delete;
@@ -325,12 +325,11 @@ struct PoolPhaseMetrics {
 };
 
 // Exports one phase-pool run: always-on counters/histograms into the pre-resolved
-// `metrics` handles (null skips the metrics writes entirely) and per-worker "pool"
-// spans into `tracer` (null/disabled ok), emitted in worker-id order so traces stay
-// schedule-independent in *sequence* (the recorded durations are wall-clock facts
-// and naturally vary). Defined in tracing.cc.
-void RecordWorkerPhase(Tracer* tracer, const PoolPhaseMetrics* metrics,
-                       const char* phase, size_t workers,
+// `metrics` handles (null skips the metrics writes entirely) and, while
+// Tracer::Global() is on, per-worker "pool" spans emitted in worker-id order so
+// traces stay schedule-independent in *sequence* (the recorded durations are
+// wall-clock facts and naturally vary). Defined in tracing.cc.
+void RecordWorkerPhase(const PoolPhaseMetrics* metrics, const char* phase, size_t workers,
                        const std::vector<WorkerPhaseStats>& stats);
 
 }  // namespace snoopy

@@ -86,7 +86,7 @@ struct Bare {
     for (uint32_t lb = 0; lb < kLbs; ++lb) {
       seeds.push_back(EpochSeed(base_seeds[lb], epoch));
     }
-    const EpochTelemetry telemetry{epoch, nullptr, nullptr, nullptr};
+    const EpochTelemetry telemetry{epoch, nullptr};
     return RunEpochProtocol(lbs, pending, seeds, available, threads, telemetry, exchange);
   }
 

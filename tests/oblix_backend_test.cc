@@ -7,6 +7,7 @@
 #include <memory>
 
 #include "src/core/snoopy.h"
+#include "src/net/fault.h"
 
 namespace snoopy {
 namespace {
@@ -20,12 +21,14 @@ std::vector<uint8_t> ValueFor(uint64_t key, uint8_t version = 0) {
   return v;
 }
 
-std::unique_ptr<Snoopy> MakeSnoopyOblix(uint32_t lbs, uint32_t sos, uint64_t n) {
+std::unique_ptr<Snoopy> MakeSnoopyOblix(uint32_t lbs, uint32_t sos, uint64_t n,
+                                        int epoch_threads = 1) {
   SnoopyConfig cfg;
   cfg.num_load_balancers = lbs;
   cfg.num_suborams = sos;
   cfg.value_size = kValueSize;
   cfg.lambda = 40;
+  cfg.epoch_threads = epoch_threads;
   const OblixBackendFactory factory(/*capacity_per_shard=*/n + 16, kValueSize);
   auto store = std::make_unique<Snoopy>(cfg, /*seed=*/21, factory);
   std::vector<std::pair<uint64_t, std::vector<uint8_t>>> objects;
@@ -68,6 +71,41 @@ TEST(OblixBackend, DuplicateAndSkewedRequests) {
   ASSERT_EQ(resp.size(), 30u);
   for (const ClientResponse& r : resp) {
     EXPECT_EQ(r.value, ValueFor(42));
+  }
+}
+
+// Oblix shards do not seal, so a failed epoch cannot return them to the boundary and
+// its requests are dropped. The undelivered batch still left its links out of step;
+// they are rekeyed anyway, so the next epochs answer every request.
+TEST(OblixBackend, FailedEpochDropsItsRequestsAndDoesNotWedge) {
+  for (const int threads : {1, 4}) {
+    auto store = MakeSnoopyOblix(2, 2, 60, threads);
+    FaultInjector injector(21);
+    store->set_fault_injector(&injector);
+    uint64_t seq = 0;
+    const auto submit = [&] {
+      for (uint64_t i = 0; i < 8; ++i, ++seq) {
+        store->SubmitReadWithLb(static_cast<uint32_t>(i % 2), 1, seq, seq * 7 % 60);
+      }
+    };
+
+    submit();
+    FaultProfile dark;
+    dark.drop = 1.0;
+    injector.SetProfile("suboram/1", dark);
+    EXPECT_THROW(store->RunEpoch(), DeadlineExceededError) << "threads=" << threads;
+    EXPECT_EQ(store->pending_requests(), 0u) << "threads=" << threads;
+    injector.SetProfile("suboram/1", FaultProfile{});
+
+    for (int epoch = 0; epoch < 3; ++epoch) {
+      submit();
+      std::vector<ClientResponse> resp;
+      ASSERT_NO_THROW(resp = store->RunEpoch()) << "threads=" << threads << " epoch=" << epoch;
+      ASSERT_EQ(resp.size(), 8u) << "threads=" << threads << " epoch=" << epoch;
+      for (const ClientResponse& r : resp) {
+        EXPECT_EQ(r.value, ValueFor(r.client_seq * 7 % 60)) << "seq " << r.client_seq;
+      }
+    }
   }
 }
 

@@ -92,7 +92,7 @@ TEST(RunPhase, RunsEachTaskOnceAndMergesInIndexOrder) {
       std::vector<TraceEvent> events;
       {
         TraceScope scope;
-        RunPhase(n, threads, {"unit", nullptr, &metrics, nullptr}, [&](size_t i) {
+        RunPhase(n, threads, {"unit", &metrics}, [&](size_t i) {
           hits[i].fetch_add(1);
           // Two events around a sleep that shrinks with the index, so tasks finish
           // out of index order whenever they run concurrently.
@@ -121,7 +121,7 @@ TEST(RunPhase, EveryTaskRunsAndLowestIndexErrorSurfacesAtEveryWidth) {
   for (const int threads : {1, 2, 4}) {
     std::vector<std::atomic<int>> ran(4);
     try {
-      RunPhase(4, threads, {"unit_errors", nullptr, nullptr, nullptr}, [&](size_t i) {
+      RunPhase(4, threads, {"unit_errors"}, [&](size_t i) {
         ran[i].fetch_add(1);
         if (i == 0) {
           // Task 0 throws last, so the surfaced error is chosen by index, not by
@@ -158,7 +158,7 @@ TEST(RunPhase, TasksRunParallelSortsOnTheSamePool) {
       }
     }
     TraceScope scope;
-    RunPhase(kTasks, phase_threads, {"nested_sort", nullptr, nullptr, nullptr},
+    RunPhase(kTasks, phase_threads, {"nested_sort"},
              [&](size_t t) {
                BitonicSortSlab(
                    slabs[t],

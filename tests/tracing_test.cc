@@ -22,6 +22,7 @@
 
 #include "src/core/snoopy.h"
 #include "src/enclave/trace.h"
+#include "src/net/fault.h"
 #include "src/net/retry.h"
 #include "src/obl/secret.h"
 #include "src/telemetry/metrics.h"
@@ -149,14 +150,8 @@ TEST(TracerThreadBuffer, RoutesSpansToRingAndRestores) {
     TracerThreadBuffer install(&ring);
     TraceSpan s(&tracer, "task", "buffered", 1);
     s.End();
-    {
-      // Null sink keeps the current one (the conditional-buffering idiom).
-      TracerThreadBuffer keep(nullptr);
-      TraceSpan t(&tracer, "task", "still_buffered", 2);
-      t.End();
-    }
     EXPECT_EQ(tracer.size(), 0u);  // nothing hit the shared stream yet
-    EXPECT_EQ(ring.size(), 2u);
+    EXPECT_EQ(ring.size(), 1u);
   }
   // Sink restored: new spans go to the shared stream.
   TraceSpan direct(&tracer, "task", "direct", 3);
@@ -164,11 +159,10 @@ TEST(TracerThreadBuffer, RoutesSpansToRingAndRestores) {
   EXPECT_EQ(tracer.size(), 1u);
   tracer.AppendCurrent(ring);
   const std::vector<SpanEvent> events = tracer.snapshot();
-  ASSERT_EQ(events.size(), 3u);
+  ASSERT_EQ(events.size(), 2u);
   EXPECT_STREQ(events[0].name, "direct");
   EXPECT_STREQ(events[1].name, "buffered");
-  EXPECT_STREQ(events[2].name, "still_buffered");
-  EXPECT_EQ(tracer.spans_recorded(), 3u);
+  EXPECT_EQ(tracer.spans_recorded(), 2u);
 }
 
 TEST(Tracer, AppendCurrentRespectsEnclosingRing) {
@@ -198,7 +192,9 @@ TEST(Tracer, AppendCurrentRespectsEnclosingRing) {
 // ---------------------------------------------------------------------------------
 
 TEST(RecordWorkerPhase, ExportsCountersGaugesAndOrderedSpans) {
-  Tracer tracer;
+  Tracer& tracer = Tracer::Global();  // the pool spans' one tracer
+  const bool was_enabled = tracer.enabled();
+  tracer.Clear();
   tracer.Enable(1);
   MetricsRegistry registry;
   std::vector<WorkerPhaseStats> stats(2);
@@ -213,7 +209,7 @@ TEST(RecordWorkerPhase, ExportsCountersGaugesAndOrderedSpans) {
   stats[1].start_s = 10.0;
   stats[1].finish_s = 10.5;
   const PoolPhaseMetrics metrics = PoolPhaseMetrics::Resolve(&registry, "suboram_execute");
-  RecordWorkerPhase(&tracer, &metrics, "suboram_execute", 2, stats);
+  RecordWorkerPhase(&metrics, "suboram_execute", 2, stats);
 
   const MetricLabels labels = {{"phase", "suboram_execute"}};
   EXPECT_EQ(registry.GetCounter("snoopy_pool_phases_total", labels).value(), 1u);
@@ -228,6 +224,10 @@ TEST(RecordWorkerPhase, ExportsCountersGaugesAndOrderedSpans) {
   // Spans: worker summaries in worker-id order. Sequence (not timing) is the
   // deterministic part.
   const std::vector<SpanEvent> events = tracer.snapshot();
+  if (!was_enabled) {
+    tracer.Disable();
+  }
+  tracer.Clear();
   std::vector<const SpanEvent*> workers;
   for (const SpanEvent& e : events) {
     ASSERT_STREQ(e.cat, "pool");
@@ -239,11 +239,11 @@ TEST(RecordWorkerPhase, ExportsCountersGaugesAndOrderedSpans) {
   EXPECT_EQ(workers[1]->task_id, 1u);
   EXPECT_EQ(workers[1]->track, 2u);
 
-  // Null tracer / null metrics must be accepted (always-on counters are optional
-  // per deployment), and so must the all-null handles a null registry resolves to.
-  RecordWorkerPhase(nullptr, nullptr, "suboram_execute", 2, stats);
+  // Null metrics must be accepted (always-on counters are optional per deployment),
+  // and so must the all-null handles a null registry resolves to.
+  RecordWorkerPhase(nullptr, "suboram_execute", 2, stats);
   const PoolPhaseMetrics unresolved = PoolPhaseMetrics::Resolve(nullptr, "suboram_execute");
-  RecordWorkerPhase(nullptr, &unresolved, "suboram_execute", 2, stats);
+  RecordWorkerPhase(&unresolved, "suboram_execute", 2, stats);
 }
 
 // ---------------------------------------------------------------------------------
@@ -280,11 +280,14 @@ TracedRun RunTracedWorkload(int epoch_threads, bool tracing_on, uint64_t seed) {
     objects.emplace_back(k, Val(k));
   }
   store.Initialize(objects);
-  Tracer tracer;
+  Tracer& tracer = Tracer::Global();  // every span's one tracer
+  const bool was_enabled = tracer.enabled();
+  tracer.Clear();
   if (tracing_on) {
     tracer.Enable(1);
+  } else {
+    tracer.Disable();
   }
-  store.set_tracer(tracing_on ? &tracer : nullptr);
 
   TracedRun out;
   uint64_t seq = 1;
@@ -309,6 +312,12 @@ TracedRun RunTracedWorkload(int epoch_threads, bool tracing_on, uint64_t seed) {
     out.enclave_trace = scope.Events();
   }
   out.spans = tracer.snapshot();
+  if (was_enabled) {
+    tracer.Enable(1);
+  } else {
+    tracer.Disable();
+  }
+  tracer.Clear();
   return out;
 }
 
@@ -434,6 +443,81 @@ TEST(TracingDeterminism, NoStepSpanIsDroppedAtTwelveBalancers) {
   for (const char* name : {"suboram_scan", "suboram_extract", "suboram_oht_build"}) {
     EXPECT_EQ(steps[name], batches) << name;
   }
+}
+
+// Under fault injection the VirtualClock advances on retry backoff and injected
+// delays only; every telemetry reading stays wall time. So each per-worker pool span
+// lies inside the phase span that ran it (the stripe pushes inside the seal), and a
+// phase that waits on no backoff still measures a nonzero duration.
+TEST(TracingDeterminism, FaultInjectionKeepsOneTimeBase) {
+  SnoopyConfig cfg;
+  cfg.num_load_balancers = 2;
+  cfg.num_suborams = 2;
+  cfg.value_size = kValueSize;
+  cfg.lambda = 40;
+  cfg.epoch_threads = 2;
+  cfg.striping.replicas = 1;  // the seal pushes stripes
+  Snoopy store(cfg, /*seed=*/13);
+  std::vector<std::pair<uint64_t, std::vector<uint8_t>>> objects;
+  for (uint64_t k = 0; k < kObjects; ++k) {
+    objects.emplace_back(k, Val(k));
+  }
+  store.Initialize(objects);
+  MetricsRegistry registry;
+  store.set_metrics_registry(&registry);
+  FaultInjector injector(13);
+  FaultProfile chaos;
+  chaos.drop = 0.2;
+  chaos.delay = 0.3;
+  chaos.delay_s = 0.05;
+  injector.set_default_profile(chaos);
+  store.set_fault_injector(&injector);
+
+  Tracer& global = Tracer::Global();
+  const bool was_enabled = global.enabled();
+  global.Clear();
+  global.Enable();
+  for (uint64_t epoch = 0; epoch < 3; ++epoch) {
+    for (uint64_t i = 0; i < 32; ++i) {
+      store.SubmitRead(i, epoch * 32 + i + 1, (epoch * 32 + i) % kObjects);
+    }
+    store.RunEpoch();
+  }
+  const std::vector<SpanEvent> spans = global.snapshot();
+  if (!was_enabled) {
+    global.Disable();
+  }
+  global.Clear();
+  ASSERT_GT(store.clock().now_s(), 0) << "the chaos must advance the virtual clock";
+
+  // A pool span is recorded when its RunPhase joins, before its phase span closes:
+  // each phase span must contain every pool span recorded since the previous one.
+  std::vector<const SpanEvent*> open_pools;
+  size_t pools = 0;
+  size_t pushes = 0;
+  for (const SpanEvent& e : spans) {
+    if (std::strcmp(e.cat, "pool") == 0) {
+      open_pools.push_back(&e);
+      ++pools;
+      pushes += std::strcmp(e.name, "stripe_push") == 0 ? 1 : 0;
+      continue;
+    }
+    if (std::strcmp(e.cat, "phase") != 0) {
+      continue;
+    }
+    for (const SpanEvent* pool : open_pools) {
+      const char* phase = std::strcmp(pool->name, "stripe_push") == 0 ? "seal" : pool->name;
+      EXPECT_STREQ(phase, e.name);
+      EXPECT_LE(e.start_s, pool->start_s) << pool->name << " starts before its phase";
+      EXPECT_LE(pool->end_s, e.end_s) << pool->name << " ends after its phase";
+    }
+    open_pools.clear();
+  }
+  EXPECT_TRUE(open_pools.empty());
+  EXPECT_GT(pools, 0u);
+  EXPECT_GT(pushes, 0u);
+  EXPECT_GT(registry.GetHistogram("snoopy_epoch_phase_seconds", {{"phase", "lb_prepare"}}).sum(),
+            0);
 }
 
 TEST(TracingLeakage, ObliviousTraceIdenticalTracingOnAndOff) {

@@ -67,6 +67,22 @@ if [[ -n "${repair_owner}" ]]; then
 fi
 echo "repair owner ok: src/core/striping.{h,cc}"
 
+echo "== one tracer (every span goes to Tracer::Global(); Tracer only in src/telemetry/tracing.{h,cc}) =="
+# The deployment records every span into the process-global tracer, on one clock. A
+# set_tracer hook, a constructed Tracer or a Tracer* member, parameter or local
+# anywhere else under src/ is a second sink that splits one epoch's spans between
+# tracers. Private tracers belong to tracing's own unit tests. Comment lines are skipped.
+tracers="$(grep -rnP --include='*.h' --include='*.cc' \
+  '\bset_tracer\b|\bTracer\s*\*|\bTracer\s+\w+\s*[;{(=]|\bnew\s+Tracer\b|<\s*Tracer\s*>' src \
+  | grep -vE '^src/telemetry/tracing\.(h|cc):' \
+  | grep -vP '^[^:]+:[0-9]+:\s*//' || true)"
+if [[ -n "${tracers}" ]]; then
+  echo "ci.sh: a second tracer outside src/telemetry/tracing.{h,cc}:"
+  echo "${tracers}"
+  exit 1
+fi
+echo "one tracer ok: Tracer::Global()"
+
 echo "== binary taint dataflow (planted corpus, then real kernels at -O2/-O3) =="
 # The source lint cannot see what the optimizer emits; ct_dataflow audits the
 # compiled objects. Self-test first (every planted B01-B04/M01 must fire), then
