@@ -296,7 +296,7 @@ double MeasureNsPerOp(Fn&& fn) {
 // One access_run op: a run of this many records (about one OHT bucket) with a
 // 48-byte request header before each value.
 constexpr size_t kAccessRecords = 27;
-constexpr size_t kAccessHeader = 48;
+constexpr size_t kAccessHeader = RequestBatch::kHeaderBytes;
 
 void EmitKernelSeries(BenchJsonEmitter& emitter) {
   const KernelBackend prev = ActiveKernelBackend();
@@ -316,8 +316,13 @@ void EmitKernelSeries(BenchJsonEmitter& emitter) {
         const size_t run_stride = kAccessHeader + nbytes;
         std::vector<uint8_t> run(kAccessRecords * run_stride, 3);
         for (size_t r = 0; r < kAccessRecords; ++r) {
-          run[r * run_stride] = static_cast<uint8_t>(r % 2);
+          RequestHeader h;
+          h.key = r % 2;
+          h.op = kOpWrite;
+          std::memcpy(run.data() + r * run_stride, &h, kAccessHeader);
         }
+        std::vector<uint64_t> columns(4 * kAccessRecords);
+        BuildScanColumns(run.data(), kAccessRecords, run_stride, columns.data());
         uint64_t mask = ~uint64_t{0};
         const OpPoint ops[3] = {
             {"cond_swap", MeasureNsPerOp([&] {
@@ -329,15 +334,14 @@ void EmitKernelSeries(BenchJsonEmitter& emitter) {
                benchmark::DoNotOptimize(KernelEqualBytes(a, b, nbytes));
              })},
             // The subORAM scan's fused compare-and-set over one run of kAccessRecords
-            // records (header + value), per record: the value <- the carried state
-            // under `match`, the state <- the value under `write`; the masks come from
-            // each record's header and alternate record to record.
+            // request records (header + value), per record: the value <- the carried
+            // state under `match`, the state <- the value under `write`; the masks are
+            // compared from the run's match columns (built once, as the scan builds
+            // them once per table), and every other record is a granted write to the
+            // object's key.
             {"access_run", MeasureNsPerOp([&] {
                KernelAccessRun(a, run.data(), kAccessRecords, run_stride, kAccessHeader,
-                               nbytes, [](uint8_t* rec) {
-                                 const SecretBool on = SecretBool::FromWord(rec[0]);
-                                 return AccessMasks{on, on, !on};
-                               });
+                               nbytes, ScanRunColumns(columns.data(), kAccessRecords, 0, 0));
                benchmark::DoNotOptimize(a);
              }) / kAccessRecords},
         };
@@ -441,11 +445,11 @@ void EmitCryptoSeries(BenchJsonEmitter& emitter) {
 
 // --- subORAM scan (src/core/suboram.cc step 2) ------------------------------------
 //
-// ns per OHT slot per backend: the scan's loop, one KernelAccessRun with the real
-// ScanSlotMasks per bucket (two per object), over a real TwoTierOht built from a
-// kScanBatch-request batch, against kScanObjects stored objects. Each point is the
-// median of kScanReps timed scans after one untimed scan, with the fastest and
-// slowest beside it.
+// ns per OHT slot per backend: the scan SubOram::ProcessBatch runs (ScanStore: the
+// table's match columns, then one KernelAccessRun per bucket, two per object), over a
+// real TwoTierOht built from a kScanBatch-request batch, against kScanObjects stored
+// objects. Each point is the median of kScanReps timed scans after one untimed scan,
+// with the fastest and slowest beside it.
 
 constexpr size_t kScanObjects = 65536;
 constexpr size_t kScanBatch = 500;
@@ -475,20 +479,8 @@ void EmitSuboramScanSeries(BenchJsonEmitter& emitter) {
         const uint64_t key = i;
         std::memcpy(store.Record(i), &key, 8);
       }
-      const size_t stride = table.record_bytes();
       const auto scan = [&] {
-        for (size_t i = 0; i < kScanObjects; ++i) {
-          uint8_t* obj = store.Record(i);
-          uint64_t key;
-          std::memcpy(&key, obj, 8);
-          const ScanSlotMasks masks{key};
-          std::span<uint8_t> bucket = table.Tier1Bucket(key);
-          KernelAccessRun(obj + 8, bucket.data(), bucket.size() / stride, stride,
-                          RequestBatch::kHeaderBytes, value_bytes, masks);
-          bucket = table.Tier2Bucket(key);
-          KernelAccessRun(obj + 8, bucket.data(), bucket.size() / stride, stride,
-                          RequestBatch::kHeaderBytes, value_bytes, masks);
-        }
+        ScanStore(store, value_bytes, table);
         benchmark::DoNotOptimize(store.data());
       };
       const double slots =

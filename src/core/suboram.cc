@@ -85,31 +85,11 @@ RequestBatch SubOram::ProcessBatch(RequestBatch&& batch) {
 
   // Step 2 (Fig. 7): one linear scan over every stored object. For each object, scan
   // its two candidate buckets in full; every slot gets one fused oblivious
-  // compare-and-set pass (ScanSlotMasks), so that neither the match nor the request
-  // type is revealed.
-  const size_t stride = table.record_bytes();
-  const size_t n_objects = store_.size();
+  // compare-and-set pass, its masks compared from the table's match columns, so that
+  // neither the match nor the request type is revealed.
   TraceSpan scan_trace(&Tracer::Global(), "step", "suboram_scan", config_.id);
-  scan_trace.SetArg("objects", n_objects);
-
-  // SNOOPY_OBLIVIOUS_BEGIN(suboram_scan)
-  // ct-public: i n_objects stride value_size obj_key obj_value table bucket masks
-  for (size_t i = 0; i < n_objects; ++i) {
-    TraceRecord(TraceOp::kRead, i);
-    uint8_t* obj = store_.Record(i);
-    uint64_t obj_key;
-    std::memcpy(&obj_key, obj, 8);
-    uint8_t* obj_value = obj + 8;
-    const ScanSlotMasks masks{obj_key};
-    // One kernel call per bucket, with the object value held in registers across it.
-    std::span<uint8_t> bucket = table.Tier1Bucket(obj_key);
-    KernelAccessRun(obj_value, bucket.data(), bucket.size() / stride, stride,
-                    RequestBatch::kHeaderBytes, value_size, masks);
-    bucket = table.Tier2Bucket(obj_key);
-    KernelAccessRun(obj_value, bucket.data(), bucket.size() / stride, stride,
-                    RequestBatch::kHeaderBytes, value_size, masks);
-  }
-  // SNOOPY_OBLIVIOUS_END(suboram_scan)
+  scan_trace.SetArg("objects", store_.size());
+  ScanStore(store_, value_size, table);
   scan_trace.End();
 
   // Step 3 (Fig. 7): compact the table's padding dummies away and return the B
@@ -121,6 +101,48 @@ RequestBatch SubOram::ProcessBatch(RequestBatch&& batch) {
     out.Header(i).resp = 1;
   }
   return out;
+}
+
+void ScanStore(ByteSlab& store, size_t value_size, TwoTierOht& table) {
+  const size_t stride = table.record_bytes();
+  const size_t n_objects = store.size();
+  const size_t slots1 = table.tier1().size();
+  const size_t slots2 = table.tier2().size();
+  const size_t z1 = table.params().z1;
+  const size_t z2 = table.params().z2;
+  // A fresh buffer per batch (32 bytes per slot; 660 KB at B = 2,685). One kept in the
+  // SubOram across batches raised batch_heavy's peak RSS 15%: a long-lived chunk in a
+  // worker thread's malloc arena keeps the arena from trimming the batch's freed slabs.
+  // A fresh one comes from the arena's free memory; page faults stayed within the
+  // parent's run-to-run spread.
+  std::vector<uint64_t> columns(4 * (slots1 + slots2));
+  uint64_t* const columns1 = columns.data();
+  uint64_t* const columns2 = columns1 + 4 * slots1;
+
+  // SNOOPY_OBLIVIOUS_BEGIN(suboram_scan)
+  // ct-public: i n_objects stride value_size obj_key obj_value table b1 b2 bucket
+  // ct-public: slots1 slots2 z1 z2 columns1 columns2
+  // ct-calls: BuildScanColumns ScanRunColumns Tier1BucketAt Tier2BucketAt tier1 tier2
+  BuildScanColumns(table.tier1().data(), slots1, stride, columns1);
+  BuildScanColumns(table.tier2().data(), slots2, stride, columns2);
+  for (size_t i = 0; i < n_objects; ++i) {
+    TraceRecord(TraceOp::kRead, i);
+    uint8_t* obj = store.Record(i);
+    uint64_t obj_key;
+    std::memcpy(&obj_key, obj, 8);
+    uint8_t* obj_value = obj + 8;
+    // One kernel call per bucket, with the object value held in registers across it.
+    const uint64_t b1 = table.Tier1BucketIndex(obj_key);
+    KernelAccessRun(obj_value, table.Tier1BucketAt(b1).data(), z1, stride,
+                    RequestBatch::kHeaderBytes, value_size,
+                    ScanRunColumns(columns1, slots1, b1 * z1, obj_key));
+    const uint64_t b2 = table.Tier2BucketIndex(obj_key);
+    const std::span<uint8_t> bucket = table.Tier2BucketAt(b2);
+    KernelAccessRun(obj_value, bucket.data(), bucket.size() / stride, stride,
+                    RequestBatch::kHeaderBytes, value_size,
+                    ScanRunColumns(columns2, slots2, b2 * z2, obj_key));
+  }
+  // SNOOPY_OBLIVIOUS_END(suboram_scan)
 }
 
 void SubOram::SealStateInto(SealedStore& store, uint64_t counter_id,

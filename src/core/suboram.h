@@ -28,6 +28,7 @@
 #include "src/crypto/rng.h"
 #include "src/enclave/rollback.h"
 #include "src/obl/bucket_sort.h"
+#include "src/obl/hash_table.h"
 #include "src/obl/kernels.h"
 #include "src/obl/secret.h"
 #include "src/obl/slab.h"
@@ -47,27 +48,46 @@ struct SubOramConfig {
   bool check_distinct = true;
 };
 
-// SNOOPY_OBLIVIOUS_BEGIN(suboram_scan_masks)
-// ct-public: obj_key rec
-// The KernelAccessRun masks an OHT request slot gets against the stored object
-// `obj_key` during the scan (Figure 7 step 2); obj_key is public, the scan visits every
-// stored key. Request contents (key, op, dummy flag, access decision) are secret.
+// SNOOPY_OBLIVIOUS_BEGIN(suboram_scan_columns)
+// ct-public: r count stride slots columns
+// The scan's match columns (Figure 7 step 2), the one place a request header becomes
+// scan masks. For `count` OHT slots `stride` bytes apart, four columns of `count`
+// words at `columns`: the slot's key, live = !dummy, wr = is_write & granted and
+// gr = granted. Against a stored object's key (public: the scan visits every stored
+// key), AccessColumns then gives the slot
+//   match = (key == obj_key) & live, write = match & wr, keep = match & gr.
 // Write path: object <- request payload if a granted write matches. Response path:
 // slot <- the object's pre-state for reads and writes alike, except that a denied
-// access returns null rather than data (Appendix D).
-struct ScanSlotMasks {
-  uint64_t obj_key;
-
-  AccessMasks operator()(const uint8_t* rec) const {
-    const auto* req = reinterpret_cast<const RequestHeader*>(rec);
-    const SecretBool match =
-        (SecretU64(req->key) == obj_key) & !SecretBool::FromWord(req->dummy);
-    const SecretBool is_write = SecretU64(req->op) == SecretU64(kOpWrite);
+// access returns null rather than data (Appendix D). Request contents (key, op, dummy
+// flag, access decision) are secret; the pass reads every slot and writes every column
+// word at public addresses, without a branch.
+inline void BuildScanColumns(const uint8_t* slots, size_t count, size_t stride,
+                             uint64_t* columns) {
+  for (size_t r = 0; r < count; ++r) {
+    const auto* req = reinterpret_cast<const RequestHeader*>(slots + r * stride);
     const SecretBool granted = SecretBool::FromWord(req->granted);
-    return AccessMasks{match & is_write & granted, match, match & granted};
+    const SecretBool is_write = SecretU64(req->op) == SecretU64(kOpWrite);
+    columns[r] = req->key;
+    columns[count + r] = (!SecretBool::FromWord(req->dummy)).mask();
+    columns[2 * count + r] = (is_write & granted).mask();
+    columns[3 * count + r] = granted.mask();
   }
-};
-// SNOOPY_OBLIVIOUS_END(suboram_scan_masks)
+}
+// SNOOPY_OBLIVIOUS_END(suboram_scan_columns)
+
+// The AccessColumns, against `obj_key`, of a run starting at slot `first` of a tier
+// whose BuildScanColumns columns (of `slots` words each) are at `columns`.
+inline AccessColumns ScanRunColumns(const uint64_t* columns, size_t slots, size_t first,
+                                    uint64_t obj_key) {
+  const uint64_t* key = columns + first;
+  return AccessColumns{key, key + slots, key + 2 * slots, key + 3 * slots, obj_key};
+}
+
+// Figure 7 step 2 over a built request table: the match columns of both tiers, then
+// one pass over every stored object (key(8) | value(value_size) records), in storage
+// order, with one KernelAccessRun per candidate bucket. SubOram::ProcessBatch's scan,
+// and what the scan micro-bench times.
+void ScanStore(ByteSlab& store, size_t value_size, TwoTierOht& table);
 
 class SubOram : public SubOramBackend {
  public:

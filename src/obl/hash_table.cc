@@ -249,18 +249,16 @@ uint64_t TwoTierOht::Tier2BucketIndex(uint64_t key) const {
   return params_.bins2 == 0 ? 0 : SipHash24(key2_, key) % params_.bins2;
 }
 
-std::span<uint8_t> TwoTierOht::Tier1Bucket(uint64_t key) {
-  const uint64_t b = Tier1BucketIndex(key);
+std::span<uint8_t> TwoTierOht::Tier1BucketAt(uint64_t b) {
   TraceRecord(TraceOp::kBucketScan, b, 1);
   const size_t stride = tier1_.record_bytes();
   return {tier1_.data() + b * params_.z1 * stride, params_.z1 * stride};
 }
 
-std::span<uint8_t> TwoTierOht::Tier2Bucket(uint64_t key) {
+std::span<uint8_t> TwoTierOht::Tier2BucketAt(uint64_t b) {
   if (params_.bins2 == 0) {
     return {};
   }
-  const uint64_t b = Tier2BucketIndex(key);
   TraceRecord(TraceOp::kBucketScan, b, 2);
   const size_t stride = tier2_.record_bytes();
   return {tier2_.data() + b * params_.z2 * stride, params_.z2 * stride};

@@ -75,11 +75,16 @@ class TwoTierOht {
 
   // The two buckets that may contain `key`. A caller performing an oblivious lookup
   // must scan both spans in full. Spans are invalidated by Build/ExtractAll.
-  std::span<uint8_t> Tier1Bucket(uint64_t key);
-  std::span<uint8_t> Tier2Bucket(uint64_t key);  // empty span if the table has one tier
+  std::span<uint8_t> Tier1Bucket(uint64_t key) { return Tier1BucketAt(Tier1BucketIndex(key)); }
+  std::span<uint8_t> Tier2Bucket(uint64_t key) { return Tier2BucketAt(Tier2BucketIndex(key)); }
   // Indices of the two candidate buckets of `key`.
   uint64_t Tier1BucketIndex(uint64_t key) const;
   uint64_t Tier2BucketIndex(uint64_t key) const;  // 0 if the table has one tier
+  // The bucket at a Tier*BucketIndex result, recorded in the trace as the lookup's
+  // bucket scan: for a caller that needs the index as well as the slots, with the key
+  // hashed once per tier.
+  std::span<uint8_t> Tier1BucketAt(uint64_t b);
+  std::span<uint8_t> Tier2BucketAt(uint64_t b);  // empty span if the table has one tier
 
   size_t record_bytes() const { return tier1_.record_bytes(); }
 

@@ -46,6 +46,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <type_traits>
 #include <vector>
 
 #include "src/obl/primitives.h"
@@ -157,13 +158,29 @@ struct AccessMasks {
   SecretBool reveal;  // under match: old state if set, zeros if not
 };
 
+// A run's masks from per-record match columns instead of a functor: four words per
+// record, written once per table by the caller (the subORAM scan's BuildScanColumns,
+// src/core/suboram.h), each pointer at the run's first record. Against the public
+// `obj_key`, record r gets
+//   match = (key[r] == obj_key) & live[r], write = match & wr[r], keep = match & gr[r],
+// where live, wr and gr hold all-ones/all-zeros words. KernelAccessRun builds each
+// block's masks from the columns with the widest compare the backend has.
+struct AccessColumns {
+  const uint64_t* key;
+  const uint64_t* live;
+  const uint64_t* wr;
+  const uint64_t* gr;
+  uint64_t obj_key;
+};
+
 // SNOOPY_OBLIVIOUS_BEGIN(kernels)
 // ct-public: i n r j c off len base block count stride value_offset last kRegs chunking
 // ct-public: backend vector first values stash chunks extra kAccessRunBlock KernelBackend
-// ct-public: kAVX512 kAVX2 max_bytes
+// ct-public: kAVX512 kAVX2 max_bytes left
 // ct-calls: ValueBarrier __attribute__ target GenericDiffWord GenericAccessSlot alignas
 // ct-calls: masks KernelAccessReg32 KernelAccessReg64 SplitRun Offset Length
-// ct-calls: KernelBroadcast256
+// ct-calls: KernelBroadcast256 KernelAvx2ColumnMasks KernelAvx512ColumnMasks
+// ct-calls: GenericColumnMasks ColumnMasksOn
 
 namespace kernel_internal {
 
@@ -226,11 +243,23 @@ struct AccessWords {
   uint64_t keep;
 };
 
-// Records per block of a run: a block's masks are computed first, in one scalar pass
-// (the functor once per record, in run order), into a stash of kAccessRunBlock
-// entries; then the block kernel carries the value through the block (the SIMD ones
-// once per register chunk) and reads each record's masks back from the stash.
+// Records per block of a run: a block's masks are computed first into a stash of
+// kAccessRunBlock entries (the functor once per record, in run order, or the column
+// compare several records at a time); then the block kernel carries the value through
+// the block (the SIMD ones once per register chunk) and reads each record's masks back
+// from the stash. A multiple of 8, so the column producers' whole-vector stores of a
+// block's last partial group stay inside the stash.
 inline constexpr size_t kAccessRunBlock = 64;
+
+// The generic column producer: the scalar compare once per record.
+inline void GenericColumnMasks(const uint64_t* key, const uint64_t* live, const uint64_t* wr,
+                               const uint64_t* gr, uint64_t obj_key, size_t count,
+                               AccessWords* stash) {
+  for (size_t r = 0; r < count; ++r) {
+    const uint64_t match = (SecretU64(key[r]) == SecretU64(obj_key)).mask() & live[r];
+    stash[r] = AccessWords{match & wr[r], match, match & gr[r]};
+  }
+}
 
 // Chunk geometry of a SIMD run: n split into the fewest chunks of at most max_bytes,
 // as evenly as possible, so every chunk is at least one vector wide whenever n is.
@@ -484,6 +513,46 @@ __attribute__((target("avx2"))) inline void KernelAvx2AccessBlock(
   }
 }
 
+// The AVX2 column producer: 4 records per _mm256_cmpeq_epi64, the and-masks beside it,
+// then the three mask vectors interleaved into 4 stash entries (3 vectors) with lane
+// permutes and dword blends, all in registers. A last partial group loads its columns
+// under a public lane mask; its lanes past `count` read as zeros, so their stash
+// entries get all-zero masks.
+__attribute__((target("avx2"))) inline void KernelAvx2ColumnMasks(
+    const uint64_t* key, const uint64_t* live, const uint64_t* wr, const uint64_t* gr,
+    uint64_t obj_key, size_t count, AccessWords* stash) {
+  const __m256i vkey = _mm256_set1_epi64x(static_cast<long long>(obj_key));
+  const __m256i lane_ids = _mm256_setr_epi64x(0, 1, 2, 3);
+  // A block is at most 16 groups: unrolled in full when the count is a constant.
+#pragma GCC unroll 16
+  for (size_t r = 0; r < count; r += 4) {
+    const __m256i lanes =
+        _mm256_cmpgt_epi64(_mm256_set1_epi64x(static_cast<long long>(count - r)), lane_ids);
+    const __m256i k = _mm256_maskload_epi64(reinterpret_cast<const long long*>(key + r), lanes);
+    const __m256i lv = _mm256_maskload_epi64(reinterpret_cast<const long long*>(live + r), lanes);
+    const __m256i wv = _mm256_maskload_epi64(reinterpret_cast<const long long*>(wr + r), lanes);
+    const __m256i gv = _mm256_maskload_epi64(reinterpret_cast<const long long*>(gr + r), lanes);
+    const __m256i m = _mm256_and_si256(_mm256_cmpeq_epi64(k, vkey), lv);
+    const __m256i w = _mm256_and_si256(m, wv);
+    const __m256i kp = _mm256_and_si256(m, gv);
+    // Entries (w0 m0 k0 w1) (m1 k1 w2 m2) (k2 w3 m3 k3): each vector takes its lanes
+    // from lane-broadcasts of w, m and k; blend 0x0C picks qword 1, 0x30 qword 2.
+    auto* out = reinterpret_cast<__m256i*>(stash + r);
+    _mm256_storeu_si256(
+        out, _mm256_blend_epi32(_mm256_blend_epi32(_mm256_permute4x64_epi64(w, 0x40),
+                                                   _mm256_permute4x64_epi64(m, 0x00), 0x0C),
+                                _mm256_permute4x64_epi64(kp, 0x00), 0x30));
+    _mm256_storeu_si256(
+        out + 1, _mm256_blend_epi32(_mm256_blend_epi32(_mm256_permute4x64_epi64(m, 0x95),
+                                                       _mm256_permute4x64_epi64(kp, 0x55), 0x0C),
+                                    _mm256_permute4x64_epi64(w, 0xAA), 0x30));
+    _mm256_storeu_si256(
+        out + 2, _mm256_blend_epi32(_mm256_blend_epi32(_mm256_permute4x64_epi64(kp, 0xEA),
+                                                       _mm256_permute4x64_epi64(w, 0xFF), 0x0C),
+                                    _mm256_permute4x64_epi64(m, 0xFF), 0x30));
+  }
+}
+
 // The 64-byte step, the paper's masked-move construction: k-masks pick bytes in
 // registers (vpblendmb, vmovdqu8 with zeroing) and the slot store is full-width, so the
 // written byte set is mask-independent.
@@ -550,6 +619,43 @@ __attribute__((target("avx512f,avx512bw"))) inline void KernelAvx512AccessBlock(
   }
 }
 
+// The AVX-512 column producer: 8 records per _mm512_cmpeq_epi64_mask, the k-mask
+// widened over the live column with _mm512_maskz_mov_epi64, the and-masks beside it,
+// then the three mask vectors interleaved into 8 stash entries (3 vectors): a
+// two-source permute places the write and match lanes and a masked permute drops the
+// keep lanes in, all in registers. A last partial group loads its columns under a
+// public lane k-mask; its lanes past `count` read as zeros, so their stash entries get
+// all-zero masks.
+__attribute__((target("avx512f,avx512bw"))) inline void KernelAvx512ColumnMasks(
+    const uint64_t* key, const uint64_t* live, const uint64_t* wr, const uint64_t* gr,
+    uint64_t obj_key, size_t count, AccessWords* stash) {
+  const __m512i vkey = _mm512_set1_epi64(static_cast<long long>(obj_key));
+  // Entries (w0 m0 k0 w1 m1 k1 w2 m2) (k2 w3 m3 k3 w4 m4 k4 w5) (m5 k5 w6 m6 k6 w7 m7 k7):
+  // write/match sources (w = 0..7, m = 8..15), then the keep lanes and their sources.
+  const __m512i wm0 = _mm512_setr_epi64(0, 8, 0, 1, 9, 0, 2, 10);
+  const __m512i wm1 = _mm512_setr_epi64(0, 3, 11, 0, 4, 12, 0, 5);
+  const __m512i wm2 = _mm512_setr_epi64(13, 0, 6, 14, 0, 7, 15, 0);
+  const __m512i k0 = _mm512_setr_epi64(0, 0, 0, 0, 0, 1, 0, 0);
+  const __m512i k1 = _mm512_setr_epi64(2, 0, 0, 3, 0, 0, 4, 0);
+  const __m512i k2 = _mm512_setr_epi64(0, 5, 0, 0, 6, 0, 0, 7);
+  for (size_t r = 0; r < count; r += 8) {
+    const size_t left = count - r;
+    const auto lanes = static_cast<__mmask8>(left < 8 ? (1u << left) - 1 : 0xFFu);
+    const __m512i k = _mm512_maskz_loadu_epi64(lanes, key + r);
+    const __m512i m = _mm512_maskz_mov_epi64(_mm512_cmpeq_epi64_mask(k, vkey),
+                                             _mm512_maskz_loadu_epi64(lanes, live + r));
+    const __m512i w = _mm512_and_si512(m, _mm512_maskz_loadu_epi64(lanes, wr + r));
+    const __m512i kp = _mm512_and_si512(m, _mm512_maskz_loadu_epi64(lanes, gr + r));
+    auto* out = reinterpret_cast<uint64_t*>(stash + r);
+    _mm512_storeu_si512(out, _mm512_mask_permutexvar_epi64(
+                                 _mm512_permutex2var_epi64(w, wm0, m), 0x24, k0, kp));
+    _mm512_storeu_si512(out + 8, _mm512_mask_permutexvar_epi64(
+                                     _mm512_permutex2var_epi64(w, wm1, m), 0x49, k1, kp));
+    _mm512_storeu_si512(out + 16, _mm512_mask_permutexvar_epi64(
+                                      _mm512_permutex2var_epi64(w, wm2, m), 0x92, k2, kp));
+  }
+}
+
 #endif  // SNOOPY_KERNELS_X86
 
 // The generic block: the audited scalar GenericAccessSlot once per record, with the
@@ -562,9 +668,31 @@ inline void GenericAccessBlock(uint8_t* state, uint8_t* values, size_t count, si
   }
 }
 
+// Masks of `count` records from their columns (starting `base` records into the run),
+// with the widest compare `backend` has.
+inline void ColumnMasksOn(KernelBackend backend, const AccessColumns& columns, size_t base,
+                          size_t count, AccessWords* stash) {
+  const uint64_t* key = columns.key + base;
+  const uint64_t* live = columns.live + base;
+  const uint64_t* wr = columns.wr + base;
+  const uint64_t* gr = columns.gr + base;
+#if SNOOPY_KERNELS_X86
+  if (backend == KernelBackend::kAVX512) {
+    KernelAvx512ColumnMasks(key, live, wr, gr, columns.obj_key, count, stash);
+    return;
+  }
+  if (backend == KernelBackend::kAVX2) {
+    KernelAvx2ColumnMasks(key, live, wr, gr, columns.obj_key, count, stash);
+    return;
+  }
+#endif
+  GenericColumnMasks(key, live, wr, gr, columns.obj_key, count, stash);
+}
+
 // The run, block by block: the block's masks into the stash (the functor once per
-// record, in run order), then the block kernel of the widest vector `backend` has that
-// fits in the value (under 32 bytes, the generic block).
+// record, in run order, or AccessColumns through ColumnMasksOn), then the block kernel
+// of the widest vector `backend` has that fits in the value (under 32 bytes, the
+// generic block).
 template <class Masks>
 inline void AccessRunOn(KernelBackend backend, uint8_t* state, uint8_t* run, size_t count,
                         size_t stride, size_t value_offset, size_t n, const Masks& masks) {
@@ -580,11 +708,15 @@ inline void AccessRunOn(KernelBackend backend, uint8_t* state, uint8_t* run, siz
   for (size_t base = 0; base < count; base += kAccessRunBlock) {
     const size_t block = count - base < kAccessRunBlock ? count - base : kAccessRunBlock;
     uint8_t* first = run + base * stride;
-    for (size_t r = 0; r < block; ++r) {
-      const AccessMasks m = masks(first + r * stride);
-      stash[r].write = m.write.mask();
-      stash[r].match = m.match.mask();
-      stash[r].keep = (m.reveal & m.match).mask();
+    if constexpr (std::is_same_v<Masks, AccessColumns>) {
+      ColumnMasksOn(backend, masks, base, block, stash);
+    } else {
+      for (size_t r = 0; r < block; ++r) {
+        const AccessMasks m = masks(first + r * stride);
+        stash[r].write = m.write.mask();
+        stash[r].match = m.match.mask();
+        stash[r].keep = (m.reveal & m.match).mask();
+      }
     }
     uint8_t* values = first + value_offset;
 #if SNOOPY_KERNELS_X86
@@ -632,9 +764,10 @@ inline void KernelCondSwapBytesMask(uint64_t mask, void* a, void* b, size_t n) {
 
 // Fused oblivious access of one carried value `state` (n bytes) against a run of
 // `count` records `stride` bytes apart, each holding an n-byte value at
-// `value_offset`. `masks(record)` returns the record's AccessMasks; it is called once
-// per record, in run order, before that record's value is touched, and may read or
-// write the record's bytes outside its value. Per record, with all-ones/all-zeros
+// `value_offset`. `masks` is either AccessColumns (the run's match columns) or a
+// functor: `masks(record)` returns the record's AccessMasks; it is called once per
+// record, in run order, before that record's value is touched, and may read or write
+// the record's bytes outside its value. Per record, with all-ones/all-zeros
 // masks,
 //   old = state; state = write ? value : state; value = match ? (reveal ? old : 0) : value,
 // which equals staging `old` with a memcpy and then three conditional copies. Every

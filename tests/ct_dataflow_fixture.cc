@@ -121,15 +121,17 @@ CTDF_ROOT uint64_t ctdf_kernel_equal(const uint8_t* a, const uint8_t* b, size_t 
   return snoopy::KernelDiffBytesWord(a, b, n);
 }
 
-// The fused subORAM-scan access run over one OHT bucket: the real scan masks
-// (ScanSlotMasks, secret request headers against the public object key) composed with
-// the kernel, and both the carried value and the bucket's records hold secret bytes.
-// The record count, stride, value size and object key are public.
-// ctdf-symbol: ctdf_kernel_access_run secret=ptr:rdi,ptr:rsi
-CTDF_ROOT void ctdf_kernel_access_run(uint8_t* state, uint8_t* run, size_t count,
-                                      size_t stride, size_t n, uint64_t obj_key) {
-  snoopy::KernelAccessRun(state, run, count, stride, snoopy::RequestBatch::kHeaderBytes, n,
-                          snoopy::ScanSlotMasks{obj_key});
+// The fused subORAM-scan access run over one OHT bucket: the kernel with its masks
+// compared from the bucket's match columns (AccessColumns against the public object
+// key), as ScanStore calls it. The carried value, the bucket's records and the match
+// columns (4 * count words) hold secret bytes; the record count, value size, object
+// key and the stride (header plus value) are public.
+// ctdf-symbol: ctdf_kernel_access_run secret=ptr:rdi,ptr:rsi,ptr:rdx
+CTDF_ROOT void ctdf_kernel_access_run(uint8_t* state, uint8_t* run, const uint64_t* columns,
+                                      size_t count, size_t n, uint64_t obj_key) {
+  snoopy::KernelAccessRun(state, run, count, snoopy::RequestBatch::kHeaderBytes + n,
+                          snoopy::RequestBatch::kHeaderBytes, n,
+                          snoopy::ScanRunColumns(columns, count, 0, obj_key));
 }
 
 // ---- Per-backend kernel internals (audited even when CPUID dispatch would not
@@ -151,12 +153,28 @@ CTDF_ROOT uint64_t ctdf_generic_equal(const uint8_t* a, const uint8_t* b, size_t
   return snoopy::kernel_internal::GenericDiffWord(a, b, n);
 }
 
-// ctdf-symbol: ctdf_generic_access_run secret=ptr:rdi,ptr:rsi backend=generic
-CTDF_ROOT void ctdf_generic_access_run(uint8_t* state, uint8_t* run, size_t count,
-                                       size_t stride, size_t n, uint64_t obj_key) {
-  snoopy::kernel_internal::AccessRunOn(snoopy::KernelBackend::kGeneric, state, run, count, stride,
+// ctdf-symbol: ctdf_generic_access_run secret=ptr:rdi,ptr:rsi,ptr:rdx backend=generic
+CTDF_ROOT void ctdf_generic_access_run(uint8_t* state, uint8_t* run, const uint64_t* columns,
+                                       size_t count, size_t n, uint64_t obj_key) {
+  snoopy::kernel_internal::AccessRunOn(snoopy::KernelBackend::kGeneric, state, run, count,
+                                       snoopy::RequestBatch::kHeaderBytes + n,
                                        snoopy::RequestBatch::kHeaderBytes, n,
-                                       snoopy::ScanSlotMasks{obj_key});
+                                       snoopy::ScanRunColumns(columns, count, 0, obj_key));
+}
+
+// The scan's match columns of one bucket, then one block of its masks: the real column
+// builder (BuildScanColumns) over secret request records into a column buffer, and the
+// backend's column producer from that buffer into the mask stash. Only the records
+// start secret; the columns and the stash take their taint from the builder's and the
+// producer's stores. The slot count (at most one block, kAccessRunBlock) and the
+// stride are public, the object key too.
+// ctdf-symbol: ctdf_generic_access_columns secret=ptr:rdi backend=generic
+CTDF_ROOT void ctdf_generic_access_columns(const uint8_t* slots, size_t count, size_t stride,
+                                           uint64_t* columns, uint64_t obj_key,
+                                           snoopy::kernel_internal::AccessWords* stash) {
+  snoopy::BuildScanColumns(slots, count, stride, columns);
+  snoopy::kernel_internal::GenericColumnMasks(columns, columns + count, columns + 2 * count,
+                                              columns + 3 * count, obj_key, count, stash);
 }
 
 #if SNOOPY_KERNELS_X86
@@ -171,12 +189,22 @@ CTDF_ROOT uint64_t ctdf_avx2_equal(const uint8_t* a, const uint8_t* b, size_t n)
   return snoopy::kernel_internal::KernelAvx2DiffWord(a, b, n);
 }
 
-// ctdf-symbol: ctdf_avx2_access_run secret=ptr:rdi,ptr:rsi backend=avx2
-CTDF_ROOT void ctdf_avx2_access_run(uint8_t* state, uint8_t* run, size_t count,
-                                    size_t stride, size_t n, uint64_t obj_key) {
-  snoopy::kernel_internal::AccessRunOn(snoopy::KernelBackend::kAVX2, state, run, count, stride,
+// ctdf-symbol: ctdf_avx2_access_run secret=ptr:rdi,ptr:rsi,ptr:rdx backend=avx2
+CTDF_ROOT void ctdf_avx2_access_run(uint8_t* state, uint8_t* run, const uint64_t* columns,
+                                    size_t count, size_t n, uint64_t obj_key) {
+  snoopy::kernel_internal::AccessRunOn(snoopy::KernelBackend::kAVX2, state, run, count,
+                                       snoopy::RequestBatch::kHeaderBytes + n,
                                        snoopy::RequestBatch::kHeaderBytes, n,
-                                       snoopy::ScanSlotMasks{obj_key});
+                                       snoopy::ScanRunColumns(columns, count, 0, obj_key));
+}
+
+// ctdf-symbol: ctdf_avx2_access_columns secret=ptr:rdi backend=avx2
+CTDF_ROOT void ctdf_avx2_access_columns(const uint8_t* slots, size_t count, size_t stride,
+                                        uint64_t* columns, uint64_t obj_key,
+                                        snoopy::kernel_internal::AccessWords* stash) {
+  snoopy::BuildScanColumns(slots, count, stride, columns);
+  snoopy::kernel_internal::KernelAvx2ColumnMasks(columns, columns + count, columns + 2 * count,
+                                                 columns + 3 * count, obj_key, count, stash);
 }
 
 // ctdf-symbol: ctdf_avx512_cond_swap secret=val:rdi,ptr:rsi,ptr:rdx backend=avx512
@@ -189,12 +217,22 @@ CTDF_ROOT uint64_t ctdf_avx512_equal(const uint8_t* a, const uint8_t* b, size_t 
   return snoopy::kernel_internal::KernelAvx512DiffWord(a, b, n);
 }
 
-// ctdf-symbol: ctdf_avx512_access_run secret=ptr:rdi,ptr:rsi backend=avx512
-CTDF_ROOT void ctdf_avx512_access_run(uint8_t* state, uint8_t* run, size_t count,
-                                      size_t stride, size_t n, uint64_t obj_key) {
-  snoopy::kernel_internal::AccessRunOn(snoopy::KernelBackend::kAVX512, state, run, count, stride,
+// ctdf-symbol: ctdf_avx512_access_run secret=ptr:rdi,ptr:rsi,ptr:rdx backend=avx512
+CTDF_ROOT void ctdf_avx512_access_run(uint8_t* state, uint8_t* run, const uint64_t* columns,
+                                      size_t count, size_t n, uint64_t obj_key) {
+  snoopy::kernel_internal::AccessRunOn(snoopy::KernelBackend::kAVX512, state, run, count,
+                                       snoopy::RequestBatch::kHeaderBytes + n,
                                        snoopy::RequestBatch::kHeaderBytes, n,
-                                       snoopy::ScanSlotMasks{obj_key});
+                                       snoopy::ScanRunColumns(columns, count, 0, obj_key));
+}
+
+// ctdf-symbol: ctdf_avx512_access_columns secret=ptr:rdi backend=avx512
+CTDF_ROOT void ctdf_avx512_access_columns(const uint8_t* slots, size_t count, size_t stride,
+                                          uint64_t* columns, uint64_t obj_key,
+                                          snoopy::kernel_internal::AccessWords* stash) {
+  snoopy::BuildScanColumns(slots, count, stride, columns);
+  snoopy::kernel_internal::KernelAvx512ColumnMasks(columns, columns + count, columns + 2 * count,
+                                                   columns + 3 * count, obj_key, count, stash);
 }
 
 #endif  // SNOOPY_KERNELS_X86

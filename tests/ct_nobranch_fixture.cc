@@ -119,6 +119,27 @@ __attribute__((noipa, target("avx2"))) void nb_kernel_avx2_access_run300(
   snoopy::kernel_internal::KernelAvx2AccessBlock(state, values, 1, 300, 300, masks);
 }
 
+// The column producers (the subORAM scan's masks from its match columns) over a
+// 50-slot bucket (one block ending in a partial vector group) and a 65-slot bucket
+// (a full 64-record block, then a one-record block), as AccessRunOn splits them.
+// nb-symbol[x86]: nb_kernel_avx2_access_columns50
+__attribute__((noipa, target("avx2"))) void nb_kernel_avx2_access_columns50(
+    const uint64_t* __restrict__ columns, uint64_t obj_key,
+    snoopy::kernel_internal::AccessWords* __restrict__ stash) {
+  snoopy::kernel_internal::KernelAvx2ColumnMasks(columns, columns + 50, columns + 100,
+                                                 columns + 150, obj_key, 50, stash);
+}
+
+// nb-symbol[x86]: nb_kernel_avx2_access_columns65
+__attribute__((noipa, target("avx2"))) void nb_kernel_avx2_access_columns65(
+    const uint64_t* __restrict__ columns, uint64_t obj_key,
+    snoopy::kernel_internal::AccessWords* __restrict__ stash) {
+  snoopy::kernel_internal::KernelAvx2ColumnMasks(columns, columns + 65, columns + 130,
+                                                 columns + 195, obj_key, 64, stash);
+  snoopy::kernel_internal::KernelAvx2ColumnMasks(columns + 64, columns + 129, columns + 194,
+                                                 columns + 259, obj_key, 1, stash + 64);
+}
+
 // nb-symbol[x86]: nb_kernel_avx512_cond_swap208
 __attribute__((noipa, target("avx512f,avx512bw"))) void nb_kernel_avx512_cond_swap208(
     uint64_t m, uint8_t* __restrict__ a, uint8_t* __restrict__ b) {
@@ -146,6 +167,24 @@ __attribute__((noipa, target("avx512f,avx512bw"))) void nb_kernel_avx512_access_
     uint8_t* __restrict__ values) {
   const snoopy::kernel_internal::AccessWords masks[1] = {{w, m, k}};
   snoopy::kernel_internal::KernelAvx512AccessBlock(state, values, 1, 300, 300, masks);
+}
+
+// nb-symbol[x86]: nb_kernel_avx512_access_columns50
+__attribute__((noipa, target("avx512f,avx512bw"))) void nb_kernel_avx512_access_columns50(
+    const uint64_t* __restrict__ columns, uint64_t obj_key,
+    snoopy::kernel_internal::AccessWords* __restrict__ stash) {
+  snoopy::kernel_internal::KernelAvx512ColumnMasks(columns, columns + 50, columns + 100,
+                                                   columns + 150, obj_key, 50, stash);
+}
+
+// nb-symbol[x86]: nb_kernel_avx512_access_columns65
+__attribute__((noipa, target("avx512f,avx512bw"))) void nb_kernel_avx512_access_columns65(
+    const uint64_t* __restrict__ columns, uint64_t obj_key,
+    snoopy::kernel_internal::AccessWords* __restrict__ stash) {
+  snoopy::kernel_internal::KernelAvx512ColumnMasks(columns, columns + 65, columns + 130,
+                                                   columns + 195, obj_key, 64, stash);
+  snoopy::kernel_internal::KernelAvx512ColumnMasks(columns + 64, columns + 129, columns + 194,
+                                                   columns + 259, obj_key, 1, stash + 64);
 }
 
 #endif  // SNOOPY_KERNELS_X86

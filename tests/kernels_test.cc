@@ -1,7 +1,8 @@
 // Tests for the dispatching SIMD kernel layer (src/obl/kernels.h): differential
 // fuzzing of every supported backend against the scalar TCB primitives, dispatch
-// override plumbing, trace identity of the slab sort across backends, and the
-// vectorized ChaCha20 keystream against the scalar block function.
+// override plumbing, the subORAM scan's column masks against Figure 7's rule, trace
+// identity of the slab sort across backends, and the vectorized ChaCha20 keystream
+// against the scalar block function.
 
 #include "src/obl/kernels.h"
 
@@ -13,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "src/core/request.h"
+#include "src/core/suboram.h"
 #include "src/crypto/chacha20.h"
 #include "src/crypto/rng.h"
 #include "src/enclave/trace.h"
@@ -280,6 +283,77 @@ TEST(Kernels, AccessRunMatchesPerSlotSequenceEverywhere) {
                                      << " count=" << count;
         ASSERT_EQ(run, want_run) << KernelBackendName(backend) << " n=" << n
                                  << " count=" << count;
+      }
+    }
+  }
+}
+
+// The subORAM scan's column path (BuildScanColumns over a tier, then KernelAccessRun
+// with one bucket's AccessColumns) against a GenericAccessSlot loop whose masks follow
+// Figure 7's rule read straight off each request header: match = key equal and not a
+// dummy, write = match & granted write, reveal = granted. Bucket sizes cross every
+// vector group and the 64-record mask block; the bucket sits a few slots into its tier
+// so its columns start mid-buffer; state and records are misaligned. Each run mixes
+// dummies (some carrying the object's key), reads and writes, granted and denied, with
+// one match, several matches or none.
+TEST(Kernels, AccessColumnsMatchFunctorMasksEverywhere) {
+  Rng rng(106);
+  constexpr uint64_t kObjKey = 0x1234'5678'9abc'def0;
+  for (const KernelBackend backend : SupportedKernelBackends()) {
+    BackendGuard guard;
+    SetKernelBackend(backend);
+    for (const size_t n : {size_t{32}, size_t{160}, size_t{173}, size_t{300}, size_t{1024}}) {
+      for (const size_t count : {0, 1, 3, 7, 8, 9, 63, 64, 65, 130}) {
+        for (const int matches : {0, 1, 2}) {  // none, exactly one, several
+          const size_t stride = RequestBatch::kHeaderBytes + n + n % 3;
+          const size_t before = static_cast<size_t>(rng.Uniform(5));
+          const size_t slots = before + count + static_cast<size_t>(rng.Uniform(5));
+          const size_t mis_s = static_cast<size_t>(rng.Uniform(64));
+          const size_t mis_r = static_cast<size_t>(rng.Uniform(64));
+          std::vector<uint8_t> state(n + 64 + mis_s);
+          std::vector<uint8_t> tier(slots * stride + 64 + mis_r);
+          for (auto& b : state) b = static_cast<uint8_t>(rng.Next64());
+          for (auto& b : tier) b = static_cast<uint8_t>(rng.Next64());
+          const size_t one = count == 0 ? 0 : static_cast<size_t>(rng.Uniform(count));
+          for (size_t s = 0; s < slots; ++s) {
+            RequestHeader h;
+            const size_t r = s - before;  // wraps for slots before the bucket
+            const bool hit =
+                r < count && (matches == 2 ? rng.Uniform(3) == 0 : matches == 1 && r == one);
+            h.key = hit ? kObjKey : rng.Next64() | 1;  // kObjKey is even
+            if (!hit && rng.Uniform(4) == 0) {
+              h.dummy = static_cast<uint8_t>(1 + rng.Uniform(255));
+              if (rng.Uniform(2) == 0) {
+                h.key = kObjKey;  // a dummy never matches, even on the object's key
+              }
+            }
+            h.op = static_cast<uint8_t>(rng.Uniform(2) == 0 ? kOpRead : kOpWrite);
+            h.granted = static_cast<uint8_t>(rng.Uniform(3) == 0 ? 0 : 1 + rng.Uniform(255));
+            std::memcpy(tier.data() + mis_r + s * stride, &h, sizeof(h));
+          }
+          std::vector<uint8_t> want_state = state;
+          std::vector<uint8_t> want_tier = tier;
+          for (size_t r = 0; r < count; ++r) {
+            uint8_t* rec = want_tier.data() + mis_r + (before + r) * stride;
+            RequestHeader h;
+            std::memcpy(&h, rec, sizeof(h));
+            const bool match = h.key == kObjKey && h.dummy == 0;
+            const bool write = match && h.op == kOpWrite && h.granted != 0;
+            const auto word = [](bool b) { return b ? ~uint64_t{0} : uint64_t{0}; };
+            kernel_internal::GenericAccessSlot(word(write), word(match), word(h.granted != 0),
+                                               want_state.data() + mis_s,
+                                               rec + RequestBatch::kHeaderBytes, n);
+          }
+          std::vector<uint64_t> columns(4 * slots);
+          BuildScanColumns(tier.data() + mis_r, slots, stride, columns.data());
+          KernelAccessRun(state.data() + mis_s, tier.data() + mis_r + before * stride, count,
+                          stride, RequestBatch::kHeaderBytes, n,
+                          ScanRunColumns(columns.data(), slots, before, kObjKey));
+          ASSERT_EQ(state, want_state) << KernelBackendName(backend) << " n=" << n
+                                       << " count=" << count << " matches=" << matches;
+          ASSERT_EQ(tier, want_tier) << KernelBackendName(backend) << " n=" << n
+                                     << " count=" << count << " matches=" << matches;
+        }
       }
     }
   }
